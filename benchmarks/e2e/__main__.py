@@ -1,0 +1,10 @@
+"""``python -m benchmarks.e2e`` is ``python3 benchmarks/e2e/run.py``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from run import main  # noqa: E402 - needs this directory on sys.path
+
+sys.exit(main())
