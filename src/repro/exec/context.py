@@ -447,27 +447,47 @@ def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
     Run on the driver thread so parallel morsel workers only ever hit the
     memoized registry.
     """
-    seen: set[int] = set()
+    # Every graph operator of a plan carries the same mapping (and index):
+    # its tables are pinned, and clamped, once per plan — not per operator.
+    seen: set[tuple[int, ...]] = set()
+
+    def first_visit(*objs) -> bool:
+        key = tuple(map(id, objs))
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    snapshots = ctx.snapshots
+
+    def pin(table) -> None:
+        if id(table) not in snapshots:
+            ctx.pin(table)
 
     def visit(op) -> None:
-        if id(op) in seen:
+        if not first_visit(op):
             return
-        seen.add(id(op))
         table = getattr(op, "table", None)
         if table is not None and hasattr(table, "snapshot_at"):
-            ctx.pin(table)
+            pin(table)
         mapping = getattr(op, "mapping", None)
         if mapping is not None and hasattr(mapping, "vertices"):
-            for vm in mapping.vertices.values():
-                ctx.pin(mapping.catalog.table(vm.table_name))
-            for em in mapping.edges.values():
-                ctx.pin(mapping.catalog.table(em.table_name))
+            if first_visit(mapping):
+                for vm in mapping.vertices.values():
+                    pin(mapping.catalog.table(vm.table_name))
+                for em in mapping.edges.values():
+                    pin(mapping.catalog.table(em.table_name))
             index = getattr(op, "index", None)
-            if index is not None and hasattr(index, "vertex_rows"):
+            if (
+                index is not None
+                and hasattr(index, "vertex_rows")
+                and first_visit(mapping, index)
+            ):
+                # The mapping pass above pinned every table the index covers.
                 for label, rows in index.vertex_rows.items():
-                    ctx.pin(mapping.vertex_table(label)).clamp(rows)
+                    snapshots[id(mapping.vertex_table(label))].clamp(rows)
                 for label, rows in index.edge_rows.items():
-                    ctx.pin(mapping.edge_table(label)).clamp(rows)
+                    snapshots[id(mapping.edge_table(label))].clamp(rows)
         # SCAN_GRAPH_TABLE bridges the layers without exposing its graph
         # plan through children(); descend explicitly so the expansion
         # operators underneath (which carry the index) clamp their tables.

@@ -768,27 +768,6 @@ def csr_expand_vectors(vertices, offsets, edges):
     return parents, edges[positions]
 
 
-def csr_expand_filtered(vertices, offsets, edges, edge_mask=None):
-    """:func:`csr_expand_vectors` plus the optional edge-mask refinement.
-
-    The shared head of every vectorized expansion site (graph EXPAND /
-    EXPAND_EDGE, closing EXPAND, relational CsrJoin): expand the batch,
-    drop expansions whose edge fails ``edge_mask``, and collapse the
-    nothing-survived case to None so callers skip the batch uniformly.
-    """
-    expanded = csr_expand_vectors(vertices, offsets, edges)
-    if expanded is None:
-        return None
-    parents, edge_ids = expanded
-    if edge_mask is not None:
-        keep = edge_mask[edge_ids]
-        if not keep.all():
-            parents, edge_ids = parents[keep], edge_ids[keep]
-            if not len(parents):
-                return None
-    return parents, edge_ids
-
-
 def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:
     """Split an oversized batch into <= ``size``-row chunks (zero-copy)."""
     n = len(cb)

@@ -168,6 +168,66 @@ def is_ndarray(values) -> bool:
     return _numpy_enabled and _np is not None and isinstance(values, _np.ndarray)
 
 
+class LazyMask:
+    """A per-rowid predicate as a boolean column filled on demand.
+
+    The shape of a pushed-down predicate that has no dense vectorized form
+    (LIKE / IN over '<U' or NULL-bearing columns, OR, IS NULL, ... — and
+    every predicate when numpy is disabled).  ``mask[rowids]`` answers like
+    a dense boolean ndarray would, but calls ``check`` only for the
+    *distinct* rowids not asked about before, so one mask shared by all
+    batches of a traversal evaluates the predicate at most once per rowid
+    it actually reaches.  ``length`` is the (pinned) extent of the table
+    the rowids address.
+
+    With numpy enabled at construction the lookup is array in, bool
+    ndarray out; otherwise any int sequence in, a list of truth values out.
+    """
+
+    __slots__ = ("_check", "_known", "_value")
+
+    def __init__(self, check, length: int):
+        self._check = check
+        if _numpy_enabled and _np is not None:
+            self._known = _np.zeros(length, dtype=bool)
+            self._value = _np.zeros(length, dtype=bool)
+        else:
+            self._known = bytearray(length)
+            self._value = bytearray(length)
+
+    def __getitem__(self, rowids):
+        known, value, check = self._known, self._value, self._check
+        if type(known) is bytearray:
+            for r in rowids:
+                if not known[r]:
+                    value[r] = check(r)
+                    known[r] = 1
+            return [value[r] for r in rowids]
+        rowids = as_index_array(rowids)
+        unknown = rowids[~known[rowids]]
+        if len(unknown):
+            unknown = _np.unique(unknown)
+            value[unknown] = _np.fromiter(
+                map(check, unknown.tolist()), dtype=bool, count=len(unknown)
+            )
+            known[unknown] = True
+        return value[rowids]
+
+
+def passing(mask, rowids) -> "Sequence[int] | None":
+    """Positions of ``rowids`` whose ``mask`` entry is set; None when all are.
+
+    ``mask`` is a dense boolean ndarray or a :class:`LazyMask`.  The result
+    feeds :func:`take` / :meth:`ColumnarBatch.take` in either domain, so
+    operators filter by a pushed-down predicate without branching on numpy.
+    """
+    if _numpy_enabled and _np is not None:
+        keep = mask[as_index_array(rowids)]
+        return None if keep.all() else _np.flatnonzero(keep)
+    keep = mask[rowids]
+    return None if all(keep) else [j for j, k in enumerate(keep) if k]
+
+
 #: Widest string (in characters) a column may hold and still vectorize:
 #: '<U' arrays cost 4 * max_len bytes per row, so one long outlier value
 #: would multiply the cached view's memory by max_len / avg_len.
@@ -219,6 +279,12 @@ def vector_view(values: Sequence) -> Sequence:
         # so building a view never locks or crashes writers.
         return _np.frombuffer(values.tobytes(), dtype=values.typecode)
     if type(values) is list:
+        source = values
+        # Convert from an atomic copy (a list slice copies under the GIL,
+        # like tobytes() above): np.asarray walks the list twice, and a
+        # Table writer extending it in between dies with "Inconsistent
+        # object during array creation".
+        values = values[:]
         if values and type(values[0]) is str:
             # Pre-scan string columns before allocating the fixed-width
             # array: rejects NULs, oversized values and mixed types in one
@@ -229,11 +295,11 @@ def vector_view(values: Sequence) -> Sequence:
                     or len(v) > _MAX_VECTOR_STR_CHARS
                     or "\x00" in v
                 ):
-                    return values
+                    return source
         try:
             view = _np.asarray(values)
         except (TypeError, ValueError, OverflowError):
-            return values
+            return source
         # Accept the view only when the dtype provably round-trips the
         # source values: numpy happily coerces mixed lists to a common
         # dtype ([1, 'a'] -> '<U21', [True, 2] -> int64, big ints ->
@@ -242,18 +308,18 @@ def vector_view(values: Sequence) -> Sequence:
         kind = view.dtype.kind
         if kind == "U":
             if type(values[0]) is not str:  # stringified non-str values
-                return values
+                return source
         elif kind in "iu":
             if not all(type(v) is int for v in values):
-                return values
+                return source
         elif kind == "b":
             if not all(type(v) is bool for v in values):
-                return values
+                return source
         elif kind == "f":
             if not all(type(v) is float for v in values):
-                return values
+                return source
         else:  # object, datetime, complex, ... — no vectorized story
-            return values
+            return source
         return view
     return values
 
@@ -405,6 +471,8 @@ __all__ = [
     "take",
     "as_values",
     "is_ndarray",
+    "LazyMask",
+    "passing",
     "vector_view",
     "index_vector",
     "cached_vector",

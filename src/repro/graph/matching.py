@@ -77,35 +77,37 @@ def rowid_selection(table: Table, predicate: Expr, num_rows: int | None = None):
 
 
 def rowid_mask(table: Table, predicate: Expr, num_rows: int | None = None):
-    """``predicate`` evaluated over *every* rowid of ``table`` as a numpy
-    boolean mask, or None when the vectorized path is unavailable.
+    """``predicate`` over the rowids of ``table`` as a mask: ``mask[rowids]``
+    is the predicate's WHERE-truth (NULL -> False) per rowid.
 
-    Expansion operators filter whole traversal batches with one fancy-index
-    into this mask (``mask[targets]``) instead of a per-rowid Python call;
-    the one-time cost is a single vectorized pass over the base table.
-    Vectorizability is decided *structurally* via
-    :func:`~repro.relational.expr.compile_predicate_mask`: predicates with
-    no fully-vectorized shape (LIKE/IN forms, NULL-bearing or list-backed
-    columns) decline, so a whole-table Python pass is never paid and
-    callers keep their per-rowid checks.
+    Expansion operators filter whole traversal batches with one lookup into
+    this mask instead of a per-rowid Python call.  Predicates with a fully
+    vectorized shape (:func:`~repro.relational.expr.compile_predicate_mask`
+    decides *structurally*) evaluate once over the base table into a dense
+    boolean ndarray.  Everything else — LIKE/IN over '<U' or NULL-bearing
+    columns, OR, IS NULL, or numpy disabled — becomes a
+    :class:`~repro.exec.vector.LazyMask` over :func:`rowid_predicate`, so a
+    whole-table Python pass is never paid: only rowids a traversal reaches
+    are checked, each once.  ``num_rows`` is the pinned extent of ``table``
+    (default: the live row count); masks cover rowids below it.
     """
     from repro.exec import vector
     from repro.relational.expr import compile_predicate_mask
 
-    if vector._np is None or not vector.numpy_enabled():
-        return None
-    names = sorted(referenced_columns(predicate))
-    arrays = []
-    layout: dict[str, int] = {}
     length = table.num_rows if num_rows is None else num_rows
-    for i, name in enumerate(names):
-        tail = name.rsplit(".", 1)[-1]
-        arrays.append(table.vector(tail, min_rows=length))
-        layout[name] = i
-    mask_fn = compile_predicate_mask(predicate, layout)
-    if mask_fn is None:
-        return None
-    return mask_fn(arrays, length)
+    if vector.numpy_enabled():
+        names = sorted(referenced_columns(predicate))
+        layout = {name: i for i, name in enumerate(names)}
+        mask_fn = compile_predicate_mask(predicate, layout)
+        if mask_fn is not None:
+            arrays = [
+                table.vector(name.rsplit(".", 1)[-1], min_rows=length)
+                for name in names
+            ]
+            mask = mask_fn(arrays, length)
+            if mask is not None:
+                return mask
+    return vector.LazyMask(rowid_predicate(table, predicate), length)
 
 
 def match_pattern(

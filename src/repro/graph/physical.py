@@ -48,7 +48,7 @@ from repro.exec.kernels import (
     ChunkSizer,
     build_hash_table,
     chunked,
-    csr_expand_filtered,
+    csr_expand_vectors,
     emit_batches,
     emit_columnar,
     expand_batches,
@@ -69,6 +69,7 @@ from repro.exec.vector import (
     as_values,
     index_vector,
     is_ndarray,
+    passing,
     take,
     vector_view,
 )
@@ -179,6 +180,13 @@ class ScanVertex(GraphOperator):
         return f"SCAN {self.var}:{self.label}{pred}"
 
 
+def _mask(ctx: ExecutionContext, table, predicate: Expr | None):
+    """``predicate`` as a rowid mask over ``table``'s pinned extent."""
+    if predicate is None:
+        return None
+    return rowid_mask(table, predicate, ctx.pin(table).num_rows)
+
+
 def _expand_columnar(
     source: Iterator[ColumnarBatch],
     ctx: ExecutionContext,
@@ -187,8 +195,6 @@ def _expand_columnar(
     edge_index,
     direction: str,
     trim_edge: bool,
-    epred=None,
-    vpred=None,
     emask=None,
     vmask=None,
 ) -> Iterator[ColumnarBatch]:
@@ -197,104 +203,81 @@ def _expand_columnar(
     Walks each input batch's bound-vertex column once, accumulating a
     parent-position vector plus the new column's values — adjacent edge
     rowids when ``trim_edge`` is False (EXPAND_EDGE), or far endpoints of
-    ``edge_index`` (fused EXPAND).  ``epred`` / ``vpred`` are optional
-    per-rowid checks on the traversed edge / target vertex; ``emask`` /
-    ``vmask`` are their whole-table boolean-mask equivalents (see
-    :func:`~repro.graph.matching.rowid_mask`) when numpy is available.
+    ``edge_index`` (fused EXPAND).  ``emask`` / ``vmask`` are the rowid
+    masks (see :func:`~repro.graph.matching.rowid_mask`) of the predicates
+    on the traversed edge / target vertex; every predicate has one, so no
+    predicate shape changes how the adjacency is walked.
 
-    When the CSR vector views are ndarrays and every predicate has a mask,
-    the whole batch expands as one repeat/cumsum/fancy-index pass
+    When the CSR vector views are ndarrays the whole batch expands as one
+    repeat/cumsum/fancy-index pass
     (:func:`~repro.exec.kernels.csr_expand_vectors`) and predicates filter
-    the expansion with one fancy-index per mask — the traversal hot loop of
+    the expansion with one lookup per mask — the traversal hot loop of
     the typed-storage engine, with no per-vertex Python work.  Vectorized
     output is chunked at the full ``ctx.batch_size``: the chunks are
     column-backed (scalar-sized in-flight state), so the adaptive fan-out
     shrinking that bounds the Python walk's tuple chunks would only
     fragment the numpy work.
 
-    The scalar fallback walks the index's *raw typed arrays* (never the
-    ndarray views), so its list-built output columns hold plain Python
-    ints — numpy scalars must not leak into row tuples.
+    Without numpy the walk reads the index's *raw typed arrays*, so its
+    list-built output columns hold plain Python ints, and the masks filter
+    each chunk as it is flushed.
     """
     offsets_v, edges_v = adjacency.vectors()
     far_v = edge_index.endpoint_vector(direction) if trim_edge else None
-    np_ready = (
-        (epred is None or emask is not None)
-        and (vpred is None or vmask is not None)
-        and is_ndarray(offsets_v)
-        and is_ndarray(edges_v)
-        and (not trim_edge or is_ndarray(far_v))
-    )
-    if np_ready:
+
+    def refine(parents, edge_ids):
+        """One expanded chunk filtered by the masks: (parents, new column)."""
+        if emask is not None:
+            kept = passing(emask, edge_ids)
+            if kept is not None:
+                parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+        new_column = edge_ids if far_v is None else take(far_v, edge_ids)
+        if vmask is not None and far_v is not None:
+            kept = passing(vmask, new_column)
+            if kept is not None:
+                parents, new_column = take(parents, kept), take(new_column, kept)
+        return parents, new_column
+
+    if is_ndarray(offsets_v) and is_ndarray(edges_v):
+        size = ctx.batch_size
         for cb in source:
             # Bound-vertex columns are rowids by construction (never NULL),
             # so the batch converts to an index array directly.
-            vertices = cb.column_vector(from_idx)
-            expanded = csr_expand_filtered(vertices, offsets_v, edges_v, emask)
+            expanded = csr_expand_vectors(
+                cb.column_vector(from_idx), offsets_v, edges_v
+            )
             if expanded is None:
                 continue
-            parents, edge_ids = expanded
-            new_column = edge_ids if far_v is None else far_v[edge_ids]
-            if vmask is not None and far_v is not None:
-                keep = vmask[new_column]
-                if not keep.all():
-                    parents, new_column = parents[keep], new_column[keep]
-            total = len(parents)
-            size = ctx.batch_size
-            for start in range(0, total, size):
-                stop = min(start + size, total)
+            parents, new_column = refine(*expanded)
+            for start in range(0, len(parents), size):
+                stop = start + size
                 yield replicate_columnar(
                     cb, parents[start:stop], [new_column[start:stop]]
                 )
         return
     offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
-    far = edge_index.endpoint_rowids(direction) if trim_edge else None
     sizer = ChunkSizer(ctx)
     for cb in source:
         vertices = cb.column(from_idx)
         parents: list[int] = []
-        new_values: list[int] = []
-        flushed = 0
-        if epred is None and vpred is None:
-            for j, v in enumerate(vertices):
-                lo, hi = offsets[v], offsets[v + 1]
-                if lo == hi:
-                    continue
-                parents.extend([j] * (hi - lo))
-                edges = edge_rowids[lo:hi]
-                if far is None:
-                    new_values.extend(edges)
-                else:
-                    new_values.extend([far[e] for e in edges])
-                if len(parents) >= sizer.size:
-                    flushed += len(parents)
-                    yield replicate_columnar(cb, parents, [new_values])
-                    parents, new_values = [], []
-        else:
-            for j, v in enumerate(vertices):
-                kept = 0
-                for e in edge_rowids[offsets[v] : offsets[v + 1]]:
-                    if epred is not None and not epred(e):
-                        continue
-                    if far is None:
-                        new_values.append(e)
-                    else:
-                        target = far[e]
-                        if vpred is not None and not vpred(target):
-                            continue
-                        new_values.append(target)
-                    kept += 1
-                if kept == 1:
-                    parents.append(j)
-                elif kept:
-                    parents.extend([j] * kept)
-                if len(parents) >= sizer.size:
-                    flushed += len(parents)
-                    yield replicate_columnar(cb, parents, [new_values])
-                    parents, new_values = [], []
-        sizer.observe(len(vertices), flushed + len(parents))
+        edge_ids: list[int] = []
+        emitted = 0
+        for j, v in enumerate(vertices):
+            lo, hi = offsets[v], offsets[v + 1]
+            if lo == hi:
+                continue
+            parents.extend([j] * (hi - lo))
+            edge_ids.extend(edge_rowids[lo:hi])
+            if len(parents) >= sizer.size:
+                parents, new_column = refine(parents, edge_ids)
+                if parents:
+                    emitted += len(parents)
+                    yield replicate_columnar(cb, parents, [new_column])
+                parents, edge_ids = [], []
+        parents, new_column = refine(parents, edge_ids)
+        sizer.observe(len(vertices), emitted + len(parents))
         if parents:
-            yield replicate_columnar(cb, parents, [new_values])
+            yield replicate_columnar(cb, parents, [new_column])
 
 
 class ExpandEdge(GraphOperator):
@@ -368,11 +351,6 @@ class ExpandEdge(GraphOperator):
         from_idx = self.child.var_index(self.from_var)
         from_label = self.child.output_vars[from_idx].label
         adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
-        epred = emask = None
-        if self.edge_predicate is not None:
-            edge_table = self.mapping.edge_table(self.edge_label)
-            epred = rowid_predicate(edge_table, self.edge_predicate)
-            emask = rowid_mask(edge_table, self.edge_predicate)
         yield from _expand_columnar(
             self.child.columnar_batches(ctx),
             ctx,
@@ -381,8 +359,9 @@ class ExpandEdge(GraphOperator):
             None,
             self.direction,
             trim_edge=False,
-            epred=epred,
-            emask=emask,
+            emask=_mask(
+                ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
+            ),
         )
 
     def _label(self) -> str:
@@ -447,26 +426,20 @@ class GetVertex(GraphOperator):
         edge_idx = self.child.var_index(self.edge_var)
         edge_label = self.child.output_vars[edge_idx].label
         far = self.index.edge_index(edge_label).endpoint_vector(self.direction)
-        vpred = None
-        if self.vertex_predicate is not None:
-            vpred = rowid_predicate(
-                self.mapping.vertex_table(self.to_label), self.vertex_predicate
-            )
+        vmask = _mask(
+            ctx, self.mapping.vertex_table(self.to_label), self.vertex_predicate
+        )
         for cb in self.child.columnar_batches(ctx):
             # One gather through the EV column — native when both the bound
             # edge column and the index array live in the array domain.
             targets = take(far, cb.column_vector(edge_idx))
-            if vpred is not None:
-                # Normalize to Python values first: the filtered list below
-                # becomes an output column, and numpy scalars must not leak
-                # into row tuples.
-                targets = as_values(targets)
-                keep = [j for j, t in enumerate(targets) if vpred(t)]
-                if not keep:
-                    continue
-                if len(keep) < len(targets):
-                    cb = cb.take(keep)
-                    targets = [targets[j] for j in keep]
+            if vmask is not None:
+                kept = passing(vmask, targets)
+                if kept is not None:
+                    if not len(kept):
+                        continue
+                    cb = cb.take(kept)
+                    targets = take(targets, kept)
             columns = [cb.column_vector(i) for i in range(cb.width)]
             columns.append(targets)
             yield ColumnarBatch(columns, len(targets), None)
@@ -593,20 +566,13 @@ class Expand(GraphOperator):
         from_label = self.child.output_vars[from_idx].label
         adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
         edge_index = self.index.edge_index(self.edge_label)
-        epred = emask = None
-        if self.edge_predicate is not None:
-            edge_table = self.mapping.edge_table(self.edge_label)
-            epred = rowid_predicate(edge_table, self.edge_predicate)
-            emask = rowid_mask(edge_table, self.edge_predicate)
+        emask = _mask(
+            ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
+        )
         source = self.child.columnar_batches(ctx)
         if not self.closing:
             # Traversal hot path: one row per adjacent edge, neighbor
             # column only.
-            vpred = vmask = None
-            if self.vertex_predicate is not None:
-                vertex_table = self.mapping.vertex_table(self.to_label)
-                vpred = rowid_predicate(vertex_table, self.vertex_predicate)
-                vmask = rowid_mask(vertex_table, self.vertex_predicate)
             yield from _expand_columnar(
                 source,
                 ctx,
@@ -615,62 +581,56 @@ class Expand(GraphOperator):
                 edge_index,
                 self.direction,
                 trim_edge=True,
-                epred=epred,
-                vpred=vpred,
                 emask=emask,
-                vmask=vmask,
+                vmask=_mask(
+                    ctx,
+                    self.mapping.vertex_table(self.to_label),
+                    self.vertex_predicate,
+                ),
             )
             return
         to_idx = self.child.var_index(self.to_var)
         offsets_v, edges_v = adjacency.vectors()
         far_v = edge_index.endpoint_vector(self.direction)
-        np_ready = (
-            (epred is None or emask is not None)
-            and is_ndarray(offsets_v)
-            and is_ndarray(edges_v)
-            and is_ndarray(far_v)
-        )
+        np_ready = is_ndarray(offsets_v) and is_ndarray(edges_v) and is_ndarray(far_v)
         # The scalar walk reads the raw typed arrays: plain Python values
         # only, whatever the batch's columns are backed by.
         offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
         far = edge_index.endpoint_rowids(self.direction)
         for cb in source:
+            keep = hit_edges = None
             if np_ready:
                 bounds = vector_view(cb.column_vector(to_idx))
                 if is_ndarray(bounds):
                     # Vectorized closing: expand the whole batch, then keep
                     # the expansions whose far endpoint equals the
-                    # already-bound target (multiplicity = one kept
-                    # position per parallel edge, exactly as the scalar
-                    # walk counts hits).
-                    vertices = cb.column_vector(from_idx)
-                    expanded = csr_expand_filtered(
-                        vertices, offsets_v, edges_v, emask
+                    # already-bound target.
+                    expanded = csr_expand_vectors(
+                        cb.column_vector(from_idx), offsets_v, edges_v
                     )
                     if expanded is None:
                         continue
                     parents, edge_ids = expanded
                     hit = far_v[edge_ids] == bounds[parents]
-                    keep = parents[hit]
-                    if len(keep):
-                        yield cb.take(keep).compact()
-                    continue
-            vertices = cb.column(from_idx)
-            bounds_l = cb.column(to_idx)
-            keep_l: list[int] = []
-            for j, (v, bound) in enumerate(zip(vertices, bounds_l)):
-                hits = 0
-                for e in edge_rowids[offsets[v] : offsets[v + 1]]:
-                    if epred is not None and not epred(e):
-                        continue
-                    if far[e] == bound:
-                        hits += 1
-                if hits == 1:
-                    keep_l.append(j)
-                elif hits:
-                    keep_l.extend([j] * hits)
-            if keep_l:
-                yield cb.take(keep_l).compact()
+                    keep, hit_edges = parents[hit], edge_ids[hit]
+            if keep is None:
+                keep, hit_edges = [], []
+                for j, (v, bound) in enumerate(
+                    zip(cb.column(from_idx), cb.column(to_idx))
+                ):
+                    for e in edge_rowids[offsets[v] : offsets[v + 1]]:
+                        if far[e] == bound:
+                            keep.append(j)
+                            hit_edges.append(e)
+            # One kept position per adjacent edge that closes the pattern
+            # (parallel edges multiply the row); the edge mask sees only
+            # those edges.
+            if emask is not None:
+                kept = passing(emask, hit_edges)
+                if kept is not None:
+                    keep = take(keep, kept)
+            if len(keep):
+                yield cb.take(keep).compact()
 
     def _label(self) -> str:
         kind = "EXPAND(closing)" if self.closing else "EXPAND"
@@ -788,18 +748,32 @@ class ExpandIntersect(GraphOperator):
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar star closing: bound-leaf columns are extracted once per
         batch; each row contributes ``multiplicity`` replicas per common
-        neighbor through a parent-position vector (no row tuples)."""
+        neighbor through a parent-position vector (no row tuples).  The
+        root's vertex predicate filters each chunk through its rowid mask
+        as the chunk is flushed."""
         leg_state = self._leg_state()
-        vpred = self._vertex_check()
+        vmask = _mask(
+            ctx, self.mapping.vertex_table(self.to_label), self.vertex_predicate
+        )
         caches: list[dict[int, dict[int, list[int]]]] = [{} for _ in leg_state]
         neighbor_map = self._neighbor_map_fn(leg_state, caches)
         nlegs = len(leg_state)
         sizer = ChunkSizer(ctx)
+
+        def flush(cb, parents, neighbors) -> ColumnarBatch | None:
+            if vmask is not None:
+                kept = passing(vmask, neighbors)
+                if kept is not None:
+                    parents, neighbors = take(parents, kept), take(neighbors, kept)
+            if not len(parents):
+                return None
+            return replicate_columnar(cb, parents, [neighbors])
+
         for cb in self.child.columnar_batches(ctx):
             leg_cols = [cb.column(state[1]) for state in leg_state]
             parents: list[int] = []
             neighbors: list[int] = []
-            flushed = 0
+            emitted = 0
             for j in range(len(cb)):
                 per_leg = [neighbor_map(i, leg_cols[i][j]) for i in range(nlegs)]
                 order = sorted(range(nlegs), key=lambda i: len(per_leg[i]))
@@ -808,20 +782,21 @@ class ExpandIntersect(GraphOperator):
                 for nbr in smallest:
                     if any(nbr not in per_leg[i] for i in rest):
                         continue
-                    if vpred is not None and not vpred(nbr):
-                        continue
                     multiplicity = 1
                     for m in per_leg:
                         multiplicity *= len(m[nbr])
                     parents.extend([j] * multiplicity)
                     neighbors.extend([nbr] * multiplicity)
                 if len(parents) >= sizer.size:
-                    flushed += len(parents)
-                    yield replicate_columnar(cb, parents, [neighbors])
+                    out = flush(cb, parents, neighbors)
                     parents, neighbors = [], []
-            sizer.observe(len(cb), flushed + len(parents))
-            if parents:
-                yield replicate_columnar(cb, parents, [neighbors])
+                    if out is not None:
+                        emitted += len(out)
+                        yield out
+            out = flush(cb, parents, neighbors) if parents else None
+            sizer.observe(len(cb), emitted + (len(out) if out is not None else 0))
+            if out is not None:
+                yield out
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
         leg_state = self._leg_state()
@@ -964,45 +939,39 @@ class EdgeTripleScan(GraphOperator):
         if edge_var is not None:
             self.output_vars.append(GraphVar(edge_var, "e", edge_label))
 
-    def _sources(self, ctx):
-        """(src_rowids, dst_rowids, epred, spred, dpred) for this scan."""
-        em = self.mapping.edge(self.edge_label)
-        edge_table = self.mapping.edge_table(self.edge_label)
+    def _endpoint_rowids(self, ctx):
+        """(src_rowids, dst_rowids) of every edge of this scan's relation."""
         if self.index is not None:
             ev = self.index.edge_index(self.edge_label)
-            src_rowids, dst_rowids = ev.src_rowids, ev.dst_rowids
-        else:
-            # Runtime EVJoin: probe the endpoint tables' primary-key hash
-            # indexes (built once per table, like any engine's PK index).
-            # The foreign-key columns are sliced to the pinned extent, so
-            # edges appended after the query's epoch are never resolved.
-            n = ctx.pin(edge_table).num_rows
-            src_map = self.mapping.vertex_table(em.source_label).pk_index()
-            dst_map = self.mapping.vertex_table(em.target_label).pk_index()
-            src_fk = edge_table.column(em.source_key)[:n]
-            dst_fk = edge_table.column(em.target_key)[:n]
-            src_rowids = list(map(src_map.__getitem__, src_fk))
-            dst_rowids = list(map(dst_map.__getitem__, dst_fk))
-        epred = (
-            rowid_predicate(edge_table, self.edge_predicate)
-            if self.edge_predicate is not None
-            else None
+            return ev.src_rowids, ev.dst_rowids
+        # Runtime EVJoin: probe the endpoint tables' primary-key hash
+        # indexes (built once per table, like any engine's PK index).
+        # The foreign-key columns are sliced to the pinned extent, so
+        # edges appended after the query's epoch are never resolved.
+        em = self.mapping.edge(self.edge_label)
+        edge_table = self.mapping.edge_table(self.edge_label)
+        n = ctx.pin(edge_table).num_rows
+        src_map = self.mapping.vertex_table(em.source_label).pk_index()
+        dst_map = self.mapping.vertex_table(em.target_label).pk_index()
+        src_fk = edge_table.column(em.source_key)[:n]
+        dst_fk = edge_table.column(em.target_key)[:n]
+        return (
+            list(map(src_map.__getitem__, src_fk)),
+            list(map(dst_map.__getitem__, dst_fk)),
         )
-        spred = (
-            rowid_predicate(
-                self.mapping.vertex_table(em.source_label), self.src_predicate
+
+    def _filters(self, compile_filter):
+        """The (edge, source, target) predicates through ``compile_filter
+        (table, predicate)``; None where the scan has no predicate."""
+        em = self.mapping.edge(self.edge_label)
+        return [
+            compile_filter(table, predicate) if predicate is not None else None
+            for table, predicate in (
+                (self.mapping.edge_table(self.edge_label), self.edge_predicate),
+                (self.mapping.vertex_table(em.source_label), self.src_predicate),
+                (self.mapping.vertex_table(em.target_label), self.dst_predicate),
             )
-            if self.src_predicate is not None
-            else None
-        )
-        dpred = (
-            rowid_predicate(
-                self.mapping.vertex_table(em.target_label), self.dst_predicate
-            )
-            if self.dst_predicate is not None
-            else None
-        )
-        return src_rowids, dst_rowids, epred, spred, dpred
+        ]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         return emit_batches(ctx, self.cached_label(), self._stream(ctx))
@@ -1012,40 +981,45 @@ class EdgeTripleScan(GraphOperator):
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Zero-copy triple scan: the EV columns (or the EVJoin-derived
-        rowid lists) are shared across all batches; filters shrink the
-        per-chunk selection vector."""
-        src_rowids, dst_rowids, epred, spred, dpred = self._sources(ctx)
+        rowid lists) are shared across all batches; the predicates' rowid
+        masks shrink the per-chunk selection vector."""
+        src_rowids, dst_rowids = self._endpoint_rowids(ctx)
         if self.index is not None:
             ev = self.index.edge_index(self.edge_label)
             columns: list = [ev.near_vector("out"), ev.endpoint_vector("out")]
         else:
             columns = [vector_view(src_rowids), vector_view(dst_rowids)]
+        masks = self._filters(lambda table, pred: _mask(ctx, table, pred))
         n = min(
             ctx.pin(self.mapping.edge_table(self.edge_label)).num_rows,
             len(src_rowids),
         )
         first, last = morsel_bounds(self.row_range, n)
+        edge_ids = index_vector(n)
+        # Each mask looks up its own column (edge rowid, source, target) at
+        # the positions still selected.
+        lookups = [
+            (mask, column)
+            for mask, column in zip(masks, [edge_ids] + columns)
+            if mask is not None
+        ]
         if self.edge_var is not None:
-            columns.append(index_vector(n))
+            columns.append(edge_ids)
         size = ctx.batch_size
         for start in range(first, last, size):
-            chunk = range(start, min(start + size, last))
-            if epred is None and spred is None and dpred is None:
-                yield ColumnarBatch(columns, n, chunk)
-                continue
-            sel = [
-                e
-                for e in chunk
-                if (epred is None or epred(e))
-                and (spred is None or spred(src_rowids[e]))
-                and (dpred is None or dpred(dst_rowids[e]))
-            ]
-            if sel:
+            stop = min(start + size, last)
+            sel = edge_ids[start:stop] if lookups else range(start, stop)
+            for mask, column in lookups:
+                kept = passing(mask, take(column, sel))
+                if kept is not None:
+                    sel = take(sel, kept)
+            if len(sel):
                 yield ColumnarBatch(columns, n, sel)
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
         edge_table = self.mapping.edge_table(self.edge_label)
-        src_rowids, dst_rowids, epred, spred, dpred = self._sources(ctx)
+        src_rowids, dst_rowids = self._endpoint_rowids(ctx)
+        epred, spred, dpred = self._filters(rowid_predicate)
         with_edge = self.edge_var is not None
         n = min(ctx.pin(edge_table).num_rows, len(src_rowids))
         first, last = morsel_bounds(self.row_range, n)
@@ -1301,90 +1275,75 @@ class PatternHashJoin(GraphOperator):
 
 
 def _filter_var_columnar(
-    source: Iterator[ColumnarBatch], idx: int, check
+    source: Iterator[ColumnarBatch], idx: int, mask
 ) -> Iterator[ColumnarBatch]:
-    """Refine selections by a per-rowid check on one bound-variable column."""
+    """Refine selections by a rowid mask on one bound-variable column."""
     for cb in source:
-        column = cb.column(idx)
-        keep = [j for j, rowid in enumerate(column) if check(rowid)]
-        if len(keep) == len(column):
+        kept = passing(mask, cb.column_vector(idx))
+        if kept is None:
             yield cb
-        elif keep:
-            yield cb.take(keep)
+        elif len(kept):
+            yield cb.take(kept)
 
 
-class VertexFilter(GraphOperator):
+class _VarFilter(GraphOperator):
+    """Attribute predicate over a bound variable (vertex or edge)."""
+
+    kind: str
+
+    def __init__(self, child: GraphOperator, mapping: RGMapping, var: str, predicate: Expr):
+        self.child = child
+        self.mapping = mapping
+        self.var = var
+        self.predicate = predicate
+        self.output_vars = list(child.output_vars)
+
+    def children(self) -> list[Operator]:
+        return [self.child]
+
+    def _bound(self):
+        """(column index, base table) of the filtered variable."""
+        idx = self.child.var_index(self.var)
+        label = self.child.output_vars[idx].label
+        if self.kind == "VERTEX":
+            return idx, self.mapping.vertex_table(label)
+        return idx, self.mapping.edge_table(label)
+
+    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        idx, table = self._bound()
+        check = rowid_predicate(table, self.predicate)
+        return emit_batches(
+            ctx,
+            self._label(),
+            filter_batches(self.child.batches(ctx), lambda row: check(row[idx])),
+        )
+
+    def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
+        idx, table = self._bound()
+        return emit_columnar(
+            ctx,
+            self._label(),
+            _filter_var_columnar(
+                self.child.columnar_batches(ctx),
+                idx,
+                _mask(ctx, table, self.predicate),
+            ),
+        )
+
+    def _label(self) -> str:
+        return f"{self.kind}_FILTER {self.var} ({self.predicate})"
+
+
+class VertexFilter(_VarFilter):
     """Attribute predicate over a bound vertex variable."""
 
-    def __init__(self, child: GraphOperator, mapping: RGMapping, var: str, predicate: Expr):
-        self.child = child
-        self.mapping = mapping
-        self.var = var
-        self.predicate = predicate
-        self.output_vars = list(child.output_vars)
-
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        idx = self.child.var_index(self.var)
-        label = self.child.output_vars[idx].label
-        check = rowid_predicate(self.mapping.vertex_table(label), self.predicate)
-        return emit_batches(
-            ctx,
-            self._label(),
-            filter_batches(self.child.batches(ctx), lambda row: check(row[idx])),
-        )
-
-    def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        idx = self.child.var_index(self.var)
-        label = self.child.output_vars[idx].label
-        check = rowid_predicate(self.mapping.vertex_table(label), self.predicate)
-        return emit_columnar(
-            ctx,
-            self._label(),
-            _filter_var_columnar(self.child.columnar_batches(ctx), idx, check),
-        )
-
-    def _label(self) -> str:
-        return f"VERTEX_FILTER {self.var} ({self.predicate})"
+    kind = "VERTEX"
 
 
-class EdgeFilter(GraphOperator):
+class EdgeFilter(_VarFilter):
     """Attribute predicate over a bound edge variable."""
 
-    def __init__(self, child: GraphOperator, mapping: RGMapping, var: str, predicate: Expr):
-        self.child = child
-        self.mapping = mapping
-        self.var = var
-        self.predicate = predicate
-        self.output_vars = list(child.output_vars)
-
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        idx = self.child.var_index(self.var)
-        label = self.child.output_vars[idx].label
-        check = rowid_predicate(self.mapping.edge_table(label), self.predicate)
-        return emit_batches(
-            ctx,
-            self._label(),
-            filter_batches(self.child.batches(ctx), lambda row: check(row[idx])),
-        )
-
-    def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        idx = self.child.var_index(self.var)
-        label = self.child.output_vars[idx].label
-        check = rowid_predicate(self.mapping.edge_table(label), self.predicate)
-        return emit_columnar(
-            ctx,
-            self._label(),
-            _filter_var_columnar(self.child.columnar_batches(ctx), idx, check),
-        )
-
-    def _label(self) -> str:
-        return f"EDGE_FILTER {self.var} ({self.predicate})"
+    kind = "EDGE"
 
 
 class AllDistinct(GraphOperator):

@@ -1067,8 +1067,9 @@ def compile_predicate_mask(expr: Expr, layout: Mapping[str, int]):
     Returns ``(columns, n) -> bool ndarray | None`` when every piece of the
     predicate compiles to a vectorizable mask shape (column-vs-literal /
     column-vs-column comparisons and conjunctions thereof); None when the
-    predicate has no fully-vectorized form, so callers can keep per-row
-    checks instead of paying a whole-relation Python pass.  The evaluator
+    predicate has no fully-vectorized form, so callers check rowids on
+    demand (:class:`repro.exec.vector.LazyMask`) instead of paying a
+    whole-relation Python pass.  The evaluator
     itself returns None when the columns turn out not to be ndarrays at
     run time.
     """

@@ -52,7 +52,7 @@ from repro.exec.kernels import (
     scalar_key,
     tuple_key,
 )
-from repro.exec.kernels import csr_expand_filtered
+from repro.exec.kernels import csr_expand_vectors
 from repro.exec.grouping import (
     GroupedAggregation,
     StreamingDistinct,
@@ -838,7 +838,7 @@ class CsrJoin(PhysicalOperator):
                 # NULLs, so the batch expands wholesale; output chunks stay
                 # at the full batch size (column-backed chunks are cheap —
                 # see _expand_columnar in repro.graph.physical).
-                expanded = csr_expand_filtered(vertices, offsets, edges)
+                expanded = csr_expand_vectors(vertices, offsets, edges)
                 if expanded is None:
                     continue
                 parents, edge_ids = expanded

@@ -346,8 +346,11 @@ class Table:
         covers — the publication-order rule ``DictColumn`` already follows
         for values vs codes, lifted to whole tables.
         """
-        self._mark_epochs.append(_CLOCK.tick())
+        # Row count first: :meth:`rows_at` bisects the epochs and then
+        # indexes the counts, so every epoch it can see must have its count.
+        epoch = _CLOCK.tick()
         self._mark_rows.append(num_rows)
+        self._mark_epochs.append(epoch)
 
     @property
     def version(self) -> int:

@@ -422,7 +422,8 @@ class _Connection:
             "seq": seq,
             "type": "rows",
             "columns": list(result.columns),
-            "rows": [list(row) for row in chunk],
+            # Row tuples serialize as JSON arrays as they are.
+            "rows": chunk,
             "done": done,
         }
         if done:

@@ -151,3 +151,98 @@ def test_columnar_compile_cache_distinguishes_equal_hashing_literals():
         out = ev([], None, 2)
         assert out == [value, value]
         assert all(type(v) is type(value) for v in out)
+
+
+# --------------------------------------------------------------------- #
+# rowid masks: the vectorized shape of a pushed-down predicate
+# --------------------------------------------------------------------- #
+
+_WORDS = ["", "a", "ab", "abc", "b", "ba", "Ab", "%", "a_c"]
+
+
+@st.composite
+def table_predicates(draw, depth: int = 0):
+    """WHERE-style predicates over the mask table below: a typed INT column
+    (``a``), a NULL-bearing one (``b``), a dictionary STRING column (``s``)
+    and a NULL-bearing one (``n``) — every column flavour a mask can meet."""
+    choice = draw(st.integers(0, 4 if depth >= 3 else 6))
+    if choice == 0:
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        column = draw(st.sampled_from("ab"))
+        return Comparison(op, ColumnRef(f"v.{column}"), Literal(draw(st.integers(-3, 3))))
+    if choice == 1:
+        op = draw(st.sampled_from(["=", "<>", "<", ">="]))
+        column = draw(st.sampled_from("sn"))
+        return Comparison(op, ColumnRef(column), Literal(draw(st.sampled_from(_WORDS))))
+    if choice == 2:
+        pattern = "".join(draw(st.lists(st.sampled_from("ab%_"), max_size=4)))
+        return Like(ColumnRef(draw(st.sampled_from("sn"))), pattern)
+    if choice == 3:
+        column = draw(st.sampled_from("absn"))
+        domain = st.integers(-3, 3) if column in "ab" else st.sampled_from(_WORDS)
+        return InList(
+            ColumnRef(column), tuple(draw(st.lists(domain, min_size=1, max_size=3)))
+        )
+    if choice == 4:
+        return IsNull(ColumnRef(draw(st.sampled_from("absn"))), draw(st.booleans()))
+    if choice == 5:
+        return Not(draw(table_predicates(depth + 1)))
+    op = draw(st.sampled_from(["AND", "OR"]))
+    return BoolOp(
+        op, (draw(table_predicates(depth + 1)), draw(table_predicates(depth + 1)))
+    )
+
+
+MASK_ROWS = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.sampled_from(_WORDS),
+        st.one_of(st.none(), st.sampled_from(_WORDS)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_predicates(), MASK_ROWS, st.data(), st.booleans())
+def test_rowid_mask_matches_row_predicate(predicate, rows, data, use_numpy):
+    """Whatever shape the mask takes (dense ndarray, lazy, pure Python), a
+    lookup answers as the compiled row predicate does — on repeated and
+    duplicate rowids too, which the lazy mask serves from its memo."""
+    from repro.exec import numpy_available, set_numpy_enabled
+    from repro.exec.vector import passing
+    from repro.graph.matching import rowid_mask, rowid_predicate
+    from repro.relational.schema import Column, TableSchema
+    from repro.relational.table import Table
+    from repro.relational.types import DataType
+
+    table = Table(
+        TableSchema(
+            "v",
+            [
+                Column("a", DataType.INT),
+                Column("b", DataType.INT),
+                Column("s", DataType.STRING),
+                Column("n", DataType.STRING),
+            ],
+        )
+    )
+    table.extend(rows, validate=False)
+    lookups = st.lists(st.integers(0, len(rows) - 1), max_size=20)
+    try:
+        set_numpy_enabled(use_numpy and numpy_available())
+        check = rowid_predicate(table, predicate)
+        mask = rowid_mask(table, predicate)
+        for _ in range(3):
+            rowids = data.draw(lookups)
+            assert [bool(v) for v in mask[rowids]] == [check(r) for r in rowids]
+            kept = passing(mask, rowids)
+            expected = [j for j, r in enumerate(rowids) if check(r)]
+            if kept is None:
+                assert len(expected) == len(rowids)
+            else:
+                assert [int(j) for j in kept] == expected
+    finally:
+        set_numpy_enabled(None)

@@ -562,3 +562,150 @@ def test_sorted_rows_deterministic_with_nan():
     b = QueryResult(["x", "c"], [(float("nan"), 1), (float("nan"), 2)], 0.0)
     assert norm_rows(a.sorted_rows()) == norm_rows(b.sorted_rows())
     assert [r[1] for r in a.sorted_rows()] == [r[1] for r in b.sorted_rows()]
+
+
+# --------------------------------------------------------------------- #
+# MIN/MAX over strings: sort-based segment reductions
+# --------------------------------------------------------------------- #
+
+_CITIES = ["Oslo", "Bergen", "Zürich", "Aarhus", "oslo", "Ålesund", "B", "Bergen2"]
+
+
+def _string_table(n=400):
+    """name: dictionary column; day: list-backed DATE ('<U' view);
+    nick: NULL-bearing (plain list); k1/k2: grouping keys."""
+    return _table(
+        {
+            "k1": (DataType.INT, [i % 7 for i in range(n)]),
+            "k2": (DataType.STRING, ["xyz"[i % 3] for i in range(n)]),
+            "name": (DataType.STRING, [_CITIES[(i * 5) % 8] for i in range(n)]),
+            "day": (DataType.DATE, [f"20{i % 23:02d}-0{1 + i % 9}-1{i % 10}" for i in range(n)]),
+            "nick": (
+                DataType.STRING,
+                # k2 == 'y' groups are all NULL, the others mixed.
+                [
+                    None if i % 3 == 1 or i % 4 == 1 else _CITIES[(i * 3) % 8].lower()
+                    for i in range(n)
+                ],
+            ),
+        }
+    )
+
+
+@pytest.mark.parametrize("keys", [(), ("k1",), ("k1", "k2")])
+@pytest.mark.parametrize("batch_size", [7, 64, None])
+def test_string_min_max_matches_row_path(backend, keys, batch_size):
+    table = _string_table()
+    plan = AggregateOp(
+        SeqScan(table, "t"),
+        [(col(f"t.{k}"), k) for k in keys],
+        [
+            AggregateSpec(func, col(f"t.{arg}"), f"{func}_{arg}".lower())
+            for arg in ("name", "day", "nick")
+            for func in ("MIN", "MAX")
+        ],
+    )
+    result = _run_both(plan, batch_size=batch_size)
+    rows = list(table.iter_rows())
+    expected = {}
+    for row in rows:
+        key = tuple(row[("k1", "k2").index(k)] for k in keys)
+        expected.setdefault(key, []).append(row)
+    want = [
+        key
+        + tuple(
+            func((r[c] for r in group if r[c] is not None), default=None)
+            for c in (2, 3, 4)
+            for func in (min, max)
+        )
+        for key, group in expected.items()
+    ]
+    assert norm_rows(result.rows) == norm_rows(want)
+
+
+def test_string_min_max_over_empty_input(backend):
+    table = _string_table(0)
+    aggregates = [
+        AggregateSpec("MIN", col("t.name"), "lo"),
+        AggregateSpec("MAX", col("t.day"), "hi"),
+    ]
+    assert _run_both(AggregateOp(SeqScan(table, "t"), [], aggregates)).rows == [
+        (None, None)
+    ]
+    grouped = AggregateOp(SeqScan(table, "t"), [(col("t.k1"), "k1")], aggregates)
+    assert _run_both(grouped).rows == []
+
+
+def _string_batches():
+    """Three batches of (key columns, string column): group 9 first shows
+    up in the last one, and the dictionary grows between batches."""
+    return [
+        ([0, 1, 0, 1, 0], ["p", "q", "p", "q", "q"], ["m", "b", "c", "z", "m"]),
+        ([1, 1, 0], ["q", "p", "p"], ["a", "zz", "n"]),
+        ([9, 0, 9, 1], ["p", "p", "p", "q"], ["y", "A", "x", "b"]),
+    ]
+
+
+def _minmax_reference(num_keys):
+    groups: dict = {}
+    for k1, k2, values in _string_batches():
+        for a, b, v in zip(k1, k2, values):
+            groups.setdefault((a, b)[:num_keys], []).append(v)
+    return sorted(key + (min(vs), max(vs)) for key, vs in groups.items())
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("num_keys", [0, 1, 2])
+@pytest.mark.parametrize("encoding", ["U", "dict"])
+def test_string_min_max_batches_late_group_and_growing_dictionary(
+    monkeypatch, num_keys, encoding
+):
+    import numpy as np
+
+    from repro.exec import grouping
+    from repro.exec.vector import DictVector
+
+    reduced_values = []
+    original = grouping._segment_reduce_seq
+
+    def recording(func, values, codes_list, num_groups):
+        reduced_values.append(len(values))
+        return original(func, values, codes_list, num_groups)
+
+    monkeypatch.setattr(grouping, "_segment_reduce_seq", recording)
+    dictionary: list = []
+    index: dict = {}
+    try:
+        set_numpy_enabled(True)
+        engine = GroupedAggregation(num_keys, ["MIN", "MAX"])
+        for k1, k2, values in _string_batches():
+            if encoding == "U":
+                column = np.asarray(values)
+            else:
+                # One append-only dictionary shared by every batch, as a
+                # DictColumn publishes it: later batches see more values.
+                for v in values:
+                    if v not in index:
+                        index[v] = len(dictionary)
+                        dictionary.append(v)
+                column = DictVector(
+                    np.asarray([index[v] for v in values], dtype=np.int32),
+                    dictionary,
+                    index,
+                )
+            keys = [np.asarray(k1), np.asarray(k2)][:num_keys]
+            engine.consume(keys, [column, column], len(values))
+        columns = engine.result_columns()
+    finally:
+        set_numpy_enabled(None)
+    assert sorted(zip(*columns)) == _minmax_reference(num_keys)
+    assert all(type(v) is str for column in columns[num_keys:] for v in column)
+    if encoding == "U":
+        assert reduced_values == []  # never the per-row loop
+    else:
+        # The per-value loop sees distinct (group, value) pairs only.
+        pairs = [
+            len({((a, b)[:num_keys], v) for a, b, v in zip(k1, k2, values)})
+            for k1, k2, values in _string_batches()
+        ]
+        assert reduced_values == [n for n in pairs for _ in ("MIN", "MAX")]

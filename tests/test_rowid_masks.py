@@ -1,0 +1,547 @@
+"""Pushed-down predicates run through one path: rowid masks.
+
+Every predicate an expansion operator carries — whatever its shape — turns
+into a mask (:func:`repro.graph.matching.rowid_mask`): a dense boolean
+ndarray where the predicate vectorizes, a lazily filled
+:class:`repro.exec.vector.LazyMask` everywhere else.  This suite pins that
+no shape changes an answer:
+
+* **parity** — LIKE / NOT LIKE / IN / STARTS WITH / OR / IS NULL over a
+  list-backed ('<U' view), a NULL-bearing (plain list) and a dictionary
+  column, as edge and as vertex predicates, through EXPAND, closing EXPAND,
+  EXPAND_EDGE + GET_VERTEX, EXPAND_INTERSECT, EDGE_SCAN and the standalone
+  filters: columnar == row protocol == the reference matcher, with numpy on
+  and off;
+* **laziness** — a lazy mask calls its predicate at most once per distinct
+  rowid, however many batches look it up;
+* the satellites that ride along: ``pin_plan`` pins each table once per
+  plan, and ``vector_view`` of a list column survives a concurrent
+  ``Table.extend``.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from collections import Counter
+
+import pytest
+
+from repro.exec import ExecutionContext, numpy_available, set_numpy_enabled
+from repro.exec.context import pin_plan
+from repro.exec.vector import LazyMask, passing, vector_view
+from repro.graph import matching
+from repro.graph.index import build_graph_index
+from repro.graph.matching import match_pattern, rowid_mask, rowid_predicate
+from repro.graph.pattern import PatternGraph
+from repro.graph.physical import (
+    EdgeFilter,
+    EdgeTripleScan,
+    Expand,
+    ExpandEdge,
+    ExpandIntersect,
+    GetVertex,
+    ScanVertex,
+    StarLeg,
+    VertexFilter,
+)
+from repro.graph.rgmapping import RGMapping
+from repro.relational.catalog import Catalog
+from repro.relational.expr import (
+    BoolOp,
+    InList,
+    IsNull,
+    Like,
+    Not,
+    col,
+    eq,
+    lit,
+    starts_with,
+)
+from repro.relational.schema import Column, ForeignKey, TableSchema
+from repro.relational.table import Table
+from repro.relational.types import DataType
+
+# --------------------------------------------------------------------- #
+# a small graph with every column flavour
+# --------------------------------------------------------------------- #
+
+#: (id, name [dict], since [DATE -> list -> '<U' view], nick [NULLs -> list])
+PEOPLE = [
+    (1, "Ann", "2020-01-05", "ace"),
+    (2, "Bob", "2020-02-11", None),
+    (3, "Abe", "2021-01-20", "bee"),
+    (4, "Cat", "2021-03-02", None),
+    (5, "Ann", "2020-01-31", "axe"),
+    (6, "Dan", "2022-07-07", "ace"),
+    (7, "Bea", "2020-02-28", None),
+    (8, "Abe", "2022-01-01", "dot"),
+]
+
+#: (src, dst): cycles, a hub (1), parallel edges (1->2 twice, 3->4 twice).
+LINKS = [
+    (1, 2), (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (3, 1), (3, 4), (3, 4),
+    (4, 1), (4, 2), (5, 1), (5, 2), (5, 6), (6, 5), (6, 1), (7, 8), (8, 7),
+    (7, 1), (8, 1), (2, 4), (4, 3), (6, 2), (1, 5),
+]  # fmt: skip
+
+
+def _link_rows():
+    kinds = ["friend", "family", "work"]
+    for i, (src, dst) in enumerate(LINKS):
+        yield (
+            100 + i,
+            src,
+            dst,
+            kinds[i % 3],  # dict
+            f"202{i % 3}-0{1 + i % 9}-1{i % 10}",  # DATE: list-backed
+            None if i % 4 == 0 else f"n{i % 5}",  # NULL-bearing
+        )
+
+
+@pytest.fixture(scope="module")
+def graph():
+    catalog = Catalog()
+    catalog.create_table(
+        TableSchema(
+            "Person",
+            [
+                Column("id", DataType.INT),
+                Column("name", DataType.STRING),
+                Column("since", DataType.DATE),
+                Column("nick", DataType.STRING),
+            ],
+            primary_key="id",
+        ),
+        rows=PEOPLE,
+    )
+    catalog.create_table(
+        TableSchema(
+            "Link",
+            [
+                Column("id", DataType.INT),
+                Column("src", DataType.INT),
+                Column("dst", DataType.INT),
+                Column("kind", DataType.STRING),
+                Column("date", DataType.DATE),
+                Column("note", DataType.STRING),
+            ],
+            primary_key="id",
+            foreign_keys=[
+                ForeignKey("src", "Person", "id"),
+                ForeignKey("dst", "Person", "id"),
+            ],
+        ),
+        rows=list(_link_rows()),
+    )
+    mapping = RGMapping("G", catalog)
+    mapping.add_vertex("Person")
+    mapping.add_edge("Link", source=("Person", "src"), target=("Person", "dst"))
+    catalog.register_graph(mapping)
+    index = build_graph_index(mapping)
+    catalog.register_graph_index(index)
+    return mapping, index
+
+
+@pytest.fixture(params=["numpy", "python"])
+def numpy_mode(request):
+    if request.param == "numpy" and not numpy_available():
+        pytest.skip("numpy not installed")
+    set_numpy_enabled(request.param == "numpy")
+    yield request.param
+    set_numpy_enabled(None)
+
+
+def _shapes(dict_col: str, list_col: str, null_col: str, values: dict):
+    """The six predicate shapes over the three column flavours."""
+    d, u, n = values["dict"], values["list"], values["null"]
+    return {
+        "like-dict": Like(col(dict_col), d["like"]),
+        "like-list": Like(col(list_col), u["like"]),
+        "like-null": Like(col(null_col), n["like"]),
+        "not-like-dict": Not(Like(col(dict_col), d["like"])),
+        "not-like-list": Not(Like(col(list_col), u["like"])),
+        "not-like-null": Not(Like(col(null_col), n["like"])),
+        "in-dict": InList(col(dict_col), d["in"]),
+        "in-list": InList(col(list_col), u["in"]),
+        "in-null": InList(col(null_col), n["in"]),
+        "starts-dict": starts_with(col(dict_col), d["prefix"]),
+        "starts-list": starts_with(col(list_col), u["prefix"]),
+        "starts-null": starts_with(col(null_col), n["prefix"]),
+        "or-mixed": BoolOp(
+            "OR",
+            (eq(col(dict_col), lit(d["in"][0])), Like(col(null_col), n["like"])),
+        ),
+        "or-list": BoolOp(
+            "OR",
+            (starts_with(col(list_col), u["prefix"]), IsNull(col(null_col))),
+        ),
+        "is-null": IsNull(col(null_col)),
+        "is-not-null": IsNull(col(null_col), negated=True),
+        "is-null-dict": IsNull(col(dict_col)),
+    }
+
+
+VERTEX_PREDICATES = _shapes(
+    "name",
+    "since",
+    "nick",
+    {
+        "dict": {"like": "A%", "in": ("Ann", "Bea", "Zed"), "prefix": "B"},
+        "list": {"like": "2020-%", "in": ("2021-01-20", "2022-07-07"), "prefix": "2021"},
+        "null": {"like": "a%", "in": ("ace", "dot"), "prefix": "b"},
+    },
+)
+
+EDGE_PREDICATES = _shapes(
+    "kind",
+    "date",
+    "note",
+    {
+        "dict": {"like": "f%", "in": ("work", "none"), "prefix": "fa"},
+        "list": {"like": "2021-%", "in": ("2020-01-10", "2022-03-12"), "prefix": "2020"},
+        "null": {"like": "n1%", "in": ("n2", "n4"), "prefix": "n3"},
+    },
+)
+
+
+def _columnar(op, batch_size=4):
+    ctx = ExecutionContext(batch_size=batch_size)
+    rows = [row for cb in op.columnar_batches(ctx) for row in cb.to_rows()]
+    assert all(type(v) is int for row in rows for v in row), "numpy scalar leaked"
+    return sorted(rows), ctx.rows_produced
+
+
+def _rows(op, batch_size=4):
+    ctx = ExecutionContext(batch_size=batch_size)
+    return sorted(row for batch in op.batches(ctx) for row in batch), ctx.rows_produced
+
+
+def _reference(graph, pattern, variables):
+    mapping, index = graph
+    return sorted(
+        tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)
+    )
+
+
+def _assert_three_way(graph, op, pattern, variables):
+    columnar, columnar_produced = _columnar(op)
+    rows, rows_produced = _rows(op)
+    assert columnar == rows
+    assert columnar_produced == rows_produced
+    assert columnar == _reference(graph, pattern, variables)
+
+
+# --------------------------------------------------------------------- #
+# parity: columnar == row protocol == reference matcher
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_expand_edge_predicate(graph, numpy_mode, shape):
+    mapping, index = graph
+    pred = EDGE_PREDICATES[shape]
+    op = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out", edge_predicate=pred,
+    )  # fmt: skip
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .edge("a", "b", "Link", name="e", predicate=pred).build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b"])
+
+
+@pytest.mark.parametrize("direction", ["out", "in"])
+@pytest.mark.parametrize("shape", sorted(VERTEX_PREDICATES))
+def test_expand_vertex_predicate(graph, numpy_mode, shape, direction):
+    mapping, index = graph
+    pred = VERTEX_PREDICATES[shape]
+    op = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", direction, vertex_predicate=pred,
+    )  # fmt: skip
+    src, dst = ("a", "b") if direction == "out" else ("b", "a")
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person")
+        .vertex("b", "Person", predicate=pred)
+        .edge(src, dst, "Link", name="e").build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b"])
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_closing_expand_edge_predicate(graph, numpy_mode, shape):
+    mapping, index = graph
+    pred = EDGE_PREDICATES[shape]
+    hop = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out",
+    )  # fmt: skip
+    op = Expand(
+        hop, index, mapping, "b", "a", "Person", "Link", "out",
+        edge_predicate=pred, closing=True,
+    )  # fmt: skip
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .edge("a", "b", "Link", name="e1")
+        .edge("b", "a", "Link", name="e2", predicate=pred).build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b"])
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_expand_edge_get_vertex(graph, numpy_mode, shape):
+    mapping, index = graph
+    epred = EDGE_PREDICATES[shape]
+    vpred = VERTEX_PREDICATES[shape]
+    edges = ExpandEdge(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "e", "Link", "out", edge_predicate=epred,
+    )  # fmt: skip
+    op = GetVertex(
+        edges, index, mapping, "e", "b", "Person", "out", vertex_predicate=vpred
+    )
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person")
+        .vertex("b", "Person", predicate=vpred)
+        .edge("a", "b", "Link", name="e", predicate=epred).build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "e", "b"])
+
+
+@pytest.mark.parametrize("shape", sorted(VERTEX_PREDICATES))
+def test_expand_intersect_vertex_predicate(graph, numpy_mode, shape):
+    mapping, index = graph
+    vpred = VERTEX_PREDICATES[shape]
+    epred = EDGE_PREDICATES[shape]
+    hop = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out",
+    )  # fmt: skip
+    op = ExpandIntersect(
+        hop, index, mapping,
+        [StarLeg("a", "Link", "out", edge_predicate=epred), StarLeg("b", "Link", "in")],
+        "c", "Person", vertex_predicate=vpred,
+    )  # fmt: skip
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .vertex("c", "Person", predicate=vpred)
+        .edge("a", "b", "Link", name="e1")
+        .edge("a", "c", "Link", name="e2", predicate=epred)
+        .edge("c", "b", "Link", name="e3").build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("with_index", [True, False])
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_edge_scan_predicates(graph, numpy_mode, shape, with_index):
+    mapping, index = graph
+    epred = EDGE_PREDICATES[shape]
+    vpred = VERTEX_PREDICATES[shape]
+    op = EdgeTripleScan(
+        mapping, "Link", "a", "b", "e", index=index if with_index else None,
+        edge_predicate=epred, src_predicate=vpred, dst_predicate=Not(vpred),
+    )  # fmt: skip
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person", predicate=vpred)
+        .vertex("b", "Person", predicate=Not(vpred))
+        .edge("a", "b", "Link", name="e", predicate=epred).build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b", "e"])
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_standalone_filters(graph, numpy_mode, shape):
+    mapping, index = graph
+    epred = EDGE_PREDICATES[shape]
+    vpred = VERTEX_PREDICATES[shape]
+    scan = EdgeTripleScan(mapping, "Link", "a", "b", "e", index=index)
+    op = VertexFilter(EdgeFilter(scan, mapping, "e", epred), mapping, "b", vpred)
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person")
+        .vertex("b", "Person", predicate=vpred)
+        .edge("a", "b", "Link", name="e", predicate=epred).build()
+    )  # fmt: skip
+    _assert_three_way(graph, op, pattern, ["a", "b", "e"])
+
+
+# --------------------------------------------------------------------- #
+# the mask types
+# --------------------------------------------------------------------- #
+
+
+def test_mask_kind_follows_the_predicate_shape(graph, numpy_mode):
+    mapping, _ = graph
+    person = mapping.vertex_table("Person")
+    dense = rowid_mask(person, eq(col("name"), lit("Ann")))
+    lazy = rowid_mask(person, starts_with(col("since"), "2020"))
+    assert isinstance(lazy, LazyMask)
+    # Without numpy every predicate is lazy; with it, a dictionary
+    # comparison evaluates once over the base table.
+    assert isinstance(dense, LazyMask) == (numpy_mode == "python")
+    rowids = list(range(person.num_rows))
+    for mask, pred in (
+        (dense, eq(col("name"), lit("Ann"))),
+        (lazy, starts_with(col("since"), "2020")),
+    ):
+        check = rowid_predicate(person, pred)
+        assert [bool(v) for v in mask[rowids]] == [check(r) for r in rowids]
+        kept = passing(mask, rowids)
+        assert [int(j) for j in kept] == [j for j in rowids if check(j)]
+    assert passing(rowid_mask(person, IsNull(col("name"), negated=True)), rowids) is None
+
+
+def test_mask_covers_the_pinned_extent_only(graph, numpy_mode):
+    mapping, _ = graph
+    person = mapping.vertex_table("Person")
+    mask = rowid_mask(person, starts_with(col("since"), "2020"), num_rows=3)
+    assert [bool(v) for v in mask[[0, 1, 2]]] == [True, True, False]
+    with pytest.raises(IndexError):
+        mask[[3]]
+
+
+def test_lazy_mask_checks_each_distinct_rowid_once(graph, numpy_mode, monkeypatch):
+    mapping, index = graph
+    calls: Counter = Counter()
+    original = matching.rowid_predicate
+
+    def counting(table, predicate):
+        check = original(table, predicate)
+
+        def counted(rowid):
+            calls[(table.schema.name, rowid)] += 1
+            return check(rowid)
+
+        return counted
+
+    monkeypatch.setattr(matching, "rowid_predicate", counting)
+    # Person 0 (id 1) is the target of eight edges spread over many
+    # two-row batches; every lookup after the first must hit the memo.
+    op = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out",
+        edge_predicate=Like(col("note"), "n%"),
+        vertex_predicate=starts_with(col("since"), "2020"),
+    )  # fmt: skip
+    ctx = ExecutionContext(batch_size=2)
+    produced = sum(len(cb) for cb in op.columnar_batches(ctx))
+    assert produced
+    assert calls and max(calls.values()) == 1
+    edges_checked = {r for (t, r) in calls if t == "Link"}
+    assert edges_checked == set(range(len(LINKS)))
+    # The vertex predicate only sees targets of edges that passed.
+    targets_checked = {r for (t, r) in calls if t == "Person"}
+    assert 0 in targets_checked and len(targets_checked) <= len(PEOPLE)
+
+
+# --------------------------------------------------------------------- #
+# pin_plan: each table once per plan
+# --------------------------------------------------------------------- #
+
+
+def test_pin_plan_pins_each_table_once(graph, monkeypatch):
+    mapping, index = graph
+    hop = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out",
+    )  # fmt: skip
+    plan = ExpandIntersect(
+        Expand(hop, index, mapping, "b", "a", "Person", "Link", "out", closing=True),
+        index, mapping,
+        [StarLeg("a", "Link", "out"), StarLeg("b", "Link", "in")],
+        "c", "Person",
+    )  # fmt: skip
+    ctx = ExecutionContext()
+    pins: Counter = Counter()
+    original = ExecutionContext.pin
+
+    def counting(self, table):
+        pins[table.schema.name] += 1
+        return original(self, table)
+
+    monkeypatch.setattr(ExecutionContext, "pin", counting)
+    pin_plan(plan, ctx)
+    assert pins == {"Person": 1, "Link": 1}
+    # ... and the clamps to the index's build-time extents still land.
+    person, link = mapping.vertex_table("Person"), mapping.edge_table("Link")
+    assert ctx.pin(person).num_rows == index.vertex_rows["Person"]
+    assert ctx.pin(link).num_rows == index.edge_rows["Link"]
+
+
+def test_pin_plan_clamps_to_an_older_index(graph):
+    mapping, _ = graph
+    catalog = Catalog()
+    for name in ("Person", "Link"):
+        source = mapping.catalog.table(name)
+        catalog.create_table(source.schema, rows=list(source.iter_rows()))
+    own = RGMapping("G2", catalog)
+    own.add_vertex("Person")
+    own.add_edge("Link", source=("Person", "src"), target=("Person", "dst"))
+    index = build_graph_index(own)
+    catalog.table("Person").append((9, "Eve", "2023-01-01", None))
+    catalog.table("Link").append((999, 9, 1, "work", "2023-01-02", None))
+    plan = Expand(
+        ScanVertex(own, "a", "Person"), index, own, "a", "b", "Person", "Link", "out"
+    )
+    ctx = ExecutionContext()
+    pin_plan(plan, ctx)
+    assert ctx.pin(catalog.table("Person")).num_rows == len(PEOPLE)
+    assert ctx.pin(catalog.table("Link")).num_rows == len(LINKS)
+
+
+# --------------------------------------------------------------------- #
+# vector_view beside a writer
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_vector_view_of_a_list_column_survives_concurrent_extend():
+    """A reader building the '<U' view of a list-backed DATE column while a
+    writer extends the table used to die inside ``np.asarray`` with
+    "Inconsistent object during array creation"."""
+    table = Table(
+        TableSchema("post", [Column("id", DataType.INT), Column("day", DataType.DATE)])
+    )
+    table.extend([(i, "2024-01-01") for i in range(500)], validate=False)
+    iterations = 2500
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def write() -> None:
+        # Paced, so the table (and with it the reader's per-view cost)
+        # stays small however long the reader takes.
+        i = 0
+        while not stop.wait(0.0002):
+            table.extend([(i, "2024-02-02"), (i + 1, "2024-03-03")], validate=False)
+            i += 2
+
+    def read() -> None:
+        try:
+            for _ in range(iterations):
+                pinned = table.snapshot_at().num_rows
+                view = vector_view(table.column("day"))
+                assert view.dtype.kind == "U" and len(view) >= pinned
+                assert len(table.vector("day", min_rows=pinned)) >= pinned
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    set_numpy_enabled(True)
+    writer = threading.Thread(target=write)
+    reader = threading.Thread(target=read)
+    try:
+        writer.start()
+        reader.start()
+        reader.join(timeout=120)
+        finished = not reader.is_alive()
+    finally:
+        stop.set()
+        writer.join(timeout=30)
+        sys.setswitchinterval(interval)
+        set_numpy_enabled(None)
+    assert finished and not writer.is_alive()
+    assert errors == []
+    assert table.num_rows > 500, "the writer never ran beside the reader"
