@@ -956,8 +956,8 @@ SERVING_SQL = (
 )
 
 #: The same shape with a DB-API placeholder: the prepared-statement hot
-#: path binds straight into the statement-local template (no fingerprint
-#: scan, no cache probe).
+#: path probes the shared plan cache with a fingerprint built from the
+#: merged params (no text scan).
 SERVING_SQL_PARAM = (
     "SELECT g.fn AS fn FROM GRAPH_TABLE (snb "
     "MATCH (p:person)-[:knows]->(f:person) "
@@ -1370,8 +1370,8 @@ def test_bench_exec_streaming(benchmark, ldbc10):
     # only misses are the per-variant first executions).
     assert serving["plan_cache_speedup"] > 1.0, serving
     assert serving["hit_rate"] >= 0.9, serving
-    # Prepared execute binds into a statement-local template with no
-    # fingerprint scan, so it must not lose to the plan-cache hot path
+    # Prepared execute probes the shared cache with no fingerprint
+    # scan, so it must not lose to the plan-cache hot path
     # (1.5x slack under smoke noise, a hard >= at the tracked scale).
     assert serving["prepared_ms"] <= serving["hot_ms"] * 1.5, serving
     assert serving["wire"]["qps"] > 0, serving

@@ -20,7 +20,7 @@ are realized — one framework, different configs, identical execution engine.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CatalogError, PlanError
@@ -33,7 +33,7 @@ from repro.graph.optimizer import (
     GraphPlan,
     LoweringConfig,
 )
-from repro.exec import ExecutionContext, QueryResult, execute_plan
+from repro.exec import QueryResult, execute_plan, open_plan
 from repro.relational.catalog import Catalog
 from repro.relational.expr import col, substitute_columns
 from repro.relational.logical import AggregateSpec, LogicalNode
@@ -87,22 +87,33 @@ class RelGoConfig:
     # legacy row-tuple protocol; results are identical (parity-tested), so
     # this is a performance knob kept for columnar-vs-row comparisons.
     columnar: bool = True
-    # Degree of morsel-driven parallelism for plan execution; None reads
-    # REPRO_PARALLELISM at execute time (default 1 = serial).  The
-    # optimizer and its plan traces are unaffected — parallel plans are
-    # rewritten per execution (exchange operators over leaf morsels).
+    # Degree of morsel-driven parallelism for plan execution; None defers
+    # to REPRO_PARALLELISM (default 1 = serial).  The optimizer and its
+    # plan traces are unaffected — parallel plans are rewritten per
+    # execution (exchange operators over leaf morsels).
     parallelism: int | None = None
-    # Per-query execution deadline in seconds; None reads
-    # REPRO_QUERY_TIMEOUT at execute time (default: no deadline).  Expiry
-    # raises QueryTimeout at the next batch boundary with full teardown —
+    # Per-query execution deadline in seconds; None defers to
+    # REPRO_QUERY_TIMEOUT (default: no deadline).  Expiry raises
+    # QueryTimeout at the next batch boundary with full teardown —
     # distinct from optimizer_timeout, the paper's OT knob.
     query_timeout: float | None = None
-    # Spill-to-disk (out-of-core) execution.  None reads REPRO_SPILL_DIR /
-    # REPRO_SPILL_THRESHOLD at execute time (default: disarmed — the
+    # Spill-to-disk (out-of-core) execution.  None defers to
+    # REPRO_SPILL_DIR / REPRO_SPILL_THRESHOLD (default: disarmed — the
     # paper's OOM trip points stay byte-exact); False disarms regardless
     # of the environment; True / a directory path / a threshold int / a
     # SpillConfig arms it (see repro.exec.spill.resolve_spill).
     spill: Any = None
+
+    def execution_settings(self) -> dict[str, Any]:
+        """This config as ``open_plan`` / ``execute_plan`` keywords."""
+        return {
+            "memory_budget_rows": self.memory_budget_rows,
+            "batch_size": self.batch_size,
+            "columnar": self.columnar,
+            "parallelism": self.parallelism,
+            "timeout": self.query_timeout,
+            "spill": self.spill,
+        }
 
 
 @dataclass
@@ -200,14 +211,7 @@ class RelGoFramework:
 
     def execute(self, optimized: OptimizedQuery, handle=None) -> QueryResult:
         return execute_plan(
-            optimized.physical,
-            memory_budget_rows=self.config.memory_budget_rows,
-            batch_size=self.config.batch_size,
-            columnar=self.config.columnar,
-            parallelism=self.config.parallelism,
-            timeout=self.config.query_timeout,
-            spill=self.config.spill,
-            handle=handle,
+            optimized.physical, handle=handle, **self.config.execution_settings()
         )
 
     def execute_iter(self, optimized: OptimizedQuery, handle=None):
@@ -218,65 +222,19 @@ class RelGoFramework:
         budget; only genuinely buffering operators (hash builds, sorts)
         charge the budget.  Yields lists of row tuples.
 
-        The full query lifecycle applies: the config's ``query_timeout``
-        (or a caller-owned ``handle``) cancels cooperatively between
-        batches, the per-query budget is leased from the process governor,
-        and a consumer that abandons the iterator (``break``, ``close()``,
-        or an exception in the loop body) triggers deterministic teardown
-        — the operator stream is closed, any spill directory removed, and
-        the lease released in this generator's ``finally``, not at GC time.
+        The full query lifecycle applies (:func:`~repro.exec.open_plan`):
+        a consumer that abandons the iterator (``break``, ``close()``, or
+        an exception in the loop body) tears the query down when this
+        generator closes, not at GC time.
         """
-        from repro.exec.context import QueryHandle, close_stream, resolve_timeout
-        from repro.exec.faults import resolve_faults
-        from repro.exec.governor import resolve_governor
-        from repro.exec.scheduler import parallelize_plan, resolve_parallelism
-        from repro.exec.spill import SpillManager, resolve_spill
-
-        if handle is None:
-            deadline = resolve_timeout(self.config.query_timeout)
-            if deadline is not None:
-                handle = QueryHandle(deadline)
-        parallelism = resolve_parallelism(self.config.parallelism)
-        ctx = ExecutionContext(
-            memory_budget_rows=self.config.memory_budget_rows,
-            parallelism=parallelism,
-            handle=handle,
-            faults=resolve_faults(None),
-        )
-        if self.config.batch_size is not None:
-            ctx.batch_size = self.config.batch_size
-        spill_config = resolve_spill(self.config.spill)
-        owned_spill = None
-        if spill_config is not None:
-            owned_spill = SpillManager(spill_config).bind(ctx)
-            ctx.spill = owned_spill
-        lease = resolve_governor(None).lease(ctx.memory_budget_rows, label="query")
-        stream = None
-        try:
-            ctx.memory_budget_rows = lease.budget_rows
-            plan = optimized.physical
-            from repro.exec.context import pin_plan
-
-            pin_plan(plan, ctx)
-            if parallelism > 1:
-                plan = parallelize_plan(plan, parallelism, ctx.batch_size, ctx=ctx)
+        keywords = self.config.execution_settings()
+        with open_plan(optimized.physical, handle=handle, **keywords) as (_, stream):
             if self.config.columnar:
-                # Vectorized pull; rows materialize only at this yield
-                # boundary.
-                stream = plan.columnar_batches(ctx)
-                for cb in stream:
-                    yield cb.to_rows()
+                # Rows materialize only at this yield boundary.
+                for batch in stream:
+                    yield batch.to_rows()
             else:
-                stream = plan.batches(ctx)
                 yield from stream
-        finally:
-            if stream is not None:
-                close_stream(stream)
-            if owned_spill is not None:
-                # Abandoned iterators (break / close / loop-body raise) reap
-                # their spill directory here, same cascade as the lease.
-                owned_spill.close()
-            lease.release()
 
     def run(self, query: SPJMQuery) -> tuple[QueryResult, OptimizedQuery]:
         optimized = self.optimize(query)

@@ -25,7 +25,7 @@ from repro.graph.optimizer import GraphPlan, LoweringConfig, lower_plan
 from repro.graph.physical import GraphOperator
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
-from repro.relational.executor import ExecutionContext
+from repro.exec.context import ExecutionContext
 from repro.relational.logical import LogicalNode
 from repro.relational.physical import PhysicalOperator
 from repro.core.spjm import GraphTableClause, MatchColumn

@@ -10,8 +10,8 @@ builds, sort buffers, aggregation state, distinct sets) hold intermediate
 state — which is exactly what the memory budget charges.
 
 * :mod:`repro.exec.context` — :class:`ExecutionContext` (budget, counters),
-  :class:`Buffer` accounting handles, :class:`QueryResult`, and
-  :func:`execute_plan`.
+  :class:`Buffer` accounting handles, :class:`QueryResult`,
+  :func:`open_plan` (the one query lifecycle) and :func:`execute_plan`.
 * :mod:`repro.exec.operator` — the :class:`Operator` protocol shared by
   ``relational.physical`` and ``graph.physical``, plus the
   :class:`MaterializeOp` pipeline breaker used to model naive
@@ -65,6 +65,7 @@ from repro.exec.context import (
     QueryResult,
     close_stream,
     execute_plan,
+    open_plan,
     resolve_timeout,
 )
 from repro.exec.faults import (
@@ -84,7 +85,6 @@ from repro.exec.governor import (
 from repro.exec.operator import MaterializeOp, Operator, materialize_plan
 from repro.exec.scheduler import (
     ExchangeOp,
-    default_parallelism,
     morsel_ranges,
     parallelize_plan,
 )
@@ -105,6 +105,7 @@ __all__ = [
     "QueryResult",
     "close_stream",
     "execute_plan",
+    "open_plan",
     "resolve_timeout",
     "Fault",
     "FaultInjector",
@@ -120,7 +121,6 @@ __all__ = [
     "MaterializeOp",
     "materialize_plan",
     "ExchangeOp",
-    "default_parallelism",
     "morsel_ranges",
     "parallelize_plan",
     "SpillConfig",

@@ -14,12 +14,13 @@ handle via :meth:`ExecutionContext.buffer` and grow it as rows accumulate.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
+from repro import settings
 from repro.errors import OutOfMemoryError, QueryCancelled, QueryTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,25 +116,11 @@ class QueryHandle:
 
 
 def resolve_timeout(value: float | None) -> float | None:
-    """An explicit per-query deadline in seconds, or the environment default.
-
-    The single resolution rule of every execution entry point:
-    ``value`` wins when given; otherwise ``REPRO_QUERY_TIMEOUT`` (empty =
-    no deadline).  Non-positive values disable the deadline; a malformed
-    env var raises rather than silently disarming the knob.
-    """
-    if value is not None:
-        return value if value > 0 else None
-    raw = os.environ.get("REPRO_QUERY_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_QUERY_TIMEOUT must be a number of seconds, got {raw!r}"
-        ) from None
-    return parsed if parsed > 0 else None
+    """An explicit per-query deadline in seconds, else
+    ``REPRO_QUERY_TIMEOUT``; non-positive values disable the deadline."""
+    if value is None:
+        return settings.current().query_timeout
+    return value if value > 0 else None
 
 
 class Buffer:
@@ -500,7 +487,8 @@ def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
     visit(plan)
 
 
-def execute_plan(
+@contextmanager
+def open_plan(
     plan: "Operator",
     memory_budget_rows: int | None = None,
     batch_size: int | None = None,
@@ -512,30 +500,31 @@ def execute_plan(
     faults: Any = None,
     spill: Any = None,
     ctx: ExecutionContext | None = None,
-) -> QueryResult:
-    """Run a physical plan to completion and package the result.
+) -> "Iterator[tuple[ExecutionContext, Iterator]]":
+    """The one query lifecycle: yields ``(ctx, stream)`` for ``plan``.
 
-    The plan is pulled batch by batch; the accumulating result is itself a
-    buffer charged against the memory budget (a fully materialized result
-    larger than the budget is an OOM, exactly as in the paper's runs).
+    Entering resolves the knobs below into an :class:`ExecutionContext`,
+    leases the query's budget, pins its table snapshots and opens the
+    operator stream; leaving — however the ``with`` body ends: completion,
+    OOM, timeout, cancellation, injected fault, an abandoned consumer —
+    closes the stream (running operator ``finally`` blocks, so buffers
+    release and worker crews stop), reaps the spill directory and returns
+    the lease.  Afterwards ``ctx.buffered_rows`` is zero and no worker
+    threads remain.
 
-    ``columnar`` selects the protocol the plan is pulled through: the
-    vectorized columnar path (default; row tuples materialize only at this
-    result boundary) or the legacy row-tuple path.  Both produce identical
-    rows — the parity suite pins this — so the flag is a performance knob,
-    kept for the columnar-vs-row executor benchmarks.
-
-    ``parallelism`` enables morsel-driven parallel execution: the plan is
-    rewritten (non-destructively, at this call) with exchange operators
-    over per-morsel chain clones and pulled with a worker pool of that
-    size.  ``None`` reads ``REPRO_PARALLELISM`` (default 1 = serial, the
-    byte-for-byte reference behavior).
-
-    Lifecycle knobs:
-
+    * ``columnar`` — the protocol ``stream`` speaks: columnar batches
+      (default; row tuples materialize only at the result boundary) or
+      the legacy row-tuple batches.  Both produce identical rows — the
+      parity suite pins this — so the flag is a performance knob, kept
+      for the columnar-vs-row executor benchmarks.
+    * ``parallelism`` — morsel-driven parallel execution: the plan is
+      rewritten (non-destructively, at this call) with exchange operators
+      over per-morsel chain clones and pulled with a worker pool of that
+      size.  ``None`` reads ``REPRO_PARALLELISM`` (default 1 = serial,
+      the byte-for-byte reference behavior).
     * ``timeout`` — per-query deadline in seconds (None reads
-      ``REPRO_QUERY_TIMEOUT``); expiry raises :class:`QueryTimeout` at the
-      next batch boundary.
+      ``REPRO_QUERY_TIMEOUT``); expiry raises :class:`QueryTimeout` at
+      the next batch boundary.
     * ``handle`` — a caller-owned :class:`QueryHandle` for cooperative
       cancellation from another thread; overrides ``timeout``.
     * ``governor`` — the :class:`MemoryGovernor` to lease this query's
@@ -550,21 +539,12 @@ def execute_plan(
       the default — the paper's OOM trip points stay byte-exact);
       ``False`` disarms regardless of environment; ``True`` / a config /
       a directory string / a threshold int arm it.  Armed, the pipeline
-      breakers — and this function's own RESULT accumulation — keep at
-      most ``ctx.spill_limit()`` rows resident per buffer and move the
-      rest to per-query temp files, reaped in the ``finally`` below on
-      every exit path.  The assembled result list handed back to the
-      caller is, as always, the caller's own untracked memory.
+      breakers keep at most ``ctx.spill_limit()`` rows resident per
+      buffer and move the rest to per-query temp files.
     * ``ctx`` — a caller-owned :class:`ExecutionContext`; when given, the
       budget/batch/parallelism/handle/faults/spill arguments above are
       ignored in favor of the context's own fields (tests and the serving
       tier use this to observe ``buffered_rows`` after teardown).
-
-    Teardown is unconditional: however the pull ends — completion, OOM,
-    timeout, cancellation, injected fault — the batch iterator is closed
-    (running operator ``finally`` blocks), the RESULT buffer is released,
-    and the budget lease returns to the governor.  After a failure the
-    context's ``buffered_rows`` is zero and no worker threads remain.
     """
     from repro.exec.faults import resolve_faults
     from repro.exec.governor import resolve_governor
@@ -590,7 +570,6 @@ def execute_plan(
             owned_spill = SpillManager(spill_config).bind(ctx)
             ctx.spill = owned_spill
     lease = resolve_governor(governor).lease(ctx.memory_budget_rows, label="query")
-    result_buffer = ctx.buffer("RESULT")
     stream = None
     try:
         # The lease carries the requested per-query budget through
@@ -602,57 +581,65 @@ def execute_plan(
         # before the morsel grid is laid out), so concurrent appends are
         # invisible for the rest of the query.
         pin_plan(plan, ctx)
-        executed = plan
         if ctx.parallelism > 1:
-            executed = parallelize_plan(plan, ctx.parallelism, ctx.batch_size, ctx=ctx)
-        rows: list[tuple] = []
-        # Out-of-core RESULT accumulation: once the resident prefix would
-        # exceed the spill limit, every later batch spools to one temp
-        # file (columnar batches as typed frames — the serializer's main
-        # consumer) and reads back in order after the stream completes.
-        # Once spooling starts it never reverts, so row order is exactly
-        # the stream order.
-        limit = ctx.spill_limit()
-        spool = None
-        if columnar:
-            stream = executed.columnar_batches(ctx)
-            for cb in stream:
-                n = len(cb)
+            plan = parallelize_plan(plan, ctx.parallelism, ctx.batch_size, ctx=ctx)
+        stream = plan.columnar_batches(ctx) if columnar else plan.batches(ctx)
+        yield ctx, stream
+    finally:
+        if stream is not None:
+            close_stream(stream)
+        if owned_spill is not None:
+            owned_spill.close()
+        lease.release()
+
+
+def execute_plan(
+    plan: "Operator", *, columnar: bool = True, **lifecycle: Any
+) -> QueryResult:
+    """Run a physical plan to completion and package the result.
+
+    Takes :func:`open_plan`'s keywords.  The plan is pulled batch by
+    batch; the accumulating result is itself a buffer charged against the
+    memory budget (a fully materialized result larger than the budget is
+    an OOM, exactly as in the paper's runs).  With spill armed, the
+    resident prefix stops at ``ctx.spill_limit()`` and the rest spools to
+    a per-query temp file.  The assembled result list handed back to the
+    caller is, as always, the caller's own untracked memory.
+    """
+    with open_plan(plan, columnar=columnar, **lifecycle) as (ctx, stream):
+        result_buffer = ctx.buffer("RESULT")
+        try:
+            rows: list[tuple] = []
+            # Once the resident prefix would exceed the spill limit, every
+            # later batch spools to one temp file (columnar batches as
+            # typed frames — the serializer's main consumer) and reads
+            # back in order after the stream completes.  Once spooling
+            # starts it never reverts, so row order is the stream order.
+            limit = ctx.spill_limit()
+            spool = None
+            for batch in stream:
+                n = len(batch)
                 if spool is not None or (
                     limit is not None and ctx.buffered_rows + n > limit
                 ):
                     if spool is None:
                         spool = ctx.spill.create_file("RESULT")
-                    spool.append_batch(cb)
+                    if columnar:
+                        spool.append_batch(batch)
+                    else:
+                        spool.append_rows(list(batch))
                     continue
-                rows.extend(cb.to_rows())
+                rows.extend(batch.to_rows() if columnar else batch)
                 result_buffer.grow(n)
-        else:
-            stream = executed.batches(ctx)
-            for batch in stream:
-                if spool is not None or (
-                    limit is not None and ctx.buffered_rows + len(batch) > limit
-                ):
-                    if spool is None:
-                        spool = ctx.spill.create_file("RESULT")
-                    spool.append_rows(list(batch))
-                    continue
-                rows.extend(batch)
-                result_buffer.grow(len(batch))
-        if spool is not None:
-            for chunk in spool.read_rows():
-                rows.extend(chunk)
-        return QueryResult(
-            columns=list(plan.output_columns),
-            rows=rows,
-            execution_time=ctx.elapsed,
-            rows_produced=ctx.rows_produced,
-            peak_buffered_rows=ctx.peak_buffered_rows,
-        )
-    finally:
-        if stream is not None:
-            close_stream(stream)
-        result_buffer.release()
-        if owned_spill is not None:
-            owned_spill.close()
-        lease.release()
+            if spool is not None:
+                for chunk in spool.read_rows():
+                    rows.extend(chunk)
+            return QueryResult(
+                columns=list(plan.output_columns),
+                rows=rows,
+                execution_time=ctx.elapsed,
+                rows_produced=ctx.rows_produced,
+                peak_buffered_rows=ctx.peak_buffered_rows,
+            )
+        finally:
+            result_buffer.release()

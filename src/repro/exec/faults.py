@@ -52,12 +52,12 @@ cancellation checks honor.
 from __future__ import annotations
 
 import errno
-import os
 import random
 import threading
 import time
 from typing import TYPE_CHECKING, Iterator
 
+from repro import settings
 from repro.errors import InjectedFault, OutOfMemoryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -270,7 +270,7 @@ def resolve_faults(value: "FaultInjector | str | None") -> "FaultInjector | None
     between queries.
     """
     if value is None:
-        spec = os.environ.get("REPRO_FAULTS", "").strip()
+        spec = settings.current().faults
         return parse_faults(spec) if spec else None
     if isinstance(value, str):
         return parse_faults(value)

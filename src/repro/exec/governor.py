@@ -14,26 +14,22 @@ Design constraints, in order:
    every lease is granted immediately with exactly the requested per-query
    budget, so single-query semantics — and the paper's OOM trip points —
    are byte-exact with or without the governor in the call path.
-2. **Release is guaranteed by teardown.**  ``execute_plan`` /
-   ``execute_iter`` release the lease in the same ``finally`` that closes
-   the operator stream, so a cancelled, timed-out, faulted, or abandoned
-   query returns its budget to the pool deterministically (not at GC).
+2. **Release is guaranteed by teardown.**  ``open_plan`` releases the
+   lease in the same ``finally`` that closes the operator stream, so a
+   cancelled, timed-out, faulted, or abandoned query returns its budget
+   to the pool deterministically (not at GC).
 3. **Admission is explicit.**  A bounded governor either grants the lease,
    waits up to an admission timeout for running queries to finish, or
    raises :class:`~repro.errors.AdmissionError` — it never silently shrinks
    a request.
 
-Env knobs (read once per :func:`global_governor` build):
-
-* ``REPRO_GLOBAL_BUDGET_ROWS`` — total leasable rows (unset/empty/0 =
-  unbounded, the default).
-* ``REPRO_ADMISSION_TIMEOUT`` — seconds a lease request may wait for
-  capacity before raising ``AdmissionError`` (default 0 = fail fast).
+A bounded pool is built explicitly — ``MemoryGovernor(total_rows=...,
+admission_timeout=...)`` handed to ``Database(governor=)``,
+``execute_plan(governor=)`` or :func:`set_global_governor`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -185,43 +181,21 @@ _GLOBAL: MemoryGovernor | None = None
 _GLOBAL_LOCK = threading.Lock()
 
 
-def _governor_from_env() -> MemoryGovernor:
-    raw = os.environ.get("REPRO_GLOBAL_BUDGET_ROWS", "").strip()
-    total: int | None = None
-    if raw:
-        try:
-            total = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"REPRO_GLOBAL_BUDGET_ROWS must be an integer, got {raw!r}"
-            ) from exc
-    raw_timeout = os.environ.get("REPRO_ADMISSION_TIMEOUT", "").strip()
-    admission_timeout = 0.0
-    if raw_timeout:
-        try:
-            admission_timeout = float(raw_timeout)
-        except ValueError as exc:
-            raise ValueError(
-                f"REPRO_ADMISSION_TIMEOUT must be a number, got {raw_timeout!r}"
-            ) from exc
-    return MemoryGovernor(total_rows=total, admission_timeout=admission_timeout)
-
-
 def global_governor() -> MemoryGovernor:
-    """The process-wide governor (built from env on first use)."""
+    """The process-wide governor (unbounded until one is installed)."""
     global _GLOBAL
     if _GLOBAL is None:
         with _GLOBAL_LOCK:
             if _GLOBAL is None:
-                _GLOBAL = _governor_from_env()
+                _GLOBAL = MemoryGovernor()
     return _GLOBAL
 
 
 def set_global_governor(governor: MemoryGovernor | None) -> MemoryGovernor | None:
     """Swap the process-wide governor; returns the previous one.
 
-    ``None`` resets to lazy env-driven construction (tests use this to
-    restore the default after installing a bounded governor).
+    ``None`` resets to the default unbounded governor (tests use this
+    to restore the default after installing a bounded governor).
     """
     global _GLOBAL
     with _GLOBAL_LOCK:

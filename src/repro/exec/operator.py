@@ -37,19 +37,8 @@ class Operator:
     """Base class of all physical operators (relational and graph)."""
 
     def batches(self, ctx: "ExecutionContext") -> Iterator[Batch]:
-        """Yield the operator's output as chunks of row tuples.
-
-        The default adapts a legacy subclass that only overrides
-        :meth:`execute`, re-chunking its materialized output.
-        """
-        if type(self).execute is Operator.execute:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither batches() nor execute()"
-            )
-        rows = self.execute(ctx)
-        size = ctx.batch_size
-        for start in range(0, len(rows), size):
-            yield rows[start : start + size]
+        """Yield the operator's output as chunks of row tuples."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement batches()")
 
     def columnar_batches(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
         """Yield the operator's output as columnar chunks.

@@ -52,12 +52,12 @@ from __future__ import annotations
 
 import copy
 import itertools
-import os
 import queue
 import threading
 import time
 from typing import Callable, Iterator, Sequence
 
+from repro import settings
 from repro.exec.operator import Operator
 
 #: How long teardown keeps joining stopped workers before giving up on
@@ -155,35 +155,10 @@ class _WorkerCrew:
             self.join(0.02)
 
 
-def default_parallelism() -> int:
-    """Degree of parallelism from ``REPRO_PARALLELISM`` (default 1).
-
-    A malformed value raises instead of silently meaning "serial": the env
-    var exists so whole test/CI runs can opt in, and a typo that quietly
-    neutralized the parallel leg would leave the scheduler unexercised
-    while everything stays green.
-    """
-    raw = os.environ.get("REPRO_PARALLELISM", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PARALLELISM must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
-
-
 def resolve_parallelism(value: int | None) -> int:
-    """An explicit degree (clamped to >= 1) or the environment default.
-
-    The single resolution rule shared by every execution entry point
-    (``execute_plan``, ``RelGoFramework.execute_iter``), so the two can
-    never drift apart.
-    """
+    """An explicit degree (clamped to >= 1), else ``REPRO_PARALLELISM``."""
     if value is None:
-        return default_parallelism()
+        return settings.current().parallelism
     return max(1, int(value))
 
 
@@ -588,7 +563,6 @@ __all__ = [
     "EXCHANGE_QUEUE_DEPTH",
     "REAP_GRACE_SECONDS",
     "ExchangeOp",
-    "default_parallelism",
     "fold_source",
     "morsel_bounds",
     "morsel_ranges",

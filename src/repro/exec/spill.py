@@ -27,8 +27,8 @@ Two layers live here:
   workers spill independently), idempotent :meth:`SpillManager.close`
   that reaps every file, and a process-exit sweep (``atexit``) that
   removes directories of managers a crashed path never closed.  Managers
-  are created and closed by ``execute_plan`` / ``execute_iter`` in the
-  same deterministic-teardown ``finally`` cascade that releases buffers,
+  are created and closed by ``open_plan`` in the same
+  deterministic-teardown ``finally`` cascade that releases buffers,
   so no temp files survive success, failure, cancellation, or injected
   disk faults.
 * the **typed partition serializer** — :class:`SpillFile` frames.  Row
@@ -60,6 +60,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro import settings
 from repro.exec import vector
 from repro.exec.grouping import MISSING
 from repro.exec.vector import ColumnarBatch, DictVector
@@ -77,9 +78,6 @@ __all__ = [
     "encode_batch",
     "decode_batch",
 ]
-
-_DIR_ENV = "REPRO_SPILL_DIR"
-_THRESHOLD_ENV = "REPRO_SPILL_THRESHOLD"
 
 #: Rows a PartitionWriter accumulates before flushing one frame to disk.
 #: In-flight (uncharged) staging, like the one batch every streaming
@@ -108,27 +106,13 @@ def resolve_spill(value: Any = None) -> SpillConfig | None:
     (neither set = disarmed, the default); ``False`` disarms regardless of
     the environment; ``True`` arms with defaults; a string is a spill
     directory; an int is a threshold; a :class:`SpillConfig` passes
-    through.  A malformed threshold env var raises rather than silently
-    disarming the knob.
+    through.
     """
     if value is None:
-        directory = os.environ.get(_DIR_ENV, "").strip() or None
-        raw = os.environ.get(_THRESHOLD_ENV, "").strip()
-        threshold: int | None = None
-        if raw:
-            try:
-                threshold = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{_THRESHOLD_ENV} must be a row count, got {raw!r}"
-                ) from None
-            if threshold < 1:
-                raise ValueError(
-                    f"{_THRESHOLD_ENV} must be >= 1, got {threshold}"
-                )
-        if directory is None and threshold is None:
+        env = settings.current()
+        if env.spill_dir is None and env.spill_threshold is None:
             return None
-        return SpillConfig(directory=directory, threshold_rows=threshold)
+        return SpillConfig(env.spill_dir, env.spill_threshold)
     if value is False:
         return None
     if value is True:
@@ -511,8 +495,8 @@ def _decode_column(encoded: tuple) -> Any:
         np = vector._np
         if np is not None:
             return np.frombuffer(encoded[2], dtype=encoded[1]).copy()
-        # Written with numpy, read without (REPRO_NUMPY flip mid-process):
-        # rebuild through the equivalent typed buffer.
+        # Written with numpy, read without (``set_numpy_enabled(False)``
+        # mid-process): rebuild through the equivalent typed buffer.
         typecode = {"<i8": "q", "<f8": "d"}.get(encoded[1])
         if typecode is None:
             raise ValueError(

@@ -35,28 +35,19 @@ suite and CI pin the reference behaviours.
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from typing import Any, Sequence
 
+from repro import settings
 from repro.relational.types import DataType
 
 DICT = "dict"
 TYPED = "typed"
 LIST = "list"
 
-_ENV_VAR = "REPRO_STORAGE"
-
-_BACKENDS = (DICT, TYPED, LIST)
-
-
-def _default_backend() -> str:
-    value = os.environ.get(_ENV_VAR, DICT).strip().lower()
-    return value if value in _BACKENDS else DICT
-
-
-_backend = _default_backend()
+#: ``set_storage_backend``'s override; None defers to ``REPRO_STORAGE``.
+_backend: str | None = None
 
 
 #: Bulk loads re-examine a dictionary column's distinct ratio once this many
@@ -75,16 +66,6 @@ DEMOTE_MIN_ROWS = 1024
 DEMOTE_DISTINCT_RATIO = 0.6
 
 
-def _demotion_knobs() -> tuple[int, float]:
-    """(min_rows, ratio) — module defaults, overridable per process via
-    ``REPRO_DICT_DEMOTE_MIN_ROWS`` / ``REPRO_DICT_DEMOTE_RATIO``."""
-    raw_rows = os.environ.get("REPRO_DICT_DEMOTE_MIN_ROWS", "").strip()
-    raw_ratio = os.environ.get("REPRO_DICT_DEMOTE_RATIO", "").strip()
-    min_rows = int(raw_rows) if raw_rows else DEMOTE_MIN_ROWS
-    ratio = float(raw_ratio) if raw_ratio else DEMOTE_DISTINCT_RATIO
-    return min_rows, ratio
-
-
 class DictDemotion(TypeError):
     """Raised by ``DictColumn.extend`` when the cardinality heuristic fires.
 
@@ -96,7 +77,7 @@ class DictDemotion(TypeError):
 
 def storage_backend() -> str:
     """The active storage backend: ``"dict"``, ``"typed"`` or ``"list"``."""
-    return _backend
+    return _backend or settings.current().storage
 
 
 def set_storage_backend(name: str | None) -> None:
@@ -107,10 +88,7 @@ def set_storage_backend(name: str | None) -> None:
     storage they were built with.
     """
     global _backend
-    if name is None:
-        _backend = _default_backend()
-        return
-    if name not in _BACKENDS:
+    if name is not None and name not in settings.STORAGE_BACKENDS:
         raise ValueError(f"unknown storage backend {name!r}")
     _backend = name
 
@@ -176,7 +154,6 @@ class DictColumn:
         index = self.index
         values = self.values
         codes: list[int] = []
-        min_rows, ratio = _demotion_knobs()
         for value in items:
             if type(value) is not str:
                 raise TypeError(f"dictionary column cannot hold {value!r}")
@@ -187,10 +164,10 @@ class DictColumn:
                 index[value] = code
             codes.append(code)
         total = len(self.codes) + len(codes)
-        if total >= min_rows and len(values) > ratio * total:
+        if total >= DEMOTE_MIN_ROWS and len(values) > DEMOTE_DISTINCT_RATIO * total:
             raise DictDemotion(
                 f"distinct ratio {len(values)}/{total} exceeds "
-                f"{ratio} at {total} rows"
+                f"{DEMOTE_DISTINCT_RATIO} at {total} rows"
             )
         self.codes.extend(codes)
 
@@ -220,9 +197,10 @@ class DictColumn:
 
 def make_storage(dtype: DataType) -> list | array | DictColumn:
     """Fresh, empty storage for one column of ``dtype``."""
-    if _backend == LIST:
+    backend = storage_backend()
+    if backend == LIST:
         return []
-    if _backend == DICT and dtype is DataType.STRING:
+    if backend == DICT and dtype is DataType.STRING:
         return DictColumn()
     typecode = dtype.array_typecode()
     if typecode is None:

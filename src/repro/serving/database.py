@@ -53,12 +53,11 @@ old schema (and every prepared statement compiled under it).
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-import warnings
 from typing import Any, Callable, Sequence
 
-from repro.core.framework import OptimizedQuery, RelGoConfig, RelGoFramework
+from repro import settings
+from repro.core.framework import RelGoConfig, RelGoFramework
 from repro.core.sqlpgq.binder import execute_ddl
 from repro.errors import QueryCancelled, SessionClosed
 from repro.exec.context import QueryHandle, QueryResult, execute_plan, resolve_timeout
@@ -83,9 +82,9 @@ class Database:
     safe to share across threads.  ``close()`` closes every open session,
     then shuts the worker pool down (joining its threads).
 
-    ``workers`` bounds the shared pool (default: ``REPRO_WORKERS`` or 4);
-    pool threads are spawned lazily on the first ``submit``, so a Database
-    used only for synchronous ``execute`` owns zero threads.
+    ``workers`` bounds the shared pool (default 4); pool threads are
+    spawned lazily on the first ``submit``, so a Database used only for
+    synchronous ``execute`` owns zero threads.
     """
 
     def __init__(
@@ -125,7 +124,7 @@ class Database:
         instead of an in-process :class:`Session` — same surface, so the
         whole serving suite runs through a real network boundary.
         """
-        if os.environ.get("REPRO_WIRE"):
+        if settings.current().wire:
             return self._wire_connect()
         return self._local_connect()
 
@@ -141,15 +140,8 @@ class Database:
 
     def _wire_connect(self):
         from repro.serving.client import Client
-        from repro.serving.wire import Server
 
-        with self._lock:
-            if self._closed:
-                raise SessionClosed("database is closed")
-            if self._wire_server is None:
-                self._wire_server = Server(self)
-            server = self._wire_server
-        return Client(server.address)
+        return Client(self.serve().address)
 
     def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Start (or return) the wire server for this database."""
@@ -212,20 +204,6 @@ class Database:
         with self._lock:
             self._framework_version = self.catalog.version
 
-    def prepare(self) -> None:
-        """Deprecated alias for :meth:`warmup`.
-
-        ``prepare`` now belongs to statements (:meth:`Session.prepare`
-        returns a :class:`PreparedStatement`); the offline warm-up kept the
-        old name only until callers migrate.
-        """
-        warnings.warn(
-            "Database.prepare() is deprecated; use Database.warmup()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.warmup()
-
     def framework(self) -> RelGoFramework:
         """The optimizer bound to the current catalog version.
 
@@ -240,16 +218,11 @@ class Database:
                 self._framework_version = version
             return self._framework
 
-    def _prepare_plan(
-        self, sql: str, params: Sequence[Any] | None = None
-    ) -> "tuple[Any, OptimizedQuery | None, bool]":
-        """Resolve SQL text to an executable physical plan.
-
-        Returns ``(plan, optimized_or_None, cache_hit)``; ``plan`` is None
-        for DDL statements (already applied as a side effect).  ``params``
-        bind ``?`` placeholders positionally.
-        """
-        optimized, hit = cached_optimize(
+    def _prepare_plan(self, sql: str, params: Sequence[Any] | None = None):
+        """Resolve SQL text to an executable physical plan; None for DDL
+        statements (already applied as a side effect).  ``params`` bind
+        ``?`` placeholders positionally."""
+        optimized, _ = cached_optimize(
             self.plan_cache,
             sql,
             self.catalog,
@@ -257,9 +230,7 @@ class Database:
             on_ddl=lambda statement: execute_ddl(statement, self.catalog),
             params=params,
         )
-        if optimized is None:
-            return None, None, False
-        return optimized.physical, optimized, hit
+        return None if optimized is None else optimized.physical
 
 
 class Session:
@@ -301,12 +272,15 @@ class Session:
         literal-spliced form of the same shape.  DDL returns an empty
         result with a ``status`` column.
         """
+        return self._execute(lambda: self.database._prepare_plan(sql, params), timeout)
+
+    def _execute(self, resolve: Callable[[], Any], timeout: float | None) -> QueryResult:
+        """Run the plan ``resolve()`` returns (None = DDL, already applied)
+        under a registered handle — shared with prepared statements."""
         handle = self._register_handle(timeout)
         try:
-            plan, _, _ = self.database._prepare_plan(sql, params=params)
-            if plan is None:
-                return _ddl_result()
-            return self._run(plan, handle)
+            plan = resolve()
+            return _ddl_result() if plan is None else self._run(plan, handle)
         finally:
             self._unregister_handle(handle)
 
@@ -324,34 +298,18 @@ class Session:
         saturated pool surfaces as :class:`~repro.errors.QueryTimeout`
         rather than invisible latency.
         """
-        handle = self._register_handle(timeout)
-        pending = PendingQuery(self, sql, handle, params=params)
-        with self._lock:
-            self._pending.append(pending)
-        try:
-            self.database.pool.submit(pending)
-        except SessionClosed:
-            self._forget_pending(pending)
-            self._unregister_handle(handle)
-            raise
-        return pending
-
-    def _submit_prepared(
-        self,
-        statement: PreparedStatement,
-        params: Sequence[Any] | None,
-        timeout: float | None,
-    ) -> "PendingQuery":
-        """Queue a prepared-statement execution on the shared pool (the
-        statement's template fast path runs on the worker)."""
-        handle = self._register_handle(timeout)
-        pending = PendingQuery(
-            self,
-            statement.sql,
-            handle,
-            params=params,
-            resolver=lambda: statement._resolve_plan(params),
+        return self._enqueue(
+            sql, timeout, lambda: self.database._prepare_plan(sql, params)
         )
+
+    def _enqueue(
+        self, sql: str, timeout: float | None, resolver: Callable[[], Any]
+    ) -> "PendingQuery":
+        """Register a handle, queue a :class:`PendingQuery` whose plan
+        ``resolver()`` produces on the worker, and roll both back if the
+        pool refuses — shared with prepared statements."""
+        handle = self._register_handle(timeout)
+        pending = PendingQuery(self, sql, handle, resolver)
         with self._lock:
             self._pending.append(pending)
         try:
@@ -367,9 +325,9 @@ class Session:
 
         The returned :class:`PreparedStatement` scans the text a single
         time at prepare; each ``execute(params)`` binds directly into the
-        cached plan template — no fingerprint scan, no literal re-splice.
-        DDL bumping the catalog version transparently re-prepares on the
-        next execute.
+        shared cache's plan template — no fingerprint scan, no literal
+        re-splice.  DDL bumping the catalog version transparently
+        re-compiles on the next execute.
         """
         with self._lock:
             if self._closed:
@@ -379,16 +337,11 @@ class Session:
         return statement
 
     def _run(self, plan, handle: QueryHandle) -> QueryResult:
-        config = self.database.config
         return execute_plan(
             plan,
-            memory_budget_rows=config.memory_budget_rows,
-            batch_size=config.batch_size,
-            columnar=config.columnar,
-            parallelism=config.parallelism,
             handle=handle,
             governor=self.database.governor,
-            spill=config.spill,
+            **self.database.config.execution_settings(),
         )
 
     # ------------------------------------------------------------------ #
@@ -490,13 +443,11 @@ class PendingQuery:
         session: Session,
         sql: str,
         handle: QueryHandle,
-        params: Sequence[Any] | None = None,
-        resolver: Callable[[], Any] | None = None,
+        resolver: Callable[[], Any],
     ):
         self.session = session
         self.sql = sql
         self.handle = handle
-        self.params = params
         self._resolver = resolver
         self._result: QueryResult | None = None
         self._error: BaseException | None = None
@@ -514,12 +465,7 @@ class PendingQuery:
                 return  # cancelled (or abandoned) before a worker got here
             self._started = True
         try:
-            if self._resolver is not None:
-                plan = self._resolver()
-            else:
-                plan, _, _ = self.session.database._prepare_plan(
-                    self.sql, params=self.params
-                )
+            plan = self._resolver()
             result = _ddl_result() if plan is None else self.session._run(
                 plan, self.handle
             )

@@ -43,7 +43,8 @@ from __future__ import annotations
 import copy
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import ParameterError
@@ -375,57 +376,51 @@ class PlanCache:
         self.capacity = max(1, capacity)
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: dict[tuple, dict[tuple, PlanTemplate]] = {}
-        self._order: list[tuple] = []  # LRU order of (key, baked) pairs
+        #: (fingerprint key, baked values) -> template, least recent first.
+        self._entries: OrderedDict[tuple, PlanTemplate] = OrderedDict()
+        #: fingerprint key -> [baked slots in order, live variant count].
+        #: Every variant of one normalized text bakes the *same* slots
+        #: (baking is decided by grammar position, not value), so this
+        #: selects the baked values of any query matching the key.
+        self._baked: dict[tuple, list] = {}
 
-    def lookup(
-        self, fp: Fingerprint, baked_probe: "dict[frozenset[int], tuple] | None" = None
-    ) -> PlanTemplate | None:
-        """The live template for ``fp``, or None (a miss).
-
-        A fingerprint's variants differ in which slots their parser run
-        baked — but every variant of one normalized text bakes the *same*
-        slot set (baking is decided by grammar position, not value), so the
-        first variant's ``baked_slots`` selects this query's baked values.
-        """
+    def lookup(self, fp: Fingerprint) -> PlanTemplate | None:
+        """The live template for ``fp``, or None (a miss)."""
         with self._lock:
-            bucket = self._entries.get(fp.key)
-            if bucket:
-                baked_key = next(iter(bucket.values())).baked_slots
-                variant = tuple(fp.values[s] for s in sorted(baked_key))
-                entry = bucket.get(variant)
+            baked = self._baked.get(fp.key)
+            if baked is not None:
+                pair = (fp.key, tuple(fp.values[s] for s in baked[0]))
+                entry = self._entries.get(pair)
                 if entry is not None:
-                    if entry.catalog_version != self._catalog_version():
-                        self.stats.invalidations += 1
-                        self._evict(fp.key, variant)
-                    else:
+                    if entry.catalog_version == self._catalog_version():
                         self.stats.hits += 1
-                        self._touch((fp.key, variant))
+                        self._entries.move_to_end(pair)
                         return entry
+                    self.stats.invalidations += 1
+                    self._evict(pair)
             self.stats.misses += 1
             return None
 
     def store(self, fp: Fingerprint, template: PlanTemplate) -> None:
-        variant = tuple(fp.values[s] for s in sorted(template.baked_slots))
+        slots = tuple(sorted(template.baked_slots))
+        pair = (fp.key, tuple(fp.values[s] for s in slots))
         with self._lock:
-            bucket = self._entries.setdefault(fp.key, {})
-            if variant not in bucket:
-                self._order.append((fp.key, variant))
-            bucket[variant] = template
-            self._touch((fp.key, variant))
-            while len(self._order) > self.capacity:
-                old_key, old_variant = self._order[0]
-                self._evict(old_key, old_variant)
+            if pair not in self._entries:
+                self._baked.setdefault(fp.key, [slots, 0])[1] += 1
+            self._entries[pair] = template
+            self._entries.move_to_end(pair)
+            while len(self._entries) > self.capacity:
+                self._evict(next(iter(self._entries)))
                 self.stats.evictions += 1
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._order.clear()
+            self._baked.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._order)
+            return len(self._entries)
 
     # -- internals (caller holds the lock) ------------------------------ #
 
@@ -440,23 +435,12 @@ class PlanCache:
         fn = self._catalog_version_fn
         return fn() if fn is not None else 0
 
-    def _touch(self, pair: tuple) -> None:
-        try:
-            self._order.remove(pair)
-        except ValueError:
-            pass
-        self._order.append(pair)
-
-    def _evict(self, key: tuple, variant: tuple) -> None:
-        bucket = self._entries.get(key)
-        if bucket is not None:
-            bucket.pop(variant, None)
-            if not bucket:
-                self._entries.pop(key, None)
-        try:
-            self._order.remove((key, variant))
-        except ValueError:
-            pass
+    def _evict(self, pair: tuple) -> None:
+        del self._entries[pair]
+        baked = self._baked[pair[0]]
+        baked[1] -= 1
+        if not baked[1]:
+            del self._baked[pair[0]]
 
 
 # ---------------------------------------------------------------------- #
@@ -524,6 +508,4 @@ def cached_optimize(cache, sql, catalog, optimize, on_ddl=None, params=None):
     optimized, _ = compile_template(
         cache, fp, sql, catalog, optimize, params=params, on_ddl=on_ddl
     )
-    if optimized is None:
-        return None, False
     return optimized, False

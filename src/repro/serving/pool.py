@@ -18,46 +18,22 @@ moment clients misbehave.  This module replaces that with one
   without waiting for a worker (see
   :class:`~repro.serving.database.PendingQuery`), so ``Session.close()``
   never blocks behind other sessions' work.
-
-Size resolution: explicit constructor argument, else ``REPRO_WORKERS``,
-else :data:`DEFAULT_WORKERS`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from typing import Protocol
 
 from repro.errors import SessionClosed
 
-__all__ = ["DEFAULT_WORKERS", "PoolTask", "WorkerPool", "resolve_workers"]
+__all__ = ["DEFAULT_WORKERS", "PoolTask", "WorkerPool"]
 
 #: Default worker count: enough to overlap I/O-ish queries on small boxes
 #: without oversubscribing CI runners; serving deployments size it via
-#: ``REPRO_WORKERS`` or ``Database(workers=...)``.
+#: ``Database(workers=...)``.
 DEFAULT_WORKERS = 4
-
-
-def resolve_workers(size: int | None) -> int:
-    """An explicit size wins; otherwise ``REPRO_WORKERS``; else default."""
-    if size is not None:
-        if size < 1:
-            raise ValueError(f"worker pool size must be >= 1, got {size}")
-        return size
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return DEFAULT_WORKERS
-    try:
-        parsed = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be an integer, got {raw!r}"
-        ) from None
-    if parsed < 1:
-        raise ValueError(f"REPRO_WORKERS must be >= 1, got {parsed}")
-    return parsed
 
 
 class PoolTask(Protocol):
@@ -83,7 +59,9 @@ class WorkerPool:
     """
 
     def __init__(self, size: int | None = None, name: str = "repro-pool"):
-        self.size = resolve_workers(size)
+        if size is not None and size < 1:
+            raise ValueError(f"worker pool size must be >= 1, got {size}")
+        self.size = DEFAULT_WORKERS if size is None else size
         self.name = name
         self._cond = threading.Condition()
         self._queue: deque[PoolTask] = deque()

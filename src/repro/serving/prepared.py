@@ -1,31 +1,24 @@
-"""Explicit prepared statements: bind params straight into a plan template.
+"""Explicit prepared statements: bind params without re-scanning the text.
 
 ``Session.execute(sql)`` already amortizes the frontend through the plan
 cache, but every call still pays the *fingerprint scan* (a regex pass over
-the text) plus the shared-cache lookup.  A :class:`PreparedStatement`
-hoists that per-call work to ``prepare`` time:
+the text).  A :class:`PreparedStatement` hoists that to ``prepare`` time:
 
 * **prepare** — one :func:`~repro.serving.plan_cache.scan_text` pass
   captures the normalized text and the inline-literal/placeholder slot
   layout.  Nothing is parsed or optimized yet (the first ``execute``
   compiles, because compilation needs bound parameter values — a ``?`` in
   a structural position like ``LIMIT ?`` is baked into the plan shape).
-* **execute(params)** — merges ``params`` into the captured slots and
-  binds directly into the statement-local template:
-  ``template.bind(values)`` rebinds ParamLiterals copy-on-write.  No
-  fingerprint scan, no literal re-splice, no shared-cache probe on the
-  hot path.
-* **invalidation** — every template is stamped with the catalog version
-  (the same epoch the shared plan cache uses).  DDL bumps the version;
-  the next ``execute`` sees the stale stamp and transparently
-  re-prepares against the new schema.
+* **execute(params)** — merges ``params`` into the captured slots, builds
+  the :class:`~repro.serving.plan_cache.Fingerprint` from them (no regex
+  scan, no literal re-splice) and probes the database's shared
+  :class:`~repro.serving.plan_cache.PlanCache`: a hit rebinds the cached
+  template copy-on-write, a miss compiles and stores it.
 
-Templates are keyed per (parameter type signature, baked values): an
-``int`` vs ``float`` in the same slot binds different typed kernels, and
-a baked slot's value is part of the plan shape.  Misses fall back to the
-shared :class:`~repro.serving.plan_cache.PlanCache` (so a statement
-prepared after identical ad-hoc traffic starts hot) and then to a full
-compile.
+The statement holds no plans of its own, so the shared cache's rules are
+the only rules: a template evicted at capacity or invalidated by a
+catalog-version bump recompiles transparently on the next ``execute``,
+and a statement prepared after identical ad-hoc traffic starts hot.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from repro.errors import SessionClosed
 from repro.exec.context import QueryResult
 from repro.serving.plan_cache import (
     Fingerprint,
-    PlanTemplate,
     compile_template,
     merge_params,
     scan_text,
@@ -49,33 +41,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (database imports us)
 
 __all__ = ["PreparedStatement"]
 
-#: Statement-local template variants kept per handle.  Baked placeholders
-#: (``LIMIT ?``) key one variant per distinct value; the shared cache is
-#: LRU-bounded, so the local mirror is bounded too (FIFO, oldest out).
-_MAX_LOCAL_VARIANTS = 32
-
 
 class PreparedStatement:
     """A reusable handle for one SQL/PGQ statement (from ``Session.prepare``).
 
     Thread-safe: concurrent ``execute`` calls on one handle are allowed
     (each gets its own :class:`~repro.exec.context.QueryHandle`, snapshot
-    pin and lease; the template dict is lock-protected and templates are
-    execution-immutable).  ``close()`` releases the handle; the session
-    closes any statements still open when it closes.
+    pin and lease; the handle itself is immutable after ``prepare``).
+    ``close()`` releases the handle; the session closes any statements
+    still open when it closes.
     """
 
     def __init__(self, session: "Session", sql: str):
         self.session = session
         self.sql = sql
-        normalized, raw = scan_text(sql)
-        self._normalized = normalized
-        self._raw_values = raw
+        self._normalized, self._raw_values = scan_text(sql)
         self._lock = threading.Lock()
-        # (type_names, baked_values) -> PlanTemplate; baked slot set is a
-        # property of the normalized text, learned from the first compile.
-        self._templates: dict[tuple, PlanTemplate] = {}
-        self._baked_slots: frozenset[int] | None = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -93,17 +74,7 @@ class PreparedStatement:
         not match the statement's ``?`` placeholders (count or type).
         """
         self._check_open()
-        handle = self.session._register_handle(timeout)
-        try:
-            plan = self._resolve_plan(params)
-            if plan is None:  # DDL: applied as a side effect of resolving
-                return QueryResult(
-                    columns=["status"], rows=[("ok",)],
-                    execution_time=0.0, rows_produced=1,
-                )
-            return self.session._run(plan, handle)
-        finally:
-            self.session._unregister_handle(handle)
+        return self.session._execute(lambda: self._resolve_plan(params), timeout)
 
     def submit(
         self,
@@ -111,51 +82,29 @@ class PreparedStatement:
         timeout: float | None = None,
     ) -> "PendingQuery":
         """Queue an execution on the shared worker pool (async twin of
-        :meth:`execute`); plan resolution happens on the worker through
-        the statement's template fast path."""
+        :meth:`execute`); plan resolution happens on the worker."""
         self._check_open()
-        return self.session._submit_prepared(self, params, timeout)
+        return self.session._enqueue(
+            self.sql, timeout, lambda: self._resolve_plan(params)
+        )
 
     # ------------------------------------------------------------------ #
     # plan resolution (the no-scan hot path)
     # ------------------------------------------------------------------ #
 
     def _resolve_plan(self, params: Sequence[Any] | None):
-        """Executable physical plan for ``params`` (None for DDL).
-
-        Fast path: merge params → statement-local template → ``bind``.
-        Fallbacks: shared plan cache (mirrored locally on hit), then a
-        full parse/bind/optimize via ``compile_template``.
-        """
+        """Executable physical plan for ``params`` (None for DDL): the
+        shared cache's template rebound, or a full parse/bind/optimize
+        via ``compile_template`` on a miss."""
         database = self.session.database
         merged = merge_params(self._raw_values, params)
-        type_names = tuple(type(v).__name__ for v in merged)
-        version = database.catalog.version
-
-        with self._lock:
-            if self._baked_slots is not None:
-                key = (
-                    type_names,
-                    tuple(merged[s] for s in sorted(self._baked_slots)),
-                )
-                entry = self._templates.get(key)
-                if entry is not None:
-                    if entry.catalog_version == version:
-                        return entry.bind(merged)
-                    # DDL epoch moved: drop every stale template and
-                    # transparently re-prepare below.
-                    self._templates.clear()
-                    self._baked_slots = None
-
-        # Shared-cache probe: identical ad-hoc traffic (or another
-        # session's prepare) may have compiled this shape already.
-        fp = Fingerprint(self._normalized, merged, type_names)
+        fp = Fingerprint(
+            self._normalized, merged, tuple(type(v).__name__ for v in merged)
+        )
         entry = database.plan_cache.lookup(fp)
         if entry is not None:
-            self._remember(entry, type_names, merged)
             return entry.bind(merged)
-
-        optimized, template = compile_template(
+        optimized, _ = compile_template(
             database.plan_cache,
             fp,
             self.sql,
@@ -164,25 +113,8 @@ class PreparedStatement:
             params=params,
             on_ddl=lambda statement: execute_ddl(statement, database.catalog),
         )
-        if optimized is None:
-            return None  # DDL
-        if template is not None:
-            self._remember(template, type_names, merged)
         # Uncacheable (safety valve) plans execute directly, uncached.
-        return optimized.physical
-
-    def _remember(
-        self, template: PlanTemplate, type_names: tuple, merged: tuple
-    ) -> None:
-        with self._lock:
-            self._baked_slots = template.baked_slots
-            key = (
-                type_names,
-                tuple(merged[s] for s in sorted(template.baked_slots)),
-            )
-            self._templates[key] = template
-            while len(self._templates) > _MAX_LOCAL_VARIANTS:
-                self._templates.pop(next(iter(self._templates)))
+        return None if optimized is None else optimized.physical
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -194,7 +126,6 @@ class PreparedStatement:
             if self._closed:
                 return
             self._closed = True
-            self._templates.clear()
         self.session._forget_statement(self)
 
     @property
@@ -214,5 +145,5 @@ class PreparedStatement:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else f"{len(self._templates)} template(s)"
+        state = "closed" if self._closed else "open"
         return f"PreparedStatement({self.sql!r}, {state})"

@@ -18,10 +18,10 @@ name               configuration
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
+from repro import settings
 from repro.core.framework import RelGoConfig, RelGoFramework
 from repro.core.spjm import SPJMQuery
 from repro.core.sqlpgq import parse_and_bind
@@ -85,8 +85,8 @@ class System:
         if optimizer_timeout is not None and self.config.join_enumeration == "exhaustive":
             self.config.optimizer_timeout = optimizer_timeout
         # Paper-fidelity default: system wrappers measure the paper's OOM
-        # entries, so spill stays disarmed (even when REPRO_SPILL_* is set
-        # in the environment) unless a caller arms it explicitly.
+        # entries, so spill stays disarmed (even when the environment arms
+        # it) unless a caller arms it explicitly.
         self.config.spill = spill
         self.name = name
         self.framework = RelGoFramework(catalog, graph_name, self.config)
@@ -97,7 +97,7 @@ class System:
         # repeated query shape executes a rebound cached plan and must
         # still produce byte-identical results.
         self.plan_cache = None
-        if os.environ.get("REPRO_SERVING"):
+        if settings.current().serving:
             from repro.serving.plan_cache import PlanCache
 
             self.plan_cache = PlanCache().bind_catalog(catalog)

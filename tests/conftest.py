@@ -113,3 +113,25 @@ def fig2():
     index = build_graph_index(mapping)
     catalog.register_graph_index(index)
     return catalog, mapping, index
+
+
+@pytest.fixture
+def repro_env():
+    """``repro_env(spill_threshold=64, faults=None)``: set (or, with None,
+    unset) ``REPRO_*`` variables and reload the settings; the environment
+    and the settings are restored when the test ends."""
+    from repro import settings
+
+    with pytest.MonkeyPatch.context() as patch:
+
+        def apply(**variables):
+            for name, value in variables.items():
+                variable = f"REPRO_{name.upper()}"
+                if value is None:
+                    patch.delenv(variable, raising=False)
+                else:
+                    patch.setenv(variable, str(value))
+            return settings.reload()
+
+        yield apply
+    settings.reload()

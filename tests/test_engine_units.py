@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.plan_proto import operator_counts, plan_signature, plan_to_dict
 from repro.errors import OutOfMemoryError, SchemaError
-from repro.relational.executor import ExecutionContext, execute_plan
+from repro.exec.context import ExecutionContext, execute_plan
 from repro.relational.expr import col, ge, gt, lit
 from repro.relational.logical import AggregateSpec
 from repro.relational.physical import (

@@ -341,10 +341,10 @@ def test_parse_faults_rejects_malformed(spec):
         parse_faults(spec)
 
 
-def test_resolve_faults_env(tables, monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+def test_resolve_faults_env(tables, repro_env):
+    repro_env(faults=None)
     assert resolve_faults(None) is None  # default: nothing armed
-    monkeypatch.setenv("REPRO_FAULTS", "kind=error,label=SCAN_TABLE")
+    repro_env(faults="kind=error,label=SCAN_TABLE")
     injector = resolve_faults(None)
     assert injector is not None and injector.faults[0].kind == "error"
     # The env schedule reaches execute_plan without any explicit wiring,
@@ -353,7 +353,7 @@ def test_resolve_faults_env(tables, monkeypatch):
     for _ in range(2):
         with pytest.raises(InjectedFault):
             execute_plan(plan)
-    monkeypatch.setenv("REPRO_FAULTS", f"kind=error,after={NEVER}")
+    repro_env(faults=f"kind=error,after={NEVER}")
     assert len(execute_plan(plan)) == 8_000
     # Explicit spec strings and injectors win over the env.
     with pytest.raises(InjectedFault):

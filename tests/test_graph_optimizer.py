@@ -16,7 +16,7 @@ from repro.graph.optimizer import (
     lower_plan,
 )
 from repro.graph.pattern import PatternGraph
-from repro.relational.executor import ExecutionContext
+from repro.exec.context import ExecutionContext
 from repro.relational.expr import col, eq, lit
 
 

@@ -12,12 +12,13 @@ already pin (same results, same OOM trip points).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
 import pytest
 
-from repro.core.framework import RelGoConfig, RelGoFramework
+from repro.core.framework import OptimizedQuery, RelGoConfig, RelGoFramework
 from repro.core.sqlpgq import parse_and_bind
 from repro.errors import (
     AdmissionError,
@@ -25,10 +26,12 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
 )
+from repro.exec import context as context_mod
 from repro.exec import (
     ExecutionContext,
     MemoryGovernor,
     QueryHandle,
+    SpillConfig,
     execute_plan,
     parallelize_plan,
     resolve_timeout,
@@ -36,7 +39,7 @@ from repro.exec import (
 )
 from repro.relational.expr import col, gt, lit
 from repro.relational.logical import AggregateSpec
-from repro.relational.physical import AggregateOp, FilterOp, HashJoin, SeqScan
+from repro.relational.physical import AggregateOp, FilterOp, HashJoin, SeqScan, SortOp
 from tests.test_parallel_exec import make_table
 
 PARALLELISM = 4
@@ -101,19 +104,11 @@ def test_handle_wait_is_interruptible():
     canceller.join()
 
 
-def test_resolve_timeout_explicit_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "7.5")
+def test_resolve_timeout_explicit_values():
+    # The environment side of the rule lives in tests/test_settings.py.
     assert resolve_timeout(1.25) == 1.25
-    assert resolve_timeout(None) == 7.5
     assert resolve_timeout(0) is None  # non-positive disables
     assert resolve_timeout(-3) is None
-    monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "0")
-    assert resolve_timeout(None) is None
-    monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "")
-    assert resolve_timeout(None) is None
-    monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "soon")
-    with pytest.raises(ValueError):
-        resolve_timeout(None)
 
 
 # --------------------------------------------------------------------- #
@@ -138,8 +133,8 @@ def test_timeout_raises_and_tears_down(table, parallelism, columnar):
     assert_no_repro_threads()
 
 
-def test_timeout_env_knob(table, monkeypatch):
-    monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "0.000000001")
+def test_timeout_env_knob(table, repro_env):
+    repro_env(query_timeout="0.000000001")
     with pytest.raises(QueryTimeout):
         execute_plan(SeqScan(table, "t"))
     # An explicit generous timeout overrides the env and succeeds.
@@ -263,6 +258,68 @@ def test_execute_iter_abandon_releases_lease_and_buffers(fig2):
 
         gc.collect()
         assert observer.active_leases == 0
+    finally:
+        set_global_governor(previous)
+    assert_no_repro_threads()
+
+
+@pytest.mark.parametrize("consumer", ["drain", "break", "raise"])
+def test_execute_iter_and_execute_plan_leave_identical_state(
+    fig2, table, tmp_path, monkeypatch, consumer
+):
+    """One lifecycle: under a bounded governor with spill armed, a drained
+    ``execute`` and an ``execute_iter`` whose consumer drains, breaks or
+    raises end in the same state — no lease, no buffered rows, no spill
+    directory."""
+    contexts: list[ExecutionContext] = []
+
+    def recording_context(**fields):
+        contexts.append(ExecutionContext(**fields))
+        return contexts[-1]
+
+    monkeypatch.setattr(context_mod, "ExecutionContext", recording_context)
+    config = RelGoConfig(
+        memory_budget_rows=50_000,
+        spill=SpillConfig(directory=str(tmp_path), threshold_rows=2_000),
+    )
+    framework = RelGoFramework(fig2[0], "G", config)
+    plan = SortOp(SeqScan(table, "t"), [(col("t.v"), True), (col("t.id"), True)])
+    optimized = OptimizedQuery(physical=plan, logical=None, optimization_time=0.0)
+    governor = MemoryGovernor(total_rows=50_000)
+
+    def state():
+        return (
+            governor.active_leases,
+            governor.leased_rows,
+            contexts[-1].buffered_rows,
+            list(tmp_path.iterdir()),
+        )
+
+    previous = set_global_governor(governor)
+    try:
+        expected = [row[0] for row in framework.execute(optimized).rows]
+        after_execute = state()
+        assert after_execute == (0, 0, 0, [])
+        ids: list[int] = []  # column f holds NaNs, so compare the key
+        with contextlib.ExitStack() as stack:
+            if consumer == "raise":
+                stack.enter_context(pytest.raises(RuntimeError, match="loop body"))
+            stream = stack.enter_context(
+                contextlib.closing(framework.execute_iter(optimized))
+            )
+            for batch in stream:
+                ids.extend(row[0] for row in batch)
+                # Mid-stream the query is live: leased, buffered, spilled.
+                live = state()
+                assert live[0] == 1 and live[1] == 50_000
+                assert live[2] > 0 and len(live[3]) == 1
+                if consumer == "break":
+                    break
+                if consumer == "raise":
+                    raise RuntimeError("loop body failed")
+        assert len(contexts) == 2
+        assert state() == after_execute
+        assert ids == (expected if consumer == "drain" else expected[: len(ids)])
     finally:
         set_global_governor(previous)
     assert_no_repro_threads()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import OptimizationTimeout
-from repro.relational.executor import execute_plan
+from repro.exec.context import execute_plan
 from repro.relational.expr import col, eq, gt, lit
 from repro.relational.logical import AggregateSpec, LogicalScan
 from repro.relational.lowering import PhysicalPlanner

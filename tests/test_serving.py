@@ -28,6 +28,7 @@ from repro.errors import (
     SessionClosed,
 )
 from repro.exec.governor import MemoryGovernor
+from repro.relational import column as column_mod
 from repro.relational.catalog import Catalog
 from repro.relational.column import (
     DictColumn,
@@ -373,9 +374,8 @@ class TestSessionLifecycle:
             with pytest.raises(AdmissionError):
                 ses.execute("SELECT name FROM People")
 
-    def test_no_spill_files_leak(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "64")
+    def test_no_spill_files_leak(self, tmp_path, repro_env):
+        repro_env(spill_dir=tmp_path, spill_threshold=64)
         rows = [(i, f"name{i % 97:03d}", i % 13) for i in range(3000)]
         db = _people_db(rows=rows)
         with db.connect() as ses:
@@ -521,7 +521,7 @@ def dict_backend():
 
 class TestDictDemotion:
     def test_unique_heavy_bulk_load_demotes_to_list(self, dict_backend, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_DEMOTE_MIN_ROWS", "100")
+        monkeypatch.setattr(column_mod, "DEMOTE_MIN_ROWS", 100)
         catalog = Catalog()
         table = catalog.create_table(
             TableSchema(
@@ -538,7 +538,7 @@ class TestDictDemotion:
         ]
 
     def test_repetitive_bulk_load_stays_dictionary(self, dict_backend, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_DEMOTE_MIN_ROWS", "100")
+        monkeypatch.setattr(column_mod, "DEMOTE_MIN_ROWS", 100)
         catalog = Catalog()
         table = catalog.create_table(
             TableSchema(
@@ -551,8 +551,8 @@ class TestDictDemotion:
         assert is_dict(table.columns["city"])
 
     def test_demotion_is_loss_free(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_DEMOTE_MIN_ROWS", "10")
-        monkeypatch.setenv("REPRO_DICT_DEMOTE_RATIO", "0.5")
+        monkeypatch.setattr(column_mod, "DEMOTE_MIN_ROWS", 10)
+        monkeypatch.setattr(column_mod, "DEMOTE_DISTINCT_RATIO", 0.5)
         col = DictColumn()
         col.extend(["a", "b", "a", "b"])  # low cardinality prefix
         values = [f"v{i}" for i in range(100)]
@@ -607,9 +607,8 @@ class TestDictOrderBy:
             r = ses.execute("SELECT id FROM T ORDER BY id * -1 LIMIT 5")
         assert [t[0] for t in r.rows] == [299, 298, 297, 296, 295]
 
-    def test_spill_path_falls_back_to_value_domain(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "128")
+    def test_spill_path_falls_back_to_value_domain(self, tmp_path, repro_env):
+        repro_env(spill_dir=tmp_path, spill_threshold=128)
         db, rows = self._db(n=2000)
         with db.connect() as ses:
             r = ses.execute("SELECT id, city FROM T ORDER BY city, id")
@@ -628,8 +627,8 @@ class TestServingKnob:
         "COLUMNS (p1.name AS p1_name)) g"
     )
 
-    def test_system_text_runs_hit_the_cache(self, fig2, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING", "1")
+    def test_system_text_runs_hit_the_cache(self, fig2, repro_env):
+        repro_env(serving=1)
         catalog, _, _ = fig2
         system = make_system("relgo", catalog)
         assert system.plan_cache is not None
@@ -639,13 +638,13 @@ class TestServingKnob:
         assert system.plan_cache.stats.hits == 1
         assert system.plan_cache.stats.misses == 1
 
-    def test_armed_results_match_unarmed(self, fig2, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING", raising=False)
+    def test_armed_results_match_unarmed(self, fig2, repro_env):
+        repro_env(serving=None)
         catalog, _, _ = fig2
         baseline = make_system("relgo", catalog)
         assert baseline.plan_cache is None
         want = baseline.optimize(self.Q)
-        monkeypatch.setenv("REPRO_SERVING", "1")
+        repro_env(serving=1)
         armed = make_system("relgo", catalog)
         # Second optimize of the shape is a rebind of the cached template;
         # the engine must produce the same rows either way.
@@ -659,8 +658,8 @@ class TestServingKnob:
             == execute_plan(want.physical).sorted_rows()
         )
 
-    def test_bind_errors_still_classified(self, fig2, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING", "1")
+    def test_bind_errors_still_classified(self, fig2, repro_env):
+        repro_env(serving=1)
         catalog, _, _ = fig2
         system = make_system("relgo", catalog)
         result = system.run("SELECT nope FROM Nowhere", query_name="bad")
@@ -770,22 +769,28 @@ class TestPreparedStatements:
 
     def test_hot_path_skips_scan_and_frontend(self, monkeypatch):
         # After the first execute compiles the template, later executes
-        # bind straight into it: no parser, no binder, and no shared-cache
-        # probe (which is where the fingerprint scan would happen).
+        # probe the shared cache with a fingerprint built from the merged
+        # params: a counted hit, with no text scan, no parser, no binder.
         db = _people_db()
         ses = db.connect()
         stmt = ses.prepare("SELECT name FROM People WHERE age = ?")
         stmt.execute([28])
         import repro.core.sqlpgq.binder as binder_mod
         import repro.core.sqlpgq.parser as parser_mod
+        import repro.serving.plan_cache as cache_mod
+        import repro.serving.prepared as prepared_mod
 
         def boom(*a, **k):  # pragma: no cover - would mean a re-prepare
             raise AssertionError("frontend invoked on prepared hot path")
 
         monkeypatch.setattr(parser_mod, "Parser", boom)
         monkeypatch.setattr(binder_mod, "bind_query", boom)
-        monkeypatch.setattr(db.plan_cache, "lookup", boom)
+        monkeypatch.setattr(cache_mod, "scan_text", boom)
+        monkeypatch.setattr(prepared_mod, "scan_text", boom)
+        hits = db.plan_cache.stats.hits
         assert stmt.execute([34]).rows == [("Ann",)]
+        assert stmt.execute([41]).rows == [("Cid",)]
+        assert db.plan_cache.stats.hits == hits + 2
         ses.close()
 
     def test_epoch_invalidation_reprepares_transparently(self):
@@ -794,10 +799,29 @@ class TestPreparedStatements:
             stmt = ses.prepare("SELECT name FROM People WHERE age = ?")
             assert sorted(stmt.execute([28]).rows) == [("Bob",), ("Dee",)]
             db.catalog.analyze()  # DDL-equivalent: schema/stats epoch bump
-            # Same handle, new epoch: the stale template is dropped and the
-            # statement recompiles against the new catalog — same answer.
+            # Same handle, new epoch: the shared cache drops the stale
+            # template and the statement recompiles against the new
+            # catalog — same answer.
             assert sorted(stmt.execute([28]).rows) == [("Bob",), ("Dee",)]
+            assert db.plan_cache.stats.invalidations == 1
             assert stmt.execute([41]).rows == [("Cid",)]
+
+    def test_eviction_by_adhoc_traffic_recompiles_transparently(self):
+        # The statement owns no plans: ad-hoc shapes filling the shared
+        # cache evict its template, and the next execute just recompiles.
+        db = _people_db(cache_capacity=2)
+        with db.connect() as ses:
+            stmt = ses.prepare("SELECT name FROM People WHERE age = ?")
+            assert stmt.execute([41]).rows == [("Cid",)]
+            ses.execute("SELECT id FROM People WHERE age = 28")
+            ses.execute("SELECT age FROM People WHERE id = 1")
+            assert db.plan_cache.stats.evictions == 1
+            misses = db.plan_cache.stats.misses
+            assert stmt.execute([34]).rows == [("Ann",)]
+            assert db.plan_cache.stats.misses == misses + 1
+            hits = db.plan_cache.stats.hits
+            assert stmt.execute([41]).rows == [("Cid",)]
+            assert db.plan_cache.stats.hits == hits + 1
 
     def test_param_mismatch_is_typed(self):
         db = _people_db()
@@ -852,11 +876,6 @@ class TestPreparedStatements:
             assert len(stmt.execute([2]).rows) == 2
             assert len(stmt.execute([3]).rows) == 3
             assert len(stmt.execute([2]).rows) == 2
-
-    def test_database_prepare_deprecation_shim(self):
-        db = _fig2_db()  # warmup() already called; the shim must still work
-        with pytest.warns(DeprecationWarning, match="warmup"):
-            db.prepare()
 
 
 # ---------------------------------------------------------------------- #
@@ -919,19 +938,14 @@ class TestWorkerPool:
         notes = getattr(info.value, "__notes__", [])
         assert any("SELECT name FROM People" in n for n in notes)
 
-    def test_worker_size_resolution(self, monkeypatch):
-        from repro.serving.pool import DEFAULT_WORKERS, WorkerPool, resolve_workers
+    def test_worker_size_resolution(self):
+        from repro.serving.pool import DEFAULT_WORKERS, WorkerPool
 
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == DEFAULT_WORKERS
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(None) == 7
+        default = WorkerPool()
+        assert default.size == DEFAULT_WORKERS
+        default.close()
         with pytest.raises(ValueError):
-            resolve_workers(0)
-        monkeypatch.setenv("REPRO_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
+            WorkerPool(0)
         pool = WorkerPool(2)
         assert pool.size == 2 and pool.worker_count == 0  # lazy spawn
         pool.close()

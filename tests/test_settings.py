@@ -1,0 +1,222 @@
+"""The one ``REPRO_*`` reader: parsing, precedence, and who may read.
+
+Three guarantees:
+
+1. **One table** — each of the eight variables parses to its documented
+   default when unset, to the documented value when valid, and raises
+   ``ValueError`` at ``settings.reload()`` when malformed.
+2. **One precedence** — per-call argument > ``RelGoConfig`` field >
+   environment > default, observed on the context ``open_plan`` resolves.
+3. **One reader** — ``os.environ`` is touched by ``settings.py`` only, and
+   never between ``Session.execute`` entry and return.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import settings
+from repro.core.framework import RelGoConfig
+from repro.exec import SpillConfig, open_plan
+from repro.relational.catalog import Catalog
+from repro.relational.column import set_storage_backend, storage_backend
+from repro.relational.physical import SeqScan
+from repro.relational.schema import Column, TableSchema
+from repro.relational.types import DataType
+from repro.serving import Database
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+NEVER = 10**9
+
+#: field, unset default, [(raw, parsed), ...], [malformed raw, ...];
+#: ``{tmp}`` is the test's temp directory, ``{file}`` a regular file in it.
+VARIABLES = [
+    ("storage", "dict", [("typed", "typed"), (" LIST ", "list")], ["columnar"]),
+    ("parallelism", 1, [("4", 4), ("0", 1)], ["many", "2.5"]),
+    ("query_timeout", None, [("7.5", 7.5), ("0", None), ("-1", None)], ["soon"]),
+    ("spill_dir", None, [("{tmp}", "{tmp}"), ("{tmp}/new", "{tmp}/new")], ["{file}"]),
+    ("spill_threshold", None, [("500", 500)], ["a-lot", "0"]),
+    (
+        "faults",
+        "",
+        [(f"kind=error,after={NEVER}", f"kind=error,after={NEVER}")],
+        ["kind=bogus", "after=3", "kind=error,after"],
+    ),
+    ("serving", False, [("1", True), ("0", False)], ["yes"]),
+    ("wire", False, [("1", True), ("0", False)], ["on"]),
+]
+
+
+def test_the_table_covers_every_field():
+    assert [row[0] for row in VARIABLES] == list(settings.EnvSettings._fields)
+
+
+@pytest.mark.parametrize("field,default,valid,malformed", VARIABLES)
+def test_variable_parses_and_validates(
+    field, default, valid, malformed, repro_env, tmp_path
+):
+    regular_file = tmp_path / "a-file"
+    regular_file.write_text("")
+
+    def fill(value):
+        if not isinstance(value, str):
+            return value
+        return value.format(tmp=tmp_path, file=regular_file)
+
+    assert getattr(repro_env(**{field: None}), field) == default
+    assert getattr(repro_env(**{field: ""}), field) == default  # empty = unset
+    for raw, parsed in valid:
+        assert getattr(repro_env(**{field: fill(raw)}), field) == fill(parsed)
+    for raw in malformed:
+        before = settings.current()
+        with pytest.raises(ValueError, match=f"REPRO_{field.upper()}"):
+            repro_env(**{field: fill(raw)})
+        assert settings.current() is before  # a failed reload changes nothing
+
+
+def _resolved(plan, config: RelGoConfig | None = None, **call):
+    """What one query runs under: ``open_plan``'s resolved context."""
+    keywords = {**(config or RelGoConfig()).execution_settings(), **call}
+    with open_plan(plan, **keywords) as (ctx, _):
+        return {
+            "parallelism": ctx.parallelism,
+            "timeout": None if ctx.handle is None else ctx.handle.deadline_seconds,
+            "spill": None if ctx.spill is None else ctx.spill.config,
+            "faults": None
+            if ctx.faults is None
+            else [fault.kind for fault in ctx.faults.faults],
+        }
+
+
+#: observed key, default, then (layer, value observed once it is added):
+#: environment, ``RelGoConfig`` field (None = the knob has no field),
+#: per-call argument.
+PRECEDENCE = [
+    ("parallelism", 1,
+     ({"parallelism": 4}, 4), ({"parallelism": 2}, 2), ({"parallelism": 3}, 3)),
+    ("timeout", None,
+     ({"query_timeout": 7.5}, 7.5), ({"query_timeout": 2.0}, 2.0), ({"timeout": 1.25}, 1.25)),
+    ("spill", None,
+     ({"spill_threshold": 500}, SpillConfig(threshold_rows=500)),
+     ({"spill": 64}, SpillConfig(threshold_rows=64)),
+     ({"spill": False}, None)),
+    ("faults", None,
+     ({"faults": f"kind=error,after={NEVER}"}, ["error"]),
+     (None, ["error"]),
+     ({"faults": f"kind=oom,after={NEVER}"}, ["oom"])),
+]
+
+
+def _people() -> Catalog:
+    catalog = Catalog()
+    catalog.create_table(
+        TableSchema(
+            "People",
+            [Column("name", DataType.STRING), Column("age", DataType.INT)],
+        ),
+        rows=[("Ann", 34), ("Bob", 28), ("Cid", 41)],
+    )
+    return catalog
+
+
+@pytest.mark.parametrize("key,default,env,config,call", PRECEDENCE)
+def test_argument_beats_config_beats_environment(
+    key, default, env, config, call, repro_env
+):
+    plan = SeqScan(_people().table("People"), "t")
+    repro_env(**{name: None for name in settings.EnvSettings._fields})
+    assert _resolved(plan)[key] == default
+    repro_env(**env[0])
+    assert _resolved(plan)[key] == env[1]
+    fields = RelGoConfig(**config[0]) if config[0] is not None else None
+    assert _resolved(plan, fields)[key] == config[1]
+    assert _resolved(plan, fields, **call[0])[key] == call[1]
+
+
+def test_storage_override_beats_environment(repro_env):
+    try:
+        set_storage_backend(None)
+        repro_env(storage="list")
+        assert storage_backend() == "list"
+        set_storage_backend("typed")
+        assert storage_backend() == "typed"
+        set_storage_backend(None)
+        assert storage_backend() == "list"
+        repro_env(storage=None)
+        assert storage_backend() == "dict"
+    finally:
+        set_storage_backend(None)
+
+
+# --------------------------------------------------------------------- #
+# architecture guards
+# --------------------------------------------------------------------- #
+
+
+def _sources() -> dict[str, str]:
+    return {
+        str(path.relative_to(SRC)): path.read_text() for path in SRC.rglob("*.py")
+    }
+
+
+def test_only_settings_reads_the_environment():
+    readers = {
+        name for name, text in _sources().items()
+        if re.search(r"os\.environ|getenv", text)
+    }
+    assert readers == {"repro/settings.py"}
+    names = set()
+    for text in _sources().values():
+        names.update(re.findall(r"REPRO_[A-Z_]+", text))
+    names.discard("REPRO_ERROR")  # a wire error code (repro/errors.py)
+    assert names == {
+        f"REPRO_{field.upper()}" for field in settings.EnvSettings._fields
+    }
+
+
+def _callers(sources: dict[str, str], name: str) -> set[tuple[str, str]]:
+    """Every (module, function) under ``src/`` whose body calls ``name``."""
+    found = set()
+    for module, text in sources.items():
+        for function in ast.walk(ast.parse(text)):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    target = node.func
+                    called = getattr(target, "attr", None) or getattr(target, "id", None)
+                    if called == name:
+                        found.add((module, function.name))
+    return found
+
+
+def test_one_lifecycle_one_cache():
+    sources = _sources()
+    for step in ("lease", "pin_plan", "parallelize_plan", "SpillManager"):
+        assert _callers(sources, step) == {("repro/exec/context.py", "open_plan")}
+    assert "PlanTemplate" not in sources["repro/serving/prepared.py"]
+    assert ".remove(" not in sources["repro/serving/plan_cache.py"]
+
+
+def test_hot_execute_reads_no_environment(monkeypatch):
+    class NoEnvironment(dict):
+        def __getitem__(self, key):
+            raise AssertionError(f"environment read on the hot path: {key}")
+
+        get = __contains__ = __getitem__
+
+    with Database(_people()) as db, db._local_connect() as session:
+        session.execute("SELECT name FROM People WHERE age = 28")
+        hits = db.plan_cache.stats.hits
+        monkeypatch.setattr(os, "environ", NoEnvironment())
+        try:
+            result = session.execute("SELECT name FROM People WHERE age = 41")
+        finally:
+            monkeypatch.undo()
+    assert result.rows == [("Cid",)]
+    assert db.plan_cache.stats.hits == hits + 1

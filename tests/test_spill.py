@@ -3,7 +3,7 @@
 Four concerns:
 
 * **Arming** — ``resolve_spill`` semantics (explicit value wins, then the
-  ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_THRESHOLD`` environment; ``False``
+  ``REPRO_SPILL_DIR`` / ``REPRO_SPILL_THRESHOLD`` settings; ``False``
   always disarms; malformed env raises), and the zero-cost contract: an
   armed-but-idle query touches the filesystem not at all.
 * **Serializer** — typed columns (``array.array``, ndarray, dictionary
@@ -104,18 +104,13 @@ def _empty_dir(path) -> bool:
 # --------------------------------------------------------------------- #
 
 
-def test_resolve_spill_defaults_disarmed(monkeypatch):
-    monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
-    monkeypatch.delenv("REPRO_SPILL_THRESHOLD", raising=False)
+def test_resolve_spill_env(repro_env, tmp_path):
+    # Parsing and validation of the two variables: tests/test_settings.py.
+    repro_env(spill_dir=None, spill_threshold=None)
     assert resolve_spill(None) is None
-    assert resolve_spill(False) is None
-
-
-def test_resolve_spill_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SPILL_DIR", "/tmp/spill-here")
-    monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "500")
+    repro_env(spill_dir=tmp_path, spill_threshold=500)
     config = resolve_spill(None)
-    assert config == SpillConfig(directory="/tmp/spill-here", threshold_rows=500)
+    assert config == SpillConfig(directory=str(tmp_path), threshold_rows=500)
     # False disarms regardless of the environment.
     assert resolve_spill(False) is None
 
@@ -128,15 +123,6 @@ def test_resolve_spill_explicit_values():
     assert resolve_spill(config) is config
     with pytest.raises(TypeError):
         resolve_spill(3.14)
-
-
-def test_resolve_spill_malformed_env_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "a-lot")
-    with pytest.raises(ValueError):
-        resolve_spill(None)
-    monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "0")
-    with pytest.raises(ValueError):
-        resolve_spill(None)
 
 
 def test_spill_limit_combines_threshold_and_budget():

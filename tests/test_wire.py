@@ -337,9 +337,8 @@ class TestAdversarialLifecycle:
             db.close()
             assert_no_repro_threads()
 
-    def test_no_spill_files_leak_through_the_wire(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "64")
+    def test_no_spill_files_leak_through_the_wire(self, tmp_path, repro_env):
+        repro_env(spill_dir=tmp_path, spill_threshold=64)
         db = _people_db(n=3000)
         server = Server(db)
         try:
@@ -392,3 +391,68 @@ class TestAdversarialLifecycle:
             stmt.close()
             with pytest.raises(SessionClosed):
                 stmt.execute([28])
+
+
+# ---------------------------------------------------------------------- #
+# pending-query wait(), serve(), open_sessions
+# ---------------------------------------------------------------------- #
+
+
+class TestPendingWait:
+    @pytest.mark.parametrize("over_wire", [False, True])
+    def test_wait_times_out_then_completes(self, over_wire, monkeypatch):
+        db = _people_db(n=4000, workers=1)
+        try:
+            if over_wire:
+                connection = Client(db.serve().address)
+            else:
+                connection = db._local_connect()
+            slow = connection.submit(SLOW_SQL)
+            assert slow.wait(0.05) is False  # still running: the timeout expires
+            assert not slow.done()
+            slow.cancel("done probing")
+            assert slow.wait(30) is True  # completion (here: as cancelled)
+            with pytest.raises(QueryCancelled):
+                slow.result(timeout=10)
+            quick = connection.submit("SELECT name FROM People WHERE id = 7")
+            assert quick.wait() is True  # no timeout: blocks until finished
+            assert quick.result(timeout=10).rows == [("n7",)]
+
+            def no_round_trip(*args, **kwargs):  # pragma: no cover
+                raise AssertionError("wait() on a finished query polled")
+
+            with monkeypatch.context() as patch:
+                if over_wire:  # already finished: answered without a poll
+                    patch.setattr(connection, "call", no_round_trip)
+                assert quick.wait(0) is True
+            connection.close()
+        finally:
+            db.close()
+        assert_no_repro_threads()
+
+
+class TestDatabaseSurface:
+    def test_serve_is_idempotent_and_closed_with_the_database(self):
+        db = _people_db()
+        server = db.serve()
+        assert db.serve() is server
+        with Client(server.address) as client:
+            assert client.execute("SELECT name FROM People WHERE id = 1").rows == [
+                ("Ann",)
+            ]
+        db.close()
+        with pytest.raises(SessionClosed):
+            db.serve()
+        with pytest.raises(ConnectionError):
+            Client(server.address)
+        assert_no_repro_threads()
+
+    def test_open_sessions_counts_live_connections(self):
+        db = _people_db()
+        assert db.open_sessions == 0
+        first, second = db._local_connect(), db._local_connect()
+        assert db.open_sessions == 2
+        first.close()
+        assert db.open_sessions == 1
+        db.close()  # closes the sessions still open
+        assert second.closed and db.open_sessions == 0
