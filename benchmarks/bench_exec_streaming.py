@@ -142,6 +142,23 @@ GROUP BY g.a
 TOPK_SQL_NAME = "IC2"  # MATCH ... ORDER BY cdate DESC LIMIT 20
 
 
+def _orderby_limit_cases() -> dict[str, str]:
+    """The three ORDER BY ... LIMIT shapes the ordering kernel serves: a
+    single key, two keys of opposite directions (the later one ranked only
+    for rows tied at the cut), and a key the SELECT list drops (the limit
+    must still land beneath the projection, as a TOPK)."""
+    single = ic_queries()[TOPK_SQL_NAME]
+    order = "ORDER BY cdate DESC LIMIT"
+    assert order in single and order in ic_queries()["IC9-1"]
+    return {
+        "orderby_limit": single,
+        "orderby_limit_mixed": single.replace(
+            order, "ORDER BY cdate DESC, content ASC LIMIT"
+        ),
+        "orderby_limit_dropped": ic_queries()["IC9-1"],
+    }
+
+
 def _measure(catalog, sql: str, repetitions: int = REPETITIONS) -> dict:
     """Run one query in all three profiles; report per-profile minima."""
     system = make_system("relgo", catalog, "snb")
@@ -1128,7 +1145,10 @@ def test_bench_exec_streaming(benchmark, ldbc10):
         return {
             "queries": {
                 "deep_pipeline": _measure(ldbc10, PIPELINE_SQL),
-                "orderby_limit": _measure(ldbc10, ic_queries()[TOPK_SQL_NAME]),
+                **{
+                    name: _measure(ldbc10, sql)
+                    for name, sql in _orderby_limit_cases().items()
+                },
                 "filter_scan": _measure(ldbc10, FILTER_SCAN_SQL),
                 "fanout_expand": _measure(ldbc10, FANOUT_SQL),
                 **_measure_groupby(scale),
@@ -1320,7 +1340,10 @@ def test_bench_exec_streaming(benchmark, ldbc10):
         "groupby_highcard",
     ):
         assert results[hot]["columnar_speedup"] > 1.2, hot
-    assert results["orderby_limit"]["rows_produced_ratio"] < 1.0
+    for name in _orderby_limit_cases():
+        assert results[name]["rows_produced_ratio"] < 1.0, name
+        # A TOPK whichever way the key is spelled: k held + k result rows.
+        assert results[name]["columnar"]["peak_buffered_rows"] <= 40, name
     # NaN grouping semantics: all NaN keys fall into one group per region
     # combination; the pre-fix engine emitted one output row per NaN input.
     assert results["groupby_heavy"]["columnar"]["result_rows"] <= 64

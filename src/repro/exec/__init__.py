@@ -22,6 +22,10 @@ state — which is exactly what the memory budget charges.
 * :mod:`repro.exec.vector` — :class:`ColumnarBatch`, the struct-of-arrays
   chunk with selection vector that the vectorized kernels flow, with
   optional numpy-accelerated gather.
+* :mod:`repro.exec.ordering` — the ordering kernel: sort keys of any
+  column type as order-preserving integer rank vectors (``None`` first,
+  NaN last, stable), with ``argsort`` and a bounded ``top_k`` behind
+  ``SortOp`` / ``TopKOp``.
 * :mod:`repro.exec.grouping` — the grouping engine: NaN-canonical grouping
   /dedup keys and the factorize + segment-reduction kernels behind
   ``AggregateOp`` / ``DistinctOp`` (``GroupedAggregation``,

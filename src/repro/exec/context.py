@@ -275,6 +275,9 @@ class ExecutionContext:
     #: even while writers append (see ``repro.relational.table``).
     epoch: "int | None" = None
     snapshots: dict = field(default_factory=dict, repr=False, compare=False)
+    #: ``id(table) -> rows`` bounds from the graph index the plan walks
+    #: (:meth:`clamp`); a table is cut to its bound whenever it is pinned.
+    extents: dict = field(default_factory=dict, repr=False, compare=False)
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -307,9 +310,10 @@ class ExecutionContext:
         The first pin fixes the query's epoch; every later pin — any
         table, any thread — resolves at that same epoch, so all operators
         observe one cross-table-consistent prefix.  Entry points pre-pin
-        every table a plan touches (:func:`pin_plan`) from the driver
-        thread before workers start, making worker-side calls lock-free
-        cache hits.
+        the tables a plan names (:func:`pin_plan`) from the driver thread
+        before workers start, making worker-side calls lock-free cache
+        hits; a table only an operator's run-time path reaches is pinned
+        here on first use, at the same epoch and under the same bound.
         """
         snap = self.snapshots.get(id(table))
         if snap is None:
@@ -321,8 +325,22 @@ class ExecutionContext:
 
                         self.epoch = current_epoch()
                     snap = table.snapshot_at(self.epoch)
+                    bound = self.extents.get(id(table))
+                    if bound is not None:
+                        snap.clamp(bound)
                     self.snapshots[id(table)] = snap
         return snap
+
+    def clamp(self, extents: dict) -> None:
+        """Bound tables (``id(table) -> rows``) to the extents a graph
+        index was built over: snapshots already pinned shrink now, later
+        pins are cut as they are made.  ``extents`` is shared, not copied.
+        """
+        for key, snap in self.snapshots.items():
+            bound = extents.get(key)
+            if bound is not None:
+                snap.clamp(bound)
+        self.extents = extents if not self.extents else {**self.extents, **extents}
 
     def spill_limit(self) -> int | None:
         """Tracked rows the *query* may keep resident before spilling.
@@ -421,30 +439,22 @@ def close_stream(stream: Any) -> None:
 
 
 def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
-    """Pin every table a physical plan touches, before execution starts.
+    """Pin the tables a physical plan names, before execution starts.
 
     Walks the operator tree (duck-typed: relational operators carry a
-    ``table``, graph operators a ``mapping`` and possibly a graph
-    ``index``) and registers each table's snapshot in ``ctx``.  Tables
-    reached through a graph index are additionally clamped to the extents
-    the index build covered, so adjacency walks can never step past a CSR
-    built over fewer rows — graph plans read structure *and* attributes at
-    the index's version.
+    ``table``; graph operators a ``mapping``, the vertex / edge labels
+    they scan or expand to, and possibly a graph ``index``) and registers
+    each named table's snapshot in ``ctx`` — not every table of the
+    mapping: a query pays for the snapshots it reads.  Tables a graph
+    index covers are bound to the extents the index build covered
+    (:meth:`ExecutionContext.clamp`), so adjacency walks can never step
+    past a CSR built over fewer rows — graph plans read structure *and*
+    attributes at the index's version, whichever operator pins them.
 
-    Run on the driver thread so parallel morsel workers only ever hit the
-    memoized registry.
+    Run on the driver thread so parallel morsel workers hit the memoized
+    registry.
     """
-    # Every graph operator of a plan carries the same mapping (and index):
-    # its tables are pinned, and clamped, once per plan — not per operator.
-    seen: set[tuple[int, ...]] = set()
-
-    def first_visit(*objs) -> bool:
-        key = tuple(map(id, objs))
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
-
+    seen: set[int] = set()
     snapshots = ctx.snapshots
 
     def pin(table) -> None:
@@ -452,32 +462,32 @@ def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
             ctx.pin(table)
 
     def visit(op) -> None:
-        if not first_visit(op):
+        if id(op) in seen:
             return
+        seen.add(id(op))
         table = getattr(op, "table", None)
         if table is not None and hasattr(table, "snapshot_at"):
             pin(table)
         mapping = getattr(op, "mapping", None)
         if mapping is not None and hasattr(mapping, "vertices"):
-            if first_visit(mapping):
-                for vm in mapping.vertices.values():
-                    pin(mapping.catalog.table(vm.table_name))
-                for em in mapping.edges.values():
-                    pin(mapping.catalog.table(em.table_name))
+            # Every graph operator of a plan carries the same index: its
+            # extents are registered once per plan — not per operator.
             index = getattr(op, "index", None)
-            if (
-                index is not None
-                and hasattr(index, "vertex_rows")
-                and first_visit(mapping, index)
-            ):
-                # The mapping pass above pinned every table the index covers.
-                for label, rows in index.vertex_rows.items():
-                    snapshots[id(mapping.vertex_table(label))].clamp(rows)
-                for label, rows in index.edge_rows.items():
-                    snapshots[id(mapping.edge_table(label))].clamp(rows)
+            if index is not None and hasattr(index, "extents") and id(index) not in seen:
+                seen.add(id(index))
+                ctx.clamp(index.extents(mapping))
+            for attr in ("label", "to_label"):
+                label = getattr(op, attr, None)
+                if label is not None:
+                    pin(mapping.vertex_table(label))
+            edge_label = getattr(op, "edge_label", None)
+            if edge_label is not None:
+                pin(mapping.edge_table(edge_label))
+            for leg in getattr(op, "legs", ()):
+                pin(mapping.edge_table(leg.edge_label))
         # SCAN_GRAPH_TABLE bridges the layers without exposing its graph
-        # plan through children(); descend explicitly so the expansion
-        # operators underneath (which carry the index) clamp their tables.
+        # plan through children(); descend explicitly so the graph
+        # operators underneath register their index and pin their tables.
         graph_op = getattr(op, "graph_op", None)
         if graph_op is not None:
             visit(graph_op)

@@ -79,22 +79,6 @@ def canonical_row(row: tuple) -> tuple:
     return row
 
 
-def sequence_has_nan(values: Sequence) -> bool:
-    """True when a column holds any NaN (C-level scan for float ndarrays).
-
-    Non-float ndarrays answer in O(1); generic sequences pay one comparison
-    per element — still far cheaper than canonicalizing every row.
-    """
-    if is_ndarray(values):
-        if values.dtype.kind != "f":
-            return False
-        return bool(vector._np.isnan(values).any())
-    for v in values:
-        if v != v:
-            return True
-    return False
-
-
 def canonical_column(values: Sequence) -> Sequence:
     """A column as plain Python values with every NaN canonicalized.
 
@@ -1329,7 +1313,6 @@ __all__ = [
     "canonical",
     "canonical_row",
     "canonical_column",
-    "sequence_has_nan",
     "bindings_equal",
     "factorize",
     "combine_codes",

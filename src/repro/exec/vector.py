@@ -62,25 +62,28 @@ class DictVector:
     concurrent writer.  Sequence reads decode to plain strings — row-path
     consumers work unchanged — while the vectorized kernels reach
     ``codes`` directly and stay in the dense integer domain through
-    selections, gathers and replication.
+    selections, gathers and replication.  ``ranks`` is the dictionary's
+    one-slot sort-rank memo (``DictColumn.ranks``, shared by reference like
+    the dictionary itself; see :func:`repro.exec.ordering.ranks`).
     """
 
-    __slots__ = ("codes", "values", "index")
+    __slots__ = ("codes", "values", "index", "ranks")
 
     #: Duck-typed marker shared with ``DictColumn`` (no cross-layer import).
     is_dictionary = True
 
-    def __init__(self, codes, values: list, index: dict):
+    def __init__(self, codes, values: list, index: dict, ranks: list | None = None):
         self.codes = codes
         self.values = values
         self.index = index
+        self.ranks = [None] if ranks is None else ranks
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return DictVector(self.codes[i], self.values, self.index)
+            return DictVector(self.codes[i], self.values, self.index, self.ranks)
         return self.values[self.codes[i]]
 
     def __iter__(self):
@@ -150,8 +153,39 @@ def take(values: Sequence, indices: Sequence[int]) -> Sequence:
                 values.codes[as_index_array(indices)],
                 values.values,
                 values.index,
+                values.ranks,
             )
     return [values[i] for i in indices]
+
+
+def concat(parts: Sequence[Sequence]) -> Sequence:
+    """``parts`` end to end as one column, in the best domain they share.
+
+    ndarrays of one dtype kind concatenate natively and dictionary vectors
+    over one dictionary concatenate their codes; any other mix (lists,
+    typed buffers, different dictionaries) lands in a plain value list.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    if _numpy_enabled and _np is not None:
+        first = parts[0]
+        if isinstance(first, _np.ndarray):
+            kind = first.dtype.kind
+            if all(isinstance(p, _np.ndarray) and p.dtype.kind == kind for p in parts):
+                return _np.concatenate(parts)
+        elif type(first) is DictVector:
+            values = first.values
+            if all(type(p) is DictVector and p.values is values for p in parts):
+                return DictVector(
+                    _np.concatenate([p.codes for p in parts]),
+                    values,
+                    first.index,
+                    first.ranks,
+                )
+    out: list = []
+    for part in parts:
+        out.extend(as_values(part))
+    return out
 
 
 def as_values(values: Sequence) -> Sequence:
@@ -269,6 +303,7 @@ def vector_view(values: Sequence) -> Sequence:
             _np.frombuffer(codes.tobytes(), dtype=codes.typecode),
             values.values,
             values.index,
+            values.ranks,
         )
     if isinstance(values, _array):
         # Snapshot through tobytes() rather than np.array(values): the
@@ -435,6 +470,26 @@ class ColumnarBatch:
             return self
         return ColumnarBatch(self.gathered_columns(), len(self), None)
 
+    def dense(self) -> "ColumnarBatch":
+        """:meth:`compact` that stays in the array domain — what a pipeline
+        breaker buffers: ndarray / dictionary columns are taken, never
+        decoded, and nothing outside the visible rows stays referenced."""
+        sel = self.selection
+        if sel is None:
+            return self
+        return ColumnarBatch([take(c, sel) for c in self.columns], len(sel), None)
+
+    @classmethod
+    def concat(cls, batches: "Sequence[ColumnarBatch]") -> "ColumnarBatch":
+        """Dense ``batches`` of one width stacked into one dense batch."""
+        if len(batches) == 1:
+            return batches[0]
+        columns = [
+            concat([b.columns[i] for b in batches])
+            for i in range(len(batches[0].columns))
+        ]
+        return cls(columns, sum(b.length for b in batches), None)
+
     # ------------------------------------------------------------------ #
     # row selection
     # ------------------------------------------------------------------ #
@@ -469,6 +524,7 @@ __all__ = [
     "dict_vector",
     "gather",
     "take",
+    "concat",
     "as_values",
     "is_ndarray",
     "LazyMask",

@@ -134,6 +134,23 @@ class GraphIndex:
     version: int = 0
     vertex_rows: dict[str, int] = field(default_factory=dict)
     edge_rows: dict[str, int] = field(default_factory=dict)
+    _extents: tuple | None = field(default=None, repr=False, compare=False)
+
+    def extents(self, mapping: RGMapping) -> dict[int, int]:
+        """``id(table) -> rows`` the build covered, for every table of
+        ``mapping`` this index spans — the shape the executor clamps its
+        snapshots with.  Memoized: the index is immutable and a catalog
+        never replaces a table object."""
+        memo = self._extents
+        if memo is None or memo[0] is not mapping:
+            bounds = {
+                id(mapping.vertex_table(label)): rows
+                for label, rows in self.vertex_rows.items()
+            }
+            for label, rows in self.edge_rows.items():
+                bounds[id(mapping.edge_table(label))] = rows
+            memo = self._extents = (mapping, bounds)
+        return memo[1]
 
     def edge_index(self, edge_label: str) -> EdgeIndex:
         try:

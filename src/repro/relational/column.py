@@ -109,10 +109,13 @@ class DictColumn:
     ``DictVector``) always resolves against ``values``.  Codes are
     therefore stable for the lifetime of the column — the property the
     grouping and join kernels rely on to reuse per-dictionary state
-    across batches.
+    across batches.  ``ranks`` is a one-slot memo the ordering kernel
+    fills with the dictionary's sort ranks (``repro.exec.ordering``); it
+    travels with every ``DictVector`` view, so the dictionary is sorted
+    once per watermark, not once per ``ORDER BY``.
     """
 
-    __slots__ = ("codes", "values", "index")
+    __slots__ = ("codes", "values", "index", "ranks")
 
     #: Duck-typed marker (also on ``repro.exec.vector.DictVector``) so the
     #: exec layer can detect dictionary data without importing this module.
@@ -122,6 +125,7 @@ class DictColumn:
         self.codes = array("q")
         self.values: list[str] = []
         self.index: dict[str, int] = {}
+        self.ranks: list = [None]
 
     def append(self, value: Any) -> None:
         if type(value) is not str:

@@ -227,7 +227,7 @@ class RelationalOptimizer:
         return LogicalJoin(left, right, condition)
 
     def _finish(self, block: QueryBlock, plan: LogicalNode) -> LogicalNode:
-        sorted_early = False
+        sorted_early = limited = False
         if block.group_by or block.aggregates:
             plan = LogicalAggregate(plan, block.group_by, block.aggregates)
         elif block.projections is not None:
@@ -244,12 +244,19 @@ class RelationalOptimizer:
                 ]
                 plan = LogicalSort(plan, keys)
                 sorted_early = True
+                # A projection keeps every row in order, so the limit
+                # applies right above the sort, where lowering fuses the
+                # pair into a top-k: O(k) buffered rows, not the input.
+                # DISTINCT drops rows, so it keeps the limit above itself.
+                if block.limit is not None and not block.distinct:
+                    plan = LogicalLimit(plan, block.limit)
+                    limited = True
             plan = LogicalProject(plan, block.projections)
         if block.distinct:
             plan = LogicalDistinct(plan)
         if block.order_by and not sorted_early:
             plan = LogicalSort(plan, block.order_by)
-        if block.limit is not None:
+        if block.limit is not None and not limited:
             plan = LogicalLimit(plan, block.limit)
         return plan
 

@@ -32,11 +32,13 @@ import threading
 from typing import Any, Iterator, Sequence
 
 from repro.errors import PlanError
+from repro.exec import ordering
 from repro.exec.context import Buffer, ExecutionContext, close_stream
 from repro.exec.kernels import (
     ChunkSizer,
     build_hash_table,
     build_hash_table_columnar,
+    chunk_columnar,
     chunked,
     emit_batches,
     emit_columnar,
@@ -58,13 +60,13 @@ from repro.exec.grouping import (
     StreamingDistinct,
     canonical_row,
     make_accumulator,
-    sequence_has_nan,
 )
 from repro.exec.operator import Batch, Operator
 from repro.exec.scheduler import fold_source, morsel_bounds, spill_partition_count
 from repro.exec.spill import PartitionWriter, spill_hash
 from repro.exec.vector import (
     ColumnarBatch,
+    as_values,
     gather,
     index_vector,
     is_ndarray,
@@ -1283,71 +1285,49 @@ class AggregateOp(PhysicalOperator):
         return "AGGREGATE " + ", ".join(str(a) for a in self.aggregates)
 
 
-class _DictKeyAccumulator:
-    """Sort-key accumulator that stays in the dictionary code domain.
+class _SortKeys:
+    """How an ordering operator reads its keys off the child's batches.
 
-    For a bare-column ORDER BY key over a dictionary-encoded vector, the
-    naive evaluator decodes every row to a string and the sort compares
-    strings.  This accumulator instead collects the raw int codes per
-    batch, and at sort time sorts the *dictionary* once (W values, not N
-    rows) into a rank table — the per-row sort keys become dense ints.
-
-    The accumulator is opportunistic: the moment a batch arrives whose
-    vector is not dictionary-encoded (or carries a different dictionary —
-    possible after a union of sources), :meth:`demote` decodes what was
-    collected and the key falls back to the string evaluator.  The spill
-    path demotes unconditionally, keeping the external sort's decorated
-    keys (and its on-disk runs) in the value domain.
+    A bare column reference is read in place, in whatever domain the column
+    arrives in; a computed key is evaluated per batch into an extra column
+    after the child's.  A *keyed* batch is what the operator buffers: dense
+    (array domain, nothing outside the visible rows referenced), computed
+    keys appended — and stripped again on the way out (:meth:`payload`).
     """
 
-    __slots__ = ("chunks", "values")
+    def __init__(self, keys: list[tuple[Expr, bool]], child: PhysicalOperator):
+        layout = child.layout()
+        self.width = len(layout)
+        self.ascs = [asc for _, asc in keys]
+        self.slots: list[int] = []
+        self.computed: list = []
+        for expr, _ in keys:
+            if isinstance(expr, ColumnRef):
+                self.slots.append(_resolve_layout(expr.name, layout))
+            else:
+                self.slots.append(self.width + len(self.computed))
+                self.computed.append(compile_expr_columnar(expr, layout))
 
-    def __init__(self) -> None:
-        self.chunks: list = []  # int code arrays, one per batch
-        self.values: list | None = None  # the shared dictionary
+    def keyed(self, cb: ColumnarBatch) -> ColumnarBatch:
+        dense = cb.dense()
+        if not self.computed:
+            return dense
+        extra = [ev(cb.columns, cb.selection, cb.length) for ev in self.computed]
+        return ColumnarBatch(dense.columns + extra, dense.length)
 
-    def add(self, batch: "ColumnarBatch", idx: int) -> bool:
-        """Collect this batch's codes; False demands demotion."""
-        from repro.exec.vector import dict_vector, take
+    def leading(self, cb: ColumnarBatch) -> Sequence:
+        """The first key over a raw batch's visible rows."""
+        slot = self.slots[0]
+        if slot < self.width:
+            return cb.column_vector(slot)
+        return self.computed[0](cb.columns, cb.selection, cb.length)
 
-        dv = dict_vector(batch.columns[idx])
-        if dv is None:
-            return False
-        if self.values is None:
-            self.values = dv.values
-        elif dv.values is not self.values:
-            return False
-        if batch.selection is not None:
-            dv = take(dv, batch.selection)
-        elif len(dv) > batch.length:
-            dv = dv[: batch.length]
-        self.chunks.append(dv.codes)
-        return True
+    def of(self, keyed: ColumnarBatch) -> list[tuple[Sequence, bool]]:
+        """A keyed batch's ``(key column, asc)`` pairs, as the kernel takes them."""
+        return [(keyed.columns[s], asc) for s, asc in zip(self.slots, self.ascs)]
 
-    def decoded(self) -> list:
-        """The accumulated keys as plain values (the fallback domain)."""
-        values = self.values
-        out: list = []
-        for codes in self.chunks:
-            out.extend(values[c] for c in codes.tolist())
-        return out
-
-    def ranked(self) -> list:
-        """The accumulated keys as order-preserving dictionary ranks.
-
-        Sorting the W-entry dictionary once gives ``rank[code]`` such that
-        rank order == null-safe value order (dictionary values are unique,
-        so ranks are collision-free); rows then sort by int comparisons.
-        """
-        values = self.values or []
-        order = sorted(range(len(values)), key=lambda c: _null_safe_key(values[c]))
-        rank = [0] * len(values)
-        for r, c in enumerate(order):
-            rank[c] = r
-        out: list = []
-        for codes in self.chunks:
-            out.extend(rank[c] for c in codes.tolist())
-        return out
+    def payload(self, keyed: ColumnarBatch, selection=None) -> ColumnarBatch:
+        return ColumnarBatch(keyed.columns[: self.width], keyed.length, selection)
 
 
 class SortOp(PhysicalOperator):
@@ -1368,86 +1348,41 @@ class SortOp(PhysicalOperator):
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        # A sort is a full pipeline breaker either way; the columnar value
-        # is upstream (the buffered input arrives through vectorized
-        # operators) plus key columns computed without per-row closures.
+        # The buffered input stays columnar: batches are held dense, one
+        # kernel argsort over their concatenated key columns orders them,
+        # and the output chunks are selections into the concatenation.
         buffer = ctx.buffer(self._label())
         source = self.child.columnar_batches(ctx)
         try:
-            layout = self.child.layout()
-            evs = [compile_expr_columnar(e, layout) for e, _ in self.keys]
+            keys = _SortKeys(self.keys, self.child)
             limit = ctx.spill_limit()
-            rows: list[tuple] = []
-            key_parts: list[list] = [[] for _ in self.keys]
-            # Bare-column keys may stay in the dictionary code domain:
-            # per-key accumulators collect raw codes, translated to ranks
-            # once at sort time (dictionary sorted once, not N rows).
-            dict_accs: list[_DictKeyAccumulator | None] = []
-            dict_idx: list[int] = []
-            for expr, _ in self.keys:
-                if isinstance(expr, ColumnRef):
-                    dict_accs.append(_DictKeyAccumulator())
-                    dict_idx.append(_resolve_layout(expr.name, layout))
-                else:
-                    dict_accs.append(None)
-                    dict_idx.append(-1)
-
-            def demote(k: int) -> None:
-                acc = dict_accs[k]
-                assert acc is not None
-                dict_accs[k] = None
-                key_parts[k] = acc.decoded()
-
+            held: list[ColumnarBatch] = []
             for cb in source:
-                if limit is not None and ctx.buffered_rows + cb.length > limit:
-                    # External sort works in the value domain: decode any
-                    # code-domain accumulators before seeding it.
-                    for k, acc in enumerate(dict_accs):
-                        if acc is not None:
-                            demote(k)
+                if limit is not None and ctx.buffered_rows + len(cb) > limit:
                     # Past the working-set cliff: hand everything buffered
                     # so far (plus the rest of the input) to the external
-                    # merge sort.  Until this point the armed path is the
+                    # merge sort, which works on row tuples in the value
+                    # domain.  Until this point the armed path is the
                     # disarmed path, so armed-but-under-limit costs only
                     # this comparison per batch.
                     def keyed(first=cb):
-                        if rows:
-                            yield list(zip(zip(*key_parts), rows))
-                        for later in itertools.chain((first,), source):
-                            parts = [
-                                ev(later.columns, later.selection, later.length)
-                                for ev in evs
-                            ]
-                            yield list(zip(zip(*parts), later.to_rows()))
+                        rest = map(keys.keyed, itertools.chain((first,), source))
+                        for later in itertools.chain(held, rest):
+                            parts = [as_values(column) for column, _ in keys.of(later)]
+                            rows = keys.payload(later).to_rows()
+                            yield list(zip(zip(*parts), rows))
 
-                    buffer.shrink(len(rows))  # the external sort re-charges
+                    buffer.shrink(buffer.rows)  # the external sort re-charges
                     for chunk in self._external_sort(ctx, buffer, keyed()):
                         yield ColumnarBatch.from_rows(chunk)
                     return
-                batch_rows = cb.to_rows()
-                rows.extend(batch_rows)
-                buffer.grow(len(batch_rows))
-                for k, ev in enumerate(evs):
-                    acc = dict_accs[k]
-                    if acc is not None:
-                        if acc.add(cb, dict_idx[k]):
-                            continue
-                        # Not (or no longer) dictionary-encoded: decode
-                        # what was accumulated and fall back for good.
-                        demote(k)
-                    key_parts[k].extend(ev(cb.columns, cb.selection, cb.length))
-            for k, acc in enumerate(dict_accs):
-                if acc is not None:
-                    key_parts[k] = acc.ranked()
-            order = list(range(len(rows)))
-            for (_, ascending), part in reversed(list(zip(self.keys, key_parts))):
-                order.sort(
-                    key=lambda i: _null_safe_key(part[i]),
-                    reverse=not ascending,
-                )
-            ordered = [rows[i] for i in order]
-            for chunk in chunked(ordered, ctx.batch_size):
-                yield ColumnarBatch.from_rows(chunk)
+                if len(cb):
+                    held.append(keys.keyed(cb))
+                    buffer.grow(len(cb))
+            if held:
+                merged = ColumnarBatch.concat(held)
+                ordered = keys.payload(merged, ordering.argsort(keys.of(merged)))
+                yield from chunk_columnar(ordered, ctx.batch_size)
         finally:
             close_stream(source)
             buffer.release()
@@ -1599,12 +1534,6 @@ class _Descending:
         return isinstance(other, _Descending) and other.value == self.value
 
 
-def _first_decorated(value: Any, asc: bool):
-    """One sort-key component decorated the way candidate keys are."""
-    key = _null_safe_key(value)
-    return key if asc else _Descending(key)
-
-
 def _nan_total_key(value: Any) -> tuple:
     """Null-safe key with NaN canonicalized into a total order.
 
@@ -1631,11 +1560,13 @@ def _spill_decorated(value: Any, asc: bool):
 class TopKOp(PhysicalOperator):
     """Streaming ``ORDER BY ... LIMIT k``: a bounded top-k selection.
 
-    Instead of sorting (and buffering) the full input, candidate rows are
-    decorated with a heap-ordered key and pruned to the best ``k`` via
-    :func:`heapq.nsmallest` whenever the candidate buffer doubles.  The
-    buffered state is therefore O(k); ties resolve by arrival order, so the
-    emitted rows are exactly what ``SORT`` + ``LIMIT`` would produce.
+    Instead of sorting (and buffering) the full input, only the best ``k``
+    rows seen so far are kept, so the buffered state is O(k); ties resolve
+    by arrival order, so the emitted rows are exactly what ``SORT`` +
+    ``LIMIT`` would produce.  The columnar path keeps those rows as one
+    dense batch and selects through the ordering kernel; the row twin
+    decorates candidates into heap-ordered keys and prunes them with
+    :func:`heapq.nsmallest` whenever the candidate buffer doubles.
     """
 
     def __init__(
@@ -1677,264 +1608,87 @@ class TopKOp(PhysicalOperator):
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
-    def _admission_filter(self):
-        """``(admit, make_keys)`` for late-materializing candidate intake.
+    def _best(self, parts: list[ColumnarBatch], keys: _SortKeys) -> ColumnarBatch:
+        """The ``k`` best rows of keyed batches ``parts``, best first.
 
-        ``make_keys(key_cols, positions)`` decorates the rows at
-        ``positions`` into heap-comparable keys (bare null-safe keys for a
-        single sort key, tuples otherwise, with descending components
-        wrapped for mixed directions).  ``admit(key_cols, bound)`` returns
-        the positions whose decorated key can still enter the top-k given
-        ``bound``, the decorated key of the current k-th best: the
-        tiebreak is arrival order and every unseen row arrives later, so
-        admission requires *strictly* beating the bound (``<`` under
-        nsmallest, ``>`` under the uniform-descending nlargest).  A None
-        bound admits everything.
+        ``parts`` must be in arrival order (each already best-first, or
+        raw input): the kernel's selection is stable, so ties go to the
+        earlier part and, inside a part, to the earlier row.
         """
-        all_asc = all(asc for _, asc in self.keys)
-        all_desc = all(not asc for _, asc in self.keys)
-        ascs = [asc for _, asc in self.keys]
-
-        if len(self.keys) == 1:
-            # A single key is always "uniform": bare decorated values.
-            def make_single(key_cols, positions):
-                col = key_cols[0]
-                return [_null_safe_key(col[j]) for j in positions]
-
-            if all_asc:
-
-                def admit_asc(key_cols, bound):
-                    col = key_cols[0]
-                    if bound is None:
-                        return range(len(col))
-                    return [
-                        j
-                        for j, v in enumerate(col)
-                        if _null_safe_key(v) < bound
-                    ]
-
-                return admit_asc, make_single
-
-            def admit_desc(key_cols, bound):
-                col = key_cols[0]
-                if bound is None:
-                    return range(len(col))
-                return [
-                    j for j, v in enumerate(col) if _null_safe_key(v) > bound
-                ]
-
-            return admit_desc, make_single
-
-        def decorate(parts):
-            if all_asc or all_desc:
-                return tuple(_null_safe_key(v) for v in parts)
-            return tuple(
-                _null_safe_key(v) if asc else _Descending(_null_safe_key(v))
-                for v, asc in zip(parts, ascs)
-            )
-
-        def make_multi(key_cols, positions):
-            return [decorate([col[j] for col in key_cols]) for j in positions]
-
-        beats = (lambda key, bound: key > bound) if all_desc else (
-            lambda key, bound: key < bound
-        )
-
-        def admit_multi(key_cols, bound):
-            n = len(key_cols[0])
-            if bound is None:
-                return range(n)
-            # Prefilter on the first key alone (non-strictly: a tie there
-            # can still win on later keys), then compare full keys.
-            first = key_cols[0]
-            b0 = bound[0]
-            if all_desc:
-                coarse = (
-                    j
-                    for j in range(n)
-                    if not (_null_safe_key(first[j]) < b0)
-                )
-            else:
-                coarse = (
-                    j
-                    for j in range(n)
-                    if not (b0 < _first_decorated(first[j], ascs[0]))
-                )
-            return [
-                j
-                for j in coarse
-                if beats(decorate([col[j] for col in key_cols]), bound)
-            ]
-
-        return admit_multi, make_multi
-
-    def _admit_vectorized(self, cb: ColumnarBatch, key_ref_idx, bound, asc: bool):
-        """Numpy admission for a single plain-column sort key.
-
-        When the key column is an ndarray (hence NULL-free) and a bound is
-        set, the strict beats-the-k-th-best test is one vectorized
-        comparison.  Before any bound exists (the first batch), an
-        ``np.partition`` pivot preselects the within-batch top-k *candidate
-        set* — rows strictly worse than the batch's k-th best value can
-        never reach the heap, so only the contenders decorate and
-        materialize.  Returns ``(n, positions, decorated_keys)`` or None
-        when the generic path must run (computed keys, list columns, or
-        incomparable dtypes).
-        """
-        if key_ref_idx is None:
-            return None
-        column = cb.column_vector(key_ref_idx)
-        if not is_ndarray(column):
-            return None
-        if sequence_has_nan(column):
-            # NaN poisons both the partition pivot (a NaN pivot admits
-            # nothing) and ordered comparisons; the generic decorated path
-            # shares the row protocol's semantics for such keys.  (Only
-            # ordered admission still needs a NaN scan — grouping
-            # canonicalizes NaN keys instead of detouring around them.)
-            return None
-        n = len(column)
-        k = self.limit
-        if bound is None:
-            if n <= k:
-                return n, range(n), [(True, v) for v in column.tolist()]
-            from repro.exec import vector
-
-            np = vector._np
-            try:
-                if asc:
-                    pivot = np.partition(column, k - 1)[k - 1]
-                    mask = column <= pivot
-                else:
-                    pivot = np.partition(column, n - k)[n - k]
-                    mask = column >= pivot
-            except TypeError:
-                return None
-            # Keep pivot ties (>= / <=): the heap resolves them by arrival.
-            positions = mask.nonzero()[0]
-            keys = [(True, v) for v in column[positions].tolist()]
-            return n, positions, keys
-        has_value, bound_value = bound
-        if not has_value:
-            # The k-th best is NULL: under ASC nothing beats it (ties lose
-            # by arrival); under DESC every non-NULL value does.
-            if asc:
-                return n, [], []
-            return n, range(n), [(True, v) for v in column.tolist()]
-        try:
-            mask = (column < bound_value) if asc else (column > bound_value)
-        except TypeError:
-            return None
-        positions = mask.nonzero()[0]
-        if not len(positions):
-            return n, positions, []
-        keys = [(True, v) for v in column[positions].tolist()]
-        return n, positions, keys
+        merged = ColumnarBatch.concat(parts)
+        return merged.take(ordering.top_k(keys.of(merged), self.limit)).dense()
 
     def _collect_columnar(
-        self, ctx: ExecutionContext, source, buffer: Buffer, morsel: int = 0
-    ) -> list[tuple]:
-        """Drain ``source`` into a pruned candidate list (the shared body of
-        the serial and per-worker top-k paths).
+        self, ctx: ExecutionContext, source, buffer: Buffer, keys: _SortKeys
+    ) -> "ColumnarBatch | None":
+        """Drain ``source`` into its ``k`` best rows (the shared body of
+        the serial and per-worker top-k paths): one keyed batch, best
+        first — the genuinely buffered state, charged to ``buffer``.
 
-        Sort keys are computed as whole columns, and once ``k`` candidates
-        are buffered the key of the current k-th best becomes an
-        **admission bound** — rows that cannot beat it are dropped straight
-        off the key column, so row tuples materialize (into the candidate
-        heap, the genuinely buffered state charged to ``buffer``) only for
-        the shrinking stream of contenders.
-
-        Entries are ``(key, (±morsel, ±arrival), row)``: morsels are
-        contiguous input ranges, so the lexicographic (morsel, arrival)
-        pair is the global arrival order — per-worker candidate lists
-        merged by one final selection resolve ties exactly as the serial
-        stream does.
+        Once ``k`` rows are held, the first key of the worst of them is an
+        **admission bound**: rows of a new batch that cannot order before
+        it are dropped straight off the key column, and only the survivors
+        are gathered and merged with the held rows.
         """
         k = self.limit
-        layout = self.child.layout()
-        evs = [compile_expr_columnar(e, layout) for e, _ in self.keys]
-        select, tiebreak, _ = self._selection_setup(k)
-        threshold = self._prune_threshold(ctx, k)
-        admit, make_keys = self._admission_filter()
-        key_ref_idx = None
-        if len(self.keys) == 1:
-            key_ref_idx = _plain_ref_index(self.keys[0][0], self.child.output_columns)
-        asc0 = self.keys[0][1]
-        tagged_morsel = tiebreak * morsel
-        candidates: list[tuple] = []  # (key, (±morsel, ±arrival), row)
-        arrival = 0
-        bound = None  # decorated key of the k-th best candidate
+        first, asc = keys.slots[0], keys.ascs[0]
+        strict = len(keys.slots) == 1
+        best: ColumnarBatch | None = None
         for cb in source:
-            keyed = self._admit_vectorized(cb, key_ref_idx, bound, asc0)
-            if keyed is not None:
-                n, positions, keys = keyed
-            else:
-                key_cols = [ev(cb.columns, cb.selection, cb.length) for ev in evs]
-                n = len(key_cols[0])
-                positions = admit(key_cols, bound)
-                keys = (
-                    make_keys(key_cols, positions) if len(positions) else []
-                )
-            if len(positions):
-                rows = cb.take(positions).to_rows()
-                base = arrival
-                for key, j, row in zip(keys, positions, rows):
-                    candidates.append(
-                        (key, (tagged_morsel, tiebreak * (base + j)), row)
-                    )
-            arrival += n
-            if len(candidates) >= threshold:
-                candidates = select(candidates)
-                if len(candidates) == k:
-                    bound = candidates[-1][0]
-            elif bound is None and len(candidates) >= k:
-                # Establish the admission bound as soon as k candidates
-                # exist — pruning the stream early matters more than
-                # deferring the first k log k selection.
-                candidates = select(candidates)
-                bound = candidates[-1][0]
-            delta = len(candidates) - buffer.rows
+            if not len(cb):
+                continue
+            if best is not None and best.length == k:
+                bound = best.columns[first][k - 1]
+                keep = ordering.admit(keys.leading(cb), asc, bound, strict)
+                if keep is not None:
+                    if not len(keep):
+                        continue
+                    cb = cb.take(keep)
+            cand = keys.keyed(cb)
+            best = self._best([cand] if best is None else [best, cand], keys)
+            delta = best.length - buffer.rows
             if delta >= 0:
                 buffer.grow(delta)
             else:
                 buffer.shrink(-delta)
-        return candidates
+        return best
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        k = self.limit
-        if k <= 0:
+        if self.limit <= 0:
             return
-        select, _, _ = self._selection_setup(k)
         label = self._label()
         buffer = ctx.buffer(label)
         source = None
         try:
+            keys = _SortKeys(self.keys, self.child)
             exchange = fold_source(self.child, ctx)
             if exchange is None:
                 source = self.child.columnar_batches(ctx)
-                candidates = self._collect_columnar(ctx, source, buffer)
+                best = self._collect_columnar(ctx, source, buffer, keys)
             else:
                 # Per-worker top-k over the morsel exchange: each worker
-                # prunes its own candidates (untracked O(k) partials) and
-                # one final selection merges them; (morsel, arrival) tags
-                # keep tie-breaking identical to the serial stream.
-                def run(morsel: int, stream) -> list[tuple]:
+                # keeps its own k best (untracked O(k) partials) and one
+                # final selection merges them.  Morsels are contiguous
+                # input ranges and the fold returns them in morsel order,
+                # so the stable merge breaks ties exactly as the serial
+                # stream does.
+                def run(morsel: int, stream) -> "ColumnarBatch | None":
                     partial = ctx.buffer(f"{label} partial", tracked=False)
                     try:
-                        return self._collect_columnar(ctx, stream, partial, morsel)
+                        return self._collect_columnar(ctx, stream, partial, keys)
                     finally:
                         partial.release()
 
-                candidates = [
-                    entry
+                parts = [
+                    part
                     for part in exchange.fold(ctx, "columnar_batches", run)
-                    for entry in part
+                    if part is not None
                 ]
-            top = select(candidates)
-            if exchange is not None:
-                buffer.grow(len(top))
-            for chunk in chunked([entry[2] for entry in top], ctx.batch_size):
-                yield ColumnarBatch.from_rows(chunk)
+                best = self._best(parts, keys) if parts else None
+                if best is not None:
+                    buffer.grow(best.length)
+            if best is not None:
+                yield from chunk_columnar(keys.payload(best), ctx.batch_size)
         finally:
             close_stream(source)
             buffer.release()

@@ -491,6 +491,31 @@ def test_pin_plan_clamps_to_an_older_index(graph):
     assert ctx.pin(catalog.table("Link")).num_rows == len(LINKS)
 
 
+def test_pin_plan_pins_only_named_tables_and_bounds_the_rest(fig2):
+    catalog, mapping, index = fig2
+    likes = catalog.table("Likes")
+    grown = Table(likes.schema, rows=[*likes.iter_rows(), (5, 3, 11, "2024-04-01")])
+    plan = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Knows", "out",
+    )  # fmt: skip
+    ctx = ExecutionContext()
+    pin_plan(plan, ctx)
+    person, knows = catalog.table("Person"), catalog.table("Knows")
+    assert set(ctx.snapshots) == {id(person), id(knows)}  # not Message, Likes
+    # A table only a run-time path reaches is pinned on first use: at the
+    # query's epoch, and still cut to the extent the index was built over.
+    ctx.clamp({id(grown): index.edge_rows["Likes"]})
+    snap = ctx.pin(grown)
+    assert (snap.num_rows, snap.epoch) == (4, ctx.epoch) and grown.num_rows == 5
+    assert ctx.pin(catalog.table("Message")).epoch == ctx.epoch
+    # Extents registered after a pin shrink the snapshot already taken.
+    late = ExecutionContext()
+    assert late.pin(grown).num_rows == 5
+    late.clamp({id(grown): 4})
+    assert late.pin(grown).num_rows == 4
+
+
 # --------------------------------------------------------------------- #
 # vector_view beside a writer
 # --------------------------------------------------------------------- #
