@@ -84,8 +84,9 @@ class RelGoConfig:
     # default (repro.exec.DEFAULT_BATCH_SIZE).
     batch_size: int | None = None
     # Pull plans through the vectorized columnar protocol (default) or the
-    # legacy row-tuple protocol; results are identical (parity-tested), so
-    # this is a performance knob kept for columnar-vs-row comparisons.
+    # relational operators' row-tuple reference bodies (what the benchmark
+    # oracle runs; graph operators have one, columnar, body either way);
+    # results are identical (parity-tested).
     columnar: bool = True
     # Degree of morsel-driven parallelism for plan execution; None defers
     # to REPRO_PARALLELISM (default 1 = serial).  The optimizer and its

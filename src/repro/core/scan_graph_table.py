@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.errors import BindError
 from repro.graph.index import GraphIndex
-from repro.exec.kernels import emit_batches, emit_columnar
+from repro.exec.kernels import emit_columnar
 from repro.exec.vector import ColumnarBatch, take
 from repro.graph.optimizer import GraphPlan, LoweringConfig, lower_plan
 from repro.graph.physical import GraphOperator
@@ -115,13 +115,6 @@ class _ColumnFetcher:
     values: list | None = None  # attribute column or key column
     constant: str | None = None
 
-    def fetch(self, row: tuple):
-        if self.kind == "label":
-            return self.constant
-        rowid = row[self.var_position]
-        assert self.values is not None
-        return self.values[rowid]
-
 
 class ScanGraphTableOp(PhysicalOperator):
     """Physical SCAN_GRAPH_TABLE: run the graph plan, project attributes."""
@@ -137,9 +130,6 @@ class ScanGraphTableOp(PhysicalOperator):
         self.graph_op = graph_op
         self.output_columns = [f"{clause.alias}.{c.alias}" for c in clause.columns]
 
-    def batches(self, ctx: ExecutionContext):
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
-
     def columnar_batches(self, ctx: ExecutionContext):
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
@@ -154,7 +144,7 @@ class ScanGraphTableOp(PhysicalOperator):
         domain.  Gathers are deduplicated per (variable, base column), so a
         projection naming the same attribute (or the same label constant)
         twice gathers once and shares the result."""
-        fetchers = [self._fetcher(c, vectorized=True) for c in self.clause.columns]
+        fetchers = [self._fetcher(c) for c in self.clause.columns]
         for cb in self.graph_op.columnar_batches(ctx):
             n = len(cb)
             rowid_cols: dict[int, object] = {}
@@ -182,23 +172,7 @@ class ScanGraphTableOp(PhysicalOperator):
                 columns.append(column)
             yield ColumnarBatch(columns, n, None)
 
-    def _stream(self, ctx: ExecutionContext):
-        fetchers = [self._fetcher(c) for c in self.clause.columns]
-        for graph_batch in self.graph_op.batches(ctx):
-            # Column-at-a-time projection: one comprehension per output
-            # column, then a C-speed zip into row tuples (the π̂ flattening).
-            columns = []
-            for f in fetchers:
-                if f.kind == "label":
-                    columns.append([f.constant] * len(graph_batch))
-                else:
-                    values = f.values
-                    pos = f.var_position
-                    assert values is not None
-                    columns.append([values[row[pos]] for row in graph_batch])
-            yield list(zip(*columns)) if columns else [() for _ in graph_batch]
-
-    def _fetcher(self, column: MatchColumn, vectorized: bool = False) -> _ColumnFetcher:
+    def _fetcher(self, column: MatchColumn) -> _ColumnFetcher:
         var_names = [v.name for v in self.graph_op.output_vars]
         if column.var not in var_names:
             raise BindError(
@@ -213,10 +187,6 @@ class ScanGraphTableOp(PhysicalOperator):
         else:
             table = self.mapping.edge_table(var.label)
             key = table.schema.primary_key
-        # The columnar stream gathers through vector views (ndarray
-        # fancy-indexing); the row stream indexes the raw storage so row
-        # tuples always carry plain Python values.
-        source = table.vector if vectorized else table.column
         if column.special == "label":
             return _ColumnFetcher(position, "label", constant=var.label)
         if column.special == "id":
@@ -224,8 +194,8 @@ class ScanGraphTableOp(PhysicalOperator):
                 raise BindError(
                     f"relation {table.schema.name!r} has no key column for id()"
                 )
-            return _ColumnFetcher(position, "id", values=source(key))
-        return _ColumnFetcher(position, "attr", values=source(column.attr or ""))
+            return _ColumnFetcher(position, "id", values=table.vector(key))
+        return _ColumnFetcher(position, "attr", values=table.vector(column.attr or ""))
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent

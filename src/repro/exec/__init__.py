@@ -2,20 +2,22 @@
 
 One operator protocol serves both the relational and the graph physical
 layers (the runtime counterpart of the paper's converged optimizer stack):
-every operator implements ``batches(ctx) -> Iterator[list[tuple]]``, pulling
-chunks of ~:data:`DEFAULT_BATCH_SIZE` rows from its children and yielding
-chunks downstream.  Pipelines therefore stream: a ``LIMIT`` stops pulling as
-soon as it is satisfied, and only genuine pipeline breakers (hash-join
-builds, sort buffers, aggregation state, distinct sets) hold intermediate
-state — which is exactly what the memory budget charges.
+every operator is pulled through ``columnar_batches(ctx) ->
+Iterator[ColumnarBatch]``, taking chunks of ~:data:`DEFAULT_BATCH_SIZE` rows
+from its children and yielding chunks downstream (relational operators keep
+a second, row-tuple body as the reference; graph operators have one).
+Pipelines therefore stream: a ``LIMIT`` stops pulling as soon as it is
+satisfied, and only genuine pipeline breakers (hash-join builds, sort
+buffers, aggregation state, distinct sets) hold intermediate state — which
+is exactly what the memory budget charges.
 
 * :mod:`repro.exec.context` — :class:`ExecutionContext` (budget, counters),
   :class:`Buffer` accounting handles, :class:`QueryResult`,
   :func:`open_plan` (the one query lifecycle) and :func:`execute_plan`.
 * :mod:`repro.exec.operator` — the :class:`Operator` protocol shared by
-  ``relational.physical`` and ``graph.physical``, plus the
-  :class:`MaterializeOp` pipeline breaker used to model naive
-  fully-materializing engines.
+  ``relational.physical`` and ``graph.physical``, the one rows boundary
+  adapter (``to_rows``), plus the :class:`MaterializeOp` columnar spool
+  used to model naive fully-materializing engines.
 * :mod:`repro.exec.kernels` — the shared filter / project / hash-build /
   probe / expand kernels both operator families are built from, in row and
   columnar flavours.
@@ -86,7 +88,7 @@ from repro.exec.governor import (
     resolve_governor,
     set_global_governor,
 )
-from repro.exec.operator import MaterializeOp, Operator, materialize_plan
+from repro.exec.operator import MaterializeOp, Operator
 from repro.exec.scheduler import (
     ExchangeOp,
     morsel_ranges,
@@ -123,7 +125,6 @@ __all__ = [
     "set_global_governor",
     "Operator",
     "MaterializeOp",
-    "materialize_plan",
     "ExchangeOp",
     "morsel_ranges",
     "parallelize_plan",

@@ -524,9 +524,11 @@ def open_plan(
 
     * ``columnar`` — the protocol ``stream`` speaks: columnar batches
       (default; row tuples materialize only at the result boundary) or
-      the legacy row-tuple batches.  Both produce identical rows — the
-      parity suite pins this — so the flag is a performance knob, kept
-      for the columnar-vs-row executor benchmarks.
+      row-tuple batches, which run the relational operators' reference
+      row bodies (graph operators have one, columnar, body and hand rows
+      up through ``repro.exec.operator.to_rows``).  Both produce
+      identical rows — the parity suite pins this; the row side is what
+      the benchmark oracle and the parity references execute.
     * ``parallelism`` — morsel-driven parallel execution: the plan is
       rewritten (non-destructively, at this call) with exchange operators
       over per-morsel chain clones and pulled with a worker pool of that

@@ -6,8 +6,9 @@ expansion).  These generators/helpers are the single shared implementation
 both families are now built from, in two flavours:
 
 * the **row kernels** (top half) operate on batches that are lists of row
-  tuples and preserve row order — the original streaming protocol, kept as
-  the compatibility/reference path;
+  tuples and preserve row order — the relational operators' reference
+  bodies and the grace hash join (graph operators reach them only through
+  the rows boundary, :func:`repro.exec.operator.to_rows`);
 * the **columnar kernels** (bottom half) operate on
   :class:`~repro.exec.vector.ColumnarBatch` chunks: filters refine
   selection vectors, projections gather columns, hash build/probe extract
@@ -431,10 +432,9 @@ def expand_batches(
     target chunk so a high-degree vertex cannot balloon the in-flight batch
     unboundedly.
 
-    The two hottest expansion operators (``Expand``'s predicate-free fast
-    path and ``CsrJoin``'s fast paths) deliberately inline this flush
-    pattern instead of paying a per-row closure call — keep them in sync
-    when changing the flushing contract here.
+    ``CsrJoin``'s fast paths deliberately inline this flush pattern
+    instead of paying a per-row closure call — keep them in sync when
+    changing the flushing contract here.
     """
     sizer = ChunkSizer(ctx)
     out: list = []
@@ -782,7 +782,12 @@ def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:
 def rows_to_columnar(
     batches: Iterable[Batch],
 ) -> Iterator[ColumnarBatch]:
-    """Adapt a row-batch stream to the columnar protocol."""
-    for batch in batches:
-        if batch:
-            yield ColumnarBatch.from_rows(batch)
+    """Adapt a row-batch stream to the columnar protocol (the mirror of
+    :func:`repro.exec.operator.to_rows`; same close guarantee as
+    :func:`emit_batches`)."""
+    try:
+        for batch in batches:
+            if batch:
+                yield ColumnarBatch.from_rows(batch)
+    finally:
+        close_stream(batches)

@@ -1,30 +1,33 @@
 """The shared operator protocol of the converged execution engine.
 
 Both operator families — ``repro.relational.physical.PhysicalOperator`` and
-``repro.graph.physical.GraphOperator`` — subclass :class:`Operator` and
-speak two pull protocols:
+``repro.graph.physical.GraphOperator`` — subclass :class:`Operator`.  The
+engine's protocol is :meth:`Operator.columnar_batches`, which yields
+:class:`~repro.exec.vector.ColumnarBatch` chunks; **graph operators speak
+only that one**.  Relational operators speak two: beside their columnar
+body each keeps a :meth:`Operator.batches` body yielding chunks of row
+tuples — the reference the columnar bodies are checked against
+(``execute_plan(columnar=False)``, the benchmark oracle).
 
-* :meth:`Operator.batches` yields chunks of row tuples (the original
-  streaming protocol, kept as the compatibility/reference path);
-* :meth:`Operator.columnar_batches` yields
-  :class:`~repro.exec.vector.ColumnarBatch` chunks — the vectorized path.
-  The default implementation adapts any row-protocol operator by
-  transposing its batches, so a columnar pipeline can sit on top of an
-  unported operator; ported operators override it with genuinely
-  column-at-a-time kernels.
+Rows and columns meet at exactly two adapters, the defaults of the two
+methods: an operator with only a row body joins a columnar pipeline through
+:func:`~repro.exec.kernels.rows_to_columnar`, and an operator with only a
+columnar body — every graph operator, ``ScanGraphTableOp``,
+:class:`MaterializeOp` — hands rows to a row-protocol parent, to
+``grace_hash_join`` and to :meth:`Operator.execute` through :func:`to_rows`.
 
 Because batches are pulled lazily under both protocols, downstream
 operators control how much upstream work happens: a satisfied ``LIMIT``
 simply stops iterating and the whole upstream pipeline halts.
-
-:meth:`Operator.execute` is the materializing compatibility entry point
-(tests and ad-hoc callers); it drains :meth:`batches` into one list.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.exec.context import close_stream
+from repro.exec.kernels import chunk_columnar, emit_columnar, rows_to_columnar
 from repro.exec.vector import ColumnarBatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,24 +36,59 @@ if TYPE_CHECKING:  # pragma: no cover
 Batch = list  # a chunk of row tuples
 
 
+def to_rows(stream: Iterable[ColumnarBatch]) -> Iterator[Batch]:
+    """The rows boundary: a columnar stream as chunks of plain row tuples.
+
+    The mirror of :func:`~repro.exec.kernels.rows_to_columnar`.  Values
+    cross through :meth:`ColumnarBatch.to_rows` (ndarray columns convert
+    with ``tolist()``, so no numpy scalar reaches a row tuple; a zero-width
+    batch yields its ``()`` rows), and ``stream`` is closed on any exit, so
+    a row consumer that stops early still runs the upstream ``finally``
+    blocks that release buffers.
+    """
+    try:
+        for cb in stream:
+            if len(cb):
+                yield cb.to_rows()
+    finally:
+        close_stream(stream)
+
+
 class Operator:
-    """Base class of all physical operators (relational and graph)."""
+    """Base class of all physical operators (relational and graph).
+
+    A subclass implements :meth:`columnar_batches`, :meth:`batches`, or
+    both; whichever it leaves out is adapted from the other.
+    """
 
     def batches(self, ctx: "ExecutionContext") -> Iterator[Batch]:
-        """Yield the operator's output as chunks of row tuples."""
-        raise NotImplementedError(f"{type(self).__name__} does not implement batches()")
+        """Yield the operator's output as chunks of row tuples.
+
+        The default adapts :meth:`columnar_batches` (and with it the whole
+        columnar subtree) through :func:`to_rows`.
+        """
+        if type(self).columnar_batches is Operator.columnar_batches:
+            raise self._no_protocol()
+        return to_rows(self.columnar_batches(ctx))
 
     def columnar_batches(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
         """Yield the operator's output as columnar chunks.
 
-        The default is the row-protocol boundary: it transposes
-        :meth:`batches` output, so an unported operator (and its subtree,
-        which it pulls through the row protocol) keeps exact row-level
-        semantics inside a columnar pipeline.
+        The default transposes :meth:`batches` output, so a row-only
+        operator (and its subtree, which it pulls through the row protocol)
+        keeps exact row-level semantics inside a columnar pipeline.
         """
-        from repro.exec.kernels import rows_to_columnar
-
+        if type(self).batches is Operator.batches:
+            raise self._no_protocol()
         return rows_to_columnar(self.batches(ctx))
+
+    def _no_protocol(self) -> NotImplementedError:
+        # Each default adapts the other method: without this check an
+        # operator that overrides neither would recurse until the stack ends.
+        return NotImplementedError(
+            f"{type(self).__name__} implements neither batches() nor "
+            "columnar_batches()"
+        )
 
     def execute(self, ctx: "ExecutionContext") -> list[tuple]:
         """Materialize the full output (compatibility/testing entry point)."""
@@ -89,16 +127,13 @@ class Operator:
 class MaterializeOp(Operator):
     """Pipeline breaker: fully buffers the child's output before emitting.
 
-    This is how the pre-streaming engine behaved at *every* operator
-    boundary.  It remains in two roles:
-
-    * modelling naive tuple-materializing engines (the Kùzu-like baseline
-      materializes each traversal step, which is what blows its memory
-      budget on cyclic queries — the paper's Kùzu OOM entries);
-    * as the "before" engine in executor microbenchmarks
-      (``benchmarks/bench_exec_streaming.py``).
-
-    The buffered rows are charged against the memory budget.
+    A columnar spool: the child's batches are held as they arrive (dense,
+    so nothing outside their visible rows stays referenced), every held
+    row is charged against the memory budget, and the spool replays in
+    arrival order once the child is exhausted.  It models naive
+    materializing engines — the Kùzu-like baseline materializes each
+    traversal step, which is what blows its memory budget on cyclic
+    queries (the paper's Kùzu OOM entries).
     """
 
     def __init__(self, child: Operator):
@@ -119,67 +154,39 @@ class MaterializeOp(Operator):
     def layout(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.output_columns)}
 
-    def batches(self, ctx: "ExecutionContext") -> Iterator[Batch]:
-        from repro.exec.context import close_stream
+    def columnar_batches(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
+        return emit_columnar(ctx, self._label(), self._replay(ctx))
 
-        buffer = ctx.buffer(self._label())
-        source = self.child.batches(ctx)
-        spool = None
+    def _replay(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
+        label = self._label()
+        buffer = ctx.buffer(label)
+        source = self.child.columnar_batches(ctx)
         try:
             limit = ctx.spill_limit()
-            rows: list[tuple] = []
-            for batch in source:
-                if spool is not None or (
-                    limit is not None and ctx.buffered_rows + len(batch) > limit
+            held: list[ColumnarBatch] = []
+            spilled = None
+            for cb in source:
+                n = len(cb)
+                if spilled is not None or (
+                    limit is not None and ctx.buffered_rows + n > limit
                 ):
                     # Out-of-core: past the working-set limit the remainder
                     # spools to disk (never reverting to memory, so arrival
-                    # order is preserved: resident prefix, then the spool).
-                    if spool is None:
-                        spool = ctx.spill.create_file(self._label())
-                    spool.append_rows(list(batch))
+                    # order is preserved: resident prefix, then the file).
+                    if spilled is None:
+                        spilled = ctx.spill.create_file(label)
+                    spilled.append_batch(cb)
                     continue
-                rows.extend(batch)
-                buffer.grow(len(batch))
-            size = ctx.batch_size
-            for start in range(0, len(rows), size):
-                batch = rows[start : start + size]
-                ctx.emit(len(batch), self._label())
-                yield batch
-            if spool is not None:
-                pending: list[tuple] = []
-                for frame in spool.read_rows():
-                    pending.extend(frame)
-                    while len(pending) >= size:
-                        chunk = pending[:size]
-                        del pending[:size]
-                        ctx.emit(len(chunk), self._label())
-                        yield chunk
-                if pending:
-                    ctx.emit(len(pending), self._label())
-                    yield pending
-                spool.delete()
+                held.append(cb.dense())
+                buffer.grow(n)
+            replay = held if spilled is None else chain(held, spilled.read_batches())
+            for cb in replay:
+                yield from chunk_columnar(cb, ctx.batch_size)
+            if spilled is not None:
+                spilled.delete()
         finally:
             close_stream(source)
             buffer.release()
 
     def _label(self) -> str:
         return "MATERIALIZE"
-
-
-_CHILD_ATTRS = ("child", "left", "right", "graph_op")
-
-
-def materialize_plan(op: Operator) -> Operator:
-    """Wrap every operator of a plan in :class:`MaterializeOp` (in place).
-
-    Reproduces the pre-streaming engine's execution profile — every
-    intermediate fully materialized and charged — for before/after
-    comparisons.  The tree is mutated; apply only to plans built for this
-    purpose.
-    """
-    for attr in _CHILD_ATTRS:
-        child = getattr(op, attr, None)
-        if isinstance(child, Operator):
-            setattr(op, attr, materialize_plan(child))
-    return MaterializeOp(op)

@@ -429,7 +429,7 @@ def _chain_types() -> tuple:
 
     Safe means: single ``child`` input, row-order preserving, and no
     cross-batch state beyond per-call locals (``ChunkSizer`` instances and
-    neighbor-map caches are created inside each ``batches()`` call, so
+    neighbor-map caches are created inside each pull of the chain, so
     clones never share them).  ``LimitOp`` is deliberately absent — its
     early exit counts rows globally, so it must sit above the exchange,
     where the ordered merge feeds it the serial row order.

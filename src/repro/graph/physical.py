@@ -5,12 +5,17 @@ pattern variable (vertex or edge).  The column metadata is a
 :class:`GraphVar` carrying the variable name, kind and label — the label is
 static, so rows store bare rowids.
 
-All operators share the relational engine's batched pull protocol
-(:class:`repro.exec.Operator`): expansions stream bounded chunks, and only
-the genuinely stateful operators (pattern hash joins, intersect caches,
-distinct sets) hold — and charge — buffered rows.  The hash-build and
-probe inner loops are the same :mod:`repro.exec.kernels` the relational
-``HashJoin`` uses; there is one implementation, not two.
+Graph operators speak one protocol: each has a single body behind
+:meth:`~repro.exec.Operator.columnar_batches`.  Where rows are needed — a
+row-protocol relational parent, ``grace_hash_join``,
+:meth:`~repro.exec.Operator.execute` — they come from the one boundary
+adapter, :func:`repro.exec.operator.to_rows`; the reference these bodies are
+checked against shares no code with them
+(:func:`repro.graph.matching.match_pattern`).  Expansions stream bounded
+chunks, and only the genuinely stateful operators (pattern hash joins,
+intersect caches, distinct sets) hold — and charge — buffered rows.  The
+hash-build and probe inner loops are the same :mod:`repro.exec.kernels` the
+relational ``HashJoin`` uses; there is one implementation, not two.
 
 Operators:
 
@@ -49,12 +54,8 @@ from repro.exec.kernels import (
     build_hash_table,
     chunked,
     csr_expand_vectors,
-    emit_batches,
     emit_columnar,
-    expand_batches,
-    filter_batches,
     grace_hash_join,
-    probe_hash_table,
     probe_hash_table_columnar,
     replicate_columnar,
     rows_to_columnar,
@@ -62,7 +63,7 @@ from repro.exec.kernels import (
     tuple_key,
 )
 from repro.exec.grouping import bindings_equal
-from repro.exec.operator import Batch, Operator
+from repro.exec.operator import Operator
 from repro.exec.scheduler import morsel_bounds
 from repro.exec.vector import (
     ColumnarBatch,
@@ -123,26 +124,6 @@ class ScanVertex(GraphOperator):
         self.label = label
         self.predicate = predicate
         self.output_vars = [GraphVar(var, "v", label)]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._scan(ctx))
-
-    def _scan(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        table = self.mapping.vertex_table(self.label)
-        n = ctx.pin(table).num_rows
-        first, last = morsel_bounds(self.row_range, n)
-        size = ctx.batch_size
-        check = (
-            rowid_predicate(table, self.predicate)
-            if self.predicate is not None
-            else None
-        )
-        for start in range(first, last, size):
-            stop = min(start + size, last)
-            if check is None:
-                yield [(i,) for i in range(start, stop)]
-            else:
-                yield [(i,) for i in range(start, stop) if check(i)]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._scan_columnar(ctx))
@@ -307,43 +288,6 @@ class ExpandEdge(GraphOperator):
     def children(self) -> list[Operator]:
         return [self.child]
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        from_idx = self.child.var_index(self.from_var)
-        from_label = self.child.output_vars[from_idx].label
-        adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
-        offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
-        epred = None
-        if self.edge_predicate is not None:
-            epred = rowid_predicate(
-                self.mapping.edge_table(self.edge_label), self.edge_predicate
-            )
-
-        if epred is None:
-
-            def expand(row: tuple, out: list) -> None:
-                v = row[from_idx]
-                out.extend(
-                    [row + (e,) for e in edge_rowids[offsets[v] : offsets[v + 1]]]
-                )
-
-        else:
-
-            def expand(row: tuple, out: list) -> None:
-                v = row[from_idx]
-                out.extend(
-                    [
-                        row + (e,)
-                        for e in edge_rowids[offsets[v] : offsets[v + 1]]
-                        if epred(e)
-                    ]
-                )
-
-        return emit_batches(
-            ctx,
-            self._label(),
-            expand_batches(self.child.batches(ctx), expand, ctx),
-        )
-
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
@@ -394,30 +338,6 @@ class GetVertex(GraphOperator):
 
     def children(self) -> list[Operator]:
         return [self.child]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
-
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        edge_idx = self.child.var_index(self.edge_var)
-        edge_label = self.child.output_vars[edge_idx].label
-        far = self.index.edge_index(edge_label).endpoint_rowids(self.direction)
-        vpred = None
-        if self.vertex_predicate is not None:
-            vpred = rowid_predicate(
-                self.mapping.vertex_table(self.to_label), self.vertex_predicate
-            )
-        for batch in self.child.batches(ctx):
-            if vpred is None:
-                yield [row + (far[row[edge_idx]],) for row in batch]
-                continue
-            out = []
-            for row in batch:
-                target = far[row[edge_idx]]
-                if vpred(target):
-                    out.append(row + (target,))
-            if out:
-                yield out
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
@@ -490,73 +410,6 @@ class Expand(GraphOperator):
 
     def children(self) -> list[Operator]:
         return [self.child]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        from_idx = self.child.var_index(self.from_var)
-        from_label = self.child.output_vars[from_idx].label
-        adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
-        offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
-        far = self.index.edge_index(self.edge_label).endpoint_rowids(self.direction)
-        epred = None
-        if self.edge_predicate is not None:
-            epred = rowid_predicate(
-                self.mapping.edge_table(self.edge_label), self.edge_predicate
-            )
-        vpred = None
-        if self.vertex_predicate is not None:
-            vpred = rowid_predicate(
-                self.mapping.vertex_table(self.to_label), self.vertex_predicate
-            )
-        to_idx = self.child.var_index(self.to_var) if self.closing else -1
-
-        if not self.closing and epred is None and vpred is None:
-            # Fast path: emit one row per adjacent edge, inline loop with
-            # bounded, fan-out-adaptive flushing — the traversal hot path.
-            def stream() -> Iterator[Batch]:
-                sizer = ChunkSizer(ctx)
-                out: list[tuple] = []
-                for batch in self.child.batches(ctx):
-                    carry = len(out)
-                    flushed = 0
-                    for row in batch:
-                        v = row[from_idx]
-                        out.extend(
-                            [
-                                row + (far[e],)
-                                for e in edge_rowids[offsets[v] : offsets[v + 1]]
-                            ]
-                        )
-                        if len(out) >= sizer.size:
-                            flushed += len(out)
-                            yield out
-                            out = []
-                    sizer.observe(len(batch), flushed + len(out) - carry)
-                if out:
-                    yield out
-
-            return emit_batches(ctx, self.cached_label(), stream())
-
-        def expand(row: tuple, out: list) -> None:
-            v = row[from_idx]
-            bound = row[to_idx] if self.closing else None
-            for pos in range(offsets[v], offsets[v + 1]):
-                e = edge_rowids[pos]
-                if epred is not None and not epred(e):
-                    continue
-                target = far[e]
-                if self.closing:
-                    if target == bound:
-                        out.append(row)
-                    continue
-                if vpred is not None and not vpred(target):
-                    continue
-                out.append(row + (target,))
-
-        return emit_batches(
-            ctx,
-            self._label(),
-            expand_batches(self.child.batches(ctx), expand, ctx),
-        )
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
@@ -713,13 +566,6 @@ class ExpandIntersect(GraphOperator):
             leg_state.append((leg, from_idx, adjacency, far, epred))
         return leg_state
 
-    def _vertex_check(self):
-        if self.vertex_predicate is None:
-            return None
-        return rowid_predicate(
-            self.mapping.vertex_table(self.to_label), self.vertex_predicate
-        )
-
     def _neighbor_map_fn(self, leg_state, caches):
         def neighbor_map(i: int, v: int) -> dict[int, list[int]]:
             leg, from_idx, adjacency, far, epred = leg_state[i]
@@ -736,157 +582,94 @@ class ExpandIntersect(GraphOperator):
 
         return neighbor_map
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
-
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        if any(leg.edge_var is not None for leg in self.legs):
-            # Explicit edge-variable combinations take the row path.
-            return Operator.columnar_batches(self, ctx)
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar star closing: bound-leaf columns are extracted once per
         batch; each row contributes ``multiplicity`` replicas per common
-        neighbor through a parent-position vector (no row tuples).  The
+        neighbor through a parent-position vector (no row tuples), plus one
+        edge-rowid column per leg that keeps its edge variable — the
+        parallel edges' combinations, in ``itertools.product`` order.  The
         root's vertex predicate filters each chunk through its rowid mask
         as the chunk is flushed."""
         leg_state = self._leg_state()
         vmask = _mask(
             ctx, self.mapping.vertex_table(self.to_label), self.vertex_predicate
         )
+        # Neighbor maps are cached per (leg, vertex): input rows revisit the
+        # same bound vertices constantly, and map building dominates EI cost.
         caches: list[dict[int, dict[int, list[int]]]] = [{} for _ in leg_state]
         neighbor_map = self._neighbor_map_fn(leg_state, caches)
         nlegs = len(leg_state)
+        kept_legs = [i for i, leg in enumerate(self.legs) if leg.edge_var is not None]
         sizer = ChunkSizer(ctx)
 
-        def flush(cb, parents, neighbors) -> ColumnarBatch | None:
+        def flush(cb, parents, new_columns) -> ColumnarBatch | None:
+            """``new_columns``: the kept legs' edge columns, then the root."""
             if vmask is not None:
-                kept = passing(vmask, neighbors)
+                kept = passing(vmask, new_columns[-1])
                 if kept is not None:
-                    parents, neighbors = take(parents, kept), take(neighbors, kept)
+                    parents = take(parents, kept)
+                    new_columns = [take(column, kept) for column in new_columns]
             if not len(parents):
                 return None
-            return replicate_columnar(cb, parents, [neighbors])
+            return replicate_columnar(cb, parents, new_columns)
 
         for cb in self.child.columnar_batches(ctx):
             leg_cols = [cb.column(state[1]) for state in leg_state]
             parents: list[int] = []
             neighbors: list[int] = []
+            edge_cols: list[list[int]] = [[] for _ in kept_legs]
             emitted = 0
             for j in range(len(cb)):
                 per_leg = [neighbor_map(i, leg_cols[i][j]) for i in range(nlegs)]
                 order = sorted(range(nlegs), key=lambda i: len(per_leg[i]))
                 smallest = per_leg[order[0]]
                 rest = order[1:]
-                for nbr in smallest:
-                    if any(nbr not in per_leg[i] for i in rest):
-                        continue
-                    multiplicity = 1
-                    for m in per_leg:
-                        multiplicity *= len(m[nbr])
-                    parents.extend([j] * multiplicity)
-                    neighbors.extend([nbr] * multiplicity)
+                if not kept_legs:
+                    # Edge columns trimmed — the traversal hot loop (QC2,
+                    # IC5-1).  Left as it was on purpose: its replacement
+                    # is ROADMAP item 5c, gated on the benchmark checker's
+                    # held sample.
+                    for nbr in smallest:
+                        if any(nbr not in per_leg[i] for i in rest):
+                            continue
+                        multiplicity = 1
+                        for m in per_leg:
+                            multiplicity *= len(m[nbr])
+                        parents.extend([j] * multiplicity)
+                        neighbors.extend([nbr] * multiplicity)
+                else:
+                    common = smallest
+                    for i in rest:
+                        other = per_leg[i]
+                        common = [nbr for nbr in common if nbr in other]
+                    for nbr in common:
+                        edges = [m[nbr] for m in per_leg]
+                        multiplicity = 1
+                        for leg_edges in edges:
+                            multiplicity *= len(leg_edges)
+                        parents.extend([j] * multiplicity)
+                        neighbors.extend([nbr] * multiplicity)
+                        if multiplicity == 1:
+                            for column, i in zip(edge_cols, kept_legs):
+                                column.append(edges[i][0])
+                        else:
+                            combos = list(iter_product(*edges))
+                            for column, i in zip(edge_cols, kept_legs):
+                                column.extend([combo[i] for combo in combos])
                 if len(parents) >= sizer.size:
-                    out = flush(cb, parents, neighbors)
+                    out = flush(cb, parents, edge_cols + [neighbors])
                     parents, neighbors = [], []
+                    edge_cols = [[] for _ in kept_legs]
                     if out is not None:
                         emitted += len(out)
                         yield out
-            out = flush(cb, parents, neighbors) if parents else None
+            out = flush(cb, parents, edge_cols + [neighbors]) if parents else None
             sizer.observe(len(cb), emitted + (len(out) if out is not None else 0))
             if out is not None:
                 yield out
-
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        leg_state = self._leg_state()
-        vpred = self._vertex_check()
-        emit_edges = [leg.edge_var is not None for leg in self.legs]
-        any_edges = any(emit_edges)
-        # Neighbor maps are cached per (leg, vertex): input rows revisit the
-        # same bound vertices constantly, and map building dominates EI cost.
-        caches: list[dict[int, dict[int, list[int]]]] = [{} for _ in leg_state]
-        if (
-            len(leg_state) == 2
-            and not any_edges
-            and vpred is None
-            and all(s[4] is None for s in leg_state)
-        ):
-            yield from self._stream_two_legs(ctx, leg_state, caches)
-            return
-
-        neighbor_map = self._neighbor_map_fn(leg_state, caches)
-
-        def expand(row: tuple, out: list) -> None:
-            # Build neighbor -> [edges] per leg; smallest first.
-            per_leg = [
-                neighbor_map(i, row[leg_state[i][1]])
-                for i in range(len(leg_state))
-            ]
-            order = sorted(range(len(per_leg)), key=lambda i: len(per_leg[i]))
-            smallest = per_leg[order[0]]
-            common = [
-                nbr
-                for nbr in smallest
-                if all(nbr in per_leg[i] for i in order[1:])
-            ]
-            for nbr in common:
-                if vpred is not None and not vpred(nbr):
-                    continue
-                if any_edges:
-                    combos = iter_product(
-                        *(per_leg[i][nbr] for i in range(len(per_leg)))
-                    )
-                    for combo in combos:
-                        emitted = tuple(
-                            e for e, keep in zip(combo, emit_edges) if keep
-                        )
-                        out.append(row + emitted + (nbr,))
-                else:
-                    multiplicity = 1
-                    for i in range(len(per_leg)):
-                        multiplicity *= len(per_leg[i][nbr])
-                    extended = row + (nbr,)
-                    out.extend([extended] * multiplicity)
-
-        yield from expand_batches(self.child.batches(ctx), expand, ctx)
-
-    def _stream_two_legs(
-        self, ctx: ExecutionContext, leg_state, caches
-    ) -> Iterator[Batch]:
-        # Two-leg fast path (triangle/square closing without edge vars):
-        # intersect two cached neighbor maps per row, no sorting.
-        (leg_a, idx_a, adj_a, far_a, _), (leg_b, idx_b, adj_b, far_b, _) = leg_state
-        cache_a, cache_b = caches
-
-        def expand(row: tuple, out: list) -> None:
-            va, vb = row[idx_a], row[idx_b]
-            nbrs_a = cache_a.get(va)
-            if nbrs_a is None:
-                nbrs_a = {}
-                for e in adj_a.edge_rowids[adj_a.offsets[va] : adj_a.offsets[va + 1]]:
-                    nbrs_a.setdefault(far_a[e], []).append(e)
-                cache_a[va] = nbrs_a
-            nbrs_b = cache_b.get(vb)
-            if nbrs_b is None:
-                nbrs_b = {}
-                for e in adj_b.edge_rowids[adj_b.offsets[vb] : adj_b.offsets[vb + 1]]:
-                    nbrs_b.setdefault(far_b[e], []).append(e)
-                cache_b[vb] = nbrs_b
-            if len(nbrs_b) < len(nbrs_a):
-                nbrs_a, nbrs_b = nbrs_b, nbrs_a
-            for nbr, edges_a in nbrs_a.items():
-                edges_b = nbrs_b.get(nbr)
-                if edges_b is None:
-                    continue
-                multiplicity = len(edges_a) * len(edges_b)
-                extended = row + (nbr,)
-                if multiplicity == 1:
-                    out.append(extended)
-                else:
-                    out.extend([extended] * multiplicity)
-
-        yield from expand_batches(self.child.batches(ctx), expand, ctx)
 
     def _label(self) -> str:
         legs = ", ".join(f"{leg.from_var}-[{leg.edge_label}]" for leg in self.legs)
@@ -960,21 +743,18 @@ class EdgeTripleScan(GraphOperator):
             list(map(dst_map.__getitem__, dst_fk)),
         )
 
-    def _filters(self, compile_filter):
-        """The (edge, source, target) predicates through ``compile_filter
-        (table, predicate)``; None where the scan has no predicate."""
+    def _masks(self, ctx):
+        """The (edge, source, target) predicates as rowid masks; None where
+        the scan has no predicate."""
         em = self.mapping.edge(self.edge_label)
         return [
-            compile_filter(table, predicate) if predicate is not None else None
+            _mask(ctx, table, predicate)
             for table, predicate in (
                 (self.mapping.edge_table(self.edge_label), self.edge_predicate),
                 (self.mapping.vertex_table(em.source_label), self.src_predicate),
                 (self.mapping.vertex_table(em.target_label), self.dst_predicate),
             )
         ]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
@@ -989,7 +769,7 @@ class EdgeTripleScan(GraphOperator):
             columns: list = [ev.near_vector("out"), ev.endpoint_vector("out")]
         else:
             columns = [vector_view(src_rowids), vector_view(dst_rowids)]
-        masks = self._filters(lambda table, pred: _mask(ctx, table, pred))
+        masks = self._masks(ctx)
         n = min(
             ctx.pin(self.mapping.edge_table(self.edge_label)).num_rows,
             len(src_rowids),
@@ -1015,46 +795,6 @@ class EdgeTripleScan(GraphOperator):
                     sel = take(sel, kept)
             if len(sel):
                 yield ColumnarBatch(columns, n, sel)
-
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        edge_table = self.mapping.edge_table(self.edge_label)
-        src_rowids, dst_rowids = self._endpoint_rowids(ctx)
-        epred, spred, dpred = self._filters(rowid_predicate)
-        with_edge = self.edge_var is not None
-        n = min(ctx.pin(edge_table).num_rows, len(src_rowids))
-        first, last = morsel_bounds(self.row_range, n)
-        size = ctx.batch_size
-        if epred is None and spred is None and dpred is None:
-            # No filters: assemble the triples at C speed, chunk by chunk.
-            for start in range(first, last, size):
-                stop = min(start + size, last)
-                if with_edge:
-                    yield list(
-                        zip(
-                            src_rowids[start:stop],
-                            dst_rowids[start:stop],
-                            range(start, stop),
-                        )
-                    )
-                else:
-                    yield list(
-                        zip(src_rowids[start:stop], dst_rowids[start:stop])
-                    )
-            return
-        for start in range(first, last, size):
-            stop = min(start + size, last)
-            out: list[tuple] = []
-            for e in range(start, stop):
-                if epred is not None and not epred(e):
-                    continue
-                s, d = src_rowids[e], dst_rowids[e]
-                if spred is not None and not spred(s):
-                    continue
-                if dpred is not None and not dpred(d):
-                    continue
-                out.append((s, d, e) if with_edge else (s, d))
-            if out:
-                yield out
 
     def _label(self) -> str:
         mode = "EV-index" if self.index is not None else "EVJoin"
@@ -1107,29 +847,40 @@ class PatternHashJoin(GraphOperator):
             if not keep
             else (lambda row: tuple(row[i] for i in keep))
         )
-        return l_idx, r_idx, left_key, right_key, trim
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return l_idx, left_key, right_key, trim
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        """Columnar pattern join with the same adaptive build-side choice as
-        the row path.  Both *buffered* inputs materialize as row tuples
-        (they are exactly the state the memory budget charges — the NoEI
-        OOMs trip here); the streaming probe side stays columnar, with keys
-        extracted whole-column-at-a-time."""
+        """Both *buffered* inputs materialize as row tuples (they are exactly
+        the state the memory budget charges — the NoEI OOMs trip here); the
+        streaming probe side stays columnar, with keys extracted
+        whole-column-at-a-time."""
+        l_idx, left_key, right_key, trim = self._join_setup()
         if ctx.spill_limit() is not None:
-            # Grace join works through the row boundary; wrap its stream.
-            stream = self._stream(ctx)
+            # Out-of-core: the adaptive lookahead would buffer an unbounded
+            # probe prefix, so always grace-build the right side (values
+            # trimmed to right_keep — output stays left ++ right_keep).  The
+            # grace kernel partitions and pickles row tuples, so both inputs
+            # cross the rows boundary.
+            buffer = ctx.buffer(f"{self._label()} build")
             try:
-                yield from rows_to_columnar(stream)
+                yield from rows_to_columnar(
+                    grace_hash_join(
+                        self.right.batches(ctx),
+                        self.left.batches(ctx),
+                        right_key,
+                        left_key,
+                        buffer,
+                        ctx,
+                        self._label(),
+                        value_of=trim,
+                    )
+                )
             finally:
-                close_stream(stream)
+                buffer.release()
             return
-        l_idx, _, left_key, right_key, trim = self._join_setup()
         size = ctx.batch_size
         right_buffer = ctx.buffer(f"{self._label()} build")
         left_buffer = ctx.buffer(f"{self._label()} lookahead")
@@ -1142,6 +893,8 @@ class PatternHashJoin(GraphOperator):
                 batch = cb.to_rows()
                 right_rows.extend(batch)
                 right_buffer.grow(len(batch))
+            # Bounded lookahead on the left: once it outnumbers the right
+            # side, the right side is the smaller build input for sure.
             left_stream = self.left.columnar_batches(ctx)
             left_prefix: list[tuple] = []
             left_is_smaller = True
@@ -1149,11 +902,16 @@ class PatternHashJoin(GraphOperator):
                 batch = cb.to_rows()
                 left_prefix.extend(batch)
                 if len(left_prefix) > len(right_rows):
+                    # The left side turns out to be the probe side: its
+                    # prefix is in-flight probe input, not build state, so
+                    # it must not charge the budget.
                     left_is_smaller = False
                     left_buffer.release()
                     break
                 left_buffer.grow(len(batch))
             if left_is_smaller:
+                # Build on the (fully seen) left; probe the materialized
+                # right.  Output stays left ++ right_keep.
                 table = build_hash_table(chunked(left_prefix, size), left_key, None)
                 lookup = table.get
                 out: list[tuple] = []
@@ -1184,87 +942,6 @@ class PatternHashJoin(GraphOperator):
             # A budget trip during either buffering loop leaves that input
             # suspended in this (traceback-pinned) frame: close both so
             # upstream finallys release their buffers deterministically.
-            close_stream(right_stream)
-            close_stream(left_stream)
-            right_buffer.release()
-            left_buffer.release()
-
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        _, _, left_key, right_key, trim = self._join_setup()
-        if ctx.spill_limit() is not None:
-            # Out-of-core: the adaptive lookahead would buffer an unbounded
-            # probe prefix, so always grace-build the right side (values
-            # trimmed to right_keep — output stays left ++ right_keep).
-            buffer = ctx.buffer(f"{self._label()} build")
-            try:
-                yield from grace_hash_join(
-                    self.right.batches(ctx),
-                    self.left.batches(ctx),
-                    right_key,
-                    left_key,
-                    buffer,
-                    ctx,
-                    self._label(),
-                    value_of=trim,
-                )
-            finally:
-                buffer.release()
-            return
-        size = ctx.batch_size
-        right_buffer = ctx.buffer(f"{self._label()} build")
-        left_buffer = ctx.buffer(f"{self._label()} lookahead")
-        right_stream = None
-        left_stream = None
-        try:
-            right_rows: list[tuple] = []
-            right_stream = self.right.batches(ctx)
-            for batch in right_stream:
-                right_rows.extend(batch)
-                right_buffer.grow(len(batch))
-            # Bounded lookahead on the left: once it outnumbers the right
-            # side, the right side is the smaller build input for sure.
-            left_stream = self.left.batches(ctx)
-            left_prefix: list[tuple] = []
-            left_is_smaller = True
-            for batch in left_stream:
-                left_prefix.extend(batch)
-                if len(left_prefix) > len(right_rows):
-                    # The left side turns out to be the probe side: its
-                    # prefix is in-flight probe input, not build state, so
-                    # it must not charge the budget.
-                    left_is_smaller = False
-                    left_buffer.release()
-                    break
-                left_buffer.grow(len(batch))
-            if left_is_smaller:
-                # Build on the (fully seen) left; probe the materialized
-                # right.  Output stays left ++ right_keep.
-                table = build_hash_table(chunked(left_prefix, size), left_key, None)
-                lookup = table.get
-                out: list[tuple] = []
-                for rrow in right_rows:
-                    matches = lookup(right_key(rrow))
-                    if not matches:
-                        continue
-                    extra = trim(rrow)
-                    out.extend([lrow + extra for lrow in matches])
-                    if len(out) >= size:
-                        yield out
-                        out = []
-                if out:
-                    yield out
-                return
-            table = build_hash_table(
-                chunked(right_rows, size), right_key, None, value_of=trim
-            )
-            del right_rows
-
-            def left_batches() -> Iterator[Batch]:
-                yield from chunked(left_prefix, size)
-                yield from left_stream
-
-            yield from probe_hash_table(left_batches(), table, left_key, size)
-        finally:
             close_stream(right_stream)
             close_stream(left_stream)
             right_buffer.release()
@@ -1309,15 +986,6 @@ class _VarFilter(GraphOperator):
             return idx, self.mapping.vertex_table(label)
         return idx, self.mapping.edge_table(label)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        idx, table = self._bound()
-        check = rowid_predicate(table, self.predicate)
-        return emit_batches(
-            ctx,
-            self._label(),
-            filter_batches(self.child.batches(ctx), lambda row: check(row[idx])),
-        )
-
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         idx, table = self._bound()
         return emit_columnar(
@@ -1352,7 +1020,7 @@ class AllDistinct(GraphOperator):
 
     Distinctness only needs checking between bindings of the *same* label
     (cross-label bindings address different relations), so the operator
-    precomputes those column pairs.  The columnar path compares whole
+    precomputes those column pairs.  It compares whole
     columns pairwise — one vectorized ``!=`` per pair when the bound
     columns are integer ndarrays (rowids always are) — instead of building
     a Python set per row.  Binding equality follows the grouping engine's
@@ -1382,18 +1050,6 @@ class AllDistinct(GraphOperator):
 
     def children(self) -> list[Operator]:
         return [self.child]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        pairs = self._pairs
-        if not pairs:
-            return emit_batches(ctx, self.cached_label(), self.child.batches(ctx))
-
-        def distinct(row: tuple) -> bool:
-            return not any(bindings_equal(row[a], row[b]) for a, b in pairs)
-
-        return emit_batches(
-            ctx, self._label(), filter_batches(self.child.batches(ctx), distinct)
-        )
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
@@ -1438,10 +1094,6 @@ class AllDistinct(GraphOperator):
         return f"ALL_DISTINCT ({self.kind})"
 
 
-# Re-exported for naive-engine modelling (see systems.kuzu_like); the class
-# itself lives with the shared protocol in repro.exec.
-from repro.exec.operator import MaterializeOp  # noqa: E402  (re-export)
-
 __all__ = [
     "GraphVar",
     "GraphOperator",
@@ -1456,5 +1108,4 @@ __all__ = [
     "VertexFilter",
     "EdgeFilter",
     "AllDistinct",
-    "MaterializeOp",
 ]

@@ -23,6 +23,7 @@ from repro.core.framework import RelGoConfig
 from repro.core.scan_graph_table import LogicalScanGraphTable, ScanGraphTableOp
 from repro.core.spjm import GraphTableClause
 from repro.errors import PlanError
+from repro.exec import MaterializeOp
 from repro.graph.index import GraphIndex
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import (
@@ -31,7 +32,6 @@ from repro.graph.physical import (
     ExpandEdge,
     GetVertex,
     GraphOperator,
-    MaterializeOp,
     PatternHashJoin,
     ScanVertex,
 )

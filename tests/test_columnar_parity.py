@@ -2,17 +2,24 @@
 
 Two halves:
 
-* **Workload parity** — executing the same optimized physical plan through
-  the columnar protocol and the row protocol must return byte-identical
-  ``sorted_rows()`` (and identical ``rows_produced``) across the LDBC and
-  JOB workload queries, for converged and graph-agnostic plans alike — and
-  it must hold under every **storage backend**: numpy-accelerated typed
-  storage, the pure-Python ``array.array`` backend (numpy disabled), and
-  the plain-list fallback.
+* **Workload parity** across the LDBC and JOB workload queries, under every
+  **storage backend** (numpy-accelerated typed storage, the pure-Python
+  ``array.array`` backend with numpy disabled, and the plain-list
+  fallback), against references that share no code with what they check:
+
+  - every *converged* system (graph operators have one, columnar, body)
+    must return, statement by statement, the answer of the graph-agnostic
+    ``duckdb`` plan executed on the **row protocol** — no graph operator
+    and no columnar kernel takes part in that answer;
+  - every plan, converged or not, must return byte-identical
+    ``sorted_rows()`` and ``rows_produced`` through ``columnar=True`` and
+    ``columnar=False``: for the graph-agnostic plans that is the relational
+    row bodies checking the columnar ones, for the converged plans it pins
+    that rows cross the one ``to_rows`` boundary unchanged.
 * **Selection-vector unit tests** — :class:`repro.exec.ColumnarBatch` edge
   cases (empty selection, the all-selected fast path, selection
-  composition) and NULL-key join semantics, plus the numpy-accelerated
-  gather path when numpy is importable.
+  composition) and NULL-key join semantics, the rows boundary adapter, plus
+  the numpy-accelerated gather path when numpy is importable.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from repro.core.sqlpgq import parse_and_bind
 from repro.exec import (
     ColumnarBatch,
     ExecutionContext,
+    MaterializeOp,
+    Operator,
     execute_plan,
     numpy_available,
     set_numpy_enabled,
@@ -33,9 +42,14 @@ from repro.exec.kernels import (
     probe_hash_table_columnar,
     rows_to_columnar,
 )
+from repro.exec.operator import to_rows
 from repro.graph.index import build_graph_index
 from repro.relational.column import set_storage_backend
 from repro.relational.expr import and_, col, compile_predicate_columnar, gt, lit, lt
+from repro.relational.physical import SeqScan
+from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
+from repro.relational.types import DataType
 from repro.systems import make_system
 from repro.workloads.job import JobParams, generate_imdb
 from repro.workloads.job.queries import job_queries
@@ -89,36 +103,65 @@ def imdb_small(storage_backend):
     return catalog
 
 
-def _assert_parity(system, catalog, queries: dict[str, str]) -> None:
+LDBC_QUERIES = {**ic_queries(), **qr_queries(), **qc_queries()}
+JOB_QUERIES = job_queries(
+    ["JOB1", "JOB6", "JOB13", "JOB17", "JOB22", "JOB28", "JOB33"]
+)
+
+
+def _row_protocol_answers(catalog, graph_name: str, queries: dict[str, str]) -> dict:
+    """The reference: graph-agnostic plans on the row protocol."""
+    system = make_system("duckdb", catalog, graph_name)
+    answers = {}
+    for name, sql in queries.items():
+        plan = system.optimize(parse_and_bind(sql, catalog)).physical
+        answers[name] = execute_plan(plan, columnar=False).sorted_rows()
+    return answers
+
+
+@pytest.fixture(scope="module")
+def ldbc_reference(ldbc_small):
+    return _row_protocol_answers(ldbc_small, "snb", LDBC_QUERIES)
+
+
+@pytest.fixture(scope="module")
+def imdb_reference(imdb_small):
+    return _row_protocol_answers(imdb_small, "imdb", JOB_QUERIES)
+
+
+def _assert_parity(system, catalog, queries: dict[str, str], reference: dict) -> None:
     for name, sql in queries.items():
         query = parse_and_bind(sql, catalog)
         optimized = system.optimize(query)
         columnar = execute_plan(optimized.physical, columnar=True)
         row = execute_plan(optimized.physical, columnar=False)
+        assert columnar.sorted_rows() == reference[name], name
         assert columnar.sorted_rows() == row.sorted_rows(), name
         assert columnar.rows_produced == row.rows_produced, name
 
 
-# The system variants cover every ported operator family: relgo (Expand /
-# ExpandIntersect / TopK), relgo_noei (PatternHashJoin star plans),
-# relgo_hash (EdgeTripleScan's runtime EVJoin), duckdb (SeqScan / FilterOp /
-# HashJoin / Aggregate pipelines), graindb (RowIdJoin / CsrJoin predefined
-# joins), kuzu (closing expansions + materialization barriers).
-LDBC_SYSTEMS = ["relgo", "relgo_noei", "relgo_hash", "duckdb", "graindb", "kuzu"]
+# The system variants cover every operator family: relgo (Expand /
+# ExpandIntersect / TopK), relgo_norule (unfused EXPAND_EDGE + GET_VERTEX,
+# ExpandIntersect with kept edge variables, standalone filters), relgo_noei
+# (PatternHashJoin star plans), relgo_hash (EdgeTripleScan's runtime
+# EVJoin), kuzu (closing expansions + materialization barriers) — the
+# converged five — and duckdb (SeqScan / FilterOp / HashJoin / Aggregate
+# pipelines), graindb (RowIdJoin / CsrJoin predefined joins).
+LDBC_SYSTEMS = [
+    "relgo", "relgo_norule", "relgo_noei", "relgo_hash", "kuzu", "duckdb", "graindb",
+]  # fmt: skip
 
 
 @pytest.mark.parametrize("system_name", LDBC_SYSTEMS)
-def test_ldbc_workload_parity(ldbc_small, system_name):
+def test_ldbc_workload_parity(ldbc_small, ldbc_reference, system_name):
     system = make_system(system_name, ldbc_small, "snb")
-    queries = {**ic_queries(), **qr_queries(), **qc_queries()}
-    _assert_parity(system, ldbc_small, queries)
+    _assert_parity(system, ldbc_small, LDBC_QUERIES, ldbc_reference)
 
 
 @pytest.mark.parametrize("system_name", ["relgo", "duckdb", "graindb"])
-def test_job_workload_parity(imdb_small, system_name):
+def test_job_workload_parity(imdb_small, imdb_reference, system_name):
     system = make_system(system_name, imdb_small, "imdb")
-    subset = ["JOB1", "JOB6", "JOB13", "JOB17", "JOB22", "JOB28", "JOB33"]
-    _assert_parity(system, imdb_small, job_queries(subset))
+    _assert_parity(system, imdb_small, JOB_QUERIES, imdb_reference)
 
 
 # --------------------------------------------------------------------- #
@@ -138,6 +181,34 @@ def test_zero_width_rows_survive_the_boundary():
     cb = ColumnarBatch.from_rows(rows)
     assert len(cb) == 3
     assert cb.to_rows() == rows
+
+
+def test_rows_adapter_keeps_zero_width_rows_and_skips_empty_batches():
+    stream = iter([ColumnarBatch([], 3), ColumnarBatch([[1, 2]], 2, []), ColumnarBatch([], 1)])
+    assert list(to_rows(stream)) == [[(), (), ()], [()]]
+
+
+def test_rows_adapter_close_releases_upstream_buffers():
+    # A row consumer that stops early must run the columnar subtree's
+    # ``finally`` blocks now, not at GC time: the barrier's buffer empties.
+    table = Table(
+        TableSchema("t", [Column("id", DataType.INT)]), rows=[(i,) for i in range(5_000)]
+    )
+    ctx = ExecutionContext(batch_size=64)
+    rows = MaterializeOp(SeqScan(table, "t")).batches(ctx)
+    assert next(rows) == [(i,) for i in range(64)]
+    assert ctx.buffered_rows == 5_000
+    rows.close()
+    assert ctx.buffered_rows == 0
+
+
+def test_operator_without_a_protocol_fails_clearly():
+    class Neither(Operator):
+        pass
+
+    for pull in (Neither().batches, Neither().columnar_batches, Neither().execute):
+        with pytest.raises(NotImplementedError, match="Neither implements neither"):
+            pull(ExecutionContext())
 
 
 def test_empty_selection_yields_no_rows():
@@ -267,9 +338,10 @@ def test_scalar_expand_fallback_feeds_vectorized_closing_expand(fig2):
     # (never numpy scalars) and must compose with the vectorized closing
     # Expand downstream (regression: TypeError at bounds[parents], and
     # np.int64 leaking into row tuples).
-    from repro.exec import ExecutionContext
+    from repro.graph.matching import match_pattern
+    from repro.graph.pattern import PatternGraph
     from repro.graph.physical import Expand, ScanVertex
-    from repro.relational.expr import col, starts_with
+    from repro.relational.expr import starts_with
 
     catalog, mapping, index = fig2
     try:
@@ -301,12 +373,19 @@ def test_scalar_expand_fallback_feeds_vectorized_closing_expand(fig2):
             for cb in closing.columnar_batches(ExecutionContext())
             for row in cb.to_rows()
         ]
-        rows = [
-            row for batch in closing.batches(ExecutionContext()) for row in batch
-        ]
-        assert sorted(columnar) == sorted(rows)
+        pattern = (
+            PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+            .edge("a", "b", "Knows", name="e1", predicate=open_hop.edge_predicate)
+            .edge("b", "a", "Knows", name="e2").build()
+        )  # fmt: skip
+        reference = [(m["a"], m["b"]) for m in match_pattern(mapping, index, pattern)]
+        assert sorted(columnar) == sorted(reference)
         assert columnar, "the pattern must match something"
         assert all(type(v) is int for row in columnar for v in row)
+        # ... and the rows boundary hands the same plain ints to a row parent.
+        rows = closing.execute(ExecutionContext())
+        assert sorted(rows) == sorted(reference)
+        assert all(type(v) is int for row in rows for v in row)
     finally:
         set_numpy_enabled(None)
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.framework import RelGoConfig, RelGoFramework
 from repro.core.spjm import GraphTableClause, MatchColumn, SPJMQuery
 from repro.errors import OutOfMemoryError, SchemaError
-from repro.exec import MaterializeOp, execute_plan, materialize_plan
+from repro.exec import MaterializeOp, execute_plan
 from repro.graph.pattern import PatternGraph
 from repro.relational.expr import col, gt, lit
 from repro.relational.physical import (
@@ -59,19 +59,12 @@ def test_limit_early_exit_bounds_rows_produced(big_table):
     # The scan stops after a handful of batches instead of 50k rows per
     # operator; leave generous headroom over 3 ops x a few batches.
     assert result.rows_produced < 10_000
-    # The same plan fully materialized (the pre-streaming engine) pays for
-    # every operator's full output.
-    materialized = execute_plan(
-        materialize_plan(
-            LimitOp(
-                ProjectOp(
-                    FilterOp(SeqScan(big_table, "t"), gt(col("t.v"), lit(10))),
-                    [(col("t.id"), "id")],
-                ),
-                10,
-            )
-        )
-    )
+    # The same plan with a barrier above every operator (the pre-streaming
+    # engine) pays for every operator's full output.
+    scan = MaterializeOp(SeqScan(big_table, "t"))
+    kept = MaterializeOp(FilterOp(scan, gt(col("t.v"), lit(10))))
+    projected = MaterializeOp(ProjectOp(kept, [(col("t.id"), "id")]))
+    materialized = execute_plan(MaterializeOp(LimitOp(projected, 10)))
     assert materialized.sorted_rows() == result.sorted_rows()
     assert result.rows_produced < materialized.rows_produced
 

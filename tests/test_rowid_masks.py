@@ -9,9 +9,10 @@ no shape changes an answer:
 * **parity** — LIKE / NOT LIKE / IN / STARTS WITH / OR / IS NULL over a
   list-backed ('<U' view), a NULL-bearing (plain list) and a dictionary
   column, as edge and as vertex predicates, through EXPAND, closing EXPAND,
-  EXPAND_EDGE + GET_VERTEX, EXPAND_INTERSECT, EDGE_SCAN and the standalone
-  filters: columnar == row protocol == the reference matcher, with numpy on
-  and off;
+  EXPAND_EDGE + GET_VERTEX, EXPAND_INTERSECT (edge variables trimmed and
+  kept), EDGE_SCAN and the standalone filters: the operator's one columnar
+  body == the reference matcher, which shares no code with it, with numpy
+  on and off;
 * **laziness** — a lazy mask calls its predicate at most once per distinct
   rowid, however many batches look it up;
 * the satellites that ride along: ``pin_plan`` pins each table once per
@@ -27,7 +28,7 @@ from collections import Counter
 
 import pytest
 
-from repro.exec import ExecutionContext, numpy_available, set_numpy_enabled
+from repro.exec import ExecutionContext, numpy_available, open_plan, set_numpy_enabled
 from repro.exec.context import pin_plan
 from repro.exec.vector import LazyMask, passing, vector_view
 from repro.graph import matching
@@ -78,11 +79,12 @@ PEOPLE = [
     (8, "Abe", "2022-01-01", "dot"),
 ]
 
-#: (src, dst): cycles, a hub (1), parallel edges (1->2 twice, 3->4 twice).
+#: (src, dst): cycles, a hub (1), parallel edges (1->2, 1->3, 3->4 twice
+#: each, so the triangle 1->3->4 has parallel edges on two sides).
 LINKS = [
     (1, 2), (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (3, 1), (3, 4), (3, 4),
     (4, 1), (4, 2), (5, 1), (5, 2), (5, 6), (6, 5), (6, 1), (7, 8), (8, 7),
-    (7, 1), (8, 1), (2, 4), (4, 3), (6, 2), (1, 5),
+    (7, 1), (8, 1), (2, 4), (4, 3), (6, 2), (1, 5), (1, 3),
 ]  # fmt: skip
 
 
@@ -212,11 +214,6 @@ def _columnar(op, batch_size=4):
     return sorted(rows), ctx.rows_produced
 
 
-def _rows(op, batch_size=4):
-    ctx = ExecutionContext(batch_size=batch_size)
-    return sorted(row for batch in op.batches(ctx) for row in batch), ctx.rows_produced
-
-
 def _reference(graph, pattern, variables):
     mapping, index = graph
     return sorted(
@@ -224,16 +221,13 @@ def _reference(graph, pattern, variables):
     )
 
 
-def _assert_three_way(graph, op, pattern, variables):
-    columnar, columnar_produced = _columnar(op)
-    rows, rows_produced = _rows(op)
-    assert columnar == rows
-    assert columnar_produced == rows_produced
+def _assert_matches_reference(graph, op, pattern, variables):
+    columnar, _ = _columnar(op)
     assert columnar == _reference(graph, pattern, variables)
 
 
 # --------------------------------------------------------------------- #
-# parity: columnar == row protocol == reference matcher
+# parity: columnar == reference matcher
 # --------------------------------------------------------------------- #
 
 
@@ -249,7 +243,7 @@ def test_expand_edge_predicate(graph, numpy_mode, shape):
         PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
         .edge("a", "b", "Link", name="e", predicate=pred).build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b"])
 
 
 @pytest.mark.parametrize("direction", ["out", "in"])
@@ -267,7 +261,7 @@ def test_expand_vertex_predicate(graph, numpy_mode, shape, direction):
         .vertex("b", "Person", predicate=pred)
         .edge(src, dst, "Link", name="e").build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b"])
 
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
@@ -287,7 +281,7 @@ def test_closing_expand_edge_predicate(graph, numpy_mode, shape):
         .edge("a", "b", "Link", name="e1")
         .edge("b", "a", "Link", name="e2", predicate=pred).build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b"])
 
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
@@ -307,7 +301,7 @@ def test_expand_edge_get_vertex(graph, numpy_mode, shape):
         .vertex("b", "Person", predicate=vpred)
         .edge("a", "b", "Link", name="e", predicate=epred).build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "e", "b"])
+    _assert_matches_reference(graph, op, pattern, ["a", "e", "b"])
 
 
 @pytest.mark.parametrize("shape", sorted(VERTEX_PREDICATES))
@@ -331,7 +325,96 @@ def test_expand_intersect_vertex_predicate(graph, numpy_mode, shape):
         .edge("a", "c", "Link", name="e2", predicate=epred)
         .edge("c", "b", "Link", name="e3").build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b", "c"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b", "c"])
+
+
+#: Root-vertex predicates of the two mask shapes: a dictionary comparison is
+#: a dense ndarray under numpy, a prefix test over the list-backed DATE
+#: column a ``LazyMask`` everywhere; the mask-kind test below pins that for
+#: these two forms.
+ROOT_PREDICATES = {
+    "none": None,
+    "dense": eq(col("name"), lit("Abe")),
+    "lazy": starts_with(col("since"), "2021"),
+}
+
+#: legs as (bound leaf, direction leaving it, kept edge variable or None,
+#: edge predicate shape or None); the pattern edge runs leaf -> root for
+#: "out" and root -> leaf for "in".
+KEPT_EDGE_STARS = {
+    "two-legs-both-kept": [("a", "out", "e2", None), ("b", "in", "e3", None)],
+    "two-legs-one-kept": [("a", "out", None, None), ("b", "in", "e3", None)],
+    "kept-leg-predicate": [("a", "out", "e2", "like-dict"), ("b", "in", "e3", None)],
+    "three-legs": [
+        ("a", "out", "e2", None), ("b", "in", None, "like-list"), ("d", "out", "e4", None),
+    ],
+}  # fmt: skip
+
+
+def _kept_edge_star(graph, star: str, root: str):
+    """(operator, pattern, variables) closing ``a -> b [-> d]`` at root c."""
+    mapping, index = graph
+    legs = KEPT_EDGE_STARS[star]
+    vpred = ROOT_PREDICATES[root]
+    child = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Link", "out",
+    )  # fmt: skip
+    builder = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .vertex("c", "Person", predicate=vpred).edge("a", "b", "Link", name="e1")
+    )  # fmt: skip
+    if any(leaf == "d" for leaf, *_ in legs):
+        child = Expand(child, index, mapping, "b", "d", "Person", "Link", "out")
+        builder = builder.vertex("d", "Person").edge("b", "d", "Link", name="e5")
+    star_legs, variables = [], [v.name for v in child.output_vars]
+    for i, (leaf, direction, edge_var, shape) in enumerate(legs):
+        epred = EDGE_PREDICATES[shape] if shape else None
+        star_legs.append(StarLeg(leaf, "Link", direction, edge_var, epred))
+        src, dst = (leaf, "c") if direction == "out" else ("c", leaf)
+        builder = builder.edge(src, dst, "Link", name=edge_var or f"t{i}", predicate=epred)
+        if edge_var:
+            variables.append(edge_var)
+    op = ExpandIntersect(
+        child, index, mapping, star_legs, "c", "Person", vertex_predicate=vpred
+    )
+    return op, builder.build(), variables + ["c"]
+
+
+@pytest.mark.parametrize("root", sorted(ROOT_PREDICATES))
+@pytest.mark.parametrize("star", sorted(KEPT_EDGE_STARS))
+def test_expand_intersect_keeps_edge_variables(graph, numpy_mode, star, root):
+    op, pattern, variables = _kept_edge_star(graph, star, root)
+    assert [v.name for v in op.output_vars] == variables
+    expected = _reference(graph, pattern, variables)
+    assert expected, "the star must match something"
+    # batch_size 2 flushes in the middle of an input batch (one row of the
+    # doubly-parallel triangle alone yields four); 1024 never does.
+    for batch_size in (2, 1024):
+        rows, produced = _columnar(op, batch_size)
+        assert rows == expected, batch_size
+    # Morsel-parallel: four clones of the chain, each with its own caches.
+    with open_plan(op, parallelism=4, batch_size=2) as (ctx, stream):
+        parallel = sorted(row for cb in stream for row in cb.to_rows())
+    assert parallel == expected
+    assert ctx.rows_produced == produced
+
+
+def test_kept_edge_multiplicity_is_the_product_of_parallel_edges(graph, numpy_mode):
+    mapping, _ = graph
+    op, _, variables = _kept_edge_star(graph, "two-legs-both-kept", "none")
+    rows, _ = _columnar(op)
+    ids = mapping.vertex_table("Person").column("id")
+    at = {name: variables.index(name) for name in variables}
+    # 1 -> 4 closed through 3: 1->3 twice x 3->4 twice; through 2: 1->2
+    # twice x 2->4 once.
+    for root, combos in ((3, 4), (2, 2)):
+        hits = [
+            (row[at["e2"]], row[at["e3"]])
+            for row in rows
+            if (ids[row[at["a"]]], ids[row[at["b"]]], ids[row[at["c"]]]) == (1, 4, root)
+        ]
+        assert len(hits) == len(set(hits)) == combos
 
 
 @pytest.mark.parametrize("with_index", [True, False])
@@ -349,7 +432,7 @@ def test_edge_scan_predicates(graph, numpy_mode, shape, with_index):
         .vertex("b", "Person", predicate=Not(vpred))
         .edge("a", "b", "Link", name="e", predicate=epred).build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b", "e"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b", "e"])
 
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
@@ -364,7 +447,7 @@ def test_standalone_filters(graph, numpy_mode, shape):
         .vertex("b", "Person", predicate=vpred)
         .edge("a", "b", "Link", name="e", predicate=epred).build()
     )  # fmt: skip
-    _assert_three_way(graph, op, pattern, ["a", "b", "e"])
+    _assert_matches_reference(graph, op, pattern, ["a", "b", "e"])
 
 
 # --------------------------------------------------------------------- #

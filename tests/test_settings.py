@@ -203,6 +203,51 @@ def test_one_lifecycle_one_cache():
     assert ".remove(" not in sources["repro/serving/plan_cache.py"]
 
 
+def test_graph_operators_speak_one_protocol():
+    """The graph half has one body per operator: no row twin, and rows come
+    from one adapter (``exec/operator.py::to_rows``)."""
+    sources = _sources()
+    graph_half = (
+        "repro/graph/physical.py",
+        "repro/core/scan_graph_table.py",
+        "repro/systems/kuzu_like.py",
+    )
+
+    def classes(module: str) -> list[ast.ClassDef]:
+        tree = ast.parse(sources[module])
+        return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+    one_protocol = [cls for module in graph_half for cls in classes(module)]
+    one_protocol += [
+        cls for cls in classes("repro/exec/operator.py") if cls.name == "MaterializeOp"
+    ]
+    assert len(one_protocol) > 15
+    for cls in one_protocol:
+        defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        assert not defined & {"batches", "_stream", "_scan"}, cls.name
+    # Graph operators build row tuples in one place only: the two loops
+    # that buffer a pattern join's inputs (the state the budget charges).
+    physical = sources["repro/graph/physical.py"]
+    (join,) = (c for c in classes("repro/graph/physical.py") if c.name == "PatternHashJoin")
+    in_buffering_loops = [
+        call
+        for loop in ast.walk(join)
+        if isinstance(loop, ast.For)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "to_rows"
+    ]
+    assert len(in_buffering_loops) == physical.count("to_rows()") == 2
+    adapters = [
+        module
+        for module, text in sources.items()
+        if re.search(r"^def to_rows\(", text, re.M)
+    ]
+    assert adapters == ["repro/exec/operator.py"]
+    assert not any("materialize_plan" in text for text in sources.values())
+    with pytest.raises(ImportError):
+        from repro.exec import materialize_plan  # noqa: F401
+
+
 def test_hot_execute_reads_no_environment(monkeypatch):
     class NoEnvironment(dict):
         def __getitem__(self, key):

@@ -31,11 +31,13 @@ from repro.exec import (
     ExecutionContext,
     Fault,
     FaultInjector,
+    MaterializeOp,
     QueryHandle,
     SpillConfig,
     SpillManager,
     execute_plan,
     numpy_available,
+    open_plan,
     resolve_spill,
     set_numpy_enabled,
 )
@@ -427,6 +429,22 @@ def test_oom_queries_complete_under_quarter_working_set(ldbc, tmp_path, name):
     assert _nan_safe(result.sorted_rows()) == _nan_safe(unbounded.sorted_rows())
     assert result.peak_buffered_rows <= budget
     assert _empty_dir(tmp_path)
+
+
+def test_materialize_spool_replays_in_arrival_order(tables, tmp_path):
+    """Past the working-set limit the barrier spools batches to one file
+    and never reverts, so it replays exactly what arrived: the resident
+    prefix, then the spooled batches — typed columns still typed."""
+    plan = MaterializeOp(SeqScan(tables[0], "l"))
+    in_memory = execute_plan(plan, spill=False)
+    config = _spilling_config(tmp_path, threshold=500)
+    with open_plan(plan, spill=config, batch_size=64) as (ctx, stream):
+        rows = [row for cb in stream for row in cb.to_rows()]
+        assert ctx.spill.files_created == 1
+        assert 0 < ctx.peak_buffered_rows <= 500
+    assert _nan_safe(rows) == _nan_safe(in_memory.rows)
+    assert ctx.rows_produced == in_memory.rows_produced
+    assert ctx.buffered_rows == 0 and _empty_dir(tmp_path)
 
 
 # --------------------------------------------------------------------- #
