@@ -6,19 +6,26 @@ the same surface as :class:`~repro.serving.database.Session` — ``execute``
 unchanged with a real network boundary in the middle (``REPRO_WIRE=1``
 makes ``Database.connect()`` hand these out).
 
-One background reader thread (``repro-wire-client-…``) demultiplexes
-replies by ``seq``, so any number of caller threads can share one
-connection: ``submit`` returns a :class:`WirePendingQuery` whose
-``result``/``cancel``/``done`` each issue their own correlated requests.
-Results stream in bounded ``fetch`` chunks with a server-side long-poll;
-a chunk is only consumed when it arrives, so a client-side ``result``
+Each call maps onto its in-process twin.  ``execute`` is one hop: one
+``execute`` frame, and the reply is the whole result as back-to-back
+column-major ``rows`` chunks, rebuilt into row tuples with ``zip``.
+``submit`` returns a :class:`WirePendingQuery` whose ``result`` /
+``cancel`` / ``done`` each issue their own correlated requests; its result
+streams in bounded ``fetch`` chunks with a server-side long-poll, and a
+chunk is only consumed when it arrives, so a client-side ``result``
 timeout never loses data — the next call resumes where the stream left
 off.
+
+There is no background thread: the calling thread reads its own reply.
+When several threads share one connection, whichever holds the read turn
+reads frames off the socket and hands each to the thread whose ``seq`` it
+carries; when its own reply arrives it passes the turn on through a
+condition, so a waiting thread takes over without polling.
 
 Typed errors round-trip: an ``error`` frame rebuilds the original
 :class:`~repro.errors.ReproError` subclass (with its structured payload)
 via :func:`repro.errors.error_from_wire`, and the query text is attached
-as an exception note, exactly like the in-process path.
+as an exception note.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import itertools
 import socket
 import threading
 import time
+from collections import deque
 from typing import Any, Sequence
 
 from repro.errors import (
@@ -50,18 +58,6 @@ __all__ = ["Client", "WirePendingQuery", "WirePreparedStatement"]
 #: cancel stay responsive, long enough to avoid request churn.
 DEFAULT_WAIT_S = 5.0
 
-_client_ids = itertools.count(1)
-
-
-class _Slot:
-    """One outstanding request awaiting its seq-matched reply."""
-
-    __slots__ = ("event", "frame")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.frame: dict | None = None
-
 
 def _raise_wire_error(payload: dict, context: str | None = None):
     if payload.get("code") == PROTOCOL_ERROR_CODE:
@@ -70,6 +66,27 @@ def _raise_wire_error(payload: dict, context: str | None = None):
     if context:
         exc.add_note(context)
     raise exc
+
+
+def _add_rows(frame: dict, rows: list) -> bool:
+    """Append a column-major ``rows`` chunk to ``rows`` as tuples; True on
+    the final chunk."""
+    if frame.get("type") != "rows":
+        raise ProtocolError(f"unexpected reply: {frame.get('type')!r}")
+    data = frame["data"]
+    rows.extend(zip(*data) if data else [()] * frame["n"])
+    return bool(frame["done"])
+
+
+def _result(frame: dict, rows: list) -> QueryResult:
+    stats = frame.get("stats") or {}
+    return QueryResult(
+        columns=frame["columns"],
+        rows=rows,
+        execution_time=stats.get("execution_time", 0.0),
+        rows_produced=stats.get("rows_produced", len(rows)),
+        peak_buffered_rows=stats.get("peak_buffered_rows", 0),
+    )
 
 
 class Client:
@@ -93,79 +110,118 @@ class Client:
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._slots: dict[int, _Slot] = {}
+        # Guards everything below; waiting threads sleep on it.
+        self._cond = threading.Condition()
+        self._inboxes: dict[int, deque] = {}  # seq -> replies not yet taken
+        self._reading = False  # some thread holds the read turn
         self._seq = itertools.count(1)
         self._closed = False
         self._broken: BaseException | None = None
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"repro-wire-client-{next(_client_ids)}",
-            daemon=True,
-        )
-        self._reader.start()
-        hello = self.call("hello", protocol=PROTOCOL_VERSION)
+        try:
+            hello = self.call("hello", protocol=PROTOCOL_VERSION)
+        except BaseException:
+            self._sock.close()
+            raise
         self.session_id = hello.get("session_id")
 
     # ------------------------------------------------------------------ #
     # request/reply plumbing
     # ------------------------------------------------------------------ #
 
-    def _read_loop(self) -> None:
-        failure: BaseException = ConnectionError("connection closed by server")
+    def _failure(self) -> Exception:
+        """The error a call raises once the connection is unusable."""
+        if self._closed:
+            return SessionClosed("client is closed")
+        if isinstance(self._broken, SessionClosed):
+            return SessionClosed(str(self._broken))
+        return ConnectionError(str(self._broken or "connection lost"))
+
+    def _request(self, kind: str, fields: dict) -> int:
+        """Send one request frame; returns its ``seq``, whose replies
+        collect in an inbox until :meth:`_forget`."""
+        with self._cond:
+            if self._closed or self._broken is not None:
+                raise self._failure()
+            seq = next(self._seq)
+            self._inboxes[seq] = deque()
+        try:
+            with self._send_lock:
+                send_frame(self._sock, {"seq": seq, "type": kind, **fields})
+        except OSError as exc:
+            self._forget(seq)
+            raise ConnectionError(f"send failed: {exc}") from exc
+        return seq
+
+    def _forget(self, seq: int) -> None:
+        with self._cond:
+            self._inboxes.pop(seq, None)
+
+    def _reply(self, seq: int) -> dict:
+        """The next reply to ``seq``: from its inbox, or read off the
+        socket by this thread while it holds the read turn."""
+        with self._cond:
+            while True:
+                inbox = self._inboxes[seq]
+                if inbox:
+                    return inbox.popleft()
+                if self._broken is not None:
+                    raise self._failure()
+                if not self._reading:
+                    self._reading = True
+                    break
+                self._cond.wait()
         try:
             while True:
                 frame = recv_frame(self._sock)
                 if frame is None:
                     # Orderly EOF: the server (or our own close) ended the
                     # session, which is a lifecycle event, not a transport
-                    # fault — later calls raise SessionClosed.
-                    failure = SessionClosed("connection closed by server")
-                    break
-                slot = None
-                with self._lock:
-                    slot = self._slots.pop(frame.get("seq"), None)
-                if slot is not None:
-                    slot.frame = frame
-                    slot.event.set()
-                # Unmatched seq: a reply for an abandoned request; drop it.
-        except (ProtocolError, OSError) as exc:
-            failure = exc
+                    # fault — this and later calls raise SessionClosed.
+                    raise SessionClosed("connection closed by server")
+                owner = frame.get("seq")
+                if owner == seq:
+                    return frame
+                with self._cond:
+                    # An unknown seq is a reply to an abandoned request.
+                    inbox = self._inboxes.get(owner) if isinstance(owner, int) else None
+                    if inbox is not None:
+                        inbox.append(frame)
+                        self._cond.notify_all()
+        except (SessionClosed, ProtocolError, OSError) as exc:
+            with self._cond:
+                if self._broken is None:
+                    self._broken = exc
+            raise self._failure() from exc
         finally:
-            with self._lock:
-                self._broken = failure
-                slots = list(self._slots.values())
-                self._slots.clear()
-            for slot in slots:
-                slot.event.set()
+            with self._cond:
+                self._reading = False
+                self._cond.notify_all()
 
-    def call(self, kind: str, **fields: Any) -> dict:
-        """Send one request frame; block for its reply; raise wire errors."""
-        with self._lock:
-            if self._closed:
-                raise SessionClosed("client is closed")
-            if isinstance(self._broken, SessionClosed):
-                raise SessionClosed(str(self._broken))
-            if self._broken is not None:
-                raise ConnectionError(str(self._broken))
-            seq = next(self._seq)
-            slot = _Slot()
-            self._slots[seq] = slot
+    def call(self, kind: str, *, note: str | None = None, **fields: Any) -> dict:
+        """Send one request frame and return its one reply; an ``error``
+        reply raises, with ``note`` (the query text) attached."""
+        seq = self._request(kind, fields)
         try:
-            with self._send_lock:
-                send_frame(self._sock, {"seq": seq, "type": kind, **fields})
-        except OSError as exc:
-            with self._lock:
-                self._slots.pop(seq, None)
-            raise ConnectionError(f"send failed: {exc}") from exc
-        slot.event.wait()
-        if slot.frame is None:
-            if isinstance(self._broken, SessionClosed):
-                raise SessionClosed(str(self._broken))
-            raise ConnectionError(str(self._broken or "connection lost"))
-        if slot.frame.get("type") == "error":
-            _raise_wire_error(slot.frame.get("error") or {}, fields.get("sql"))
-        return slot.frame
+            frame = self._reply(seq)
+        finally:
+            self._forget(seq)
+        if frame.get("type") == "error":
+            _raise_wire_error(frame.get("error") or {}, note)
+        return frame
+
+    def _execute(self, note: str, **fields: Any) -> QueryResult:
+        """One ``execute`` frame; the reply is every chunk of the result."""
+        seq = self._request("execute", {**fields, "max_rows": self.fetch_rows})
+        rows: list[tuple] = []
+        try:
+            while True:
+                frame = self._reply(seq)
+                if frame.get("type") == "error":
+                    _raise_wire_error(frame.get("error") or {}, note)
+                if _add_rows(frame, rows):
+                    return _result(frame, rows)
+        finally:
+            self._forget(seq)
 
     # ------------------------------------------------------------------ #
     # the Session surface
@@ -177,8 +233,13 @@ class Client:
         timeout: float | None = None,
         params: Sequence[Any] | None = None,
     ) -> QueryResult:
-        """Run ``sql`` to completion over the wire (streaming chunks)."""
-        return self.submit(sql, timeout=timeout, params=params).result()
+        """Run ``sql`` to completion over the wire, in one round trip."""
+        return self._execute(
+            sql,
+            sql=sql,
+            params=list(params) if params is not None else None,
+            timeout=timeout,
+        )
 
     def submit(
         self,
@@ -188,7 +249,8 @@ class Client:
     ) -> "WirePendingQuery":
         """Queue ``sql`` on the server's worker pool; returns a future."""
         accepted = self.call(
-            "execute",
+            "submit",
+            note=sql,
             sql=sql,
             params=list(params) if params is not None else None,
             timeout=timeout,
@@ -197,18 +259,17 @@ class Client:
 
     def prepare(self, sql: str) -> "WirePreparedStatement":
         """Server-side prepared statement; params bind per execute."""
-        prepared = self.call("prepare", sql=sql)
+        prepared = self.call("prepare", note=sql, sql=sql)
         return WirePreparedStatement(self, prepared["stmt_id"], sql)
 
     # ------------------------------------------------------------------ #
-    # result streaming (shared by execute / WirePendingQuery.result)
+    # result streaming of a submitted query (WirePendingQuery.result)
     # ------------------------------------------------------------------ #
 
     def _collect(
         self, query_id: int, sql: str, timeout: float | None
     ) -> QueryResult:
         deadline = None if timeout is None else time.monotonic() + timeout
-        columns: list[str] = []
         rows: list[tuple] = []
         while True:
             wait_s = DEFAULT_WAIT_S
@@ -221,27 +282,15 @@ class Client:
                 wait_s = min(wait_s, remaining)
             frame = self.call(
                 "fetch",
+                note=sql,
                 query_id=query_id,
                 wait_s=wait_s,
                 max_rows=self.fetch_rows,
-                sql=sql,  # server ignores it; error notes pick it up
             )
-            kind = frame.get("type")
-            if kind == "pending":
+            if frame.get("type") == "pending":
                 continue
-            if kind != "rows":
-                raise ProtocolError(f"unexpected fetch reply: {kind!r}")
-            columns = frame["columns"]
-            rows.extend(tuple(row) for row in frame["rows"])
-            if frame.get("done"):
-                stats = frame.get("stats") or {}
-                return QueryResult(
-                    columns=columns,
-                    rows=rows,
-                    execution_time=stats.get("execution_time", 0.0),
-                    rows_produced=stats.get("rows_produced", len(rows)),
-                    peak_buffered_rows=stats.get("peak_buffered_rows", 0),
-                )
+            if _add_rows(frame, rows):
+                return _result(frame, rows)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -249,14 +298,14 @@ class Client:
 
     def close(self) -> None:
         """Close the session (server side cancels anything in flight)."""
-        with self._lock:
+        with self._cond:
             if self._closed:
                 return
         try:
             self.call("close")
         except (ConnectionError, SessionClosed, ProtocolError):
             pass  # server may already be gone; the socket close below suffices
-        with self._lock:
+        with self._cond:
             self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
@@ -266,7 +315,6 @@ class Client:
             self._sock.close()
         except OSError:
             pass
-        self._reader.join()
 
     @property
     def closed(self) -> bool:
@@ -323,8 +371,6 @@ class WirePendingQuery:
             )
             if frame.get("done"):
                 return True
-            if deadline is None:
-                continue
 
     def result(self, timeout: float | None = None) -> QueryResult:
         """Stream the result (blocks; re-raises the query's typed error).
@@ -365,26 +411,35 @@ class WirePreparedStatement:
         self.sql = sql
         self._closed = False
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SessionClosed(f"prepared statement is closed: {self.sql!r}")
+
     def execute(
         self,
         params: Sequence[Any] | None = None,
         timeout: float | None = None,
     ) -> QueryResult:
-        return self.submit(params, timeout=timeout).result()
+        self._check_open()
+        return self.client._execute(
+            self.sql,
+            stmt_id=self.stmt_id,
+            params=list(params) if params is not None else None,
+            timeout=timeout,
+        )
 
     def submit(
         self,
         params: Sequence[Any] | None = None,
         timeout: float | None = None,
     ) -> WirePendingQuery:
-        if self._closed:
-            raise SessionClosed(f"prepared statement is closed: {self.sql!r}")
+        self._check_open()
         accepted = self.client.call(
-            "execute",
+            "submit",
+            note=self.sql,
             stmt_id=self.stmt_id,
             params=list(params) if params is not None else None,
             timeout=timeout,
-            sql=self.sql,  # for error notes only
         )
         return WirePendingQuery(self.client, accepted["query_id"], self.sql)
 

@@ -14,51 +14,75 @@ followed by that many bytes of UTF-8 JSON (one object).  Frames above
 client-chosen ``seq``; every reply echoes it, so a client can pipeline
 requests over one connection and demultiplex replies.
 
-**Frame types** (request → replies):
+**Frame types** (protocol 2; request → replies).  Each wire call maps onto
+its in-process twin: ``execute`` is ``Session.execute`` (one hop, the
+whole result in the reply), ``submit`` is ``Session.submit`` (a future
+read back with ``poll`` / ``fetch`` / ``cancel``):
 
 ====================  =====================================================
-``hello``             version handshake → ``hello_ok`` (session id)
-``execute``           queue sql (or a prepared ``stmt_id``) with optional
-                      ``params``/``timeout`` on the shared worker pool
+``hello``             version handshake → ``hello_ok`` (session id); any
+                      other ``protocol`` than :data:`PROTOCOL_VERSION` →
+                      ``PROTOCOL_ERROR`` and a disconnect
+``execute``           run sql (or a prepared ``stmt_id``) with optional
+                      ``params``/``timeout`` to completion on this
+                      connection's thread → back-to-back ``rows`` chunks of
+                      ≤ ``max_rows`` rows, the last flagged ``done`` with
+                      the execution stats | ``error``
+``submit``            queue the same on the shared worker pool
                       → ``accepted`` (query id); never blocks the
                       connection
-``poll``              is the query done?  optional bounded ``wait_s``
-                      long-poll → ``status``
-``fetch``             consume the next ≤ ``max_rows`` result rows,
-                      long-polling up to ``wait_s``
-                      → ``rows`` (``done`` flags the final chunk, which
-                      carries the execution stats) | ``pending`` | ``error``
-``cancel``            cooperative cancel → ``cancel_ok``
+``poll``              is the submitted query done?  optional bounded
+                      ``wait_s`` long-poll → ``status``
+``fetch``             consume the next ≤ ``max_rows`` rows of a submitted
+                      query, long-polling up to ``wait_s``
+                      → ``rows`` | ``pending`` | ``error``
+``cancel``            cooperative cancel of a submitted query
+                      → ``cancel_ok``
 ``prepare``           prepared statement → ``prepared`` (stmt id)
 ``close_stmt``        release a prepared statement → ``close_stmt_ok``
 ``close``             close the session → ``close_ok``, then disconnect
 ====================  =====================================================
+
+A ``rows`` chunk is column-major: ``columns`` (names), ``data`` (one JSON
+array per column), ``n`` (the chunk's row count) and ``done``; the client
+rebuilds row tuples with ``zip``.
 
 **Errors.**  Query failures travel as ``error`` frames whose payload is
 :func:`repro.errors.error_to_wire` — a stable code plus the structured
 constructor data — so :class:`~repro.errors.QueryTimeout`,
 :class:`~repro.errors.OutOfMemoryError` and
 :class:`~repro.errors.AdmissionError` re-raise *typed* on the client.
-Framing violations (oversized frame, malformed JSON, unknown frame type)
-get :data:`~repro.errors.PROTOCOL_ERROR_CODE` and the connection is
-closed: a peer that cannot frame correctly cannot be trusted with a
-session.
+Framing violations (oversized frame, malformed JSON, unknown frame type,
+wrong protocol version) get :data:`~repro.errors.PROTOCOL_ERROR_CODE` and
+the connection is closed: a peer that cannot frame correctly cannot be
+trusted with a session.  A well-framed request with a bad field (wrong
+type, unknown id) gets ``PROTOCOL_ERROR`` under its ``seq`` and the
+connection stays open.
 
-**Blocking model.**  One reader thread per connection; it never blocks on
-query progress.  ``fetch``/``poll`` long-polls are resolved by the
-query's done-callback (running on the pool worker that finished it) or by
-a daemon timer expiring the wait — which is why a ``cancel`` frame can
-always race a completion and still get service.
+**Concurrency.**  One reader thread per connection.  Synchronous
+``execute`` requests on one connection run one at a time on that thread,
+like calls through one ``Session``; a connection's other requests wait
+behind one.  The worker pool bounds asynchronous (``submit``) work and the
+governor bounds memory.  ``poll``/``fetch`` long-polls never block the
+reader: each is answered by the query's done-callback (on the pool worker
+that finished it) or by the server's one expiry thread at its deadline,
+whichever claims it first — which is why a ``cancel`` frame can always
+race a completion and still get service.  :meth:`Server.close` cancels a
+synchronous execute in progress through the session's handle registry, so
+close stays a bounded barrier.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
+import math
 import socket
 import struct
 import threading
-from typing import Any
+import time
+from typing import Any, Callable
 
 from repro.errors import (
     PROTOCOL_ERROR_CODE,
@@ -76,24 +100,25 @@ __all__ = [
 ]
 
 #: Wire protocol version; bumped on any incompatible frame change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-frame byte limit (both directions).  Large results are
-#: streamed in ``fetch`` chunks, so no legitimate frame approaches this.
+#: streamed in ``rows`` chunks, so no legitimate frame approaches this.
 MAX_FRAME = 16 * 1024 * 1024
 
 #: Server-side cap on one long-poll wait; clients re-issue to wait longer
-#: (keeps every registered timer short-lived).
+#: (keeps every expiry entry short-lived).
 MAX_WAIT_S = 30.0
 
-#: Default ``fetch`` chunk size when the client does not ask for one.
+#: Default chunk size when the client does not ask for one.
 DEFAULT_FETCH_ROWS = 1024
 
 
 class ProtocolError(ReproError):
     """The peer violated the framing protocol (oversized frame, malformed
-    JSON, unknown frame type, bad handshake).  Maps to
-    :data:`~repro.errors.PROTOCOL_ERROR_CODE` on the wire."""
+    JSON, unknown frame type, bad handshake) or sent a request field of
+    the wrong type.  Maps to :data:`~repro.errors.PROTOCOL_ERROR_CODE` on
+    the wire."""
 
 
 # ---------------------------------------------------------------------- #
@@ -141,40 +166,174 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return payload
 
 
+def _rows_frame(seq, result, start: int, max_rows: int) -> dict:
+    """The column-major ``rows`` chunk of ``result`` from row ``start``:
+    ``data`` holds one array per column, ``n`` the chunk's row count; the
+    final chunk carries ``done`` and the execution stats."""
+    chunk = result.rows[start : start + max_rows]
+    done = start + len(chunk) >= len(result.rows)
+    frame: dict = {
+        "seq": seq,
+        "type": "rows",
+        "columns": list(result.columns),
+        # Column tuples serialize as JSON arrays as they are.
+        "data": list(zip(*chunk)) if chunk else [[] for _ in result.columns],
+        "n": len(chunk),
+        "done": done,
+    }
+    if done:
+        frame["stats"] = {
+            "execution_time": result.execution_time,
+            "rows_produced": result.rows_produced,
+            "peak_buffered_rows": result.peak_buffered_rows,
+        }
+    return frame
+
+
+# ---------------------------------------------------------------------- #
+# request fields (outside input: checked before use)
+# ---------------------------------------------------------------------- #
+
+
+def _field(frame: dict, name: str, kinds: tuple[type, ...], default: Any = None) -> Any:
+    """``frame[name]`` when it is one of ``kinds`` (a bool is never a
+    number), ``default`` when absent or null, else :class:`ProtocolError`."""
+    value = frame.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ProtocolError(f"{name} must be {names}, got {value!r}")
+    return value
+
+
+def _seconds(frame: dict, name: str) -> float | None:
+    value = _field(frame, name, (int, float))
+    if value is not None and math.isnan(value):
+        raise ProtocolError(f"{name} must be a number of seconds, got NaN")
+    return value
+
+
+def _wait_s(frame: dict) -> float:
+    return min(max(_seconds(frame, "wait_s") or 0.0, 0.0), MAX_WAIT_S)
+
+
+def _max_rows(frame: dict) -> int:
+    max_rows = _field(frame, "max_rows", (int,), DEFAULT_FETCH_ROWS)
+    if max_rows < 1:
+        raise ProtocolError(f"max_rows must be positive, got {max_rows}")
+    return max_rows
+
+
+# ---------------------------------------------------------------------- #
+# long-poll expiry
+# ---------------------------------------------------------------------- #
+
+
+class _Waiter:
+    """One outstanding long-poll (``fetch``/``poll``): exactly one of the
+    query's done-callback and the expiry thread claims it and replies."""
+
+    __slots__ = ("_lock", "_on_expiry")
+
+    def __init__(self, on_expiry: Callable[[], None]):
+        self._lock = threading.Lock()
+        self._on_expiry: Callable[[], None] | None = on_expiry
+
+    def claim(self) -> Callable[[], None] | None:
+        """The expiry reply if this call won the claim, else None.  A
+        claimed waiter drops its reply, so an entry left in the expiry
+        heap holds nothing of the query."""
+        with self._lock:
+            on_expiry, self._on_expiry = self._on_expiry, None
+        return on_expiry
+
+    @property
+    def claimed(self) -> bool:
+        return self._on_expiry is None
+
+
+class _Expiry:
+    """One thread per :class:`Server` that expires long-polls: a deadline
+    heap under a condition.  The thread starts with the first long-poll and
+    stops at :meth:`close`; claimed entries are dropped when they surface
+    at the top of the heap."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._heap: list[tuple[float, int, _Waiter]] = []
+        self._order = itertools.count()
+        self._thread: threading.Thread | None = None
+        self._closed = False
+
+    def add(self, wait_s: float, waiter: _Waiter) -> None:
+        entry = (time.monotonic() + wait_s, next(self._order), waiter)
+        with self._cond:
+            if self._closed:
+                return  # server closing: its connections are gone
+            heapq.heappush(self._heap, entry)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="repro-wire-expiry", daemon=True
+                )
+                self._thread.start()
+            elif self._heap[0] is entry:
+                self._cond.notify()  # a new earliest deadline
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                due = self._wait_for_due()
+            if due is None:
+                return
+            for waiter in due:
+                on_expiry = waiter.claim()
+                if on_expiry is not None:
+                    on_expiry()
+
+    def _wait_for_due(self) -> list[_Waiter] | None:
+        """Block (holding the condition) until some deadline passes; the
+        waiters due, or None once closed."""
+        heap = self._heap
+        while not self._closed:
+            while heap and heap[0][2].claimed:
+                heapq.heappop(heap)
+            if not heap:
+                self._cond.wait()
+                continue
+            now = time.monotonic()
+            if heap[0][0] > now:
+                self._cond.wait(heap[0][0] - now)
+                continue
+            due = []
+            while heap and heap[0][0] <= now:
+                due.append(heapq.heappop(heap)[2])
+            return due
+        return None
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._heap.clear()
+            self._cond.notify()
+            thread = self._thread
+        if thread is not None:
+            thread.join()
+
+
 # ---------------------------------------------------------------------- #
 # the server
 # ---------------------------------------------------------------------- #
 
 
 class _WireQuery:
-    """One in-flight query on a connection: the future + a fetch cursor."""
+    """One submitted query on a connection: the future + a fetch cursor."""
 
     __slots__ = ("pending", "offset")
 
     def __init__(self, pending):
         self.pending = pending
         self.offset = 0
-
-
-class _Waiter:
-    """One outstanding long-poll (``fetch``/``poll``): exactly one of the
-    done-callback or the expiry timer claims it and sends the reply."""
-
-    __slots__ = ("_claimed", "_lock", "timer")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._claimed = False
-        self.timer: threading.Timer | None = None
-
-    def claim(self) -> bool:
-        with self._lock:
-            if self._claimed:
-                return False
-            self._claimed = True
-        if self.timer is not None:
-            self.timer.cancel()
-        return True
 
 
 class _Connection:
@@ -248,10 +407,10 @@ class _Connection:
             return False
         try:
             return handler(seq, frame)
-        except ReproError as exc:
-            self._send_error(seq, exc)
+        except ProtocolError as exc:  # a bad field: refuse the request only
+            self._protocol_error(seq, str(exc))
             return True
-        except Exception as exc:  # noqa: BLE001 - server bug, not a wire fault
+        except Exception as exc:  # noqa: BLE001 - the query's error, shipped to the client
             self._send_error(seq, exc)
             return True
 
@@ -277,21 +436,27 @@ class _Connection:
         return True
 
     def _on_execute(self, seq, frame) -> bool:
-        params = frame.get("params")
-        timeout = frame.get("timeout")
-        stmt_id = frame.get("stmt_id")
-        if stmt_id is not None:
-            with self._lock:
-                statement = self._statements.get(stmt_id)
-            if statement is None:
-                self._protocol_error(seq, f"unknown stmt_id: {stmt_id}")
+        """Run to completion here, as ``Session.execute`` runs on its
+        caller's thread, and reply with every chunk back to back."""
+        max_rows = _max_rows(frame)
+        statement, sql, params, timeout = self._request(frame)
+        if statement is not None:
+            result = statement.execute(params, timeout=timeout)
+        else:
+            result = self.session.execute(sql, timeout=timeout, params=params)
+        offset = 0
+        while True:
+            chunk = _rows_frame(seq, result, offset, max_rows)
+            self._send(chunk)
+            if chunk["done"]:
                 return True
+            offset += chunk["n"]
+
+    def _on_submit(self, seq, frame) -> bool:
+        statement, sql, params, timeout = self._request(frame)
+        if statement is not None:
             pending = statement.submit(params, timeout=timeout)
         else:
-            sql = frame.get("sql")
-            if not isinstance(sql, str):
-                self._protocol_error(seq, "execute frame requires sql or stmt_id")
-                return True
             pending = self.session.submit(sql, timeout=timeout, params=params)
         with self._lock:
             query_id = next(self._ids)
@@ -300,40 +465,22 @@ class _Connection:
         return True
 
     def _on_poll(self, seq, frame) -> bool:
-        query = self._query(seq, frame)
-        if query is None:
-            return True
-        wait_s = min(float(frame.get("wait_s") or 0.0), MAX_WAIT_S)
+        query = self._lookup(self._queries, frame, "query_id")
 
-        def reply(_pending=None) -> None:
-            self._send(
-                {"seq": seq, "type": "status", "done": query.pending.done()}
-            )
+        def reply() -> None:
+            self._send({"seq": seq, "type": "status", "done": query.pending.done()})
 
-        if wait_s <= 0 or query.pending.done():
-            reply()
-            return True
-        self._longpoll(query, wait_s, on_done=reply, on_expiry=reply)
+        self._longpoll(query, _wait_s(frame), on_done=reply, on_expiry=reply)
         return True
 
     def _on_fetch(self, seq, frame) -> bool:
-        query = self._query(seq, frame)
-        if query is None:
-            return True
-        wait_s = min(float(frame.get("wait_s") or 0.0), MAX_WAIT_S)
-        max_rows = int(frame.get("max_rows") or DEFAULT_FETCH_ROWS)
-        if query.pending.done():
-            self._reply_fetch(seq, frame.get("query_id"), query, max_rows)
-            return True
-        if wait_s <= 0:
-            self._send({"seq": seq, "type": "pending"})
-            return True
+        query = self._lookup(self._queries, frame, "query_id")
+        query_id = frame["query_id"]
+        max_rows = _max_rows(frame)
         self._longpoll(
             query,
-            wait_s,
-            on_done=lambda _p=None: self._reply_fetch(
-                seq, frame.get("query_id"), query, max_rows
-            ),
+            _wait_s(frame),
+            on_done=lambda: self._reply_fetch(seq, query_id, query, max_rows),
             on_expiry=lambda: self._send({"seq": seq, "type": "pending"}),
         )
         return True
@@ -341,7 +488,7 @@ class _Connection:
     def _on_cancel(self, seq, frame) -> bool:
         query_id = frame.get("query_id")
         with self._lock:
-            query = self._queries.get(query_id)
+            query = self._queries.get(query_id) if _is_id(query_id) else None
         if query is not None:
             query.pending.cancel(str(frame.get("reason") or "cancelled by client"))
         # Idempotent: cancelling a finished/unknown query is not an error.
@@ -351,8 +498,7 @@ class _Connection:
     def _on_prepare(self, seq, frame) -> bool:
         sql = frame.get("sql")
         if not isinstance(sql, str):
-            self._protocol_error(seq, "prepare frame requires sql")
-            return True
+            raise ProtocolError("prepare frame requires sql")
         statement = self.session.prepare(sql)
         with self._lock:
             stmt_id = next(self._ids)
@@ -361,8 +507,9 @@ class _Connection:
         return True
 
     def _on_close_stmt(self, seq, frame) -> bool:
+        stmt_id = frame.get("stmt_id")
         with self._lock:
-            statement = self._statements.pop(frame.get("stmt_id"), None)
+            statement = self._statements.pop(stmt_id, None) if _is_id(stmt_id) else None
         if statement is not None:
             statement.close()
         self._send({"seq": seq, "type": "close_stmt_ok"})
@@ -372,66 +519,59 @@ class _Connection:
         self._send({"seq": seq, "type": "close_ok"})
         return False  # reader exits; _cleanup closes the session
 
-    # -- long-poll / fetch internals -------------------------------------- #
+    # -- request / long-poll / fetch internals ----------------------------- #
 
-    def _query(self, seq, frame) -> _WireQuery | None:
-        query_id = frame.get("query_id")
+    def _lookup(self, table: dict, frame: dict, name: str):
+        key = frame.get(name)
         with self._lock:
-            query = self._queries.get(query_id)
-        if query is None:
-            self._protocol_error(seq, f"unknown query_id: {query_id}")
-        return query
+            found = table.get(key) if _is_id(key) else None
+        if found is None:
+            raise ProtocolError(f"unknown {name}: {key!r}")
+        return found
 
-    def _longpoll(self, query: _WireQuery, wait_s, on_done, on_expiry) -> None:
-        waiter = _Waiter()
+    def _request(self, frame: dict):
+        """``(statement, sql, params, timeout)`` of an execute/submit
+        frame; ``statement`` is None when it names sql, not a stmt_id."""
+        params = _field(frame, "params", (list,))
+        timeout = _seconds(frame, "timeout")
+        if frame.get("stmt_id") is not None:
+            return self._lookup(self._statements, frame, "stmt_id"), None, params, timeout
+        sql = frame.get("sql")
+        if not isinstance(sql, str):
+            raise ProtocolError(f"{frame['type']} frame requires sql or stmt_id")
+        return None, sql, params, timeout
+
+    def _longpoll(self, query: _WireQuery, wait_s: float, on_done, on_expiry) -> None:
+        if query.pending.done():
+            on_done()
+            return
+        if wait_s <= 0:
+            on_expiry()
+            return
+        waiter = _Waiter(on_expiry)
 
         def done_cb(_pending) -> None:
-            if waiter.claim():
+            if waiter.claim() is not None:
                 on_done()
 
-        def expire() -> None:
-            if waiter.claim():
-                on_expiry()
-
-        timer = threading.Timer(wait_s, expire)
-        timer.daemon = True
-        waiter.timer = timer
-        timer.start()
+        self.server._expiry.add(wait_s, waiter)
         query.pending.add_done_callback(done_cb)
 
     def _reply_fetch(self, seq, query_id, query: _WireQuery, max_rows: int) -> None:
         """Send the next chunk (or the error) of a *finished* query.
 
-        Serialized per connection by ``_send_lock``-free design: the
-        cursor is only advanced here, and a client awaits each fetch reply
-        before issuing the next, so offsets never interleave."""
+        The cursor is only advanced here, and a client awaits each fetch
+        reply before issuing the next, so offsets never interleave."""
         try:
             result = query.pending.result(timeout=0)
-        except TimeoutError:  # pragma: no cover - only called when done
-            self._send({"seq": seq, "type": "pending"})
-            return
-        except BaseException as exc:  # noqa: BLE001 - shipped to the client
+        except Exception as exc:  # noqa: BLE001 - the query's error, shipped to the client
             with self._lock:
                 self._queries.pop(query_id, None)
             self._send_error(seq, exc)
             return
-        chunk = result.rows[query.offset : query.offset + max_rows]
-        query.offset += len(chunk)
-        done = query.offset >= len(result.rows)
-        frame: dict = {
-            "seq": seq,
-            "type": "rows",
-            "columns": list(result.columns),
-            # Row tuples serialize as JSON arrays as they are.
-            "rows": chunk,
-            "done": done,
-        }
-        if done:
-            frame["stats"] = {
-                "execution_time": result.execution_time,
-                "rows_produced": result.rows_produced,
-                "peak_buffered_rows": result.peak_buffered_rows,
-            }
+        frame = _rows_frame(seq, result, query.offset, max_rows)
+        query.offset += frame["n"]
+        if frame["done"]:
             with self._lock:
                 self._queries.pop(query_id, None)
         self._send(frame)
@@ -456,7 +596,8 @@ class _Connection:
         self.server._forget(self)
 
     def shutdown(self) -> None:
-        """Force-disconnect (server close): unblocks the reader thread."""
+        """Force-disconnect (server close): unblocks the reader thread, and
+        closing the session cancels a synchronous execute it is running."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -465,6 +606,11 @@ class _Connection:
             self.sock.close()
         except OSError:
             pass
+        self.session.close()
+
+
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Server:
@@ -472,14 +618,16 @@ class Server:
 
     ``Server(db)`` binds ``127.0.0.1`` on an ephemeral port (see
     :attr:`address`), spawns an accept thread, and gives every accepted
-    connection its own session and reader thread.  Queries run on the
+    connection its own session and reader thread, which also runs that
+    connection's synchronous executes.  Submitted queries run on the
     database's shared worker pool — a flood of connections cannot spawn
-    unbounded query threads.
+    unbounded query threads — and one expiry thread, started with the
+    first long-poll, answers every long-poll that outlives its wait.
 
     ``close()`` is a barrier: it stops accepting, force-disconnects every
-    connection (whose cleanup cancels in-flight queries and closes its
-    session, releasing leases and spill directories), and joins every
-    server thread.
+    connection (closing its session cancels a synchronous execute in
+    progress and every submitted query, releasing leases and spill
+    directories), and joins every server thread.
     """
 
     def __init__(self, database, host: str = "127.0.0.1", port: int = 0):
@@ -489,6 +637,7 @@ class Server:
         self._lock = threading.Lock()
         self._conns: set[_Connection] = set()
         self._conn_ids = itertools.count(1)
+        self._expiry = _Expiry()
         self._closed = False
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-wire-accept", daemon=True
@@ -542,6 +691,7 @@ class Server:
             conn.shutdown()
         for conn in conns:
             conn.thread.join()
+        self._expiry.close()
         self._accept_thread.join()
 
     def __enter__(self) -> "Server":
