@@ -20,7 +20,8 @@ is exactly what the memory budget charges.
   used to model naive fully-materializing engines.
 * :mod:`repro.exec.kernels` — the shared filter / project / hash-build /
   probe / expand kernels both operator families are built from, in row and
-  columnar flavours.
+  columnar flavours, and the pair-key intersect kernel behind
+  EXPAND_INTERSECT.
 * :mod:`repro.exec.vector` — :class:`ColumnarBatch`, the struct-of-arrays
   chunk with selection vector that the vectorized kernels flow, with
   optional numpy-accelerated gather.

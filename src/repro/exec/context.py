@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro import settings
 from repro.errors import OutOfMemoryError, QueryCancelled, QueryTimeout
+from repro.exec.vector import ColumnarBatch, owned
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.faults import FaultInjector
@@ -391,18 +392,71 @@ class ExecutionContext:
         return time.perf_counter() - self.start_time
 
 
-@dataclass
 class QueryResult:
-    """The outcome of executing a physical plan."""
+    """The outcome of executing a physical plan.
 
-    columns: list[str]
-    rows: list[tuple[Any, ...]]
-    execution_time: float
-    rows_produced: int = 0
-    peak_buffered_rows: int = 0
+    A result is its columns: ``data`` is one dense
+    :class:`~repro.exec.vector.ColumnarBatch` that shares no buffer with a
+    table or an operator.  ``rows`` — tuples of plain Python values, never
+    numpy scalars — are built from it on first access and cached; ``len()``
+    does not build them.  A result constructed from ``rows`` (the row
+    protocol, DDL) derives ``data`` from them on first access instead.
+    Either derivation runs once, however many threads ask at the same time.
+    """
+
+    __slots__ = (
+        "columns",
+        "execution_time",
+        "rows_produced",
+        "peak_buffered_rows",
+        "_rows",
+        "_data",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        columns: list[str],
+        rows: "list[tuple[Any, ...]] | None" = None,
+        execution_time: float = 0.0,
+        rows_produced: int = 0,
+        peak_buffered_rows: int = 0,
+        *,
+        data: "ColumnarBatch | None" = None,
+    ):
+        if (rows is None) == (data is None):
+            raise TypeError("QueryResult takes exactly one of rows and data")
+        self.columns = columns
+        self.execution_time = execution_time
+        self.rows_produced = rows_produced
+        self.peak_buffered_rows = peak_buffered_rows
+        self._rows = rows
+        self._data = data
+        self._lock = threading.Lock()
+
+    @property
+    def rows(self) -> list[tuple[Any, ...]]:
+        rows = self._rows
+        if rows is None:
+            with self._lock:
+                rows = self._rows
+                if rows is None:
+                    rows = self._rows = self._data.to_rows()
+        return rows
+
+    @property
+    def data(self) -> "ColumnarBatch":
+        data = self._data
+        if data is None:
+            with self._lock:
+                data = self._data
+                if data is None:
+                    data = self._data = _from_rows(self._rows, len(self.columns))
+        return data
 
     def __len__(self) -> int:
-        return len(self.rows)
+        data = self._data
+        return len(self._rows) if data is None else len(data)
 
     def sorted_rows(self) -> list[tuple[Any, ...]]:
         """Rows in a canonical order, for order-insensitive comparisons."""
@@ -410,6 +464,25 @@ class QueryResult:
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
+
+
+def _from_rows(rows: list[tuple], width: int) -> ColumnarBatch:
+    """``rows`` as one dense batch; an empty result keeps its ``width``."""
+    if rows:
+        return ColumnarBatch.from_rows(rows)
+    return ColumnarBatch([[] for _ in range(width)], 0)
+
+
+def _result_data(chunks: list[ColumnarBatch], width: int) -> ColumnarBatch:
+    """Dense result chunks as one batch that shares no buffer with a table
+    or an operator: stacking copies, and a lone chunk is copied column by
+    column (it may be a scan's zero-copy view)."""
+    if not chunks:
+        return _from_rows([], width)
+    if len(chunks) > 1:
+        return ColumnarBatch.concat(chunks)
+    (only,) = chunks
+    return ColumnarBatch([owned(column) for column in only.columns], only.length)
 
 
 def _sort_key(row: tuple) -> tuple:
@@ -612,16 +685,19 @@ def execute_plan(
 
     Takes :func:`open_plan`'s keywords.  The plan is pulled batch by
     batch; the accumulating result is itself a buffer charged against the
-    memory budget (a fully materialized result larger than the budget is
-    an OOM, exactly as in the paper's runs).  With spill armed, the
-    resident prefix stops at ``ctx.spill_limit()`` and the rest spools to
-    a per-query temp file.  The assembled result list handed back to the
-    caller is, as always, the caller's own untracked memory.
+    memory budget, row by row (a fully materialized result larger than the
+    budget is an OOM, exactly as in the paper's runs).  With spill armed,
+    the resident prefix stops at ``ctx.spill_limit()`` and the rest spools
+    to a per-query temp file.  The columnar protocol keeps the result as
+    columns (:class:`QueryResult` builds rows on first access); the row
+    protocol keeps its row tuples.  Either is, as always, the caller's own
+    untracked memory once returned.
     """
     with open_plan(plan, columnar=columnar, **lifecycle) as (ctx, stream):
         result_buffer = ctx.buffer("RESULT")
         try:
-            rows: list[tuple] = []
+            # Dense columnar chunks, or row tuples on the row protocol.
+            held: list = []
             # Once the resident prefix would exceed the spill limit, every
             # later batch spools to one temp file (columnar batches as
             # typed frames — the serializer's main consumer) and reads
@@ -641,17 +717,28 @@ def execute_plan(
                     else:
                         spool.append_rows(list(batch))
                     continue
-                rows.extend(batch.to_rows() if columnar else batch)
+                if columnar:
+                    held.append(batch.dense())
+                else:
+                    held.extend(batch)
                 result_buffer.grow(n)
-            if spool is not None:
-                for chunk in spool.read_rows():
-                    rows.extend(chunk)
+            columns = list(plan.output_columns)
+            if columnar:
+                if spool is not None:
+                    held.extend(spool.read_batches())
+                rows, data = None, _result_data(held, len(columns))
+            else:
+                if spool is not None:
+                    for chunk in spool.read_rows():
+                        held.extend(chunk)
+                rows, data = held, None
             return QueryResult(
-                columns=list(plan.output_columns),
-                rows=rows,
+                columns,
+                rows,
                 execution_time=ctx.elapsed,
                 rows_produced=ctx.rows_produced,
                 peak_buffered_rows=ctx.peak_buffered_rows,
+                data=data,
             )
         finally:
             result_buffer.release()

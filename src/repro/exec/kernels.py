@@ -18,11 +18,12 @@ both families are now built from, in two flavours:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import product
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
-from repro.exec.vector import ColumnarBatch, gather, take
+from repro.exec.vector import ColumnarBatch, gather, is_ndarray, passing, take
 
 Batch = list
 
@@ -766,6 +767,241 @@ def csr_expand_vectors(vertices, offsets, edges):
     group_starts = np.concatenate(([0], np.cumsum(deg[:-1])))
     positions = np.arange(total, dtype=np.intp) + np.repeat(lo - group_starts, deg)
     return parents, edges[positions]
+
+
+#: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT expands at
+#: once, as a multiple of ``ctx.batch_size``: an input batch is cut into row
+#: slices whose summed leg degrees stay within about this many batches (a
+#: single row above it is a slice of its own).
+INTERSECT_PAIRS_PER_BATCH = 16
+
+
+class IntersectLeg(NamedTuple):
+    """One leg of an EXPAND_INTERSECT star, resolved for execution.
+
+    ``column`` is the bound leaf's position in the input batch; ``offsets``
+    / ``edges`` are the leaf's CSR adjacency and ``far`` the far endpoint of
+    every edge rowid — vector views, so ndarrays exactly when numpy is on;
+    ``mask`` is the edge predicate's rowid mask (None: no predicate) and
+    ``kept`` whether the leg's edge rowid is an output column.
+    """
+
+    column: int
+    offsets: Sequence[int]
+    edges: Sequence[int]
+    far: Sequence[int]
+    mask: Any
+    kept: bool
+
+
+def intersect_expand(
+    source: Iterable[ColumnarBatch],
+    ctx: ExecutionContext,
+    legs: Sequence[IntersectLeg],
+    radix: int,
+    vmask,
+) -> Iterator[ColumnarBatch]:
+    """EXPAND_INTERSECT: close a star on every input row by intersecting
+    its legs' neighbor sets.
+
+    Per input batch and leg, the bound vertices CSR-expand into (parent
+    position, edge rowid) pairs, the leg's edge mask filters them, and each
+    pair is encoded as one integer key ``parent * radix + far endpoint`` —
+    ``radix`` is the root label's pinned vertex extent, which bounds every
+    far rowid.  Sorting the keys groups each leg's parallel edges into
+    runs; the legs' sorted distinct keys intersect by binary search,
+    smallest leg first, and a common key's multiplicity is the product of
+    its run lengths.  Kept edge variables come from the same sort: output
+    row ``t`` of a key's block takes, from leg ``i``'s run, the edge at
+    ``(t // stride_i) % count_i`` with ``stride_i`` the product of the later
+    legs' counts — ``itertools.product`` order over the runs, which hold
+    their edges in adjacency order.  ``vmask`` (the root's vertex mask,
+    None without a predicate) filters the common keys.
+
+    Output rows follow (input row, root rowid) order, in chunks of
+    ``ctx.batch_size`` rows.  An input batch is expanded in row slices cut on
+    the cumulative leg degrees (:data:`INTERSECT_PAIRS_PER_BATCH`), so a
+    batch of hub vertices never holds more than a fixed multiple of the
+    batch size in pairs at once.  The same algorithm runs as numpy array
+    passes when the adjacency views are ndarrays, and as a dictionary walk
+    over the index's typed arrays otherwise.
+    """
+    size = ctx.batch_size
+    limit = INTERSECT_PAIRS_PER_BATCH * size
+    vectorized = all(
+        is_ndarray(v) for leg in legs for v in (leg.offsets, leg.edges, leg.far)
+    )
+    body = _intersect_vectors if vectorized else _intersect_walk
+    for cb in source:
+        yield from body(cb, legs, radix, vmask, size, limit)
+
+
+def _intersect_vectors(cb, legs, radix, vmask, size, limit):
+    """:func:`intersect_expand` on one batch, as numpy array passes."""
+    np = vector._np
+    bound = [vector.as_index_array(cb.column_vector(leg.column)) for leg in legs]
+    if not len(bound[0]):
+        return
+    work = sum(leg.offsets[v + 1] - leg.offsets[v] for leg, v in zip(legs, bound))
+    reach = np.cumsum(work)
+    # Slice i ends before the first row whose cumulative work passes
+    # (i + 1) * limit.  Keys carry slice-local parents, which keeps the
+    # int64 ``parent * radix`` small.
+    cuts = np.searchsorted(reach, np.arange(limit, int(reach[-1]), limit), "right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(reach)]))).tolist()
+    for first, last in zip(bounds, bounds[1:]):
+        runs = []
+        for leg, vertices in zip(legs, bound):
+            expanded = csr_expand_vectors(vertices[first:last], leg.offsets, leg.edges)
+            if expanded is None:
+                break
+            parents, edge_ids = expanded
+            if leg.mask is not None:
+                kept = passing(leg.mask, edge_ids)
+                if kept is not None:
+                    if not len(kept):
+                        break
+                    parents, edge_ids = parents[kept], edge_ids[kept]
+            keys = parents * radix + leg.far[edge_ids]
+            runs.append(_key_runs(keys, edge_ids if leg.kept else None))
+        else:
+            yield from _emit_common(cb, legs, runs, radix, vmask, size, first)
+
+
+def _key_runs(keys, edge_ids):
+    """One leg's pair keys as sorted runs: ``(distinct keys, run starts, run
+    lengths, edge rowids in key order)``.  The sort is stable, so a run
+    keeps its edges in adjacency order; a trimmed leg passes ``edge_ids``
+    None and gets None back."""
+    np = vector._np
+    if edge_ids is None:
+        keys = np.sort(keys, kind="stable")
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, edge_ids = keys[order], edge_ids[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return keys[starts], starts, np.diff(starts, append=len(keys)), edge_ids
+
+
+def _emit_common(cb, legs, runs, radix, vmask, size, first):
+    """Intersect one slice's per-leg key runs and emit the common keys'
+    rows (see :func:`intersect_expand`)."""
+    np = vector._np
+    by_size = sorted(range(len(runs)), key=lambda i: len(runs[i][0]))
+    common = runs[by_size[0]][0]
+    # Per leg, the position of each common key among its distinct keys.
+    at = {by_size[0]: np.arange(len(common))}
+    for i in by_size[1:]:
+        unique = runs[i][0]
+        found = np.searchsorted(unique, common)
+        np.minimum(found, len(unique) - 1, out=found)
+        hit = unique[found] == common
+        if not hit.all():
+            common, found = common[hit], found[hit]
+            if not len(common):
+                return
+            at = {j: positions[hit] for j, positions in at.items()}
+        at[i] = found
+    if vmask is not None:
+        kept = passing(vmask, common % radix)
+        if kept is not None:
+            if not len(kept):
+                return
+            common = common[kept]
+            at = {j: positions[kept] for j, positions in at.items()}
+    counts = [runs[i][2][at[i]] for i in range(len(runs))]
+    starts = [runs[i][1][at[i]] for i in range(len(runs))]
+    multiplicity = counts[0]
+    for leg_counts in counts[1:]:
+        multiplicity = multiplicity * leg_counts
+    ends = np.cumsum(multiplicity)
+    total = int(ends[-1])
+    kept_legs = [i for i, leg in enumerate(legs) if leg.kept]
+    strides = {}
+    if kept_legs:
+        stride = np.ones(len(common), dtype=np.int64)
+        for i in reversed(range(len(legs))):
+            strides[i] = stride
+            stride = stride * counts[i]
+    for lo in range(0, total, size):
+        t = np.arange(lo, min(lo + size, total), dtype=np.int64)
+        k = t if total == len(common) else np.searchsorted(ends, t, "right")
+        keys = common[k]
+        new_columns = []
+        if kept_legs:
+            within = t - (ends[k] - multiplicity[k])
+            for i in kept_legs:
+                pick = (within // strides[i][k]) % counts[i][k]
+                new_columns.append(runs[i][3][starts[i][k] + pick])
+        new_columns.append(keys % radix)
+        yield replicate_columnar(cb, keys // radix + first, new_columns)
+
+
+def _intersect_walk(cb, legs, radix, vmask, size, limit):
+    """:func:`intersect_expand` on one batch without numpy: the same pair
+    keys, grouped in dictionaries (plain Python ints throughout)."""
+    bound = [cb.column(leg.column) for leg in legs]
+    kept_legs = [i for i, leg in enumerate(legs) if leg.kept]
+    n = len(cb)
+    first = work = 0
+    for j in range(n):
+        for leg, vertices in zip(legs, bound):
+            v = vertices[j]
+            work += leg.offsets[v + 1] - leg.offsets[v]
+        if work < limit and j + 1 < n:
+            continue
+        groups = []
+        for leg, vertices in zip(legs, bound):
+            offsets, edges, far = leg.offsets, leg.edges, leg.far
+            parents: list[int] = []
+            edge_ids: list[int] = []
+            for p in range(first, j + 1):
+                v = vertices[p]
+                lo, hi = offsets[v], offsets[v + 1]
+                parents.extend([p] * (hi - lo))
+                edge_ids.extend(edges[lo:hi])
+            if leg.mask is not None:
+                kept = passing(leg.mask, edge_ids)
+                if kept is not None:
+                    parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+            group: dict[int, list[int]] = {}
+            for p, e in zip(parents, edge_ids):
+                key = p * radix + far[e]
+                run = group.get(key)
+                if run is None:
+                    group[key] = [e]
+                else:
+                    run.append(e)
+            groups.append(group)
+        first, work = j + 1, 0
+        smallest = min(groups, key=len)
+        common = sorted(k for k in smallest if all(k in g for g in groups))
+        if vmask is not None and common:
+            kept = passing(vmask, [k % radix for k in common])
+            if kept is not None:
+                common = take(common, kept)
+        out_parents: list[int] = []
+        new_columns: list[list] = [[] for _ in kept_legs] + [[]]
+        roots = new_columns[-1]
+        for key in common:
+            runs = [g[key] for g in groups]
+            multiplicity = 1
+            for run in runs:
+                multiplicity *= len(run)
+            out_parents.extend([key // radix] * multiplicity)
+            roots.extend([key % radix] * multiplicity)
+            if kept_legs:
+                for combo in product(*runs):
+                    for column, i in zip(new_columns, kept_legs):
+                        column.append(combo[i])
+        for lo in range(0, len(out_parents), size):
+            hi = lo + size
+            yield replicate_columnar(
+                cb, out_parents[lo:hi], [column[lo:hi] for column in new_columns]
+            )
 
 
 def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:

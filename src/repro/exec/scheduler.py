@@ -428,11 +428,11 @@ def _chain_types() -> tuple:
     """Streaming unary operators safe to clone into per-morsel chains.
 
     Safe means: single ``child`` input, row-order preserving, and no
-    cross-batch state beyond per-call locals (``ChunkSizer`` instances and
-    neighbor-map caches are created inside each pull of the chain, so
-    clones never share them).  ``LimitOp`` is deliberately absent — its
-    early exit counts rows globally, so it must sit above the exchange,
-    where the ordered merge feeds it the serial row order.
+    cross-batch state beyond per-call locals (``ChunkSizer`` instances are
+    created inside each pull of the chain, so clones never share them).
+    ``LimitOp`` is deliberately absent — its early exit counts rows
+    globally, so it must sit above the exchange, where the ordered merge
+    feeds it the serial row order.
     """
     from repro.graph import physical as gph
     from repro.relational import physical as rel

@@ -10,8 +10,8 @@ lists directly with a ``range`` selection per chunk.
 
 Row tuples are materialized only at protocol boundaries
 (:meth:`ColumnarBatch.to_rows`): when a legacy row-protocol operator sits
-downstream, or when the final :class:`~repro.exec.context.QueryResult` is
-assembled.  Both directions preserve exact row-level semantics, so ported
+downstream, or when a :class:`~repro.exec.context.QueryResult`'s rows are
+first read.  Both directions preserve exact row-level semantics, so ported
 and unported operators compose freely.
 
 NumPy, when importable, accelerates selection and gather for columns that
@@ -195,6 +195,21 @@ def as_values(values: Sequence) -> Sequence:
     if type(values) is DictVector:
         return values.tolist()
     return values
+
+
+def owned(values: Sequence) -> Sequence:
+    """A copy of a column that shares no buffer with ``values`` (immutable
+    tuples and ranges pass through).  A dictionary vector copies its codes
+    and keeps sharing its append-only dictionary, whose codes never move."""
+    if _np is not None and isinstance(values, _np.ndarray):
+        return values.copy()
+    if type(values) is DictVector:
+        return DictVector(owned(values.codes), values.values, values.index, values.ranks)
+    if isinstance(values, (tuple, range)):
+        return values
+    if isinstance(values, (list, _array)):
+        return values[:]
+    return list(values)
 
 
 def is_ndarray(values) -> bool:
@@ -526,6 +541,7 @@ __all__ = [
     "take",
     "concat",
     "as_values",
+    "owned",
     "is_ndarray",
     "LazyMask",
     "passing",

@@ -13,9 +13,9 @@ adapter, :func:`repro.exec.operator.to_rows`; the reference these bodies are
 checked against shares no code with them
 (:func:`repro.graph.matching.match_pattern`).  Expansions stream bounded
 chunks, and only the genuinely stateful operators (pattern hash joins,
-intersect caches, distinct sets) hold — and charge — buffered rows.  The
-hash-build and probe inner loops are the same :mod:`repro.exec.kernels` the
-relational ``HashJoin`` uses; there is one implementation, not two.
+distinct sets) hold — and charge — buffered rows.  The hash-build and
+probe inner loops are the same :mod:`repro.exec.kernels` the relational
+``HashJoin`` uses; there is one implementation, not two.
 
 Operators:
 
@@ -44,18 +44,19 @@ Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Iterator
 
 from repro.errors import PlanError
 from repro.exec.context import ExecutionContext, close_stream
 from repro.exec.kernels import (
     ChunkSizer,
+    IntersectLeg,
     build_hash_table,
     chunked,
     csr_expand_vectors,
     emit_columnar,
     grace_hash_join,
+    intersect_expand,
     probe_hash_table_columnar,
     replicate_columnar,
     rows_to_columnar,
@@ -75,7 +76,7 @@ from repro.exec.vector import (
     vector_view,
 )
 from repro.graph.index import Adjacency, GraphIndex
-from repro.graph.matching import rowid_mask, rowid_predicate, rowid_selection
+from repro.graph.matching import rowid_mask, rowid_selection
 from repro.graph.rgmapping import RGMapping
 from repro.relational.expr import Expr
 
@@ -508,19 +509,13 @@ class StarLeg:
 class ExpandIntersect(GraphOperator):
     """EXPAND_INTERSECT: close a complete star by neighbor intersection.
 
-    For each input row, each leg contributes a map
-    ``neighbor rowid -> [edge rowids]`` from its leaf's adjacency; the root
-    candidates are the intersection of the key sets.  Legs are processed in
-    ascending adjacency-size order so the smallest set drives the probe.
+    For each input row, the root candidates are the intersection of the
+    bound leaves' neighbor sets, the smallest set driving the probe.
     Homomorphism semantics: parallel edges multiply — either as explicit
     edge-variable combinations (``with edge vars``) or as row multiplicity
-    (edge columns trimmed).
-
-    The per-(leg, vertex) neighbor-map caches are bounded by the adjacency
-    lists' total size — index-shaped acceleration state, like the graph
-    index itself — so they are *not* charged against the memory budget,
-    which models materialized row intermediates (charging them would let
-    index-sized state flip the paper's calibrated OOM entries at scale).
+    (edge columns trimmed).  The body is one call to the pair-key kernel
+    :func:`~repro.exec.kernels.intersect_expand`; it buffers nothing across
+    batches, so nothing is charged against the memory budget.
     """
 
     def __init__(
@@ -551,125 +546,35 @@ class ExpandIntersect(GraphOperator):
     def children(self) -> list[Operator]:
         return [self.child]
 
-    def _leg_state(self):
-        leg_state = []
-        for leg in self.legs:
-            from_idx = self.child.var_index(leg.from_var)
-            from_label = self.child.output_vars[from_idx].label
-            adjacency = self.index.adjacency(from_label, leg.edge_label, leg.direction)
-            far = self.index.edge_index(leg.edge_label).endpoint_rowids(leg.direction)
-            epred = None
-            if leg.edge_predicate is not None:
-                epred = rowid_predicate(
-                    self.mapping.edge_table(leg.edge_label), leg.edge_predicate
-                )
-            leg_state.append((leg, from_idx, adjacency, far, epred))
-        return leg_state
-
-    def _neighbor_map_fn(self, leg_state, caches):
-        def neighbor_map(i: int, v: int) -> dict[int, list[int]]:
-            leg, from_idx, adjacency, far, epred = leg_state[i]
-            nbrs = caches[i].get(v)
-            if nbrs is None:
-                nbrs = {}
-                for pos in range(adjacency.offsets[v], adjacency.offsets[v + 1]):
-                    e = adjacency.edge_rowids[pos]
-                    if epred is not None and not epred(e):
-                        continue
-                    nbrs.setdefault(far[e], []).append(e)
-                caches[i][v] = nbrs
-            return nbrs
-
-        return neighbor_map
-
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        """Columnar star closing: bound-leaf columns are extracted once per
-        batch; each row contributes ``multiplicity`` replicas per common
-        neighbor through a parent-position vector (no row tuples), plus one
-        edge-rowid column per leg that keeps its edge variable — the
-        parallel edges' combinations, in ``itertools.product`` order.  The
-        root's vertex predicate filters each chunk through its rowid mask
-        as the chunk is flushed."""
-        leg_state = self._leg_state()
-        vmask = _mask(
-            ctx, self.mapping.vertex_table(self.to_label), self.vertex_predicate
+        """Output columns: the child's, the kept legs' edge rowids, the root."""
+        legs = []
+        for leg in self.legs:
+            from_idx = self.child.var_index(leg.from_var)
+            from_label = self.child.output_vars[from_idx].label
+            adjacency = self.index.adjacency(from_label, leg.edge_label, leg.direction)
+            offsets, edges = adjacency.vectors()
+            legs.append(
+                IntersectLeg(
+                    from_idx,
+                    offsets,
+                    edges,
+                    self.index.edge_index(leg.edge_label).endpoint_vector(leg.direction),
+                    _mask(ctx, self.mapping.edge_table(leg.edge_label), leg.edge_predicate),
+                    leg.edge_var is not None,
+                )
+            )
+        root = self.mapping.vertex_table(self.to_label)
+        yield from intersect_expand(
+            self.child.columnar_batches(ctx),
+            ctx,
+            legs,
+            ctx.pin(root).num_rows,
+            _mask(ctx, root, self.vertex_predicate),
         )
-        # Neighbor maps are cached per (leg, vertex): input rows revisit the
-        # same bound vertices constantly, and map building dominates EI cost.
-        caches: list[dict[int, dict[int, list[int]]]] = [{} for _ in leg_state]
-        neighbor_map = self._neighbor_map_fn(leg_state, caches)
-        nlegs = len(leg_state)
-        kept_legs = [i for i, leg in enumerate(self.legs) if leg.edge_var is not None]
-        sizer = ChunkSizer(ctx)
-
-        def flush(cb, parents, new_columns) -> ColumnarBatch | None:
-            """``new_columns``: the kept legs' edge columns, then the root."""
-            if vmask is not None:
-                kept = passing(vmask, new_columns[-1])
-                if kept is not None:
-                    parents = take(parents, kept)
-                    new_columns = [take(column, kept) for column in new_columns]
-            if not len(parents):
-                return None
-            return replicate_columnar(cb, parents, new_columns)
-
-        for cb in self.child.columnar_batches(ctx):
-            leg_cols = [cb.column(state[1]) for state in leg_state]
-            parents: list[int] = []
-            neighbors: list[int] = []
-            edge_cols: list[list[int]] = [[] for _ in kept_legs]
-            emitted = 0
-            for j in range(len(cb)):
-                per_leg = [neighbor_map(i, leg_cols[i][j]) for i in range(nlegs)]
-                order = sorted(range(nlegs), key=lambda i: len(per_leg[i]))
-                smallest = per_leg[order[0]]
-                rest = order[1:]
-                if not kept_legs:
-                    # Edge columns trimmed — the traversal hot loop (QC2,
-                    # IC5-1).  Left as it was on purpose: its replacement
-                    # is ROADMAP item 5c, gated on the benchmark checker's
-                    # held sample.
-                    for nbr in smallest:
-                        if any(nbr not in per_leg[i] for i in rest):
-                            continue
-                        multiplicity = 1
-                        for m in per_leg:
-                            multiplicity *= len(m[nbr])
-                        parents.extend([j] * multiplicity)
-                        neighbors.extend([nbr] * multiplicity)
-                else:
-                    common = smallest
-                    for i in rest:
-                        other = per_leg[i]
-                        common = [nbr for nbr in common if nbr in other]
-                    for nbr in common:
-                        edges = [m[nbr] for m in per_leg]
-                        multiplicity = 1
-                        for leg_edges in edges:
-                            multiplicity *= len(leg_edges)
-                        parents.extend([j] * multiplicity)
-                        neighbors.extend([nbr] * multiplicity)
-                        if multiplicity == 1:
-                            for column, i in zip(edge_cols, kept_legs):
-                                column.append(edges[i][0])
-                        else:
-                            combos = list(iter_product(*edges))
-                            for column, i in zip(edge_cols, kept_legs):
-                                column.extend([combo[i] for combo in combos])
-                if len(parents) >= sizer.size:
-                    out = flush(cb, parents, edge_cols + [neighbors])
-                    parents, neighbors = [], []
-                    edge_cols = [[] for _ in kept_legs]
-                    if out is not None:
-                        emitted += len(out)
-                        yield out
-            out = flush(cb, parents, edge_cols + [neighbors]) if parents else None
-            sizer.observe(len(cb), emitted + (len(out) if out is not None else 0))
-            if out is not None:
-                yield out
 
     def _label(self) -> str:
         legs = ", ".join(f"{leg.from_var}-[{leg.edge_label}]" for leg in self.legs)

@@ -8,7 +8,9 @@ makes ``Database.connect()`` hand these out).
 
 Each call maps onto its in-process twin.  ``execute`` is one hop: one
 ``execute`` frame, and the reply is the whole result as back-to-back
-column-major ``rows`` chunks, rebuilt into row tuples with ``zip``.
+column-major ``rows`` chunks, appended column by column into the same
+columnar :class:`~repro.exec.context.QueryResult` an in-process call
+returns (rows are built on first access).
 ``submit`` returns a :class:`WirePendingQuery` whose ``result`` /
 ``cancel`` / ``done`` each issue their own correlated requests; its result
 streams in bounded ``fetch`` chunks with a server-side long-poll, and a
@@ -44,6 +46,7 @@ from repro.errors import (
     error_from_wire,
 )
 from repro.exec.context import QueryResult
+from repro.exec.vector import ColumnarBatch
 from repro.serving.wire import (
     DEFAULT_FETCH_ROWS,
     PROTOCOL_VERSION,
@@ -68,25 +71,35 @@ def _raise_wire_error(payload: dict, context: str | None = None):
     raise exc
 
 
-def _add_rows(frame: dict, rows: list) -> bool:
-    """Append a column-major ``rows`` chunk to ``rows`` as tuples; True on
-    the final chunk."""
-    if frame.get("type") != "rows":
-        raise ProtocolError(f"unexpected reply: {frame.get('type')!r}")
-    data = frame["data"]
-    rows.extend(zip(*data) if data else [()] * frame["n"])
-    return bool(frame["done"])
+class _Columns:
+    """The column-major ``rows`` chunks of one reply, appended column by
+    column as they arrive."""
 
+    __slots__ = ("data", "n")
 
-def _result(frame: dict, rows: list) -> QueryResult:
-    stats = frame.get("stats") or {}
-    return QueryResult(
-        columns=frame["columns"],
-        rows=rows,
-        execution_time=stats.get("execution_time", 0.0),
-        rows_produced=stats.get("rows_produced", len(rows)),
-        peak_buffered_rows=stats.get("peak_buffered_rows", 0),
-    )
+    def __init__(self):
+        self.data: list[list] | None = None
+        self.n = 0
+
+    def add(self, frame: dict) -> QueryResult | None:
+        """Append one chunk; the finished result on the final chunk."""
+        if frame.get("type") != "rows":
+            raise ProtocolError(f"unexpected reply: {frame.get('type')!r}")
+        if self.data is None:
+            self.data = [[] for _ in frame["data"]]
+        for column, values in zip(self.data, frame["data"]):
+            column.extend(values)
+        self.n += frame["n"]
+        if not frame["done"]:
+            return None
+        stats = frame.get("stats") or {}
+        return QueryResult(
+            frame["columns"],
+            data=ColumnarBatch(self.data, self.n),
+            execution_time=stats.get("execution_time", 0.0),
+            rows_produced=stats.get("rows_produced", self.n),
+            peak_buffered_rows=stats.get("peak_buffered_rows", 0),
+        )
 
 
 class Client:
@@ -212,14 +225,15 @@ class Client:
     def _execute(self, note: str, **fields: Any) -> QueryResult:
         """One ``execute`` frame; the reply is every chunk of the result."""
         seq = self._request("execute", {**fields, "max_rows": self.fetch_rows})
-        rows: list[tuple] = []
+        columns = _Columns()
         try:
             while True:
                 frame = self._reply(seq)
                 if frame.get("type") == "error":
                     _raise_wire_error(frame.get("error") or {}, note)
-                if _add_rows(frame, rows):
-                    return _result(frame, rows)
+                result = columns.add(frame)
+                if result is not None:
+                    return result
         finally:
             self._forget(seq)
 
@@ -270,7 +284,7 @@ class Client:
         self, query_id: int, sql: str, timeout: float | None
     ) -> QueryResult:
         deadline = None if timeout is None else time.monotonic() + timeout
-        rows: list[tuple] = []
+        columns = _Columns()
         while True:
             wait_s = DEFAULT_WAIT_S
             if deadline is not None:
@@ -289,8 +303,9 @@ class Client:
             )
             if frame.get("type") == "pending":
                 continue
-            if _add_rows(frame, rows):
-                return _result(frame, rows)
+            result = columns.add(frame)
+            if result is not None:
+                return result
 
     # ------------------------------------------------------------------ #
     # lifecycle

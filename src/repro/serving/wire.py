@@ -44,8 +44,9 @@ read back with ``poll`` / ``fetch`` / ``cancel``):
 ====================  =====================================================
 
 A ``rows`` chunk is column-major: ``columns`` (names), ``data`` (one JSON
-array per column), ``n`` (the chunk's row count) and ``done``; the client
-rebuilds row tuples with ``zip``.
+array per column, sliced from the result's columns), ``n`` (the chunk's row
+count) and ``done``; the client appends each array to its column, so a wire
+result holds columns like an in-process one.
 
 **Errors.**  Query failures travel as ``error`` frames whose payload is
 :func:`repro.errors.error_to_wire` — a stable code plus the structured
@@ -166,19 +167,26 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return payload
 
 
+def _json_column(values) -> list:
+    """A column slice as a JSON array of plain Python values (ndarray,
+    dictionary and typed-buffer slices convert through ``tolist``)."""
+    tolist = getattr(values, "tolist", None)
+    return tolist() if tolist is not None else list(values)
+
+
 def _rows_frame(seq, result, start: int, max_rows: int) -> dict:
     """The column-major ``rows`` chunk of ``result`` from row ``start``:
-    ``data`` holds one array per column, ``n`` the chunk's row count; the
-    final chunk carries ``done`` and the execution stats."""
-    chunk = result.rows[start : start + max_rows]
-    done = start + len(chunk) >= len(result.rows)
+    ``data`` holds one array per column, sliced from the result's columns,
+    ``n`` the chunk's row count; the final chunk carries ``done`` and the
+    execution stats."""
+    stop = min(start + max_rows, len(result))
+    done = stop >= len(result)
     frame: dict = {
         "seq": seq,
         "type": "rows",
         "columns": list(result.columns),
-        # Column tuples serialize as JSON arrays as they are.
-        "data": list(zip(*chunk)) if chunk else [[] for _ in result.columns],
-        "n": len(chunk),
+        "data": [_json_column(column[start:stop]) for column in result.data.columns],
+        "n": stop - start,
         "done": done,
     }
     if done:

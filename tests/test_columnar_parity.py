@@ -129,6 +129,15 @@ def imdb_reference(imdb_small):
     return _row_protocol_answers(imdb_small, "imdb", JOB_QUERIES)
 
 
+#: The Python types a result row may hold, whichever protocol built it.
+PLAIN_TYPES = {int, float, str, bool, type(None)}
+
+
+def _exact(rows) -> list[tuple]:
+    """Rows as reprs: equal only when the values *and* their types are."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
 def _assert_parity(system, catalog, queries: dict[str, str], reference: dict) -> None:
     for name, sql in queries.items():
         query = parse_and_bind(sql, catalog)
@@ -136,7 +145,10 @@ def _assert_parity(system, catalog, queries: dict[str, str], reference: dict) ->
         columnar = execute_plan(optimized.physical, columnar=True)
         row = execute_plan(optimized.physical, columnar=False)
         assert columnar.sorted_rows() == reference[name], name
-        assert columnar.sorted_rows() == row.sorted_rows(), name
+        # The columnar result's rows, built on first access, are the row
+        # protocol's: same values, same plain Python types.
+        assert _exact(columnar.sorted_rows()) == _exact(row.sorted_rows()), name
+        assert {type(v) for r in columnar.rows for v in r} <= PLAIN_TYPES, name
         assert columnar.rows_produced == row.rows_produced, name
 
 

@@ -248,6 +248,26 @@ def test_graph_operators_speak_one_protocol():
         from repro.exec import materialize_plan  # noqa: F401
 
 
+def test_expand_intersect_is_one_kernel():
+    """EXPAND_INTERSECT's body is one call to the pair-key kernel: no
+    per-row neighbor maps, no per-edge predicate calls in the operator."""
+    physical = _sources()["repro/graph/physical.py"]
+    for gone in ("_neighbor_map_fn", "iter_product", "rowid_predicate"):
+        assert gone not in physical, gone
+    (op,) = (
+        node
+        for node in ast.walk(ast.parse(physical))
+        if isinstance(node, ast.ClassDef) and node.name == "ExpandIntersect"
+    )
+    (body,) = (n for n in op.body if getattr(n, "name", None) == "_stream_columnar")
+    calls = [
+        node.func.id
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("intersect_expand") == 1
+
+
 def test_hot_execute_reads_no_environment(monkeypatch):
     class NoEnvironment(dict):
         def __getitem__(self, key):

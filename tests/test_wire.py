@@ -45,6 +45,7 @@ from repro.errors import (
     error_from_wire,
     error_to_wire,
 )
+from repro.exec import ColumnarBatch, execute_plan
 from repro.exec.governor import MemoryGovernor
 from repro.graph.index import build_graph_index
 from repro.relational.catalog import Catalog
@@ -645,6 +646,30 @@ class TestOneHop:
         assert received == ["rows"] * 3
         assert submitted == []
         assert started == []
+
+    def test_execute_plan_builds_no_tuples(self, served, monkeypatch):
+        """Architecture guard: a columnar ``execute_plan`` and a wire
+        ``execute`` reply ship columns; row tuples are built once, when a
+        caller first reads ``.rows``."""
+        db, server = served
+        db.catalog.table("People").extend([(i, f"n{i}", i % 50) for i in range(10, 18)])
+        sql = "SELECT id, name FROM People WHERE age > 5"
+        plan = db._prepare_plan(sql)
+        calls: list[int] = []
+        real_to_rows = ColumnarBatch.to_rows
+
+        def counting(batch):
+            calls.append(1)
+            return real_to_rows(batch)
+
+        with Client(server.address, fetch_rows=3) as client:
+            monkeypatch.setattr(ColumnarBatch, "to_rows", counting)
+            local = execute_plan(plan)
+            remote = client.execute(sql)
+            assert calls == []
+            assert len(local) == len(remote) == 12
+            assert remote.rows == local.rows
+        assert len(calls) == 2
 
     def test_server_close_cancels_a_synchronous_execute(self, tmp_path, repro_env):
         repro_env(spill_dir=tmp_path, spill_threshold=64)
