@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -22,8 +23,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "KEYWORD" | "IDENT" | "NUMBER" | "STRING" | "PARAM" | "SYMBOL" | "EOF"
     value: str
     line: int
@@ -36,84 +36,64 @@ class Token:
         return self.kind == "SYMBOL" and self.value in symbols
 
 
+#: One alternation tried at the cursor, in the order the cases are decided:
+#: newline (counted), other whitespace, ``--`` comment to end of line, a
+#: quoted string with ``''`` escapes (possessive, so an unterminated string
+#: fails at its opening quote instead of backtracking to an earlier ``''``),
+#: a number (decimal digits, one fractional part only when a digit follows
+#: the dot), a ``?`` placeholder, a word, a symbol (two-character ones
+#: first), and any other single character, which is an error.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<space>[^\S\n]+)"
+    r"|(?P<comment>--[^\n]*)"
+    r"|(?P<STRING>'(?:[^']|'')*+')"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)"
+    r"|(?P<PARAM>\?)"
+    r"|(?P<word>\w+)"
+    r"|(?P<SYMBOL>"
+    + "|".join(re.escape(symbol) for symbol in SYMBOLS)
+    + r")"
+    r"|(?P<error>[\s\S])"
+)
+
+
 def tokenize(text: str) -> list[Token]:
+    """``text`` as tokens ending in EOF; lines and columns count from 1.
+
+    A word is a KEYWORD (value upper-cased) or an IDENT and must start with
+    a letter or ``_``; a STRING's value has its quotes removed and ``''``
+    unescaped.  Raises :class:`ParseError` at the offending character.
+    """
     tokens: list[Token] = []
-    i = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        start = match.start()
+        if kind == "newline":
             line += 1
-            line_start = i + 1
-            i += 1
+            line_start = start + 1
             continue
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        column = i - line_start + 1
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            else:
-                raise ParseError("unterminated string literal", line, column)
-            tokens.append(Token("STRING", "".join(buf), line, column))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A trailing dot (qualified name) is not part of a number.
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, column))
-            i = j
-            continue
-        if ch == "?":
-            # DB-API-style parameter placeholder; only meaningful to the
-            # parameterizing parser (plain parses reject it with a clear
-            # error instead of an "unexpected character").
-            tokens.append(Token("PARAM", "?", line, column))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
+        value = match.group()
+        column = start - line_start + 1
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            upper = value.upper()
             if upper in KEYWORDS:
                 tokens.append(Token("KEYWORD", upper, line, column))
             else:
-                tokens.append(Token("IDENT", word, line, column))
-            i = j
-            continue
-        matched = None
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, i):
-                matched = symbol
-                break
-        if matched is None:
-            raise ParseError(f"unexpected character {ch!r}", line, column)
-        tokens.append(Token("SYMBOL", matched, line, column))
-        i += len(matched)
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
+                tokens.append(Token("IDENT", value, line, column))
+        elif kind == "STRING":
+            tokens.append(Token("STRING", value[1:-1].replace("''", "'"), line, column))
+        elif kind == "error":
+            if value == "'":
+                raise ParseError("unterminated string literal", line, column)
+            raise ParseError(f"unexpected character {value!r}", line, column)
+        else:
+            tokens.append(Token(kind, value, line, column))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens

@@ -745,15 +745,25 @@ def replicate_columnar(
 
 
 def csr_expand_vectors(vertices, offsets, edges):
-    """Whole-batch CSR expansion in numpy: ``(parents, edge_ids)``.
+    """Whole-batch CSR expansion: ``(parents, edge_ids)``.
 
-    ``vertices`` are the bound rowids of one batch (any int sequence);
-    ``offsets``/``edges`` must be ndarrays.  Output row ``t`` extends input
-    row ``parents[t]`` with adjacent edge ``edge_ids[t]`` — the same pairs
-    the per-row Python walk produces, computed as three gathers: degrees,
-    replicated group starts, and one fancy-index into the CSR edge array.
-    Returns None when the batch expands to nothing.
+    ``vertices`` are the bound rowids of one batch (any int sequence).
+    Output row ``t`` extends input row ``parents[t]`` with adjacent edge
+    ``edge_ids[t]``, in (input row, adjacency) order.  When ``offsets`` /
+    ``edges`` are ndarrays this is three gathers — degrees, replicated group
+    starts, and one fancy-index into the CSR edge array — and returns
+    ndarrays; otherwise a Python walk over the typed arrays returns lists
+    of plain ints.  Returns None when the batch expands to nothing.
     """
+    if not (is_ndarray(offsets) and is_ndarray(edges)):
+        parents: list[int] = []
+        edge_ids: list[int] = []
+        for j, vertex in enumerate(vertices):
+            lo, hi = offsets[vertex], offsets[vertex + 1]
+            if lo != hi:
+                parents.extend([j] * (hi - lo))
+                edge_ids.extend(edges[lo:hi])
+        return (parents, edge_ids) if parents else None
     np = vector._np
     v = vector.as_index_array(vertices)
     if not len(v):
@@ -767,6 +777,87 @@ def csr_expand_vectors(vertices, offsets, edges):
     group_starts = np.concatenate(([0], np.cumsum(deg[:-1])))
     positions = np.arange(total, dtype=np.intp) + np.repeat(lo - group_starts, deg)
     return parents, edges[positions]
+
+
+def degree_products(offsets_a, offsets_b) -> int:
+    """``Σ_v deg_a(v) · deg_b(v)`` over two CSR offset arrays of one vertex
+    relation — the number of two-edge walks through a shared middle."""
+    if is_ndarray(offsets_a) and is_ndarray(offsets_b):
+        np = vector._np
+        return int(np.dot(np.diff(offsets_a), np.diff(offsets_b)))
+    return sum(
+        (a1 - a0) * (b1 - b0)
+        for a0, a1, b0, b1 in zip(offsets_a, offsets_a[1:], offsets_b, offsets_b[1:])
+    )
+
+
+class WalkStep(NamedTuple):
+    """One edge of a pattern walk (:func:`walk_count`).
+
+    From the bound vertices in column ``source``, follow the CSR adjacency
+    ``offsets`` / ``edges`` to the far endpoints ``far`` (indexed by edge
+    rowid).  A new vertex becomes the next column (``target`` None); a
+    closing edge keeps the rows whose far endpoint equals column ``target``.
+    """
+
+    source: int
+    offsets: Sequence[int]
+    edges: Sequence[int]
+    far: Sequence[int]
+    target: int | None
+
+
+#: Bound on the rows one walk step expands at once: a step's input is cut
+#: into slices of at most this many rows, so no array exceeds it times the
+#: largest degree.
+WALK_ROWS = 4096
+
+
+def walk_count(starts: Sequence[int], steps: Sequence[WalkStep], limit: int = WALK_ROWS) -> int:
+    """How many rows a walk from ``starts`` (column 0) along ``steps``
+    reaches: the homomorphic matches of a pattern whose edges ``steps``
+    visit in an order where each leaves an already-bound vertex.
+
+    Every step is one :func:`csr_expand_vectors` over at most ``limit``
+    rows; a closing edge is an equality filter on the bound column.  Numpy
+    array passes when the adjacency views are ndarrays, Python lists of
+    plain ints otherwise.
+    """
+    if steps and is_ndarray(steps[0].offsets):
+        starts = vector.as_index_array(starts)
+    return _walk([starts], steps, limit)
+
+
+def _walk(columns: list, steps: Sequence[WalkStep], limit: int) -> int:
+    rows = len(columns[0])
+    if not steps or not rows:
+        return rows
+    if rows > limit:
+        return sum(
+            _walk([column[lo : lo + limit] for column in columns], steps, limit)
+            for lo in range(0, rows, limit)
+        )
+    step = steps[0]
+    expanded = csr_expand_vectors(columns[step.source], step.offsets, step.edges)
+    if expanded is None:
+        return 0
+    parents, edge_ids = expanded
+    if step.target is None:
+        if len(steps) == 1:
+            return len(parents)
+        columns = [take(column, parents) for column in columns]
+        columns.append(take(step.far, edge_ids))
+    else:
+        far = take(step.far, edge_ids)
+        bound = take(columns[step.target], parents)
+        if is_ndarray(far):
+            hits = vector._np.flatnonzero(far == bound)
+        else:
+            hits = [t for t, (a, b) in enumerate(zip(far, bound)) if a == b]
+        if len(steps) == 1:
+            return len(hits)
+        columns = [take(column, take(parents, hits)) for column in columns]
+    return _walk(columns, steps[1:], limit)
 
 
 #: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT expands at

@@ -2,7 +2,9 @@
 
 Cardinalities
 -------------
-``CardinalityEstimator.estimate(P')`` returns the expected ``|M(P')|``:
+``CardinalityEstimator.estimate(P')`` returns the expected ``|M(P')|``;
+the optimizer asks for every induced sub-pattern of one query pattern by
+vertex mask (``CardinalityEstimator.over``), with the same arithmetic:
 
 * patterns within GLogue's window (≤ max_k vertices) read the high-order
   statistic directly;
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.glogue import GLogue
-from repro.graph.pattern import PatternEdge, PatternGraph
+from repro.graph.pattern import PatternEdge, PatternGraph, VertexMasks
 from repro.relational.catalog import Catalog
 from repro.relational.statistics import predicate_selectivity
 
@@ -62,113 +64,149 @@ class CardinalityEstimator:
         self.glogue = glogue
         self.catalog = catalog
         self.use_glogue = use_glogue
-        self._memo: dict[tuple, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
 
     def estimate(self, pattern: PatternGraph) -> float:
-        key = pattern.canonical_code()
-        if key in self._memo:
-            return self._memo[key]
-        structural = self.estimate_structural(pattern.without_predicates())
-        selectivity = self.constraint_selectivity(pattern)
-        value = max(structural * selectivity, 1e-6)
-        self._memo[key] = value
+        """Expected ``|M(pattern)|``: the full-mask case of :meth:`over`."""
+        masks = VertexMasks(pattern)
+        return self.over(masks).cardinality(masks.full)
+
+    def over(self, masks: VertexMasks) -> "MaskEstimates":
+        """Estimates of every induced sub-pattern of ``masks.pattern``."""
+        return MaskEstimates(self, masks)
+
+
+class MaskEstimates:
+    """``|M(P')|`` for the induced sub-patterns ``P'`` of one pattern ``P``,
+    addressed and memoized by vertex mask (see :class:`VertexMasks`).
+
+    A sub-pattern's estimate is its structural estimate times the
+    selectivities of its vertex and edge constraints, floored at 1e-6.  The
+    structural estimate reads GLogue for masks within its window and
+    otherwise peels the highest-degree removable vertex (ties: the first in
+    sorted order) and multiplies the rest's estimate by the star's expansion
+    factor.  Each constraint's selectivity is computed once per pattern.
+    """
+
+    def __init__(self, estimator: CardinalityEstimator, masks: VertexMasks):
+        self.glogue = estimator.glogue
+        self.use_glogue = estimator.use_glogue
+        self.masks = masks
+        mapping, catalog = self.glogue.mapping, estimator.catalog
+        pattern = masks.pattern
+
+        def selectivity(element, table_name):
+            if element.predicate is None:
+                return None
+            return predicate_selectivity(element.predicate, catalog.stats(table_name))
+
+        self._vertex_selectivity = [
+            selectivity(pattern.vertices[n], mapping.vertex(label).table_name)
+            for n, label in zip(masks.names, masks.labels)
+        ]
+        self._edge_selectivity = [
+            selectivity(e, mapping.edge(e.label).table_name) for e, _ in masks.edges
+        ]
+        self._cardinality: dict[int, float] = {}
+        self._structural: dict[int, float] = {}
+        self._counts: dict[int, float] = {}
+
+    def cardinality(self, mask: int) -> float:
+        value = self._cardinality.get(mask)
+        if value is None:
+            value = max(self.structural(mask) * self._selectivity(mask), 1e-6)
+            self._cardinality[mask] = value
         return value
 
-    def estimate_structural(self, pattern: PatternGraph) -> float:
-        if self.use_glogue and self.glogue.covers(pattern):
-            return self.glogue.pattern_count(pattern)
-        if pattern.num_vertices == 1:
-            label = next(iter(pattern.vertices.values())).label
-            return float(self.glogue.vertex_count(label))
-        if pattern.num_vertices == 2 and pattern.num_edges == 1:
-            edge = next(iter(pattern.edges.values()))
-            return float(self.glogue.edge_count(edge.label))
+    def _selectivity(self, mask: int) -> float:
+        # Multiplied in the order the induced sub-pattern lists its
+        # elements, so every product rounds as it always has.
+        out = 1.0
+        for i in self.masks.vertex_order(mask):
+            s = self._vertex_selectivity[i]
+            if s is not None and mask >> i & 1:
+                out *= s
+        for (_, ends), s in zip(self.masks.edges, self._edge_selectivity):
+            if s is not None and ends & mask == ends:
+                out *= s
+        return out
+
+    def structural(self, mask: int) -> float:
+        """The estimate of ``mask``'s sub-pattern without its constraints."""
+        value = self._structural.get(mask)
+        if value is None:
+            value = self._peel(mask)
+            self._structural[mask] = value
+        return value
+
+    def _peel(self, mask: int) -> float:
+        masks, glogue = self.masks, self.glogue
+        size = mask.bit_count()
+        if self.use_glogue and size <= glogue.max_k:
+            return self._count(mask)
+        if size == 1:
+            return float(glogue.vertex_count(masks.labels[mask.bit_length() - 1]))
+        if size == 2:
+            inner = masks.inner_edges(mask)
+            if len(inner) == 1:
+                return float(glogue.edge_count(inner[0].label))
         # Peel the highest-degree removable vertex: its star benefits most
         # from the conditional-window correction.
-        candidate = None
-        for name in sorted(pattern.vertices):
-            rest = pattern.remove_vertex(name)
-            if rest.num_vertices and rest.is_connected():
-                if candidate is None or pattern.degree(name) > pattern.degree(candidate):
-                    candidate = name
+        candidate = rest = None
+        best = -1
+        for i, remaining in masks.peels(mask):
+            degree = masks.degree(i, mask)
+            if degree > best:
+                candidate, rest, best = i, remaining, degree
         if candidate is None:
             # Disconnected after any removal should not happen for connected
             # patterns, but fall back to independence over one edge.
             return 1.0
-        rest = pattern.remove_vertex(candidate)
-        legs = tuple(
-            (e.other(candidate), e) for e in pattern.incident_edges(candidate)
-        )
-        factor = self.expansion_factor(rest, StarStep(candidate, legs), pattern)
-        return self.estimate_structural(rest) * factor
+        factor = self._expansion_factor(candidate, mask)
+        return self.structural(rest) * factor
 
-    def expansion_factor(
-        self,
-        base: PatternGraph,
-        step: StarStep,
-        full: PatternGraph,
-    ) -> float:
-        """Expected output/input ratio of closing ``step`` over ``base``.
+    def _expansion_factor(self, center: int, mask: int) -> float:
+        """Expected output/input ratio of closing ``center``'s star inside
+        ``mask`` over the rest.
 
         Tries the GLogue conditional window first: the induced pattern on
         {center} ∪ leaves versus the same window without the center.
         """
-        leaves = {leaf for leaf, _ in step.legs}
-        if self.use_glogue and 1 + len(leaves) <= self.glogue.max_k:
-            window_vertices = leaves | {step.center}
-            window = full.induced_subpattern(window_vertices).without_predicates()
-            window_base = window.remove_vertex(step.center)
-            if window_base.num_vertices and window_base.is_connected():
-                with_center = self.glogue.pattern_count(window)
-                without = self.glogue.pattern_count(window_base)
+        masks = self.masks
+        leaves = masks.adjacency[center] & mask
+        if self.use_glogue and 1 + leaves.bit_count() <= self.glogue.max_k:
+            window = leaves | (1 << center)
+            window_base = window & ~(1 << center)
+            if window_base and masks.connected(window_base):
+                with_center = self._count(window)
+                without = self._count(window_base)
                 if without > 0:
                     return with_center / without
-        return self._independence_factor(step, full)
+        return self._independence_factor(center, mask)
 
-    def _independence_factor(self, step: StarStep, full: PatternGraph) -> float:
-        center_label = full.vertices[step.center].label
+    def _independence_factor(self, center: int, mask: int) -> float:
+        masks, glogue = self.masks, self.glogue
+        vertices = masks.pattern.vertices
         factor = 1.0
-        for i, (leaf, edge) in enumerate(step.legs):
-            leaf_label = full.vertices[leaf].label
+        for i, (leaf, edge) in enumerate(masks.legs(center, mask)):
             direction = edge.direction_from(leaf)
-            degree = self.glogue.average_degree(leaf_label, edge.label, direction)
+            degree = glogue.average_degree(vertices[leaf].label, edge.label, direction)
             if i == 0:
                 factor *= degree
             else:
-                nv = self.glogue.vertex_count(center_label)
+                nv = glogue.vertex_count(masks.labels[center])
                 factor *= degree / nv if nv else 0.0
         return factor
 
-    # ------------------------------------------------------------------ #
-    # constraint selectivities
-    # ------------------------------------------------------------------ #
-
-    def constraint_selectivity(self, pattern: PatternGraph) -> float:
-        out = 1.0
-        for pv in pattern.vertices.values():
-            if pv.predicate is not None:
-                table_name = self.glogue.mapping.vertex(pv.label).table_name
-                out *= predicate_selectivity(
-                    pv.predicate, self.catalog.stats(table_name)
-                )
-        for pe in pattern.edges.values():
-            if pe.predicate is not None:
-                table_name = self.glogue.mapping.edge(pe.label).table_name
-                out *= predicate_selectivity(
-                    pe.predicate, self.catalog.stats(table_name)
-                )
-        return out
-
-    def vertex_selectivity(self, pattern: PatternGraph, vertex: str) -> float:
-        pv = pattern.vertices[vertex]
-        if pv.predicate is None:
-            return 1.0
-        table_name = self.glogue.mapping.vertex(pv.label).table_name
-        return predicate_selectivity(pv.predicate, self.catalog.stats(table_name))
+    def _count(self, mask: int) -> float:
+        """GLogue's count of ``mask``'s structural sub-pattern."""
+        value = self._counts.get(mask)
+        if value is None:
+            masks = self.masks
+            value = self.glogue.count(
+                masks.structural_code(mask), lambda: masks.structural(mask)
+            )
+            self._counts[mask] = value
+        return value
 
 
 # Weight of reading/writing one output row relative to one unit of join work;
@@ -177,33 +215,31 @@ OUTPUT_WEIGHT = 0.1
 
 
 class CostModel:
-    """The physical cost model; see module docstring for the formulas."""
+    """The physical cost model; see module docstring for the formulas.
 
-    def __init__(
-        self,
-        estimator: CardinalityEstimator,
-        use_graph_index: bool = True,
-    ):
-        self.estimator = estimator
-        self.glogue = estimator.glogue
+    Every method prices one operator from cardinalities the caller
+    estimated (``card`` is the operator's output cardinality) and returns
+    the operator's cost.
+    """
+
+    def __init__(self, glogue: GLogue, use_graph_index: bool = True):
+        self.glogue = glogue
         self.use_graph_index = use_graph_index
 
-    def scan_cost(self, pattern: PatternGraph) -> tuple[float, float]:
-        """(cardinality, cost) of matching a single-vertex pattern."""
-        card = self.estimator.estimate(pattern)
-        vertex = next(iter(pattern.vertices.values()))
-        table_rows = self.glogue.vertex_count(vertex.label)
-        return card, float(table_rows) + OUTPUT_WEIGHT * card
+    def scan_cost(self, label: str, card: float) -> float:
+        """Matching a single ``label`` vertex."""
+        table_rows = self.glogue.vertex_count(label)
+        return float(table_rows) + OUTPUT_WEIGHT * card
 
     def expand_cost(
         self,
-        base: PatternGraph,
         base_card: float,
+        card: float,
         step: StarStep,
-        result: PatternGraph,
-    ) -> tuple[float, float]:
-        """(result cardinality, join cost) of a star expansion."""
-        result_card = self.estimator.estimate(result)
+        pattern: PatternGraph,
+    ) -> float:
+        """A star expansion of ``base_card`` input rows; ``pattern`` holds
+        the legs' vertices."""
         legs = step.legs
         if not self.use_graph_index:
             # Every leg is a hash join against the edge relation; the paper
@@ -217,13 +253,13 @@ class CostModel:
                     # After the first leg the intermediate grows by d̄.
                     leaf, e0 = legs[0]
                     d = self.glogue.average_degree(
-                        result.vertices[leaf].label, e0.label, e0.direction_from(leaf)
+                        pattern.vertices[leaf].label, e0.label, e0.direction_from(leaf)
                     )
                     current = base_card * max(d, 0.1)
-            return result_card, cost + OUTPUT_WEIGHT * result_card
+            return cost + OUTPUT_WEIGHT * card
         degrees = []
         for leaf, edge in legs:
-            label = result.vertices[leaf].label
+            label = pattern.vertices[leaf].label
             degrees.append(
                 self.glogue.average_degree(label, edge.label, edge.direction_from(leaf))
             )
@@ -233,21 +269,15 @@ class CostModel:
             # EXPAND_INTERSECT: intersection work per input tuple is bounded
             # by the smallest adjacency plus probe costs into the others.
             cost = base_card * (min(degrees) + len(legs))
-        return result_card, cost + OUTPUT_WEIGHT * result_card
+        return cost + OUTPUT_WEIGHT * card
 
-    def join_cost(
-        self,
-        left_card: float,
-        right_card: float,
-        result: PatternGraph,
-    ) -> tuple[float, float]:
-        """(result cardinality, cost) of a pattern hash join (Case I).
+    def join_cost(self, left_card: float, right_card: float, card: float) -> float:
+        """A pattern hash join (Case I).
 
         The paper costs HASH_JOIN as the product of the cardinalities of the
         two relations being joined (Sec 4.2.1) — deliberately pessimistic,
         which is why decomposition plans rarely choose Case I when index-backed
         expansions are available.
         """
-        result_card = self.estimator.estimate(result)
         cost = left_card * right_card
-        return result_card, cost + OUTPUT_WEIGHT * result_card
+        return cost + OUTPUT_WEIGHT * card

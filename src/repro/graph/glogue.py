@@ -7,12 +7,14 @@ GLogue stores cardinalities ``|M(P')|`` of small structural patterns (up to
   per-(vertex label, edge label, direction) average degrees come from the
   VE-index CSR.
 * **exact, cheap** — all two-edge patterns (wedges/stars): computed from CSR
-  degree arrays in one pass, ``Σ_v d_a(v)·d_b(v)``, without enumerating a
-  single match.
-* **sampled** — larger / cyclic small patterns (triangles): counted by the
-  reference matcher restricted to a *sparsified sample* of start vertices,
-  scaled by the inverse sampling ratio.  This mirrors GLogS's sparsification;
-  the sample is deterministic under ``seed``.
+  degree arrays in one vector pass, ``Σ_v d_a(v)·d_b(v)``, without
+  enumerating a single match.
+* **sampled** — larger / cyclic small patterns (triangles): a *sparsified
+  sample* of start vertices walks the pattern's edges in the reference
+  matcher's order, one vectorized CSR expansion per edge (a closing edge is
+  an equality filter), and the match count is scaled by the inverse
+  sampling ratio.  This mirrors GLogS's sparsification; the sample is
+  deterministic under ``seed`` and the same in every process.
 
 Entries are keyed by the structural canonical code, so isomorphic
 sub-patterns share one entry regardless of variable names.  Constraint
@@ -24,9 +26,12 @@ filter is pushed in).
 from __future__ import annotations
 
 import random
+import zlib
+from typing import Callable
 
-from repro.graph.index import IN, OUT, GraphIndex
-from repro.graph.matching import match_pattern, traversal_start
+from repro.exec.kernels import WalkStep, degree_products, walk_count
+from repro.graph.index import GraphIndex
+from repro.graph.matching import edge_order
 from repro.graph.pattern import PatternGraph
 from repro.graph.rgmapping import RGMapping
 
@@ -83,15 +88,17 @@ class GLogue:
         vertices; raises for larger patterns (the cost model decomposes
         those recursively)."""
         structural = pattern.without_predicates()
-        key = structural.canonical_code()
-        if key in self._cache:
-            return self._cache[key]
-        value = self._compute(structural)
-        self._cache[key] = value
-        return value
+        return self.count(structural.canonical_code(), lambda: structural)
 
-    def covers(self, pattern: PatternGraph) -> bool:
-        return pattern.num_vertices <= self.max_k
+    def count(self, key: tuple, structural: Callable[[], PatternGraph]) -> float:
+        """:meth:`pattern_count` for a caller that already has the
+        structural canonical code ``key``; ``structural()`` builds the
+        pattern, and is called only when ``key`` is not cached."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._compute(structural())
+            self._cache[key] = value
+        return value
 
     def _compute(self, pattern: PatternGraph) -> float:
         n, m = pattern.num_vertices, pattern.num_edges
@@ -142,32 +149,56 @@ class GLogue:
             and self.index.has_adjacency(label, e2.label, d2)
         ):
             return 0.0
-        adj1 = self.index.adjacency(label, e1.label, d1)
-        adj2 = self.index.adjacency(label, e2.label, d2)
-        total = 0
-        o1, o2 = adj1.offsets, adj2.offsets
-        for v in range(len(o1) - 1):
-            total += (o1[v + 1] - o1[v]) * (o2[v + 1] - o2[v])
-        return float(total)
+        o1, _ = self.index.adjacency(label, e1.label, d1).vectors()
+        o2, _ = self.index.adjacency(label, e2.label, d2).vectors()
+        return float(degree_products(o1, o2))
 
     def _sampled_count(self, pattern: PatternGraph) -> float:
-        """Sparsified-sample estimate: match from a vertex sample, scale up."""
-        start = traversal_start(pattern)
-        label = pattern.vertices[start].label
-        table = self.mapping.vertex_table(label)
-        n = table.num_rows
-        if n == 0:
+        """Sparsified-sample estimate: walk from a vertex sample, scale up.
+
+        The sample holds rowids of the first traversal step's vertex
+        relation that the index covers, seeded by a digest of the pattern's
+        canonical code, so every process draws the same sample.
+        """
+        steps = self._walk_steps(pattern)
+        if steps is None:
+            return 0.0
+        n = len(steps[0].offsets) - 1
+        if n <= 0:
             return 0.0
         sample_size = max(self.min_sample, int(n * self.sample_ratio))
         if sample_size >= n:
-            matches = match_pattern(self.mapping, self.index, pattern)
-            return float(len(matches))
-        rng = random.Random(self.seed ^ hash(pattern.canonical_code()) & 0xFFFFFFFF)
+            return float(walk_count(range(n), steps))
+        digest = zlib.crc32(repr(pattern.canonical_code()).encode())
+        rng = random.Random(self.seed ^ digest)
         sample = rng.sample(range(n), sample_size)
-        matches = match_pattern(
-            self.mapping, self.index, pattern, start_rowids=sample
-        )
-        return len(matches) * (n / sample_size)
+        return walk_count(sample, steps) * (n / sample_size)
+
+    def _walk_steps(self, pattern: PatternGraph) -> list[WalkStep] | None:
+        """``pattern``'s edges as walk steps in the reference matcher's
+        traversal order; None when an edge's endpoint labels contradict its
+        mapping (the pattern cannot match)."""
+        order = edge_order(pattern)
+        columns = {order[0][0]: 0}
+        steps = []
+        for from_var, edge in order:
+            em = self.mapping.edge(edge.label)
+            if (
+                em.source_label != pattern.vertices[edge.src].label
+                or em.target_label != pattern.vertices[edge.dst].label
+            ):
+                return None
+            direction = edge.direction_from(from_var)
+            offsets, edges = self.index.adjacency(
+                pattern.vertices[from_var].label, edge.label, direction
+            ).vectors()
+            far = self.index.edge_index(edge.label).endpoint_vector(direction)
+            to_var = edge.other(from_var)
+            target = columns.get(to_var)
+            if target is None:
+                columns[to_var] = len(columns)
+            steps.append(WalkStep(columns[from_var], offsets, edges, far, target))
+        return steps
 
     # ------------------------------------------------------------------ #
     # derived statistics

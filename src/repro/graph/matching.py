@@ -121,8 +121,8 @@ def match_pattern(
     vertex and edge variable to a rowid in its label's relation.
 
     ``start_rowids`` restricts the candidates of the traversal's start vertex
-    — GLogue's sparsified sampling counts matches from a vertex sample and
-    scales up (Sec 4.2.1, "sparsification technique").
+    (``edge_order(pattern)[0][0]``) — the reference for GLogue's sparsified
+    sample counts (Sec 4.2.1, "sparsification technique").
     """
     if not pattern.is_connected():
         raise PlanError("the matching operator is defined over connected patterns")
@@ -139,7 +139,7 @@ def match_pattern(
             rowid_predicate(table, pe.predicate) if pe.predicate is not None else None
         )
 
-    order = _edge_order(pattern)
+    order = edge_order(pattern)
     results: list[Binding] = []
     binding: Binding = {}
 
@@ -208,18 +208,11 @@ def match_pattern(
     raise PlanError(f"unknown matching semantics {semantics!r}")
 
 
-def traversal_start(pattern: PatternGraph) -> str:
-    """The vertex variable the matcher enumerates first.
-
-    Callers that pass ``start_rowids`` (GLogue sampling) must sample rowids
-    of *this* variable's vertex relation.
-    """
-    order = _edge_order(pattern)
-    return order[0][0] if order else next(iter(pattern.vertices))
-
-
-def _edge_order(pattern: PatternGraph) -> list[tuple[str, PatternEdge]]:
-    """Order edges so each step expands from an already-bound vertex."""
+def edge_order(pattern: PatternGraph) -> list[tuple[str, PatternEdge]]:
+    """Order edges so each step expands from an already-bound vertex:
+    ``(bound vertex, edge)`` pairs, starting at the first vertex name in
+    sorted order — the matcher's traversal, which GLogue's sampled counts
+    walk too."""
     if not pattern.edges:
         return []
     order: list[tuple[str, PatternEdge]] = []

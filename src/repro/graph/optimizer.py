@@ -14,7 +14,11 @@ Minimum Matching Components (single vertices and complete stars):
 
 Memoization is keyed by the sub-pattern's vertex set (induced sub-patterns
 of a fixed ``P`` are uniquely determined by it), so the search is a shortest
-path through exactly the GLogue-shaped space the paper describes.
+path through exactly the GLogue-shaped space the paper describes.  Vertex
+sets are bitmasks (:class:`~repro.graph.pattern.VertexMasks`): candidates
+are generated and checked for connectivity at the bit level, cardinalities
+come from one per-mask estimator, and a ``PatternGraph`` is built once per
+visited set, for its plan node.
 
 Lowering (Sec 3.2.2)
 --------------------
@@ -34,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
-from repro.graph.cost import CardinalityEstimator, CostModel, StarStep
+from repro.graph.cost import CardinalityEstimator, CostModel, MaskEstimates, StarStep
 from repro.graph.index import GraphIndex
-from repro.graph.pattern import PatternEdge, PatternGraph
+from repro.graph.pattern import PatternEdge, PatternGraph, VertexMasks
 from repro.graph.physical import (
     AllDistinct,
     EdgeTripleScan,
@@ -125,14 +129,15 @@ class GraphOptimizer:
         self.estimator = estimator
         self.config = config or GraphOptimizerConfig()
         self.cost_model = CostModel(
-            estimator, use_graph_index=self.config.use_graph_index
+            estimator.glogue, use_graph_index=self.config.use_graph_index
         )
 
     def optimize(self, pattern: PatternGraph) -> GraphPlan:
         if not pattern.is_connected():
             raise PlanError("can only optimize connected patterns")
-        memo: dict[frozenset[str], GraphPlan] = {}
-        return self._best(pattern, frozenset(pattern.vertices), pattern, memo)
+        masks = VertexMasks(pattern)
+        memo: dict[int, GraphPlan] = {}
+        return self._best(masks, self.estimator.over(masks), masks.full, memo)
 
     # ------------------------------------------------------------------ #
     # search
@@ -140,122 +145,57 @@ class GraphOptimizer:
 
     def _best(
         self,
-        full: PatternGraph,
-        vertex_set: frozenset[str],
-        sub: PatternGraph,
-        memo: dict[frozenset[str], GraphPlan],
+        masks: VertexMasks,
+        cards: MaskEstimates,
+        mask: int,
+        memo: dict[int, GraphPlan],
     ) -> GraphPlan:
-        if vertex_set in memo:
-            return memo[vertex_set]
-        if len(vertex_set) == 1:
-            card, cost = self.cost_model.scan_cost(sub)
-            plan = GraphPlan(sub, "scan", card, cost)
-            memo[vertex_set] = plan
+        """The cheapest plan of ``mask``'s sub-pattern; the first of equally
+        cheap candidates wins."""
+        plan = memo.get(mask)
+        if plan is not None:
             return plan
-        best: GraphPlan | None = None
-        for plan in self._candidates(full, vertex_set, sub, memo):
-            if best is None or plan.cost < best.cost:
-                best = plan
-        if best is None:  # pragma: no cover - connected patterns always split
+        sub = masks.induced(mask)
+        card = cards.cardinality(mask)
+        costs = self.cost_model
+        if mask & (mask - 1) == 0:
+            label = masks.labels[mask.bit_length() - 1]
+            plan = GraphPlan(sub, "scan", card, costs.scan_cost(label, card))
+        for kind, a, b in decompositions(masks, mask, self.config):
+            if kind == "expand":
+                child = self._best(masks, cards, b, memo)
+                step = StarStep(masks.names[a], masks.legs(a, mask))
+                cost = costs.expand_cost(child.cardinality, card, step, masks.pattern)
+                candidate = GraphPlan(
+                    sub, "expand", card, child.cost + cost, child=child, step=step
+                )
+            else:
+                left = self._best(masks, cards, a, memo)
+                right = self._best(masks, cards, b, memo)
+                cost = costs.join_cost(left.cardinality, right.cardinality, card)
+                candidate = GraphPlan(
+                    sub, "join", card, left.cost + right.cost + cost, left=left, right=right
+                )
+            if plan is None or candidate.cost < plan.cost:
+                plan = candidate
+        if plan is None:  # pragma: no cover - connected patterns always split
             raise PlanError(f"no decomposition found for {sub!r}")
-        memo[vertex_set] = best
-        return best
-
-    def _candidates(self, full, vertex_set, sub, memo):
-        # Star steps: peel each vertex whose removal keeps connectivity.
-        for name in sorted(vertex_set):
-            rest_set = vertex_set - {name}
-            rest = full.induced_subpattern(rest_set)
-            if not rest.num_vertices or not rest.is_connected():
-                continue
-            child = self._best(full, rest_set, rest, memo)
-            legs = tuple((e.other(name), e) for e in sub.incident_edges(name))
-            if not legs:
-                continue
-            step = StarStep(name, legs)
-            card, join_cost = self.cost_model.expand_cost(
-                rest, child.cardinality, step, sub
-            )
-            yield GraphPlan(
-                sub,
-                "expand",
-                card,
-                child.cost + join_cost,
-                child=child,
-                step=step,
-            )
-        # Binary joins (Case I).
-        if (
-            self.config.enable_binary_joins
-            and 4 <= len(vertex_set) <= self.config.binary_join_limit
-        ):
-            yield from self._binary_joins(full, vertex_set, sub, memo)
-
-    def _binary_joins(self, full, vertex_set, sub, memo):
-        for left_set in connected_proper_subsets(sub, vertex_set):
-            remainder = vertex_set - left_set
-            if not remainder:
-                continue
-            border = {
-                v
-                for v in left_set
-                if any(n in remainder for n in sub.neighbors(v))
-            }
-            if not border:
-                continue
-            right_set = frozenset(remainder | border)
-            if right_set == vertex_set or len(right_set) < 2:
-                continue
-            right_sub = full.induced_subpattern(right_set)
-            if not right_sub.is_connected():
-                continue
-            # Orientation dedup: keep the split where the left side holds
-            # the lexicographically smallest vertex.
-            if min(vertex_set) not in left_set:
-                continue
-            left_sub = full.induced_subpattern(left_set)
-            left_plan = self._best(full, frozenset(left_set), left_sub, memo)
-            right_plan = self._best(full, right_set, right_sub, memo)
-            card, join_cost = self.cost_model.join_cost(
-                left_plan.cardinality, right_plan.cardinality, sub
-            )
-            yield GraphPlan(
-                sub,
-                "join",
-                card,
-                left_plan.cost + right_plan.cost + join_cost,
-                left=left_plan,
-                right=right_plan,
-            )
+        memo[mask] = plan
+        return plan
 
 
-def connected_proper_subsets(
-    pattern: PatternGraph, vertex_set: frozenset[str]
-) -> list[frozenset[str]]:
-    """All connected, proper, non-empty induced vertex subsets (|S| ≥ 2)."""
-    names = sorted(vertex_set)
-    found: set[frozenset[str]] = set()
-    # Grow connected sets BFS-style from each seed (standard enumeration).
-    frontier: list[frozenset[str]] = [frozenset({n}) for n in names]
-    seen: set[frozenset[str]] = set(frontier)
-    while frontier:
-        current = frontier.pop()
-        if 2 <= len(current) < len(vertex_set):
-            found.add(current)
-        if len(current) >= len(vertex_set) - 1:
-            continue
-        expandable = {
-            nbr
-            for v in current
-            for nbr in pattern.neighbors(v)
-            if nbr in vertex_set and nbr not in current
-        }
-        for nbr in expandable:
-            nxt = current | {nbr}
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+def decompositions(masks: VertexMasks, mask: int, config: GraphOptimizerConfig):
+    """The candidates the search costs for a connected ``mask``, in its
+    order: every star step ``("expand", center bit index, rest)`` (remove a
+    vertex keeping the rest connected; the right child is the complete star
+    around it), then — when ``config`` enables them for the mask's size —
+    every overlapping binary join ``("join", left, right)`` (Case I).  A
+    single vertex has none."""
+    for center, rest in masks.peels(mask):
+        yield "expand", center, rest
+    if config.enable_binary_joins and 4 <= mask.bit_count() <= config.binary_join_limit:
+        for left, right in masks.splits(mask):
+            yield "join", left, right
 
 
 # ---------------------------------------------------------------------- #

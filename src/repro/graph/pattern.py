@@ -8,10 +8,11 @@ Beyond the data model, this module provides the structural operations the
 graph-aware optimizer is built on:
 
 * induced sub-patterns and connectivity (decomposition-tree nodes must be
-  *induced connected* sub-patterns of ``P``, Sec 3.1.2);
+  *induced connected* sub-patterns of ``P``, Sec 3.1.2), addressed by
+  vertex-set bitmasks (:class:`VertexMasks`) in the search and estimator;
 * complete-star extraction (the MMC right children);
-* a **canonical code** stable under variable renaming, used to memoize the
-  decomposition search and to key GLogue entries.
+* a **canonical code** stable under variable renaming, used to key GLogue
+  entries.
 """
 
 from __future__ import annotations
@@ -156,9 +157,6 @@ class PatternGraph:
         ]
         return PatternGraph(vertices, edges)
 
-    def remove_vertex(self, vertex: str) -> "PatternGraph":
-        return self.induced_subpattern(set(self.vertices) - {vertex})
-
     def star_of(self, center: str, leaves: set[str] | None = None) -> "PatternGraph":
         """The complete star ``P(center; leaves)`` inside this pattern.
 
@@ -215,63 +213,14 @@ class PatternGraph:
     # ------------------------------------------------------------------ #
 
     def canonical_code(self) -> tuple:
-        """A hashable code equal for patterns identical up to renaming.
-
-        Computed by 1-WL style color refinement followed by exhaustive
-        permutation within residual color classes (patterns are small — the
-        paper's MMC-constrained optimizer never sees more than ~10 vertices,
-        and refinement usually leaves singleton classes).
-        """
-        if self._canonical is not None:
-            return self._canonical
-        names = sorted(self.vertices)
-        colors: dict[str, tuple] = {
-            n: (self.vertices[n].label, self.vertices[n].pred_key()) for n in names
-        }
-        for _ in range(len(names)):
-            signature: dict[str, tuple] = {}
-            for n in names:
-                incident = sorted(
-                    (
-                        e.label,
-                        e.direction_from(n),
-                        colors[e.other(n)],
-                        e.pred_key(),
-                    )
-                    for e in self._incident[n]
-                )
-                signature[n] = (colors[n], tuple(incident))
-            # Re-index signatures to compact colors.
-            distinct = sorted(set(signature.values()))
-            remap = {sig: i for i, sig in enumerate(distinct)}
-            new_colors = {n: (remap[signature[n]], colors[n]) for n in names}
-            if len(set(new_colors.values())) == len(set(colors.values())):
-                colors = new_colors
-                break
-            colors = new_colors
-        # Group by final color; permute within groups for the minimal code.
-        groups: dict[tuple, list[str]] = {}
-        for n in names:
-            groups.setdefault(colors[n], []).append(n)
-        ordered_groups = [groups[c] for c in sorted(groups)]
-        best: tuple | None = None
-        for perm in _group_permutations(ordered_groups):
-            index = {n: i for i, n in enumerate(perm)}
-            vertex_part = tuple(
-                (self.vertices[n].label, self.vertices[n].pred_key()) for n in perm
+        """A hashable code equal for patterns identical up to renaming
+        (see :func:`canonical_code`)."""
+        if self._canonical is None:
+            self._canonical = canonical_code(
+                {n: (v.label, v.pred_key()) for n, v in self.vertices.items()},
+                [(e.src, e.dst, e.label, e.pred_key()) for e in self.edges.values()],
             )
-            edge_part = tuple(
-                sorted(
-                    (index[e.src], index[e.dst], e.label, e.pred_key())
-                    for e in self.edges.values()
-                )
-            )
-            code = (vertex_part, edge_part)
-            if best is None or code < best:
-                best = code
-        assert best is not None
-        self._canonical = best
-        return best
+        return self._canonical
 
     def isomorphic_to(self, other: "PatternGraph") -> bool:
         return self.canonical_code() == other.canonical_code()
@@ -284,11 +233,226 @@ class PatternGraph:
         return f"Pattern({vs} | {es})"
 
 
+def canonical_code(
+    vertices: dict[str, tuple[str, str]], edges: list[tuple[str, str, str, str]]
+) -> tuple:
+    """A hashable code equal for patterns identical up to renaming.
+
+    ``vertices`` maps each name to ``(label, predicate key)``; ``edges`` are
+    ``(src, dst, label, predicate key)``.  Computed by 1-WL style color
+    refinement followed by exhaustive permutation within residual color
+    classes (patterns are small — the paper's MMC-constrained optimizer
+    never sees more than ~10 vertices, and refinement usually leaves
+    singleton classes).
+    """
+    names = sorted(vertices)
+    if len(set(vertices.values())) == len(names):
+        # Distinct initial colors: refinement splits nothing, and the one
+        # candidate order is by color.
+        return _code(sorted(names, key=vertices.__getitem__), vertices, edges)
+    incident: dict[str, list[tuple[str, str, str, str]]] = {n: [] for n in names}
+    for src, dst, label, pred in edges:
+        incident[src].append((label, "out", dst, pred))
+        if dst != src:
+            incident[dst].append((label, "in", src, pred))
+    colors: dict[str, tuple] = {n: vertices[n] for n in names}
+    for _ in range(len(names)):
+        signature: dict[str, tuple] = {}
+        for n in names:
+            signature[n] = (
+                colors[n],
+                tuple(
+                    sorted(
+                        (label, direction, colors[other], pred)
+                        for label, direction, other, pred in incident[n]
+                    )
+                ),
+            )
+        # Re-index signatures to compact colors.
+        distinct = sorted(set(signature.values()))
+        remap = {sig: i for i, sig in enumerate(distinct)}
+        new_colors = {n: (remap[signature[n]], colors[n]) for n in names}
+        if len(set(new_colors.values())) == len(set(colors.values())):
+            colors = new_colors
+            break
+        colors = new_colors
+    # Group by final color; permute within groups for the minimal code.
+    groups: dict[tuple, list[str]] = {}
+    for n in names:
+        groups.setdefault(colors[n], []).append(n)
+    ordered_groups = [groups[c] for c in sorted(groups)]
+    if len(ordered_groups) == len(names):
+        return _code([group[0] for group in ordered_groups], vertices, edges)
+    return min(
+        _code(perm, vertices, edges) for perm in _group_permutations(ordered_groups)
+    )
+
+
+def _code(order: list[str], vertices, edges) -> tuple:
+    """The code of one vertex order: vertex colors in order, then the
+    sorted edges over order positions."""
+    index = {n: i for i, n in enumerate(order)}
+    return (
+        tuple(vertices[n] for n in order),
+        tuple(sorted((index[src], index[dst], label, pred) for src, dst, label, pred in edges)),
+    )
+
+
 def _group_permutations(groups: list[list[str]]):
     """All orderings that permute names only within their color group."""
     per_group = [list(itertools.permutations(g)) for g in groups]
     for combo in itertools.product(*per_group):
         yield [n for group in combo for n in group]
+
+
+def bit_indices(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class VertexMasks:
+    """One pattern's vertex sets as integer bitmasks.
+
+    Bit ``i`` stands for the ``i``-th vertex name in sorted order, so
+    ascending bit order is sorted name order and a mask's lowest bit is its
+    lexicographically smallest name.  The decomposition search, the
+    cardinality estimator and the Fig. 4a counter address induced
+    sub-patterns by mask: connectivity is a bit-level BFS over one adjacency
+    mask per vertex, and a :class:`PatternGraph` is built only where a plan
+    node needs one (:meth:`induced`).
+    """
+
+    def __init__(self, pattern: PatternGraph):
+        self.pattern = pattern
+        self.names = sorted(pattern.vertices)
+        self.bit = {name: 1 << i for i, name in enumerate(self.names)}
+        self.labels = [pattern.vertices[name].label for name in self.names]
+        self.full = (1 << len(self.names)) - 1
+        #: Per vertex, the bits of its neighbors (its own bit for a
+        #: self-loop, as :meth:`PatternGraph.neighbors` lists it).
+        self.adjacency = [0] * len(self.names)
+        #: Per vertex, ``(edge, far endpoint bit)`` in the pattern's edge
+        #: order — the order ``incident_edges`` lists in every sub-pattern.
+        self.incident: list[list[tuple[PatternEdge, int]]] = [[] for _ in self.names]
+        #: ``(edge, bits of both endpoints)`` in the pattern's edge order.
+        self.edges: list[tuple[PatternEdge, int]] = []
+        for edge in pattern.edges.values():
+            src, dst = self.bit[edge.src], self.bit[edge.dst]
+            i, j = src.bit_length() - 1, dst.bit_length() - 1
+            self.adjacency[i] |= dst
+            self.adjacency[j] |= src
+            self.incident[i].append((edge, dst))
+            if i != j:
+                self.incident[j].append((edge, src))
+            self.edges.append((edge, src | dst))
+
+    def names_of(self, mask: int) -> list[str]:
+        return [self.names[i] for i in bit_indices(mask)]
+
+    def induced(self, mask: int) -> PatternGraph:
+        """The induced sub-pattern on ``mask`` — the pattern itself for the
+        full mask, else :meth:`PatternGraph.induced_subpattern` (vertices in
+        sorted order)."""
+        if mask == self.full:
+            return self.pattern
+        return self.pattern.induced_subpattern(set(self.names_of(mask)))
+
+    def vertex_order(self, mask: int):
+        """Bit indices of ``mask`` in the order :meth:`induced` lists them."""
+        if mask == self.full:
+            return [self.bit[name].bit_length() - 1 for name in self.pattern.vertices]
+        return bit_indices(mask)
+
+    def inner_edges(self, mask: int) -> list[PatternEdge]:
+        """Edges with both endpoints in ``mask``, in the pattern's order."""
+        return [edge for edge, ends in self.edges if ends & mask == ends]
+
+    def structural_code(self, mask: int) -> tuple:
+        """``induced(mask).without_predicates().canonical_code()``, without
+        building either pattern."""
+        return canonical_code(
+            {self.names[i]: (self.labels[i], "") for i in bit_indices(mask)},
+            [(e.src, e.dst, e.label, "") for e in self.inner_edges(mask)],
+        )
+
+    def structural(self, mask: int) -> PatternGraph:
+        """``induced(mask).without_predicates()``, built directly."""
+        return PatternGraph(
+            [PatternVertex(self.names[i], self.labels[i]) for i in bit_indices(mask)],
+            [replace(e, predicate=None) for e in self.inner_edges(mask)],
+        )
+
+    def degree(self, i: int, mask: int) -> int:
+        """Edges of vertex ``i`` inside ``mask`` (a self-loop counts once)."""
+        return sum(1 for _, far in self.incident[i] if far & mask)
+
+    def legs(self, i: int, mask: int) -> tuple[tuple[str, PatternEdge], ...]:
+        """Vertex ``i``'s star inside ``mask``: ``(leaf name, edge)`` per
+        incident edge, as ``StarStep`` holds them."""
+        name = self.names[i]
+        return tuple((e.other(name), e) for e, far in self.incident[i] if far & mask)
+
+    def reach(self, mask: int) -> int:
+        """The bits adjacent to some vertex of ``mask``."""
+        out = 0
+        for i in bit_indices(mask):
+            out |= self.adjacency[i]
+        return out
+
+    def connected(self, mask: int) -> bool:
+        """Whether the induced sub-pattern on a non-empty ``mask`` is
+        connected: a search from the lowest bit, one vertex at a time."""
+        adjacency = self.adjacency
+        seen = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adjacency[low.bit_length() - 1] & mask & ~seen
+            seen |= new
+            todo |= new
+        return seen == mask
+
+    def peels(self, mask: int):
+        """Star steps of ``mask``: ``(center bit index, rest)`` for every
+        vertex whose removal leaves a non-empty connected rest, in sorted
+        name order."""
+        for i in bit_indices(mask):
+            rest = mask & ~(1 << i)
+            if rest and self.connected(rest):
+                yield i, rest
+
+    def splits(self, mask: int):
+        """Overlapping binary joins of a connected ``mask``: ``(left,
+        right)``.
+
+        ``left`` is a connected proper subset of at least two vertices that
+        holds the lowest bit (one orientation per split), visited by size,
+        then by sorted names; ``right`` is the rest plus the vertices of
+        ``left`` adjacent to it, and must be connected and proper.
+        """
+        adjacency = self.adjacency
+        low = mask & -mask
+        # Connected sets holding ``low``, one size at a time, each grown by
+        # one neighbor from the previous size; mapped to their neighbors.
+        level = {low: adjacency[low.bit_length() - 1] & mask}
+        for _ in range(2, mask.bit_count()):
+            grown: dict[int, int] = {}
+            for left, neighbors in level.items():
+                fresh = neighbors & ~left
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    if (left | bit) not in grown:
+                        grown[left | bit] = (neighbors | adjacency[bit.bit_length() - 1]) & mask
+            level = grown
+            for left in sorted(grown, key=lambda m: tuple(bit_indices(m))):
+                remainder = mask ^ left
+                right = remainder | (left & self.reach(remainder))
+                if right != mask and self.connected(right):
+                    yield left, right
 
 
 class PatternBuilder:

@@ -10,8 +10,9 @@ of ``2m + 1`` relations and the count is ``2^(2m) · Catalan(2m)``.
 
 ``aware_search_space(P)`` counts decomposition trees under the paper's
 constraints (induced connected sub-patterns; complete-star right children;
-overlapping binary joins), using exactly the candidate enumeration of
-:mod:`repro.graph.optimizer` so the counted space is the searched space.
+overlapping binary joins), through the candidate generator of
+:mod:`repro.graph.optimizer` itself, so the counted space is the searched
+space.
 
 Both return exact integers (Python bigints); the ratio grows exponentially
 with pattern size, which is the content of Theorem 1.
@@ -22,8 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.errors import UnsupportedFeatureError
-from repro.graph.optimizer import connected_proper_subsets
-from repro.graph.pattern import PatternGraph
+from repro.graph.optimizer import GraphOptimizerConfig, decompositions
+from repro.graph.pattern import PatternGraph, VertexMasks, bit_indices
 
 
 # ---------------------------------------------------------------------- #
@@ -121,7 +122,7 @@ def count_join_trees(num_nodes: int, join_edges: list[tuple[int, int]]) -> int:
                     # Cross-product exclusion: some join edge must cross.
                     crosses = any(
                         (adjacency[i] & rest)
-                        for i in _bits(sub)
+                        for i in bit_indices(sub)
                     )
                     if crosses:
                         total += 2 * count(sub) * count(rest)
@@ -132,13 +133,6 @@ def count_join_trees(num_nodes: int, join_edges: list[tuple[int, int]]) -> int:
     if not connected(full):
         return 0
     return count(full)
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
 
 
 def _is_chain(num_nodes: int, adjacency: list[int], degrees: list[int]) -> bool:
@@ -165,50 +159,26 @@ def agnostic_search_space(pattern: PatternGraph) -> int:
 def aware_search_space(pattern: PatternGraph, binary_join_limit: int = 64) -> int:
     """Search-space size of the graph-aware decomposition (paper Sec 3.1.3).
 
-    Counts with the same candidate generation the optimizer searches:
-    star steps (remove a vertex keeping connectivity — for a single edge
-    this yields the two expand-from-either-endpoint plans of Fig 3) plus
-    overlapping binary joins.
+    Counts the decomposition trees of the optimizer's own candidate
+    generator (:func:`repro.graph.optimizer.decompositions`): star steps
+    (remove a vertex keeping connectivity — for a single edge this yields
+    the two expand-from-either-endpoint plans of Fig 3) plus overlapping
+    binary joins.
     """
-    memo: dict[frozenset[str], int] = {}
+    masks = VertexMasks(pattern)
+    config = GraphOptimizerConfig(binary_join_limit=binary_join_limit)
+    memo: dict[int, int] = {}
 
-    def count(vertex_set: frozenset[str]) -> int:
-        if vertex_set in memo:
-            return memo[vertex_set]
-        if len(vertex_set) == 1:
-            memo[vertex_set] = 1
-            return 1
-        sub = pattern.induced_subpattern(vertex_set)
-        total = 0
-        for name in sorted(vertex_set):
-            rest_set = vertex_set - {name}
-            rest = pattern.induced_subpattern(rest_set)
-            if rest.num_vertices and rest.is_connected() and sub.incident_edges(name):
-                total += count(frozenset(rest_set))
-        if 4 <= len(vertex_set) <= binary_join_limit:
-            for left_set in connected_proper_subsets(sub, vertex_set):
-                remainder = vertex_set - left_set
-                if not remainder:
-                    continue
-                border = {
-                    v
-                    for v in left_set
-                    if any(nb in remainder for nb in sub.neighbors(v))
-                }
-                if not border:
-                    continue
-                right_set = frozenset(remainder | border)
-                if right_set == vertex_set or len(right_set) < 2:
-                    continue
-                if not pattern.induced_subpattern(right_set).is_connected():
-                    continue
-                if min(vertex_set) not in left_set:
-                    continue
-                total += count(frozenset(left_set)) * count(right_set)
-        memo[vertex_set] = total
+    def count(mask: int) -> int:
+        if mask in memo:
+            return memo[mask]
+        total = 1 if mask & (mask - 1) == 0 else 0
+        for kind, a, b in decompositions(masks, mask, config):
+            total += count(b) if kind == "expand" else count(a) * count(b)
+        memo[mask] = total
         return total
 
-    return count(frozenset(pattern.vertices))
+    return count(masks.full)
 
 
 def path_pattern(num_edges: int, vertex_label: str = "V", edge_label: str = "E") -> PatternGraph:
