@@ -14,7 +14,8 @@ columnar runtime — with a three-step array pipeline per batch:
    so per-row tuples are never built.
 3. **Segment-reduce** the aggregate arguments: COUNT via ``np.bincount``,
    SUM/AVG/MIN/MAX via one stable argsort of the codes plus
-   ``ufunc.reduceat`` over the sorted values.  NULL-bearing argument
+   ``ufunc.reduceat`` over the sorted values; string MIN/MAX compare rows
+   by order and decode only each group's winner.  NULL-bearing argument
    columns (plain lists) reduce through an equivalent skip-NULL loop.
 
 Batches then merge into the streaming state by *group*, not by row, so the
@@ -42,7 +43,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import PlanError
-from repro.exec import vector
+from repro.exec import ordering, vector
 from repro.exec.vector import is_ndarray
 
 #: The canonical NaN key.  Python dicts and sets shortcut equality with an
@@ -321,8 +322,9 @@ def _merge_fn(func: str, update) -> Callable[[Any, Any], Any]:
 # --------------------------------------------------------------------- #
 
 #: ndarray dtype kinds the ufunc reductions handle.  MIN/MAX over strings
-#: ('<U' ndarrays, dictionary vectors) have their own sort-based segment
-#: reductions; everything else reduces through the skip-NULL loop.
+#: ('<U' ndarrays, dictionary vectors) reduce by order
+#: (:func:`_segment_reduce_ordered`); everything else reduces through the
+#: skip-NULL loop.
 _REDUCIBLE_KINDS = "biuf"
 
 #: ``np.add.reduceat`` over int64 wraps silently on overflow, while the
@@ -365,41 +367,27 @@ def _segment_reduce_array(func: str, values, order, starts, counts_list):
     return np.maximum.reduceat(sorted_values, starts).tolist()
 
 
-def _segment_reduce_strings(func: str, values, codes, counts):
-    """MIN/MAX cells for a '<U' ndarray argument: one lexsort by (group,
-    value) puts each group's minimum at its segment start and its maximum
-    at its segment end ('<U' order is Python's code-point order).  Every
-    group of the batch holds at least one row."""
+def _segment_reduce_ordered(func: str, values, codes, counts):
+    """MIN/MAX cells for a string argument: rows compare by order and only
+    each group's winning row decodes.
+
+    A '<U' ndarray is its own order (numpy compares it in Python's
+    code-point order); a dictionary column orders by its dictionary's rank
+    table, the one ORDER BY uses.  One group costs one argmin/argmax; several
+    cost one lexsort by (group, order), each group's extreme at its segment
+    start or end.  Every group of the batch holds at least one row.
+    """
     np = vector._np
+    dv = vector.dict_vector(values)
+    order = values if dv is None else ordering.dictionary_ranks(dv)[dv.codes]
     if len(counts) == 1:
-        # One group (every global aggregate): the builtin's C loop over the
-        # decoded batch beats sorting it (measured 2x at 1024 rows).
-        return [(min if func == "MIN" else max)(values.tolist())]
-    ordered = values[np.lexsort((values, codes))]
-    ends = np.cumsum(counts)
-    return ordered[ends - counts if func == "MIN" else ends - 1].tolist()
-
-
-def _segment_reduce_dict(func: str, dv, codes, num_groups: int):
-    """MIN/MAX cells for a dictionary-encoded argument, or None when the
-    (group, value code) pair space would overflow int64.
-
-    MIN/MAX are idempotent, so only the *distinct* (group, value) pairs of
-    the batch matter: one ``np.unique`` over the packed pairs, then each
-    surviving pair decodes once and reduces through the string order (value
-    codes are in first-appearance order, not sorted)."""
-    np = vector._np
-    width = len(dv.values)  # append-only: bounds every code of this batch
-    if num_groups * width >= _MAX_RADIX:
-        return None
-    pairs = np.unique(codes * width + dv.codes)
-    decode = dv.values
-    return _segment_reduce_seq(
-        func,
-        [decode[c] for c in (pairs % width).tolist()],
-        (pairs // width).tolist(),
-        num_groups,
-    )
+        winners = [order.argmin() if func == "MIN" else order.argmax()]
+    else:
+        ends = np.cumsum(counts)
+        winners = np.lexsort((order, codes))[
+            ends - counts if func == "MIN" else ends - 1
+        ]
+    return vector.as_values(vector.take(values, winners))
 
 
 def _segment_reduce_seq(func: str, values, codes_list, num_groups: int):
@@ -941,10 +929,11 @@ class GroupedAggregation:
                 partial = _segment_reduce_array(
                     func, values, order, starts, counts_list
                 )
-            elif minmax and is_ndarray(values) and values.dtype.kind == "U":
-                partial = _segment_reduce_strings(func, values, codes, counts)
-            elif minmax and (dv := vector.dict_vector(values)) is not None:
-                partial = _segment_reduce_dict(func, dv, codes, num_groups)
+            elif minmax and (
+                vector.dict_vector(values) is not None
+                or (is_ndarray(values) and values.dtype.kind == "U")
+            ):
+                partial = _segment_reduce_ordered(func, values, codes, counts)
             if partial is None:  # list column, or an overflow-prone int sum
                 if codes_list is None:
                     codes_list = (

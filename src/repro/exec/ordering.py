@@ -31,10 +31,12 @@ from repro.exec.vector import DictVector, take
 SortKey = tuple[Sequence, bool]
 
 
-def _dictionary_ranks(dv: DictVector):
+def dictionary_ranks(dv: DictVector):
     """``rank[code]`` for ``dv``'s dictionary, memoized per watermark.
 
-    The slice pins the dictionary at its current length: every code of a
+    The one order of dictionary values: ORDER BY keys rank through it, and
+    string MIN/MAX (:mod:`repro.exec.grouping`) compare rows by it.  The
+    slice pins the dictionary at its current length: every code of a
     published snapshot resolves below it (values are published before
     their codes), and a concurrent append only makes the next call rebuild.
     """
@@ -72,7 +74,7 @@ def ranks(column: Sequence, asc: bool = True) -> Sequence[int]:
     np = vector._np
     dv = vector.dict_vector(column)
     if dv is not None:
-        out = _dictionary_ranks(dv)[dv.codes]
+        out = dictionary_ranks(dv)[dv.codes]
     elif vector.is_ndarray(column):
         if column.dtype.kind in "ib":
             out = column.astype(np.int64, copy=False)
@@ -144,7 +146,7 @@ def admit(column: Sequence, asc: bool, bound: Any, strict: bool) -> "Sequence[in
         code = dv.index.get(bound)
         if code is None:
             return None
-        table = _dictionary_ranks(dv)
+        table = dictionary_ranks(dv)
         column, bound = table[dv.codes], table[code]
     if asc:
         before = operator.lt if strict else operator.le
@@ -166,4 +168,4 @@ def admit(column: Sequence, asc: bool, bound: Any, strict: bool) -> "Sequence[in
     return None if len(keep) == len(column) else keep
 
 
-__all__ = ["ranks", "argsort", "top_k", "admit"]
+__all__ = ["dictionary_ranks", "ranks", "argsort", "top_k", "admit"]

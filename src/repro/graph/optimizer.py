@@ -31,6 +31,10 @@ operators.  Flags reproduce the paper's ablations:
   "traditional multiple joins" (the RelGoNoEI variant of Fig 9);
 * ``needed_edge_vars`` — the TrimAndFuseRule outcome: edge variables absent
   from the set are trimmed and EXPAND_EDGE + GET_VERTEX fuse into EXPAND.
+
+A self-loop is never a star leg.  Once a scan or star step binds its
+vertex, the plan joins the loop's edges (an ``EDGE_SCAN v -[L]-> v``), in
+every mode.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.errors import PlanError
 from repro.graph.cost import CardinalityEstimator, CostModel, MaskEstimates, StarStep
 from repro.graph.index import GraphIndex
-from repro.graph.pattern import PatternEdge, PatternGraph, VertexMasks
+from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex, VertexMasks
 from repro.graph.physical import (
     AllDistinct,
     EdgeTripleScan,
@@ -225,9 +229,11 @@ def lower_plan(
     config: LoweringConfig,
 ) -> GraphOperator:
     """Lower a decomposition tree into executable graph operators."""
-    if config.use_graph_index and index is None:
+    if not config.use_graph_index:
+        index = None  # every step is an EVJoin-based edge scan
+    elif index is None:
         raise PlanError("lowering with use_graph_index=True requires an index")
-    op = _lower(plan, mapping, index, config)
+    op = _lower(plan, mapping, index, config, frozenset())
     if config.semantics == "isomorphism":
         op = AllDistinct(op, kind="v")
     elif config.semantics == "edge_distinct":
@@ -246,25 +252,69 @@ def _lower(
     mapping: RGMapping,
     index: GraphIndex | None,
     config: LoweringConfig,
+    closed: frozenset[str],
 ) -> GraphOperator:
+    """Lower one plan node; ``closed`` names the vertices whose self-loops
+    a sibling sub-plan already checks (a binary join's left input)."""
     if plan.kind == "scan":
         vertex = next(iter(plan.pattern.vertices.values()))
-        return ScanVertex(mapping, vertex.name, vertex.label, vertex.predicate)
+        op = ScanVertex(mapping, vertex.name, vertex.label, vertex.predicate)
+        return _close_loops(op, plan.pattern, vertex.name, closed, mapping, index, config)
     if plan.kind == "join":
         assert plan.left is not None and plan.right is not None
-        return PatternHashJoin(
-            _lower(plan.left, mapping, index, config),
-            _lower(plan.right, mapping, index, config),
-        )
+        left = _lower(plan.left, mapping, index, config, closed)
+        closed = closed.union(plan.left.pattern.vertices)
+        return PatternHashJoin(left, _lower(plan.right, mapping, index, config, closed))
     assert plan.kind == "expand" and plan.child is not None and plan.step is not None
-    child_op = _lower(plan.child, mapping, index, config)
-    step = plan.step
-    center = plan.pattern.vertices[step.center]
-    if not config.use_graph_index:
-        return _lower_star_hash(child_op, mapping, plan, config, index=None)
-    assert index is not None
-    if len(step.legs) == 1:
-        leaf, edge = step.legs[0]
+    child_op = _lower(plan.child, mapping, index, config, closed)
+    center = plan.pattern.vertices[plan.step.center]
+    # A self-loop is no leg: its far end is the still-unbound center.
+    legs = [(leaf, edge) for leaf, edge in plan.step.legs if leaf != center.name]
+    op = _lower_star(child_op, mapping, index, config, center, legs)
+    return _close_loops(op, plan.pattern, center.name, closed, mapping, index, config)
+
+
+def _close_loops(
+    op: GraphOperator,
+    pattern: PatternGraph,
+    var: str,
+    closed: frozenset[str],
+    mapping: RGMapping,
+    index: GraphIndex | None,
+    config: LoweringConfig,
+) -> GraphOperator:
+    """``op``, which binds ``var``, joined with each of ``var``'s self-loops
+    (one row per loop edge, as homomorphism counts them)."""
+    if var in closed:
+        return op
+    for edge in pattern.incident_edges(var):
+        if edge.src == edge.dst:
+            loop = EdgeTripleScan(
+                mapping,
+                edge.label,
+                src_var=var,
+                dst_var=var,
+                edge_var=edge.name if _keep_edge(edge, config) else None,
+                index=index,
+                edge_predicate=edge.predicate,
+            )
+            op = PatternHashJoin(op, loop)
+    return op
+
+
+def _lower_star(
+    child_op: GraphOperator,
+    mapping: RGMapping,
+    index: GraphIndex | None,
+    config: LoweringConfig,
+    center: PatternVertex,
+    legs: list[tuple[str, PatternEdge]],
+) -> GraphOperator:
+    """Bind ``center`` from the bound leaves of ``legs`` (a star step)."""
+    if index is None:
+        return _lower_star_hash(child_op, mapping, config, center, legs)
+    if len(legs) == 1:
+        leaf, edge = legs[0]
         direction = edge.direction_from(leaf)
         if _keep_edge(edge, config):
             expanded = ExpandEdge(
@@ -300,7 +350,7 @@ def _lower(
             vertex_predicate=center.predicate,
         )
     if config.enable_expand_intersect:
-        legs = [
+        star_legs = [
             StarLeg(
                 from_var=leaf,
                 edge_label=edge.label,
@@ -308,13 +358,13 @@ def _lower(
                 edge_var=edge.name if _keep_edge(edge, config) else None,
                 edge_predicate=edge.predicate,
             )
-            for leaf, edge in step.legs
+            for leaf, edge in legs
         ]
         return ExpandIntersect(
             child_op,
             index,
             mapping,
-            legs=legs,
+            legs=star_legs,
             to_var=center.name,
             to_label=center.label,
             vertex_predicate=center.predicate,
@@ -322,23 +372,21 @@ def _lower(
     # RelGoNoEI: M(P') = M(P'_l) ⋈ M(P(u; V_s)) with the complete star
     # computed as a traditional multiple join of its edge relations — the
     # star materialization is what explodes on dense stars (Fig 9's OOM).
-    return _lower_star_standalone(child_op, mapping, plan, config, index)
+    return _lower_star_standalone(child_op, mapping, index, config, center, legs)
 
 
 def _lower_star_standalone(
     child_op: GraphOperator,
     mapping: RGMapping,
-    plan: GraphPlan,
+    index: GraphIndex,
     config: LoweringConfig,
-    index: GraphIndex | None,
+    center: PatternVertex,
+    legs: list[tuple[str, PatternEdge]],
 ) -> GraphOperator:
     """NoEI lowering: materialize M(star) by joining its edge relations on
     the center variable, then hash join with the left child (Case I)."""
-    assert plan.step is not None
-    step = plan.step
-    center = plan.pattern.vertices[step.center]
     star_op: GraphOperator | None = None
-    for i, (leaf, edge) in enumerate(step.legs):
+    for i, (leaf, edge) in enumerate(legs):
         center_is_src = edge.src == center.name
         triples = EdgeTripleScan(
             mapping,
@@ -361,9 +409,9 @@ def _lower_star_standalone(
 def _lower_star_hash(
     child_op: GraphOperator,
     mapping: RGMapping,
-    plan: GraphPlan,
     config: LoweringConfig,
-    index: GraphIndex | None,
+    center: PatternVertex,
+    legs: list[tuple[str, PatternEdge]],
 ) -> GraphOperator:
     """Implement a star step as successive joins with edge-triple scans.
 
@@ -371,11 +419,8 @@ def _lower_star_hash(
     full edge relation on both endpoints — the "traditional multiple join"
     whose intermediates blow up on dense stars (Fig 9's OOM).
     """
-    assert plan.step is not None
-    step = plan.step
-    center = plan.pattern.vertices[step.center]
     current = child_op
-    for leaf, edge in step.legs:
+    for leaf, edge in legs:
         src_var, dst_var = edge.src, edge.dst
         src_pred = center.predicate if edge.src == center.name else None
         dst_pred = center.predicate if edge.dst == center.name else None
@@ -385,7 +430,6 @@ def _lower_star_hash(
             src_var=src_var,
             dst_var=dst_var,
             edge_var=edge.name if _keep_edge(edge, config) else None,
-            index=index,
             edge_predicate=edge.predicate,
             src_predicate=src_pred,
             dst_predicate=dst_pred,

@@ -68,6 +68,7 @@ from repro.exec.operator import Operator
 from repro.exec.scheduler import morsel_bounds
 from repro.exec.vector import (
     ColumnarBatch,
+    LazyMask,
     as_values,
     index_vector,
     is_ndarray,
@@ -587,7 +588,9 @@ class EdgeTripleScan(GraphOperator):
     With the graph index this reads the precomputed EV columns; without it,
     it executes the EVJoin of Eq. 3 as two runtime hash joins (building
     pk -> rowid maps over the endpoint tables), which is exactly what a
-    relational engine without predefined joins must do.
+    relational engine without predefined joins must do.  With ``src_var ==
+    dst_var`` it scans a self-loop: one vertex column, and only the edges
+    whose two endpoints are the same vertex.
 
     ``row_range`` restricts the scan to a contiguous ``(start, stop)``
     slice of the edge relation (morsel-driven scheduling); the scheduler
@@ -620,10 +623,9 @@ class EdgeTripleScan(GraphOperator):
         self.src_predicate = src_predicate
         self.dst_predicate = dst_predicate
         em = mapping.edge(edge_label)
-        self.output_vars = [
-            GraphVar(src_var, "v", em.source_label),
-            GraphVar(dst_var, "v", em.target_label),
-        ]
+        self.output_vars = [GraphVar(src_var, "v", em.source_label)]
+        if dst_var != src_var:
+            self.output_vars.append(GraphVar(dst_var, "v", em.target_label))
         if edge_var is not None:
             self.output_vars.append(GraphVar(edge_var, "e", edge_label))
 
@@ -688,6 +690,12 @@ class EdgeTripleScan(GraphOperator):
             for mask, column in zip(masks, [edge_ids] + columns)
             if mask is not None
         ]
+        if self.dst_var == self.src_var:
+            # A self-loop binds one vertex: only the edges whose endpoints
+            # agree match, and the vertex is one column.
+            loop = LazyMask(lambda e: src_rowids[e] == dst_rowids[e], n)
+            lookups.append((loop, edge_ids))
+            del columns[1]
         if self.edge_var is not None:
             columns.append(edge_ids)
         size = ctx.batch_size

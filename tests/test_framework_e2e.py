@@ -179,3 +179,75 @@ def test_aggregate_over_match(fig2):
     framework.prepare()
     result, _ = framework.run(query)
     assert result.rows == [(4,)]
+
+
+# --------------------------------------------------------------------- #
+# self-loops: checked once their vertex is bound, in every lowering
+# --------------------------------------------------------------------- #
+
+_LOOP_SQL = "SELECT {select} FROM GRAPH_TABLE (G MATCH {match}) g"
+SELF_LOOP_QUERIES = {
+    "loop": ("g.an", "(a:Person)-[:Knows]->(a) COLUMNS (a.name AS an)"),
+    "loop_edge_kept": (
+        "g.an, g.d",
+        "(a:Person)-[k:Knows]->(a) COLUMNS (a.name AS an, k.date AS d)",
+    ),
+    "loop_and_out_edge": (
+        "g.an, g.bn",
+        "(a:Person)-[:Knows]->(a), (a)-[:Knows]->(b:Person)"
+        " COLUMNS (a.name AS an, b.name AS bn)",
+    ),
+    "loop_on_scan_and_out_edge": (
+        "g.an, g.bn",
+        "(a:Person)-[:Knows]->(a), (a)-[:Knows]->(b:Person)"
+        " WHERE a.name = 'Tom' COLUMNS (a.name AS an, b.name AS bn)",
+    ),
+    "loop_after_scan": (
+        "g.an, g.bn",
+        "(a:Person)-[:Knows]->(b:Person), (b)-[:Knows]->(b)"
+        " WHERE a.name = 'Bob' COLUMNS (a.name AS an, b.name AS bn)",
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=["fig2", "fig2_with_loops"])
+def loop_data(request):
+    """Fig. 2 has no self-loop; the second set adds two on Tom."""
+    from repro.graph.index import build_graph_index
+    from tests.conftest import build_fig2_catalog
+
+    catalog, mapping = build_fig2_catalog()
+    if request.param == "fig2_with_loops":
+        catalog.table("Knows").extend(
+            [(5, 1, 1, "2023-03-01"), (6, 1, 1, "2023-03-02")]
+        )
+    index = build_graph_index(mapping)
+    catalog.register_graph_index(index)
+    catalog.analyze()
+    return catalog, mapping, index
+
+
+@pytest.mark.parametrize(
+    "name", ["relgo", "relgo_norule", "relgo_noei", "relgo_hash", "relgo_loworder", "kuzu"]
+)
+def test_self_loops_return_the_reference_rows(loop_data, name):
+    from collections import Counter
+
+    from repro.core.rules import apply_filter_into_match
+    from repro.core.sqlpgq import parse_and_bind
+    from repro.exec.context import execute_plan
+    from repro.graph.matching import match_pattern
+    from repro.systems import make_system
+
+    catalog, mapping, index = loop_data
+    system = make_system(name, catalog, "G")
+    reference = make_system("duckdb", catalog, "G")
+    for case, (select, match) in SELF_LOOP_QUERIES.items():
+        query = parse_and_bind(_LOOP_SQL.format(select=select, match=match), catalog)
+        pattern = apply_filter_into_match(query)[0].graph_table.pattern
+        want = execute_plan(reference.optimize(query).physical, columnar=False).rows
+        assert len(want) == len(match_pattern(mapping, index, pattern)), case
+        plan = system.optimize(query).physical
+        for columnar in (True, False):
+            got = execute_plan(plan, columnar=columnar).rows
+            assert Counter(got) == Counter(want), (case, columnar)

@@ -137,6 +137,37 @@ def test_path_pattern_all_modes_agree(fig2):
         assert rows_as_bindings(op) == expected
 
 
+@pytest.mark.parametrize("mode", ["indexed", "no_index", "no_ei", "unfused"])
+def test_binary_join_checks_a_shared_vertex_loop_once(mode):
+    """A self-loop on a vertex both join inputs bind is checked on one side
+    only: checking it on both would square its multiplicity."""
+    from tests.conftest import build_fig2_catalog
+
+    catalog, mapping = build_fig2_catalog()
+    catalog.table("Knows").extend([(5, 2, 2, "2023-03-01"), (6, 2, 2, "2023-03-02")])
+    index = build_graph_index(mapping)
+    catalog.analyze()
+    pattern = (
+        PatternGraph.builder()
+        .vertex("a", "Person").vertex("b", "Person").vertex("c", "Person").vertex("d", "Person")
+        .edge("a", "b", "Knows").edge("b", "c", "Knows").edge("c", "d", "Knows")
+        .edge("a", "d", "Knows").edge("b", "b", "Knows", name="loop")
+        .build()
+    )  # fmt: skip
+    optimizer = build_optimizer(catalog, mapping, index, use_graph_index=mode != "no_index")
+    left = optimizer.optimize(pattern.induced_subpattern({"a", "b", "d"}))
+    right = optimizer.optimize(pattern.induced_subpattern({"b", "c", "d"}))
+    plan = GraphPlan(pattern, "join", 1.0, 1.0, left=left, right=right)
+    lowering = LoweringConfig(
+        use_graph_index=mode != "no_index",
+        enable_expand_intersect=mode != "no_ei",
+        fuse=mode != "unfused",
+    )
+    op = lower_plan(plan, mapping, index, lowering)
+    keep = {v.name for v in op.output_vars}
+    assert rows_as_bindings(op) == reference_bindings(mapping, index, pattern, keep=keep)
+
+
 def test_isomorphism_lowering(fig2):
     catalog, mapping, index = fig2
     pattern = (

@@ -700,12 +700,104 @@ def test_string_min_max_batches_late_group_and_growing_dictionary(
         set_numpy_enabled(None)
     assert sorted(zip(*columns)) == _minmax_reference(num_keys)
     assert all(type(v) is str for column in columns[num_keys:] for v in column)
+    # Both encodings reduce by order: never the per-value loop.
+    assert reduced_values == []
+
+
+#: '' first, case pairs (every upper case letter orders before every lower
+#: case one), and non-ASCII values that order by code point ('Å' > 'Z').
+_MINMAX_STRINGS = ["", "a", "A", "b", "B", "aB", "Ab", "Ålesund", "Zürich", "zürich", "ß"]
+
+
+@st.composite
+def _minmax_rows(draw):
+    """Rows ``(k1, k2, value)`` and the cut points that split them into
+    batches; ``None`` marks a NULL (list encoding only)."""
+    n = draw(st.integers(1, 40))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 2),
+                st.one_of(st.none(), st.sampled_from(_MINMAX_STRINGS)),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=4, unique=True)) if n > 1 else []
+    return rows, [0, *sorted(cuts), n]
+
+
+def _minmax_column(encoding: str, values: list, dictionary: list, index: dict, use_numpy):
+    """A batch's argument column as the engine would hand it over."""
+    if not use_numpy or encoding == "list":
+        return values
+    import numpy as np
+
+    from repro.exec.vector import DictVector
+
     if encoding == "U":
-        assert reduced_values == []  # never the per-row loop
-    else:
-        # The per-value loop sees distinct (group, value) pairs only.
-        pairs = [
-            len({((a, b)[:num_keys], v) for a, b, v in zip(k1, k2, values)})
-            for k1, k2, values in _string_batches()
-        ]
-        assert reduced_values == [n for n in pairs for _ in ("MIN", "MAX")]
+        return np.asarray(values)
+    for v in values:  # one dictionary for every batch, growing as it goes
+        if v not in index:
+            index[v] = len(dictionary)
+            dictionary.append(v)
+    return DictVector(np.asarray([index[v] for v in values]), dictionary, index)
+
+
+@pytest.mark.parametrize("use_numpy", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(
+    data=_minmax_rows(),
+    num_keys=st.integers(0, 2),
+    encoding=st.sampled_from(["U", "dict", "list"]),
+    merge_at=st.integers(0, 5),
+)
+def test_string_min_max_matches_the_row_accumulators(
+    use_numpy, data, num_keys, encoding, merge_at
+):
+    """MIN/MAX over batches of strings — '<U' arrays, dictionary vectors
+    sharing one growing dictionary, NULL-bearing lists — equal
+    ``make_accumulator`` applied row by row, also when two partial states
+    merge; every cell is a plain ``str``."""
+    if use_numpy and not numpy_available():
+        pytest.skip("numpy not installed")
+    rows, bounds = data
+    if encoding != "list":
+        rows = [(a, b, "" if v is None else v) for a, b, v in rows]
+    expected: dict = {}
+    for func in ("MIN", "MAX"):
+        initial, update, final = make_accumulator(func)
+        cells: dict = {}
+        for a, b, v in rows:
+            key = (a, b)[:num_keys]
+            cell = cells.get(key, initial)
+            cells[key] = cell if v is None else update(cell, v)
+        for key, cell in cells.items():
+            expected.setdefault(key, []).append(final(cell))
+    set_numpy_enabled(use_numpy)
+    try:
+        dictionary: list = []
+        index: dict = {}
+        states = [GroupedAggregation(num_keys, ["MIN", "MAX"]) for _ in range(2)]
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            k1, k2, values = (list(c) for c in zip(*rows[lo:hi]))
+            if use_numpy:
+                import numpy as np
+
+                k1, k2 = np.asarray(k1), np.asarray(k2)
+            column = _minmax_column(encoding, values, dictionary, index, use_numpy)
+            state = states[i >= merge_at]
+            state.consume([k1, k2][:num_keys], [column, column], hi - lo)
+        states[0].merge_from(states[1])
+        columns = states[0].result_columns()
+    finally:
+        set_numpy_enabled(None)
+    got = {
+        tuple(row[:num_keys]): list(row[num_keys:]) for row in zip(*columns)
+    }
+    assert got == expected
+    assert all(
+        type(v) is str for column in columns[num_keys:] for v in column if v is not None
+    )

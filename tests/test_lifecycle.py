@@ -133,6 +133,33 @@ def test_timeout_raises_and_tears_down(table, parallelism, columnar):
     assert_no_repro_threads()
 
 
+@pytest.fixture(scope="module")
+def imdb():
+    from repro.workloads.registry import dataset
+
+    return dataset("IMDB", 7)
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+def test_graph_agnostic_job24_stops_at_its_deadline(imdb, columnar):
+    """Graph-agnostic JOB24 runs for minutes on the benchmark's IMDB
+    stand-in; its deadline must still stop it promptly and leave no lease
+    and no buffered rows behind."""
+    from repro.systems import make_system
+    from repro.workloads.registry import suite
+
+    system = make_system("duckdb", imdb, "imdb")
+    plan = system.optimize(parse_and_bind(suite("JOB")["JOB24"], imdb)).physical
+    governor = MemoryGovernor()
+    ctx = ExecutionContext(handle=QueryHandle(deadline_seconds=0.5))
+    started = time.monotonic()
+    with pytest.raises(QueryTimeout):
+        execute_plan(plan, columnar=columnar, ctx=ctx, governor=governor)
+    assert time.monotonic() - started < 5.0
+    assert governor.active_leases == 0
+    assert ctx.buffered_rows == 0
+
+
 def test_timeout_env_knob(table, repro_env):
     repro_env(query_timeout="0.000000001")
     with pytest.raises(QueryTimeout):
