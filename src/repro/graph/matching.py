@@ -21,9 +21,9 @@ from repro.graph.pattern import PatternEdge, PatternGraph
 from repro.graph.rgmapping import RGMapping
 from repro.relational.expr import (
     Expr,
-    compile_predicate,
     compile_predicate_columnar,
     referenced_columns,
+    rowid_predicate,
 )
 from repro.relational.table import Table
 
@@ -34,28 +34,8 @@ ISOMORPHISM = "isomorphism"
 EDGE_DISTINCT = "edge_distinct"
 
 
-def rowid_predicate(table: Table, predicate: Expr) -> Callable[[int], bool]:
-    """Compile ``predicate`` into a check over a rowid of ``table``.
-
-    Column references may be bare attribute names or qualified
-    (``var.attr``); only the tail is resolved against the table schema.
-    """
-    names = sorted(referenced_columns(predicate))
-    arrays = []
-    layout: dict[str, int] = {}
-    for i, name in enumerate(names):
-        tail = name.rsplit(".", 1)[-1]
-        arrays.append(table.column(tail))
-        layout[name] = i
-    pred = compile_predicate(predicate, layout)
-    if len(arrays) == 1:
-        only = arrays[0]
-        return lambda rowid: pred((only[rowid],))
-    return lambda rowid: pred(tuple(a[rowid] for a in arrays))
-
-
 def rowid_selection(table: Table, predicate: Expr, num_rows: int | None = None):
-    """Columnar sibling of :func:`rowid_predicate`.
+    """Columnar sibling of :func:`~repro.relational.expr.rowid_predicate`.
 
     Compiles ``predicate`` into ``candidates -> surviving candidates`` over
     rowids of ``table``, evaluated column-at-a-time (the vectorized scan /
@@ -74,40 +54,6 @@ def rowid_selection(table: Table, predicate: Expr, num_rows: int | None = None):
         layout[name] = i
     selector = compile_predicate_columnar(predicate, layout)
     return lambda candidates: selector(arrays, candidates, length)
-
-
-def rowid_mask(table: Table, predicate: Expr, num_rows: int | None = None):
-    """``predicate`` over the rowids of ``table`` as a mask: ``mask[rowids]``
-    is the predicate's WHERE-truth (NULL -> False) per rowid.
-
-    Expansion operators filter whole traversal batches with one lookup into
-    this mask instead of a per-rowid Python call.  Predicates with a fully
-    vectorized shape (:func:`~repro.relational.expr.compile_predicate_mask`
-    decides *structurally*) evaluate once over the base table into a dense
-    boolean ndarray.  Everything else — LIKE/IN over '<U' or NULL-bearing
-    columns, OR, IS NULL, or numpy disabled — becomes a
-    :class:`~repro.exec.vector.LazyMask` over :func:`rowid_predicate`, so a
-    whole-table Python pass is never paid: only rowids a traversal reaches
-    are checked, each once.  ``num_rows`` is the pinned extent of ``table``
-    (default: the live row count); masks cover rowids below it.
-    """
-    from repro.exec import vector
-    from repro.relational.expr import compile_predicate_mask
-
-    length = table.num_rows if num_rows is None else num_rows
-    if vector.numpy_enabled():
-        names = sorted(referenced_columns(predicate))
-        layout = {name: i for i, name in enumerate(names)}
-        mask_fn = compile_predicate_mask(predicate, layout)
-        if mask_fn is not None:
-            arrays = [
-                table.vector(name.rsplit(".", 1)[-1], min_rows=length)
-                for name in names
-            ]
-            mask = mask_fn(arrays, length)
-            if mask is not None:
-                return mask
-    return vector.LazyMask(rowid_predicate(table, predicate), length)
 
 
 def match_pattern(

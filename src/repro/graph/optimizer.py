@@ -39,7 +39,7 @@ every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import PlanError
 from repro.graph.cost import CardinalityEstimator, CostModel, MaskEstimates, StarStep
@@ -262,6 +262,11 @@ def _lower(
         return _close_loops(op, plan.pattern, vertex.name, closed, mapping, index, config)
     if plan.kind == "join":
         assert plan.left is not None and plan.right is not None
+        shared = plan.left.pattern.edges.keys() & plan.right.pattern.edges.keys()
+        if shared:
+            # Both sides bind an edge they share: join on its rowid, or each
+            # side's copy multiplies the other's parallel edges.
+            config = replace(config, needed_edge_vars=config.needed_edge_vars | shared)
         left = _lower(plan.left, mapping, index, config, closed)
         closed = closed.union(plan.left.pattern.vertices)
         return PatternHashJoin(left, _lower(plan.right, mapping, index, config, closed))

@@ -77,9 +77,9 @@ from repro.exec.vector import (
     vector_view,
 )
 from repro.graph.index import Adjacency, GraphIndex
-from repro.graph.matching import rowid_mask, rowid_selection
+from repro.graph.matching import rowid_selection
 from repro.graph.rgmapping import RGMapping
-from repro.relational.expr import Expr
+from repro.relational.expr import Expr, rowid_mask
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,11 @@ def _expand_columnar(
     parent-position vector plus the new column's values — adjacent edge
     rowids when ``trim_edge`` is False (EXPAND_EDGE), or far endpoints of
     ``edge_index`` (fused EXPAND).  ``emask`` / ``vmask`` are the rowid
-    masks (see :func:`~repro.graph.matching.rowid_mask`) of the predicates
+    masks (see :func:`~repro.relational.expr.rowid_mask`) of the predicates
     on the traversed edge / target vertex; every predicate has one, so no
-    predicate shape changes how the adjacency is walked.
+    predicate shape changes how the adjacency is walked.  A predicate
+    compiles once: a dense mask is the same vectorized body that refines
+    scan and filter selections, run over the whole table.
 
     When the CSR vector views are ndarrays the whole batch expands as one
     repeat/cumsum/fancy-index pass

@@ -16,9 +16,13 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import PlanError
+from repro.exec import vector as _vector
+
+if TYPE_CHECKING:
+    from repro.relational.table import Table
 
 Row = tuple
 Evaluator = Callable[[Row], Any]
@@ -432,10 +436,11 @@ def compile_predicate(expr: Expr, layout: Mapping[str, int]) -> Callable[[Row], 
 #   unchanged signals the all-selected fast path, so callers can skip
 #   rebuilding batches.
 #
-# Common shapes (column vs literal comparisons, IN lists, LIKE, conjunction
-# chains) compile to single comprehensions with no per-row closure calls —
-# this is where the columnar engine's speedup over the row engine comes
-# from.  Everything else falls back to the row-wise evaluator applied to
+# A selection evaluator is a :class:`CompiledPredicate`.  Each common
+# shape (column vs literal, column vs column, IN, LIKE, AND) has one
+# vectorized body — which is also the dense rowid mask of expansions and
+# predefined joins — and one row-wise comprehension over the raw columns.
+# Everything else falls back to the row-wise evaluator applied to
 # reconstructed tuples, which keeps semantics identical by construction.
 
 ColumnarEvaluator = Callable[[Sequence, "Sequence[int] | None", int], list]
@@ -461,15 +466,6 @@ def _resolve_layout(name: str, layout: Mapping[str, int]) -> int:
 
 def _candidates(sel: "Sequence[int] | None", n: int) -> Sequence:
     return range(n) if sel is None else sel
-
-
-def _refined(kept: list, sel: "Sequence[int] | None", n: int):
-    """Normalize a refined selection: hand back the input object (or None)
-    unchanged when every visible row survived, enabling identity-checked
-    all-selected fast paths downstream."""
-    if sel is None:
-        return None if len(kept) == n else kept
-    return sel if len(kept) == len(sel) else kept
 
 
 #: Memo for compiled columnar evaluators/selectors.  Compiled closures are
@@ -631,521 +627,352 @@ def _columnar_binary(
     ]
 
 
+class CompiledPredicate:
+    """A WHERE predicate compiled once for one layout.
+
+    ``vector(columns, window)`` is the shape's one vectorized body: the
+    predicate's truth over the rows ``window`` addresses (a slice or an
+    index ndarray) as a boolean ndarray, or None when these columns have no
+    array form (lists, object arrays, incomparable dtypes).  Shapes that
+    never vectorize — OR, NOT, IS NULL, literals, computed operands — have
+    none.  ``rows(columns, selection, length)`` is the row-wise fallback:
+    the surviving candidates.
+
+    Calling the object refines a selection (a :data:`SelectionEvaluator`);
+    :meth:`mask` runs the same body over a whole column prefix — the dense
+    rowid mask expansions and predefined joins look rowids up in.
+    """
+
+    __slots__ = ("vector", "rows")
+
+    def __init__(self, vector, rows):
+        self.vector = vector
+        self.rows = rows
+
+    def __call__(self, cols: Sequence, sel, n: int):
+        if self.vector is not None and _vector.numpy_enabled():
+            # Contiguous candidates (all rows, scan chunks) window the
+            # columns as zero-copy slices; anything else gathers.
+            if sel is None:
+                window = slice(0, n)
+            elif type(sel) is range and sel.step == 1:
+                window = slice(sel.start, sel.stop)
+            else:
+                window = _vector.as_index_array(sel)
+            keep = self.vector(cols, window)
+            if keep is not None:
+                if keep.all():
+                    return sel
+                if type(window) is not slice:
+                    return window[keep]
+                kept = _vector._np.flatnonzero(keep)
+                return kept + window.start if window.start else kept
+        kept = self.rows(cols, sel, n)
+        return sel if len(kept) == (n if sel is None else len(sel)) else kept
+
+    def mask(self, cols: Sequence, n: int):
+        """The predicate over rows ``[0, n)`` as a boolean ndarray; None
+        when the columns have no array form or numpy is off."""
+        if self.vector is None or not _vector.numpy_enabled():
+            return None
+        return self.vector(cols, slice(0, n))
+
+
 def compile_predicate_columnar(
     expr: Expr, layout: Mapping[str, int]
-) -> SelectionEvaluator:
+) -> CompiledPredicate:
     """Compile ``expr`` into a selection-vector refiner (WHERE semantics).
 
-    The returned callable (memoized per (expr, layout) shape) maps
-    ``(columns, selection, length)`` to the refined selection: the subset
-    of visible row indices where the predicate evaluates to TRUE (NULL and
-    FALSE filter out).  When every visible row passes, the input
+    The returned :class:`CompiledPredicate` (memoized per (expr, layout)
+    shape) maps ``(columns, selection, length)`` to the refined selection:
+    the subset of visible row indices where the predicate evaluates to TRUE
+    (NULL and FALSE filter out).  When every visible row passes, the input
     ``selection`` object itself is returned so callers can detect the
     all-selected fast path with an identity check.
     """
     return _compile_cached("pred", expr, layout, _compile_predicate_columnar)
 
 
+def compile_predicate_mask(expr: Expr, layout: Mapping[str, int]):
+    """``expr`` as a dense boolean-mask evaluator, or None.
+
+    Returns ``(columns, n) -> bool ndarray | None`` — the
+    :meth:`CompiledPredicate.mask` of the object
+    :func:`compile_predicate_columnar` returns for the same arguments —
+    when the predicate's shape has a vectorized body (comparisons, IN,
+    LIKE and conjunctions of those); None otherwise, so callers check
+    rowids on demand (:class:`repro.exec.vector.LazyMask`) instead of
+    paying a whole-relation Python pass.  The evaluator itself returns None
+    when the columns turn out to have no array form.
+    """
+    pred = compile_predicate_columnar(expr, layout)
+    return pred.mask if pred.vector is not None else None
+
+
 def _compile_predicate_columnar(
     expr: Expr, layout: Mapping[str, int]
-) -> SelectionEvaluator:
+) -> CompiledPredicate:
     if isinstance(expr, BoolOp) and expr.op == "AND":
-        # Conjunction chain: each conjunct refines the survivors of the
-        # previous one, so later (often more expensive) conjuncts only see
-        # already-filtered rows.
-        parts = [compile_predicate_columnar(a, layout) for a in expr.args]
-        masks = [getattr(p, "_numpy_mask", None) for p in parts]
-        all_maskable = all(m is not None for m in masks)
-
-        def _and(cols: Sequence, sel, n: int):
-            # A full-prefix ``range`` selection (how table scans window
-            # into cached whole-column vectors) is just as dense as None.
-            if all_maskable and (
-                sel is None
-                or (type(sel) is range and sel.start == 0 and sel.step == 1)
-                and len(sel) == n
-            ):
-                # Dense input and every conjunct is a vectorizable
-                # column-vs-literal: AND the boolean masks directly and
-                # materialize survivor indices once, instead of a
-                # flatnonzero + index-gather round per conjunct.
-                combined = _combined_mask(masks, cols, n)
-                if combined is not _NO_NUMPY_PATH:
-                    from repro.exec import vector
-
-                    if combined.all():
-                        return sel
-                    return vector._np.flatnonzero(combined)
-            for part in parts:
-                sel = part(cols, sel, n)
-                if sel is not None and len(sel) == 0:
-                    return sel
-            return sel
-
-        if all_maskable:
-            _and._numpy_mask = lambda cols, n: _combined_mask(  # type: ignore[attr-defined]
-                masks, cols, n
-            )
-        return _and
+        return _conjunction([compile_predicate_columnar(a, layout) for a in expr.args])
     if isinstance(expr, Comparison):
         fn = _COMPARISON_OPS[expr.op]
         left, right = expr.left, expr.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            return _selection_vs_literal(left, right.value, fn, layout, expr.op)
+            return _column_vs_literal(left, right.value, fn, expr.op, layout)
         if isinstance(left, Literal) and isinstance(right, ColumnRef):
+            # ``=``/``<>`` are symmetric, so the dictionary code compare
+            # keyed on the op holds with the operands flipped; order ops
+            # only ever use the flipped ``fn``.
             flipped = lambda a, b: fn(b, a)  # noqa: E731
-            # ``=``/``<>`` are symmetric, so the dictionary code-compare
-            # fast path keyed on the op stays valid with the operands
-            # flipped; order ops only ever use the flipped ``fn``.
-            return _selection_vs_literal(
-                right, left.value, flipped, layout, expr.op
-            )
+            return _column_vs_literal(right, left.value, flipped, expr.op, layout)
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-            li = _resolve_layout(left.name, layout)
-            ri = _resolve_layout(right.name, layout)
-
-            def _col_col(cols: Sequence, sel, n: int):
-                ca, cb = cols[li], cols[ri]
-                np_sel = _numpy_selection_pair(ca, cb, sel, n, fn)
-                if np_sel is not _NO_NUMPY_PATH:
-                    return np_sel
-                kept = [
-                    i
-                    for i in _candidates(sel, n)
-                    if (a := ca[i]) is not None
-                    and (b := cb[i]) is not None
-                    and fn(a, b)
-                ]
-                return _refined(kept, sel, n)
-
-            def _col_col_mask(cols: Sequence, n: int):
-                from repro.exec import vector
-
-                np = vector._np
-                ca, cb = cols[li], cols[ri]
-                if (
-                    np is None
-                    or not vector.numpy_enabled()
-                    or not isinstance(ca, np.ndarray)
-                    or not isinstance(cb, np.ndarray)
-                    or ca.dtype == object
-                    or cb.dtype == object
-                ):
-                    return _NO_NUMPY_PATH
-                try:
-                    return fn(ca[:n], cb[:n])
-                except (TypeError, ValueError):
-                    return _NO_NUMPY_PATH
-
-            _col_col._numpy_mask = _col_col_mask  # type: ignore[attr-defined]
-            return _col_col
+            return _column_vs_column(
+                _resolve_layout(left.name, layout),
+                _resolve_layout(right.name, layout),
+                fn,
+            )
     if isinstance(expr, InList) and isinstance(expr.arg, ColumnRef):
-        idx = _resolve_layout(expr.arg.name, layout)
-        values = frozenset(expr.values)
-
-        def _in(cols: Sequence, sel, n: int):
-            column = cols[idx]
-            dict_sel = _dict_selection_in(column, sel, n, values)
-            if dict_sel is not _NO_NUMPY_PATH:
-                return dict_sel
-            kept = [
-                i
-                for i in _candidates(sel, n)
-                if (v := column[i]) is not None and v in values
-            ]
-            return _refined(kept, sel, n)
-
-        def _in_mask(cols: Sequence, n: int):
-            from repro.exec import vector
-
-            dv = vector.dict_vector(cols[idx])
-            if dv is None:
-                return _NO_NUMPY_PATH
-            codes = [
-                c
-                for c in (
-                    dv.index.get(v) for v in values if type(v) is str
-                )
-                if c is not None
-            ]
-            return vector._np.isin(dv.codes[:n], codes)
-
-        _in._numpy_mask = _in_mask  # type: ignore[attr-defined]
-        return _in
+        return _one_column(
+            _resolve_layout(expr.arg.name, layout),
+            frozenset(expr.values).__contains__,
+            codes_of=expr.values,
+        )
     if isinstance(expr, Like) and isinstance(expr.arg, ColumnRef):
-        idx = _resolve_layout(expr.arg.name, layout)
-        match = _like_matcher(expr.pattern)
-
-        def _like(cols: Sequence, sel, n: int):
-            column = cols[idx]
-            dict_sel = _dict_selection_vs_dictionary(column, sel, n, match)
-            if dict_sel is not _NO_NUMPY_PATH:
-                return dict_sel
-            kept = [
-                i
-                for i in _candidates(sel, n)
-                if (v := column[i]) is not None and match(v)
-            ]
-            return _refined(kept, sel, n)
-
-        def _like_mask(cols: Sequence, n: int):
-            from repro.exec import vector
-
-            dv = vector.dict_vector(cols[idx])
-            if dv is None:
-                return _NO_NUMPY_PATH
-            mask = _dictionary_value_mask(dv, match, vector._np)
-            return mask[dv.codes[:n]] if mask is not _NO_NUMPY_PATH else mask
-
-        _like._numpy_mask = _like_mask  # type: ignore[attr-defined]
-        return _like
+        return _one_column(
+            _resolve_layout(expr.arg.name, layout), _like_matcher(expr.pattern)
+        )
     if isinstance(expr, IsNull) and isinstance(expr.arg, ColumnRef):
-        idx = _resolve_layout(expr.arg.name, layout)
-        negated = expr.negated
-
-        def _isnull(cols: Sequence, sel, n: int):
-            column = cols[idx]
-            if getattr(column, "is_dictionary", False):
-                # Dictionary columns hold no NULLs (a NULL demotes the
-                # whole column to a list before any view is built).
-                return sel if negated else []
-            if negated:
-                kept = [i for i in _candidates(sel, n) if column[i] is not None]
-            else:
-                kept = [i for i in _candidates(sel, n) if column[i] is None]
-            return _refined(kept, sel, n)
-
-        return _isnull
+        return _is_null(_resolve_layout(expr.arg.name, layout), expr.negated)
     if isinstance(expr, Literal):
-        value = expr.value
-        if value is not None and value:
-            return lambda cols, sel, n: sel
-        return lambda cols, sel, n: []
+        return _constant(expr.value is not None and bool(expr.value))
     # Generic fallback: evaluate as a value column, keep the truthy rows
     # (None is falsy, matching WHERE semantics).
     evaluator = compile_expr_columnar(expr, layout)
 
-    def _generic(cols: Sequence, sel, n: int):
-        values = evaluator(cols, sel, n)
-        if sel is None:
-            kept = [i for i, v in enumerate(values) if v]
-        else:
-            kept = [s for s, v in zip(sel, values) if v]
-        return _refined(kept, sel, n)
+    def _truthy(cols: Sequence, sel, n: int):
+        return [i for i, v in zip(_candidates(sel, n), evaluator(cols, sel, n)) if v]
 
-    return _generic
+    return CompiledPredicate(None, _truthy)
 
 
-def _selection_vs_literal(
+def _column_vs_literal(
     ref: ColumnRef,
     k: Any,
     fn: Callable[[Any, Any], Any],
-    layout: Mapping[str, int],
     op: str,
-) -> SelectionEvaluator:
+    layout: Mapping[str, int],
+) -> CompiledPredicate:
     """column-vs-constant comparison: the hottest filter shape."""
     idx = _resolve_layout(ref.name, layout)
     if k is None:
         # Comparison with NULL is NULL for every row -> nothing passes.
-        return lambda cols, sel, n: []
+        return _constant(False)
+    return _one_column(
+        idx,
+        lambda v: fn(v, k),
+        array_op=lambda values: fn(values, k),
+        codes_of=(k,) if op == "=" or op == "<>" else None,
+        negate=op == "<>",
+    )
 
-    def _cmp_lit(cols: Sequence, sel, n: int):
+
+def _is_array(column) -> bool:
+    """A typed ndarray column (numpy on, no object dtype)."""
+    return _vector.is_ndarray(column) and column.dtype != object
+
+
+def _one_column(
+    idx: int,
+    test: Callable[[Any], bool],
+    array_op=None,
+    codes_of: "Sequence | None" = None,
+    negate: bool = False,
+) -> CompiledPredicate:
+    """A predicate on one column: ``test(v)`` for each non-NULL value.
+
+    ``array_op`` is ``test`` over an ndarray window (None: no array form).
+    Dictionary columns never touch their strings row-wise.  With
+    ``codes_of``, a row passes when its code is one of those values' codes
+    (``negate``: none of them) — ``=``/``<>`` compare codes against the one
+    looked-up literal code, and a literal missing from the dictionary is
+    constant-false (``<>``: constant-true; dictionary columns hold no
+    NULLs).  Without it, ``test`` runs once per dictionary value and
+    broadcasts to rows through the codes.
+    """
+    if codes_of is not None:
+        codes_of = [v for v in codes_of if type(v) is str]
+
+    def vector(cols: Sequence, window):
         column = cols[idx]
-        dict_sel = _dict_selection(column, sel, n, fn, k, op)
-        if dict_sel is not _NO_NUMPY_PATH:
-            return dict_sel
-        np_sel = _numpy_selection(column, sel, n, fn, k)
-        if np_sel is not _NO_NUMPY_PATH:
-            return np_sel
-        kept = [
+        dv = _vector.dict_vector(column)
+        if dv is not None:
+            codes = dv.codes[window]
+            if codes_of is None:
+                values = dv.values
+                try:
+                    per_value = _vector._np.fromiter(
+                        map(test, values), dtype=bool, count=len(values)
+                    )
+                except TypeError:  # incomparable literal: keep exact row-path errors
+                    return None
+                return per_value[codes]
+            found = [c for c in map(dv.index.get, codes_of) if c is not None]
+            if len(found) == 1:
+                return codes != found[0] if negate else codes == found[0]
+            keep = _vector._np.isin(codes, found)
+            return ~keep if negate else keep
+        if array_op is None or not _is_array(column):
+            return None
+        try:
+            return array_op(column[window])
+        except (TypeError, ValueError):  # incomparable dtype: use the rows
+            return None
+
+    def rows(cols: Sequence, sel, n: int):
+        column = cols[idx]
+        candidates = _candidates(sel, n)
+        if getattr(column, "is_dictionary", False):
+            # Raw dictionary storage (numpy off): decide each distinct
+            # value once, then test rows by code.
+            try:
+                wanted = {c for c, v in enumerate(column.values) if test(v)}
+            except TypeError:  # incomparable literal: fail as the rows do
+                pass
+            else:
+                codes = column.codes
+                return [i for i in candidates if codes[i] in wanted]
+        return [i for i in candidates if (v := column[i]) is not None and test(v)]
+
+    return CompiledPredicate(vector, rows)
+
+
+def _column_vs_column(
+    li: int, ri: int, fn: Callable[[Any, Any], Any]
+) -> CompiledPredicate:
+    """Two columns compared row by row.  Typed ndarray columns cannot hold
+    NULLs, so their body needs no NULL handling."""
+
+    def vector(cols: Sequence, window):
+        ca, cb = cols[li], cols[ri]
+        if not (_is_array(ca) and _is_array(cb)):
+            return None
+        try:
+            return fn(ca[window], cb[window])
+        except (TypeError, ValueError):  # incomparable dtypes: use the rows
+            return None
+
+    def rows(cols: Sequence, sel, n: int):
+        ca, cb = cols[li], cols[ri]
+        return [
             i
             for i in _candidates(sel, n)
-            if (v := column[i]) is not None and fn(v, k)
+            if (a := ca[i]) is not None and (b := cb[i]) is not None and fn(a, b)
         ]
-        return _refined(kept, sel, n)
 
-    def _mask(cols: Sequence, n: int):
-        """Dense boolean mask over rows [0, n), or _NO_NUMPY_PATH."""
-        from repro.exec import vector
+    return CompiledPredicate(vector, rows)
 
-        np = vector._np
+
+def _conjunction(parts: list[CompiledPredicate]) -> CompiledPredicate:
+    """AND.  When every conjunct has a vector body, their masks AND over one
+    window and the survivors materialize once.  Otherwise — or when a body
+    declines at run time — each conjunct refines the survivors of the
+    previous one, so later (often more expensive) conjuncts only see
+    already-filtered rows."""
+    bodies = [part.vector for part in parts]
+
+    def vector(cols: Sequence, window):
+        keep = None
+        for body in bodies:
+            mask = body(cols, window)
+            if mask is None:
+                return None
+            keep = mask if keep is None else keep & mask
+        return keep
+
+    def rows(cols: Sequence, sel, n: int):
+        for part in parts:
+            sel = part(cols, sel, n)
+            if sel is not None and len(sel) == 0:
+                break
+        return _candidates(sel, n)
+
+    return CompiledPredicate(None if None in bodies else vector, rows)
+
+
+def _is_null(idx: int, negated: bool) -> CompiledPredicate:
+    def rows(cols: Sequence, sel, n: int):
         column = cols[idx]
-        dv = vector.dict_vector(column)
-        if dv is not None:
-            return _dict_code_mask(dv, dv.codes[:n], fn, k, op, np)
-        if (
-            np is None
-            or not vector.numpy_enabled()
-            or not isinstance(column, np.ndarray)
-            or column.dtype == object
-        ):
-            return _NO_NUMPY_PATH
-        try:
-            return fn(column[:n], k)
-        except (TypeError, ValueError):
-            return _NO_NUMPY_PATH
+        candidates = _candidates(sel, n)
+        if getattr(column, "is_dictionary", False):
+            # Dictionary columns hold no NULLs (a NULL demotes the whole
+            # column to a list before any view is built).
+            return candidates if negated else []
+        if negated:
+            return [i for i in candidates if column[i] is not None]
+        return [i for i in candidates if column[i] is None]
 
-    _cmp_lit._numpy_mask = _mask  # type: ignore[attr-defined]
-    return _cmp_lit
+    return CompiledPredicate(None, rows)
+
+
+def _constant(passes: bool) -> CompiledPredicate:
+    if passes:
+        return CompiledPredicate(None, lambda cols, sel, n: _candidates(sel, n))
+    return CompiledPredicate(None, lambda cols, sel, n: [])
 
 
 # ---------------------------------------------------------------------- #
-# dictionary-encoded fast paths
+# predicates over the rowids of a table
 # ---------------------------------------------------------------------- #
-#
-# Dictionary columns arrive as ``repro.exec.vector.DictVector``: an int64
-# code ndarray plus the column's value dictionary.  String predicates then
-# never touch the strings row-wise — equality/inequality compare codes
-# against one literal lookup, and anything evaluated *per value* (order
-# comparisons, LIKE) runs once over the dictionary (size = distinct
-# values) and broadcasts to rows by indexing the per-value mask with the
-# codes.  A literal missing from the dictionary is a constant-false (or,
-# for ``<>``, constant-true: dictionary columns hold no NULLs) predicate.
 
 
-def _dict_code_mask(dv, codes, fn, k, op: str, np):
-    """Boolean mask aligned with ``codes``, or _NO_NUMPY_PATH."""
-    if op == "=" or op == "<>":
-        code = dv.index.get(k) if type(k) is str else None
-        if code is None:
-            mask = np.zeros(len(codes), dtype=bool)
-            return ~mask if op == "<>" else mask
-        return (codes != code) if op == "<>" else (codes == code)
-    values = dv.values
-    try:
-        per_value = np.fromiter(
-            (fn(v, k) for v in values), dtype=bool, count=len(values)
+def rowid_predicate(table: "Table", predicate: Expr) -> Callable[[int], bool]:
+    """Compile ``predicate`` into a check over a rowid of ``table``.
+
+    Column references may be bare attribute names or qualified
+    (``var.attr``); only the tail is resolved against the table schema.
+    The reference matcher, the lazy masks and the predefined joins' row
+    bodies check rowids through it.
+    """
+    names = sorted(referenced_columns(predicate))
+    arrays = [table.column(name.rsplit(".", 1)[-1]) for name in names]
+    pred = compile_predicate(predicate, {name: i for i, name in enumerate(names)})
+    if len(arrays) == 1:
+        only = arrays[0]
+        return lambda rowid: pred((only[rowid],))
+    return lambda rowid: pred(tuple(a[rowid] for a in arrays))
+
+
+def rowid_mask(table: "Table", predicate: Expr, num_rows: int | None = None):
+    """``predicate`` over the rowids of ``table`` as a mask: ``mask[rowids]``
+    is the predicate's WHERE-truth (NULL -> False) per rowid.
+
+    Expansions and predefined joins filter whole batches with one lookup
+    into this mask (:func:`repro.exec.vector.passing`) instead of a
+    per-rowid Python call.  Predicates with a vectorized body
+    (:func:`compile_predicate_mask` decides *structurally*) evaluate once
+    over the base table into a dense boolean ndarray.  Everything else —
+    LIKE/IN over '<U' or NULL-bearing columns, OR, IS NULL, or numpy
+    disabled — becomes a :class:`~repro.exec.vector.LazyMask` over
+    :func:`rowid_predicate`, so a whole-table Python pass is never paid:
+    only rowids a traversal reaches are checked, each once.  ``num_rows``
+    is the pinned extent of ``table`` (default: the live row count); masks
+    cover rowids below it.
+    """
+    length = table.num_rows if num_rows is None else num_rows
+    if _vector.numpy_enabled():
+        names = sorted(referenced_columns(predicate))
+        mask_fn = compile_predicate_mask(
+            predicate, {name: i for i, name in enumerate(names)}
         )
-    except TypeError:  # incomparable literal: keep exact row-path errors
-        return _NO_NUMPY_PATH
-    if not len(per_value):
-        return np.zeros(len(codes), dtype=bool)
-    return per_value[codes]
-
-
-def _dictionary_value_mask(dv, match, np):
-    """``match`` evaluated once per dictionary value, as a code-indexed mask."""
-    values = dv.values
-    if not values:
-        return _NO_NUMPY_PATH
-    return np.fromiter((match(v) for v in values), dtype=bool, count=len(values))
-
-
-def _mask_to_selection(mask, sel, n: int, np, vector):
-    """Shared mask -> refined-selection tail (the _refined conventions)."""
-    if sel is None:
-        kept = np.flatnonzero(mask)
-        return None if len(kept) == n else kept
-    cand = vector.as_index_array(sel)
-    if mask.all():
-        return sel
-    return cand[mask]
-
-
-def _dict_selection(column, sel, n: int, fn, k, op: str):
-    """Comparison on a dictionary column's codes (numpy or pure Python)."""
-    from repro.exec import vector
-
-    if not getattr(column, "is_dictionary", False):
-        return _NO_NUMPY_PATH
-    dv = vector.dict_vector(column)
-    if dv is None:
-        # Raw DictColumn storage (the no-numpy leg): integer-compare the
-        # code buffer in Python — still beats decoding every row.
-        if op != "=" and op != "<>":
-            return _NO_NUMPY_PATH
-        code = column.index.get(k) if type(k) is str else None
-        if code is None:
-            return [] if op == "=" else sel
-        codes = column.codes
-        if op == "=":
-            kept = [i for i in _candidates(sel, n) if codes[i] == code]
-        else:
-            kept = [i for i in _candidates(sel, n) if codes[i] != code]
-        return _refined(kept, sel, n)
-    np = vector._np
-    if op == "=" or op == "<>":
-        # One hash lookup replaces every per-row string compare.
-        code = dv.index.get(k) if type(k) is str else None
-        if code is None:
-            if op == "=":
-                return []
-            return sel  # <> a value the column never holds: all rows pass
-        codes = dv.codes
-        if sel is None:
-            mask = codes[:n] == code if op == "=" else codes[:n] != code
-            kept = np.flatnonzero(mask)
-            return None if len(kept) == n else kept
-        if type(sel) is range and sel.step == 1:
-            # Scan batches window into whole-column vectors with a range
-            # selection: slice the codes (zero-copy) instead of paying an
-            # arange + fancy-index gather per batch.
-            window = codes[sel.start : sel.stop]
-            mask = window == code if op == "=" else window != code
-            if mask.all():
-                return sel
-            kept = np.flatnonzero(mask)
-            return kept + sel.start if sel.start else kept
-        cand = vector.as_index_array(sel)
-        mask = codes[cand] == code if op == "=" else codes[cand] != code
-        if mask.all():
-            return sel
-        return cand[mask]
-    codes = dv.codes[:n] if sel is None else dv.codes[vector.as_index_array(sel)]
-    mask = _dict_code_mask(dv, codes, fn, k, op, np)
-    if mask is _NO_NUMPY_PATH:
-        return _NO_NUMPY_PATH
-    return _mask_to_selection(mask, sel, n, np, vector)
-
-
-def _dict_selection_in(column, sel, n: int, values):
-    """IN-list membership over translated codes (``np.isin`` / int set)."""
-    from repro.exec import vector
-
-    if not getattr(column, "is_dictionary", False):
-        return _NO_NUMPY_PATH
-    index = column.index
-    codes = [
-        c
-        for c in (index.get(v) for v in values if type(v) is str)
-        if c is not None
-    ]
-    if not codes:
-        return []
-    dv = vector.dict_vector(column)
-    if dv is None:
-        wanted = set(codes)
-        col_codes = column.codes
-        kept = [i for i in _candidates(sel, n) if col_codes[i] in wanted]
-        return _refined(kept, sel, n)
-    np = vector._np
-    col_codes = (
-        dv.codes[:n] if sel is None else dv.codes[vector.as_index_array(sel)]
-    )
-    return _mask_to_selection(np.isin(col_codes, codes), sel, n, np, vector)
-
-
-def _dict_selection_vs_dictionary(column, sel, n: int, match):
-    """A per-value predicate (LIKE) broadcast through the codes."""
-    from repro.exec import vector
-
-    if not getattr(column, "is_dictionary", False):
-        return _NO_NUMPY_PATH
-    dv = vector.dict_vector(column)
-    if dv is None:
-        values = column.values
-        wanted = {c for c, v in enumerate(values) if match(v)}
-        if not wanted:
-            return []
-        col_codes = column.codes
-        kept = [i for i in _candidates(sel, n) if col_codes[i] in wanted]
-        return _refined(kept, sel, n)
-    np = vector._np
-    per_value = _dictionary_value_mask(dv, match, np)
-    if per_value is _NO_NUMPY_PATH:
-        return []
-    col_codes = (
-        dv.codes[:n] if sel is None else dv.codes[vector.as_index_array(sel)]
-    )
-    return _mask_to_selection(per_value[col_codes], sel, n, np, vector)
-
-
-def _combined_mask(mask_fns, cols: Sequence, n: int):
-    """AND of per-conjunct dense masks; _NO_NUMPY_PATH when any declines."""
-    combined = None
-    for mask_fn in mask_fns:
-        mask = mask_fn(cols, n)
-        if mask is _NO_NUMPY_PATH:
-            return _NO_NUMPY_PATH
-        combined = mask if combined is None else combined & mask
-    return combined
-
-
-def compile_predicate_mask(expr: Expr, layout: Mapping[str, int]):
-    """``expr`` as a dense boolean-mask evaluator, or None.
-
-    Returns ``(columns, n) -> bool ndarray | None`` when every piece of the
-    predicate compiles to a vectorizable mask shape (column-vs-literal /
-    column-vs-column comparisons and conjunctions thereof); None when the
-    predicate has no fully-vectorized form, so callers check rowids on
-    demand (:class:`repro.exec.vector.LazyMask`) instead of paying a
-    whole-relation Python pass.  The evaluator
-    itself returns None when the columns turn out not to be ndarrays at
-    run time.
-    """
-    pred = compile_predicate_columnar(expr, layout)
-    mask_fn = getattr(pred, "_numpy_mask", None)
-    if mask_fn is None:
-        return None
-
-    def run(cols: Sequence, n: int):
-        mask = mask_fn(cols, n)
-        return None if mask is _NO_NUMPY_PATH else mask
-
-    return run
-
-
-#: Sentinel distinguishing "no numpy fast path applies" from a legitimate
-#: all-selected result (which is ``None`` / the input selection object).
-_NO_NUMPY_PATH = object()
-
-
-def _numpy_selection(column, sel, n: int, fn, k):
-    """Vectorized comparison when the column is a numpy array.
-
-    Returns the refined selection (following the :func:`_refined`
-    conventions; refined selections stay ndarrays so downstream gathers
-    never leave the array domain), or :data:`_NO_NUMPY_PATH` when the
-    caller must use the pure-Python fallback.
-    """
-    from repro.exec import vector
-
-    np = vector._np
-    if np is None or not vector.numpy_enabled():
-        return _NO_NUMPY_PATH
-    if not isinstance(column, np.ndarray) or column.dtype == object:
-        return _NO_NUMPY_PATH
-    try:
-        if sel is None:
-            mask = fn(column[:n], k)
-            kept = np.flatnonzero(mask)
-            return None if len(kept) == n else kept
-        cand = vector.as_index_array(sel)
-        mask = fn(column[cand], k)
-        if mask.all():
-            return sel
-        return cand[mask]
-    except (TypeError, ValueError):  # incomparable dtype: use the fallback
-        return _NO_NUMPY_PATH
-
-
-def _numpy_selection_pair(ca, cb, sel, n: int, fn):
-    """Vectorized column-vs-column comparison (both columns ndarrays).
-
-    Typed ndarray columns cannot hold NULLs, so the mask needs no
-    NULL-handling; anything else falls back to the pure-Python loop.
-    """
-    from repro.exec import vector
-
-    np = vector._np
-    if np is None or not vector.numpy_enabled():
-        return _NO_NUMPY_PATH
-    if not (isinstance(ca, np.ndarray) and isinstance(cb, np.ndarray)):
-        return _NO_NUMPY_PATH
-    if ca.dtype == object or cb.dtype == object:
-        return _NO_NUMPY_PATH
-    try:
-        if sel is None:
-            mask = fn(ca[:n], cb[:n])
-            kept = np.flatnonzero(mask)
-            return None if len(kept) == n else kept
-        cand = vector.as_index_array(sel)
-        mask = fn(ca[cand], cb[cand])
-        if mask.all():
-            return sel
-        return cand[mask]
-    except (TypeError, ValueError):  # incomparable dtypes: use the fallback
-        return _NO_NUMPY_PATH
+        if mask_fn is not None:
+            columns = [
+                table.vector(name.rsplit(".", 1)[-1], min_rows=length)
+                for name in names
+            ]
+            mask = mask_fn(columns, length)
+            if mask is not None:
+                return mask
+    return _vector.LazyMask(rowid_predicate(table, predicate), length)
 
 
 # ---------------------------------------------------------------------- #

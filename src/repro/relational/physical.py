@@ -70,6 +70,7 @@ from repro.exec.vector import (
     gather,
     index_vector,
     is_ndarray,
+    passing,
     take,
     vector_view,
 )
@@ -81,29 +82,13 @@ from repro.relational.expr import (
     compile_expr_columnar,
     compile_predicate,
     compile_predicate_columnar,
-    referenced_columns,
+    rowid_mask,
+    rowid_predicate,
 )
 from repro.relational.logical import AggregateSpec
 from repro.relational.table import Table
 
 ROWID_COLUMN = "_rowid"
-
-
-def rowid_checker(table: Table, predicate: Expr):
-    """Compile ``predicate`` into a rowid -> bool check over ``table``.
-
-    Used by the predefined joins, whose fetched side is addressed by rowid;
-    the predicate may reference any base column (qualified or not), not just
-    projected ones.
-    """
-    names = sorted(referenced_columns(predicate))
-    arrays = [table.column(n.rsplit(".", 1)[-1]) for n in names]
-    layout = {n: i for i, n in enumerate(names)}
-    pred = compile_predicate(predicate, layout)
-    if len(arrays) == 1:
-        only = arrays[0]
-        return lambda rowid: pred((only[rowid],))
-    return lambda rowid: pred(tuple(a[rowid] for a in arrays))
 
 
 class PhysicalOperator(Operator):
@@ -620,55 +605,47 @@ class RowIdJoin(PhysicalOperator):
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar pointer-follow: the pointer column is extracted once per
         batch and the fetched columns are whole-column gathers through it —
-        native ndarray fancy-indexing when the table exposes vector views."""
+        native ndarray fancy-indexing when the table exposes vector views.
+        A predicate filters the pointers through its rowid mask."""
         ptr = _resolve(self.child.output_columns, self.pointer_column)
         snap = ctx.pin(self.table)
         columns = [snap.vector(c) for c in self.projected]
-        check = (
-            rowid_checker(self.table, self.predicate)
+        mask = (
+            rowid_mask(self.table, self.predicate, snap.num_rows)
             if self.predicate is not None
             else None
         )
         for cb in self.child.columnar_batches(ctx):
             pointers = cb.column_vector(ptr)
-            if check is None and is_ndarray(pointers):
+            if is_ndarray(pointers):
                 # Typed pointer columns hold no NULLs; negatives are the
                 # defensive no-match encoding.
-                mask = pointers >= 0
-                if not mask.all():
-                    keep = mask.nonzero()[0]
-                    if not len(keep):
-                        continue
-                    cb = cb.take(keep)
-                    pointers = pointers[keep]
+                valid = pointers >= 0
+                keep = None if valid.all() else valid.nonzero()[0]
             else:
-                # as_values-style normalization: ndarray pointers must
-                # become Python ints here, because this branch's output
-                # (including the emit_rowid column) is built from plist.
-                if type(pointers) is list:
-                    plist = pointers
-                elif hasattr(pointers, "tolist"):
-                    plist = pointers.tolist()
-                else:
-                    plist = list(pointers)
-                if check is None:
-                    keep = None
-                    if any(p is None or p < 0 for p in plist):
-                        keep = [
-                            j for j, p in enumerate(plist) if p is not None and p >= 0
-                        ]
-                else:
+                # as_values-style normalization: the output (including the
+                # emit_rowid column) is built from plain Python ints.
+                if type(pointers) is not list:
+                    pointers = (
+                        pointers.tolist()
+                        if hasattr(pointers, "tolist")
+                        else list(pointers)
+                    )
+                keep = None
+                if any(p is None or p < 0 for p in pointers):
                     keep = [
-                        j
-                        for j, p in enumerate(plist)
-                        if p is not None and p >= 0 and check(p)
+                        j for j, p in enumerate(pointers) if p is not None and p >= 0
                     ]
-                if keep is not None:
-                    if not keep:
+            if keep is not None:
+                if not len(keep):
+                    continue
+                cb, pointers = cb.take(keep), take(pointers, keep)
+            if mask is not None:
+                kept = passing(mask, pointers)
+                if kept is not None:
+                    if not len(kept):
                         continue
-                    cb = cb.take(keep)
-                    plist = [plist[j] for j in keep]
-                pointers = plist
+                    cb, pointers = cb.take(kept), take(pointers, kept)
             fetched = [take(column, pointers) for column in columns]
             if self.emit_rowid:
                 fetched.append(pointers)
@@ -680,7 +657,7 @@ class RowIdJoin(PhysicalOperator):
         ptr = _resolve(self.child.output_columns, self.pointer_column)
         columns = [self.table.column(c) for c in self.projected]
         check = (
-            rowid_checker(self.table, self.predicate)
+            rowid_predicate(self.table, self.predicate)
             if self.predicate is not None
             else None
         )
@@ -805,17 +782,15 @@ class CsrJoin(PhysicalOperator):
         return emit_batches(ctx, self.cached_label(), self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        if self.predicate is not None:
-            # Predicated CSR joins drop to the row protocol (rare plans).
-            return Operator.columnar_batches(self, ctx)
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar CSR expansion: accumulate a parent-position vector and
         the adjacent edge rowids, then assemble output batches as gathers —
         no per-edge row tuples.  With numpy, the whole batch expands as one
-        repeat/cumsum/fancy-index pass over the typed CSR arrays.  Flush
-        thresholds adapt to observed fan-out."""
+        repeat/cumsum/fancy-index pass over the typed CSR arrays.  A
+        predicate filters the edge rowids through its rowid mask, the way
+        graph expansions do.  Flush thresholds adapt to observed fan-out."""
         vid = _resolve(self.child.output_columns, self.vertex_rowid_column)
         snap = ctx.pin(self.edge_table)
         columns = [snap.vector(c) for c in self.projected]
@@ -826,6 +801,18 @@ class CsrJoin(PhysicalOperator):
         edges = vector_view(self.csr_edges)
         np_ready = is_ndarray(offsets) and is_ndarray(edges)
         sizer = ChunkSizer(ctx)
+        emask = (
+            rowid_mask(self.edge_table, self.predicate, snap.num_rows)
+            if self.predicate is not None
+            else None
+        )
+
+        def refine(parents, edge_ids):
+            if emask is not None:
+                kept = passing(emask, edge_ids)
+                if kept is not None:
+                    parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+            return parents, edge_ids
 
         def assemble(cb: ColumnarBatch, parents, edge_ids) -> ColumnarBatch:
             new_columns = [take(c, edge_ids) for c in columns]
@@ -843,7 +830,7 @@ class CsrJoin(PhysicalOperator):
                 expanded = csr_expand_vectors(vertices, offsets, edges)
                 if expanded is None:
                     continue
-                parents, edge_ids = expanded
+                parents, edge_ids = refine(*expanded)
                 total = len(parents)
                 size = ctx.batch_size
                 for start in range(0, total, size):
@@ -862,18 +849,21 @@ class CsrJoin(PhysicalOperator):
                 parents_l.extend([j] * (hi - lo))
                 edge_ids_l.extend(edges[lo:hi])
                 if len(parents_l) >= sizer.size:
-                    flushed += len(parents_l)
-                    yield assemble(cb, parents_l, edge_ids_l)
+                    parents_l, edge_ids_l = refine(parents_l, edge_ids_l)
+                    if len(parents_l):
+                        flushed += len(parents_l)
+                        yield assemble(cb, parents_l, edge_ids_l)
                     parents_l, edge_ids_l = [], []
+            parents_l, edge_ids_l = refine(parents_l, edge_ids_l)
             sizer.observe(len(vertices), flushed + len(parents_l))
-            if parents_l:
+            if len(parents_l):
                 yield assemble(cb, parents_l, edge_ids_l)
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
         vid = _resolve(self.child.output_columns, self.vertex_rowid_column)
         columns = [self.edge_table.column(c) for c in self.projected]
         check = (
-            rowid_checker(self.edge_table, self.predicate)
+            rowid_predicate(self.edge_table, self.predicate)
             if self.predicate is not None
             else None
         )
@@ -2053,25 +2043,3 @@ class _PartialDistinct(PhysicalOperator):
 
     def _label(self) -> str:
         return "DISTINCT(partial)"
-
-
-class MaterializedInput(PhysicalOperator):
-    """Wrap precomputed rows as a plan leaf (used by SCAN_GRAPH_TABLE glue)."""
-
-    def __init__(self, columns: list[str], rows: list[tuple], label: str = "MATERIALIZED"):
-        self.output_columns = list(columns)
-        self.rows = rows
-        self.label_text = label
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        buffer = ctx.buffer(self._label())
-        try:
-            buffer.grow(len(self.rows))
-            yield from emit_batches(
-                ctx, self._label(), chunked(self.rows, ctx.batch_size)
-            )
-        finally:
-            buffer.release()
-
-    def _label(self) -> str:
-        return self.label_text

@@ -17,7 +17,6 @@ from repro.relational.physical import (
     DistinctOp,
     HashJoin,
     LimitOp,
-    MaterializedInput,
     NestedLoopJoin,
     SeqScan,
     SortOp,
@@ -160,12 +159,6 @@ def test_plan_serialization():
     assert doc["children"][0]["operator"] == "SeqScan"
     assert plan_signature(plan) == ("LimitOp", ("SeqScan",))
     assert operator_counts(plan) == {"LimitOp": 1, "SeqScan": 1}
-
-
-def test_materialized_input():
-    op = MaterializedInput(["a", "b"], [(1, 2), (3, 4)])
-    result = execute_plan(op)
-    assert result.rows == [(1, 2), (3, 4)]
 
 
 @settings(max_examples=50, deadline=None)

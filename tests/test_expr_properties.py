@@ -160,14 +160,19 @@ def test_columnar_compile_cache_distinguishes_equal_hashing_literals():
 _WORDS = ["", "a", "ab", "abc", "b", "ba", "Ab", "%", "a_c"]
 
 
+_OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+
 @st.composite
 def table_predicates(draw, depth: int = 0):
     """WHERE-style predicates over the mask table below: a typed INT column
     (``a``), a NULL-bearing one (``b``), a dictionary STRING column (``s``)
-    and a NULL-bearing one (``n``) — every column flavour a mask can meet."""
-    choice = draw(st.integers(0, 4 if depth >= 3 else 6))
+    and a NULL-bearing one (``n``) — every column flavour a mask can meet.
+    Comparisons put the column on either side of a literal, or compare two
+    columns of one type."""
+    choice = draw(st.integers(0, 6 if depth >= 3 else 9))
     if choice == 0:
-        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        op = draw(st.sampled_from(_OPS))
         column = draw(st.sampled_from("ab"))
         return Comparison(op, ColumnRef(f"v.{column}"), Literal(draw(st.integers(-3, 3))))
     if choice == 1:
@@ -186,7 +191,19 @@ def table_predicates(draw, depth: int = 0):
     if choice == 4:
         return IsNull(ColumnRef(draw(st.sampled_from("absn"))), draw(st.booleans()))
     if choice == 5:
+        pair = draw(st.sampled_from(["ab", "sn"]))
+        left, right = draw(st.sampled_from(pair)), draw(st.sampled_from(pair))
+        return Comparison(draw(st.sampled_from(_OPS)), ColumnRef(left), ColumnRef(right))
+    if choice == 6:
+        column = draw(st.sampled_from("absn"))
+        domain = st.integers(-3, 3) if column in "ab" else st.sampled_from(_WORDS)
+        return Comparison(
+            draw(st.sampled_from(_OPS)), Literal(draw(domain)), ColumnRef(column)
+        )
+    if choice == 7:
         return Not(draw(table_predicates(depth + 1)))
+    if choice == 8:
+        return and_(*draw(st.lists(table_predicates(depth + 1), min_size=2, max_size=3)))
     op = draw(st.sampled_from(["AND", "OR"]))
     return BoolOp(
         op, (draw(table_predicates(depth + 1)), draw(table_predicates(depth + 1)))
@@ -205,15 +222,7 @@ MASK_ROWS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(table_predicates(), MASK_ROWS, st.data(), st.booleans())
-def test_rowid_mask_matches_row_predicate(predicate, rows, data, use_numpy):
-    """Whatever shape the mask takes (dense ndarray, lazy, pure Python), a
-    lookup answers as the compiled row predicate does — on repeated and
-    duplicate rowids too, which the lazy mask serves from its memo."""
-    from repro.exec import numpy_available, set_numpy_enabled
-    from repro.exec.vector import passing
-    from repro.graph.matching import rowid_mask, rowid_predicate
+def _mask_table(rows):
     from repro.relational.schema import Column, TableSchema
     from repro.relational.table import Table
     from repro.relational.types import DataType
@@ -230,6 +239,20 @@ def test_rowid_mask_matches_row_predicate(predicate, rows, data, use_numpy):
         )
     )
     table.extend(rows, validate=False)
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_predicates(), MASK_ROWS, st.data(), st.booleans())
+def test_rowid_mask_matches_row_predicate(predicate, rows, data, use_numpy):
+    """Whatever shape the mask takes (dense ndarray, lazy, pure Python), a
+    lookup answers as the compiled row predicate does — on repeated and
+    duplicate rowids too, which the lazy mask serves from its memo."""
+    from repro.exec import numpy_available, set_numpy_enabled
+    from repro.exec.vector import passing
+    from repro.relational.expr import rowid_mask, rowid_predicate
+
+    table = _mask_table(rows)
     lookups = st.lists(st.integers(0, len(rows) - 1), max_size=20)
     try:
         set_numpy_enabled(use_numpy and numpy_available())
@@ -246,3 +269,65 @@ def test_rowid_mask_matches_row_predicate(predicate, rows, data, use_numpy):
                 assert [int(j) for j in kept] == expected
     finally:
         set_numpy_enabled(None)
+
+
+SELECTION_FORMS = ["none", "range", "offset", "list", "ndarray", "empty"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    table_predicates(),
+    MASK_ROWS,
+    st.sampled_from(["dict", "typed", "list"]),
+    st.sampled_from(SELECTION_FORMS),
+    st.data(),
+    st.booleans(),
+)
+def test_selection_refiner_matches_row_predicate(
+    predicate, rows, storage, form, data, use_numpy
+):
+    """The columnar refiner keeps exactly the candidates the row predicate
+    passes, for every selection form, storage backend and numpy setting —
+    and hands back the input selection itself when every candidate does."""
+    from repro.exec import numpy_available, set_numpy_enabled
+    from repro.relational.column import set_storage_backend
+    from repro.relational.expr import compile_predicate_columnar
+
+    n = len(rows)
+    numpy_on = use_numpy and numpy_available()
+    if form == "none":
+        sel = None
+    elif form == "range":
+        sel = range(n)
+    elif form == "offset":
+        lo = data.draw(st.integers(0, n))
+        sel = range(lo, data.draw(st.integers(lo, n)))
+    elif form == "empty":
+        sel = []
+    else:
+        sel = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        if form == "ndarray" and numpy_on:
+            import numpy as np
+
+            sel = np.asarray(sel, dtype=np.intp)
+    try:
+        set_storage_backend(storage)
+        set_numpy_enabled(numpy_on)
+        table = _mask_table(rows)
+        names = table.schema.column_names
+        layout = {name: i for i, c in enumerate(names) for name in (c, f"v.{c}")}
+        check = compile_predicate(predicate, layout)
+        candidates = list(range(n) if sel is None else sel)
+        expected = [i for i in candidates if check(rows[i])]
+        refine = compile_predicate_columnar(predicate, layout)
+        got = refine([table.vector(c) for c in names], sel, n)
+    finally:
+        set_numpy_enabled(None)
+        set_storage_backend(None)
+    if sel is None and len(expected) == n:
+        assert got is None
+        return
+    assert got is not None
+    assert [int(i) for i in got] == expected
+    if expected and len(expected) == len(candidates):
+        assert got is sel

@@ -168,6 +168,43 @@ def test_binary_join_checks_a_shared_vertex_loop_once(mode):
     assert rows_as_bindings(op) == reference_bindings(mapping, index, pattern, keep=keep)
 
 
+@pytest.mark.parametrize("mode", ["indexed", "no_index", "no_ei", "unfused"])
+def test_binary_join_joins_a_shared_edge_on_its_rowid(mode):
+    """Case I: the chord b->d lies in both sides of {a,b,d} JOIN {b,c,d}.
+    With the edge trimmed, each side's copy multiplied the other's
+    parallel b->d edges (19 rows where the reference matcher finds 15)."""
+    from tests.conftest import build_fig2_catalog
+
+    catalog, mapping = build_fig2_catalog()
+    catalog.table("Knows").extend(
+        [(5, 1, 2, "2023-03-01"), (6, 2, 3, "2023-03-02"), (7, 1, 1, "2023-03-03")]
+    )
+    index = build_graph_index(mapping)
+    catalog.analyze()
+    pattern = (
+        PatternGraph.builder()
+        .vertex("a", "Person").vertex("b", "Person").vertex("c", "Person").vertex("d", "Person")
+        .edge("a", "b", "Knows", name="ab").edge("b", "c", "Knows", name="bc")
+        .edge("c", "d", "Knows", name="cd").edge("d", "a", "Knows", name="da")
+        .edge("b", "d", "Knows", name="bd")
+        .build()
+    )  # fmt: skip
+    optimizer = build_optimizer(catalog, mapping, index, use_graph_index=mode != "no_index")
+    left = optimizer.optimize(pattern.induced_subpattern({"a", "b", "d"}))
+    right = optimizer.optimize(pattern.induced_subpattern({"b", "c", "d"}))
+    plan = GraphPlan(pattern, "join", 1.0, 1.0, left=left, right=right)
+    lowering = LoweringConfig(
+        use_graph_index=mode != "no_index",
+        enable_expand_intersect=mode != "no_ei",
+        fuse=mode != "unfused",
+    )
+    op = lower_plan(plan, mapping, index, lowering)
+    keep = {v.name for v in op.output_vars}
+    expected = reference_bindings(mapping, index, pattern, keep=keep)
+    assert len(match_pattern(mapping, index, pattern)) == 15
+    assert rows_as_bindings(op) == expected
+
+
 def test_isomorphism_lowering(fig2):
     catalog, mapping, index = fig2
     pattern = (

@@ -238,10 +238,12 @@ def test_parallel_topk_fold_order_exact(table):
     )
 
 
-def test_parallel_hash_join_build_fold(table):
-    right = make_table(5_000, "r")
+def test_parallel_hash_join_build_fold():
+    # The 5 000-row build side spans several morsels, so worker shards still
+    # merge; a 2 100-row probe side keeps the join output small.
+    left, right = make_table(2_100, "l"), make_table(5_000, "r")
     _assert_matches_serial(
-        HashJoin(SeqScan(table, "l"), SeqScan(right, "r"), ["l.v"], ["r.v"])
+        HashJoin(SeqScan(left, "l"), SeqScan(right, "r"), ["l.v"], ["r.v"])
     )
 
 

@@ -1,7 +1,7 @@
 """Pushed-down predicates run through one path: rowid masks.
 
 Every predicate an expansion operator carries — whatever its shape — turns
-into a mask (:func:`repro.graph.matching.rowid_mask`): a dense boolean
+into a mask (:func:`repro.relational.expr.rowid_mask`): a dense boolean
 ndarray where the predicate vectorizes, a lazily filled
 :class:`repro.exec.vector.LazyMask` everywhere else.  This suite pins that
 no shape changes an answer:
@@ -13,6 +13,9 @@ no shape changes an answer:
   kept), EDGE_SCAN and the standalone filters: the operator's one columnar
   body == the reference matcher, which shares no code with it, with numpy
   on and off;
+* **predefined joins** — predicated ROWID_JOIN and CSR_JOIN filter through
+  the same masks: their columnar bodies return the row bodies' rows and
+  ``rows_produced``;
 * **laziness** — a lazy mask calls its predicate at most once per distinct
   rowid, however many batches look it up;
 * the satellites that ride along: ``pin_plan`` pins each table once per
@@ -31,9 +34,8 @@ import pytest
 from repro.exec import ExecutionContext, numpy_available, open_plan, set_numpy_enabled
 from repro.exec.context import pin_plan
 from repro.exec.vector import LazyMask, passing, vector_view
-from repro.graph import matching
 from repro.graph.index import build_graph_index
-from repro.graph.matching import match_pattern, rowid_mask, rowid_predicate
+from repro.graph.matching import match_pattern
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import (
     EdgeFilter,
@@ -47,6 +49,7 @@ from repro.graph.physical import (
     VertexFilter,
 )
 from repro.graph.rgmapping import RGMapping
+from repro.relational import expr
 from repro.relational.catalog import Catalog
 from repro.relational.expr import (
     BoolOp,
@@ -57,6 +60,8 @@ from repro.relational.expr import (
     col,
     eq,
     lit,
+    rowid_mask,
+    rowid_predicate,
     starts_with,
 )
 from repro.relational.schema import Column, ForeignKey, TableSchema
@@ -451,6 +456,78 @@ def test_standalone_filters(graph, numpy_mode, shape):
 
 
 # --------------------------------------------------------------------- #
+# predefined joins: the relational operators filter through masks too
+# --------------------------------------------------------------------- #
+
+
+def _both_protocols(op):
+    """(rows, rows_produced) of ``op``'s columnar body and of its row body."""
+    out = []
+    for columnar in (True, False):
+        ctx = ExecutionContext(batch_size=4)
+        if columnar:
+            rows = [row for cb in op.columnar_batches(ctx) for row in cb.to_rows()]
+        else:
+            rows = [row for batch in op.batches(ctx) for row in batch]
+        out.append((Counter(rows), ctx.rows_produced))
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
+def test_predefined_joins_filter_through_masks(graph, numpy_mode, shape):
+    """A predicated CSR_JOIN over Link, then a predicated ROWID_JOIN to the
+    far Person: the columnar bodies return the row bodies' rows and
+    ``rows_produced``, and as many rows as the reference matcher."""
+    from repro.relational.physical import CsrJoin, RowIdJoin, SeqScan
+
+    mapping, index = graph
+    person, link = mapping.vertex_table("Person"), mapping.edge_table("Link")
+    epred, vpred = EDGE_PREDICATES[shape], VERTEX_PREDICATES[shape]
+    adjacency = index.adjacency("Person", "Link", "out")
+    csr = CsrJoin(
+        SeqScan(person, "a", emit_rowid=True), "a._rowid",
+        adjacency.offsets, adjacency.edge_rowids, link, "e", predicate=epred,
+        far_pointer=("e._ptr_dst", index.edge_index("Link").dst_rowids),
+    )  # fmt: skip
+    op = RowIdJoin(csr, "e._ptr_dst", person, "b", predicate=vpred, emit_rowid=True)
+    columnar, row = _both_protocols(op)
+    assert columnar == row
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person")
+        .vertex("b", "Person", predicate=vpred)
+        .edge("a", "b", "Link", name="e", predicate=epred).build()
+    )  # fmt: skip
+    assert sum(columnar[0].values()) == len(_reference(graph, pattern, ["a", "b"]))
+
+
+@pytest.mark.parametrize("system_name", ["graindb", "umbra"])
+def test_predicated_csr_join_runs_columnar(fig2, system_name):
+    from repro.core.sqlpgq import parse_and_bind
+    from repro.exec.context import execute_plan
+    from repro.relational.physical import CsrJoin
+    from repro.systems import make_system
+
+    catalog, _, _ = fig2
+    query = parse_and_bind(
+        "SELECT p.name, q.name FROM Person p, Knows k, Person q"
+        " WHERE p.person_id = k.pid1 AND k.pid2 = q.person_id"
+        " AND k.date >= '2023-02-01'",
+        catalog,
+    )
+    plan = make_system(system_name, catalog, "G").optimize(query).physical
+    stack, predicated = [plan], False
+    while stack:
+        op = stack.pop()
+        stack.extend(op.children())
+        predicated |= isinstance(op, CsrJoin) and op.predicate is not None
+    assert predicated, "the plan must hold a predicated CSR_JOIN"
+    columnar = execute_plan(plan, columnar=True)
+    row = execute_plan(plan, columnar=False)
+    assert columnar.sorted_rows() == row.sorted_rows() == [("Bob", "David"), ("David", "Bob")]
+    assert columnar.rows_produced == row.rows_produced
+
+
+# --------------------------------------------------------------------- #
 # the mask types
 # --------------------------------------------------------------------- #
 
@@ -488,7 +565,7 @@ def test_mask_covers_the_pinned_extent_only(graph, numpy_mode):
 def test_lazy_mask_checks_each_distinct_rowid_once(graph, numpy_mode, monkeypatch):
     mapping, index = graph
     calls: Counter = Counter()
-    original = matching.rowid_predicate
+    original = expr.rowid_predicate
 
     def counting(table, predicate):
         check = original(table, predicate)
@@ -499,7 +576,7 @@ def test_lazy_mask_checks_each_distinct_rowid_once(graph, numpy_mode, monkeypatc
 
         return counted
 
-    monkeypatch.setattr(matching, "rowid_predicate", counting)
+    monkeypatch.setattr(expr, "rowid_predicate", counting)
     # Person 0 (id 1) is the target of eight edges spread over many
     # two-row batches; every lookup after the first must hit the memo.
     op = Expand(

@@ -268,6 +268,34 @@ def test_expand_intersect_is_one_kernel():
     assert calls.count("intersect_expand") == 1
 
 
+def test_predicates_have_one_vectorized_body():
+    """A predicate compiles once per (expr, layout): the dense rowid mask is
+    the selection refiner's own body, and the predefined joins filter
+    through it instead of falling back to their row bodies."""
+    from repro.relational.expr import (
+        and_,
+        compile_predicate_columnar,
+        compile_predicate_mask,
+        eq,
+        ge,
+        starts_with,
+    )
+
+    sources = _sources()
+    for module, text in sources.items():
+        for gone in ("_numpy_mask", "_NO_NUMPY_PATH"):
+            assert gone not in text, (module, gone)
+    layout = {"t.a": 0, "t.s": 1}
+    for pred in (
+        ge("t.a", 3),
+        eq("t.s", "x"),
+        and_(ge("t.a", 3), starts_with("t.s", "x")),
+    ):
+        mask = compile_predicate_mask(pred, layout)
+        assert mask.__self__ is compile_predicate_columnar(pred, layout)
+    assert "Operator.columnar_batches(self" not in sources["repro/relational/physical.py"]
+
+
 def test_hot_execute_reads_no_environment(monkeypatch):
     class NoEnvironment(dict):
         def __getitem__(self, key):

@@ -264,9 +264,9 @@ def test_rowid_join_predicate_branch_emits_python_ints():
     )
     result = execute_plan(join, columnar=True)
     assert len(result.rows) == 4
-    # The ndarray pointer column goes through the predicate (list) branch;
-    # every emitted value — including the rowid columns — must be a plain
-    # Python int.
+    # The ndarray pointer column is filtered through the predicate's rowid
+    # mask; every emitted value — including the rowid columns — must be a
+    # plain Python int.
     assert all(type(v) is int for row in result.rows for v in row)
 
 
