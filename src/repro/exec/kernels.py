@@ -764,19 +764,26 @@ def csr_expand_vectors(vertices, offsets, edges):
                 parents.extend([j] * (hi - lo))
                 edge_ids.extend(edges[lo:hi])
         return (parents, edge_ids) if parents else None
-    np = vector._np
     v = vector.as_index_array(vertices)
     if not len(v):
         return None
     lo = offsets[v]
     deg = offsets[v + 1] - lo
-    total = int(deg.sum())
-    if not total:
+    if not deg.any():
         return None
-    parents = np.repeat(np.arange(len(v), dtype=np.intp), deg)
-    group_starts = np.concatenate(([0], np.cumsum(deg[:-1])))
-    positions = np.arange(total, dtype=np.intp) + np.repeat(lo - group_starts, deg)
+    parents, positions = _run_positions(lo, deg)
     return parents, edges[positions]
+
+
+def _run_positions(starts, counts):
+    """Every position of the runs ``[starts[j], starts[j] + counts[j])``,
+    run by run: ``(owners, positions)`` with ``owners[t]`` the run ``j``
+    position ``t`` belongs to.  Both ndarrays."""
+    np = vector._np
+    owners = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    firsts = np.cumsum(counts) - counts
+    positions = np.arange(len(owners), dtype=np.intp) + np.repeat(starts - firsts, counts)
+    return owners, positions
 
 
 def degree_products(offsets_a, offsets_b) -> int:
@@ -860,10 +867,12 @@ def _walk(columns: list, steps: Sequence[WalkStep], limit: int) -> int:
     return _walk(columns, steps[1:], limit)
 
 
-#: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT expands at
+#: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT reads at
 #: once, as a multiple of ``ctx.batch_size``: an input batch is cut into row
 #: slices whose summed leg degrees stay within about this many batches (a
-#: single row above it is a slice of its own).
+#: single row above it is a slice of its own).  Only the slice's smallest
+#: leg materializes its pairs; the cut counts every leg so that slices, and
+#: with them output chunks, do not depend on which leg drives.
 INTERSECT_PAIRS_PER_BATCH = 16
 
 
@@ -873,14 +882,17 @@ class IntersectLeg(NamedTuple):
     ``column`` is the bound leaf's position in the input batch; ``offsets``
     / ``edges`` are the leaf's CSR adjacency and ``far`` the far endpoint of
     every edge rowid — vector views, so ndarrays exactly when numpy is on;
-    ``mask`` is the edge predicate's rowid mask (None: no predicate) and
-    ``kept`` whether the leg's edge rowid is an output column.
+    ``view`` is the adjacency's neighbor-ordered
+    :class:`~repro.graph.index.KeyView` (None with numpy off); ``mask`` is
+    the edge predicate's rowid mask (None: no predicate) and ``kept``
+    whether the leg's edge rowid is an output column.
     """
 
     column: int
     offsets: Sequence[int]
     edges: Sequence[int]
     far: Sequence[int]
+    view: Any
     mask: Any
     kept: bool
 
@@ -893,35 +905,40 @@ def intersect_expand(
     vmask,
 ) -> Iterator[ColumnarBatch]:
     """EXPAND_INTERSECT: close a star on every input row by intersecting
-    its legs' neighbor sets.
+    its legs' neighbor sets, the smallest set driving and the others
+    probed — a worst-case-optimal join step.
 
-    Per input batch and leg, the bound vertices CSR-expand into (parent
-    position, edge rowid) pairs, the leg's edge mask filters them, and each
-    pair is encoded as one integer key ``parent * radix + far endpoint`` —
+    A (bound vertex, root) pair is one integer key ``vertex * radix + root``;
     ``radix`` is the root label's pinned vertex extent, which bounds every
-    far rowid.  Sorting the keys groups each leg's parallel edges into
-    runs; the legs' sorted distinct keys intersect by binary search,
-    smallest leg first, and a common key's multiplicity is the product of
-    its run lengths.  Kept edge variables come from the same sort: output
-    row ``t`` of a key's block takes, from leg ``i``'s run, the edge at
+    far rowid.  Each leg's :class:`~repro.graph.index.KeyView` lists its
+    adjacency in neighbor order with those keys sorted, so no key is ever
+    sorted here.  Per row slice, the leg with the smallest summed degree
+    drives: only its bound vertices CSR-expand, through the view, into
+    pairs that come out in (row, root) order with parallel edges adjacent
+    — its runs.  Every other leg is probed by binary search in its view's
+    keys: the run ``[lo, hi)`` of a pair's key holds that leg's parallel
+    edges to the root, one ``searchsorted`` plus an equality test when the
+    view has no parallel edges.  Edge masks filter the driver's pairs and
+    the probed runs; ``vmask`` (the root's vertex mask, None without a
+    predicate) filters the driver's candidates before any probe.
+
+    A common pair's multiplicity is the product of its run lengths.  Output
+    row ``t`` of a pair's block takes, from leg ``i``'s run, the edge at
     ``(t // stride_i) % count_i`` with ``stride_i`` the product of the later
     legs' counts — ``itertools.product`` order over the runs, which hold
-    their edges in adjacency order.  ``vmask`` (the root's vertex mask,
-    None without a predicate) filters the common keys.
+    their edges in edge-rowid order.
 
     Output rows follow (input row, root rowid) order, in chunks of
-    ``ctx.batch_size`` rows.  An input batch is expanded in row slices cut on
-    the cumulative leg degrees (:data:`INTERSECT_PAIRS_PER_BATCH`), so a
-    batch of hub vertices never holds more than a fixed multiple of the
-    batch size in pairs at once.  The same algorithm runs as numpy array
-    passes when the adjacency views are ndarrays, and as a dictionary walk
-    over the index's typed arrays otherwise.
+    ``ctx.batch_size`` rows.  An input batch is processed in row slices cut
+    on the cumulative degrees of all legs (:data:`INTERSECT_PAIRS_PER_BATCH`),
+    so a batch of hub vertices never holds more than a fixed multiple of
+    the batch size in pairs at once.  The algorithm runs as numpy array
+    passes when every leg has a view, and as a dictionary walk over the
+    index's typed arrays otherwise.
     """
     size = ctx.batch_size
     limit = INTERSECT_PAIRS_PER_BATCH * size
-    vectorized = all(
-        is_ndarray(v) for leg in legs for v in (leg.offsets, leg.edges, leg.far)
-    )
+    vectorized = all(leg.view is not None for leg in legs)
     body = _intersect_vectors if vectorized else _intersect_walk
     for cb in source:
         yield from body(cb, legs, radix, vmask, size, limit)
@@ -931,104 +948,154 @@ def _intersect_vectors(cb, legs, radix, vmask, size, limit):
     """:func:`intersect_expand` on one batch, as numpy array passes."""
     np = vector._np
     bound = [vector.as_index_array(cb.column_vector(leg.column)) for leg in legs]
-    if not len(bound[0]):
+    n = len(bound[0])
+    if not n:
         return
-    work = sum(leg.offsets[v + 1] - leg.offsets[v] for leg, v in zip(legs, bound))
-    reach = np.cumsum(work)
+    # Per leg, the prefix sums of its bound vertices' degrees.
+    reach = np.zeros((len(legs), n + 1), dtype=np.int64)
+    for leg, vertices, sums in zip(legs, bound, reach):
+        np.cumsum(leg.offsets[vertices + 1] - leg.offsets[vertices], out=sums[1:])
     # Slice i ends before the first row whose cumulative work passes
-    # (i + 1) * limit.  Keys carry slice-local parents, which keeps the
-    # int64 ``parent * radix`` small.
-    cuts = np.searchsorted(reach, np.arange(limit, int(reach[-1]), limit), "right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(reach)]))).tolist()
+    # (i + 1) * limit.
+    total = reach[:, 1:].sum(axis=0)
+    cuts = np.searchsorted(total, np.arange(limit, int(total[-1]), limit), "right")
+    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
     for first, last in zip(bounds, bounds[1:]):
-        runs = []
-        for leg, vertices in zip(legs, bound):
-            expanded = csr_expand_vectors(vertices[first:last], leg.offsets, leg.edges)
-            if expanded is None:
-                break
-            parents, edge_ids = expanded
-            if leg.mask is not None:
-                kept = passing(leg.mask, edge_ids)
-                if kept is not None:
-                    if not len(kept):
-                        break
-                    parents, edge_ids = parents[kept], edge_ids[kept]
-            keys = parents * radix + leg.far[edge_ids]
-            runs.append(_key_runs(keys, edge_ids if leg.kept else None))
-        else:
-            yield from _emit_common(cb, legs, runs, radix, vmask, size, first)
+        work = reach[:, last] - reach[:, first]
+        driver = int(np.argmin(work))
+        if work[driver]:
+            yield from _intersect_slice(
+                cb, legs, bound, driver, radix, vmask, size, first, last
+            )
 
 
-def _key_runs(keys, edge_ids):
-    """One leg's pair keys as sorted runs: ``(distinct keys, run starts, run
-    lengths, edge rowids in key order)``.  The sort is stable, so a run
-    keeps its edges in adjacency order; a trimmed leg passes ``edge_ids``
-    None and gets None back."""
+def _intersect_slice(cb, legs, bound, driver, radix, vmask, size, first, last):
+    """Intersect rows ``[first, last)`` of one batch, ``legs[driver]``
+    expanding and the others probed, and emit the rows (see
+    :func:`intersect_expand`)."""
     np = vector._np
-    if edge_ids is None:
-        keys = np.sort(keys, kind="stable")
-    else:
-        order = np.argsort(keys, kind="stable")
-        keys, edge_ids = keys[order], edge_ids[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    return keys[starts], starts, np.diff(starts, append=len(keys)), edge_ids
-
-
-def _emit_common(cb, legs, runs, radix, vmask, size, first):
-    """Intersect one slice's per-leg key runs and emit the common keys'
-    rows (see :func:`intersect_expand`)."""
-    np = vector._np
-    by_size = sorted(range(len(runs)), key=lambda i: len(runs[i][0]))
-    common = runs[by_size[0]][0]
-    # Per leg, the position of each common key among its distinct keys.
-    at = {by_size[0]: np.arange(len(common))}
-    for i in by_size[1:]:
-        unique = runs[i][0]
-        found = np.searchsorted(unique, common)
-        np.minimum(found, len(unique) - 1, out=found)
-        hit = unique[found] == common
-        if not hit.all():
-            common, found = common[hit], found[hit]
-            if not len(common):
-                return
-            at = {j: positions[hit] for j, positions in at.items()}
-        at[i] = found
-    if vmask is not None:
-        kept = passing(vmask, common % radix)
+    leg = legs[driver]
+    expanded = csr_expand_vectors(bound[driver][first:last], leg.offsets, leg.view.edges)
+    if expanded is None:
+        return
+    parents, edge_ids = expanded
+    if leg.mask is not None:
+        kept = passing(leg.mask, edge_ids)
         if kept is not None:
             if not len(kept):
                 return
-            common = common[kept]
-            at = {j: positions[kept] for j, positions in at.items()}
-    counts = [runs[i][2][at[i]] for i in range(len(runs))]
-    starts = [runs[i][1][at[i]] for i in range(len(runs))]
-    multiplicity = counts[0]
-    for leg_counts in counts[1:]:
-        multiplicity = multiplicity * leg_counts
-    ends = np.cumsum(multiplicity)
-    total = int(ends[-1])
+            parents, edge_ids = parents[kept], edge_ids[kept]
+    roots = leg.far[edge_ids]
+    # The candidates: the driver's distinct (slice row, root) pairs, in
+    # order.  Per leg, runs ``(starts, counts, edges)`` aligned with them:
+    # a candidate's edges are ``edges[starts:starts + counts]``; counts
+    # None means one edge each, and a trimmed leg keeps no starts.
+    runs = [None] * len(legs)
+    if leg.view.distinct:
+        starts = np.arange(len(roots)) if leg.kept else None
+        runs[driver] = (starts, None, edge_ids)
+    else:
+        head = np.empty(len(roots), dtype=bool)
+        head[0] = True
+        np.not_equal(roots[1:], roots[:-1], out=head[1:])
+        head[1:] |= parents[1:] != parents[:-1]
+        starts = np.flatnonzero(head)
+        runs[driver] = (starts, np.diff(starts, append=len(roots)), edge_ids)
+        parents, roots = parents[starts], roots[starts]
+
+    def narrow(selected):
+        nonlocal parents, roots
+        parents, roots = parents[selected], roots[selected]
+        for i, run in enumerate(runs):
+            if run is not None:
+                runs[i] = tuple(None if a is None else a[selected] for a in run[:2]) + run[2:]
+        return len(parents)
+
+    if vmask is not None:
+        kept = passing(vmask, roots)
+        if kept is not None and not narrow(kept):
+            return
+    for i, leg in enumerate(legs):
+        if i == driver:
+            continue
+        view = leg.view
+        probe = bound[i][first:last][parents] * radix + roots
+        lo = np.searchsorted(view.keys, probe)
+        if view.distinct:
+            hit = view.keys[np.minimum(lo, len(view.keys) - 1)] == probe
+            counts = None
+        else:
+            counts = np.searchsorted(view.keys, probe, "right") - lo
+            hit = counts > 0
+        if not hit.all():
+            hit = np.flatnonzero(hit)
+            if not narrow(hit):
+                return
+            lo = lo[hit]
+            if counts is not None:
+                counts = counts[hit]
+        edges = view.edges
+        if leg.mask is not None:
+            if counts is None:
+                kept = passing(leg.mask, edges[lo])
+            else:
+                # Mask every run's edges and re-count what is left; the
+                # leg's runs then index the compacted survivors.
+                owners, positions = _run_positions(lo, counts)
+                kept = passing(leg.mask, edges[positions])
+                if kept is not None:
+                    edges = edges[positions[kept]]
+                    counts = np.bincount(owners[kept], minlength=len(lo))
+                    lo = np.cumsum(counts) - counts
+                    kept = np.flatnonzero(counts)
+            if kept is not None:
+                if not narrow(kept):
+                    return
+                lo = lo[kept]
+                if counts is not None:
+                    counts = counts[kept]
+        runs[i] = (lo if leg.kept else None, counts, edges)
+    yield from _emit_runs(cb, legs, runs, parents + first, roots, size)
+
+
+def _emit_runs(cb, legs, runs, parents, roots, size):
+    """Emit the common pairs' rows, in ``ctx.batch_size`` chunks: pair
+    ``j`` extends input row ``parents[j]`` with root ``roots[j]`` once per
+    combination of the legs' runs (see :func:`intersect_expand`)."""
+    np = vector._np
+    multiplicity = None
+    for _, counts, _ in runs:
+        if counts is not None:
+            multiplicity = counts if multiplicity is None else multiplicity * counts
+    if multiplicity is None:
+        total = len(roots)
+    else:
+        ends = np.cumsum(multiplicity)
+        total = int(ends[-1])
     kept_legs = [i for i, leg in enumerate(legs) if leg.kept]
     strides = {}
-    if kept_legs:
-        stride = np.ones(len(common), dtype=np.int64)
+    if kept_legs and multiplicity is not None:
+        stride = None
         for i in reversed(range(len(legs))):
             strides[i] = stride
-            stride = stride * counts[i]
+            counts = runs[i][1]
+            if counts is not None:
+                stride = counts if stride is None else stride * counts
     for lo in range(0, total, size):
         t = np.arange(lo, min(lo + size, total), dtype=np.int64)
-        k = t if total == len(common) else np.searchsorted(ends, t, "right")
-        keys = common[k]
+        k = t if total == len(roots) else np.searchsorted(ends, t, "right")
         new_columns = []
         if kept_legs:
-            within = t - (ends[k] - multiplicity[k])
+            within = None if total == len(roots) else t - (ends[k] - multiplicity[k])
             for i in kept_legs:
-                pick = (within // strides[i][k]) % counts[i][k]
-                new_columns.append(runs[i][3][starts[i][k] + pick])
-        new_columns.append(keys % radix)
-        yield replicate_columnar(cb, keys // radix + first, new_columns)
+                starts, counts, edges = runs[i]
+                at = starts[k]
+                if counts is not None and within is not None:
+                    stride = strides[i]
+                    at = at + (within if stride is None else within // stride[k]) % counts[k]
+                new_columns.append(edges[at])
+        new_columns.append(roots[k])
+        yield replicate_columnar(cb, parents[k], new_columns)
 
 
 def _intersect_walk(cb, legs, radix, vmask, size, limit):

@@ -16,9 +16,11 @@ relationships between relations without materializing a graph:
 All index arrays are **typed** (``array.array('q')``): indexing still
 yields plain Python ints for the row-protocol walks, while the
 ``*_vector()`` accessors expose cached numpy views so the columnar
-expansion kernels gather adjacency natively.  The CSR build itself runs as
-a numpy stable argsort when numpy is enabled, falling back to the classic
-count-and-fill pass.
+expansion kernels gather adjacency natively, and
+:meth:`Adjacency.key_view` a cached neighbor-ordered copy of each CSR with
+its sorted pair keys, which EXPAND_INTERSECT probes.  The CSR build itself
+runs as a numpy stable argsort when numpy is enabled, falling back to the
+classic count-and-fill pass.
 
 Directions: ``"out"`` adjacency lists the edges whose *source* is the
 vertex; ``"in"`` lists edges whose *target* is the vertex.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.errors import CatalogError, SchemaError
 from repro.exec import vector
@@ -82,12 +84,34 @@ class EdgeIndex:
         )
 
 
+class KeyView(NamedTuple):
+    """An adjacency in neighbor order (:meth:`Adjacency.key_view`).
+
+    ``edges`` holds the CSR edge rowids with each vertex's slice re-ordered
+    by (far endpoint, edge rowid): the slice of vertex ``v`` is still
+    ``edges[offsets[v]:offsets[v + 1]]``.  ``keys[p]`` is ``v * radix +
+    far[edges[p]]`` for the vertex ``v`` owning position ``p``, so ``keys``
+    is sorted and the edges from ``v`` to neighbor ``u`` are the run of key
+    ``v * radix + u``, in edge-rowid order.  ``distinct`` is True when no
+    two keys are equal: the adjacency has no parallel edges.
+    """
+
+    radix: int
+    edges: Any
+    keys: Any
+    distinct: bool
+
+
 @dataclass
 class Adjacency:
     """VE-index of one (vertex label, edge label, direction): CSR arrays.
 
     Edges adjacent to vertex rowid ``v`` are
-    ``edge_rowids[offsets[v]:offsets[v + 1]]``.
+    ``edge_rowids[offsets[v]:offsets[v + 1]]``, in edge-rowid order — the
+    order Expand emits and the count-and-fill build produces.  With numpy
+    on, :meth:`key_view` adds a neighbor-ordered :class:`KeyView` of the
+    same slices, the sorted pair keys EXPAND_INTERSECT expands its driving
+    leg from and probes its other legs in.
     """
 
     vertex_label: str
@@ -109,6 +133,33 @@ class Adjacency:
             vector.cached_vector(self._vectors, "offsets", self.offsets),
             vector.cached_vector(self._vectors, "edges", self.edge_rowids),
         )
+
+    def key_view(self, far: Sequence[int], radix: int) -> KeyView | None:
+        """This adjacency's :class:`KeyView`; None with numpy off.
+
+        ``far`` is the far endpoint of every edge rowid (the edge index's
+        :meth:`EdgeIndex.endpoint_vector` for this direction) and ``radix``
+        must exceed every far rowid; keys are int64, so the vertex count
+        times ``radix`` must stay below ``2**63``.  Built on first use and
+        cached (one view, rebuilt if asked for another ``radix``): the
+        index is immutable, and a view is stored only once complete, so
+        two workers building it at once each publish a whole, equal view.
+        """
+        np = vector._np
+        if np is None or not vector.numpy_enabled():
+            return None
+        view = self._vectors.get("key_view")
+        if view is None or view.radix != radix:
+            offsets, edges = self.vectors()
+            owners = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+            keys = owners * radix + far[edges]
+            # Stable: equal keys (parallel edges) keep the CSR's
+            # edge-rowid order.
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            view = KeyView(radix, edges[order], keys, not (keys[1:] == keys[:-1]).any())
+            self._vectors["key_view"] = view
+        return view
 
     @property
     def num_edges(self) -> int:

@@ -513,10 +513,13 @@ class ExpandIntersect(GraphOperator):
     """EXPAND_INTERSECT: close a complete star by neighbor intersection.
 
     For each input row, the root candidates are the intersection of the
-    bound leaves' neighbor sets, the smallest set driving the probe.
-    Homomorphism semantics: parallel edges multiply — either as explicit
-    edge-variable combinations (``with edge vars``) or as row multiplicity
-    (edge columns trimmed).  The body is one call to the pair-key kernel
+    bound leaves' neighbor sets: per slice of rows the leg with the smallest
+    summed degree expands, and every other leg is probed by binary search
+    in its adjacency's neighbor-ordered key view
+    (:meth:`~repro.graph.index.Adjacency.key_view`).  Homomorphism
+    semantics: parallel edges multiply — either as explicit edge-variable
+    combinations (``with edge vars``) or as row multiplicity (edge columns
+    trimmed).  The body is one call to the pair-key kernel
     :func:`~repro.exec.kernels.intersect_expand`; it buffers nothing across
     batches, so nothing is charged against the memory budget.
     """
@@ -554,28 +557,31 @@ class ExpandIntersect(GraphOperator):
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Output columns: the child's, the kept legs' edge rowids, the root."""
+        root = self.mapping.vertex_table(self.to_label)
+        radix = ctx.pin(root).num_rows
         legs = []
         for leg in self.legs:
             from_idx = self.child.var_index(leg.from_var)
             from_label = self.child.output_vars[from_idx].label
             adjacency = self.index.adjacency(from_label, leg.edge_label, leg.direction)
             offsets, edges = adjacency.vectors()
+            far = self.index.edge_index(leg.edge_label).endpoint_vector(leg.direction)
             legs.append(
                 IntersectLeg(
                     from_idx,
                     offsets,
                     edges,
-                    self.index.edge_index(leg.edge_label).endpoint_vector(leg.direction),
+                    far,
+                    adjacency.key_view(far, radix),
                     _mask(ctx, self.mapping.edge_table(leg.edge_label), leg.edge_predicate),
                     leg.edge_var is not None,
                 )
             )
-        root = self.mapping.vertex_table(self.to_label)
         yield from intersect_expand(
             self.child.columnar_batches(ctx),
             ctx,
             legs,
-            ctx.pin(root).num_rows,
+            radix,
             _mask(ctx, root, self.vertex_predicate),
         )
 

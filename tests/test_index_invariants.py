@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.exec import numpy_available
 from repro.graph.index import IN, OUT, build_graph_index
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
@@ -97,6 +98,151 @@ def test_degrees_sum_to_edge_count(data):
     adj = index.adjacency("V", "E", OUT)
     total = sum(adj.degree(v) for v in range(catalog.table("V").num_rows))
     assert total == catalog.table("E").num_rows
+
+
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="key views are numpy arrays")
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_key_view_orders_each_slice_by_neighbor(data):
+    """The key view holds each vertex's CSR slice in (far endpoint, edge
+    rowid) order with its sorted pair keys, and ``distinct`` says whether
+    the adjacency has parallel edges."""
+    catalog, mapping = data
+    index = build_graph_index(mapping)
+    ev = index.edge_index("E")
+    radix = catalog.table("V").num_rows
+    links = list(zip(ev.src_rowids, ev.dst_rowids))
+    for direction in (OUT, IN):
+        adj = index.adjacency("V", "E", direction)
+        far = ev.endpoint_vector(direction)
+        view = adj.key_view(far, radix)
+        for v in range(radix):
+            lo, hi = adj.offsets[v], adj.offsets[v + 1]
+            csr = list(adj.edges_of(v))
+            ordered = view.edges[lo:hi].tolist()
+            assert sorted(ordered) == sorted(csr)
+            assert ordered == sorted(csr, key=lambda e: (far[e], e))
+            assert view.keys[lo:hi].tolist() == [v * radix + int(far[e]) for e in ordered]
+        keys = view.keys.tolist()
+        assert all(a <= b for a, b in zip(keys, keys[1:]))
+        assert view.distinct == (len(set(links)) == len(links))
+        assert adj.key_view(far, radix) is view
+
+
+@needs_numpy
+def test_key_view_built_by_racing_threads_is_whole():
+    """Parallel workers may build one adjacency's view at once: each gets a
+    complete view, and the one left cached equals them."""
+    import sys
+    import threading
+
+    import numpy as np
+
+    catalog = Catalog()
+    catalog.create_table(
+        TableSchema("V", [Column("id", DataType.INT)], primary_key="id"),
+        rows=[(i,) for i in range(300)],
+    )
+    catalog.create_table(
+        TableSchema(
+            "E",
+            [Column("id", DataType.INT), Column("s", DataType.INT), Column("t", DataType.INT)],
+            primary_key="id",
+            foreign_keys=[ForeignKey("s", "V", "id"), ForeignKey("t", "V", "id")],
+        ),
+        rows=[(e, (e * 7) % 300, (e * 13) % 300) for e in range(20_000)],
+    )
+    mapping = RGMapping("g", catalog)
+    mapping.add_vertex("V")
+    mapping.add_edge("E", source=("V", "s"), target=("V", "t"))
+    views = []
+    for _ in range(3):
+        index = build_graph_index(mapping)
+        adj = index.adjacency("V", "E", OUT)
+        far = index.edge_index("E").endpoint_vector(OUT)
+        barrier = threading.Barrier(8)
+
+        def build():
+            barrier.wait(timeout=10)
+            views.append(adj.key_view(far, 300))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cached = adj.key_view(far, 300)
+        for view in views[-8:]:
+            assert np.array_equal(view.edges, cached.edges)
+            assert np.array_equal(view.keys, cached.keys)
+            assert view.distinct == cached.distinct is False
+    assert len(views) == 24
+
+
+@needs_numpy
+def test_key_view_is_rebuilt_with_the_index():
+    """After appending ``knows`` edges (one of them parallel to an existing
+    one) and swapping the index, QC1 returns the reference matcher's
+    triangles on the new data, through views the old index never held."""
+    from repro.core.rules import apply_filter_into_match
+    from repro.core.sqlpgq import parse_and_bind
+    from repro.exec import execute_plan
+    from repro.graph.matching import match_pattern
+    from repro.systems import make_system
+    from repro.workloads.ldbc import LdbcParams, generate_ldbc
+    from repro.workloads.ldbc.queries import qc_queries
+
+    catalog, mapping = generate_ldbc(LdbcParams(persons=80, forums=6, seed=3))
+    sql = qc_queries()["QC1"]
+    system = make_system("relgo", catalog, "snb")
+    person = catalog.table("person")
+    knows = catalog.table("knows")
+
+    def qc1(index):
+        catalog.register_graph_index(index)
+        query = parse_and_bind(sql, catalog)
+        plan = system.optimize(query).physical
+        assert "EXPAND_INTERSECT" in plan.explain()
+        pattern = apply_filter_into_match(query)[0].graph_table.pattern
+        ids = person.column("id")
+        want = sorted(
+            (ids[m["a"]], ids[m["b"]], ids[m["c"]])
+            for m in match_pattern(mapping, index, pattern)
+        )
+        assert execute_plan(plan).sorted_rows() == want
+        views = [
+            view
+            for direction in (OUT, IN)
+            if (view := index.adjacency("person", "knows", direction)._vectors.get("key_view"))
+        ]
+        assert views, "QC1 probed no knows key view"
+        return views, len(want)
+
+    old_views, old_count = qc1(build_graph_index(mapping))
+    ids = person.column("id")
+    p1, p2 = knows.column("p1"), knows.column("p2")
+    a, b = p1[0], p2[0]
+    others = [x for x in ids if x not in (a, b)][:3]
+    # Close new triangles a -> b -> c, a -> c, and repeat a -> b.
+    new_links = [(a, b)] + [(b, c) for c in others] + [(a, c) for c in others]
+    first = knows.num_rows
+    knows.extend(
+        [(first + i, s, t, "2024-01-01") for i, (s, t) in enumerate(new_links)]
+    )
+    new_views, new_count = qc1(build_graph_index(mapping))
+    assert not any(new is old for new in new_views for old in old_views)
+    assert new_count > old_count
+    assert all(old.distinct for old in old_views)
+    assert not any(new.distinct for new in new_views)
 
 
 def test_dangling_edge_rejected():

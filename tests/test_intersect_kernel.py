@@ -8,6 +8,8 @@ checked against references that share no code with it:
   and off and at parallelism 1 and 4, the operator returns the reference
   matcher's rows (:func:`repro.graph.matching.match_pattern`); the numpy
   passes and the pure-Python walk return the same rows in the same order;
+* **work bound** — only the smallest leg of a slice is expanded: a star
+  whose other leaf is a 10 000-edge hub materializes one pair;
 * **plan level** — on all 25 LDBC statements under the five converged
   systems, answers, ``rows_produced`` and ``peak_buffered_rows`` equal those
   of the per-row neighbor-map loop the kernel replaced, kept here as the
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sqlpgq import parse_and_bind
@@ -27,6 +29,7 @@ from repro.exec import (
     ColumnarBatch,
     ExecutionContext,
     execute_plan,
+    kernels,
     numpy_available,
     open_plan,
     set_numpy_enabled,
@@ -90,7 +93,9 @@ def stars(draw):
     return legs, with_d, draw(st.sampled_from([None, "dense", "lazy"]))
 
 
-def _graph(n: int, links: list[tuple[int, int]]):
+def _graph(n: int, links: list[tuple[int, int]], pairs: list[tuple[int, int]] = ()):
+    """Persons ``0..n-1`` linked by ``links``; ``pairs``, when given, become
+    a second edge label ``Pair``."""
     catalog = Catalog()
     catalog.create_table(
         TableSchema(
@@ -102,7 +107,7 @@ def _graph(n: int, links: list[tuple[int, int]]):
             ],
             primary_key="id",
         ),
-        rows=[(v, "AB"[v % 2], f"202{v % 3}-01-0{1 + v}") for v in range(n)],
+        rows=[(v, "AB"[v % 2], f"202{v % 3}-01-{1 + v % 28:02d}") for v in range(n)],
     )
     catalog.create_table(
         TableSchema(
@@ -128,6 +133,20 @@ def _graph(n: int, links: list[tuple[int, int]]):
     mapping = RGMapping("G", catalog)
     mapping.add_vertex("Person")
     mapping.add_edge("Link", source=("Person", "src"), target=("Person", "dst"))
+    if pairs:
+        catalog.create_table(
+            TableSchema(
+                "Pair",
+                [Column("id", DataType.INT), Column("src", DataType.INT), Column("dst", DataType.INT)],
+                primary_key="id",
+                foreign_keys=[
+                    ForeignKey("src", "Person", "id"),
+                    ForeignKey("dst", "Person", "id"),
+                ],
+            ),
+            rows=[(i, s, d) for i, (s, d) in enumerate(pairs)],
+        )
+        mapping.add_edge("Pair", source=("Person", "src"), target=("Person", "dst"))
     return mapping, build_graph_index(mapping)
 
 
@@ -167,8 +186,37 @@ def _serial(op, batch_size: int) -> tuple[list[tuple], int]:
     return rows, ctx.rows_produced
 
 
+#: Vertex 1 has the most out-edges, six of them parallel 1 -> 2; of those,
+#: the lazy edge predicate passes edges 4, 8 and 16 and rejects 2, 5 and 12,
+#: and the dense one passes the even edges.
+PARALLEL_RUNS = (
+    4,
+    [(0, 1), (0, 2), (1, 2), (1, 3), (1, 2), (1, 2), (2, 3), (3, 1), (1, 2),
+     (1, 0), (1, 3), (2, 0), (1, 2), (3, 2), (1, 1), (0, 3), (1, 2)],
+)  # fmt: skip
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graph=graphs(), star=stars(), parallelism=st.sampled_from([1, 4]))
+# A dense mask on the larger leg, which is probed, not expanded.
+@example(
+    graph=PARALLEL_RUNS,
+    star=([("a", "out", False, None), ("b", "out", False, "dense")], False, None),
+    parallelism=1,
+)
+# A lazy mask on a probed leg with parallel edges, its edge variable kept:
+# each run is masked and re-counted, and the kept edges are the survivors.
+@example(
+    graph=PARALLEL_RUNS,
+    star=([("a", "out", False, None), ("b", "out", True, "lazy")], False, None),
+    parallelism=1,
+)
+# The lazy mask rejects all four edges, so every hit of the probed leg goes.
+@example(
+    graph=(3, [(0, 1), (0, 2), (1, 2), (2, 1)]),
+    star=([("a", "out", True, None), ("b", "in", False, "lazy")], False, None),
+    parallelism=1,
+)
 def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism):
     mapping, index = _graph(*graph)
     op, pattern, variables = _star(mapping, index, *star)
@@ -196,6 +244,49 @@ def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism
             assert all(rows == outputs[0] for rows in outputs)
     finally:
         set_numpy_enabled(None)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the work bound is the numpy body's")
+@pytest.mark.parametrize("hub_first", [True, False])
+def test_intersect_expands_only_the_smallest_leg(hub_first, monkeypatch):
+    """Closing a star whose bound leaves are a 10 000-edge hub and a
+    degree-1 vertex expands the one pair of the small leaf and probes the
+    hub's adjacency, whichever leg is written first."""
+    hub, leaf, n = 0, 1, 10_002
+    mapping, index = _graph(n, [(hub, v) for v in range(2, n)] + [(leaf, 7)], [(hub, leaf)])
+    child = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Pair", "out",
+    )  # fmt: skip
+    legs = [StarLeg("a", "Link", "out", None, None), StarLeg("b", "Link", "out", None, None)]
+    if not hub_first:
+        legs.reverse()
+    op = ExpandIntersect(child, index, mapping, legs, "c", "Person")
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .vertex("c", "Person").edge("a", "b", "Pair").edge("a", "c", "Link")
+        .edge("b", "c", "Link").build()
+    )  # fmt: skip
+    expected = [(b["a"], b["b"], b["c"]) for b in match_pattern(mapping, index, pattern)]
+    assert expected == [(hub, leaf, 7)]
+
+    expanded = []
+    expand = kernels.csr_expand_vectors
+
+    def recording(vertices, offsets, edges):
+        pairs = expand(vertices, offsets, edges)
+        expanded.append(0 if pairs is None else len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(kernels, "csr_expand_vectors", recording)
+    set_numpy_enabled(True)
+    try:
+        rows, _ = _serial(op, 1024)
+    finally:
+        set_numpy_enabled(None)
+    assert rows == expected
+    # One input row, one slice: the smaller leg's degree sum is 1.
+    assert expanded == [1]
 
 
 # --------------------------------------------------------------------- #

@@ -266,6 +266,36 @@ def test_expand_intersect_is_one_kernel():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
     assert calls.count("intersect_expand") == 1
+    kernels = _sources()["repro/exec/kernels.py"]
+    for gone in ("_key_runs", "_emit_common"):
+        assert gone not in kernels, gone
+
+
+def test_intersect_probes_sorted_views_without_sorting():
+    """The vectorized EXPAND_INTERSECT body — ``_intersect_vectors`` and
+    every kernel-module function it reaches — never sorts: the driving
+    leg's pairs come out of its key view in order, the others are probed by
+    binary search."""
+    tree = ast.parse(_sources()["repro/exec/kernels.py"])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(node):
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    body, todo = set(), ["_intersect_vectors"]
+    while todo:
+        name = todo.pop()
+        if name not in body:
+            body.add(name)
+            todo.extend(c for c in called(functions[name]) if c in functions)
+    assert {"_intersect_vectors", "csr_expand_vectors"} <= body
+    assert "_intersect_walk" not in body
+    for name in sorted(body):
+        sorts = {c for c in called(functions[name])} & {"sort", "argsort", "lexsort", "sorted"}
+        assert not sorts, (name, sorts)
 
 
 def test_predicates_have_one_vectorized_body():
