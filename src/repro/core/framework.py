@@ -5,7 +5,8 @@ index + GLogue statistics) over a catalog, and optimizes SPJM queries
 end-to-end::
 
     SPJM query
-      └─ heuristic rules (FilterIntoMatchRule, TrimAndFuseRule)      [4.2.3]
+      └─ heuristic rules (FilterIntoMatchRule, TrimAndFuseRule,
+         DeadBranchRule)                                            [4.2.3]
       └─ graph optimization of M(P) -> decomposition tree            [4.2.1]
       └─ SCAN_GRAPH_TABLE wraps the graph plan as a relational leaf  [4.2.2]
       └─ relational optimization (DP join ordering) + lowering
@@ -32,6 +33,7 @@ from repro.graph.optimizer import (
     GraphOptimizerConfig,
     GraphPlan,
     LoweringConfig,
+    dead_branches,
 )
 from repro.exec import QueryResult, execute_plan, open_plan
 from repro.relational.catalog import Catalog
@@ -44,7 +46,12 @@ from repro.relational.optimizer import (
     RelationalOptimizerConfig,
 )
 from repro.relational.physical import PhysicalOperator
-from repro.core.rules import RuleReport, apply_filter_into_match, apply_trim_and_fuse
+from repro.core.rules import (
+    RuleReport,
+    apply_dead_branch,
+    apply_filter_into_match,
+    apply_trim_and_fuse,
+)
 from repro.core.scan_graph_table import LogicalScanGraphTable
 from repro.core.spjm import SPJMQuery
 from repro.core.transform import translate_match
@@ -262,6 +269,7 @@ class RelGoFramework:
                 trimmed_columns=trim_report.trimmed_columns,
                 trimmed_edge_vars=trim_report.trimmed_edge_vars,
                 needed_edge_vars=trim_report.needed_edge_vars,
+                live_vertices=apply_dead_branch(query, trim_report),
             )
         clause = query.graph_table
         assert clause is not None
@@ -272,6 +280,14 @@ class RelGoFramework:
         )
         graph_plan = graph_optimizer.optimize(clause.pattern)
         index = self.ensure_index() if self.config.use_graph_index else None
+        exists = {}
+        if rule_report.live_vertices is not None and index is not None:
+            exists = dead_branches(graph_plan, rule_report.live_vertices, index)
+            rule_report.pruned_branches = [
+                ", ".join(b.describe(anchor))
+                for anchor, branches in exists.items()
+                for b in branches
+            ]
         lowering = LoweringConfig(
             use_graph_index=self.config.use_graph_index,
             enable_expand_intersect=self.config.enable_expand_intersect,
@@ -282,6 +298,7 @@ class RelGoFramework:
             ),
             fuse=self.config.enable_rules,
             semantics=clause.semantics,
+            exists=exists,
         )
         sgt = LogicalScanGraphTable(clause, self.mapping, index, graph_plan, lowering)
         block = self._relational_block(query, extra_leaves=[sgt])

@@ -11,6 +11,15 @@ GRAPH_TABLE's columns (projections, predicates, aggregates, ordering) and
 drops COLUMNS entries nothing reads; edge variables left without any
 surviving column are *trimmed*, which licenses fusing their
 EXPAND_EDGE + GET_VERTEX pair into a single EXPAND during lowering.
+
+**DeadBranchRule** — when the query above the GRAPH_TABLE ignores
+duplicates (only MIN / MAX aggregates, or a DISTINCT without aggregates or
+LIMIT), a pattern vertex nothing reads matters only through whether it
+matches, not how often.  The rule computes the *live* vertices (those the
+surviving COLUMNS read, plus both endpoints of every kept edge variable);
+lowering (:func:`repro.graph.optimizer.dead_branches`) then replaces each
+dead dangling branch that fans out by one EXISTS check on the vertex it
+hangs from — GOpt's field trimming taken from columns to multiplicity.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ class RuleReport:
     trimmed_columns: list[str] = field(default_factory=list)
     trimmed_edge_vars: list[str] = field(default_factory=list)
     needed_edge_vars: frozenset[str] = frozenset()
+    # DeadBranchRule: the live vertices when it applies (None: it does not),
+    # and the branches lowering turned into EXISTS checks.
+    live_vertices: frozenset[str] | None = None
+    pruned_branches: list[str] = field(default_factory=list)
 
 
 def apply_filter_into_match(query: SPJMQuery) -> tuple[SPJMQuery, RuleReport]:
@@ -138,3 +151,39 @@ def apply_trim_and_fuse(query: SPJMQuery) -> tuple[SPJMQuery, RuleReport]:
             report.trimmed_edge_vars.append(name)
     report.needed_edge_vars = frozenset(needed_edges)
     return query, report
+
+
+def apply_dead_branch(query: SPJMQuery, trimmed: RuleReport) -> frozenset[str] | None:
+    """DeadBranchRule: the live pattern vertices of a trimmed query whose
+    consumer ignores duplicates; None when the rule does not apply.
+
+    The consumer ignores duplicates when the query has at least one
+    aggregate and every aggregate is MIN or MAX (GROUP BY allowed), or when
+    it is a DISTINCT without aggregates and without LIMIT.  COUNT, SUM,
+    AVG, plain projections and a LIMIT without aggregates count every
+    match, so the rule never fires for them; nor under isomorphism or
+    edge-distinct semantics, whose all-distinct check reads every binding.
+
+    Why the answer cannot change: project every match onto its live
+    vertices.  Pruning a dead branch into an existence check on its anchor
+    keeps exactly the pruned rows whose anchor has at least one match of
+    the branch.  Each full match projects onto exactly one such pruned row
+    (its own bindings pass the check), and each passing pruned row extends
+    to at least one full match (the branch's match, which shares nothing
+    with the rest of the pattern but the anchor).  So the *set* of distinct
+    live tuples is unchanged, and with it every MIN / MAX, GROUP BY key and
+    DISTINCT row; only how often each tuple repeats changes.
+    """
+    clause = query.graph_table
+    if clause is None or clause.semantics != "homomorphism":
+        return None
+    if query.aggregates:
+        if any(spec.func not in ("MIN", "MAX") for spec in query.aggregates):
+            return None
+    elif not query.distinct or query.limit is not None:
+        return None
+    live = {c.var for c in clause.columns if c.var in clause.pattern.vertices}
+    for name in trimmed.needed_edge_vars:
+        edge = clause.pattern.edges[name]
+        live.update((edge.src, edge.dst))
+    return frozenset(live)

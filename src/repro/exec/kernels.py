@@ -1162,6 +1162,149 @@ def _intersect_walk(cb, legs, radix, vmask, size, limit):
             )
 
 
+class ExistsStep(NamedTuple):
+    """One edge of a dead pattern branch, resolved for execution.
+
+    From a bound vertex, follow the CSR adjacency ``offsets`` / ``edges`` to
+    the far endpoints ``far`` (indexed by edge rowid) — vector views, so
+    ndarrays exactly when numpy is on.  ``emask`` / ``vmask`` are the rowid
+    masks of the edge's and the far vertex's predicates (None: no
+    predicate); ``steps`` are the far vertex's own sub-branches, each of
+    which a reached vertex must satisfy too.
+    """
+
+    offsets: Sequence[int]
+    edges: Sequence[int]
+    far: Sequence[int]
+    emask: Any
+    vmask: Any
+    steps: tuple
+
+
+def exists_filter(
+    source: Iterable[ColumnarBatch],
+    column: int,
+    steps: Sequence[ExistsStep],
+    extent: int,
+) -> Iterator[ColumnarBatch]:
+    """Keep the rows whose bound vertex in ``column`` (the *anchor*) has at
+    least one match of every branch in ``steps`` — a semi-join per branch.
+
+    Each batch checks only the distinct anchor rowids no earlier batch has
+    answered: it CSR-expands them along the branch, filters the expansion
+    through the edge and vertex masks (a lazy mask evaluates its predicate
+    only on the rowids it reaches), recurses into the sub-branches from the
+    distinct vertices reached and reduces to one bool per anchor.  Answers
+    are memoized per anchor rowid (``extent`` bounds them) in this
+    generator's own state, so concurrent morsel chains never share it.  The
+    algorithm runs as numpy array passes when every step's CSR is an
+    ndarray, and as a walk over plain Python ints otherwise.
+    """
+    if _all_vectors(steps):
+        yield from _exists_vectors(source, column, steps, extent)
+    else:
+        yield from _exists_walk(source, column, steps)
+
+
+def _all_vectors(steps: Sequence[ExistsStep]) -> bool:
+    return all(
+        is_ndarray(s.offsets) and is_ndarray(s.edges) and is_ndarray(s.far)
+        and _all_vectors(s.steps)
+        for s in steps
+    )
+
+
+def _exists_vectors(source, column, steps, extent):
+    """:func:`exists_filter` as numpy array passes."""
+    np = vector._np
+    known = np.zeros(extent, dtype=bool)
+    value = np.zeros(extent, dtype=bool)
+    for cb in source:
+        anchors = vector.as_index_array(cb.column_vector(column))
+        unseen = anchors[~known[anchors]]
+        if len(unseen):
+            unseen = np.unique(unseen)
+            value[unseen] = _reach_all(unseen, steps)
+            known[unseen] = True
+        keep = value[anchors]
+        if keep.all():
+            yield cb
+        elif keep.any():
+            yield cb.take(np.flatnonzero(keep))
+
+
+def _reach_all(vertices, steps):
+    """One bool per vertex: does it match every branch of ``steps``?  Each
+    branch checks only the vertices every earlier one accepted."""
+    np = vector._np
+    ok = np.ones(len(vertices), dtype=bool)
+    for step in steps:
+        alive = np.flatnonzero(ok)
+        if not len(alive):
+            break
+        ok[alive] = _reach(vertices[alive], step)
+    return ok
+
+
+def _reach(vertices, step):
+    """One bool per vertex: has it at least one match of ``step``'s branch?"""
+    np = vector._np
+    if step.emask is None and step.vmask is None and not step.steps:
+        # An unconstrained leaf: any adjacent edge matches.
+        return step.offsets[vertices + 1] > step.offsets[vertices]
+    out = np.zeros(len(vertices), dtype=bool)
+    expanded = csr_expand_vectors(vertices, step.offsets, step.edges)
+    if expanded is None:
+        return out
+    parents, edge_ids = expanded
+    if step.emask is not None:
+        kept = passing(step.emask, edge_ids)
+        if kept is not None:
+            parents, edge_ids = parents[kept], edge_ids[kept]
+    targets = step.far[edge_ids]
+    if step.vmask is not None:
+        kept = passing(step.vmask, targets)
+        if kept is not None:
+            parents, targets = parents[kept], targets[kept]
+    if step.steps and len(targets):
+        reached, inverse = np.unique(targets, return_inverse=True)
+        parents = parents[_reach_all(reached, step.steps)[inverse]]
+    out[parents] = True
+    return out
+
+
+def _exists_walk(source, column, steps):
+    """:func:`exists_filter` without numpy: a depth-first walk per unseen
+    anchor that stops at its first match (plain Python ints throughout)."""
+    known: dict[int, bool] = {}
+    for cb in source:
+        keep = []
+        for j, anchor in enumerate(cb.column(column)):
+            ok = known.get(anchor)
+            if ok is None:
+                ok = known[anchor] = all(_walk_reaches(anchor, s) for s in steps)
+            if ok:
+                keep.append(j)
+        if len(keep) == len(cb):
+            yield cb
+        elif keep:
+            yield cb.take(keep)
+
+
+def _walk_reaches(vertex: int, step: ExistsStep) -> bool:
+    edges = list(step.edges[step.offsets[vertex] : step.offsets[vertex + 1]])
+    if step.emask is not None and edges:
+        kept = passing(step.emask, edges)
+        if kept is not None:
+            edges = [edges[p] for p in kept]
+    targets = [step.far[e] for e in edges]
+    if step.vmask is not None and targets:
+        kept = passing(step.vmask, targets)
+        if kept is not None:
+            targets = [targets[p] for p in kept]
+    return any(all(_walk_reaches(u, s) for s in step.steps) for u in targets)
+
+
 def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:
     """Split an oversized batch into <= ``size``-row chunks (zero-copy)."""
     n = len(cb)

@@ -446,6 +446,7 @@ def _chain_types() -> tuple:
         gph.GetVertex,
         gph.Expand,
         gph.ExpandIntersect,
+        gph.ExistsFilter,
         gph.VertexFilter,
         gph.EdgeFilter,
         gph.AllDistinct,

@@ -127,6 +127,19 @@ class Adjacency:
     def degree(self, vertex_rowid: int) -> int:
         return self.offsets[vertex_rowid + 1] - self.offsets[vertex_rowid]
 
+    def max_degree(self) -> int:
+        """The largest number of edges any one vertex has (0 when there are
+        none); computed once."""
+        degree = self._vectors.get("max_degree")
+        if degree is None:
+            offsets = self.vectors()[0]
+            if vector.is_ndarray(offsets):
+                degree = int(vector._np.diff(offsets).max(initial=0))
+            else:
+                degree = max((b - a for a, b in zip(offsets, offsets[1:])), default=0)
+            self._vectors["max_degree"] = degree
+        return degree
+
     def vectors(self) -> tuple[Sequence[int], Sequence[int]]:
         """``(offsets, edge_rowids)`` as cached vectorized views."""
         return (

@@ -30,7 +30,11 @@ operators.  Flags reproduce the paper's ablations:
 * ``enable_expand_intersect=False`` — complete stars are implemented as
   "traditional multiple joins" (the RelGoNoEI variant of Fig 9);
 * ``needed_edge_vars`` — the TrimAndFuseRule outcome: edge variables absent
-  from the set are trimmed and EXPAND_EDGE + GET_VERTEX fuse into EXPAND.
+  from the set are trimmed and EXPAND_EDGE + GET_VERTEX fuse into EXPAND;
+* ``exists`` — the DeadBranchRule outcome (:func:`dead_branches`): the star
+  steps of each dead dangling branch are dropped and one EXISTS check
+  follows the operator that binds the branch's anchor vertex.  The chosen
+  plan, its costs and ``GraphPlan.explain()`` are untouched.
 
 A self-loop is never a star leg.  Once a scan or star step binds its
 vertex, the plan joins the loop's edges (an ``EDGE_SCAN v -[L]-> v``), in
@@ -48,6 +52,8 @@ from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex, Vertex
 from repro.graph.physical import (
     AllDistinct,
     EdgeTripleScan,
+    ExistsBranch,
+    ExistsFilter,
     Expand,
     ExpandEdge,
     ExpandIntersect,
@@ -220,6 +226,89 @@ class LoweringConfig:
     # and all edge columns are carried (the RelGoNoRule behaviour).
     fuse: bool = True
     semantics: str = "homomorphism"
+    # DeadBranchRule's outcome (:func:`dead_branches`): per anchor vertex,
+    # the branches an EXISTS check replaces; their star steps are dropped.
+    exists: dict[str, tuple[ExistsBranch, ...]] = field(default_factory=dict)
+
+    @property
+    def pruned(self) -> frozenset[str]:
+        """The vertices the EXISTS checks stand for: never bound."""
+        return frozenset(
+            v for branches in self.exists.values() for b in branches for v in b.variables()
+        )
+
+
+def dead_branches(
+    plan: GraphPlan, live: frozenset[str], index: GraphIndex
+) -> dict[str, tuple[ExistsBranch, ...]]:
+    """DeadBranchRule's lowering half: the dead branches of ``plan``'s
+    pattern that fan out, grouped by the vertex they hang from.
+
+    A vertex outside ``live`` with exactly one remaining incident edge is
+    stripped, repeatedly, so chains and trees of dead vertices come off
+    whole; a self-loop pins its vertex, and so does being the plan's root
+    scan (every other vertex is bound from it).  A dead vertex between two
+    live ones is never a leaf, so it stays.  Each stripped tree hangs off
+    one remaining vertex, its *anchor*, by one edge, and is bound only
+    after the anchor: its star steps can be dropped and one EXISTS check on
+    the anchor put in their place.  A branch whose first edge reaches at
+    most one vertex from any anchor (every degree of that adjacency is at
+    most 1) multiplies nothing, so it is left in the plan.  Plans with a
+    binary pattern join are left alone.
+    """
+    if "join" in plan.operators():
+        return {}
+    root = plan
+    while root.child is not None:
+        root = root.child
+    pattern = plan.pattern
+    pinned = set(live) | set(root.pattern.vertices)
+    pinned |= {e.src for e in pattern.edges.values() if e.src == e.dst}
+    remaining = set(pattern.vertices)
+    hang: dict[str, PatternEdge] = {}  # stripped vertex -> its edge inward
+    leaves = [v for v in pattern.vertices if v not in pinned]
+    while leaves:
+        v = leaves.pop()
+        if v not in remaining or v in pinned:
+            continue
+        edges = [e for e in pattern.incident_edges(v) if e.other(v) in remaining]
+        if len(edges) != 1:
+            continue
+        remaining.discard(v)
+        hang[v] = edges[0]
+        leaves.append(edges[0].other(v))
+
+    def branch(parent: str, edge: PatternEdge) -> ExistsBranch:
+        var = edge.other(parent)
+        vertex = pattern.vertices[var]
+        return ExistsBranch(
+            edge.label,
+            edge.direction_from(parent),
+            var,
+            vertex.label,
+            edge.predicate,
+            vertex.predicate,
+            tuple(
+                branch(var, e)
+                for e in pattern.incident_edges(var)
+                if e is not edge and hang.get(e.other(var)) is e
+            ),
+        )
+
+    exists: dict[str, tuple[ExistsBranch, ...]] = {}
+    for anchor in pattern.vertices:
+        if anchor not in remaining:
+            continue
+        label = pattern.vertices[anchor].label
+        fanning = tuple(
+            branch(anchor, e)
+            for e in pattern.incident_edges(anchor)
+            if hang.get(e.other(anchor)) is e
+            and index.adjacency(label, e.label, e.direction_from(anchor)).max_degree() > 1
+        )
+        if fanning:
+            exists[anchor] = fanning
+    return exists
 
 
 def lower_plan(
@@ -259,6 +348,7 @@ def _lower(
     if plan.kind == "scan":
         vertex = next(iter(plan.pattern.vertices.values()))
         op = ScanVertex(mapping, vertex.name, vertex.label, vertex.predicate)
+        op = _check_exists(op, vertex.name, mapping, index, config)
         return _close_loops(op, plan.pattern, vertex.name, closed, mapping, index, config)
     if plan.kind == "join":
         assert plan.left is not None and plan.right is not None
@@ -272,11 +362,30 @@ def _lower(
         return PatternHashJoin(left, _lower(plan.right, mapping, index, config, closed))
     assert plan.kind == "expand" and plan.child is not None and plan.step is not None
     child_op = _lower(plan.child, mapping, index, config, closed)
+    if plan.step.center in config.pruned:
+        return child_op  # an EXISTS check below stands for this step
     center = plan.pattern.vertices[plan.step.center]
     # A self-loop is no leg: its far end is the still-unbound center.
     legs = [(leaf, edge) for leaf, edge in plan.step.legs if leaf != center.name]
     op = _lower_star(child_op, mapping, index, config, center, legs)
+    op = _check_exists(op, center.name, mapping, index, config)
     return _close_loops(op, plan.pattern, center.name, closed, mapping, index, config)
+
+
+def _check_exists(
+    op: GraphOperator,
+    var: str,
+    mapping: RGMapping,
+    index: GraphIndex | None,
+    config: LoweringConfig,
+) -> GraphOperator:
+    """``op``, which binds ``var``, filtered by the EXISTS check of the dead
+    branches anchored at ``var`` (if any)."""
+    branches = config.exists.get(var)
+    if not branches:
+        return op
+    assert index is not None
+    return ExistsFilter(op, index, mapping, var, branches)
 
 
 def _close_loops(

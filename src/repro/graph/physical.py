@@ -29,6 +29,9 @@ Operators:
   adjacent *edge*).
 * :class:`ExpandIntersect` — Case III: close a complete star by intersecting
   the neighbor sets of all bound leaf vertices (wco-style).
+* :class:`ExistsFilter` — DeadBranchRule's semi-join: keep the rows whose
+  bound anchor vertex matches every dead branch hanging from it, without
+  binding the branches' vertices.
 * :class:`PatternHashJoin` — Case I: natural join of two graph relations on
   their common variables.
 * :class:`EdgeTripleScan` — materializes ``(src, dst, edge)`` rowid triples
@@ -50,11 +53,13 @@ from repro.errors import PlanError
 from repro.exec.context import ExecutionContext, close_stream
 from repro.exec.kernels import (
     ChunkSizer,
+    ExistsStep,
     IntersectLeg,
     build_hash_table,
     chunked,
     csr_expand_vectors,
     emit_columnar,
+    exists_filter,
     grace_hash_join,
     intersect_expand,
     probe_hash_table_columnar,
@@ -590,6 +595,99 @@ class ExpandIntersect(GraphOperator):
         return f"EXPAND_INTERSECT ({legs}) -> {self.to_var}:{self.to_label}"
 
 
+@dataclass(frozen=True)
+class ExistsBranch:
+    """One dead pattern branch below a bound vertex: the edge leaving it
+    (``direction`` is the traversal direction from the bound side), the far
+    vertex the edge reaches, both predicates, and the far vertex's own
+    sub-branches."""
+
+    edge_label: str
+    direction: str
+    to_var: str
+    to_label: str
+    edge_predicate: Expr | None = None
+    vertex_predicate: Expr | None = None
+    branches: tuple["ExistsBranch", ...] = ()
+
+    def variables(self) -> list[str]:
+        """The branch's vertices, this one first."""
+        return [self.to_var] + [v for b in self.branches for v in b.variables()]
+
+    def describe(self, parent: str) -> list[str]:
+        """One ``parent -[label dir]-> var:label (pred)`` entry per edge of
+        the branch, parents first."""
+        preds = [p for p in (self.edge_predicate, self.vertex_predicate) if p is not None]
+        text = f"{parent} -[{self.edge_label} {self.direction}]-> {self.to_var}:{self.to_label}"
+        if preds:
+            text += " (" + " AND ".join(map(str, preds)) + ")"
+        return [text] + [entry for b in self.branches for entry in b.describe(self.to_var)]
+
+
+class ExistsFilter(GraphOperator):
+    """EXISTS: keep the rows whose bound ``anchor`` has at least one match
+    of every dead branch hanging from it (DeadBranchRule's output).
+
+    The branches' vertices are never bound: under a consumer that ignores
+    duplicates, only whether a branch matches matters, not how often.  The
+    body is one call to :func:`~repro.exec.kernels.exists_filter`, which
+    answers once per distinct anchor rowid; the output is the input's rows,
+    unchanged and in order.
+    """
+
+    def __init__(
+        self,
+        child: GraphOperator,
+        index: GraphIndex,
+        mapping: RGMapping,
+        anchor: str,
+        branches: tuple[ExistsBranch, ...],
+    ):
+        self.child = child
+        self.index = index
+        self.mapping = mapping
+        self.anchor = anchor
+        self.branches = branches
+        self.output_vars = list(child.output_vars)
+
+    def children(self) -> list[Operator]:
+        return [self.child]
+
+    def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
+        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+
+    def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
+        column = self.child.var_index(self.anchor)
+        label = self.child.output_vars[column].label
+        yield from exists_filter(
+            self.child.columnar_batches(ctx),
+            column,
+            self._steps(ctx, label, self.branches),
+            ctx.pin(self.mapping.vertex_table(label)).num_rows,
+        )
+
+    def _steps(self, ctx, label: str, branches) -> tuple[ExistsStep, ...]:
+        steps = []
+        for branch in branches:
+            adjacency = self.index.adjacency(label, branch.edge_label, branch.direction)
+            offsets, edges = adjacency.vectors()
+            steps.append(
+                ExistsStep(
+                    offsets,
+                    edges,
+                    self.index.edge_index(branch.edge_label).endpoint_vector(branch.direction),
+                    _mask(ctx, self.mapping.edge_table(branch.edge_label), branch.edge_predicate),
+                    _mask(ctx, self.mapping.vertex_table(branch.to_label), branch.vertex_predicate),
+                    self._steps(ctx, branch.to_label, branch.branches),
+                )
+            )
+        return tuple(steps)
+
+    def _label(self) -> str:
+        entries = [e for b in self.branches for e in b.describe(self.anchor)]
+        return f"EXISTS {self.anchor} ({', '.join(entries)})"
+
+
 class EdgeTripleScan(GraphOperator):
     """Scan one edge relation as (src, dst, edge) rowid triples.
 
@@ -1024,6 +1122,8 @@ __all__ = [
     "Expand",
     "StarLeg",
     "ExpandIntersect",
+    "ExistsBranch",
+    "ExistsFilter",
     "EdgeTripleScan",
     "PatternHashJoin",
     "VertexFilter",

@@ -49,7 +49,7 @@ from typing import Any
 
 from repro.errors import ParameterError
 from repro.exec.operator import Operator
-from repro.graph.physical import StarLeg
+from repro.graph.physical import ExistsBranch, StarLeg
 from repro.relational.expr import Expr, param_slots, substitute_params
 from repro.relational.logical import AggregateSpec
 
@@ -198,6 +198,7 @@ _EXPR_ATTRS = (
     "group_by",
     "aggregates",
     "legs",
+    "branches",
 )
 
 _CHILD_ATTRS = ("child", "left", "right", "graph_op", "plans")
@@ -230,6 +231,15 @@ def _rebind_item(item: Any, values) -> Any:
         return item if pred is item.edge_predicate else replace(
             item, edge_predicate=pred
         )
+    if isinstance(item, ExistsBranch):
+        changes = {}
+        for attr in ("edge_predicate", "vertex_predicate", "branches"):
+            part = getattr(item, attr)
+            if part is not None:
+                bound = _rebind_item(part, values)
+                if bound is not part:
+                    changes[attr] = bound
+        return replace(item, **changes) if changes else item
     return item
 
 
@@ -245,6 +255,10 @@ def _collect_item_slots(item: Any, out: set[int]) -> None:
     elif isinstance(item, StarLeg):
         if item.edge_predicate is not None:
             out.update(param_slots(item.edge_predicate))
+    elif isinstance(item, ExistsBranch):
+        for part in (item.edge_predicate, item.vertex_predicate, item.branches):
+            if part is not None:
+                _collect_item_slots(part, out)
 
 
 def plan_param_slots(plan: Operator) -> set[int]:

@@ -104,8 +104,10 @@ def imdb_small(storage_backend):
 
 
 LDBC_QUERIES = {**ic_queries(), **qr_queries(), **qc_queries()}
+# JOB13, 22, 23, 24 and 28 run DeadBranchRule's EXISTS checks under
+# ``relgo`` (JOB23 keeps its dead connector ``mc`` bound).
 JOB_QUERIES = job_queries(
-    ["JOB1", "JOB6", "JOB13", "JOB17", "JOB22", "JOB28", "JOB33"]
+    ["JOB1", "JOB6", "JOB13", "JOB17", "JOB22", "JOB23", "JOB24", "JOB28", "JOB33"]
 )
 
 

@@ -612,3 +612,40 @@ def test_graph_search_builds_one_subpattern_per_vertex_set(fig2, monkeypatch):
     optimizer = build_optimizer(catalog, mapping, index)
     optimizer.optimize(pattern)
     assert built and len(built) == len(set(built))
+
+
+#: JOB24 on the small IMDB: the dead ``mi``/``it`` branch, which multiplies
+#: every title by its info rows, is one EXISTS check right after the
+#: EXPAND that binds its anchor ``t``; the ``kw`` root and the connectors
+#: ``mc`` and ``ci`` stay bound.
+JOB24_EXPLAIN = """\
+AGGREGATE MIN(g.title) AS movie, MIN(g.company) AS company_name, MIN(g.actor) AS actor_name
+  SCAN_GRAPH_TABLE imdb [title, company, actor]
+    EXPAND mc -[movie_companies_company out]-> cn
+      EXPAND t -[movie_companies_title in]-> mc
+        EXPAND ci -[cast_info_name out]-> n
+          EXPAND t -[cast_info_title in]-> ci
+            EXISTS t (t -[movie_info_title in]-> mi:movie_info, mi -[movie_info_type out]-> it:info_type ((info = 'genres')))
+              EXPAND k -[movie_keyword in]-> t
+                SCAN k:keyword ((keyword = 'revenge'))"""
+
+
+def test_job24_dead_branch_is_one_exists_check():
+    from repro.systems import make_system
+    from repro.workloads.job import JobParams, generate_imdb
+    from repro.workloads.job.queries import job_queries
+
+    catalog, mapping = generate_imdb(JobParams.scaled(0.3, seed=5))
+    catalog.register_graph_index(build_graph_index(mapping))
+    sql = job_queries(["JOB24"])["JOB24"]
+    answers = set()
+    for name in ("relgo", "relgo_noei", "relgo_loworder", "relgo_norule", "relgo_hash", "kuzu"):
+        system = make_system(name, catalog, "imdb")
+        optimized = system.optimize(sql)
+        explain = optimized.explain()
+        if name == "relgo":
+            assert explain == JOB24_EXPLAIN
+        # Only the graph-index systems that run the rules prune.
+        assert explain.count("EXISTS") == (name in ("relgo", "relgo_noei", "relgo_loworder"))
+        answers.add(tuple(system.framework.execute(optimized).sorted_rows()))
+    assert len(answers) == 1

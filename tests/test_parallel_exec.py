@@ -264,6 +264,36 @@ def test_ldbc_workload_parallel_parity(ldbc, system_name):
         assert parallel.rows_produced == serial.rows_produced, (system_name, name)
 
 
+def test_job24_exists_check_parallel_parity(repro_env):
+    """JOB24's EXISTS check sits in the per-morsel chains: each clone keeps
+    its own per-anchor memo, and the answer and ``rows_produced`` are the
+    serial ones."""
+    from repro.graph.physical import ExistsFilter
+    from repro.workloads.job import JobParams, generate_imdb
+    from repro.workloads.job.queries import job_queries
+
+    catalog, mapping = generate_imdb(JobParams.scaled(0.3, seed=5))
+    catalog.register_graph_index(build_graph_index(mapping))
+    system = make_system("relgo", catalog, "imdb")
+    plan = system.optimize(job_queries(["JOB24"])["JOB24"]).physical
+    serial = execute_plan(plan, parallelism=1, batch_size=8)
+    repro_env(parallelism=PARALLELISM)
+
+    def exchanges(op):
+        found = [op] if isinstance(op, ExchangeOp) else []
+        below = op.children() + [getattr(op, "graph_op", None)]
+        return found + [e for child in below if child is not None for e in exchanges(child)]
+
+    (exchange,) = exchanges(parallelize_plan(plan, PARALLELISM, 8))
+    assert len(exchange.plans) > 1
+    chain = exchange.plans[0]
+    while not isinstance(chain, ExistsFilter):
+        (chain,) = chain.children()
+    parallel = execute_plan(plan, batch_size=8)
+    assert parallel.sorted_rows() == serial.sorted_rows()
+    assert parallel.rows_produced == serial.rows_produced
+
+
 def test_orderby_limit_exact_rows_parallel(ldbc):
     # ORDER BY ... LIMIT guarantees row order: exact equality, not just
     # canonical equality, and across both protocols.

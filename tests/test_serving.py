@@ -244,6 +244,31 @@ class TestPlanCache:
             assert sorted(r2.rows) == [("Bob",)]
             assert db.plan_cache.stats.hits == 1
 
+    def test_plans_with_exists_checks_stay_cacheable(self):
+        # JOB24's dead movie_info branch becomes an EXISTS check whose
+        # predicate (it.info = 'genres') holds a parameter slot: the
+        # rebind walk must see it, or the safety valve refuses the plan.
+        from repro.workloads.job import JobParams, generate_imdb
+        from repro.workloads.job.queries import job_queries
+
+        catalog, mapping = generate_imdb(JobParams.scaled(0.3, seed=5))
+        db = _track(Database(catalog))
+        reference = make_system("relgo_norule", catalog, "imdb")
+        sql = job_queries(["JOB24"])["JOB24"]
+        variants = [
+            sql,
+            sql.replace("'revenge'", "'murder'"),
+            sql.replace("'genres'", "'budget'"),
+        ]
+        with db.connect() as ses:
+            for i, text in enumerate(variants):
+                result = ses.execute(text)
+                expected = reference.framework.execute(reference.optimize(text))
+                assert sorted(result.rows) == expected.sorted_rows(), text
+                assert db.plan_cache.stats.hits == i
+                assert db.plan_cache.stats.uncacheable == 0
+        assert "EXISTS t" in make_system("relgo", catalog, "imdb").optimize(sql).explain()
+
     def test_lru_eviction_is_bounded(self):
         db = _people_db()
         db.plan_cache.capacity = 4

@@ -326,6 +326,45 @@ def test_predicates_have_one_vectorized_body():
     assert "Operator.columnar_batches(self" not in sources["repro/relational/physical.py"]
 
 
+def test_exists_checks_are_one_kernel_without_a_switch():
+    """DeadBranchRule's EXISTS check is one kernel call in the operator;
+    the kernel's vectorized body loops over batches and branches only,
+    never over rows; and nothing turns the rule on or off but
+    ``enable_rules``."""
+    from dataclasses import fields
+
+    from repro.graph.optimizer import LoweringConfig
+
+    sources = _sources()
+    physical = ast.parse(sources["repro/graph/physical.py"])
+    (op,) = (
+        node
+        for node in ast.walk(physical)
+        if isinstance(node, ast.ClassDef) and node.name == "ExistsFilter"
+    )
+    (body,) = (n for n in op.body if getattr(n, "name", None) == "_stream_columnar")
+    assert not any(isinstance(n, (ast.For, ast.comprehension)) for n in ast.walk(body))
+    calls = [
+        node.func.id
+        for node in ast.walk(physical)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("exists_filter") == 1
+    kernels = ast.parse(sources["repro/exec/kernels.py"])
+    functions = {n.name: n for n in kernels.body if isinstance(n, ast.FunctionDef)}
+    for name in ("_exists_vectors", "_reach_all", "_reach"):
+        for node in ast.walk(functions[name]):
+            assert not isinstance(node, ast.comprehension), name
+            if isinstance(node, ast.For):
+                assert ast.unparse(node.iter) in ("source", "steps"), name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "tolist", name
+    switches = [f.name for f in fields(RelGoConfig)] + [f.name for f in fields(LoweringConfig)]
+    switches += list(settings.EnvSettings._fields)
+    assert not [s for s in switches if re.search("dead|branch|semi|pruned", s)]
+    assert len(settings.EnvSettings._fields) == len(VARIABLES)
+
+
 def test_hot_execute_reads_no_environment(monkeypatch):
     class NoEnvironment(dict):
         def __getitem__(self, key):

@@ -3,22 +3,33 @@
 The central invariant (the "lossless" of Lemma 1): for random patterns the
 graph-agnostic translation executed relationally produces exactly the
 reference matcher's results.  Likewise FilterIntoMatchRule must never change
-query results, only plans.
+query results, only plans, and DeadBranchRule must return, for generated
+MIN / MAX / GROUP BY / DISTINCT queries, what the plan without rules and the
+reference matcher return — whichever branches it turns into EXISTS checks.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import RelGoConfig, RelGoFramework
 from repro.core.rules import apply_filter_into_match, apply_trim_and_fuse
 from repro.core.spjm import GraphTableClause, MatchColumn, SPJMQuery
+from repro.core.sqlpgq import parse_and_bind
 from repro.core.transform import translate_match
+from repro.exec import ExecutionContext, numpy_available, set_numpy_enabled
+from repro.graph.cost import StarStep
+from repro.graph.index import build_graph_index
 from repro.graph.matching import match_pattern
+from repro.graph.optimizer import GraphPlan, LoweringConfig, dead_branches, lower_plan
 from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex
+from repro.graph.rgmapping import RGMapping
+from repro.relational.catalog import Catalog
 from repro.relational.expr import col, eq, gt, lit
+from repro.relational.schema import Column, ForeignKey, TableSchema
+from repro.relational.types import DataType
 
 from tests.conftest import build_fig2_catalog
 
@@ -182,3 +193,443 @@ def test_translate_match_rejects_bad_endpoints(fig2m):
 
     with pytest.raises(BindError):
         translate_match(clause, mapping, catalog)
+
+
+# --------------------------------------------------------------------- #
+# DeadBranchRule
+# --------------------------------------------------------------------- #
+
+NUMPY_MODES = [False, True] if numpy_available() else [False]
+
+#: Person names cycle through A, B, C and NULL.
+NAMES = ["A", "B", "C", None]
+
+#: Under numpy a dictionary comparison or IN is a dense mask, a LIKE over
+#: the NULL-bearing columns a lazy one; "never" matches no row at all (the
+#: literal misses the dictionary).
+PERSON_PREDICATES = {
+    "dense": "{v}.name = 'A'",
+    "in": "{v}.name IN ('A', 'C')",
+    "lazy": "{v}.name LIKE 'A%'",
+    "never": "{v}.name = 'Z'",
+}
+TAG_PREDICATES = {"dense": "{v}.label = 't1'"}
+LINK_PREDICATES = {
+    "dense": "{e}.kind = 'x'",
+    "lazy": "{e}.note LIKE 'n1%'",
+    "never": "{e}.kind = 'z'",
+}
+
+
+def _branch_graph(n: int, links: list[tuple[int, int]]) -> Catalog:
+    """Persons ``0..n-1`` linked by ``links`` (self-loops and parallel
+    edges allowed; kind x / y, a NULL-bearing note) and three tags, person
+    ``p`` tagged ``p % 3``: ``HasTag`` reaches one tag from a person and
+    fans out from a tag."""
+    catalog = Catalog()
+
+    def table(name, columns, rows, keys=()):
+        catalog.create_table(
+            TableSchema(
+                name,
+                [Column(c, t) for c, t in columns],
+                primary_key="id",
+                foreign_keys=[ForeignKey(c, target, "id") for c, target in keys],
+            ),
+            rows=rows,
+        )
+
+    table("Person", [("id", DataType.INT), ("name", DataType.STRING)],
+          [(v, NAMES[v % 4]) for v in range(n)])  # fmt: skip
+    table("Tag", [("id", DataType.INT), ("label", DataType.STRING)],
+          [(t, f"t{t}") for t in range(3)])  # fmt: skip
+    table(
+        "Link",
+        [("id", DataType.INT), ("src", DataType.INT), ("dst", DataType.INT),
+         ("kind", DataType.STRING), ("note", DataType.STRING)],
+        [(i, s, d, "xy"[i % 2], None if i % 3 == 0 else f"n{1 + i % 4}")
+         for i, (s, d) in enumerate(links)],
+        [("src", "Person"), ("dst", "Person")],
+    )  # fmt: skip
+    table("HasTag", [("id", DataType.INT), ("pid", DataType.INT), ("tid", DataType.INT)],
+          [(p, p, p % 3) for p in range(n)], [("pid", "Person"), ("tid", "Tag")])  # fmt: skip
+    mapping = RGMapping("G", catalog)
+    mapping.add_vertex("Person")
+    mapping.add_vertex("Tag")
+    mapping.add_edge("Link", source=("Person", "src"), target=("Person", "dst"))
+    mapping.add_edge("HasTag", source=("Person", "pid"), target=("Tag", "tid"))
+    catalog.register_graph(mapping)
+    catalog.analyze()
+    catalog.register_graph_index(build_graph_index(mapping))
+    return catalog
+
+
+@st.composite
+def branch_graphs(draw):
+    """``(person count, links)``: hubs, parallel edges and self-loops."""
+    n = draw(st.integers(1, 6))
+    person = st.integers(0, n - 1)
+    links = draw(st.lists(st.tuples(person, person), max_size=14))
+    if links:
+        links += draw(st.lists(st.sampled_from(links), max_size=6))
+    return n, links
+
+
+def _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consumer) -> str:
+    """SQL/PGQ text over ``_branch_graph``: pattern vertex ``v{i}`` has
+    ``labels[i]``, edge ``e{i}`` is ``edges[i] = (src, dst, label)``; the
+    COLUMNS read the ``live`` vertices (and edge ``kept``'s kind), and the
+    SELECT is ``consumer``: MIN / MAX of every column, MIN per group of the
+    first column (GROUP), or the DISTINCT columns, optionally with a LIMIT
+    (DISTINCT_LIMIT) — or COUNT / SUM / AVG of ``v0``'s id."""
+    paths = [
+        f"(v{s}:{labels[s]})-[e{i}:{label}]->(v{d}:{labels[d]})"
+        for i, (s, d, label) in enumerate(edges)
+    ]
+    wheres = [
+        (PERSON_PREDICATES if labels[i] == "Person" else TAG_PREDICATES)[p].format(v=f"v{i}")
+        for i, p in enumerate(vertex_preds)
+        if p is not None
+    ]
+    wheres += [
+        LINK_PREDICATES[p].format(e=f"e{i}") for i, p in enumerate(edge_preds) if p is not None
+    ]
+    columns = [
+        f"v{i}.{'name' if labels[i] == 'Person' else 'label'} AS c{i}" for i in live
+    ]
+    names = [f"c{i}" for i in live]
+    if kept is not None:
+        columns.append(f"e{kept}.kind AS k{kept}")
+        names.append(f"k{kept}")
+    tail = ""
+    if consumer in ("MIN", "MAX"):
+        select = ", ".join(f"{consumer}(g.{a}) AS m{i}" for i, a in enumerate(names))
+    elif consumer == "GROUP":
+        rest = names[1:] or names[:1]
+        select = f"g.{names[0]}, " + ", ".join(f"MIN(g.{a}) AS m{i}" for i, a in enumerate(rest))
+        tail = f" GROUP BY g.{names[0]}"
+    elif consumer.startswith("DISTINCT"):
+        select = "DISTINCT " + ", ".join(f"g.{a}" for a in names)
+        tail = " LIMIT 3" if consumer == "DISTINCT_LIMIT" else ""
+    else:
+        columns.append("v0.id AS vid")
+        select = f"{consumer}(g.vid) AS agg"
+    where = f" WHERE {' AND '.join(wheres)}" if wheres else ""
+    return (
+        f"SELECT {select} FROM GRAPH_TABLE (G MATCH {', '.join(paths)}{where} "
+        f"COLUMNS ({', '.join(columns)})) g{tail}"
+    )
+
+
+@st.composite
+def dead_branch_queries(draw):
+    """A tree pattern of 2–6 vertices over ``_branch_graph`` (sometimes
+    closed by one more edge: a cycle, a parallel pattern edge or a
+    self-loop), predicates of every mask shape, 1–2 live vertices and a
+    duplicate-insensitive consumer."""
+    labels, edges = ["Person"], []
+    for i in range(1, draw(st.integers(2, 6))):
+        j = draw(st.integers(0, i - 1))
+        if labels[j] == "Tag":
+            labels.append("Person")
+            edges.append((i, j, "HasTag"))
+        elif draw(st.integers(0, 3)) == 0:
+            labels.append("Tag")
+            edges.append((j, i, "HasTag"))
+        else:
+            labels.append("Person")
+            edges.append((j, i, "Link") if draw(st.booleans()) else (i, j, "Link"))
+    persons = [i for i, label in enumerate(labels) if label == "Person"]
+    if draw(st.integers(0, 3)) == 0:
+        edges.append((draw(st.sampled_from(persons)), draw(st.sampled_from(persons)), "Link"))
+    vertex_preds = [
+        draw(st.sampled_from([None, None, *PERSON_PREDICATES]))
+        if label == "Person"
+        else draw(st.sampled_from([None, *TAG_PREDICATES]))
+        for label in labels
+    ]
+    edge_preds = [
+        draw(st.sampled_from([None, None, *LINK_PREDICATES])) if label == "Link" else None
+        for _, _, label in edges
+    ]
+    live = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=2, unique=True))
+    kept = draw(st.sampled_from([None] + [i for i, e in enumerate(edges) if e[2] == "Link"]))
+    consumer = draw(st.sampled_from(["MIN", "MAX", "GROUP", "DISTINCT"]))
+    return _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consumer)
+
+
+def _reference_answer(catalog, sql: str) -> list[tuple]:
+    """The query's answer from the reference matcher's bindings: the
+    COLUMNS values per match, then MIN / MAX / GROUP BY / DISTINCT in
+    Python."""
+    query = parse_and_bind(sql, catalog)
+    clause = query.graph_table
+    mapping = catalog.graph("G")
+    index = catalog.graph_index("G")
+    pattern = clause.pattern
+    rows = []
+    for binding in match_pattern(mapping, index, pattern):
+        row = []
+        for mc in clause.columns:
+            if mc.var in pattern.vertices:
+                table = mapping.vertex_table(pattern.vertices[mc.var].label)
+            else:
+                table = mapping.edge_table(pattern.edges[mc.var].label)
+            row.append(table.value(binding[mc.var], mc.attr))
+        rows.append(tuple(row))
+
+    def aggregate(func, values):
+        values = [v for v in values if v is not None]
+        return func(values) if values else None
+
+    if query.distinct:
+        answer = set(rows)
+    elif query.group_by:
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(row[0], []).append(row)
+        width = max(len(query.aggregates), 1)
+        offset = 0 if len(clause.columns) == 1 else 1
+        answer = {
+            (key,) + tuple(aggregate(min, [r[offset + i] for r in group]) for i in range(width))
+            for key, group in groups.items()
+        }
+    else:
+        func = min if query.aggregates[0].func == "MIN" else max
+        answer = {tuple(aggregate(func, [r[i] for r in rows]) for i in range(len(clause.columns)))}
+    return sorted(answer, key=repr)
+
+
+#: One fixed graph for the pinned cases: person 1 reaches 2 over three
+#: parallel links, 5 has a self-loop, 3 is the only NULL name.
+PINNED_GRAPH = (6, [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 5), (1, 2)])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=branch_graphs(), sql=dead_branch_queries(), batch_size=st.sampled_from([1, 3, 1024]))
+# A dead chain of depth 2 under a live root, parallel links on the way.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MIN(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+    "(v1:Person)-[e1:Link]->(v2:Person) WHERE v0.name = 'A' COLUMNS (v0.name AS c0)) g",
+    batch_size=1,
+)
+# A dead tree (two leaves below one dead vertex) with lazy predicates.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT DISTINCT g.c0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+    "(v1:Person)-[e1:Link]->(v2:Person), (v3:Person)-[e2:Link]->(v1:Person) "
+    "WHERE v2.name LIKE 'A%' AND e2.note LIKE 'n1%' COLUMNS (v0.name AS c0)) g",
+    batch_size=3,
+)
+# A branch no anchor satisfies: the answer is one row of NULLs.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MAX(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person) "
+    "WHERE v1.name = 'Z' COLUMNS (v0.name AS c0)) g",
+    batch_size=1024,
+)
+def test_dead_branch_rule_keeps_every_answer(graph, sql, batch_size):
+    """Rules on (DeadBranchRule included), rules off and the reference
+    matcher agree, numpy on and off, at batch sizes 1, 3 and 1024."""
+    catalog = _branch_graph(*graph)
+    expected = _reference_answer(catalog, sql)
+    query = parse_and_bind(sql, catalog)
+    frameworks = [
+        RelGoFramework(catalog, "G", RelGoConfig(batch_size=batch_size)),
+        RelGoFramework(catalog, "G", RelGoConfig(enable_rules=False, batch_size=batch_size)),
+    ]
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            for framework in frameworks:
+                result, optimized = framework.run(query)
+                assert sorted(result.rows, key=repr) == expected, optimized.explain()
+    finally:
+        set_numpy_enabled(None)
+
+
+def _linear_plan(pattern: PatternGraph, order: list[str]) -> GraphPlan:
+    """The decomposition tree that scans ``order[0]`` and binds the other
+    vertices one star step each, in ``order``."""
+    plan = GraphPlan(pattern.induced_subpattern({order[0]}), "scan", 1.0, 1.0)
+    bound = {order[0]}
+    for v in order[1:]:
+        bound.add(v)
+        legs = tuple((e.other(v), e) for e in pattern.incident_edges(v) if e.other(v) in bound)
+        plan = GraphPlan(
+            pattern.induced_subpattern(bound), "expand", 1.0, 1.0,
+            child=plan, step=StarStep(v, legs),
+        )  # fmt: skip
+    return plan
+
+
+def _breadth_first(pattern: PatternGraph, root: str) -> list[str]:
+    order = [root]
+    for v in order:
+        order += sorted(u for u in pattern.neighbors(v) if u not in order)
+    return order
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=branch_graphs(), sql=dead_branch_queries(), batch_size=st.sampled_from([1, 3, 1024]))
+# Depth 2: only persons 0 and 4 reach a 'C' in two links, and the anchors
+# of one batch get different answers.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MIN(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+    "(v1:Person)-[e1:Link]->(v2:Person) WHERE v2.name = 'C' COLUMNS (v0.name AS c0)) g",
+    batch_size=1024,
+)
+# Two branches on one anchor: persons 0, 1, 2 and 5 pass the second, only
+# 0 and 1 both.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MIN(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+    "(v2:Person)-[e1:Link]->(v0:Person) WHERE v1.name = 'C' AND v2.name = 'A' "
+    "COLUMNS (v0.name AS c0)) g",
+    batch_size=1024,
+)
+# An unconstrained leaf: only person 0 has a link at all.
+@example(
+    graph=(3, [(0, 1), (0, 2)]),
+    sql="SELECT MIN(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person) "
+    "COLUMNS (v0.name AS c0)) g",
+    batch_size=3,
+)
+def test_exists_checks_keep_the_live_tuples(graph, sql, batch_size):
+    """Lowered from a live root, so every dead dangling branch that fans
+    out becomes an EXISTS check: the distinct live tuples equal the
+    reference matcher's, numpy on and off."""
+    catalog = _branch_graph(*graph)
+    query = parse_and_bind(sql, catalog)
+    mapping, index = catalog.graph("G"), catalog.graph_index("G")
+    pattern = query.graph_table.pattern
+    live = frozenset(c.var for c in query.graph_table.columns if c.var in pattern.vertices)
+    kept = frozenset(c.var for c in query.graph_table.columns if c.var in pattern.edges)
+    for name in kept:
+        live |= {pattern.edges[name].src, pattern.edges[name].dst}
+    plan = _linear_plan(pattern, _breadth_first(pattern, min(live)))
+    exists = dead_branches(plan, live, index)
+    op = lower_plan(plan, mapping, index, LoweringConfig(needed_edge_vars=kept, exists=exists))
+    assert ("EXISTS" in op.explain()) == bool(exists)
+    variables = sorted(live | kept)
+    expected = {tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)}
+    positions = [op.var_index(v) for v in variables]
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            rows = op.execute(ExecutionContext(batch_size=batch_size))
+            assert {tuple(row[p] for p in positions) for row in rows} == expected
+    finally:
+        set_numpy_enabled(None)
+
+
+def _pinned_query(consumer: str, semantics: str = "homomorphism"):
+    """A live ``v0`` with a dead, fanning chain ``v0 -> v1 -> v2``."""
+    catalog = _branch_graph(*PINNED_GRAPH)
+    sql = _dead_branch_sql(
+        ["Person"] * 3, [(0, 1, "Link"), (1, 2, "Link")],
+        ["dense", None, None], [None, None], [0], None, consumer,
+    )  # fmt: skip
+    query = parse_and_bind(sql, catalog)
+    query.graph_table.semantics = semantics
+    return catalog, query
+
+
+@pytest.mark.parametrize("consumer", ["MIN", "MAX", "GROUP", "DISTINCT"])
+def test_dead_branch_rule_fires_under_duplicate_insensitive_consumers(consumer):
+    catalog, query = _pinned_query(consumer)
+    result, optimized = RelGoFramework(catalog, "G").run(query)
+    report = optimized.rule_report
+    assert report.live_vertices == frozenset({"v0"})
+    assert report.pruned_branches == [
+        "v0 -[Link out]-> v1:Person, v1 -[Link out]-> v2:Person"
+    ]
+    assert "EXISTS v0 (v0 -[Link out]-> v1:Person, v1 -[Link out]-> v2:Person)" in (
+        optimized.explain()
+    )
+    reference, _ = RelGoFramework(catalog, "G", RelGoConfig(enable_rules=False)).run(query)
+    assert result.sorted_rows() == reference.sorted_rows()
+
+
+@pytest.mark.parametrize(
+    "consumer,semantics",
+    [
+        ("COUNT", "homomorphism"),
+        ("SUM", "homomorphism"),
+        ("AVG", "homomorphism"),
+        ("DISTINCT_LIMIT", "homomorphism"),
+        ("MIN", "isomorphism"),
+        ("MIN", "edge_distinct"),
+    ],
+)
+def test_dead_branch_rule_never_fires_where_multiplicity_counts(consumer, semantics):
+    catalog, query = _pinned_query(consumer, semantics)
+    answers = []
+    for config in (RelGoConfig(), RelGoConfig(enable_rules=False)):
+        result, optimized = RelGoFramework(catalog, "G", config).run(query)
+        assert optimized.rule_report.live_vertices is None
+        assert optimized.rule_report.pruned_branches == []
+        assert "EXISTS" not in optimized.explain()
+        answers.append(result.sorted_rows())
+    assert answers[0] == answers[1]
+
+
+def _pattern(*edges: tuple[str, str, str]) -> PatternGraph:
+    """Person vertices (``t*`` are tags) joined by ``(src, dst, label)``."""
+    builder = PatternGraph.builder()
+    names = []
+    for src, dst, _ in edges:
+        names += [v for v in (src, dst) if v not in names]
+    for v in names:
+        builder = builder.vertex(v, "Tag" if v.startswith("t") else "Person")
+    for i, (src, dst, label) in enumerate(edges):
+        builder = builder.edge(src, dst, label, name=f"e{i}")
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "edges,order,live,pruned",
+    [
+        # A dead chain of depth 2 and a dead tree come off whole.
+        ([("a", "b", "Link"), ("b", "c", "Link")], "abc", "a", {"a": ["b", "c"]}),
+        (
+            [("a", "b", "Link"), ("b", "c", "Link"), ("d", "b", "Link")],
+            "abcd", "a", {"a": ["b", "c", "d"]},
+        ),
+        # A dead connector between two live vertices stays (JOB23's mc).
+        ([("a", "b", "Link"), ("b", "c", "Link")], "abc", "ac", {}),
+        # The root is never stripped, so its side of the pattern stays.
+        ([("a", "b", "Link"), ("b", "c", "Link")], "cba", "a", {}),
+        ([("a", "b", "Link"), ("b", "c", "Link"), ("a", "d", "Link")], "cbad", "a",
+         {"a": ["d"]}),
+        # A 1:1 leaf multiplies nothing; the same edge read from the tag fans out.
+        ([("a", "t", "HasTag")], "at", "a", {}),
+        ([("a", "t", "HasTag")], "ta", "t", {"t": ["a"]}),
+        # A self-loop pins its vertex; two edges between one pair are a cycle.
+        ([("a", "b", "Link"), ("b", "b", "Link")], "ab", "a", {}),
+        ([("a", "b", "Link"), ("b", "a", "Link")], "ab", "a", {}),
+    ],
+)  # fmt: skip
+def test_dead_branches_strip_dangling_dead_trees(edges, order, live, pruned):
+    catalog = _branch_graph(*PINNED_GRAPH)
+    pattern = _pattern(*edges)
+    plan = _linear_plan(pattern, list(order))
+    exists = dead_branches(plan, frozenset(live), catalog.graph_index("G"))
+    assert {
+        anchor: [v for b in branches for v in b.variables()]
+        for anchor, branches in exists.items()
+    } == pruned
+
+
+def test_dead_branches_leave_plans_with_a_pattern_join_alone():
+    catalog = _branch_graph(*PINNED_GRAPH)
+    pattern = _pattern(("a", "b", "Link"), ("b", "c", "Link"), ("c", "d", "Link"))
+    left = _linear_plan(pattern.induced_subpattern({"a", "b", "c"}), ["a", "b", "c"])
+    right = _linear_plan(pattern.induced_subpattern({"c", "d"}), ["c", "d"])
+    plan = GraphPlan(pattern, "join", 1.0, 1.0, left=left, right=right)
+    assert dead_branches(plan, frozenset("a"), catalog.graph_index("G")) == {}
+    # The same pattern as a chain of star steps prunes b, c and d.
+    chain = _linear_plan(pattern, list("abcd"))
+    assert list(dead_branches(chain, frozenset("a"), catalog.graph_index("G"))) == ["a"]
