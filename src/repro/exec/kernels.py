@@ -14,6 +14,14 @@ both families are now built from, in two flavours:
   selection vectors, projections gather columns, hash build/probe extract
   whole key columns at once.  These are the vectorized hot loops of the
   engine.
+
+The columnar hash build and probe are the one in-memory join body: the
+relational ``HashJoin`` (any number of keys, zero included — one bucket,
+the cross / theta join) and the graph ``PatternHashJoin`` (which only
+chooses the build side) both call them.  This module is the only one that
+knows the table format — key -> bucket list of row tuples — and the only
+one that reads or merges buckets (:func:`merge_hash_tables` for parallel
+build shards).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
-from repro.exec.vector import ColumnarBatch, gather, is_ndarray, passing, take
+from repro.exec.vector import ColumnarBatch, is_ndarray, passing, take
 
 Batch = list
 
@@ -92,16 +100,13 @@ def tuple_key(indices: list[int]) -> Callable[[tuple], Any]:
 def build_hash_table(
     batches: Iterable[Batch],
     key_of: Callable[[tuple], Any],
-    buffer: Buffer | None,
-    value_of: Callable[[tuple], Any] | None = None,
+    buffer: Buffer,
 ) -> dict[Any, list]:
-    """Drain ``batches`` into ``key -> [values]``, charging ``buffer``.
+    """Drain ``batches`` into ``key -> [rows]``, charging ``buffer``.
 
     Rows whose key is ``None`` are skipped (SQL NULLs never join).  The
     buffer is grown incrementally so an exploding build side trips the
-    memory budget mid-build, not after the fact.  Pass ``buffer=None`` when
-    the rows were already charged by the caller (e.g. re-hashing an input
-    that was buffered for an adaptive build-side choice).
+    memory budget mid-build, not after the fact.
     """
     table: dict[Any, list] = {}
     try:
@@ -111,15 +116,13 @@ def build_hash_table(
                 key = key_of(row)
                 if key is None:
                     continue
-                value = row if value_of is None else value_of(row)
                 bucket = table.get(key)
                 if bucket is None:
-                    table[key] = [value]
+                    table[key] = [row]
                 else:
-                    bucket.append(value)
+                    bucket.append(row)
                 kept += 1
-            if buffer is not None:
-                buffer.grow(kept)
+            buffer.grow(kept)
     finally:
         # A mid-build budget trip (or injected fault) must not leave the
         # build stream suspended: close it so upstream finallys run now.
@@ -259,15 +262,8 @@ def grace_hash_join(
 
     # Freeze the resident partitions into one probe table (their key sets
     # are disjoint, so one dict probes them all at in-memory speed).
-    table: dict[Any, list] = {}
-    for p in range(P):
-        for key, value in resident[p]:
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [value]
-            else:
-                bucket.append(value)
-        resident[p] = []
+    table = _table_of_pairs(resident)
+    resident.clear()
     resident_rows = buffer.rows  # the frozen table's charge, released below
 
     # Phase 2 — streamed probe: resident matches emit now, spilled-partition
@@ -306,7 +302,6 @@ def grace_hash_join(
         close_stream(probe_batches)
     if out:
         yield out
-        out = []
 
     # The streamed phase is over: drop the resident table and its charge
     # before terminal partitions build (each charges up to the limit, so
@@ -367,33 +362,25 @@ def grace_hash_join(
         # Terminal partition: build in memory (charged), stream its probe.
         count = build_writer.rows
         buffer.grow(count)
-        part_table: dict[Any, list] = {}
-        for chunk in build_writer.drain():
-            for key, value in chunk:
-                bucket = part_table.get(key)
-                if bucket is None:
-                    part_table[key] = [value]
-                else:
-                    bucket.append(value)
+        part_table = _table_of_pairs(build_writer.drain())
         build_writer.delete()
-        part_lookup = part_table.get
-        for chunk in probe_writer.drain():
-            for row in chunk:
-                matches = part_lookup(probe_key(row))
-                if not matches:
-                    continue
-                if len(matches) == 1:
-                    out.append(row + matches[0])
-                else:
-                    out.extend([row + match for match in matches])
-                if len(out) >= size:
-                    yield out
-                    out = []
+        yield from probe_hash_table(probe_writer.drain(), part_table, probe_key, size)
         probe_writer.delete()
         part_table.clear()
         buffer.shrink(count)
-    if out:
-        yield out
+
+
+def _table_of_pairs(chunks: Iterable[list]) -> dict[Any, list]:
+    """``key -> [values]`` from chunks of ``(key, value)`` pairs, in order."""
+    table: dict[Any, list] = {}
+    for chunk in chunks:
+        for key, value in chunk:
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [value]
+            else:
+                bucket.append(value)
+    return table
 
 
 class ChunkSizer:
@@ -419,38 +406,6 @@ class ChunkSizer:
         self.rows_in += rows_in
         self.rows_out += rows_out
         self.size = self._ctx.expansion_batch_size(self.rows_in, self.rows_out)
-
-
-def expand_batches(
-    batches: Iterable[Batch],
-    expand_row: Callable[[tuple, list], None],
-    ctx: ExecutionContext,
-) -> Iterator[Batch]:
-    """Row-to-many expansion (CSR walks, nested-loop inner scans).
-
-    ``expand_row(row, out)`` appends zero or more output rows to ``out``;
-    the kernel flushes ``out`` whenever it reaches the (adaptively sized)
-    target chunk so a high-degree vertex cannot balloon the in-flight batch
-    unboundedly.
-
-    ``CsrJoin``'s fast paths deliberately inline this flush pattern
-    instead of paying a per-row closure call — keep them in sync when
-    changing the flushing contract here.
-    """
-    sizer = ChunkSizer(ctx)
-    out: list = []
-    for batch in batches:
-        carry = len(out)
-        flushed = 0
-        for row in batch:
-            expand_row(row, out)
-            if len(out) >= sizer.size:
-                flushed += len(out)
-                yield out
-                out = []
-        sizer.observe(len(batch), flushed + len(out) - carry)
-    if out:
-        yield out
 
 
 # ---------------------------------------------------------------------- #
@@ -496,14 +451,15 @@ def key_columns(cb: ColumnarBatch, indices: list[int]) -> list:
 
     Single-column keys are the gathered column itself (``None`` entries are
     SQL NULLs and never join); multi-column keys are tuples, collapsed to
-    ``None`` when any part is NULL.
+    ``None`` when any part is NULL; no key columns is the key ``()`` for
+    every row (a join without an equi conjunct: one bucket).
     """
+    if not indices:
+        return [()] * len(cb)
     if len(indices) == 1:
         return list(cb.column(indices[0]))
     cols = [cb.column(i) for i in indices]
-    return [
-        None if any(v is None for v in parts) else parts for parts in zip(*cols)
-    ]
+    return [None if None in parts else parts for parts in zip(*cols)]
 
 
 def _single_key_dict(cb: ColumnarBatch, key_indices: list[int]):
@@ -577,15 +533,18 @@ def build_hash_table_columnar(
     batches: Iterable[ColumnarBatch],
     key_indices: list[int],
     buffer: Buffer | None,
+    keep: list[int] | None = None,
 ) -> dict[Any, list]:
     """Columnar hash build: key -> [row tuples].
 
     Keys are extracted column-at-a-time; the stored values are materialized
-    row tuples (the build side is genuinely buffered state, so tuple
-    materialization here matches what the memory budget charges).  A
+    row tuples of the ``keep`` columns (all columns when None; ``[]``
+    stores ``()``) — the build side is genuinely buffered state, so tuple
+    materialization here matches what the memory budget charges.  A
     dictionary-encoded single key skips per-row string hashing: each
     distinct value is interned into the table once and its bucket is
-    reached through the code thereafter.
+    reached through the code thereafter.  Pass ``buffer=None`` when the
+    caller already charged the input's rows.
     """
     table: dict[Any, list] = {}
 
@@ -599,7 +558,11 @@ def build_hash_table_columnar(
     cache = _DictKeyCache(intern_bucket)
     try:
         for cb in batches:
-            values = cb.to_rows()
+            if keep is None:
+                values = cb.to_rows()
+            else:
+                kept = [cb.columns[i] for i in keep]
+                values = ColumnarBatch(kept, cb.length, cb.selection).to_rows()
             count = 0
             dv = _single_key_dict(cb, key_indices)
             if dv is not None:
@@ -627,6 +590,24 @@ def build_hash_table_columnar(
                 buffer.grow(count)
     finally:
         close_stream(batches)
+    return table
+
+
+def merge_hash_tables(shards: Sequence[dict[Any, list]]) -> dict[Any, list]:
+    """One table from per-worker build shards, merged in shard order.
+
+    Shards built from consecutive morsels concatenate each key's bucket in
+    global row order, so probing the merged table emits exactly what a
+    serial build would.
+    """
+    table = shards[0]
+    for shard in shards[1:]:
+        for key, bucket in shard.items():
+            existing = table.get(key)
+            if existing is None:
+                table[key] = bucket
+            else:
+                existing.extend(bucket)
     return table
 
 
@@ -658,9 +639,6 @@ def probe_hash_table_columnar(
     hit_src: list | None = None
     for cb in batches:
         dv = _single_key_dict(cb, key_indices)
-        parents: list[int] = []
-        builds: list[tuple] = []
-        flushed = 0
         if dv is not None:
             np = vector._np
             slots = cache.prime_eager(dv.values)
@@ -671,46 +649,31 @@ def probe_hash_table_columnar(
                 hit_src = slots
             codes = dv.codes
             hits = np.flatnonzero(hit_mask[codes])
-            for j, key in zip(hits.tolist(), codes[hits].tolist()):
-                matches = slots[key]
-                if len(matches) == 1:
-                    parents.append(j)
-                    builds.append(matches[0])
-                else:
-                    parents.extend([j] * len(matches))
-                    builds.extend(matches)
-                if len(parents) >= sizer.size:
-                    # Flush mid-batch so high-multiplicity keys cannot
-                    # balloon in-flight (budget-invisible) assembly state.
-                    flushed += len(parents)
-                    yield from chunk_columnar(
-                        replicate_columnar(cb, parents, transpose_rows(builds)),
-                        sizer.size,
-                    )
-                    parents, builds = [], []
+            found = zip(hits.tolist(), map(slots.__getitem__, codes[hits].tolist()))
         else:
-            keys = key_columns(cb, key_indices)
-            for j, key in enumerate(keys):
-                if key is None:
-                    continue
-                matches = lookup(key)
-                if not matches:
-                    continue
-                if len(matches) == 1:
-                    parents.append(j)
-                    builds.append(matches[0])
-                else:
-                    parents.extend([j] * len(matches))
-                    builds.extend(matches)
-                if len(parents) >= sizer.size:
-                    # Flush mid-batch so high-multiplicity keys cannot
-                    # balloon in-flight (budget-invisible) assembly state.
-                    flushed += len(parents)
-                    yield from chunk_columnar(
-                        replicate_columnar(cb, parents, transpose_rows(builds)),
-                        sizer.size,
-                    )
-                    parents, builds = [], []
+            # The build never stores a None key, so NULL probe keys miss.
+            found = enumerate(map(lookup, key_columns(cb, key_indices)))
+        parents: list[int] = []
+        builds: list[tuple] = []
+        flushed = 0
+        for j, matches in found:
+            if not matches:
+                continue
+            if len(matches) == 1:
+                parents.append(j)
+                builds.append(matches[0])
+            else:
+                parents.extend([j] * len(matches))
+                builds.extend(matches)
+            if len(parents) >= sizer.size:
+                # Flush mid-batch so high-multiplicity keys cannot
+                # balloon in-flight (budget-invisible) assembly state.
+                flushed += len(parents)
+                yield from chunk_columnar(
+                    replicate_columnar(cb, parents, transpose_rows(builds)),
+                    sizer.size,
+                )
+                parents, builds = [], []
         sizer.observe(len(cb), flushed + len(parents))
         if parents:
             yield from chunk_columnar(

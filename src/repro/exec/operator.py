@@ -15,6 +15,10 @@ methods: an operator with only a row body joins a columnar pipeline through
 columnar body — every graph operator, ``ScanGraphTableOp``,
 :class:`MaterializeOp` — hands rows to a row-protocol parent, to
 ``grace_hash_join`` and to :meth:`Operator.execute` through :func:`to_rows`.
+The grace join is also the one place a columnar body crosses to rows on
+purpose: a spilling ``HashJoin`` or ``PatternHashJoin`` feeds it its
+children's columnar streams through :func:`to_rows`, because spill
+partitions pickle row tuples.
 
 Because batches are pulled lazily under both protocols, downstream
 operators control how much upstream work happens: a satisfied ``LIMIT``

@@ -447,8 +447,6 @@ def _chain_types() -> tuple:
         gph.Expand,
         gph.ExpandIntersect,
         gph.ExistsFilter,
-        gph.VertexFilter,
-        gph.EdgeFilter,
         gph.AllDistinct,
     )
 
@@ -514,7 +512,7 @@ def parallelize_plan(
     #: single row — an early-exit scope above them cannot save that work,
     #: so the scope resets below these edges.
     full_drain = (rel.AggregateOp, rel.SortOp, rel.TopKOp, MaterializeOp)
-    build_side_attrs = {"right"}  # hash/NL/pattern joins drain builds fully
+    build_side_attrs = {"right"}  # hash and pattern joins drain builds fully
 
     def rewrite(op: Operator, early_exit: bool) -> Operator:
         if isinstance(op, rel.LimitOp):

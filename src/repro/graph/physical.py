@@ -11,11 +11,12 @@ row-protocol relational parent, ``grace_hash_join``,
 :meth:`~repro.exec.Operator.execute` — they come from the one boundary
 adapter, :func:`repro.exec.operator.to_rows`; the reference these bodies are
 checked against shares no code with them
-(:func:`repro.graph.matching.match_pattern`).  Expansions stream bounded
-chunks, and only the genuinely stateful operators (pattern hash joins,
-distinct sets) hold — and charge — buffered rows.  The hash-build and
-probe inner loops are the same :mod:`repro.exec.kernels` the relational
-``HashJoin`` uses; there is one implementation, not two.
+(:func:`repro.graph.matching.match_pattern`).  No graph operator builds
+row tuples itself.  Expansions stream bounded chunks, and only the
+genuinely stateful operator (the pattern hash join) holds — and charges —
+buffered rows, as dense columnar batches.  Its build and probe are the
+:mod:`repro.exec.kernels` calls the relational ``HashJoin`` makes; there is
+one implementation, not two.
 
 Operators:
 
@@ -38,8 +39,6 @@ Operators:
   of one edge relation; with the graph index it reads the EV columns, without
   it it performs the EVJoin of Eq. 3 as runtime hash joins (the no-index
   execution mode, e.g. RelGoHash).
-* :class:`VertexFilter` / :class:`EdgeFilter` — attribute predicates over an
-  already-bound variable (used when FilterIntoMatchRule is disabled).
 * :class:`AllDistinct` — the paper's all-distinct operator for isomorphism /
   edge-distinct semantics.
 """
@@ -47,6 +46,7 @@ Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from repro.errors import PlanError
@@ -55,8 +55,7 @@ from repro.exec.kernels import (
     ChunkSizer,
     ExistsStep,
     IntersectLeg,
-    build_hash_table,
-    chunked,
+    build_hash_table_columnar,
     csr_expand_vectors,
     emit_columnar,
     exists_filter,
@@ -825,11 +824,12 @@ class EdgeTripleScan(GraphOperator):
 class PatternHashJoin(GraphOperator):
     """Natural join of two graph relations on their common variables.
 
-    The build side is chosen adaptively (smaller input builds, as in any
-    hash join) without materializing the probe side: the right input is
-    drained first, then left batches are buffered only until they outnumber
-    it — at which point the right side builds and the remaining left input
-    streams straight through the shared probe kernel.  Join *output* always
+    The operator only decides which side builds; build and probe are the
+    shared columnar kernels the relational ``HashJoin`` runs.  The smaller
+    input builds, chosen without materializing the probe side: the right
+    input is drained first, then left batches are buffered only until they
+    outnumber it — at which point the right side builds and the remaining
+    left input streams straight through the probe.  Join *output* always
     streams, so only the inputs' buffered rows charge the memory budget;
     exploding star materializations (the NoEI / naive plans) still trip the
     paper's OOMs during their build drain.
@@ -853,110 +853,59 @@ class PatternHashJoin(GraphOperator):
     def children(self) -> list[Operator]:
         return [self.left, self.right]
 
-    def _join_setup(self):
-        l_idx = [self.left.var_index(n) for n in self.join_vars]
-        r_idx = [self.right.var_index(n) for n in self.join_vars]
-        keep = self.right_keep
-        if len(r_idx) == 1:
-            right_key, left_key = scalar_key(r_idx[0]), scalar_key(l_idx[0])
-        else:
-            right_key, left_key = tuple_key(r_idx), tuple_key(l_idx)
-        trim = (
-            (lambda row: ())
-            if not keep
-            else (lambda row: tuple(row[i] for i in keep))
-        )
-        return l_idx, left_key, right_key, trim
-
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        """Both *buffered* inputs materialize as row tuples (they are exactly
-        the state the memory budget charges — the NoEI OOMs trip here); the
-        streaming probe side stays columnar, with keys extracted
-        whole-column-at-a-time."""
-        l_idx, left_key, right_key, trim = self._join_setup()
+        l_idx = [self.left.var_index(n) for n in self.join_vars]
+        r_idx = [self.right.var_index(n) for n in self.join_vars]
         if ctx.spill_limit() is not None:
-            # Out-of-core: the adaptive lookahead would buffer an unbounded
-            # probe prefix, so always grace-build the right side (values
-            # trimmed to right_keep — output stays left ++ right_keep).  The
-            # grace kernel partitions and pickles row tuples, so both inputs
-            # cross the rows boundary.
-            buffer = ctx.buffer(f"{self._label()} build")
-            try:
-                yield from rows_to_columnar(
-                    grace_hash_join(
-                        self.right.batches(ctx),
-                        self.left.batches(ctx),
-                        right_key,
-                        left_key,
-                        buffer,
-                        ctx,
-                        self._label(),
-                        value_of=trim,
-                    )
-                )
-            finally:
-                buffer.release()
+            yield from self._grace(ctx, l_idx, r_idx)
             return
-        size = ctx.batch_size
         right_buffer = ctx.buffer(f"{self._label()} build")
         left_buffer = ctx.buffer(f"{self._label()} lookahead")
         right_stream = None
         left_stream = None
         try:
-            right_rows: list[tuple] = []
+            right: list[ColumnarBatch] = []
+            right_rows = 0
             right_stream = self.right.columnar_batches(ctx)
             for cb in right_stream:
-                batch = cb.to_rows()
-                right_rows.extend(batch)
-                right_buffer.grow(len(batch))
+                right.append(cb.dense())
+                right_rows += len(cb)
+                right_buffer.grow(len(cb))
             # Bounded lookahead on the left: once it outnumbers the right
             # side, the right side is the smaller build input for sure.
+            left: list[ColumnarBatch] = []
+            left_rows = 0
             left_stream = self.left.columnar_batches(ctx)
-            left_prefix: list[tuple] = []
-            left_is_smaller = True
             for cb in left_stream:
-                batch = cb.to_rows()
-                left_prefix.extend(batch)
-                if len(left_prefix) > len(right_rows):
+                left.append(cb.dense())
+                left_rows += len(cb)
+                if left_rows > right_rows:
                     # The left side turns out to be the probe side: its
                     # prefix is in-flight probe input, not build state, so
                     # it must not charge the budget.
-                    left_is_smaller = False
                     left_buffer.release()
                     break
-                left_buffer.grow(len(batch))
-            if left_is_smaller:
-                # Build on the (fully seen) left; probe the materialized
-                # right.  Output stays left ++ right_keep.
-                table = build_hash_table(chunked(left_prefix, size), left_key, None)
-                lookup = table.get
-                out: list[tuple] = []
-                for rrow in right_rows:
-                    matches = lookup(right_key(rrow))
-                    if not matches:
-                        continue
-                    extra = trim(rrow)
-                    out.extend([lrow + extra for lrow in matches])
-                    if len(out) >= size:
-                        yield ColumnarBatch.from_rows(out)
-                        out = []
-                if out:
-                    yield ColumnarBatch.from_rows(out)
+                left_buffer.grow(len(cb))
+            else:
+                # Build on the (fully seen) left, probe with the right; the
+                # probe emits right ++ left, reordered to left ++ right_keep.
+                table = build_hash_table_columnar(left, l_idx, None)
+                del left
+                width = len(self.right.output_vars)
+                order = [width + i for i in range(len(self.left.output_vars))]
+                order += self.right_keep
+                for cb in probe_hash_table_columnar(right, table, r_idx, ctx):
+                    columns = [cb.columns[i] for i in order]
+                    yield ColumnarBatch(columns, cb.length, cb.selection)
                 return
-            table = build_hash_table(
-                chunked(right_rows, size), right_key, None, value_of=trim
+            table = build_hash_table_columnar(right, r_idx, None, keep=self.right_keep)
+            del right
+            yield from probe_hash_table_columnar(
+                chain(left, left_stream), table, l_idx, ctx
             )
-            del right_rows
-
-            def left_batches() -> Iterator[ColumnarBatch]:
-                for chunk in chunked(left_prefix, size):
-                    yield ColumnarBatch.from_rows(chunk)
-                yield from left_stream
-
-            yield from probe_hash_table_columnar(left_batches(), table, l_idx, ctx)
         finally:
             # A budget trip during either buffering loop leaves that input
             # suspended in this (traceback-pinned) frame: close both so
@@ -966,71 +915,36 @@ class PatternHashJoin(GraphOperator):
             right_buffer.release()
             left_buffer.release()
 
+    def _grace(self, ctx: ExecutionContext, l_idx, r_idx) -> Iterator[ColumnarBatch]:
+        """Out-of-core: the adaptive lookahead would buffer an unbounded
+        probe prefix, so always grace-build the right side (values trimmed
+        to ``right_keep``, output ``left ++ right_keep``).  The grace kernel
+        partitions and pickles row tuples, so both inputs cross the rows
+        boundary."""
+        if len(r_idx) == 1:
+            right_key, left_key = scalar_key(r_idx[0]), scalar_key(l_idx[0])
+        else:
+            right_key, left_key = tuple_key(r_idx), tuple_key(l_idx)
+        keep = self.right_keep
+        buffer = ctx.buffer(f"{self._label()} build")
+        try:
+            yield from rows_to_columnar(
+                grace_hash_join(
+                    self.right.batches(ctx),
+                    self.left.batches(ctx),
+                    right_key,
+                    left_key,
+                    buffer,
+                    ctx,
+                    self._label(),
+                    value_of=lambda row: tuple(row[i] for i in keep),
+                )
+            )
+        finally:
+            buffer.release()
+
     def _label(self) -> str:
         return f"PATTERN_HASH_JOIN on ({', '.join(self.join_vars)})"
-
-
-def _filter_var_columnar(
-    source: Iterator[ColumnarBatch], idx: int, mask
-) -> Iterator[ColumnarBatch]:
-    """Refine selections by a rowid mask on one bound-variable column."""
-    for cb in source:
-        kept = passing(mask, cb.column_vector(idx))
-        if kept is None:
-            yield cb
-        elif len(kept):
-            yield cb.take(kept)
-
-
-class _VarFilter(GraphOperator):
-    """Attribute predicate over a bound variable (vertex or edge)."""
-
-    kind: str
-
-    def __init__(self, child: GraphOperator, mapping: RGMapping, var: str, predicate: Expr):
-        self.child = child
-        self.mapping = mapping
-        self.var = var
-        self.predicate = predicate
-        self.output_vars = list(child.output_vars)
-
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def _bound(self):
-        """(column index, base table) of the filtered variable."""
-        idx = self.child.var_index(self.var)
-        label = self.child.output_vars[idx].label
-        if self.kind == "VERTEX":
-            return idx, self.mapping.vertex_table(label)
-        return idx, self.mapping.edge_table(label)
-
-    def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        idx, table = self._bound()
-        return emit_columnar(
-            ctx,
-            self._label(),
-            _filter_var_columnar(
-                self.child.columnar_batches(ctx),
-                idx,
-                _mask(ctx, table, self.predicate),
-            ),
-        )
-
-    def _label(self) -> str:
-        return f"{self.kind}_FILTER {self.var} ({self.predicate})"
-
-
-class VertexFilter(_VarFilter):
-    """Attribute predicate over a bound vertex variable."""
-
-    kind = "VERTEX"
-
-
-class EdgeFilter(_VarFilter):
-    """Attribute predicate over a bound edge variable."""
-
-    kind = "EDGE"
 
 
 class AllDistinct(GraphOperator):
@@ -1126,7 +1040,5 @@ __all__ = [
     "ExistsFilter",
     "EdgeTripleScan",
     "PatternHashJoin",
-    "VertexFilter",
-    "EdgeFilter",
     "AllDistinct",
 ]

@@ -48,7 +48,6 @@ from repro.relational.physical import (
     FilterOp,
     HashJoin,
     LimitOp,
-    NestedLoopJoin,
     PhysicalOperator,
     ProjectOp,
     RowIdJoin,
@@ -69,7 +68,7 @@ def rowid_column(alias: str) -> str:
 
 @dataclass
 class _JoinDecision:
-    strategy: str  # "hash" | "rowid" | "csr" | "nl"
+    strategy: str  # "hash" | "rowid" | "csr"
     # rowid: pointer column to follow + matched condition index
     pointer: str | None = None
     matched: tuple[str, str] | None = None
@@ -150,14 +149,12 @@ class PhysicalPlanner:
     def _decide_join(self, node: LogicalJoin, analysis: _Analysis) -> _JoinDecision:
         assert self.mapping is not None
         if node.condition is None:
-            return _JoinDecision("nl")
+            return _JoinDecision("hash")
         conjuncts = split_conjuncts(node.condition)
         equi = [is_equi_join_condition(c) for c in conjuncts]
         pairs = [p for p in equi if p is not None]
-        if not pairs:
-            return _JoinDecision("nl")
         # Predefined joins handle exactly one FK equality and nothing else;
-        # composite or residual-carrying joins stay hash joins.
+        # composite, residual-carrying and keyless joins stay hash joins.
         if len(conjuncts) != 1 or len(pairs) != 1:
             return _JoinDecision("hash")
         lcol, rcol = pairs[0]
@@ -313,13 +310,6 @@ class PhysicalPlanner:
                 return em.label
         raise PlanError(f"table {table_name!r} is not an edge relation")
 
-    def _vertex_label_of(self, table_name: str) -> str | None:
-        assert self.mapping is not None
-        for vm in self.mapping.vertices.values():
-            if vm.table_name == table_name:
-                return vm.label
-        return None
-
     def _build_join(self, node: LogicalJoin, analysis: _Analysis) -> PhysicalOperator:
         decision = analysis.decisions.get(id(node), _JoinDecision("hash"))
         if decision.strategy == "rowid":
@@ -328,8 +318,8 @@ class PhysicalPlanner:
             return self._build_csr_join(node, decision, analysis)
         left = self._build(node.left, analysis)
         right = self._build(node.right, analysis)
-        if node.condition is None or decision.strategy == "nl":
-            return NestedLoopJoin(left, right, node.condition)
+        if node.condition is None:
+            return HashJoin(left, right, [], [])
         conjuncts = split_conjuncts(node.condition)
         left_cols, right_cols, residual = [], [], []
         left_quals = {c.split(".", 1)[0] for c in left.output_columns if "." in c}
@@ -346,7 +336,8 @@ class PhysicalPlanner:
                 left_cols.append(b)
                 right_cols.append(a)
         if not left_cols:
-            return NestedLoopJoin(left, right, node.condition)
+            # No equi conjunct: one bucket, the whole condition as residual.
+            return HashJoin(left, right, [], [], residual=node.condition)
         return HashJoin(left, right, left_cols, right_cols, residual=conjoin(residual))
 
     def _build_rowid_join(

@@ -1,16 +1,21 @@
-"""Row-based physical operators on the batched streaming engine.
+"""Relational physical operators on the batched streaming engine.
 
-All operators implement the shared :class:`repro.exec.Operator` protocol —
-``batches(ctx)`` yields chunks of row tuples — so pipelines stream: scans,
-filters, projections and join probes keep only one batch in flight, while
-genuine pipeline breakers (hash builds, sort/aggregate/distinct state)
-acquire :class:`repro.exec.Buffer` handles that the memory budget charges.
+All operators implement the shared :class:`repro.exec.Operator` protocol
+twice: ``columnar_batches(ctx)`` yields columnar chunks (the engine's
+path) and ``batches(ctx)`` chunks of row tuples (the reference the
+columnar bodies are checked against).  Pipelines stream: scans, filters,
+projections and join probes keep only one batch in flight, while genuine
+pipeline breakers (hash builds, sort/aggregate/distinct state) acquire
+:class:`repro.exec.Buffer` handles that the memory budget charges.
 Columns are identified by qualified names (``alias.column``).
 
 Besides the classic operators (scan, filter, project, hash join, aggregate,
 sort, top-k, limit, distinct) this module implements the two
 **predefined-join** operators that GRainDB contributes (Sec 3.2.1 of the
-paper):
+paper).  ``HashJoin``'s columnar body is the shared build / probe of
+:mod:`repro.exec.kernels` (the graph ``PatternHashJoin`` calls the same
+two); on zero keys it is also the cross and theta join, so there is no
+nested-loop operator.  The predefined joins:
 
 * :class:`RowIdJoin` — follows an EV-index pointer column (an edge tuple's
   stored rowid of its endpoint tuple) and fetches the vertex row by position,
@@ -42,11 +47,11 @@ from repro.exec.kernels import (
     chunked,
     emit_batches,
     emit_columnar,
-    expand_batches,
     filter_batches,
     filter_columnar,
     grace_hash_join,
     map_batches,
+    merge_hash_tables,
     probe_hash_table,
     probe_hash_table_columnar,
     replicate_columnar,
@@ -61,13 +66,12 @@ from repro.exec.grouping import (
     canonical_row,
     make_accumulator,
 )
-from repro.exec.operator import Batch, Operator
+from repro.exec.operator import Batch, Operator, to_rows
 from repro.exec.scheduler import fold_source, morsel_bounds, spill_partition_count
 from repro.exec.spill import PartitionWriter, spill_hash
 from repro.exec.vector import (
     ColumnarBatch,
     as_values,
-    gather,
     index_vector,
     is_ndarray,
     passing,
@@ -373,7 +377,9 @@ class HashJoin(PhysicalOperator):
     """Inner equi-join: build a hash table on the right, probe with the left.
 
     The build side is the only buffered state (charged against the memory
-    budget); probe output streams in re-chunked batches.
+    budget); probe output streams in re-chunked batches.  With no key
+    columns every row hashes to the one key ``()``: a cross product the
+    ``residual`` filters, which is how joins without an equi conjunct run.
     """
 
     def __init__(
@@ -384,8 +390,8 @@ class HashJoin(PhysicalOperator):
         right_keys: list[str],
         residual: Expr | None = None,
     ):
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise PlanError("hash join needs matching, non-empty key lists")
+        if len(left_keys) != len(right_keys):
+            raise PlanError("hash join needs key lists of matching length")
         self.left = left
         self.right = right
         self.left_keys = left_keys
@@ -404,12 +410,15 @@ class HashJoin(PhysicalOperator):
         r_idx = [_resolve(self.right.output_columns, k) for k in self.right_keys]
         return l_idx, r_idx
 
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def _row_keys(self):
+        """(build, probe) row-key functions of the row body and the grace join."""
         l_idx, r_idx = self._key_indices()
         if len(r_idx) == 1:
-            build_key, probe_key = scalar_key(r_idx[0]), scalar_key(l_idx[0])
-        else:
-            build_key, probe_key = tuple_key(r_idx), tuple_key(l_idx)
+            return scalar_key(r_idx[0]), scalar_key(l_idx[0])
+        return tuple_key(r_idx), tuple_key(l_idx)
+
+    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        build_key, probe_key = self._row_keys()
         buffer = ctx.buffer(f"{self._label()} build")
         try:
             if ctx.spill_limit() is not None:
@@ -442,28 +451,34 @@ class HashJoin(PhysicalOperator):
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         l_idx, r_idx = self._key_indices()
-        if ctx.spill_limit() is not None:
-            # Out-of-core joins run the grace kernel through the row
-            # boundary (build values are picklable row tuples either way);
-            # the exchange's merged row stream serves parallel builds, so
-            # partitions spill once, not per worker shard.
-            stream = self._stream(ctx)
-            try:
-                yield from rows_to_columnar(stream)
-            finally:
-                close_stream(stream)
-            return
         buffer = ctx.buffer(f"{self._label()} build")
         try:
-            table = self._build_columnar(ctx, r_idx, buffer)
-            probe = probe_hash_table_columnar(
-                self.left.columnar_batches(ctx), table, l_idx, ctx
-            )
-            if self.residual is None:
-                yield from probe
-                return
-            pred = compile_predicate_columnar(self.residual, self.layout())
-            yield from filter_columnar(probe, pred)
+            if ctx.spill_limit() is not None:
+                # Out-of-core joins cross the rows boundary at the grace
+                # kernel only (it partitions and pickles row tuples); the
+                # exchange's merged stream serves parallel builds, so
+                # partitions spill once, not per worker shard.
+                build_key, probe_key = self._row_keys()
+                probe = rows_to_columnar(
+                    grace_hash_join(
+                        to_rows(self.right.columnar_batches(ctx)),
+                        to_rows(self.left.columnar_batches(ctx)),
+                        build_key,
+                        probe_key,
+                        buffer,
+                        ctx,
+                        self._label(),
+                    )
+                )
+            else:
+                table = self._build_columnar(ctx, r_idx, buffer)
+                probe = probe_hash_table_columnar(
+                    self.left.columnar_batches(ctx), table, l_idx, ctx
+                )
+            if self.residual is not None:
+                pred = compile_predicate_columnar(self.residual, self.layout())
+                probe = filter_columnar(probe, pred)
+            yield from probe
         finally:
             buffer.release()
 
@@ -472,91 +487,27 @@ class HashJoin(PhysicalOperator):
 
         When the build child is a morsel exchange under a parallel context,
         each worker builds a private shard from its morsels and the shards
-        merge in morsel order — bucket lists end up in global row order, so
-        probe output is identical to a serial build.  Every worker charges
-        the same shared (lock-protected) buffer: shards are disjoint, so
-        the cumulative charge — and the OOM trip point — matches serial
-        execution exactly.
+        merge in morsel order, so probe output is identical to a serial
+        build.  Every worker charges the same shared (lock-protected)
+        buffer: shards are disjoint, so the cumulative charge — and the OOM
+        trip point — matches serial execution exactly.
         """
         exchange = fold_source(self.right, ctx)
         if exchange is None:
             return build_hash_table_columnar(
                 self.right.columnar_batches(ctx), r_idx, buffer
             )
-        shards = exchange.fold(
-            ctx,
-            "columnar_batches",
-            lambda i, stream: build_hash_table_columnar(stream, r_idx, buffer),
+        return merge_hash_tables(
+            exchange.fold(
+                ctx,
+                "columnar_batches",
+                lambda i, stream: build_hash_table_columnar(stream, r_idx, buffer),
+            )
         )
-        table = shards[0]
-        for shard in shards[1:]:
-            for key, bucket in shard.items():
-                existing = table.get(key)
-                if existing is None:
-                    table[key] = bucket
-                else:
-                    existing.extend(bucket)
-        return table
 
     def _label(self) -> str:
         keys = ", ".join(f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys))
         return f"HASH_JOIN ({keys})"
-
-
-class NestedLoopJoin(PhysicalOperator):
-    """Fallback join for non-equi (or absent) conditions.
-
-    Buffers the right side (charged), streams the left.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        condition: Expr | None,
-    ):
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.output_columns = list(left.output_columns) + list(right.output_columns)
-
-    def children(self) -> list[Operator]:
-        return [self.left, self.right]
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
-
-    def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        buffer = ctx.buffer(f"{self._label()} build")
-        build_src = None
-        try:
-            right_rows: list[tuple] = []
-            build_src = self.right.batches(ctx)
-            for batch in build_src:
-                right_rows.extend(batch)
-                buffer.grow(len(batch))
-            if self.condition is not None:
-                pred = compile_predicate(self.condition, self.layout())
-
-                def expand(lrow: tuple, out: list) -> None:
-                    out.extend(
-                        [lrow + rrow for rrow in right_rows if pred(lrow + rrow)]
-                    )
-
-            else:
-
-                def expand(lrow: tuple, out: list) -> None:
-                    out.extend([lrow + rrow for rrow in right_rows])
-
-            yield from expand_batches(self.left.batches(ctx), expand, ctx)
-        finally:
-            # A budget trip mid-build pins this frame in the traceback; the
-            # explicit close unwinds the suspended build stream now.
-            close_stream(build_src)
-            buffer.release()
-
-    def _label(self) -> str:
-        return f"NL_JOIN ({self.condition})"
 
 
 class RowIdJoin(PhysicalOperator):
@@ -875,7 +826,7 @@ class CsrJoin(PhysicalOperator):
             # Fast paths for the dominant shapes (edge carries at most its
             # two FK columns plus the far pointer); inline comprehensions —
             # this is the predefined-join hot path.  Flushing follows the
-            # fan-out-adaptive contract of expand_batches.
+            # fan-out-adaptive ChunkSizer contract.
             if len(columns) == 2:
                 ca, cb = columns
                 for batch in self.child.batches(ctx):

@@ -17,7 +17,6 @@ from repro.relational.physical import (
     DistinctOp,
     HashJoin,
     LimitOp,
-    NestedLoopJoin,
     SeqScan,
     SortOp,
 )
@@ -90,7 +89,7 @@ def test_executor_memory_budget():
     table = make_table([(i, i) for i in range(100)])
     left = SeqScan(table, "a")
     right = SeqScan(table, "b")
-    cross = NestedLoopJoin(left, right, None)  # 10k rows
+    cross = HashJoin(left, right, [], [])  # zero keys: 10k rows
     with pytest.raises(OutOfMemoryError):
         execute_plan(cross, memory_budget_rows=5000, spill=False)
     result = execute_plan(cross, memory_budget_rows=20000)
@@ -169,7 +168,7 @@ def test_hash_join_matches_nested_loop(pairs):
     from repro.relational.expr import eq as eq_
 
     hj = HashJoin(SeqScan(table, "l"), SeqScan(table, "r"), ["l.v"], ["r.v"])
-    nl = NestedLoopJoin(
-        SeqScan(table, "l"), SeqScan(table, "r"), eq_(col("l.v"), col("r.v"))
+    nl = HashJoin(
+        SeqScan(table, "l"), SeqScan(table, "r"), [], [], residual=eq_(col("l.v"), col("r.v"))
     )
     assert sorted(execute_plan(hj).rows) == sorted(execute_plan(nl).rows)

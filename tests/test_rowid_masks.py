@@ -10,9 +10,9 @@ no shape changes an answer:
   list-backed ('<U' view), a NULL-bearing (plain list) and a dictionary
   column, as edge and as vertex predicates, through EXPAND, closing EXPAND,
   EXPAND_EDGE + GET_VERTEX, EXPAND_INTERSECT (edge variables trimmed and
-  kept), EDGE_SCAN and the standalone filters: the operator's one columnar
-  body == the reference matcher, which shares no code with it, with numpy
-  on and off;
+  kept), EDGE_SCAN and bound columns filtered on their own: the operator's
+  one columnar body == the reference matcher, which shares no code with
+  it, with numpy on and off;
 * **predefined joins** — predicated ROWID_JOIN and CSR_JOIN filter through
   the same masks: their columnar bodies return the row bodies' rows and
   ``rows_produced``;
@@ -38,7 +38,6 @@ from repro.graph.index import build_graph_index
 from repro.graph.matching import match_pattern
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import (
-    EdgeFilter,
     EdgeTripleScan,
     Expand,
     ExpandEdge,
@@ -46,7 +45,6 @@ from repro.graph.physical import (
     GetVertex,
     ScanVertex,
     StarLeg,
-    VertexFilter,
 )
 from repro.graph.rgmapping import RGMapping
 from repro.relational import expr
@@ -442,17 +440,34 @@ def test_edge_scan_predicates(graph, numpy_mode, shape, with_index):
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
 def test_standalone_filters(graph, numpy_mode, shape):
+    """Already-bound variable columns filtered on their own: an edge scan's
+    ``e`` and ``b`` columns go through ``rowid_mask`` + ``passing`` after
+    the scan, where rowids repeat and arrive unordered (unlike scan
+    positions), and keep exactly the reference matcher's rows."""
     mapping, index = graph
     epred = EDGE_PREDICATES[shape]
     vpred = VERTEX_PREDICATES[shape]
     scan = EdgeTripleScan(mapping, "Link", "a", "b", "e", index=index)
-    op = VertexFilter(EdgeFilter(scan, mapping, "e", epred), mapping, "b", vpred)
+    masks = [
+        (scan.var_index(var), rowid_mask(table, pred, table.num_rows))
+        for var, table, pred in (
+            ("e", mapping.edge_table("Link"), epred),
+            ("b", mapping.vertex_table("Person"), vpred),
+        )
+    ]
+    rows = []
+    for cb in scan.columnar_batches(ExecutionContext(batch_size=4)):
+        for idx, mask in masks:
+            kept = passing(mask, cb.column_vector(idx))
+            if kept is not None:
+                cb = cb.take(kept)
+        rows.extend(cb.to_rows())
     pattern = (
         PatternGraph.builder().vertex("a", "Person")
         .vertex("b", "Person", predicate=vpred)
         .edge("a", "b", "Link", name="e", predicate=epred).build()
     )  # fmt: skip
-    _assert_matches_reference(graph, op, pattern, ["a", "b", "e"])
+    assert sorted(rows) == _reference(graph, pattern, ["a", "b", "e"])
 
 
 # --------------------------------------------------------------------- #

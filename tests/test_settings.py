@@ -225,18 +225,18 @@ def test_graph_operators_speak_one_protocol():
     for cls in one_protocol:
         defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
         assert not defined & {"batches", "_stream", "_scan"}, cls.name
-    # Graph operators build row tuples in one place only: the two loops
-    # that buffer a pattern join's inputs (the state the budget charges).
-    physical = sources["repro/graph/physical.py"]
-    (join,) = (c for c in classes("repro/graph/physical.py") if c.name == "PatternHashJoin")
-    in_buffering_loops = [
-        call
-        for loop in ast.walk(join)
-        if isinstance(loop, ast.For)
-        for call in ast.walk(loop)
-        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "to_rows"
-    ]
-    assert len(in_buffering_loops) == physical.count("to_rows()") == 2
+    # Graph operators build no row tuples: a pattern join buffers dense
+    # columnar batches and hands them to the shared hash kernels, and only
+    # the spill path's grace join crosses the rows boundary (through the
+    # default ``batches`` adapter).
+    assert "to_rows()" not in sources["repro/graph/physical.py"]
+    for cls in one_protocol:
+        called = {
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Call)
+        }
+        assert not called & {"to_rows", "from_rows", "chunked"}, cls.name
     adapters = [
         module
         for module, text in sources.items()
@@ -246,6 +246,52 @@ def test_graph_operators_speak_one_protocol():
     assert not any("materialize_plan" in text for text in sources.values())
     with pytest.raises(ImportError):
         from repro.exec import materialize_plan  # noqa: F401
+
+
+def test_one_hash_join_body():
+    """``HashJoin`` and ``PatternHashJoin`` run the one columnar build and
+    probe; only the kernels module reads or merges hash buckets; a keyless
+    join is a zero-key ``HashJoin``, so the nested-loop join is gone."""
+    sources = _sources()
+
+    def cls(module: str, name: str) -> ast.ClassDef:
+        (found,) = (
+            node
+            for node in ast.walk(ast.parse(sources[module]))
+            if isinstance(node, ast.ClassDef) and node.name == name
+        )
+        return found
+
+    def calls(node: ast.AST) -> set[str]:
+        return {
+            getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        }
+
+    joins = [
+        cls("repro/relational/physical.py", "HashJoin"),
+        cls("repro/graph/physical.py", "PatternHashJoin"),
+    ]
+    for join in joins:
+        (body,) = (n for n in join.body if getattr(n, "name", None) == "_stream_columnar")
+        # The build may sit in a helper (HashJoin's parallel shards); the
+        # probe is the body's own call.
+        assert {"build_hash_table_columnar", "probe_hash_table_columnar"} <= calls(join)
+        assert "probe_hash_table_columnar" in calls(body), join.name
+        # No bucket access: tables are opaque outside the kernels.
+        assert not calls(join) & {"get", "items", "setdefault", "extend"}, join.name
+        names = {n.id for n in ast.walk(join) if isinstance(n, ast.Name)}
+        assert not names & {"bucket", "matches", "lookup"}, join.name
+    (hash_body,) = (n for n in joins[0].body if getattr(n, "name", None) == "_stream_columnar")
+    # The columnar body never falls back to the row body, spilled or not.
+    assert not calls(hash_body) & {"_stream", "batches"}
+    assert "merge_hash_tables" in calls(joins[0])
+    for module, text in sources.items():
+        assert "NestedLoopJoin" not in text, module
+        assert "expand_batches" not in text, module
+    for module in ("repro/relational/physical.py", "repro/graph/physical.py"):
+        assert not re.search(r"\bbucket", sources[module]), module
 
 
 def test_expand_intersect_is_one_kernel():
