@@ -104,17 +104,6 @@ def canonical_column(values: Sequence) -> Sequence:
     return values
 
 
-def bindings_equal(a: Any, b: Any) -> bool:
-    """Grouping-key equality: identity-or-equality after canonicalization.
-
-    Matches dict/set key semantics (two canonical NaNs are the same object,
-    hence equal) — the scalar counterpart of one factorized group code.
-    """
-    a = canonical(a)
-    b = canonical(b)
-    return a is b or a == b
-
-
 # --------------------------------------------------------------------- #
 # factorization
 # --------------------------------------------------------------------- #
@@ -1302,7 +1291,6 @@ __all__ = [
     "canonical",
     "canonical_row",
     "canonical_column",
-    "bindings_equal",
     "factorize",
     "combine_codes",
     "make_accumulator",

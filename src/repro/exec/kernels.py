@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
-from repro.exec.vector import ColumnarBatch, is_ndarray, passing, take
+from repro.exec.vector import ColumnarBatch, equal_positions, is_ndarray, passing, take
 
 Batch = list
 
@@ -384,13 +384,17 @@ def _table_of_pairs(chunks: Iterable[list]) -> dict[Any, list]:
 
 
 class ChunkSizer:
-    """Adaptive flush threshold for expansion-heavy operators.
+    """Adaptive flush threshold for expansion-heavy loops.
 
-    Tracks the operator's cumulative input/output rows and re-derives the
+    Tracks the loop's cumulative input/output rows and re-derives the
     target chunk size from :meth:`ExecutionContext.expansion_batch_size`
-    after every observation, so operators whose fan-out balloons output
+    after every observation, so loops whose fan-out balloons output
     batches shrink their in-flight chunks instead of holding
-    ``fan-out x batch_size`` rows between flushes.
+    ``fan-out x batch_size`` rows between flushes.  Its one columnar user
+    is :func:`probe_hash_table_columnar`, whose matches are build-row
+    tuples until they are transposed; the only operator body still using it
+    is ``CsrJoin``'s row body.  Column-backed expansions
+    (:func:`expand_columnar`) emit fixed ``ctx.batch_size`` slices.
     """
 
     __slots__ = ("_ctx", "size", "rows_in", "rows_out")
@@ -738,6 +742,58 @@ def csr_expand_vectors(vertices, offsets, edges):
     return parents, edges[positions]
 
 
+def expand_columnar(
+    source: Iterable[ColumnarBatch],
+    ctx: ExecutionContext,
+    column: int,
+    offsets: Sequence[int],
+    edges: Sequence[int],
+    gathers: Sequence,
+    emask=None,
+    vmask=None,
+) -> Iterator[ColumnarBatch]:
+    """The CSR expansion body of EXPAND_EDGE, the fused EXPAND and the
+    predefined CSR_JOIN.
+
+    Each visible row of each ``source`` batch extends, in adjacency order,
+    by every edge rowid ``e`` adjacent to its vertex in ``column`` (rowids,
+    never NULL) whose ``emask`` entry is set.  The appended columns are
+    ``gathers``, each indexed by edge rowid — ``None`` appends ``e``
+    itself — and ``vmask`` filters on the first of them (a fused expand's
+    far endpoint).  ``emask`` / ``vmask`` are rowid masks
+    (:func:`~repro.relational.expr.rowid_mask`), so no predicate shape
+    changes how the adjacency is walked.
+
+    One batch expands at once (:func:`csr_expand_vectors`) and leaves in
+    ``ctx.batch_size`` slices whether numpy is on or off: the numpy /
+    pure-Python split lives in :func:`csr_expand_vectors` and the
+    :mod:`repro.exec.vector` primitives (``passing``, ``take``), so both
+    modes emit the same chunks.  Chunks are column-backed, so they are
+    never shrunk by fan-out the way a row body's tuple chunks are.
+    """
+    size = ctx.batch_size
+    for cb in source:
+        expanded = csr_expand_vectors(cb.column_vector(column), offsets, edges)
+        if expanded is None:
+            continue
+        parents, edge_ids = expanded
+        if emask is not None:
+            kept = passing(emask, edge_ids)
+            if kept is not None:
+                parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+        new_columns = [edge_ids if g is None else take(g, edge_ids) for g in gathers]
+        if vmask is not None:
+            kept = passing(vmask, new_columns[0])
+            if kept is not None:
+                parents = take(parents, kept)
+                new_columns = [take(c, kept) for c in new_columns]
+        for start in range(0, len(parents), size):
+            stop = start + size
+            yield replicate_columnar(
+                cb, parents[start:stop], [c[start:stop] for c in new_columns]
+            )
+
+
 def _run_positions(starts, counts):
     """Every position of the runs ``[starts[j], starts[j] + counts[j])``,
     run by run: ``(owners, positions)`` with ``owners[t]`` the run ``j``
@@ -818,12 +874,9 @@ def _walk(columns: list, steps: Sequence[WalkStep], limit: int) -> int:
         columns = [take(column, parents) for column in columns]
         columns.append(take(step.far, edge_ids))
     else:
-        far = take(step.far, edge_ids)
-        bound = take(columns[step.target], parents)
-        if is_ndarray(far):
-            hits = vector._np.flatnonzero(far == bound)
-        else:
-            hits = [t for t, (a, b) in enumerate(zip(far, bound)) if a == b]
+        hits = equal_positions(
+            take(step.far, edge_ids), take(columns[step.target], parents)
+        )
         if len(steps) == 1:
             return len(hits)
         columns = [take(column, take(parents, hits)) for column in columns]

@@ -17,7 +17,11 @@ and unported operators compose freely.
 NumPy, when importable, accelerates selection and gather for columns that
 are ``numpy.ndarray``\\ s; the feature is gated behind
 :func:`set_numpy_enabled` and every code path has a pure-Python fallback,
-keeping the package free of hard dependencies.
+keeping the package free of hard dependencies.  The numpy / pure-Python
+split lives in this module's primitives (:func:`take`, :func:`passing`,
+:func:`valid_rowids`, :func:`equal_positions`, :func:`distinct_positions`,
+...) and in the kernels of :mod:`repro.exec.kernels` built from them:
+operators call them and never branch on numpy themselves.
 """
 
 from __future__ import annotations
@@ -275,6 +279,37 @@ def passing(mask, rowids) -> "Sequence[int] | None":
         return None if keep.all() else _np.flatnonzero(keep)
     keep = mask[rowids]
     return None if all(keep) else [j for j, k in enumerate(keep) if k]
+
+
+def valid_rowids(rowids) -> "Sequence[int] | None":
+    """Positions of ``rowids`` that address a row (neither NULL nor
+    negative); None when all do.  Integer ndarrays cannot hold NULL, so
+    there only the sign is checked."""
+    if is_ndarray(rowids):
+        valid = rowids >= 0
+        return None if valid.all() else _np.flatnonzero(valid)
+    keep = [j for j, r in enumerate(rowids) if r is not None and r >= 0]
+    return None if len(keep) == len(rowids) else keep
+
+
+def equal_positions(left, right) -> Sequence[int]:
+    """Positions where two row-aligned columns hold equal values."""
+    if is_ndarray(left) or is_ndarray(right):
+        return _np.flatnonzero(_np.asarray(left) == _np.asarray(right))
+    return [t for t, (a, b) in enumerate(zip(left, right)) if a == b]
+
+
+def distinct_positions(pairs, n: int) -> "Sequence[int] | None":
+    """Positions of the ``n`` rows where every ``(left, right)`` pair of
+    row-aligned int columns differs; None when all rows do."""
+    if pairs and all(is_ndarray(a) and is_ndarray(b) for a, b in pairs):
+        keep = None
+        for a, b in pairs:
+            unequal = a != b
+            keep = unequal if keep is None else keep & unequal
+        return None if keep.all() else _np.flatnonzero(keep)
+    keep = [j for j in range(n) if all(a[j] != b[j] for a, b in pairs)]
+    return None if len(keep) == n else keep
 
 
 #: Widest string (in characters) a column may hold and still vectorize:
@@ -545,6 +580,9 @@ __all__ = [
     "is_ndarray",
     "LazyMask",
     "passing",
+    "valid_rowids",
+    "equal_positions",
+    "distinct_positions",
     "vector_view",
     "index_vector",
     "cached_vector",

@@ -12,7 +12,11 @@ row-protocol relational parent, ``grace_hash_join``,
 adapter, :func:`repro.exec.operator.to_rows`; the reference these bodies are
 checked against shares no code with them
 (:func:`repro.graph.matching.match_pattern`).  No graph operator builds
-row tuples itself.  Expansions stream bounded chunks, and only the
+row tuples itself.  ``EXPAND``, ``EXPAND_EDGE`` and the relational
+``CSR_JOIN`` run one CSR expansion body,
+:func:`repro.exec.kernels.expand_columnar`, and no operator here branches on
+numpy: the split lives in the kernels and the :mod:`repro.exec.vector`
+primitives.  Expansions stream bounded chunks, and only the
 genuinely stateful operator (the pattern hash join) holds — and charges —
 buffered rows, as dense columnar batches.  Its build and probe are the
 :mod:`repro.exec.kernels` calls the relational ``HashJoin`` makes; there is
@@ -52,35 +56,33 @@ from typing import Iterator
 from repro.errors import PlanError
 from repro.exec.context import ExecutionContext, close_stream
 from repro.exec.kernels import (
-    ChunkSizer,
     ExistsStep,
     IntersectLeg,
     build_hash_table_columnar,
     csr_expand_vectors,
     emit_columnar,
     exists_filter,
+    expand_columnar,
     grace_hash_join,
     intersect_expand,
     probe_hash_table_columnar,
-    replicate_columnar,
     rows_to_columnar,
     scalar_key,
     tuple_key,
 )
-from repro.exec.grouping import bindings_equal
 from repro.exec.operator import Operator
 from repro.exec.scheduler import morsel_bounds
 from repro.exec.vector import (
     ColumnarBatch,
     LazyMask,
-    as_values,
+    distinct_positions,
+    equal_positions,
     index_vector,
-    is_ndarray,
     passing,
     take,
     vector_view,
 )
-from repro.graph.index import Adjacency, GraphIndex
+from repro.graph.index import GraphIndex
 from repro.graph.matching import rowid_selection
 from repro.graph.rgmapping import RGMapping
 from repro.relational.expr import Expr, rowid_mask
@@ -174,101 +176,6 @@ def _mask(ctx: ExecutionContext, table, predicate: Expr | None):
     return rowid_mask(table, predicate, ctx.pin(table).num_rows)
 
 
-def _expand_columnar(
-    source: Iterator[ColumnarBatch],
-    ctx: ExecutionContext,
-    from_idx: int,
-    adjacency: "Adjacency",
-    edge_index,
-    direction: str,
-    trim_edge: bool,
-    emask=None,
-    vmask=None,
-) -> Iterator[ColumnarBatch]:
-    """Shared columnar adjacency expansion.
-
-    Walks each input batch's bound-vertex column once, accumulating a
-    parent-position vector plus the new column's values — adjacent edge
-    rowids when ``trim_edge`` is False (EXPAND_EDGE), or far endpoints of
-    ``edge_index`` (fused EXPAND).  ``emask`` / ``vmask`` are the rowid
-    masks (see :func:`~repro.relational.expr.rowid_mask`) of the predicates
-    on the traversed edge / target vertex; every predicate has one, so no
-    predicate shape changes how the adjacency is walked.  A predicate
-    compiles once: a dense mask is the same vectorized body that refines
-    scan and filter selections, run over the whole table.
-
-    When the CSR vector views are ndarrays the whole batch expands as one
-    repeat/cumsum/fancy-index pass
-    (:func:`~repro.exec.kernels.csr_expand_vectors`) and predicates filter
-    the expansion with one lookup per mask — the traversal hot loop of
-    the typed-storage engine, with no per-vertex Python work.  Vectorized
-    output is chunked at the full ``ctx.batch_size``: the chunks are
-    column-backed (scalar-sized in-flight state), so the adaptive fan-out
-    shrinking that bounds the Python walk's tuple chunks would only
-    fragment the numpy work.
-
-    Without numpy the walk reads the index's *raw typed arrays*, so its
-    list-built output columns hold plain Python ints, and the masks filter
-    each chunk as it is flushed.
-    """
-    offsets_v, edges_v = adjacency.vectors()
-    far_v = edge_index.endpoint_vector(direction) if trim_edge else None
-
-    def refine(parents, edge_ids):
-        """One expanded chunk filtered by the masks: (parents, new column)."""
-        if emask is not None:
-            kept = passing(emask, edge_ids)
-            if kept is not None:
-                parents, edge_ids = take(parents, kept), take(edge_ids, kept)
-        new_column = edge_ids if far_v is None else take(far_v, edge_ids)
-        if vmask is not None and far_v is not None:
-            kept = passing(vmask, new_column)
-            if kept is not None:
-                parents, new_column = take(parents, kept), take(new_column, kept)
-        return parents, new_column
-
-    if is_ndarray(offsets_v) and is_ndarray(edges_v):
-        size = ctx.batch_size
-        for cb in source:
-            # Bound-vertex columns are rowids by construction (never NULL),
-            # so the batch converts to an index array directly.
-            expanded = csr_expand_vectors(
-                cb.column_vector(from_idx), offsets_v, edges_v
-            )
-            if expanded is None:
-                continue
-            parents, new_column = refine(*expanded)
-            for start in range(0, len(parents), size):
-                stop = start + size
-                yield replicate_columnar(
-                    cb, parents[start:stop], [new_column[start:stop]]
-                )
-        return
-    offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
-    sizer = ChunkSizer(ctx)
-    for cb in source:
-        vertices = cb.column(from_idx)
-        parents: list[int] = []
-        edge_ids: list[int] = []
-        emitted = 0
-        for j, v in enumerate(vertices):
-            lo, hi = offsets[v], offsets[v + 1]
-            if lo == hi:
-                continue
-            parents.extend([j] * (hi - lo))
-            edge_ids.extend(edge_rowids[lo:hi])
-            if len(parents) >= sizer.size:
-                parents, new_column = refine(parents, edge_ids)
-                if parents:
-                    emitted += len(parents)
-                    yield replicate_columnar(cb, parents, [new_column])
-                parents, edge_ids = [], []
-        parents, new_column = refine(parents, edge_ids)
-        sizer.observe(len(vertices), emitted + len(parents))
-        if parents:
-            yield replicate_columnar(cb, parents, [new_column])
-
-
 class ExpandEdge(GraphOperator):
     """EXPAND_EDGE: append the adjacent-edge column via the VE-index."""
 
@@ -303,14 +210,12 @@ class ExpandEdge(GraphOperator):
         from_idx = self.child.var_index(self.from_var)
         from_label = self.child.output_vars[from_idx].label
         adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
-        yield from _expand_columnar(
+        yield from expand_columnar(
             self.child.columnar_batches(ctx),
             ctx,
             from_idx,
-            adjacency,
-            None,
-            self.direction,
-            trim_edge=False,
+            *adjacency.vectors(),
+            [None],
             emask=_mask(
                 ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
             ),
@@ -430,18 +335,19 @@ class Expand(GraphOperator):
         emask = _mask(
             ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
         )
+        offsets, edges = adjacency.vectors()
+        far = edge_index.endpoint_vector(self.direction)
         source = self.child.columnar_batches(ctx)
         if not self.closing:
             # Traversal hot path: one row per adjacent edge, neighbor
             # column only.
-            yield from _expand_columnar(
+            yield from expand_columnar(
                 source,
                 ctx,
                 from_idx,
-                adjacency,
-                edge_index,
-                self.direction,
-                trim_edge=True,
+                offsets,
+                edges,
+                [far],
                 emask=emask,
                 vmask=_mask(
                     ctx,
@@ -451,43 +357,20 @@ class Expand(GraphOperator):
             )
             return
         to_idx = self.child.var_index(self.to_var)
-        offsets_v, edges_v = adjacency.vectors()
-        far_v = edge_index.endpoint_vector(self.direction)
-        np_ready = is_ndarray(offsets_v) and is_ndarray(edges_v) and is_ndarray(far_v)
-        # The scalar walk reads the raw typed arrays: plain Python values
-        # only, whatever the batch's columns are backed by.
-        offsets, edge_rowids = adjacency.offsets, adjacency.edge_rowids
-        far = edge_index.endpoint_rowids(self.direction)
         for cb in source:
-            keep = hit_edges = None
-            if np_ready:
-                bounds = vector_view(cb.column_vector(to_idx))
-                if is_ndarray(bounds):
-                    # Vectorized closing: expand the whole batch, then keep
-                    # the expansions whose far endpoint equals the
-                    # already-bound target.
-                    expanded = csr_expand_vectors(
-                        cb.column_vector(from_idx), offsets_v, edges_v
-                    )
-                    if expanded is None:
-                        continue
-                    parents, edge_ids = expanded
-                    hit = far_v[edge_ids] == bounds[parents]
-                    keep, hit_edges = parents[hit], edge_ids[hit]
-            if keep is None:
-                keep, hit_edges = [], []
-                for j, (v, bound) in enumerate(
-                    zip(cb.column(from_idx), cb.column(to_idx))
-                ):
-                    for e in edge_rowids[offsets[v] : offsets[v + 1]]:
-                        if far[e] == bound:
-                            keep.append(j)
-                            hit_edges.append(e)
-            # One kept position per adjacent edge that closes the pattern
-            # (parallel edges multiply the row); the edge mask sees only
-            # those edges.
+            expanded = csr_expand_vectors(cb.column_vector(from_idx), offsets, edges)
+            if expanded is None:
+                continue
+            # One kept position per adjacent edge whose far endpoint is the
+            # already-bound target (parallel edges multiply the row); the
+            # edge mask sees only those edges.
+            parents, edge_ids = expanded
+            hits = equal_positions(
+                take(far, edge_ids), take(cb.column_vector(to_idx), parents)
+            )
+            keep = take(parents, hits)
             if emask is not None:
-                kept = passing(emask, hit_edges)
+                kept = passing(emask, take(edge_ids, hits))
                 if kept is not None:
                     keep = take(keep, kept)
             if len(keep):
@@ -953,13 +836,10 @@ class AllDistinct(GraphOperator):
 
     Distinctness only needs checking between bindings of the *same* label
     (cross-label bindings address different relations), so the operator
-    precomputes those column pairs.  It compares whole
-    columns pairwise — one vectorized ``!=`` per pair when the bound
-    columns are integer ndarrays (rowids always are) — instead of building
-    a Python set per row.  Binding equality follows the grouping engine's
-    canonical-key rule (:func:`repro.exec.grouping.bindings_equal`): bound
-    rowids are ints today, but any future float binding compares NaN-safe,
-    matching ``GROUP BY`` / ``DISTINCT`` semantics.
+    precomputes those column pairs.  It compares whole columns pairwise
+    through one primitive (:func:`repro.exec.vector.distinct_positions`)
+    instead of building a Python set per row; bound columns are int rowids
+    by construction, so plain ``!=`` is binding equality.
     """
 
     def __init__(self, child: GraphOperator, kind: str = "v"):
@@ -994,34 +874,13 @@ class AllDistinct(GraphOperator):
             return
         for cb in self.child.columnar_batches(ctx):
             vectors = {i: cb.column_vector(i) for i in {i for p in pairs for i in p}}
-            if all(
-                is_ndarray(v) and v.dtype.kind in "iu" for v in vectors.values()
-            ):
-                # Integer rowid columns: one whole-column comparison per
-                # pair, AND-ed into a survivor mask (NaN impossible).
-                mask = None
-                for a, b in pairs:
-                    unequal = vectors[a] != vectors[b]
-                    mask = unequal if mask is None else mask & unequal
-                if mask.all():
-                    yield cb
-                    continue
-                keep = mask.nonzero()[0]
-                if len(keep):
-                    yield cb.take(keep)
-                continue
-            checked = {i: as_values(v) for i, v in vectors.items()}
-            keep_l = [
-                j
-                for j in range(len(cb))
-                if not any(
-                    bindings_equal(checked[a][j], checked[b][j]) for a, b in pairs
-                )
-            ]
-            if len(keep_l) == len(cb):
+            keep = distinct_positions(
+                [(vectors[a], vectors[b]) for a, b in pairs], len(cb)
+            )
+            if keep is None:
                 yield cb
-            elif keep_l:
-                yield cb.take(keep_l)
+            elif len(keep):
+                yield cb.take(keep)
 
     def _label(self) -> str:
         return f"ALL_DISTINCT ({self.kind})"

@@ -26,6 +26,12 @@ nested-loop operator.  The predefined joins:
 Scans can emit a hidden ``alias._rowid`` column and EV-index pointer columns
 so that downstream predefined joins have something to follow; the planner
 decides when to request them.
+
+No operator here branches on numpy.  The numpy / pure-Python split lives in
+the :mod:`repro.exec.vector` primitives (``take``, ``passing``,
+``valid_rowids``, ...) and the :mod:`repro.exec.kernels` bodies built from
+them; ``CsrJoin``'s columnar body is :func:`repro.exec.kernels.expand_columnar`,
+the one CSR expansion the graph ``EXPAND`` / ``EXPAND_EDGE`` run too.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from repro.exec.kernels import (
     chunked,
     emit_batches,
     emit_columnar,
+    expand_columnar,
     filter_batches,
     filter_columnar,
     grace_hash_join,
@@ -54,12 +61,10 @@ from repro.exec.kernels import (
     merge_hash_tables,
     probe_hash_table,
     probe_hash_table_columnar,
-    replicate_columnar,
     rows_to_columnar,
     scalar_key,
     tuple_key,
 )
-from repro.exec.kernels import csr_expand_vectors
 from repro.exec.grouping import (
     GroupedAggregation,
     StreamingDistinct,
@@ -73,9 +78,9 @@ from repro.exec.vector import (
     ColumnarBatch,
     as_values,
     index_vector,
-    is_ndarray,
     passing,
     take,
+    valid_rowids,
     vector_view,
 )
 from repro.relational.expr import (
@@ -568,25 +573,7 @@ class RowIdJoin(PhysicalOperator):
         )
         for cb in self.child.columnar_batches(ctx):
             pointers = cb.column_vector(ptr)
-            if is_ndarray(pointers):
-                # Typed pointer columns hold no NULLs; negatives are the
-                # defensive no-match encoding.
-                valid = pointers >= 0
-                keep = None if valid.all() else valid.nonzero()[0]
-            else:
-                # as_values-style normalization: the output (including the
-                # emit_rowid column) is built from plain Python ints.
-                if type(pointers) is not list:
-                    pointers = (
-                        pointers.tolist()
-                        if hasattr(pointers, "tolist")
-                        else list(pointers)
-                    )
-                keep = None
-                if any(p is None or p < 0 for p in pointers):
-                    keep = [
-                        j for j, p in enumerate(pointers) if p is not None and p >= 0
-                    ]
+            keep = valid_rowids(pointers)
             if keep is not None:
                 if not len(keep):
                     continue
@@ -736,79 +723,40 @@ class CsrJoin(PhysicalOperator):
         return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        """Columnar CSR expansion: accumulate a parent-position vector and
-        the adjacent edge rowids, then assemble output batches as gathers —
-        no per-edge row tuples.  With numpy, the whole batch expands as one
-        repeat/cumsum/fancy-index pass over the typed CSR arrays.  A
+        """Columnar CSR expansion: the kernels' one expansion body
+        (:func:`~repro.exec.kernels.expand_columnar`), gathering the
+        projected edge columns and the far pointer through the edge rowids.
+        Rows whose vertex is NULL drop first, as in the row body; a
         predicate filters the edge rowids through its rowid mask, the way
-        graph expansions do.  Flush thresholds adapt to observed fan-out."""
+        graph expansions do."""
         vid = _resolve(self.child.output_columns, self.vertex_rowid_column)
         snap = ctx.pin(self.edge_table)
-        columns = [snap.vector(c) for c in self.projected]
-        far = (
-            vector_view(self.far_pointer[1]) if self.far_pointer is not None else None
-        )
-        offsets = vector_view(self.csr_offsets)
-        edges = vector_view(self.csr_edges)
-        np_ready = is_ndarray(offsets) and is_ndarray(edges)
-        sizer = ChunkSizer(ctx)
+        gathers = [snap.vector(c) for c in self.projected]
+        if self.far_pointer is not None:
+            gathers.append(vector_view(self.far_pointer[1]))
         emask = (
             rowid_mask(self.edge_table, self.predicate, snap.num_rows)
             if self.predicate is not None
             else None
         )
 
-        def refine(parents, edge_ids):
-            if emask is not None:
-                kept = passing(emask, edge_ids)
-                if kept is not None:
-                    parents, edge_ids = take(parents, kept), take(edge_ids, kept)
-            return parents, edge_ids
+        def with_vertex() -> Iterator[ColumnarBatch]:
+            for cb in self.child.columnar_batches(ctx):
+                keep = valid_rowids(cb.column_vector(vid))
+                if keep is None:
+                    yield cb
+                elif len(keep):
+                    yield cb.take(keep)
 
-        def assemble(cb: ColumnarBatch, parents, edge_ids) -> ColumnarBatch:
-            new_columns = [take(c, edge_ids) for c in columns]
-            if far is not None:
-                new_columns.append(take(far, edge_ids))
-            return replicate_columnar(cb, parents, new_columns)
-
-        for cb in self.child.columnar_batches(ctx):
-            vertices = cb.column_vector(vid)
-            if np_ready and is_ndarray(vertices):
-                # Vertex rowid columns in the array domain cannot hold
-                # NULLs, so the batch expands wholesale; output chunks stay
-                # at the full batch size (column-backed chunks are cheap —
-                # see _expand_columnar in repro.graph.physical).
-                expanded = csr_expand_vectors(vertices, offsets, edges)
-                if expanded is None:
-                    continue
-                parents, edge_ids = refine(*expanded)
-                total = len(parents)
-                size = ctx.batch_size
-                for start in range(0, total, size):
-                    stop = min(start + size, total)
-                    yield assemble(cb, parents[start:stop], edge_ids[start:stop])
-                continue
-            parents_l: list[int] = []
-            edge_ids_l: list[int] = []
-            flushed = 0
-            for j, v in enumerate(vertices):
-                if v is None:
-                    continue
-                lo, hi = offsets[v], offsets[v + 1]
-                if lo == hi:
-                    continue
-                parents_l.extend([j] * (hi - lo))
-                edge_ids_l.extend(edges[lo:hi])
-                if len(parents_l) >= sizer.size:
-                    parents_l, edge_ids_l = refine(parents_l, edge_ids_l)
-                    if len(parents_l):
-                        flushed += len(parents_l)
-                        yield assemble(cb, parents_l, edge_ids_l)
-                    parents_l, edge_ids_l = [], []
-            parents_l, edge_ids_l = refine(parents_l, edge_ids_l)
-            sizer.observe(len(vertices), flushed + len(parents_l))
-            if len(parents_l):
-                yield assemble(cb, parents_l, edge_ids_l)
+        yield from expand_columnar(
+            with_vertex(),
+            ctx,
+            vid,
+            vector_view(self.csr_offsets),
+            vector_view(self.csr_edges),
+            gathers,
+            emask=emask,
+        )
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
         vid = _resolve(self.child.output_columns, self.vertex_rowid_column)

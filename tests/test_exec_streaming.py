@@ -280,23 +280,32 @@ def test_expansion_batch_size_shrinks_with_fanout():
     assert tiny.expansion_batch_size(10, 11) == 8
 
 
-def test_adaptive_sizing_bounds_inflight_chunks_without_changing_results(fig2):
-    catalog, mapping, index = fig2
+def test_adaptive_sizing_bounds_inflight_chunks_without_changing_results():
+    """The hash probe is the one columnar loop whose chunks adapt to the
+    observed fan-out: a high-fan-out ``HashJoin`` returns the same rows in
+    the same order either way, and with adaptation on its chunks shrink to
+    the floor once the first probe batch has shown the fan-out."""
     from repro.exec import ExecutionContext
-    from repro.graph.physical import Expand, ScanVertex
 
-    def run(adaptive: bool):
-        plan = Expand(
-            ScanVertex(mapping, "a", "Person"),
-            index,
-            mapping,
-            "a",
-            "b",
-            "Person",
-            "Knows",
-            "out",
-        )
-        ctx = ExecutionContext(batch_size=4, adaptive_batch_sizing=adaptive)
-        return sorted(row for batch in plan.batches(ctx) for row in batch)
+    batch, fanout = 512, 50
+    probe = make_table([(i, i % 8) for i in range(2 * batch)])
+    build = make_table([(i, i % 8) for i in range(8 * fanout)])
 
-    assert run(True) == run(False)
+    def run(adaptive: bool) -> list[list[tuple]]:
+        plan = HashJoin(SeqScan(probe, "p"), SeqScan(build, "b"), ["p.v"], ["b.v"])
+        ctx = ExecutionContext(batch_size=batch, adaptive_batch_sizing=adaptive)
+        return [cb.to_rows() for cb in plan.columnar_batches(ctx)]
+
+    def largest_after_first_probe_batch(chunks: list[list[tuple]]) -> int:
+        seen, largest = 0, 0
+        for chunk in chunks:
+            if seen >= batch * fanout:
+                largest = max(largest, len(chunk))
+            seen += len(chunk)
+        assert seen == 2 * batch * fanout
+        return largest
+
+    adaptive, fixed = run(True), run(False)
+    assert [r for c in adaptive for r in c] == [r for c in fixed for r in c]
+    assert largest_after_first_probe_batch(fixed) == batch
+    assert largest_after_first_probe_batch(adaptive) == ExecutionContext.min_batch_size

@@ -30,7 +30,6 @@ from repro.exec.grouping import (
     NAN,
     GroupedAggregation,
     StreamingDistinct,
-    bindings_equal,
     canonical,
     canonical_column,
     canonical_row,
@@ -351,9 +350,6 @@ def test_canonical_helpers():
     clean = [1.0, 2.0]
     assert canonical_column(clean) is clean
     assert canonical_column([1.0, nan])[1] is NAN
-    assert bindings_equal(nan, nan)
-    assert bindings_equal(1, 1.0)
-    assert not bindings_equal(nan, 1.0)
 
 
 def test_factorize_dict_path_collapses_nan_and_none():

@@ -85,13 +85,13 @@ _QC3_PHJ = "PATTERN_HASH_JOIN on (d, c, b) build"
 #: (system, statement, budget) -> (label, rows) of the trip, or the row
 #: count of a query that fits.  The budget charges rows per buffered batch,
 #: and kuzu's MATERIALIZE buffers its child's batches, whose sizes follow
-#: the numpy and pure-Python expansion kernels' chunking: its trip row is
-#: the one entry that depends on the mode.
+#: the one CSR expansion body's ``batch_size`` slices — the same with numpy
+#: on and off, so no entry depends on the mode.
 TRIP_POINTS = {
     ("relgo_noei", "QC3", 2_000): (_QC3_PHJ, 2_053),
     ("relgo_noei", "QC3", 20_000): (_QC3_PHJ, 20_715),
-    ("kuzu", "QC3", 2_000): ("MATERIALIZE", {"numpy": 2_048, "python": 2_058}),
-    ("kuzu", "QC3", 20_000): ("MATERIALIZE", {"numpy": 20_480, "python": 20_580}),
+    ("kuzu", "QC3", 2_000): ("MATERIALIZE", 2_048),
+    ("kuzu", "QC3", 20_000): ("MATERIALIZE", 20_480),
     ("relgo_hash", "QC3", 2_000): ("RESULT", 2_010),
     ("relgo_hash", "QC3", 20_000): 5_352,
     **{
@@ -130,8 +130,6 @@ def test_oom_trip_points_are_byte_exact(ldbc_by_mode, numpy_mode, key):
         assert len(system.framework.execute(optimized)) == expected
         return
     label, rows = expected
-    if isinstance(rows, dict):
-        rows = rows[numpy_mode]
     result = system.run(text, query_name=statement)
     assert result.status == "OOM"
     with pytest.raises(OutOfMemoryError) as trip:

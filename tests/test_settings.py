@@ -294,6 +294,76 @@ def test_one_hash_join_body():
         assert not re.search(r"\bbucket", sources[module]), module
 
 
+def test_operators_never_branch_on_numpy():
+    """The operator modules hold no numpy branch: the split lives in the
+    ``exec/vector.py`` primitives and the kernels.  ``EXPAND``,
+    ``EXPAND_EDGE`` and ``CSR_JOIN`` run the one CSR expansion body, no
+    columnar body walks CSR offsets itself, and only ``CsrJoin``'s row body
+    still adapts its chunks to fan-out."""
+    sources = _sources()
+    operator_modules = [
+        "repro/relational/physical.py",
+        "repro/graph/physical.py",
+        "repro/core/scan_graph_table.py",
+    ] + sorted(m for m in sources if m.startswith("repro/systems/"))
+    for module in operator_modules:
+        found = re.findall(r"\b(is_ndarray|numpy_enabled|_np|np)\b", sources[module])
+        assert not found, (module, found)
+
+    def methods(module: str):
+        """``(class, method, node)`` of every method defined in ``module``."""
+        for cls in ast.walk(ast.parse(sources[module])):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        yield cls.name, node.name, node
+
+    def named(node: ast.AST) -> set[str]:
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    sizers = set()
+    for module in sources:
+        if module == "repro/exec/kernels.py":
+            continue
+        for cls, name, node in methods(module):
+            if "ChunkSizer" in named(node):
+                sizers.add((cls, name))
+        tree = ast.parse(sources[module])
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                assert "ChunkSizer" not in named(node), (module, node.name)
+    assert sizers == {("CsrJoin", "_stream")}
+    kernels = {
+        n.name: n
+        for n in ast.parse(sources["repro/exec/kernels.py"]).body
+        if isinstance(n, ast.FunctionDef)
+    }
+    assert {n for n, f in kernels.items() if "ChunkSizer" in named(f)} == {
+        "probe_hash_table_columnar"
+    }
+    assert "csr_expand_vectors" in named(kernels["expand_columnar"])
+    assert not named(kernels["expand_columnar"]) & {"is_ndarray", "_np", "np"}
+
+    bodies = {
+        (cls, name): node
+        for module in sources
+        for cls, name, node in methods(module)
+        if name == "_stream_columnar"
+    }
+    for cls in ("Expand", "ExpandEdge", "CsrJoin"):
+        assert "expand_columnar" in named(bodies[cls, "_stream_columnar"]), cls
+    for key, body in bodies.items():
+        for node in ast.walk(body):
+            if isinstance(node, ast.Subscript):
+                assert "offsets" not in ast.unparse(node.value), key
+    for module, text in sources.items():
+        assert "bindings_equal" not in text, module
+
+
 def test_expand_intersect_is_one_kernel():
     """EXPAND_INTERSECT's body is one call to the pair-key kernel: no
     per-row neighbor maps, no per-edge predicate calls in the operator."""
