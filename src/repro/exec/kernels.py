@@ -26,12 +26,27 @@ build shards).
 
 from __future__ import annotations
 
-from itertools import product
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
-from repro.exec.vector import ColumnarBatch, equal_positions, is_ndarray, passing, take
+from repro.exec.vector import (
+    ColumnarBatch,
+    LazyMask,
+    cut_points,
+    degree_sums,
+    equal_positions,
+    is_ndarray,
+    key_runs,
+    nonempty_slices,
+    pair_keys,
+    passing,
+    product_positions,
+    run_positions,
+    sorted_runs,
+    take,
+)
 
 Batch = list
 
@@ -738,7 +753,7 @@ def csr_expand_vectors(vertices, offsets, edges):
     deg = offsets[v + 1] - lo
     if not deg.any():
         return None
-    parents, positions = _run_positions(lo, deg)
+    parents, positions = run_positions(lo, deg)
     return parents, edges[positions]
 
 
@@ -792,17 +807,6 @@ def expand_columnar(
             yield replicate_columnar(
                 cb, parents[start:stop], [c[start:stop] for c in new_columns]
             )
-
-
-def _run_positions(starts, counts):
-    """Every position of the runs ``[starts[j], starts[j] + counts[j])``,
-    run by run: ``(owners, positions)`` with ``owners[t]`` the run ``j``
-    position ``t`` belongs to.  Both ndarrays."""
-    np = vector._np
-    owners = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    firsts = np.cumsum(counts) - counts
-    positions = np.arange(len(owners), dtype=np.intp) + np.repeat(starts - firsts, counts)
-    return owners, positions
 
 
 def degree_products(offsets_a, offsets_b) -> int:
@@ -896,17 +900,16 @@ class IntersectLeg(NamedTuple):
     """One leg of an EXPAND_INTERSECT star, resolved for execution.
 
     ``column`` is the bound leaf's position in the input batch; ``offsets``
-    / ``edges`` are the leaf's CSR adjacency and ``far`` the far endpoint of
-    every edge rowid — vector views, so ndarrays exactly when numpy is on;
-    ``view`` is the adjacency's neighbor-ordered
-    :class:`~repro.graph.index.KeyView` (None with numpy off); ``mask`` is
-    the edge predicate's rowid mask (None: no predicate) and ``kept``
-    whether the leg's edge rowid is an output column.
+    is the leaf's CSR offsets and ``far`` the far endpoint of every edge
+    rowid — vector views, so ndarrays exactly when numpy is on; ``view`` is
+    the adjacency's neighbor-ordered :class:`~repro.graph.index.KeyView` in
+    the same domain; ``mask`` is the edge predicate's rowid mask (None: no
+    predicate) and ``kept`` whether the leg's edge rowid is an output
+    column.
     """
 
     column: int
     offsets: Sequence[int]
-    edges: Sequence[int]
     far: Sequence[int]
     view: Any
     mask: Any
@@ -948,50 +951,35 @@ def intersect_expand(
     ``ctx.batch_size`` rows.  An input batch is processed in row slices cut
     on the cumulative degrees of all legs (:data:`INTERSECT_PAIRS_PER_BATCH`),
     so a batch of hub vertices never holds more than a fixed multiple of
-    the batch size in pairs at once.  The algorithm runs as numpy array
-    passes when every leg has a view, and as a dictionary walk over the
-    index's typed arrays otherwise.
+    the batch size in pairs at once.  One body runs with numpy on or off:
+    the numpy / pure-Python split lives in the :mod:`repro.exec.vector`
+    primitives it is built from (``degree_sums``, ``cut_points``,
+    ``key_runs``, ``product_positions``, ...), so both modes emit the same
+    chunks.
     """
     size = ctx.batch_size
     limit = INTERSECT_PAIRS_PER_BATCH * size
-    vectorized = all(leg.view is not None for leg in legs)
-    body = _intersect_vectors if vectorized else _intersect_walk
     for cb in source:
-        yield from body(cb, legs, radix, vmask, size, limit)
+        if not len(cb):
+            continue
+        bound = [cb.column_vector(leg.column) for leg in legs]
+        reach = [degree_sums(leg.offsets, vertices) for leg, vertices in zip(legs, bound)]
+        bounds = cut_points(reach, limit)
+        for first, last in zip(bounds, bounds[1:]):
+            work = [sums[last] - sums[first] for sums in reach]
+            driver = work.index(min(work))
+            if work[driver]:
+                yield from _intersect_slice(
+                    cb, legs, [v[first:last] for v in bound], first, driver, radix, vmask, size
+                )
 
 
-def _intersect_vectors(cb, legs, radix, vmask, size, limit):
-    """:func:`intersect_expand` on one batch, as numpy array passes."""
-    np = vector._np
-    bound = [vector.as_index_array(cb.column_vector(leg.column)) for leg in legs]
-    n = len(bound[0])
-    if not n:
-        return
-    # Per leg, the prefix sums of its bound vertices' degrees.
-    reach = np.zeros((len(legs), n + 1), dtype=np.int64)
-    for leg, vertices, sums in zip(legs, bound, reach):
-        np.cumsum(leg.offsets[vertices + 1] - leg.offsets[vertices], out=sums[1:])
-    # Slice i ends before the first row whose cumulative work passes
-    # (i + 1) * limit.
-    total = reach[:, 1:].sum(axis=0)
-    cuts = np.searchsorted(total, np.arange(limit, int(total[-1]), limit), "right")
-    bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
-    for first, last in zip(bounds, bounds[1:]):
-        work = reach[:, last] - reach[:, first]
-        driver = int(np.argmin(work))
-        if work[driver]:
-            yield from _intersect_slice(
-                cb, legs, bound, driver, radix, vmask, size, first, last
-            )
-
-
-def _intersect_slice(cb, legs, bound, driver, radix, vmask, size, first, last):
-    """Intersect rows ``[first, last)`` of one batch, ``legs[driver]``
-    expanding and the others probed, and emit the rows (see
-    :func:`intersect_expand`)."""
-    np = vector._np
+def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
+    """Intersect the batch rows from ``first`` on whose bound vertices per
+    leg are ``bound``, ``legs[driver]`` expanding and the others probed,
+    and emit the rows (see :func:`intersect_expand`)."""
     leg = legs[driver]
-    expanded = csr_expand_vectors(bound[driver][first:last], leg.offsets, leg.view.edges)
+    expanded = csr_expand_vectors(bound[driver], leg.offsets, leg.view.edges)
     if expanded is None:
         return
     parents, edge_ids = expanded
@@ -1000,31 +988,32 @@ def _intersect_slice(cb, legs, bound, driver, radix, vmask, size, first, last):
         if kept is not None:
             if not len(kept):
                 return
-            parents, edge_ids = parents[kept], edge_ids[kept]
-    roots = leg.far[edge_ids]
+            parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+    roots = take(leg.far, edge_ids)
     # The candidates: the driver's distinct (slice row, root) pairs, in
     # order.  Per leg, runs ``(starts, counts, edges)`` aligned with them:
     # a candidate's edges are ``edges[starts:starts + counts]``; counts
     # None means one edge each, and a trimmed leg keeps no starts.
     runs = [None] * len(legs)
     if leg.view.distinct:
-        starts = np.arange(len(roots)) if leg.kept else None
+        starts = vector.index_vector(len(roots)) if leg.kept else None
         runs[driver] = (starts, None, edge_ids)
     else:
-        head = np.empty(len(roots), dtype=bool)
-        head[0] = True
-        np.not_equal(roots[1:], roots[:-1], out=head[1:])
-        head[1:] |= parents[1:] != parents[:-1]
-        starts = np.flatnonzero(head)
-        runs[driver] = (starts, np.diff(starts, append=len(roots)), edge_ids)
-        parents, roots = parents[starts], roots[starts]
+        starts, counts = sorted_runs(pair_keys(parents, roots, radix))
+        runs[driver] = (starts, counts, edge_ids)
+        parents, roots = take(parents, starts), take(roots, starts)
 
     def narrow(selected):
         nonlocal parents, roots
-        parents, roots = parents[selected], roots[selected]
+        parents, roots = take(parents, selected), take(roots, selected)
         for i, run in enumerate(runs):
             if run is not None:
-                runs[i] = tuple(None if a is None else a[selected] for a in run[:2]) + run[2:]
+                starts, counts, edges = run
+                runs[i] = (
+                    None if starts is None else take(starts, selected),
+                    None if counts is None else take(counts, selected),
+                    edges,
+                )
         return len(parents)
 
     if vmask is not None:
@@ -1035,147 +1024,37 @@ def _intersect_slice(cb, legs, bound, driver, radix, vmask, size, first, last):
         if i == driver:
             continue
         view = leg.view
-        probe = bound[i][first:last][parents] * radix + roots
-        lo = np.searchsorted(view.keys, probe)
-        if view.distinct:
-            hit = view.keys[np.minimum(lo, len(view.keys) - 1)] == probe
-            counts = None
-        else:
-            counts = np.searchsorted(view.keys, probe, "right") - lo
-            hit = counts > 0
-        if not hit.all():
-            hit = np.flatnonzero(hit)
-            if not narrow(hit):
-                return
-            lo = lo[hit]
-            if counts is not None:
-                counts = counts[hit]
+        probes = pair_keys(take(bound[i], parents), roots, radix)
+        hits, lo, counts = key_runs(view.keys, probes, view.distinct)
+        if hits is not None and not narrow(hits):
+            return
         edges = view.edges
         if leg.mask is not None:
             if counts is None:
-                kept = passing(leg.mask, edges[lo])
+                kept = passing(leg.mask, take(edges, lo))
+                if kept is not None:
+                    lo = take(lo, kept)
             else:
-                # Mask every run's edges and re-count what is left; the
+                # Mask every run's edges and re-run what is left; the
                 # leg's runs then index the compacted survivors.
-                owners, positions = _run_positions(lo, counts)
-                kept = passing(leg.mask, edges[positions])
+                owners, positions = run_positions(lo, counts)
+                kept = passing(leg.mask, take(edges, positions))
                 if kept is not None:
-                    edges = edges[positions[kept]]
-                    counts = np.bincount(owners[kept], minlength=len(lo))
-                    lo = np.cumsum(counts) - counts
-                    kept = np.flatnonzero(counts)
-            if kept is not None:
-                if not narrow(kept):
-                    return
-                lo = lo[kept]
-                if counts is not None:
-                    counts = counts[kept]
-        runs[i] = (lo if leg.kept else None, counts, edges)
-    yield from _emit_runs(cb, legs, runs, parents + first, roots, size)
-
-
-def _emit_runs(cb, legs, runs, parents, roots, size):
-    """Emit the common pairs' rows, in ``ctx.batch_size`` chunks: pair
-    ``j`` extends input row ``parents[j]`` with root ``roots[j]`` once per
-    combination of the legs' runs (see :func:`intersect_expand`)."""
-    np = vector._np
-    multiplicity = None
-    for _, counts, _ in runs:
-        if counts is not None:
-            multiplicity = counts if multiplicity is None else multiplicity * counts
-    if multiplicity is None:
-        total = len(roots)
-    else:
-        ends = np.cumsum(multiplicity)
-        total = int(ends[-1])
-    kept_legs = [i for i, leg in enumerate(legs) if leg.kept]
-    strides = {}
-    if kept_legs and multiplicity is not None:
-        stride = None
-        for i in reversed(range(len(legs))):
-            strides[i] = stride
-            counts = runs[i][1]
-            if counts is not None:
-                stride = counts if stride is None else stride * counts
-    for lo in range(0, total, size):
-        t = np.arange(lo, min(lo + size, total), dtype=np.int64)
-        k = t if total == len(roots) else np.searchsorted(ends, t, "right")
-        new_columns = []
-        if kept_legs:
-            within = None if total == len(roots) else t - (ends[k] - multiplicity[k])
-            for i in kept_legs:
-                starts, counts, edges = runs[i]
-                at = starts[k]
-                if counts is not None and within is not None:
-                    stride = strides[i]
-                    at = at + (within if stride is None else within // stride[k]) % counts[k]
-                new_columns.append(edges[at])
-        new_columns.append(roots[k])
-        yield replicate_columnar(cb, parents[k], new_columns)
-
-
-def _intersect_walk(cb, legs, radix, vmask, size, limit):
-    """:func:`intersect_expand` on one batch without numpy: the same pair
-    keys, grouped in dictionaries (plain Python ints throughout)."""
-    bound = [cb.column(leg.column) for leg in legs]
-    kept_legs = [i for i, leg in enumerate(legs) if leg.kept]
-    n = len(cb)
-    first = work = 0
-    for j in range(n):
-        for leg, vertices in zip(legs, bound):
-            v = vertices[j]
-            work += leg.offsets[v + 1] - leg.offsets[v]
-        if work < limit and j + 1 < n:
-            continue
-        groups = []
-        for leg, vertices in zip(legs, bound):
-            offsets, edges, far = leg.offsets, leg.edges, leg.far
-            parents: list[int] = []
-            edge_ids: list[int] = []
-            for p in range(first, j + 1):
-                v = vertices[p]
-                lo, hi = offsets[v], offsets[v + 1]
-                parents.extend([p] * (hi - lo))
-                edge_ids.extend(edges[lo:hi])
-            if leg.mask is not None:
-                kept = passing(leg.mask, edge_ids)
-                if kept is not None:
-                    parents, edge_ids = take(parents, kept), take(edge_ids, kept)
-            group: dict[int, list[int]] = {}
-            for p, e in zip(parents, edge_ids):
-                key = p * radix + far[e]
-                run = group.get(key)
-                if run is None:
-                    group[key] = [e]
-                else:
-                    run.append(e)
-            groups.append(group)
-        first, work = j + 1, 0
-        smallest = min(groups, key=len)
-        common = sorted(k for k in smallest if all(k in g for g in groups))
-        if vmask is not None and common:
-            kept = passing(vmask, [k % radix for k in common])
-            if kept is not None:
-                common = take(common, kept)
-        out_parents: list[int] = []
-        new_columns: list[list] = [[] for _ in kept_legs] + [[]]
-        roots = new_columns[-1]
-        for key in common:
-            runs = [g[key] for g in groups]
-            multiplicity = 1
-            for run in runs:
-                multiplicity *= len(run)
-            out_parents.extend([key // radix] * multiplicity)
-            roots.extend([key % radix] * multiplicity)
-            if kept_legs:
-                for combo in product(*runs):
-                    for column, i in zip(new_columns, kept_legs):
-                        column.append(combo[i])
-        for lo in range(0, len(out_parents), size):
-            hi = lo + size
-            yield replicate_columnar(
-                cb, out_parents[lo:hi], [column[lo:hi] for column in new_columns]
-            )
+                    owners, edges = take(owners, kept), take(edges, take(positions, kept))
+                    lo, counts = sorted_runs(owners)
+                    kept = take(owners, lo)
+            if kept is not None and not narrow(kept):
+                return
+        runs[i] = (lo, counts, edges)
+    if first:
+        # Slice rows -> batch rows.
+        parents = take(vector.index_vector(first + len(bound[driver]))[first:], parents)
+    factors = [(starts if leg.kept else None, counts) for (starts, counts, _), leg in zip(runs, legs)]
+    kept_runs = [run for run, leg in zip(runs, legs) if leg.kept]
+    for k, positions in product_positions(factors, len(roots), size):
+        new_columns = [take(edges, at) for (_, _, edges), at in zip(kept_runs, positions)]
+        new_columns.append(take(roots, k))
+        yield replicate_columnar(cb, take(parents, k), new_columns)
 
 
 class ExistsStep(NamedTuple):
@@ -1186,7 +1065,8 @@ class ExistsStep(NamedTuple):
     ndarrays exactly when numpy is on.  ``emask`` / ``vmask`` are the rowid
     masks of the edge's and the far vertex's predicates (None: no
     predicate); ``steps`` are the far vertex's own sub-branches, each of
-    which a reached vertex must satisfy too.
+    which a reached vertex must satisfy too (each is decided once per far
+    vertex, through its own lazy mask; see :func:`exists_filter`).
     """
 
     offsets: Sequence[int]
@@ -1201,124 +1081,70 @@ def exists_filter(
     source: Iterable[ColumnarBatch],
     column: int,
     steps: Sequence[ExistsStep],
-    extent: int,
 ) -> Iterator[ColumnarBatch]:
     """Keep the rows whose bound vertex in ``column`` (the *anchor*) has at
     least one match of every branch in ``steps`` — a semi-join per branch.
 
-    Each batch checks only the distinct anchor rowids no earlier batch has
-    answered: it CSR-expands them along the branch, filters the expansion
-    through the edge and vertex masks (a lazy mask evaluates its predicate
-    only on the rowids it reaches), recurses into the sub-branches from the
-    distinct vertices reached and reduces to one bool per anchor.  Answers
-    are memoized per anchor rowid (``extent`` bounds them) in this
-    generator's own state, so concurrent morsel chains never share it.  The
-    algorithm runs as numpy array passes when every step's CSR is an
-    ndarray, and as a walk over plain Python ints otherwise.
+    Every branch is a :class:`~repro.exec.vector.LazyMask` over the rowids
+    it leaves from (:func:`_branch_mask`), so each batch decides only the
+    distinct anchors no earlier batch asked about, and each branch sees
+    only the anchors the earlier ones accepted.  A branch CSR-expands its
+    undecided vertices, filters the expansion through the edge mask, then
+    through the far vertex's mask and its sub-branches' own lazy masks,
+    and keeps the vertices with a surviving edge: each far vertex is
+    decided once per query, whichever anchor reaches it.  The masks live in
+    this generator's own state, so concurrent morsel chains never share
+    them.  The same steps run over ndarrays with numpy on and over lists of
+    plain ints off (the :mod:`repro.exec.vector` primitives).
     """
-    if _all_vectors(steps):
-        yield from _exists_vectors(source, column, steps, extent)
-    else:
-        yield from _exists_walk(source, column, steps)
-
-
-def _all_vectors(steps: Sequence[ExistsStep]) -> bool:
-    return all(
-        is_ndarray(s.offsets) and is_ndarray(s.edges) and is_ndarray(s.far)
-        and _all_vectors(s.steps)
-        for s in steps
-    )
-
-
-def _exists_vectors(source, column, steps, extent):
-    """:func:`exists_filter` as numpy array passes."""
-    np = vector._np
-    known = np.zeros(extent, dtype=bool)
-    value = np.zeros(extent, dtype=bool)
+    masks = list(map(_branch_mask, steps))
     for cb in source:
-        anchors = vector.as_index_array(cb.column_vector(column))
-        unseen = anchors[~known[anchors]]
-        if len(unseen):
-            unseen = np.unique(unseen)
-            value[unseen] = _reach_all(unseen, steps)
-            known[unseen] = True
-        keep = value[anchors]
-        if keep.all():
+        kept = _passing_all(masks, cb.column_vector(column))
+        if kept is None:
             yield cb
-        elif keep.any():
-            yield cb.take(np.flatnonzero(keep))
+        elif len(kept):
+            yield cb.take(kept)
 
 
-def _reach_all(vertices, steps):
-    """One bool per vertex: does it match every branch of ``steps``?  Each
-    branch checks only the vertices every earlier one accepted."""
-    np = vector._np
-    ok = np.ones(len(vertices), dtype=bool)
-    for step in steps:
-        alive = np.flatnonzero(ok)
-        if not len(alive):
-            break
-        ok[alive] = _reach(vertices[alive], step)
-    return ok
+def _branch_mask(step: ExistsStep) -> LazyMask:
+    """``step``'s branch as a lazy mask over the vertices it leaves from
+    (its CSR covers every rowid it can be asked about)."""
+    masks = [] if step.vmask is None else [step.vmask]
+    masks += map(_branch_mask, step.steps)
+    return LazyMask(partial(_reach, step, masks), len(step.offsets) - 1)
 
 
-def _reach(vertices, step):
-    """One bool per vertex: has it at least one match of ``step``'s branch?"""
-    np = vector._np
-    if step.emask is None and step.vmask is None and not step.steps:
-        # An unconstrained leaf: any adjacent edge matches.
-        return step.offsets[vertices + 1] > step.offsets[vertices]
-    out = np.zeros(len(vertices), dtype=bool)
+def _passing_all(masks, rowids):
+    """Positions of ``rowids`` every mask passes, each mask asked only
+    about the survivors of the earlier ones; None when all pass."""
+    kept = None
+    for mask in masks:
+        hits = passing(mask, rowids if kept is None else take(rowids, kept))
+        if hits is not None:
+            kept = hits if kept is None else take(kept, hits)
+            if not len(kept):
+                break
+    return kept
+
+
+def _reach(step: ExistsStep, masks, vertices):
+    """Positions of ``vertices`` with at least one edge of ``step`` that
+    passes its edge mask and reaches a far vertex every one of ``masks``
+    passes."""
+    if step.emask is None and not masks:
+        return nonempty_slices(step.offsets, vertices)
     expanded = csr_expand_vectors(vertices, step.offsets, step.edges)
     if expanded is None:
-        return out
+        return []
     parents, edge_ids = expanded
     if step.emask is not None:
         kept = passing(step.emask, edge_ids)
         if kept is not None:
-            parents, edge_ids = parents[kept], edge_ids[kept]
-    targets = step.far[edge_ids]
-    if step.vmask is not None:
-        kept = passing(step.vmask, targets)
-        if kept is not None:
-            parents, targets = parents[kept], targets[kept]
-    if step.steps and len(targets):
-        reached, inverse = np.unique(targets, return_inverse=True)
-        parents = parents[_reach_all(reached, step.steps)[inverse]]
-    out[parents] = True
-    return out
-
-
-def _exists_walk(source, column, steps):
-    """:func:`exists_filter` without numpy: a depth-first walk per unseen
-    anchor that stops at its first match (plain Python ints throughout)."""
-    known: dict[int, bool] = {}
-    for cb in source:
-        keep = []
-        for j, anchor in enumerate(cb.column(column)):
-            ok = known.get(anchor)
-            if ok is None:
-                ok = known[anchor] = all(_walk_reaches(anchor, s) for s in steps)
-            if ok:
-                keep.append(j)
-        if len(keep) == len(cb):
-            yield cb
-        elif keep:
-            yield cb.take(keep)
-
-
-def _walk_reaches(vertex: int, step: ExistsStep) -> bool:
-    edges = list(step.edges[step.offsets[vertex] : step.offsets[vertex + 1]])
-    if step.emask is not None and edges:
-        kept = passing(step.emask, edges)
-        if kept is not None:
-            edges = [edges[p] for p in kept]
-    targets = [step.far[e] for e in edges]
-    if step.vmask is not None and targets:
-        kept = passing(step.vmask, targets)
-        if kept is not None:
-            targets = [targets[p] for p in kept]
-    return any(all(_walk_reaches(u, s) for s in step.steps) for u in targets)
+            parents, edge_ids = take(parents, kept), take(edge_ids, kept)
+    kept = _passing_all(masks, take(step.far, edge_ids))
+    if kept is not None:
+        parents = take(parents, kept)
+    return take(parents, sorted_runs(parents)[0])
 
 
 def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:

@@ -20,13 +20,16 @@ are ``numpy.ndarray``\\ s; the feature is gated behind
 keeping the package free of hard dependencies.  The numpy / pure-Python
 split lives in this module's primitives (:func:`take`, :func:`passing`,
 :func:`valid_rowids`, :func:`equal_positions`, :func:`distinct_positions`,
-...) and in the kernels of :mod:`repro.exec.kernels` built from them:
-operators call them and never branch on numpy themselves.
+:func:`key_runs`, ...) and in the kernels of :mod:`repro.exec.kernels`
+built from them: operators call them and never branch on numpy
+themselves.
 """
 
 from __future__ import annotations
 
 from array import array as _array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, count, product
 from typing import Sequence
 
 try:  # pragma: no cover - exercised via the CI numpy leg
@@ -222,19 +225,23 @@ def is_ndarray(values) -> bool:
 
 
 class LazyMask:
-    """A per-rowid predicate as a boolean column filled on demand.
+    """A rowid predicate as a boolean column filled on demand.
 
     The shape of a pushed-down predicate that has no dense vectorized form
     (LIKE / IN over '<U' or NULL-bearing columns, OR, IS NULL, ... — and
-    every predicate when numpy is disabled).  ``mask[rowids]`` answers like
-    a dense boolean ndarray would, but calls ``check`` only for the
-    *distinct* rowids not asked about before, so one mask shared by all
-    batches of a traversal evaluates the predicate at most once per rowid
-    it actually reaches.  ``length`` is the (pinned) extent of the table
-    the rowids address.
+    every predicate when numpy is disabled), and of an EXISTS branch
+    (:func:`repro.exec.kernels.exists_filter`).  ``mask[rowids]`` answers
+    like a dense boolean ndarray would, but calls ``check`` once per lookup
+    with the *distinct* rowids not asked about before, so one mask shared
+    by all batches of a traversal decides each rowid it actually reaches
+    at most once.  ``check`` returns the positions of the rowids it was
+    given whose predicate holds (:meth:`per_rowid` wraps a per-rowid
+    predicate).  ``length`` is the (pinned) extent of the table the rowids
+    address.
 
     With numpy enabled at construction the lookup is array in, bool
-    ndarray out; otherwise any int sequence in, a list of truth values out.
+    ndarray out, and ``check`` gets an ndarray; otherwise any int sequence
+    in, a list of truth values out, and ``check`` gets a list of ints.
     """
 
     __slots__ = ("_check", "_known", "_value")
@@ -248,21 +255,30 @@ class LazyMask:
             self._known = bytearray(length)
             self._value = bytearray(length)
 
+    @classmethod
+    def per_rowid(cls, predicate, length: int) -> "LazyMask":
+        """A mask whose ``check`` calls ``predicate(rowid)`` per rowid."""
+
+        def check(rowids):
+            return list(compress(count(), map(predicate, as_values(rowids))))
+
+        return cls(check, length)
+
     def __getitem__(self, rowids):
-        known, value, check = self._known, self._value, self._check
+        known, value = self._known, self._value
         if type(known) is bytearray:
-            for r in rowids:
-                if not known[r]:
-                    value[r] = check(r)
+            unknown = list(dict.fromkeys(r for r in rowids if not known[r]))
+            if unknown:
+                for j in self._check(unknown):
+                    value[unknown[j]] = 1
+                for r in unknown:
                     known[r] = 1
             return [value[r] for r in rowids]
         rowids = as_index_array(rowids)
         unknown = rowids[~known[rowids]]
         if len(unknown):
             unknown = _np.unique(unknown)
-            value[unknown] = _np.fromiter(
-                map(check, unknown.tolist()), dtype=bool, count=len(unknown)
-            )
+            value[unknown[as_index_array(self._check(unknown))]] = True
             known[unknown] = True
         return value[rowids]
 
@@ -310,6 +326,183 @@ def distinct_positions(pairs, n: int) -> "Sequence[int] | None":
         return None if keep.all() else _np.flatnonzero(keep)
     keep = [j for j in range(n) if all(a[j] != b[j] for a, b in pairs)]
     return None if len(keep) == n else keep
+
+
+def nonempty_slices(offsets, vertices) -> Sequence[int]:
+    """Positions of ``vertices`` whose CSR slice in ``offsets`` holds at
+    least one edge."""
+    if is_ndarray(offsets):
+        v = as_index_array(vertices)
+        return _np.flatnonzero(offsets[v + 1] > offsets[v])
+    return [j for j, v in enumerate(vertices) if offsets[v + 1] != offsets[v]]
+
+
+def sorted_runs(column) -> tuple[Sequence[int], Sequence[int]]:
+    """The runs of equal values in a sorted column: ``(starts, counts)``,
+    each run's first position and length."""
+    if is_ndarray(column):
+        heads = _np.ones(len(column), dtype=bool)
+        _np.not_equal(column[1:], column[:-1], out=heads[1:])
+        starts = _np.flatnonzero(heads)
+        return starts, _np.diff(starts, append=len(column))
+    starts = [t for t in range(len(column)) if not t or column[t] != column[t - 1]]
+    return starts, [b - a for a, b in zip(starts, starts[1:] + [len(column)])]
+
+
+def run_positions(starts, counts):
+    """Every position of the runs ``[starts[j], starts[j] + counts[j])``,
+    run by run: ``(owners, positions)`` with ``owners[t]`` the run ``j``
+    position ``t`` belongs to."""
+    if is_ndarray(counts):
+        owners = _np.repeat(_np.arange(len(counts), dtype=_np.intp), counts)
+        firsts = _np.cumsum(counts) - counts
+        positions = _np.arange(len(owners), dtype=_np.intp) + _np.repeat(starts - firsts, counts)
+        return owners, positions
+    owners: list[int] = []
+    positions: list[int] = []
+    for j, (start, count) in enumerate(zip(starts, counts)):
+        owners.extend([j] * count)
+        positions.extend(range(start, start + count))
+    return owners, positions
+
+
+def degree_sums(offsets, vertices) -> Sequence[int]:
+    """Prefix sums of the CSR degrees of ``vertices`` in ``offsets``: entry
+    ``j`` counts the edges of ``vertices[:j]``, so there are
+    ``len(vertices) + 1``."""
+    if is_ndarray(offsets):
+        v = as_index_array(vertices)
+        sums = _np.zeros(len(v) + 1, dtype=_np.int64)
+        _np.cumsum(offsets[v + 1] - offsets[v], out=sums[1:])
+        return sums
+    return list(accumulate((offsets[v + 1] - offsets[v] for v in vertices), initial=0))
+
+
+def cut_points(sums: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Slice bounds ``[0, ..., n]`` over ``n`` rows whose work is the sum
+    of the prefix-sum columns ``sums`` (each ``n + 1`` long, ``n > 0``):
+    slice ``i`` ends before the first row whose cumulative work passes
+    ``(i + 1) * limit``."""
+    n = len(sums[0]) - 1
+    if sum(column[-1] for column in sums) <= limit:
+        return [0, n]
+    if is_ndarray(sums[0]):
+        total = sum(sums)[1:]
+        cuts = _np.searchsorted(total, _np.arange(limit, int(total[-1]), limit), "right")
+        return _np.unique(_np.concatenate(([0], cuts, [n]))).tolist()
+    total = [sum(column) for column in zip(*sums)][1:]
+    # The cuts do not decrease, so dropping repeats keeps them in order.
+    cuts = [bisect_right(total, mark) for mark in range(limit, total[-1], limit)]
+    return list(dict.fromkeys([0, *cuts, n]))
+
+
+def pair_keys(vertices, roots, radix: int) -> Sequence[int]:
+    """One int key ``vertices[j] * radix + roots[j]`` per row-aligned
+    (vertex, root) pair; ``radix`` must exceed every root."""
+    if is_ndarray(roots):
+        return as_index_array(vertices) * radix + roots
+    return [v * radix + r for v, r in zip(vertices, roots)]
+
+
+def key_runs(keys, probes, distinct: bool):
+    """Binary-search ``probes`` in the sorted ``keys``: ``(hits, lo,
+    counts)``.  ``hits`` are the positions of the probes found (None when
+    all are); per found probe, its equal keys are ``keys[lo:lo + count]``.
+    ``counts`` is None when ``distinct`` (no two keys are equal)."""
+    if is_ndarray(keys):
+        lo = _np.searchsorted(keys, probes)
+        if distinct:
+            found = keys[_np.minimum(lo, len(keys) - 1)] == probes
+            counts = None
+        else:
+            counts = _np.searchsorted(keys, probes, "right") - lo
+            found = counts > 0
+        if found.all():
+            return None, lo, counts
+        hits = _np.flatnonzero(found)
+        return hits, lo[hits], None if counts is None else counts[hits]
+    hits: list[int] = []
+    lows: list[int] = []
+    counts = []
+    for j, key in enumerate(probes):
+        lo = bisect_left(keys, key)
+        hi = bisect_right(keys, key, lo)
+        if hi > lo:
+            hits.append(j)
+            lows.append(lo)
+            counts.append(hi - lo)
+    return (None if len(hits) == len(probes) else hits), lows, None if distinct else counts
+
+
+def product_positions(runs, n: int, size: int):
+    """The rows of a product over row-aligned runs, in ``size``-row chunks.
+
+    ``runs`` holds one ``(starts, counts)`` per factor: candidate ``j``'s
+    run covers positions ``[starts[j], starts[j] + counts[j])`` (counts
+    None: one position each; starts None: the factor's positions are not
+    wanted, only its counts).  Candidate ``j`` of ``n`` yields one row per
+    combination of its runs' positions, in ``itertools.product`` order,
+    candidates in order.  Each chunk is ``(candidates, positions)``: every
+    row's candidate and, per wanted factor, every row's position.
+    """
+    if numpy_enabled():
+        yield from _product_vectors(runs, n, size)
+        return
+    wanted = [i for i, (starts, _) in enumerate(runs) if starts is not None]
+    candidates: list[int] = []
+    positions: list[list[int]] = [[] for _ in wanted]
+    for j in range(n):
+        spans = []
+        for starts, counts in runs:
+            start = 0 if starts is None else starts[j]
+            spans.append(range(start, start + (1 if counts is None else counts[j])))
+        combos = list(product(*spans))
+        candidates.extend([j] * len(combos))
+        for column, i in zip(positions, wanted):
+            column.extend([combo[i] for combo in combos])
+    for lo in range(0, len(candidates), size):
+        hi = lo + size
+        yield candidates[lo:hi], [column[lo:hi] for column in positions]
+
+
+def _product_vectors(runs, n, size):
+    """:func:`product_positions` as numpy array passes, one chunk at a
+    time: row ``t`` of candidate ``k``'s block takes, from factor ``i``,
+    position ``starts_i[k] + (t // stride_i) % count_i`` with ``stride_i``
+    the product of the later factors' counts."""
+    multiplicity = None
+    for _, counts in runs:
+        if counts is not None:
+            multiplicity = counts if multiplicity is None else multiplicity * counts
+    if multiplicity is None:
+        total = n
+    else:
+        ends = _np.cumsum(multiplicity)
+        total = int(ends[-1])
+    wanted = any(starts is not None for starts, _ in runs)
+    strides = {}
+    if wanted and multiplicity is not None:
+        stride = None
+        for i in reversed(range(len(runs))):
+            strides[i] = stride
+            counts = runs[i][1]
+            if counts is not None:
+                stride = counts if stride is None else stride * counts
+    for lo in range(0, total, size):
+        t = _np.arange(lo, min(lo + size, total), dtype=_np.int64)
+        k = t if total == n else _np.searchsorted(ends, t, "right")
+        positions = []
+        if wanted:
+            within = None if total == n else t - (ends[k] - multiplicity[k])
+            for i, (starts, counts) in enumerate(runs):
+                if starts is None:
+                    continue
+                at = starts[k]
+                if counts is not None and within is not None:
+                    stride = strides[i]
+                    at = at + (within if stride is None else within // stride[k]) % counts[k]
+                positions.append(at)
+        yield k, positions
 
 
 #: Widest string (in characters) a column may hold and still vectorize:
@@ -583,6 +776,14 @@ __all__ = [
     "valid_rowids",
     "equal_positions",
     "distinct_positions",
+    "nonempty_slices",
+    "sorted_runs",
+    "run_positions",
+    "degree_sums",
+    "cut_points",
+    "pair_keys",
+    "key_runs",
+    "product_positions",
     "vector_view",
     "index_vector",
     "cached_vector",

@@ -62,7 +62,7 @@ class EdgeIndex:
     _vectors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def endpoint_rowids(self, direction: str) -> Sequence[int]:
-        """Rowids of the *far* endpooint when traversing in ``direction``.
+        """Rowids of the *far* endpoint when traversing in ``direction``.
 
         Traversing ``out`` (vertex is the source) lands on targets;
         traversing ``in`` lands on sources.
@@ -93,7 +93,8 @@ class KeyView(NamedTuple):
     far[edges[p]]`` for the vertex ``v`` owning position ``p``, so ``keys``
     is sorted and the edges from ``v`` to neighbor ``u`` are the run of key
     ``v * radix + u``, in edge-rowid order.  ``distinct`` is True when no
-    two keys are equal: the adjacency has no parallel edges.
+    two keys are equal: the adjacency has no parallel edges.  ``edges`` and
+    ``keys`` are int64 ndarrays with numpy on, ``array('q')`` buffers off.
     """
 
     radix: int
@@ -108,10 +109,10 @@ class Adjacency:
 
     Edges adjacent to vertex rowid ``v`` are
     ``edge_rowids[offsets[v]:offsets[v + 1]]``, in edge-rowid order — the
-    order Expand emits and the count-and-fill build produces.  With numpy
-    on, :meth:`key_view` adds a neighbor-ordered :class:`KeyView` of the
-    same slices, the sorted pair keys EXPAND_INTERSECT expands its driving
-    leg from and probes its other legs in.
+    order Expand emits and the count-and-fill build produces.
+    :meth:`key_view` adds a neighbor-ordered :class:`KeyView` of the same
+    slices, the sorted pair keys EXPAND_INTERSECT expands its driving leg
+    from and probes its other legs in, with numpy on or off.
     """
 
     vertex_label: str
@@ -147,30 +148,40 @@ class Adjacency:
             vector.cached_vector(self._vectors, "edges", self.edge_rowids),
         )
 
-    def key_view(self, far: Sequence[int], radix: int) -> KeyView | None:
-        """This adjacency's :class:`KeyView`; None with numpy off.
+    def key_view(self, far: Sequence[int], radix: int) -> KeyView:
+        """This adjacency's :class:`KeyView`, in the domain of
+        :meth:`vectors` (ndarrays with numpy on, ``array('q')`` off).
 
         ``far`` is the far endpoint of every edge rowid (the edge index's
         :meth:`EdgeIndex.endpoint_vector` for this direction) and ``radix``
         must exceed every far rowid; keys are int64, so the vertex count
-        times ``radix`` must stay below ``2**63``.  Built on first use and
-        cached (one view, rebuilt if asked for another ``radix``): the
-        index is immutable, and a view is stored only once complete, so
-        two workers building it at once each publish a whole, equal view.
+        times ``radix`` must stay below ``2**63``.  Both forms sort each
+        slice stably by far endpoint, so they hold the same edges and keys.
+        Built on first use and cached (one view, rebuilt if asked for
+        another ``radix`` or domain): the index is immutable, and a view is
+        stored only once complete, so two workers building it at once each
+        publish a whole, equal view.
         """
-        np = vector._np
-        if np is None or not vector.numpy_enabled():
-            return None
+        offsets, edges = self.vectors()
         view = self._vectors.get("key_view")
-        if view is None or view.radix != radix:
-            offsets, edges = self.vectors()
-            owners = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
-            keys = owners * radix + far[edges]
-            # Stable: equal keys (parallel edges) keep the CSR's
-            # edge-rowid order.
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            view = KeyView(radix, edges[order], keys, not (keys[1:] == keys[:-1]).any())
+        if view is None or view.radix != radix or type(view.edges) is not type(edges):
+            if vector.is_ndarray(edges):
+                np = vector._np
+                owners = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+                keys = owners * radix + far[edges]
+                # Stable: equal keys (parallel edges) keep the CSR's
+                # edge-rowid order.
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                view = KeyView(radix, edges[order], keys, not (keys[1:] == keys[:-1]).any())
+            else:
+                ordered, keys = array("q"), array("q")
+                for v in range(len(offsets) - 1):
+                    run = sorted(edges[offsets[v] : offsets[v + 1]], key=far.__getitem__)
+                    ordered.extend(run)
+                    keys.extend([v * radix + far[e] for e in run])
+                distinct = all(a != b for a, b in zip(keys, keys[1:]))
+                view = KeyView(radix, ordered, keys, distinct)
             self._vectors["key_view"] = view
         return view
 

@@ -451,13 +451,11 @@ class ExpandIntersect(GraphOperator):
             from_idx = self.child.var_index(leg.from_var)
             from_label = self.child.output_vars[from_idx].label
             adjacency = self.index.adjacency(from_label, leg.edge_label, leg.direction)
-            offsets, edges = adjacency.vectors()
             far = self.index.edge_index(leg.edge_label).endpoint_vector(leg.direction)
             legs.append(
                 IntersectLeg(
                     from_idx,
-                    offsets,
-                    edges,
+                    adjacency.vectors()[0],
                     far,
                     adjacency.key_view(far, radix),
                     _mask(ctx, self.mapping.edge_table(leg.edge_label), leg.edge_predicate),
@@ -542,10 +540,7 @@ class ExistsFilter(GraphOperator):
         column = self.child.var_index(self.anchor)
         label = self.child.output_vars[column].label
         yield from exists_filter(
-            self.child.columnar_batches(ctx),
-            column,
-            self._steps(ctx, label, self.branches),
-            ctx.pin(self.mapping.vertex_table(label)).num_rows,
+            self.child.columnar_batches(ctx), column, self._steps(ctx, label, self.branches)
         )
 
     def _steps(self, ctx, label: str, branches) -> tuple[ExistsStep, ...]:
@@ -681,7 +676,7 @@ class EdgeTripleScan(GraphOperator):
         if self.dst_var == self.src_var:
             # A self-loop binds one vertex: only the edges whose endpoints
             # agree match, and the vertex is one column.
-            loop = LazyMask(lambda e: src_rowids[e] == dst_rowids[e], n)
+            loop = LazyMask.per_rowid(lambda e: src_rowids[e] == dst_rowids[e], n)
             lookups.append((loop, edge_ids))
             del columns[1]
         if self.edge_var is not None:

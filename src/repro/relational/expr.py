@@ -972,7 +972,7 @@ def rowid_mask(table: "Table", predicate: Expr, num_rows: int | None = None):
             mask = mask_fn(columns, length)
             if mask is not None:
                 return mask
-    return _vector.LazyMask(rowid_predicate(table, predicate), length)
+    return _vector.LazyMask.per_rowid(rowid_predicate(table, predicate), length)
 
 
 # ---------------------------------------------------------------------- #

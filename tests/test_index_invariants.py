@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.exec import numpy_available
+from repro.exec import numpy_available, set_numpy_enabled
 from repro.graph.index import IN, OUT, build_graph_index
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
@@ -100,36 +100,48 @@ def test_degrees_sum_to_edge_count(data):
     assert total == catalog.table("E").num_rows
 
 
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="key views are numpy arrays")
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="compares numpy arrays")
+NUMPY_MODES = [True, False] if numpy_available() else [False]
 
 
-@needs_numpy
 @settings(max_examples=60, deadline=None)
 @given(random_graphs())
 def test_key_view_orders_each_slice_by_neighbor(data):
     """The key view holds each vertex's CSR slice in (far endpoint, edge
     rowid) order with its sorted pair keys, and ``distinct`` says whether
-    the adjacency has parallel edges."""
+    the adjacency has parallel edges — with numpy on and off, in the
+    domain of the adjacency's vectors, and the two forms hold the same
+    values."""
     catalog, mapping = data
     index = build_graph_index(mapping)
     ev = index.edge_index("E")
     radix = catalog.table("V").num_rows
     links = list(zip(ev.src_rowids, ev.dst_rowids))
-    for direction in (OUT, IN):
-        adj = index.adjacency("V", "E", direction)
-        far = ev.endpoint_vector(direction)
-        view = adj.key_view(far, radix)
-        for v in range(radix):
-            lo, hi = adj.offsets[v], adj.offsets[v + 1]
-            csr = list(adj.edges_of(v))
-            ordered = view.edges[lo:hi].tolist()
-            assert sorted(ordered) == sorted(csr)
-            assert ordered == sorted(csr, key=lambda e: (far[e], e))
-            assert view.keys[lo:hi].tolist() == [v * radix + int(far[e]) for e in ordered]
-        keys = view.keys.tolist()
-        assert all(a <= b for a, b in zip(keys, keys[1:]))
-        assert view.distinct == (len(set(links)) == len(links))
-        assert adj.key_view(far, radix) is view
+    forms = []
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            for direction in (OUT, IN):
+                adj = index.adjacency("V", "E", direction)
+                far = ev.endpoint_vector(direction)
+                view = adj.key_view(far, radix)
+                # A view cached in the other mode is rebuilt in this one.
+                assert type(view.edges) is type(view.keys) is type(adj.vectors()[1])
+                for v in range(radix):
+                    lo, hi = adj.offsets[v], adj.offsets[v + 1]
+                    csr = list(adj.edges_of(v))
+                    ordered = view.edges[lo:hi].tolist()
+                    assert sorted(ordered) == sorted(csr)
+                    assert ordered == sorted(csr, key=lambda e: (far[e], e))
+                    assert view.keys[lo:hi].tolist() == [v * radix + int(far[e]) for e in ordered]
+                keys = view.keys.tolist()
+                assert all(a <= b for a, b in zip(keys, keys[1:]))
+                assert view.distinct == (len(set(links)) == len(links))
+                assert adj.key_view(far, radix) is view
+                forms.append((view.edges.tolist(), keys, view.distinct))
+    finally:
+        set_numpy_enabled(None)
+    assert forms[:2] == forms[-2:]
 
 
 @needs_numpy
@@ -188,7 +200,6 @@ def test_key_view_built_by_racing_threads_is_whole():
     assert len(views) == 24
 
 
-@needs_numpy
 def test_key_view_is_rebuilt_with_the_index():
     """After appending ``knows`` edges (one of them parallel to an existing
     one) and swapping the index, QC1 returns the reference matcher's

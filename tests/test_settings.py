@@ -388,12 +388,18 @@ def test_expand_intersect_is_one_kernel():
 
 
 def test_intersect_probes_sorted_views_without_sorting():
-    """The vectorized EXPAND_INTERSECT body — ``_intersect_vectors`` and
-    every kernel-module function it reaches — never sorts: the driving
-    leg's pairs come out of its key view in order, the others are probed by
-    binary search."""
-    tree = ast.parse(_sources()["repro/exec/kernels.py"])
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    """EXPAND_INTERSECT is one body in both modes — ``intersect_expand`` and
+    every kernel- or vector-module function it reaches — and it never
+    sorts: the driving leg's pairs come out of its key view in order, the
+    others are probed by binary search (``searchsorted`` with numpy,
+    ``bisect`` without)."""
+    sources = _sources()
+    functions = {}
+    for module in ("repro/exec/vector.py", "repro/exec/kernels.py"):
+        tree = ast.parse(sources[module])
+        functions.update(
+            (node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)
+        )
 
     def called(node):
         for call in ast.walk(node):
@@ -401,14 +407,15 @@ def test_intersect_probes_sorted_views_without_sorting():
                 func = call.func
                 yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
-    body, todo = set(), ["_intersect_vectors"]
+    body, todo = set(), ["intersect_expand"]
     while todo:
         name = todo.pop()
         if name not in body:
             body.add(name)
             todo.extend(c for c in called(functions[name]) if c in functions)
-    assert {"_intersect_vectors", "csr_expand_vectors"} <= body
-    assert "_intersect_walk" not in body
+    assert {"intersect_expand", "_intersect_slice", "csr_expand_vectors", "key_runs"} <= body
+    assert {"searchsorted", "bisect_left", "bisect_right"} <= set(called(functions["key_runs"]))
+    assert not {"_intersect_vectors", "_intersect_lists"} & functions.keys()
     for name in sorted(body):
         sorts = {c for c in called(functions[name])} & {"sort", "argsort", "lexsort", "sorted"}
         assert not sorts, (name, sorts)
@@ -444,8 +451,8 @@ def test_predicates_have_one_vectorized_body():
 
 def test_exists_checks_are_one_kernel_without_a_switch():
     """DeadBranchRule's EXISTS check is one kernel call in the operator;
-    the kernel's vectorized body loops over batches and branches only,
-    never over rows; and nothing turns the rule on or off but
+    the kernel loops over batches, branches and masks only, never over rows,
+    and never branches on numpy; and nothing turns the rule on or off but
     ``enable_rules``."""
     from dataclasses import fields
 
@@ -468,17 +475,42 @@ def test_exists_checks_are_one_kernel_without_a_switch():
     assert calls.count("exists_filter") == 1
     kernels = ast.parse(sources["repro/exec/kernels.py"])
     functions = {n.name: n for n in kernels.body if isinstance(n, ast.FunctionDef)}
-    for name in ("_exists_vectors", "_reach_all", "_reach"):
+    for name in ("exists_filter", "_branch_mask", "_passing_all", "_reach"):
         for node in ast.walk(functions[name]):
             assert not isinstance(node, ast.comprehension), name
             if isinstance(node, ast.For):
-                assert ast.unparse(node.iter) in ("source", "steps"), name
+                assert ast.unparse(node.iter) in ("source", "masks"), name
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "tolist", name
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                assert getattr(node, "id", getattr(node, "attr", None)) not in (
+                    "is_ndarray", "_np", "np"
+                ), name
     switches = [f.name for f in fields(RelGoConfig)] + [f.name for f in fields(LoweringConfig)]
     switches += list(settings.EnvSettings._fields)
     assert not [s for s in switches if re.search("dead|branch|semi|pruned", s)]
     assert len(settings.EnvSettings._fields) == len(VARIABLES)
+
+
+def test_graph_kernels_have_one_algorithm():
+    """EXPAND_INTERSECT and EXISTS run one algorithm with numpy on or off:
+    the per-mode walks are gone, every adjacency has a key view in both
+    modes, and no kernel falls back when a view is missing."""
+    sources = _sources()
+    for module, text in sources.items():
+        for gone in ("_intersect_walk", "_exists_walk", "_walk_reaches", "_all_vectors", "_exists_vectors"):
+            assert gone not in text, (module, gone)
+    (adjacency,) = (
+        node
+        for node in ast.walk(ast.parse(sources["repro/graph/index.py"]))
+        if isinstance(node, ast.ClassDef) and node.name == "Adjacency"
+    )
+    (key_view,) = (n for n in adjacency.body if getattr(n, "name", None) == "key_view")
+    for node in ast.walk(key_view):
+        if isinstance(node, ast.Return):
+            assert node.value is not None and ast.unparse(node.value) != "None"
+    assert "None" not in ast.unparse(key_view.returns)
+    assert not re.search(r"view is (not )?None", sources["repro/exec/kernels.py"])
 
 
 def test_hot_execute_reads_no_environment(monkeypatch):

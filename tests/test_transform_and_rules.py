@@ -19,13 +19,15 @@ from repro.core.rules import apply_filter_into_match, apply_trim_and_fuse
 from repro.core.spjm import GraphTableClause, MatchColumn, SPJMQuery
 from repro.core.sqlpgq import parse_and_bind
 from repro.core.transform import translate_match
-from repro.exec import ExecutionContext, numpy_available, set_numpy_enabled
+from repro.exec import ExecutionContext, kernels, numpy_available, set_numpy_enabled
+from repro.exec.vector import as_values
 from repro.graph.cost import StarStep
 from repro.graph.index import build_graph_index
 from repro.graph.matching import match_pattern
 from repro.graph.optimizer import GraphPlan, LoweringConfig, dead_branches, lower_plan
 from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex
 from repro.graph.rgmapping import RGMapping
+from repro.relational import expr as expr_module
 from repro.relational.catalog import Catalog
 from repro.relational.expr import col, eq, gt, lit
 from repro.relational.schema import Column, ForeignKey, TableSchema
@@ -500,7 +502,7 @@ def _breadth_first(pattern: PatternGraph, root: str) -> list[str]:
 def test_exists_checks_keep_the_live_tuples(graph, sql, batch_size):
     """Lowered from a live root, so every dead dangling branch that fans
     out becomes an EXISTS check: the distinct live tuples equal the
-    reference matcher's, numpy on and off."""
+    reference matcher's, numpy on and off, in batches of equal lengths."""
     catalog = _branch_graph(*graph)
     query = parse_and_bind(sql, catalog)
     mapping, index = catalog.graph("G"), catalog.graph_index("G")
@@ -516,13 +518,73 @@ def test_exists_checks_keep_the_live_tuples(graph, sql, batch_size):
     variables = sorted(live | kept)
     expected = {tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)}
     positions = [op.var_index(v) for v in variables]
+    lengths = []
     try:
         for numpy_on in NUMPY_MODES:
             set_numpy_enabled(numpy_on)
-            rows = op.execute(ExecutionContext(batch_size=batch_size))
+            batches = [
+                cb.to_rows()
+                for cb in op.columnar_batches(ExecutionContext(batch_size=batch_size))
+            ]
+            rows = [row for batch in batches for row in batch]
             assert {tuple(row[p] for p in positions) for row in rows} == expected
+            lengths.append([len(batch) for batch in batches])
     finally:
         set_numpy_enabled(None)
+    # One algorithm: the same rows survive in the same batches either way.
+    assert all(x == lengths[0] for x in lengths)
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+def test_exists_decides_each_far_vertex_once(numpy_on, monkeypatch):
+    """Across batches of one anchor each, an EXISTS chain ``v0 -> v1 <- v2``
+    evaluates ``v2``'s lazy predicate at most once per rowid and expands
+    each vertex along each step at most once — ``v1 = 2`` is reached from
+    anchors 0 and 1, in different batches."""
+    catalog = _branch_graph(*PINNED_GRAPH)
+    sql = (
+        "SELECT MIN(g.c0) AS m0 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+        "(v2:Person)-[e1:Link]->(v1:Person) WHERE v2.name LIKE 'A%' COLUMNS (v0.name AS c0)) g"
+    )
+    query = parse_and_bind(sql, catalog)
+    mapping, index = catalog.graph("G"), catalog.graph_index("G")
+    pattern = query.graph_table.pattern
+    plan = _linear_plan(pattern, ["v0", "v1", "v2"])
+    exists = dead_branches(plan, frozenset({"v0"}), index)
+    op = lower_plan(plan, mapping, index, LoweringConfig(exists=exists))
+    assert op.explain().count("EXISTS") == 1
+
+    checked, expanded = [], []
+    compile_check = expr_module.rowid_predicate
+
+    def counting_predicate(table, predicate):
+        check = compile_check(table, predicate)
+
+        def counted(rowid):
+            checked.append(rowid)
+            return check(rowid)
+
+        return counted
+
+    expand = kernels.csr_expand_vectors
+
+    def recording(vertices, offsets, edges):
+        expanded.extend((id(offsets), v) for v in as_values(vertices))
+        return expand(vertices, offsets, edges)
+
+    monkeypatch.setattr(expr_module, "rowid_predicate", counting_predicate)
+    monkeypatch.setattr(kernels, "csr_expand_vectors", recording)
+    set_numpy_enabled(numpy_on)
+    try:
+        rows = op.execute(ExecutionContext(batch_size=1))
+    finally:
+        set_numpy_enabled(None)
+    # Names cycle A, B, C, NULL: only persons 0 and 4 are 'A...'; they
+    # link to 1, 2, 0 and 5, which persons 0, 1, 4 and 5 link to.
+    column = op.var_index("v0")
+    assert sorted(row[column] for row in rows) == [0, 1, 4, 5]
+    assert checked and len(checked) == len(set(checked))
+    assert expanded and len(expanded) == len(set(expanded))
 
 
 def _pinned_query(consumer: str, semantics: str = "homomorphism"):
