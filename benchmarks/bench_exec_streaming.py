@@ -34,18 +34,19 @@ byte-identical, and the recorded overhead ratio is the price of arming
 every cooperative check at every batch boundary.
 
 A **strings** section measures the dictionary-encoded string backend (the
-engine default since this PR) against the ``REPRO_STORAGE=typed`` opt-out
-— the PR-5 engine, re-run live in the same process with the same plans,
-data and min-over-repetitions estimator, so ``dict_speedup`` is a
-like-for-like ratio — across a string-equality filter, a string-keyed
-hash join and a string-keyed aggregation, asserting byte-identical
-results and reporting per-column resident bytes for both backends.
+engine default) against ``REPRO_STORAGE=list`` — strings as plain lists,
+read through '<U' ndarray views — re-run live in the same process with
+the same plans, data and min-over-repetitions estimator, so
+``dict_speedup`` is a like-for-like ratio — across a string-equality
+filter, a string-keyed hash join and a string-keyed aggregation,
+asserting byte-identical results and reporting per-column resident bytes
+for both backends.
 
 Alongside the query profiles, a storage microbench section tracks the
-typed-storage substrate itself: bulk-load throughput (``Table.extend``
-into ``array.array`` vs plain-list columns), pk-index build + lookup, and
-the same filter-scan query executed against dict / typed-numpy /
-typed-no-numpy / list-backed catalogs.
+storage substrate itself: bulk-load throughput (``Table.extend`` into the
+default backend's ``array.array`` / dictionary columns vs plain-list
+columns), pk-index build + lookup, and the same filter-scan query
+executed in every cell of the storage x numpy matrix.
 """
 
 from __future__ import annotations
@@ -584,15 +585,15 @@ def test_bench_spill_smoke():
 
 
 # --------------------------------------------------------------------- #
-# dictionary-encoded string scenarios (dict backend vs typed opt-out)
+# dictionary-encoded string scenarios (dict backend vs plain lists)
 # --------------------------------------------------------------------- #
 
 #: Storage backends the string scenarios compare: the dictionary-encoded
-#: default against the ``REPRO_STORAGE=typed`` opt-out, which is exactly
-#: the PR-5 engine (strings as plain lists / '<U' vector views).  The
-#: typed leg re-measures that baseline live in the same process, so the
-#: recorded ``dict_speedup`` is machine- and estimator-matched.
-STRING_BACKENDS = ("dict", "typed")
+#: default against ``REPRO_STORAGE=list`` (strings as plain lists / '<U'
+#: vector views).  The list leg re-measures that baseline live in the
+#: same process, so the recorded ``dict_speedup`` is machine- and
+#: estimator-matched.
+STRING_BACKENDS = ("dict", "list")
 
 
 def _string_tables(n: int) -> tuple[Table, Table]:
@@ -714,15 +715,15 @@ def _measure_string_scenarios(
         runs[backend] = measured
     out: dict[str, dict] = {}
     for name, (dict_ms, dict_result) in runs["dict"].items():
-        typed_ms, typed_result = runs["typed"][name]
-        assert dict_result.sorted_rows() == typed_result.sorted_rows(), name
-        assert dict_result.rows_produced == typed_result.rows_produced, name
+        list_ms, list_result = runs["list"][name]
+        assert dict_result.sorted_rows() == list_result.sorted_rows(), name
+        assert dict_result.rows_produced == list_result.rows_produced, name
         out[name] = {
             "rows": n,
             "dict_ms": dict_ms,
-            "typed_ms": typed_ms,
+            "list_ms": list_ms,
             "result_rows": len(dict_result),
-            "dict_speedup": typed_ms / max(dict_ms, 1e-9),
+            "dict_speedup": list_ms / max(dict_ms, 1e-9),
         }
     name_bytes = {
         backend: memory[backend]["str_events"]["name"]
@@ -730,14 +731,14 @@ def _measure_string_scenarios(
     }
     out["memory_bytes"] = {
         **memory,
-        "name_column_compression": name_bytes["typed"]
+        "name_column_compression": name_bytes["list"]
         / max(name_bytes["dict"], 1),
     }
     return out
 
 
 def test_bench_strings_smoke():
-    """Standalone dict-vs-typed smoke (CI's dict-backend leg): identical
+    """Standalone dict-vs-list smoke (CI's dict-backend leg): identical
     results are asserted inside the sweep; speedups are recorded, with
     only a loose no-pathology bound at smoke scale."""
     results = _measure_string_scenarios(min(bench_scale(), 0.25), repetitions=5)
@@ -796,16 +797,10 @@ def _bench_bulk_load(rows: list[tuple]) -> dict:
         table.extend_columns(columns, validate=False)
         return table
 
-    set_storage_backend("typed")
-    try:
-        typed_ms = _time_best(load)
-        typed_columns_ms = _time_best(load_columns)
-    finally:
-        set_storage_backend(None)
-    # The default (dict) backend interns every string on ingest: a real
-    # load-side cost the query-side wins pay for, tracked separately so
-    # the typed-buffer numbers stay comparable across PRs.
+    # The default (dict) backend fills typed buffers and interns every
+    # string on ingest: a real load-side cost the query-side wins pay for.
     dict_ms = _time_best(load)
+    columns_ms = _time_best(load_columns)
     set_storage_backend("list")
     try:
         list_ms = _time_best(load)
@@ -813,14 +808,12 @@ def _bench_bulk_load(rows: list[tuple]) -> dict:
         set_storage_backend(None)
     return {
         "rows": len(rows),
-        "typed_ms": typed_ms,
-        "typed_columns_ms": typed_columns_ms,
         "dict_ms": dict_ms,
+        "columns_ms": columns_ms,
         "list_ms": list_ms,
-        "typed_speedup": list_ms / max(typed_ms, 1e-9),
         "dict_vs_list": list_ms / max(dict_ms, 1e-9),
-        "columns_vs_rows": typed_ms / max(typed_columns_ms, 1e-9),
-        "columns_vs_list": list_ms / max(typed_columns_ms, 1e-9),
+        "columns_vs_rows": dict_ms / max(columns_ms, 1e-9),
+        "columns_vs_list": list_ms / max(columns_ms, 1e-9),
     }
 
 
@@ -853,14 +846,24 @@ def _bench_pk_lookup(rows: list[tuple]) -> dict:
     }
 
 
-def _bench_storage_query(scale: float) -> dict:
-    """The filter-scan query against each storage backend's own catalog."""
+#: The storage x numpy matrix, by cell: (storage backend, numpy on) — the
+#: cells of the test suite's ``storage_mode`` fixture.
+STORAGE_CELLS = {
+    "dict": ("dict", True),
+    "numpy": ("list", True),
+    "array": ("dict", False),
+    "list": ("list", False),
+}
 
-    backends = {"dict": "dict", "numpy": "typed", "array": "typed", "list": "list"}
+
+def _bench_storage_query(scale: float) -> dict:
+    """The filter-scan query in every storage x numpy cell, each against
+    a catalog built under the cell's storage backend."""
 
     def run_mode(mode: str) -> float:
-        set_numpy_enabled(mode in ("dict", "numpy"))
-        set_storage_backend(backends[mode])
+        backend, use_numpy = STORAGE_CELLS[mode]
+        set_numpy_enabled(use_numpy)
+        set_storage_backend(backend)
         try:
             catalog, mapping = generate_ldbc(LdbcParams.scaled(scale, seed=7))
             catalog.register_graph_index(build_graph_index(mapping))
@@ -877,18 +880,12 @@ def _bench_storage_query(scale: float) -> dict:
             set_numpy_enabled(None)
             set_storage_backend(None)
 
-    dict_ms = run_mode("dict")
-    numpy_ms = run_mode("numpy")
-    array_ms = run_mode("array")
-    list_ms = run_mode("list")
+    ms = {mode: run_mode(mode) for mode in STORAGE_CELLS}
     return {
         "query": "filter_scan",
-        "dict_ms": dict_ms,
-        "numpy_ms": numpy_ms,
-        "array_ms": array_ms,
-        "list_ms": list_ms,
-        "numpy_vs_list": list_ms / max(numpy_ms, 1e-9),
-        "dict_vs_list": list_ms / max(dict_ms, 1e-9),
+        **{f"{mode}_ms": value for mode, value in ms.items()},
+        "numpy_vs_list": ms["list"] / max(ms["numpy"], 1e-9),
+        "dict_vs_list": ms["list"] / max(ms["dict"], 1e-9),
     }
 
 
@@ -1175,7 +1172,7 @@ def test_bench_exec_streaming(benchmark, ldbc10):
         r = strings[name]
         lines.append(
             f"{name} ({r['rows']} rows): dict {r['dict_ms']:.3f} ms vs "
-            f"typed {r['typed_ms']:.3f} ms -> {r['dict_speedup']:.2f}x "
+            f"list {r['list_ms']:.3f} ms -> {r['dict_speedup']:.2f}x "
             f"({r['result_rows']} rows out)"
         )
     lines.append(
@@ -1183,7 +1180,7 @@ def test_bench_exec_streaming(benchmark, ldbc10):
         f"{strings['memory_bytes']['name_column_compression']:.2f}x smaller "
         f"dictionary-encoded "
         f"({strings['memory_bytes']['dict']['str_events']['name']} vs "
-        f"{strings['memory_bytes']['typed']['str_events']['name']} bytes)"
+        f"{strings['memory_bytes']['list']['str_events']['name']} bytes)"
     )
     lines.append("-" * 50)
     lines.append(
@@ -1209,12 +1206,11 @@ def test_bench_exec_streaming(benchmark, ldbc10):
     lines.append("-" * 50)
     bl = micro["bulk_load"]
     lines.append(
-        f"bulk_load ({bl['rows']} rows): typed {bl['typed_ms']:.2f} ms vs "
-        f"list {bl['list_ms']:.2f} ms -> {bl['typed_speedup']:.2f}x "
-        f"(column-major {bl['typed_columns_ms']:.2f} ms, "
-        f"{bl['columns_vs_rows']:.2f}x vs row-tuple typed, "
-        f"{bl['columns_vs_list']:.2f}x vs list; dict interning "
-        f"{bl['dict_ms']:.2f} ms, {bl['dict_vs_list']:.2f}x vs list)"
+        f"bulk_load ({bl['rows']} rows): dict {bl['dict_ms']:.2f} ms vs "
+        f"list {bl['list_ms']:.2f} ms -> {bl['dict_vs_list']:.2f}x "
+        f"(column-major {bl['columns_ms']:.2f} ms, "
+        f"{bl['columns_vs_rows']:.2f}x vs row tuples, "
+        f"{bl['columns_vs_list']:.2f}x vs list)"
     )
     pk = micro["pk_lookup"]
     lines.append(
@@ -1253,8 +1249,8 @@ def test_bench_exec_streaming(benchmark, ldbc10):
     # combination; the pre-fix engine emitted one output row per NaN input.
     assert results["groupby_heavy"]["columnar"]["result_rows"] <= 64
     # Dictionary-encoding acceptance gate: on the string-dominated
-    # scenarios the dict backend must beat the typed (PR-5) opt-out —
-    # measured live in this same run — by >= 2x at the tracked scale.
+    # scenarios the dict backend must beat plain-list strings — measured
+    # live in this same run — by >= 2x at the tracked scale.
     for name in ("string_filter", "string_join", "string_groupby"):
         assert strings[name]["dict_speedup"] > 0.5, (name, strings[name])
         if scale == DEFAULT_SCALE:
@@ -1278,13 +1274,11 @@ def test_bench_exec_streaming(benchmark, ldbc10):
     for name, r in spill["degradation"].items():
         assert r["peak_buffered_rows"] <= spill["working_set_rows"], (name, r)
     assert spill["degradation"]["0.25x"]["spill_files"] > 0
-    # Typed bulk loads pay an unboxing cost filling C buffers (recorded at
-    # ~0.7x of plain-list appends) in exchange for the query-side wins
-    # above; the column-major path must erase that transpose penalty.  The
-    # dict backend additionally interns every string on ingest (~0.3x on
-    # this unique-heavy content column — the worst case for a dictionary),
-    # bounded here so the intern path never degenerates further.
-    assert micro["bulk_load"]["typed_speedup"] > 0.5
+    # Default-backend bulk loads pay for filling C buffers and interning
+    # strings (this unique-heavy content column is the worst case for a
+    # dictionary) in exchange for the query-side wins above, bounded here
+    # so the intern path never degenerates; the column-major path must
+    # erase the row-tuple transpose penalty.
     assert micro["bulk_load"]["columns_vs_rows"] > 1.0
     assert micro["bulk_load"]["dict_vs_list"] > 0.15
     # Serving acceptance gate: a cache hit skips lexer/parser/binder/

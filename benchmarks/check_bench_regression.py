@@ -57,7 +57,10 @@ def _tracked_times(doc: dict, include_multithread: bool) -> dict[str, float]:
         if name == "memory_bytes":
             continue
         times[f"strings/{name}/dict"] = entry["dict_ms"]
-        times[f"strings/{name}/typed"] = entry["typed_ms"]
+        # Baselines recorded while the ``typed`` backend existed compare
+        # against it instead; their ``list`` entries then read as new.
+        if "list_ms" in entry:
+            times[f"strings/{name}/list"] = entry["list_ms"]
     for name, entry in doc.get("lifecycle", {}).items():
         times[f"lifecycle/{name}/bare"] = entry["bare_ms"]
         times[f"lifecycle/{name}/armed"] = entry["armed_ms"]

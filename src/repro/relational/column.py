@@ -3,7 +3,7 @@
 A :class:`~repro.relational.table.Table` column lives in one of four
 physical representations, selected per column from the schema dtype:
 
-* ``array.array`` — the **typed** backend for INT (``'q'``) and FLOAT
+* ``array.array`` — the **typed buffer** for INT (``'q'``) and FLOAT
   (``'d'``) columns: a dense C buffer of machine scalars.  Indexing and
   slicing return plain Python values, so the row-tuple protocol is
   unchanged, while the buffer converts to a numpy ``ndarray`` in one
@@ -26,11 +26,11 @@ physical representations, selected per column from the schema dtype:
   *read-optimized view* the columnar kernels gather from; see
   :func:`repro.exec.vector.vector_view` and ``Table.vector``.
 
-The backend is process-global: ``set_storage_backend("typed")`` (or the
-``REPRO_STORAGE=typed`` environment variable) opts string columns out of
-dictionary encoding (the pre-dictionary engine: strings on plain lists),
-and ``"list"`` forces every new column onto plain lists — how the parity
-suite and CI pin the reference behaviours.
+The backend is process-global and has two values: ``"dict"`` (the
+default, the layout above) and ``"list"``, set by
+``set_storage_backend("list")`` or ``REPRO_STORAGE=list``, which forces
+every new column onto plain lists — the reference behaviour the parity
+suites and CI pin against the default.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from typing import Any, Sequence
 from repro import settings
 from repro.relational.types import DataType
 
-DICT = "dict"
-TYPED = "typed"
 LIST = "list"
 
 #: ``set_storage_backend``'s override; None defers to ``REPRO_STORAGE``.
@@ -76,7 +74,7 @@ class DictDemotion(TypeError):
 
 
 def storage_backend() -> str:
-    """The active storage backend: ``"dict"``, ``"typed"`` or ``"list"``."""
+    """The active storage backend: ``"dict"`` or ``"list"``."""
     return _backend or settings.current().storage
 
 
@@ -89,7 +87,10 @@ def set_storage_backend(name: str | None) -> None:
     """
     global _backend
     if name is not None and name not in settings.STORAGE_BACKENDS:
-        raise ValueError(f"unknown storage backend {name!r}")
+        raise ValueError(
+            f"unknown storage backend {name!r}: must be one of "
+            f"{settings.STORAGE_BACKENDS}"
+        )
     _backend = name
 
 
@@ -201,10 +202,9 @@ class DictColumn:
 
 def make_storage(dtype: DataType) -> list | array | DictColumn:
     """Fresh, empty storage for one column of ``dtype``."""
-    backend = storage_backend()
-    if backend == LIST:
+    if storage_backend() == LIST:
         return []
-    if backend == DICT and dtype is DataType.STRING:
+    if dtype is DataType.STRING:
         return DictColumn()
     typecode = dtype.array_typecode()
     if typecode is None:
@@ -250,11 +250,6 @@ def extend_values(storage, values: Sequence[Any]):
         return promoted
 
 
-def is_typed(storage: Any) -> bool:
-    """True when ``storage`` is a typed (``array.array``) buffer."""
-    return isinstance(storage, array)
-
-
 def is_dict(storage: Any) -> bool:
     """True when ``storage`` is a dictionary-encoded column."""
     return type(storage) is DictColumn
@@ -281,8 +276,6 @@ def column_nbytes(storage) -> int:
 
 
 __all__ = [
-    "DICT",
-    "TYPED",
     "LIST",
     "DEMOTE_MIN_ROWS",
     "DEMOTE_DISTINCT_RATIO",
@@ -293,7 +286,6 @@ __all__ = [
     "make_storage",
     "append_value",
     "extend_values",
-    "is_typed",
     "is_dict",
     "column_nbytes",
 ]

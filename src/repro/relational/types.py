@@ -29,18 +29,6 @@ class DataType(enum.Enum):
     BOOL = "BOOL"
     DATE = "DATE"
 
-    def python_types(self) -> tuple[type, ...]:
-        """The Python types accepted for values of this data type."""
-        if self is DataType.INT:
-            return (int,)
-        if self is DataType.FLOAT:
-            return (float, int)
-        if self is DataType.STRING:
-            return (str,)
-        if self is DataType.BOOL:
-            return (bool,)
-        return (str,)  # DATE is stored as an ISO string
-
     def array_typecode(self) -> str | None:
         """The ``array.array`` typecode backing this type's typed storage.
 
@@ -100,10 +88,3 @@ def comparable(left: DataType, right: DataType) -> bool:
     if left in (DataType.STRING, DataType.DATE) and right in (DataType.STRING, DataType.DATE):
         return True
     return left is right
-
-
-def common_type(left: DataType, right: DataType) -> DataType:
-    """The result type of an arithmetic expression over two inputs."""
-    if DataType.FLOAT in (left, right):
-        return DataType.FLOAT
-    return DataType.INT

@@ -7,7 +7,7 @@ the ``RelGoConfig`` field, then the environment, then the default:
 variable                     meaning                                     default     overridden by
 ===========================  ==========================================  ==========  ===============================================
 ``REPRO_STORAGE``            column storage for tables created           ``dict``    ``set_storage_backend(name)``
-                             afterwards: ``dict`` / ``typed`` / ``list``
+                             afterwards: ``dict`` / ``list``
 ``REPRO_PARALLELISM``        morsel-driven degree of parallelism         ``1``       ``RelGoConfig.parallelism``,
                              (values below 1 mean 1)                                 ``execute_plan(parallelism=)``
 ``REPRO_QUERY_TIMEOUT``      per-query deadline in seconds               none        ``RelGoConfig.query_timeout``,
@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 __all__ = ["EnvSettings", "STORAGE_BACKENDS", "current", "reload"]
 
-STORAGE_BACKENDS = ("dict", "typed", "list")
+STORAGE_BACKENDS = ("dict", "list")
 
 
 class EnvSettings(NamedTuple):

@@ -5,6 +5,9 @@ Person / Message / Likes / Knows / Place relations, the RGMapping onto the
 property graph G, and the graph index.  Ground-truth matching results on
 this graph are known by hand, so most correctness tests are phrased
 against it.
+
+``storage_mode`` runs a test once per cell of the engine's configuration
+matrix, storage backend x numpy (see ``STORAGE_MODES``).
 """
 
 from __future__ import annotations
@@ -113,6 +116,37 @@ def fig2():
     index = build_graph_index(mapping)
     catalog.register_graph_index(index)
     return catalog, mapping, index
+
+
+#: The storage x numpy matrix, by test id: (storage backend, numpy on).
+#: The ids name what sets each cell apart: ``dict`` is the default engine,
+#: ``numpy`` runs plain-list storage through ndarray views, ``array`` runs
+#: the default storage (``array.array`` buffers and dictionary strings)
+#: without numpy, and ``list`` is the pure-Python reference semantics.
+STORAGE_MODES = {
+    "dict": ("dict", True),
+    "numpy": ("list", True),
+    "array": ("dict", False),
+    "list": ("list", False),
+}
+
+
+@pytest.fixture(params=list(STORAGE_MODES))
+def storage_mode(request):
+    """Run under one storage x numpy cell (numpy cells skip without
+    numpy); the defaults are restored when the test ends.  Tables built
+    inside the test use the cell's storage backend."""
+    from repro.exec import numpy_available, set_numpy_enabled
+    from repro.relational.column import set_storage_backend
+
+    backend, use_numpy = STORAGE_MODES[request.param]
+    if use_numpy and not numpy_available():
+        pytest.skip("numpy not installed")
+    set_numpy_enabled(use_numpy)
+    set_storage_backend(backend)
+    yield request.param
+    set_numpy_enabled(None)
+    set_storage_backend(None)
 
 
 @pytest.fixture

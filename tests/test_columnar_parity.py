@@ -3,9 +3,9 @@
 Two halves:
 
 * **Workload parity** across the LDBC and JOB workload queries, under every
-  **storage backend** (numpy-accelerated typed storage, the pure-Python
-  ``array.array`` backend with numpy disabled, and the plain-list
-  fallback), against references that share no code with what they check:
+  cell of the **storage x numpy** matrix (the ``dict`` and ``list``
+  storage backends, each with numpy on and off), against references that
+  share no code with what they check:
 
   - every *converged* system (graph operators have one, columnar, body)
     must return, statement by statement, the answer of the graph-agnostic
@@ -44,7 +44,6 @@ from repro.exec.kernels import (
 )
 from repro.exec.operator import to_rows
 from repro.graph.index import build_graph_index
-from repro.relational.column import set_storage_backend
 from repro.relational.expr import and_, col, compile_predicate_columnar, gt, lit, lt
 from repro.relational.physical import SeqScan
 from repro.relational.schema import Column, TableSchema
@@ -58,49 +57,35 @@ from repro.workloads.ldbc.queries import ic_queries, qc_queries, qr_queries
 
 
 # --------------------------------------------------------------------- #
-# workload parity (x storage backends)
+# workload parity (x storage x numpy)
 # --------------------------------------------------------------------- #
 
-# Each backend builds its own catalogs and runs every parity query under
-# its storage/acceleration combination:
+# Each cell of the shared ``storage_mode`` fixture (tests/conftest.py)
+# builds its own catalogs and runs every parity query under its storage x
+# numpy combination:
 #   dict  — dictionary-encoded string columns over typed buffers with
-#           ndarray code views (the default backend; string predicates,
-#           joins and grouping run on int codes);
-#   numpy — typed array.array storage with strings as plain lists and
-#           ndarray vector views (the pre-dictionary fast path, still the
-#           REPRO_STORAGE=typed opt-out);
-#   array — the same typed storage with numpy disabled (pure-Python
-#           fallbacks over C buffers);
+#           ndarray code views (the default; string predicates, joins and
+#           grouping run on int codes);
+#   numpy — plain-list storage with ndarray vector views (clean int, float
+#           and string lists convert on read);
+#   array — the default storage with numpy disabled (pure-Python kernels
+#           over C buffers and dictionary codes);
 #   list  — plain-list storage, numpy disabled (the reference semantics).
-STORAGE_BACKENDS = ["dict", "numpy", "array", "list"]
-
-_BACKEND_OF_MODE = {"dict": "dict", "numpy": "typed", "array": "typed", "list": "list"}
-
-
-@pytest.fixture(scope="module", params=STORAGE_BACKENDS)
-def storage_backend(request):
-    mode = request.param
-    if mode in ("dict", "numpy") and not numpy_available():
-        pytest.skip("numpy not installed")
-    set_numpy_enabled(mode in ("dict", "numpy"))
-    set_storage_backend(_BACKEND_OF_MODE[mode])
-    yield mode
-    set_numpy_enabled(None)
-    set_storage_backend(None)
 
 
 @pytest.fixture(scope="module")
-def ldbc_small(storage_backend):
-    catalog, mapping = generate_ldbc(LdbcParams.scaled(0.3, seed=5))
-    catalog.register_graph_index(build_graph_index(mapping))
-    return catalog
+def built():
+    """Per-module memo: workload -> (cell, catalog, reference answers).
+    Only the latest cell's build is kept; the tests run cell by cell."""
+    return {}
 
 
-@pytest.fixture(scope="module")
-def imdb_small(storage_backend):
-    catalog, mapping = generate_imdb(JobParams.scaled(0.3, seed=5))
-    catalog.register_graph_index(build_graph_index(mapping))
-    return catalog
+def _workload(built, mode, name, generate, graph_name, queries):
+    if built.get(name, (None,))[0] != mode:
+        catalog, mapping = generate()
+        catalog.register_graph_index(build_graph_index(mapping))
+        built[name] = mode, catalog, _row_protocol_answers(catalog, graph_name, queries)
+    return built[name][1:]
 
 
 LDBC_QUERIES = {**ic_queries(), **qr_queries(), **qc_queries()}
@@ -121,14 +106,20 @@ def _row_protocol_answers(catalog, graph_name: str, queries: dict[str, str]) -> 
     return answers
 
 
-@pytest.fixture(scope="module")
-def ldbc_reference(ldbc_small):
-    return _row_protocol_answers(ldbc_small, "snb", LDBC_QUERIES)
+@pytest.fixture
+def ldbc_small(built, storage_mode):
+    return _workload(
+        built, storage_mode, "ldbc",
+        lambda: generate_ldbc(LdbcParams.scaled(0.3, seed=5)), "snb", LDBC_QUERIES,
+    )  # fmt: skip
 
 
-@pytest.fixture(scope="module")
-def imdb_reference(imdb_small):
-    return _row_protocol_answers(imdb_small, "imdb", JOB_QUERIES)
+@pytest.fixture
+def imdb_small(built, storage_mode):
+    return _workload(
+        built, storage_mode, "imdb",
+        lambda: generate_imdb(JobParams.scaled(0.3, seed=5)), "imdb", JOB_QUERIES,
+    )  # fmt: skip
 
 
 #: The Python types a result row may hold, whichever protocol built it.
@@ -167,15 +158,17 @@ LDBC_SYSTEMS = [
 
 
 @pytest.mark.parametrize("system_name", LDBC_SYSTEMS)
-def test_ldbc_workload_parity(ldbc_small, ldbc_reference, system_name):
-    system = make_system(system_name, ldbc_small, "snb")
-    _assert_parity(system, ldbc_small, LDBC_QUERIES, ldbc_reference)
+def test_ldbc_workload_parity(ldbc_small, system_name):
+    catalog, reference = ldbc_small
+    system = make_system(system_name, catalog, "snb")
+    _assert_parity(system, catalog, LDBC_QUERIES, reference)
 
 
 @pytest.mark.parametrize("system_name", ["relgo", "duckdb", "graindb"])
-def test_job_workload_parity(imdb_small, imdb_reference, system_name):
-    system = make_system(system_name, imdb_small, "imdb")
-    _assert_parity(system, imdb_small, JOB_QUERIES, imdb_reference)
+def test_job_workload_parity(imdb_small, system_name):
+    catalog, reference = imdb_small
+    system = make_system(system_name, catalog, "imdb")
+    _assert_parity(system, catalog, JOB_QUERIES, reference)
 
 
 # --------------------------------------------------------------------- #

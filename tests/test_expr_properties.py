@@ -278,7 +278,7 @@ SELECTION_FORMS = ["none", "range", "offset", "list", "ndarray", "empty"]
 @given(
     table_predicates(),
     MASK_ROWS,
-    st.sampled_from(["dict", "typed", "list"]),
+    st.sampled_from(["dict", "list"]),
     st.sampled_from(SELECTION_FORMS),
     st.data(),
     st.booleans(),

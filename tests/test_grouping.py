@@ -8,9 +8,10 @@ Four layers of coverage:
   emitted one group per NaN row (``(nan, 1), (nan, 1)``); now every
   engine/backend combination yields a single NaN group.  NULL keys form one
   group; MIN/MAX order NaN above every non-NaN value (the Postgres rule).
-* **Engine parity** — row vs columnar execution of identical plans across
-  the numpy / array / list storage backends, including batch-boundary group
-  merges (tiny batch sizes force groups to span many batches).
+* **Engine parity** — row vs columnar execution of identical plans in
+  every storage x numpy cell (the shared ``storage_mode`` fixture),
+  including batch-boundary group merges (tiny batch sizes force groups to
+  span many batches).
 * **Property test** — randomized key/value columns (NULLs, NaNs, mixed
   cardinality) against an order-independent reference aggregation.
 * **Kernel units** — factorize / combine_codes / canonicalization helpers,
@@ -37,7 +38,6 @@ from repro.exec.grouping import (
     factorize,
     make_accumulator,
 )
-from repro.relational.column import set_storage_backend
 from repro.relational.expr import col
 from repro.relational.logical import AggregateSpec
 from repro.relational.physical import AggregateOp, DistinctOp, SeqScan
@@ -54,18 +54,6 @@ def norm_rows(rows):
     return sorted(
         (tuple("NaN" if v != v else v for v in row) for row in rows), key=repr
     )
-
-
-@pytest.fixture(params=["numpy", "array", "list"])
-def backend(request):
-    mode = request.param
-    if mode == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    set_numpy_enabled(mode == "numpy")
-    set_storage_backend("list" if mode == "list" else "typed")
-    yield mode
-    set_numpy_enabled(None)
-    set_storage_backend(None)
 
 
 def _table(columns: dict[str, tuple[DataType, list]]) -> Table:
@@ -94,7 +82,7 @@ def _run_both(plan, batch_size=None):
 # --------------------------------------------------------------------- #
 
 
-def test_nan_keys_form_one_group(backend):
+def test_nan_keys_form_one_group(storage_mode):
     table = _table({"x": (DataType.FLOAT, [nan, nan, 1.0])})
     plan = AggregateOp(
         SeqScan(table, "t"),
@@ -106,14 +94,14 @@ def test_nan_keys_form_one_group(backend):
     assert norm_rows(result.rows) == norm_rows([(nan, 2), (1.0, 1)])
 
 
-def test_nan_rows_dedup_together(backend):
+def test_nan_rows_dedup_together(storage_mode):
     table = _table({"x": (DataType.FLOAT, [nan, 1.0, nan, nan, 1.0])})
     plan = DistinctOp(SeqScan(table, "t"))
     result = _run_both(plan)
     assert norm_rows(result.rows) == norm_rows([(nan,), (1.0,)])
 
 
-def test_null_keys_form_one_group(backend):
+def test_null_keys_form_one_group(storage_mode):
     table = _table({"x": (DataType.STRING, [None, "a", None, "a", None])})
     plan = AggregateOp(
         SeqScan(table, "t"),
@@ -124,7 +112,7 @@ def test_null_keys_form_one_group(backend):
     assert norm_rows(result.rows) == norm_rows([(None, 3), ("a", 2)])
 
 
-def test_multi_key_nan_and_null_grouping(backend):
+def test_multi_key_nan_and_null_grouping(storage_mode):
     table = _table(
         {
             "k": (DataType.STRING, ["a", None, "a", None, "a", "a"]),
@@ -154,7 +142,7 @@ def test_multi_key_nan_and_null_grouping(backend):
     )
 
 
-def test_min_max_nan_orders_above_everything(backend):
+def test_min_max_nan_orders_above_everything(storage_mode):
     # Postgres rule, order-independently: MIN is NaN only when all inputs
     # are NaN; MAX is NaN when any input is.
     for values in ([nan, 1.0, 3.0], [1.0, nan, 3.0], [3.0, 1.0, nan]):
@@ -181,7 +169,7 @@ def test_min_max_nan_orders_above_everything(backend):
 # --------------------------------------------------------------------- #
 
 
-def test_empty_input_grouped_and_global(backend):
+def test_empty_input_grouped_and_global(storage_mode):
     table = _table({"k": (DataType.INT, []), "v": (DataType.FLOAT, [])})
     grouped = AggregateOp(
         SeqScan(table, "t"),
@@ -201,7 +189,7 @@ def test_empty_input_grouped_and_global(backend):
     assert _run_both(DistinctOp(SeqScan(table, "t"))).rows == []
 
 
-def test_groups_merge_across_batch_boundaries(backend):
+def test_groups_merge_across_batch_boundaries(storage_mode):
     n = 50
     table = _table(
         {
@@ -234,7 +222,7 @@ def test_groups_merge_across_batch_boundaries(backend):
         ), batch_size
 
 
-def test_distinct_preserves_first_arrival_order(backend):
+def test_distinct_preserves_first_arrival_order(storage_mode):
     table = _table({"x": (DataType.INT, [3, 1, 3, 2, 1, 3])})
     plan = DistinctOp(SeqScan(table, "t"))
     for batch_size in (None, 2):
@@ -243,9 +231,9 @@ def test_distinct_preserves_first_arrival_order(backend):
         assert columnar.rows == row.rows == [(3,), (1,), (2,)]
 
 
-def test_high_cardinality_grouping_parity(backend):
+def test_high_cardinality_grouping_parity(storage_mode):
     # Enough distinct keys to engage the typed searchsorted/scatter state
-    # on the numpy backend; results must match the dict engines exactly.
+    # with numpy on; results must match the dict engines exactly.
     n = 1500
     table = _table(
         {
@@ -499,7 +487,7 @@ def test_all_distinct_uses_canonical_binding_equality(fig2):
     assert all(len({row[0], row[1], row[2]}) == 3 for row in columnar)
 
 
-def test_avg_is_exact_over_merges(backend):
+def test_avg_is_exact_over_merges(storage_mode):
     table = _table({"v": (DataType.FLOAT, [float(i) for i in range(10)])})
     plan = AggregateOp(
         SeqScan(table, "t"), [], [AggregateSpec("AVG", col("t.v"), "av")]
@@ -513,7 +501,7 @@ def test_avg_is_exact_over_merges(backend):
 # --------------------------------------------------------------------- #
 
 
-def test_count_arg_skips_nulls_with_ndarray_key(backend):
+def test_count_arg_skips_nulls_with_ndarray_key(storage_mode):
     # Regression: the COUNT-only vectorized shortcut must not use group
     # sizes when the counted column can hold NULLs.
     table = _table(
@@ -531,7 +519,7 @@ def test_count_arg_skips_nulls_with_ndarray_key(backend):
     assert norm_rows(result.rows) == norm_rows([(1, 1), (2, 0)])
 
 
-def test_int_sum_beyond_int64_stays_exact(backend):
+def test_int_sum_beyond_int64_stays_exact(storage_mode):
     # Regression: int64 reduceat/scatter sums must not wrap; magnitudes
     # that could overflow take the exact Python-int path (or demote the
     # typed state before wrapping).
@@ -590,7 +578,7 @@ def _string_table(n=400):
 
 @pytest.mark.parametrize("keys", [(), ("k1",), ("k1", "k2")])
 @pytest.mark.parametrize("batch_size", [7, 64, None])
-def test_string_min_max_matches_row_path(backend, keys, batch_size):
+def test_string_min_max_matches_row_path(storage_mode, keys, batch_size):
     table = _string_table()
     plan = AggregateOp(
         SeqScan(table, "t"),
@@ -619,7 +607,7 @@ def test_string_min_max_matches_row_path(backend, keys, batch_size):
     assert norm_rows(result.rows) == norm_rows(want)
 
 
-def test_string_min_max_over_empty_input(backend):
+def test_string_min_max_over_empty_input(storage_mode):
     table = _string_table(0)
     aggregates = [
         AggregateSpec("MIN", col("t.name"), "lo"),

@@ -36,7 +36,7 @@ NEVER = 10**9
 #: field, unset default, [(raw, parsed), ...], [malformed raw, ...];
 #: ``{tmp}`` is the test's temp directory, ``{file}`` a regular file in it.
 VARIABLES = [
-    ("storage", "dict", [("typed", "typed"), (" LIST ", "list")], ["columnar"]),
+    ("storage", "dict", [(" LIST ", "list"), ("Dict", "dict")], ["columnar", "typed"]),
     ("parallelism", 1, [("4", 4), ("0", 1)], ["many", "2.5"]),
     ("query_timeout", None, [("7.5", 7.5), ("0", None), ("-1", None)], ["soon"]),
     ("spill_dir", None, [("{tmp}", "{tmp}"), ("{tmp}/new", "{tmp}/new")], ["{file}"]),
@@ -143,14 +143,30 @@ def test_storage_override_beats_environment(repro_env):
         set_storage_backend(None)
         repro_env(storage="list")
         assert storage_backend() == "list"
-        set_storage_backend("typed")
-        assert storage_backend() == "typed"
+        set_storage_backend("dict")
+        assert storage_backend() == "dict"
         set_storage_backend(None)
         assert storage_backend() == "list"
         repro_env(storage=None)
         assert storage_backend() == "dict"
     finally:
         set_storage_backend(None)
+
+
+def test_storage_has_two_backends(repro_env):
+    """Storage x numpy is one 2x2 matrix: ``typed`` is no backend, no CI
+    leg selects it and no code asks for it."""
+    retired = "typed"
+    assert settings.STORAGE_BACKENDS == ("dict", "list")
+    with pytest.raises(ValueError, match="'dict', 'list'"):
+        set_storage_backend(retired)
+    with pytest.raises(ValueError, match=r"REPRO_STORAGE.*'dict', 'list'"):
+        repro_env(storage=retired)
+    root = SRC.parent
+    assert "REPRO_STORAGE=typed" not in (root / ".github/workflows/ci.yml").read_text()
+    for folder in ("src", "tests", "benchmarks"):
+        for path in (root / folder).rglob("*.py"):
+            assert not re.search(r"set_storage_backend\(\s*[\"']typed", path.read_text()), path
 
 
 # --------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ Four concerns:
   codes), NULL/NaN cells, and the identity ``MISSING`` sentinel all
   round-trip loss-free through spill frames.
 * **Parity** — spilled execution produces the same rows as in-memory
-  across storage backends × parallelism × protocol, including NULL/NaN
+  across storage × numpy × parallelism × protocol, including NULL/NaN
   grouping keys; external sort reproduces the in-memory order *exactly*.
 * **Lifecycle** — the acceptance bar: previously-OOMing plans complete
   under a quarter of their working set with peak tracked rows within the
@@ -39,7 +39,6 @@ from repro.exec import (
     numpy_available,
     open_plan,
     resolve_spill,
-    set_numpy_enabled,
 )
 from repro.exec.grouping import MISSING, NAN
 from repro.exec.spill import (
@@ -50,7 +49,6 @@ from repro.exec.spill import (
 )
 from repro.exec.vector import ColumnarBatch, DictVector
 from repro.graph.index import build_graph_index
-from repro.relational.column import set_storage_backend
 from repro.relational.expr import col
 from repro.relational.logical import AggregateSpec
 from repro.relational.physical import (
@@ -262,27 +260,10 @@ def test_partition_writer_stages_and_drains(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture(params=["dict", "numpy", "array", "list"])
-def storage(request):
-    mode = request.param
-    if mode == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed")
-    set_numpy_enabled(mode == "numpy")
-    if mode == "dict":
-        set_storage_backend("dict")
-    elif mode == "list":
-        set_storage_backend("list")
-    else:
-        set_storage_backend("typed")
-    yield mode
-    set_numpy_enabled(None)
-    set_storage_backend(None)
-
-
 @pytest.mark.parametrize("parallelism", [1, PARALLELISM])
 @pytest.mark.parametrize("columnar", [True, False])
-def test_spilled_execution_matches_in_memory(storage, parallelism, columnar):
-    # Fresh tables per storage mode so columns use the active backend.
+def test_spilled_execution_matches_in_memory(storage_mode, parallelism, columnar):
+    # Fresh tables per storage cell so columns use the active backend.
     tables = make_table(4_000, "l"), make_table(1_000, "r")
     plan = _pipeline(tables)
     baseline = execute_plan(

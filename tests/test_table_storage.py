@@ -4,9 +4,9 @@ pk-index bulk-extend semantics.
 Pins the typed-storage contract of `repro.relational.column` /
 `repro.relational.table`:
 
-* INT/FLOAT columns live in ``array.array`` buffers under the typed
-  backend, plain lists under the list backend — with identical values and
-  row tuples either way;
+* INT/FLOAT columns live in ``array.array`` buffers under the default
+  ``dict`` backend, plain lists under the ``list`` backend — with
+  identical values and row tuples either way;
 * a NULL or a value a typed buffer cannot hold promotes the column to the
   object (list) fallback without losing data;
 * ``Table.vector`` exposes cached ndarray copies that never lock the
@@ -24,6 +24,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.exec import numpy_available, set_numpy_enabled
 from repro.relational.column import (
+    DictColumn,
     extend_values,
     make_storage,
     set_storage_backend,
@@ -60,20 +61,20 @@ ROWS = [
 
 
 @pytest.fixture()
-def typed_backend():
-    """Force the typed backend (the suite may run under REPRO_STORAGE=list)."""
-    set_storage_backend("typed")
+def dict_backend():
+    """Force the default backend (the suite may run under REPRO_STORAGE=list)."""
+    set_storage_backend("dict")
     yield
     set_storage_backend(None)
 
 
-def test_typed_backend_selects_storage_from_dtype(typed_backend):
+def test_dict_backend_selects_storage_from_dtype(dict_backend):
     table = Table(make_schema(), rows=ROWS)
     assert isinstance(table.column("id"), array)
     assert table.column("id").typecode == "q"
     assert isinstance(table.column("score"), array)
     assert table.column("score").typecode == "d"
-    assert type(table.column("name")) is list
+    assert type(table.column("name")) is DictColumn
     assert type(table.column("day")) is list
 
 
@@ -113,7 +114,7 @@ def test_unknown_backend_rejected():
 # --------------------------------------------------------------------- #
 
 
-def test_null_append_promotes_to_object_fallback(typed_backend):
+def test_null_append_promotes_to_object_fallback(dict_backend):
     table = Table(make_schema(), rows=ROWS)
     table.append((3, None, None, None))
     assert type(table.column("score")) is list
@@ -124,7 +125,7 @@ def test_null_append_promotes_to_object_fallback(typed_backend):
     assert isinstance(table.column("id"), array)
 
 
-def test_mixed_type_bulk_load_promotes_mid_batch(typed_backend):
+def test_mixed_type_bulk_load_promotes_mid_batch(dict_backend):
     # validate=False loads bypass dtype checks; a value the C buffer cannot
     # hold must still land intact via promotion, even mid-extend.
     table = Table(make_schema())
@@ -135,7 +136,7 @@ def test_mixed_type_bulk_load_promotes_mid_batch(typed_backend):
     assert table.num_rows == 2
 
 
-def test_extend_values_promotion_keeps_consumed_prefix_exact(typed_backend):
+def test_extend_values_promotion_keeps_consumed_prefix_exact(dict_backend):
     storage = make_storage(DataType.INT)
     storage.extend([1, 2, 3])
     # array.extend consumes its input incrementally; the promotion must not
@@ -144,7 +145,7 @@ def test_extend_values_promotion_keeps_consumed_prefix_exact(typed_backend):
     assert promoted == [1, 2, 3, 4, 5, None, 7]
 
 
-def test_huge_int_promotes_instead_of_overflowing(typed_backend):
+def test_huge_int_promotes_instead_of_overflowing(dict_backend):
     table = Table(TableSchema("h", [Column("x", DataType.INT)]))
     table.append((2**70,))
     table.append((5,))
@@ -152,7 +153,7 @@ def test_huge_int_promotes_instead_of_overflowing(typed_backend):
     assert type(table.column("x")) is list
 
 
-def test_typed_float_column_coerces_ints_like_validation_does(typed_backend):
+def test_typed_float_column_coerces_ints_like_validation_does(dict_backend):
     # array('d') stores every value as a C double, which is exactly what
     # DataType.FLOAT.validate coerces to — unvalidated int loads therefore
     # behave as if validated.
@@ -415,13 +416,12 @@ def test_extend_columns_rejects_wrong_column_count_and_ragged_input():
     assert table.num_rows == 0
 
 
-def test_extend_columns_promotes_null_bearing_typed_column():
+def test_extend_columns_promotes_null_bearing_numeric_column(dict_backend):
     table = Table(make_schema())
     columns = _columns_of(ROWS)
     columns[1][0] = None  # NULL in the FLOAT column
     table.extend_columns(columns)
-    if storage_backend() == "typed":
-        assert type(table.column("score")) is list
+    assert type(table.column("score")) is list
     assert table.value(0, "score") is None
     assert table.value(1, "score") == 2.5
 
@@ -455,13 +455,6 @@ def test_extend_columns_empty_is_a_no_op():
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture()
-def dict_backend():
-    set_storage_backend("dict")
-    yield
-    set_storage_backend(None)
-
-
 def _string_table(rows_of_names, backend=None):
     schema = TableSchema(
         "s",
@@ -476,13 +469,11 @@ def _string_table(rows_of_names, backend=None):
 
 
 def test_dict_backend_is_the_default_and_encodes_strings(dict_backend):
-    from repro.relational.column import DictColumn
-
     assert storage_backend() == "dict"
     table = Table(make_schema(), rows=ROWS)
     name = table.column("name")
     assert isinstance(name, DictColumn)
-    # Typed columns are unaffected; DATE stays a list (as under typed).
+    # Numeric columns stay typed buffers; DATE stays a list.
     assert isinstance(table.column("id"), array)
     assert type(table.column("day")) is list
     # Decoding round-trips: indexing, slicing, iteration, tolist.

@@ -146,10 +146,10 @@ def test_qc3_oom_shape(ldbc_tiny):
     assert relgo.run(qc_queries()["QC3"], query_name="QC3").ok()
 
 
-@pytest.mark.parametrize("backend", ["dict", "typed", "list"])
+@pytest.mark.parametrize("backend", ["dict", "list"])
 def test_qc3_oom_trip_points_storage_independent(backend):
     """The memory budget charges *rows*, never bytes, so switching the
-    column storage backend (dictionary-encoded strings, typed buffers,
+    column storage backend (dictionary-encoded strings over typed buffers,
     plain lists) must leave the Fig 9 OOM trip points exactly where the
     seed pinned them: same budget, same per-system statuses."""
     from repro.relational.column import set_storage_backend
