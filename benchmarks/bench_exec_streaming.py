@@ -235,7 +235,7 @@ def _groupby_plans(table: Table) -> dict:
             ],
         ),
         # Near-unique DISTINCT over mixed storage with NaN keys — the
-        # canonical-dedup worst case (adaptive row-walk fallback).
+        # canonical-dedup worst case (three columns: the seen-set walk).
         "distinct_heavy": DistinctOp(
             SeqScan(table, "t", projected=["region", "bucket", "fkey"]),
         ),

@@ -65,9 +65,6 @@ class GraphTableClause:
         """Qualified output name -> MatchColumn."""
         return {f"{self.alias}.{c.alias}": c for c in self.columns}
 
-    def qualified_columns(self) -> list[str]:
-        return [f"{self.alias}.{c.alias}" for c in self.columns]
-
 
 @dataclass
 class SPJMQuery:
@@ -105,7 +102,3 @@ class SPJMQuery:
             limit=self.limit,
             distinct=self.distinct,
         )
-
-    def is_pure_match(self) -> bool:
-        """True when the query is only the graph component."""
-        return self.graph_table is not None and not self.relations

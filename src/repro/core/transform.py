@@ -48,14 +48,6 @@ class AgnosticTranslation:
     # qualified GRAPH_TABLE output column (g.x) -> replacement expression
     column_exprs: dict[str, Expr] = field(default_factory=dict)
 
-    def rename_map(self) -> dict[str, str]:
-        """g.x -> relational column name, for simple column substitutions."""
-        out = {}
-        for name, expr in self.column_exprs.items():
-            if hasattr(expr, "name"):
-                out[name] = expr.name
-        return out
-
 
 def translate_match(
     clause: GraphTableClause,

@@ -30,9 +30,10 @@ is exactly what the memory budget charges.
   NaN last, stable), with ``argsort`` and a bounded ``top_k`` behind
   ``SortOp`` / ``TopKOp``.
 * :mod:`repro.exec.grouping` — the grouping engine: NaN-canonical grouping
-  /dedup keys and the factorize + segment-reduction kernels behind
-  ``AggregateOp`` / ``DistinctOp`` (``GroupedAggregation``,
-  ``StreamingDistinct``).
+  /dedup keys, the factorize + segment-reduction pipeline behind
+  ``AggregateOp`` (``GroupedAggregation``) and the typed / seen-set dedup
+  states behind ``DistinctOp`` (``StreamingDistinct``) — one algorithm
+  each, numpy on or off.
 * :mod:`repro.exec.scheduler` — morsel-driven parallel execution: the
   worker pool, the ordered :class:`ExchangeOp` merge, per-worker partial
   state folds for pipeline breakers, and the plan rewriter

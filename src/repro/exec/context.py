@@ -462,9 +462,6 @@ class QueryResult:
         """Rows in a canonical order, for order-insensitive comparisons."""
         return sorted(self.rows, key=_sort_key)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 def _from_rows(rows: list[tuple], width: int) -> ColumnarBatch:
     """``rows`` as one dense batch; an empty result keeps its ``width``."""

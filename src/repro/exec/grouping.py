@@ -2,24 +2,35 @@
 
 This module is the grouping engine behind ``AggregateOp`` and ``DistinctOp``
 (and the NaN-canonical key helpers the graph side's ``AllDistinct`` shares).
-It replaces the per-row Python-dict walk — the last scalar holdout of the
-columnar runtime — with a three-step array pipeline per batch:
+``GROUP BY`` runs one three-step pipeline per batch:
 
 1. **Factorize** each key column to dense group codes.  ndarray columns go
-   through one C-level ``np.unique(return_inverse=True)``; object columns
-   (strings with NULLs, promoted storage, computed expressions) take a
-   loss-free dict walk that produces the same codes.
-2. **Combine** multi-key codes by mixed-radix arithmetic into a single code
-   column, then re-factorize it — group keys decode back out of the radix,
-   so per-row tuples are never built.
-3. **Segment-reduce** the aggregate arguments: COUNT via ``np.bincount``,
-   SUM/AVG/MIN/MAX via one stable argsort of the codes plus
-   ``ufunc.reduceat`` over the sorted values; string MIN/MAX compare rows
-   by order and decode only each group's winner.  NULL-bearing argument
-   columns (plain lists) reduce through an equivalent skip-NULL loop.
+   through one C-level ``np.unique(return_inverse=True)``; every other
+   column (strings with NULLs, computed expressions, any column with numpy
+   off) takes a loss-free dict walk that produces the same groups.
+2. **Combine** multi-key codes into a single code column
+   (:func:`repro.exec.vector.joint_codes`): numpy folds them by mixed-radix
+   arithmetic and re-factorizes the result, and group keys decode back out
+   of the radix; without numpy, or past exact int64, a dict numbers the
+   zipped per-row code tuples.
+3. **Segment-reduce** the aggregate arguments: COUNT from the group sizes
+   (:func:`repro.exec.vector.group_counts`), SUM/AVG/MIN/MAX of ndarrays
+   via one stable argsort of the codes plus ``ufunc.reduceat`` over the
+   sorted values; string MIN/MAX compare rows by order and decode only
+   each group's winner.  List argument columns (NULL-bearing, or numpy
+   off) reduce through an equivalent skip-NULL loop.
 
 Batches then merge into the streaming state by *group*, not by row, so the
-Python-dict work scales with the number of distinct keys per batch.
+Python-dict work scales with the number of distinct keys per batch.  One
+typed key column of high cardinality keeps its whole state in arrays
+instead (:class:`_SingleKeyArrayGroups`).  ``DISTINCT`` keeps one of two
+states (:class:`StreamingDistinct`): a sorted typed array for one typed
+column, the canonical seen-set walked per row for everything else.
+
+The steps are the same with numpy on or off: the mode only decides what
+the :mod:`repro.exec.vector` primitives compute with, and the typed paths
+select on the data (ndarray and dictionary columns exist only while numpy
+is on).
 
 **Key semantics** (shared by every engine/backend combination):
 
@@ -54,12 +65,6 @@ NAN = float("nan")
 #: Sentinel for "no non-NULL value seen yet" in MIN/MAX cells.
 MISSING = object()
 
-#: Mixed-radix code combination stays in exact int64; beyond this radix the
-#: per-batch key space cannot be combined losslessly, so grouping falls back
-#: to the per-row tuple walk for that batch (≥7 near-full-cardinality keys —
-#: not a shape any tracked workload produces).
-_MAX_RADIX = 1 << 62
-
 
 def canonical(value: Any) -> Any:
     """``value`` with NaN replaced by the canonical :data:`NAN` object.
@@ -85,8 +90,9 @@ def canonical_column(values: Sequence) -> Sequence:
 
     Row-boundary helper: the result is safe to zip into key tuples that
     hash/compare without per-row canonicalization.  Clean inputs come back
-    untouched (the input object for lists, ``tolist`` for ndarrays); dirty
-    float ndarrays pay one ``tolist`` plus O(#NaN) patches.
+    untouched (the input object for lists, ``tolist`` for ndarrays and
+    dictionary vectors); dirty float ndarrays pay one ``tolist`` plus
+    O(#NaN) patches.
     """
     if is_ndarray(values):
         if values.dtype.kind != "f":
@@ -98,6 +104,8 @@ def canonical_column(values: Sequence) -> Sequence:
             for i in np.flatnonzero(mask).tolist():
                 vals[i] = NAN
         return vals
+    if vector.dict_vector(values) is not None:
+        return values.tolist()  # dictionary strings hold no NaN
     for v in values:
         if v != v:
             return [NAN if v != v else v for v in values]
@@ -197,41 +205,24 @@ def combine_codes(
 ):
     """Fold per-column codes into one dense code column plus decoded keys.
 
-    Returns ``(codes, keys)`` where ``codes`` is an intp ndarray of
-    batch-local group ids and ``keys[g]`` is group ``g``'s key — the bare
-    unique value for a single key column, a tuple for several.  Returns
-    None when the mixed-radix space would overflow exact int64 (the caller
-    then walks the batch per row).  Requires numpy.
+    Returns ``(codes, keys)`` where ``codes`` holds the batch-local group
+    id of each of the ``n`` rows (an intp ndarray when numpy is enabled)
+    and ``keys[g]`` is group ``g``'s key — the bare unique value for a
+    single key column, a tuple for several, ``()`` for none.
     """
-    np = vector._np
     if len(factorized) == 1:
         codes, uniques = factorized[0]
-        if not isinstance(codes, np.ndarray):
-            codes = np.asarray(codes, dtype=np.intp)
-        return codes, uniques
-    radix = 1
-    for _, uniques in factorized:
-        radix *= len(uniques)
-        if radix > _MAX_RADIX:
-            return None
-    combined = None
-    for codes, uniques in factorized:
-        if not isinstance(codes, np.ndarray):
-            codes = np.asarray(codes, dtype=np.int64)
-        else:
-            codes = codes.astype(np.int64, copy=False)
-        combined = codes if combined is None else combined * len(uniques) + codes
-    uniq, codes_out = np.unique(combined, return_inverse=True)
-    # Decode each combined code back to its per-column unique values.
-    key_parts: list[list] = []
-    rem = uniq
-    for _, uniques in reversed(factorized):
-        card = len(uniques)
-        idx = rem % card
-        rem = rem // card
-        key_parts.append([uniques[i] for i in idx.tolist()])
-    key_parts.reverse()
-    return codes_out, list(zip(*key_parts))
+        return vector.code_vector(codes), uniques
+    if not factorized:
+        return vector.zero_codes(n), [()]
+    codes, parts = vector.joint_codes(
+        [codes for codes, _ in factorized], [len(uniques) for _, uniques in factorized]
+    )
+    # Decode each group's per-column codes back to the unique values.
+    key_parts = [
+        [uniques[i] for i in part] for part, (_, uniques) in zip(parts, factorized)
+    ]
+    return codes, list(zip(*key_parts))
 
 
 # --------------------------------------------------------------------- #
@@ -403,7 +394,7 @@ class _SingleKeyArrayGroups:
     map to group ids via one ``np.searchsorted``, and per-group cells merge
     by fancy-indexed arithmetic.  No Python-level work per distinct key,
     which is what makes high-cardinality grouping (cardinality ~ rows)
-    faster than the per-row dict walk rather than merely equal to it.
+    faster than the per-group dict merge rather than merely equal to it.
 
     NaN keys cannot live in the sorted search array (``NaN != NaN`` breaks
     the membership test), so the single NaN group — np.unique sorts NaNs
@@ -788,7 +779,6 @@ class GroupedAggregation:
         self._count_only = all(f == "COUNT" for f in funcs)
         accumulators = [make_accumulator(f) for f in funcs]
         self._initials = [init for init, _, _ in accumulators]
-        self._updates = [update for _, update, _ in accumulators]
         self._finals = [final for _, _, final in accumulators]
         self._merges = [
             _merge_fn(f, update) for f, (_, update, _) in zip(funcs, accumulators)
@@ -820,11 +810,7 @@ class GroupedAggregation:
             # Ineligible batch shapes (list column, string MIN/MAX, ...):
             # demote the typed state to the dict engine, permanently.
             self._demote_array()
-        if vector.numpy_enabled() and self._consume_vectorized(
-            key_cols, arg_cols, n
-        ):
-            return
-        self._consume_rows(key_cols, arg_cols, n)
+        self._consume_batch(key_cols, arg_cols, n)
 
     def _maybe_promote(
         self, key_col, arg_cols: list, observed_groups: int, n: int
@@ -850,9 +836,9 @@ class GroupedAggregation:
         self._key_columns = [list(array.keys)]
         self._cells = array.cell_lists()
 
-    # -- vectorized batch path ---------------------------------------- #
+    # -- the batch pipeline -------------------------------------------- #
 
-    def _consume_vectorized(self, key_cols: list, arg_cols: list, n: int) -> bool:
+    def _consume_batch(self, key_cols: list, arg_cols: list, n: int) -> None:
         np = vector._np
         if (
             self._count_only
@@ -882,27 +868,19 @@ class GroupedAggregation:
                 keys = counts = None
             if keys is not None:
                 if self._maybe_promote(key0, arg_cols, len(keys), n):
-                    return True
+                    return
                 counts_list = counts.tolist()
                 self._merge(keys, [counts_list] * len(self.funcs))
-                return True
-        if self.num_keys:
-            factorized = [factorize(c, n) for c in key_cols]
-            if self.num_keys == 1 and self._maybe_promote(
-                key_cols[0], arg_cols, len(factorized[0][1]), n
-            ):
-                return True
-            combined = combine_codes(factorized, n)
-            if combined is None:  # mixed-radix overflow: rare, walk the rows
-                return False
-            codes, keys = combined
-            num_groups = len(keys)
-        else:
-            codes = np.zeros(n, dtype=np.intp)
-            keys = [()]
-            num_groups = 1
-        counts = np.bincount(codes, minlength=num_groups)
-        counts_list = counts.tolist()
+                return
+        factorized = [factorize(c, n) for c in key_cols]
+        if self.num_keys == 1 and self._maybe_promote(
+            key_cols[0], arg_cols, len(factorized[0][1]), n
+        ):
+            return
+        codes, keys = combine_codes(factorized, n)
+        num_groups = len(keys)
+        counts = vector.group_counts(codes, num_groups)
+        counts_list = vector.as_values(counts)
         order = starts = codes_list = None
         partials: list = []
         for func, values in zip(self.funcs, arg_cols):
@@ -925,9 +903,7 @@ class GroupedAggregation:
                 partial = _segment_reduce_ordered(func, values, codes, counts)
             if partial is None:  # list column, or an overflow-prone int sum
                 if codes_list is None:
-                    codes_list = (
-                        codes.tolist() if isinstance(codes, np.ndarray) else codes
-                    )
+                    codes_list = vector.as_values(codes)
                 # as_values: ndarray inputs must reduce over plain Python
                 # values here (exact big-int sums, no numpy scalars in cells).
                 partial = _segment_reduce_seq(
@@ -935,7 +911,6 @@ class GroupedAggregation:
                 )
             partials.append(partial)
         self._merge(keys, partials)
-        return True
 
     def _merge(self, keys: list, partials: list) -> None:
         """Fold one batch's per-group partial cells into the global state."""
@@ -1036,41 +1011,6 @@ class GroupedAggregation:
             keys = [canonical_row(k) for k in keys]
         self._merge(keys, cells)
 
-    # -- per-row reference path ---------------------------------------- #
-
-    def _consume_rows(self, key_cols: list, arg_cols: list, n: int) -> None:
-        gid_of = self._gid_of
-        get = gid_of.get
-        key_columns = self._key_columns
-        cells = self._cells
-        updates = self._updates
-        initials = self._initials
-        num_keys = self.num_keys
-        key_cols = [canonical_column(c) for c in key_cols]
-        single = key_cols[0] if num_keys == 1 else None
-        for j in range(n):
-            if single is not None:
-                key = single[j]
-            elif num_keys:
-                key = tuple(c[j] for c in key_cols)
-            else:
-                key = ()
-            gid = get(key)
-            if gid is None:
-                gid = len(gid_of)
-                gid_of[key] = gid
-                if single is not None:
-                    key_columns[0].append(key)
-                else:
-                    for i, v in enumerate(key):
-                        key_columns[i].append(v)
-                for i, init in enumerate(initials):
-                    cells[i].append(init)
-            for i, values in enumerate(arg_cols):
-                v = 1 if values is None else values[j]
-                if v is not None:
-                    cells[i][gid] = updates[i](cells[i][gid], v)
-
     # -- output --------------------------------------------------------- #
 
     def ensure_group(self) -> None:
@@ -1096,55 +1036,42 @@ class GroupedAggregation:
 # streaming distinct
 # --------------------------------------------------------------------- #
 
-#: Cumulative batch-local distinct ratio above which StreamingDistinct
-#: stops factorizing (near-unique data: decoding ~n keys per batch costs
-#: more than walking the n rows), and the row count before the ratio is
-#: trusted.
-_DISTINCT_FALLBACK_RATIO = 0.5
-_DISTINCT_FALLBACK_MIN_ROWS = 2048
-
-
 class StreamingDistinct:
     """Streaming DISTINCT over columnar batches with canonical NaN keys.
 
     :meth:`positions` returns, per batch, the visible-row positions (in
     arrival order) whose full row key was never seen before — the batch's
-    survivors.  The vectorized path factorizes every column and dedups on
-    combined group codes, touching Python once per batch-distinct key; the
-    fallback walks row tuples.  Both feed one seen-set of canonicalized
-    keys, so survivors are identical batch-split-independently.
+    survivors.  Two states hold the seen keys:
 
-    Factorization only pays off when batches actually repeat keys — on
-    near-unique data (distinct ratio ~1) decoding every batch-distinct key
-    costs more than the row walk it replaces.  A single key column of
-    sortable typed values (ints/strings, or dictionary codes) therefore
-    keeps its seen-state *typed* instead, mirroring
-    :class:`_SingleKeyArrayGroups`: known keys live in one sorted ndarray
-    and each batch resolves via ``np.unique`` + ``searchsorted`` with no
-    per-key Python work at any distinct ratio.  Multi-column (or
-    non-sortable) keys keep the factorize-then-dedup path with its
-    cumulative-ratio fallback to the row walk
-    (:data:`_DISTINCT_FALLBACK_RATIO`); every path feeds or demotes into
-    one canonical seen-set, so survivors are path-independent.
+    * a **typed** state for one ndarray or dictionary column, mirroring
+      :class:`_SingleKeyArrayGroups`: known keys (dictionary codes for a
+      dictionary column) live in one sorted ndarray and each batch resolves
+      via ``np.unique`` + ``searchsorted``, with no per-key Python work at
+      any distinct ratio.  NaN cannot live in the sorted array
+      (``NaN != NaN``), so a seen NaN is one sidecar flag, found with the
+      :func:`_nan_tail` rule the grouping state uses;
+    * the canonical **seen-set** of NaN-canonical key tuples, walked per
+      row, for everything else (several columns, plain lists, numpy off).
+
+    The first batch that does not fit the typed state demotes it into the
+    seen-set, permanently (single-column keys are 1-tuples in both), so
+    survivors are state-independent and batch-split-independent.
     """
 
     def __init__(self) -> None:
         self._seen: set = set()
-        self._rows = 0
-        self._batch_distinct = 0
-        self._vectorize = True
         #: Typed single-column state: sorted ndarray of seen raw keys
-        #: (dictionary codes when ``_typed_decode`` is set), engaged while
-        #: ``_typed_ok`` and demoted into ``_seen`` the first time a batch
-        #: does not fit.
+        #: (dictionary codes when ``_typed_decode`` is set) plus the seen-NaN
+        #: flag, engaged while ``_typed_ok`` and demoted into ``_seen`` the
+        #: first time a batch does not fit.
         self._typed_seen = None
         self._typed_decode: list | None = None
-        self._typed_mode: str | None = None
+        self._typed_nan = False
         self._typed_ok = True
 
     @property
     def seen_count(self) -> int:
-        count = len(self._seen)
+        count = len(self._seen) + self._typed_nan
         if self._typed_seen is not None:
             count += len(self._typed_seen)
         return count
@@ -1160,71 +1087,63 @@ class StreamingDistinct:
         keys = list(self._seen)
         self._seen = set()
         self._typed_ok = True
-        self._typed_mode = None
-        self._rows = 0
-        self._batch_distinct = 0
-        self._vectorize = True
         return keys
 
     def positions(self, columns: list, n: int) -> list[int]:
         if not n:
             return []
-        if vector.numpy_enabled():
-            if self._typed_ok and len(columns) == 1 and not self._seen:
-                kept = self._positions_typed(columns[0])
-                if kept is not None:
-                    return kept
-                self._demote_typed()
-            elif self._typed_seen is not None:
-                self._demote_typed()
-            if self._vectorize and columns:
-                kept = self._positions_vectorized(columns, n)
-                if kept is not None:
-                    return kept
-        elif self._typed_seen is not None:
-            self._demote_typed()
+        if self._typed_ok and len(columns) == 1:
+            kept = self._positions_typed(columns[0])
+            if kept is not None:
+                return kept
+        self._demote_typed()
         return self._positions_rows(columns, n)
 
     def _positions_typed(self, column):
         """Sorted-ndarray seen state for one typed key column; None when
-        the batch does not fit (the caller then demotes the state).
-
-        Floats are excluded: NaN cannot live in a sorted membership array
-        (``NaN != NaN``), and the canonicalizing paths already handle it.
-        """
+        the batch does not fit (the caller then demotes the state)."""
         np = vector._np
         dv = vector.dict_vector(column)
         if dv is not None:
-            if self._typed_mode is None:
-                self._typed_mode = "dict"
+            if self._typed_decode is None and self._typed_seen is None:
                 self._typed_decode = dv.values
-            elif self._typed_mode != "dict" or self._typed_decode is not dv.values:
+            elif self._typed_decode is not dv.values:
                 return None
             raw = dv.codes
-        else:
-            if not (is_ndarray(column) and column.dtype.kind in "biuU"):
-                return None
-            if self._typed_mode is None:
-                self._typed_mode = "raw"
-            elif self._typed_mode != "raw":
-                return None
+        elif (
+            is_ndarray(column)
+            and column.dtype.kind in "biufU"
+            and self._typed_decode is None
+        ):
             raw = column
+        else:
+            return None
         uniq, first_idx = np.unique(raw, return_index=True)
+        new_nan = None
+        first_nan = _nan_tail(uniq)
+        if first_nan >= 0:
+            if not self._typed_nan:
+                self._typed_nan = True
+                new_nan = first_idx[first_nan:].min()
+            uniq, first_idx = uniq[:first_nan], first_idx[:first_nan]
         seen = self._typed_seen
-        if seen is None:
+        if seen is None or not len(seen):
             self._typed_seen = uniq
-            return np.sort(first_idx).tolist()
-        if seen.dtype != uniq.dtype:
-            common = np.result_type(seen, uniq)
-            seen = self._typed_seen = seen.astype(common)
-            uniq = uniq.astype(common)
-        pos = np.searchsorted(seen, uniq)
-        clipped = np.minimum(pos, len(seen) - 1)
-        fresh = (seen[clipped] != uniq) | (pos >= len(seen))
-        if not fresh.any():
-            return []
-        self._typed_seen = np.insert(seen, pos[fresh], uniq[fresh])
-        return np.sort(first_idx[fresh]).tolist()
+            fresh_idx = first_idx
+        else:
+            if seen.dtype != uniq.dtype:
+                common = np.result_type(seen, uniq)
+                seen = self._typed_seen = seen.astype(common)
+                uniq = uniq.astype(common)
+            pos = np.searchsorted(seen, uniq)
+            clipped = np.minimum(pos, len(seen) - 1)
+            fresh = (seen[clipped] != uniq) | (pos >= len(seen))
+            if fresh.any():
+                self._typed_seen = np.insert(seen, pos[fresh], uniq[fresh])
+            fresh_idx = first_idx[fresh]
+        if new_nan is not None:
+            fresh_idx = np.append(fresh_idx, new_nan)
+        return np.sort(fresh_idx).tolist()
 
     def _demote_typed(self) -> None:
         """Fold the typed sorted-seen state into the generic seen-set (key
@@ -1234,38 +1153,15 @@ class StreamingDistinct:
         if seen is None:
             return
         self._typed_seen = None
-        if self._typed_decode is not None:
-            decode = self._typed_decode
+        decode = self._typed_decode
+        if decode is not None:
             self._seen.update((decode[c],) for c in seen.tolist())
             self._typed_decode = None
         else:
             self._seen.update((v,) for v in seen.tolist())
-
-    def _positions_vectorized(self, columns: list, n: int):
-        np = vector._np
-        combined = combine_codes([factorize(c, n) for c in columns], n)
-        if combined is None:
-            return None
-        codes, keys = combined
-        _, first_positions = np.unique(codes, return_index=True)
-        self._rows += n
-        self._batch_distinct += len(keys)
-        if (
-            self._rows >= _DISTINCT_FALLBACK_MIN_ROWS
-            and self._batch_distinct > self._rows * _DISTINCT_FALLBACK_RATIO
-        ):
-            self._vectorize = False
-        seen = self._seen
-        add = seen.add
-        kept: list[int] = []
-        if len(columns) == 1:
-            keys = [(k,) for k in keys]
-        for key, pos in zip(keys, first_positions.tolist()):
-            if key not in seen:
-                add(key)
-                kept.append(pos)
-        kept.sort()
-        return kept
+        if self._typed_nan:
+            self._seen.add((NAN,))
+            self._typed_nan = False
 
     def _positions_rows(self, columns: list, n: int) -> list[int]:
         seen = self._seen

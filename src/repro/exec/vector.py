@@ -20,7 +20,8 @@ are ``numpy.ndarray``\\ s; the feature is gated behind
 keeping the package free of hard dependencies.  The numpy / pure-Python
 split lives in this module's primitives (:func:`take`, :func:`passing`,
 :func:`valid_rowids`, :func:`equal_positions`, :func:`distinct_positions`,
-:func:`key_runs`, ...) and in the kernels of :mod:`repro.exec.kernels`
+:func:`key_runs`, :func:`joint_codes`, :func:`group_counts`, ...) and in
+the kernels of :mod:`repro.exec.kernels` and :mod:`repro.exec.grouping`
 built from them: operators call them and never branch on numpy
 themselves.
 """
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 from array import array as _array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate, compress, count, product
+from math import prod
 from typing import Sequence
 
 try:  # pragma: no cover - exercised via the CI numpy leg
@@ -402,6 +405,66 @@ def pair_keys(vertices, roots, radix: int) -> Sequence[int]:
     if is_ndarray(roots):
         return as_index_array(vertices) * radix + roots
     return [v * radix + r for v, r in zip(vertices, roots)]
+
+
+def code_vector(codes: Sequence[int]) -> Sequence[int]:
+    """Group codes in the best gatherable domain (intp ndarray when
+    enabled, the sequence itself otherwise)."""
+    if _numpy_enabled and _np is not None:
+        return as_index_array(codes)
+    return codes
+
+
+def zero_codes(n: int) -> Sequence[int]:
+    """Group codes putting all ``n`` rows in group 0."""
+    if _numpy_enabled and _np is not None:
+        return _np.zeros(n, dtype=_np.intp)
+    return [0] * n
+
+
+def group_counts(codes, num_groups: int) -> Sequence[int]:
+    """Rows per group: entry ``g`` counts the ``codes`` equal to ``g``
+    (every code is below ``num_groups``)."""
+    if is_ndarray(codes):
+        return _np.bincount(codes, minlength=num_groups)
+    counts = [0] * num_groups
+    for code, rows in Counter(codes).items():
+        counts[code] = rows
+    return counts
+
+
+#: Widest key space the mixed-radix fold combines: it must stay in exact
+#: int64.  Wider spaces (≥7 near-full-cardinality keys, not a shape any
+#: tracked workload produces) take the tuple-dict combine.
+_MAX_RADIX = 1 << 62
+
+
+def joint_codes(columns, radixes: Sequence[int]):
+    """One dense group code per row of the row-aligned code ``columns``
+    (column ``i``'s codes below ``radixes[i]``): ``(codes, parts)`` with
+    ``parts[i][g]`` group ``g``'s code in column ``i``.
+
+    numpy folds the columns by mixed radix into one int64 column and
+    factorizes it (groups in radix order); otherwise, and for key spaces
+    past :data:`_MAX_RADIX`, a dict numbers the zipped per-row code tuples
+    (groups in first-appearance order).
+    """
+    if _numpy_enabled and _np is not None and prod(radixes) <= _MAX_RADIX:
+        combined = None
+        for codes, radix in zip(columns, radixes):
+            codes = _np.asarray(codes, dtype=_np.int64)
+            combined = codes if combined is None else combined * radix + codes
+        uniq, codes = _np.unique(combined, return_inverse=True)
+        parts = []
+        for radix in reversed(radixes):
+            parts.append((uniq % radix).tolist())
+            uniq = uniq // radix
+        parts.reverse()
+        return codes, parts
+    code_of: dict = {}
+    setdefault = code_of.setdefault
+    codes = [setdefault(key, len(code_of)) for key in zip(*map(as_values, columns))]
+    return code_vector(codes), list(zip(*code_of))
 
 
 def key_runs(keys, probes, distinct: bool):
@@ -782,6 +845,10 @@ __all__ = [
     "degree_sums",
     "cut_points",
     "pair_keys",
+    "code_vector",
+    "zero_codes",
+    "group_counts",
+    "joint_codes",
     "key_runs",
     "product_positions",
     "vector_view",

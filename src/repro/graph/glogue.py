@@ -214,11 +214,3 @@ class GLogue:
         if nv_src == 0 or nv_dst == 0:
             return 0.0
         return min(1.0, self.edge_count(edge_label) / (nv_src * nv_dst))
-
-    def stats_summary(self) -> dict[str, float]:
-        """A compact description used by reports and tests."""
-        return {
-            "cached_patterns": float(len(self._cache)),
-            "max_k": float(self.max_k),
-            "sample_ratio": self.sample_ratio,
-        }

@@ -96,10 +96,6 @@ class PatternGraph:
     def builder() -> "PatternBuilder":
         return PatternBuilder()
 
-    @staticmethod
-    def single_vertex(vertex: PatternVertex) -> "PatternGraph":
-        return PatternGraph([vertex], [])
-
     # ------------------------------------------------------------------ #
     # basic structure
     # ------------------------------------------------------------------ #
@@ -121,10 +117,6 @@ class PatternGraph:
 
     def neighbors(self, vertex: str) -> set[str]:
         return {e.other(vertex) for e in self._incident[vertex]}
-
-    def edges_between(self, a: str, b: str) -> list[PatternEdge]:
-        """All edges with endpoints {a, b}, either direction."""
-        return [e for e in self._incident[a] if e.other(a) == b]
 
     def degree(self, vertex: str) -> int:
         return len(self._incident[vertex])
@@ -175,10 +167,6 @@ class PatternGraph:
         ]
         return PatternGraph(vertices, edges)
 
-    def is_complete_star_within(self, center: str, host: "PatternGraph") -> bool:
-        """Whether ``star_of(center)`` taken in ``host`` has all leaves here."""
-        return host.neighbors(center) <= set(self.vertices)
-
     def with_vertex_constraint(self, vertex: str, predicate: Expr) -> "PatternGraph":
         """A copy with ``predicate`` AND-ed onto the vertex's constraint."""
         old = self.vertices[vertex]
@@ -221,9 +209,6 @@ class PatternGraph:
                 [(e.src, e.dst, e.label, e.pred_key()) for e in self.edges.values()],
             )
         return self._canonical
-
-    def isomorphic_to(self, other: "PatternGraph") -> bool:
-        return self.canonical_code() == other.canonical_code()
 
     def __repr__(self) -> str:
         vs = ", ".join(f"{v.name}:{v.label}" for v in self.vertices.values())

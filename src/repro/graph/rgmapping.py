@@ -172,9 +172,6 @@ class RGMapping:
     def vertex_labels(self) -> list[str]:
         return sorted(self.vertices)
 
-    def edge_labels(self) -> list[str]:
-        return sorted(self.edges)
-
     def edge_labels_between(self, source_label: str, target_label: str) -> list[str]:
         """Edge labels whose endpoints are exactly (source_label, target_label)."""
         return sorted(

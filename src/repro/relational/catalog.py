@@ -79,9 +79,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no table named {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
@@ -147,10 +144,6 @@ class Catalog:
 
     def graph_index(self, graph_name: str) -> "GraphIndex | None":
         return self._graph_indexes.get(graph_name)
-
-    def drop_graph_index(self, graph_name: str) -> None:
-        self._graph_indexes.pop(graph_name, None)
-        self._bump_version()
 
     def __repr__(self) -> str:
         return (

@@ -1783,8 +1783,9 @@ class DistinctOp(PhysicalOperator):
     """Streaming dedup; the seen-set is the charged buffered state.
 
     Keys are NaN-canonical (all-NaN rows dedup together, matching the
-    grouping engine and SQL semantics).  The columnar path factorizes the
-    batch's columns and dedups on combined group codes
+    grouping engine and SQL semantics).  The columnar path dedups one
+    typed column against a sorted seen-array and anything else against
+    the canonical seen-set, row by row
     (:class:`repro.exec.grouping.StreamingDistinct`); survivors are emitted
     as a selection over the input batch — no row materialization.
 

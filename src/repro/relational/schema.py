@@ -82,15 +82,6 @@ class TableSchema:
                 return i
         raise SchemaError(f"no column {name!r} in table {self.name!r}")
 
-    def column_type(self, name: str) -> DataType:
-        return self.columns[self.column_index(name)].dtype
-
-    def foreign_key_for(self, column: str) -> ForeignKey | None:
-        for fk in self.foreign_keys:
-            if fk.column == column:
-                return fk
-        return None
-
     def __str__(self) -> str:
         cols = ", ".join(str(c) for c in self.columns)
         return f"{self.name}({cols})"

@@ -129,13 +129,6 @@ class TableSnapshot:
         """
         return self.table.vector(name, min_rows=self.num_rows)
 
-    def pk_rowid(self, key: Any) -> int | None:
-        """Primary-key lookup restricted to the snapshot prefix."""
-        rowid = self.table.pk_lookup(key)
-        if rowid is None or rowid >= self.num_rows:
-            return None
-        return rowid
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TableSnapshot({self.table.schema.name!r}, rows={self.num_rows}, "

@@ -42,10 +42,6 @@ def dataset(name: str, seed: int = 7, with_index: bool = True) -> Catalog:
     return catalog
 
 
-def graph_name_for(dataset_name: str) -> str:
-    return "imdb" if dataset_name == "IMDB" else "snb"
-
-
 _SUITES = {
     "IC": ic_queries,
     "QR": qr_queries,

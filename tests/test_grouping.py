@@ -14,8 +14,10 @@ Four layers of coverage:
   span many batches).
 * **Property test** — randomized key/value columns (NULLs, NaNs, mixed
   cardinality) against an order-independent reference aggregation.
-* **Kernel units** — factorize / combine_codes / canonicalization helpers,
-  typed-state promotion and demotion, the StreamingDistinct fallback.
+* **Kernel units** — factorize / combine_codes (mixed radix and its
+  exact tuple-dict form) / canonicalization helpers, typed-state
+  promotion and demotion, StreamingDistinct's two states (typed, NaN
+  flag included, and the seen-set).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import execute_plan, numpy_available, resolve_spill, set_numpy_enabled
+from repro.exec import execute_plan, numpy_available, resolve_spill, set_numpy_enabled, vector
 from repro.exec.grouping import (
     NAN,
     GroupedAggregation,
@@ -361,13 +363,60 @@ def test_factorize_ndarray_collapses_nan():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_combine_codes_overflow_returns_none():
+def test_combine_codes_overflow_combines_exactly():
+    # Four columns of 2**16 uniques overflow the int64 mixed radix; the
+    # batch then combines through the tuple dict, the pure-Python form.
+    wide = [
+        ([3, 1, 3, 0], list(range(1 << 16))),
+        ([7, 2, 7, 9], list(range(1 << 16))),
+        ([0, 0, 0, 5], list(range(1 << 16))),
+        ([1, 4, 1, 4], list(range(1 << 16))),
+    ]
     try:
         set_numpy_enabled(True)
-        wide = [(list(range(4)), list(range(1 << 16)))] * 4
-        assert combine_codes(wide, 4) is None
+        codes, keys = combine_codes(wide, 4)
+        assert codes.dtype.kind == "i"
+        set_numpy_enabled(False)
+        py_codes, py_keys = combine_codes(wide, 4)
     finally:
         set_numpy_enabled(None)
+    assert codes.tolist() == py_codes == [0, 1, 0, 2]
+    assert keys == py_keys == [(3, 7, 0, 1), (1, 2, 0, 4), (0, 9, 5, 4)]
+
+
+def test_aggregate_over_overflowing_key_space_matches_row_body(
+    storage_mode, monkeypatch
+):
+    # Seven keys of 512 uniques per 1024-row batch: 2**63 combined codes,
+    # past exact int64.  Row pairs share a key, so groups hold two rows.
+    n = 1024
+    columns = {
+        f"k{i}": (DataType.INT, [(j // 2) * (i + 1) for j in range(n)])
+        for i in range(7)
+    }
+    columns["v"] = (DataType.FLOAT, [float(j % 5) for j in range(n)])
+    table = _table(columns)
+    radixes = []
+    joint_codes = vector.joint_codes
+
+    def spy(code_columns, cards):
+        radixes.append(math.prod(cards))
+        return joint_codes(code_columns, cards)
+
+    monkeypatch.setattr(vector, "joint_codes", spy)
+    plan = AggregateOp(
+        SeqScan(table, "t"),
+        [(col(f"t.k{i}"), f"k{i}") for i in range(7)],
+        [
+            AggregateSpec("COUNT", None, "cnt"),
+            AggregateSpec("SUM", col("t.v"), "total"),
+            AggregateSpec("MIN", col("t.v"), "low"),
+        ],
+    )
+    result = _run_both(plan, batch_size=n)
+    assert radixes and max(radixes) > 1 << 62
+    assert len(result.rows) == n // 2
+    assert {row[7] for row in result.rows} == {2}
 
 
 def test_accumulator_nan_rules():
@@ -437,9 +486,9 @@ def test_streaming_distinct_typed_state_on_near_unique_data():
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_streaming_distinct_falls_back_on_near_unique_data():
-    # Multi-column keys still use the factorize path, whose cumulative
-    # distinct-ratio fallback drops near-unique data to the row walk.
+def test_streaming_distinct_multi_column_keys_use_the_seen_set():
+    # Several key columns dedup through the canonical seen-set from the
+    # first batch: the typed state never engages, on any distinct ratio.
     try:
         set_numpy_enabled(True)
         import numpy as np
@@ -448,13 +497,71 @@ def test_streaming_distinct_falls_back_on_near_unique_data():
         kept = []
         for start in range(0, 4096, 1024):
             column = np.arange(start, start + 1024)
-            kept.extend(state.positions([column, column], 1024))
-        assert not state._vectorize  # adaptive fallback engaged
+            kept.extend(state.positions([column, column % 7], 1024))
+            assert state._typed_seen is None and not state._typed_ok
+        assert kept == list(range(1024)) * 4
         assert state.seen_count == 4096
-        # Fallback path and vectorized path share the seen-key format.
-        assert state.positions([[0, 4095, 5000], [0, 4095, 5000]], 3) == [2]
+        # ndarray and list batches share the seen-key format.
+        repeat = np.asarray([0, 4095, 5000, 5000])
+        assert state.positions([repeat, repeat % 7], 4) == [2]
+        assert state.positions([[0, 4095, 6000], [0, 4095 % 7, 6000 % 7]], 3) == [2]
+        assert state.seen_count == 4098
     finally:
         set_numpy_enabled(None)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_streaming_distinct_typed_float_state_keeps_one_nan():
+    try:
+        set_numpy_enabled(True)
+        import numpy as np
+
+        state = StreamingDistinct()
+        first = np.asarray([1.5, nan, 2.5, nan, 1.5])
+        assert state.positions([first], 5) == [0, 1, 2]
+        assert state._typed_seen is not None  # floats engage the typed state
+        assert state.seen_count == 3
+        # Repeats (NaN included) resolve against the typed state.
+        second = np.asarray([nan, 2.5, 3.5, 1.5, 3.5])
+        assert state.positions([second], 5) == [2]
+        assert state.seen_count == 4
+        # A list batch demotes it: one canonical NaN key, survivors unchanged.
+        assert state.positions([[nan, 4.5, 1.5]], 3) == [1]
+        assert state._typed_seen is None
+        assert state.seen_count == 5
+        assert sum(1 for (k,) in state._seen if k != k) == 1
+        assert (NAN,) in state._seen
+
+        state = StreamingDistinct()
+        state.positions([np.asarray([nan, 0.5, nan])], 3)
+        keys = state.export_keys()
+        assert sorted(keys, key=repr) == [(0.5,), (NAN,)]
+        assert keys[[k for (k,) in keys].index(NAN)][0] is NAN
+        assert state.seen_count == 0
+    finally:
+        set_numpy_enabled(None)
+
+
+def test_distinct_over_nan_floats_spills_like_the_row_body(storage_mode, monkeypatch):
+    # The first batch dedups in memory (typed with numpy on), the second
+    # passes the tiny threshold: the seen keys, NaN included, spill.
+    values = [float(j % 37) if j % 5 else nan for j in range(600)]
+    table = _table({"x": (DataType.FLOAT, values)})
+    plan = DistinctOp(SeqScan(table, "t"))
+    exported = []
+    export_keys = StreamingDistinct.export_keys
+
+    def spy(state):
+        keys = export_keys(state)
+        exported.extend(keys)
+        return keys
+
+    monkeypatch.setattr(StreamingDistinct, "export_keys", spy)
+    row = execute_plan(plan, columnar=False, batch_size=64, spill=False)
+    spilled = execute_plan(plan, columnar=True, batch_size=64, spill=100)
+    assert norm_rows(spilled.rows) == norm_rows(row.rows)
+    assert len(row.rows) == 38
+    assert (NAN,) in exported
 
 
 def test_all_distinct_uses_canonical_binding_equality(fig2):

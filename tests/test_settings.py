@@ -529,6 +529,26 @@ def test_graph_kernels_have_one_algorithm():
     assert not re.search(r"view is (not )?None", sources["repro/exec/kernels.py"])
 
 
+def test_grouping_has_one_algorithm():
+    """GROUP BY and DISTINCT run one algorithm with numpy on or off: the
+    grouping engine never asks for the mode, the per-row GROUP BY walk and
+    the factorizing DISTINCT with its ratio fallback are gone, and code
+    combination never gives up on a batch."""
+    sources = _sources()
+    assert "numpy_enabled" not in sources["repro/exec/grouping.py"]
+    for module, text in sources.items():
+        for gone in ("_consume_rows", "_positions_vectorized", "_DISTINCT_FALLBACK"):
+            assert gone not in text, (module, gone)
+    (combine,) = (
+        node
+        for node in ast.walk(ast.parse(sources["repro/exec/grouping.py"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "combine_codes"
+    )
+    for node in ast.walk(combine):
+        if isinstance(node, ast.Return):
+            assert node.value is not None and ast.unparse(node.value) != "None"
+
+
 def test_hot_execute_reads_no_environment(monkeypatch):
     class NoEnvironment(dict):
         def __getitem__(self, key):
