@@ -934,10 +934,13 @@ def intersect_expand(
     sorted here.  Per row slice, the leg with the smallest summed degree
     drives: only its bound vertices CSR-expand, through the view, into
     pairs that come out in (row, root) order with parallel edges adjacent
-    — its runs.  Every other leg is probed by binary search in its view's
-    keys: the run ``[lo, hi)`` of a pair's key holds that leg's parallel
-    edges to the root, one ``searchsorted`` plus an equality test when the
-    view has no parallel edges.  Edge masks filter the driver's pairs and
+    — its runs.  Every other leg is probed in its view: the run ``[lo, lo
+    + count)`` of a pair's key holds that leg's parallel edges to the root.
+    A dense view answers each probe with one gather from its direct-address
+    slot table (plus one from its run lengths when it has parallel edges);
+    a sparse one, whose table would not be linear in its edge count, is
+    binary-searched (one ``searchsorted`` plus an equality test when it
+    has no parallel edges).  Edge masks filter the driver's pairs and
     the probed runs; ``vmask`` (the root's vertex mask, None without a
     predicate) filters the driver's candidates before any probe.
 
@@ -1025,7 +1028,7 @@ def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
             continue
         view = leg.view
         probes = pair_keys(take(bound[i], parents), roots, radix)
-        hits, lo, counts = key_runs(view.keys, probes, view.distinct)
+        hits, lo, counts = key_runs(view.keys, probes, view.distinct, view.slots, view.run_lengths)
         if hits is not None and not narrow(hits):
             return
         edges = view.edges

@@ -20,10 +20,10 @@ are ``numpy.ndarray``\\ s; the feature is gated behind
 keeping the package free of hard dependencies.  The numpy / pure-Python
 split lives in this module's primitives (:func:`take`, :func:`passing`,
 :func:`valid_rowids`, :func:`equal_positions`, :func:`distinct_positions`,
-:func:`key_runs`, :func:`joint_codes`, :func:`group_counts`, ...) and in
-the kernels of :mod:`repro.exec.kernels` and :mod:`repro.exec.grouping`
-built from them: operators call them and never branch on numpy
-themselves.
+:func:`run_slots`, :func:`key_runs`, :func:`joint_codes`,
+:func:`group_counts`, ...) and in the kernels of
+:mod:`repro.exec.kernels` and :mod:`repro.exec.grouping` built from them:
+operators call them and never branch on numpy themselves.
 """
 
 from __future__ import annotations
@@ -352,6 +352,27 @@ def sorted_runs(column) -> tuple[Sequence[int], Sequence[int]]:
     return starts, [b - a for a, b in zip(starts, starts[1:] + [len(column)])]
 
 
+def run_slots(keys, space: int):
+    """Direct-address tables over the runs of the sorted int ``keys``, all
+    below ``space``: ``(slots, run_lengths)``.  ``slots[k]`` is the first
+    position of key ``k``'s run, -1 for every ``k`` in ``[0, space)`` not
+    in ``keys``; ``run_lengths[p]`` is the length of the run holding
+    position ``p``, None when no two keys are equal.  int64 ndarrays for
+    ndarray ``keys``, ``array('q')`` buffers otherwise."""
+    starts, counts = sorted_runs(keys)
+    distinct = len(starts) == len(keys)
+    if is_ndarray(keys):
+        slots = _np.full(space, -1, dtype=_np.int64)
+        slots[keys[starts]] = starts
+        return slots, None if distinct else _np.repeat(counts, counts)
+    slots = _array("q", [-1]) * space
+    run_lengths = _array("q")
+    for start, count in zip(starts, counts):
+        slots[keys[start]] = start
+        run_lengths.extend([count] * count)
+    return slots, None if distinct else run_lengths
+
+
 def run_positions(starts, counts):
     """Every position of the runs ``[starts[j], starts[j] + counts[j])``,
     run by run: ``(owners, positions)`` with ``owners[t]`` the run ``j``
@@ -467,11 +488,35 @@ def joint_codes(columns, radixes: Sequence[int]):
     return code_vector(codes), list(zip(*code_of))
 
 
-def key_runs(keys, probes, distinct: bool):
-    """Binary-search ``probes`` in the sorted ``keys``: ``(hits, lo,
-    counts)``.  ``hits`` are the positions of the probes found (None when
-    all are); per found probe, its equal keys are ``keys[lo:lo + count]``.
-    ``counts`` is None when ``distinct`` (no two keys are equal)."""
+def key_runs(keys, probes, distinct: bool, slots=None, run_lengths=None):
+    """Look ``probes`` up in the sorted ``keys``: ``(hits, lo, counts)``.
+    ``hits`` are the positions of the probes found (None when all are); per
+    found probe, its equal keys are ``keys[lo:lo + count]``.  ``counts`` is
+    None when ``distinct`` (no two keys are equal).
+
+    With a direct-address table ``slots`` (``slots[key]`` the first
+    position of ``key``'s run, -1 when absent; every probe must index it)
+    and, for keys that are not distinct, the per-position ``run_lengths``,
+    a probe is one gather and its count one more.  Without one, the probes
+    are binary-searched.  Both give the same answer, with numpy or without.
+    """
+    if slots is not None:
+        if is_ndarray(slots):
+            lo = slots[probes]
+            found = lo >= 0
+            if found.all():
+                hits = None
+            else:
+                hits = _np.flatnonzero(found)
+                lo = lo[hits]
+        else:
+            lo = [slots[key] for key in probes]
+            if min(lo, default=0) >= 0:
+                hits = None
+            else:
+                hits = [j for j, at in enumerate(lo) if at >= 0]
+                lo = [at for at in lo if at >= 0]
+        return hits, lo, None if distinct else take(run_lengths, lo)
     if is_ndarray(keys):
         lo = _np.searchsorted(keys, probes)
         if distinct:
@@ -841,6 +886,7 @@ __all__ = [
     "distinct_positions",
     "nonempty_slices",
     "sorted_runs",
+    "run_slots",
     "run_positions",
     "degree_sums",
     "cut_points",

@@ -18,7 +18,8 @@ yields plain Python ints for the row-protocol walks, while the
 ``*_vector()`` accessors expose cached numpy views so the columnar
 expansion kernels gather adjacency natively, and
 :meth:`Adjacency.key_view` a cached neighbor-ordered copy of each CSR with
-its sorted pair keys, which EXPAND_INTERSECT probes.  The CSR build itself
+its sorted pair keys and, when dense, their direct-address slot table,
+which EXPAND_INTERSECT probes.  The CSR build itself
 runs as a numpy stable argsort when numpy is enabled, falling back to the
 classic count-and-fill pass.
 
@@ -84,6 +85,13 @@ class EdgeIndex:
         )
 
 
+#: A :class:`KeyView` gets a direct-address slot table when its key space
+#: (vertex count times radix) is at most this many times its key count, so
+#: the table's memory stays linear in the edge count; sparser views are
+#: binary-searched instead.
+MAX_SLOTS_PER_KEY = 64
+
+
 class KeyView(NamedTuple):
     """An adjacency in neighbor order (:meth:`Adjacency.key_view`).
 
@@ -93,14 +101,24 @@ class KeyView(NamedTuple):
     far[edges[p]]`` for the vertex ``v`` owning position ``p``, so ``keys``
     is sorted and the edges from ``v`` to neighbor ``u`` are the run of key
     ``v * radix + u``, in edge-rowid order.  ``distinct`` is True when no
-    two keys are equal: the adjacency has no parallel edges.  ``edges`` and
-    ``keys`` are int64 ndarrays with numpy on, ``array('q')`` buffers off.
+    two keys are equal: the adjacency has no parallel edges.
+
+    ``slots`` is the direct-address table of a dense view (key space at
+    most :data:`MAX_SLOTS_PER_KEY` times the key count), None otherwise:
+    one entry per key of the space ``[0, vertex count * radix)``, holding
+    the first position of that key's run in ``keys``, or -1 for a key that
+    is absent.  ``run_lengths[p]``, kept only for a dense view with
+    parallel edges (None otherwise), is the length of the run holding
+    position ``p``.  Every array is an int64 ndarray with numpy on and an
+    ``array('q')`` buffer off.
     """
 
     radix: int
     edges: Any
     keys: Any
     distinct: bool
+    slots: Any
+    run_lengths: Any
 
 
 @dataclass
@@ -112,7 +130,8 @@ class Adjacency:
     order Expand emits and the count-and-fill build produces.
     :meth:`key_view` adds a neighbor-ordered :class:`KeyView` of the same
     slices, the sorted pair keys EXPAND_INTERSECT expands its driving leg
-    from and probes its other legs in, with numpy on or off.
+    from and probes its other legs in (through the view's slot table when
+    it is dense), with numpy on or off.
     """
 
     vertex_label: str
@@ -156,11 +175,12 @@ class Adjacency:
         :meth:`EdgeIndex.endpoint_vector` for this direction) and ``radix``
         must exceed every far rowid; keys are int64, so the vertex count
         times ``radix`` must stay below ``2**63``.  Both forms sort each
-        slice stably by far endpoint, so they hold the same edges and keys.
-        Built on first use and cached (one view, rebuilt if asked for
-        another ``radix`` or domain): the index is immutable, and a view is
-        stored only once complete, so two workers building it at once each
-        publish a whole, equal view.
+        slice stably by far endpoint, so they hold the same edges and keys,
+        and both fill the slot table (and run lengths) by the same rule
+        when the view is dense.  Built on first use and cached (one view,
+        rebuilt if asked for another ``radix`` or domain): the index is
+        immutable, and a view is stored only once complete, so two workers
+        building it at once each publish a whole, equal view.
         """
         offsets, edges = self.vectors()
         view = self._vectors.get("key_view")
@@ -172,16 +192,21 @@ class Adjacency:
                 # Stable: equal keys (parallel edges) keep the CSR's
                 # edge-rowid order.
                 order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                view = KeyView(radix, edges[order], keys, not (keys[1:] == keys[:-1]).any())
+                edges, keys = edges[order], keys[order]
+                distinct = not (keys[1:] == keys[:-1]).any()
             else:
                 ordered, keys = array("q"), array("q")
                 for v in range(len(offsets) - 1):
                     run = sorted(edges[offsets[v] : offsets[v + 1]], key=far.__getitem__)
                     ordered.extend(run)
                     keys.extend([v * radix + far[e] for e in run])
+                edges = ordered
                 distinct = all(a != b for a, b in zip(keys, keys[1:]))
-                view = KeyView(radix, ordered, keys, distinct)
+            space = (len(offsets) - 1) * radix
+            slots = run_lengths = None
+            if space <= MAX_SLOTS_PER_KEY * len(keys):
+                slots, run_lengths = vector.run_slots(keys, space)
+            view = KeyView(radix, edges, keys, distinct, slots, run_lengths)
             self._vectors["key_view"] = view
         return view
 

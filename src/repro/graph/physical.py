@@ -401,9 +401,10 @@ class ExpandIntersect(GraphOperator):
 
     For each input row, the root candidates are the intersection of the
     bound leaves' neighbor sets: per slice of rows the leg with the smallest
-    summed degree expands, and every other leg is probed by binary search
-    in its adjacency's neighbor-ordered key view
-    (:meth:`~repro.graph.index.Adjacency.key_view`).  Homomorphism
+    summed degree expands, and every other leg is probed in its
+    adjacency's neighbor-ordered key view
+    (:meth:`~repro.graph.index.Adjacency.key_view`): one gather from its
+    slot table when the view is dense, a binary search when it is not.  Homomorphism
     semantics: parallel edges multiply — either as explicit edge-variable
     combinations (``with edge vars``) or as row multiplicity (edge columns
     trimmed).  The body is one call to the pair-key kernel

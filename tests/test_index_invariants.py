@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.exec import numpy_available, set_numpy_enabled
-from repro.graph.index import IN, OUT, build_graph_index
+from repro.graph.index import IN, MAX_SLOTS_PER_KEY, OUT, build_graph_index
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Column, ForeignKey, TableSchema
@@ -104,12 +104,36 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="compares numpy a
 NUMPY_MODES = [True, False] if numpy_available() else [False]
 
 
+def _assert_slots_point_at_runs(view, vertices: int) -> None:
+    """``view``'s slot table is whole when the view is dense: the slot of
+    every present key is the first position of its run, every other slot
+    is -1, and (with parallel edges) every position holds its run's
+    length; a sparse view has no table."""
+    keys = view.keys.tolist()
+    space = vertices * view.radix
+    if space > MAX_SLOTS_PER_KEY * len(keys):
+        assert view.slots is None and view.run_lengths is None
+        return
+    want = [-1] * space
+    for p in reversed(range(len(keys))):
+        want[keys[p]] = p
+    assert type(view.slots) is type(view.keys)
+    assert view.slots.tolist() == want
+    if view.distinct:
+        assert view.run_lengths is None
+    else:
+        assert type(view.run_lengths) is type(view.keys)
+        assert view.run_lengths.tolist() == [keys.count(key) for key in keys]
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_graphs())
 def test_key_view_orders_each_slice_by_neighbor(data):
     """The key view holds each vertex's CSR slice in (far endpoint, edge
-    rowid) order with its sorted pair keys, and ``distinct`` says whether
-    the adjacency has parallel edges — with numpy on and off, in the
+    rowid) order with its sorted pair keys, ``distinct`` says whether the
+    adjacency has parallel edges, and a dense view's slot table sends
+    every present key to the first position of its run and every other
+    key to -1 (a sparse view has none) — with numpy on and off, in the
     domain of the adjacency's vectors, and the two forms hold the same
     values."""
     catalog, mapping = data
@@ -138,16 +162,54 @@ def test_key_view_orders_each_slice_by_neighbor(data):
                 assert all(a <= b for a, b in zip(keys, keys[1:]))
                 assert view.distinct == (len(set(links)) == len(links))
                 assert adj.key_view(far, radix) is view
-                forms.append((view.edges.tolist(), keys, view.distinct))
+                _assert_slots_point_at_runs(view, radix)
+                tables = [None if a is None else a.tolist() for a in (view.slots, view.run_lengths)]
+                forms.append((view.edges.tolist(), keys, view.distinct, tables))
     finally:
         set_numpy_enabled(None)
     assert forms[:2] == forms[-2:]
 
 
+def test_sparse_key_view_has_no_slot_table():
+    """A key space of more than ``MAX_SLOTS_PER_KEY`` slots per key gets no
+    table, whatever the mode: 200 vertices with 3 edges would need 40 000
+    slots, while 10 vertices with the same edges need 100 and get one."""
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            for n, dense in ((200, False), (10, True)):
+                catalog = Catalog()
+                catalog.create_table(
+                    TableSchema("V", [Column("id", DataType.INT)], primary_key="id"),
+                    rows=[(i,) for i in range(n)],
+                )
+                catalog.create_table(
+                    TableSchema(
+                        "E",
+                        [Column("id", DataType.INT), Column("s", DataType.INT), Column("t", DataType.INT)],
+                        primary_key="id",
+                        foreign_keys=[ForeignKey("s", "V", "id"), ForeignKey("t", "V", "id")],
+                    ),
+                    rows=[(0, 0, 1), (1, 0, 1), (2, 1, 1)],
+                )
+                mapping = RGMapping("g", catalog)
+                mapping.add_vertex("V")
+                mapping.add_edge("E", source=("V", "s"), target=("V", "t"))
+                index = build_graph_index(mapping)
+                far = index.edge_index("E").endpoint_vector(OUT)
+                view = index.adjacency("V", "E", OUT).key_view(far, n)
+                assert (view.slots is not None) == dense, (n, numpy_on)
+                assert (view.run_lengths is not None) == dense
+                _assert_slots_point_at_runs(view, n)
+    finally:
+        set_numpy_enabled(None)
+
+
 @needs_numpy
 def test_key_view_built_by_racing_threads_is_whole():
     """Parallel workers may build one adjacency's view at once: each gets a
-    complete view, and the one left cached equals them."""
+    complete view, its slot table and run lengths included, and the one
+    left cached equals them."""
     import sys
     import threading
 
@@ -197,13 +259,18 @@ def test_key_view_built_by_racing_threads_is_whole():
             assert np.array_equal(view.edges, cached.edges)
             assert np.array_equal(view.keys, cached.keys)
             assert view.distinct == cached.distinct is False
+            assert np.array_equal(view.slots, cached.slots)
+            assert np.array_equal(view.run_lengths, cached.run_lengths)
+        _assert_slots_point_at_runs(cached, 300)
+        assert cached.slots is not None
     assert len(views) == 24
 
 
 def test_key_view_is_rebuilt_with_the_index():
     """After appending ``knows`` edges (one of them parallel to an existing
     one) and swapping the index, QC1 returns the reference matcher's
-    triangles on the new data, through views the old index never held."""
+    triangles on the new data, through views the old index never held,
+    whose slot tables and run lengths are rebuilt for the new edges."""
     from repro.core.rules import apply_filter_into_match
     from repro.core.sqlpgq import parse_and_bind
     from repro.exec import execute_plan
@@ -251,9 +318,14 @@ def test_key_view_is_rebuilt_with_the_index():
     )
     new_views, new_count = qc1(build_graph_index(mapping))
     assert not any(new is old for new in new_views for old in old_views)
+    assert not any(new.slots is old.slots for new in new_views for old in old_views)
     assert new_count > old_count
     assert all(old.distinct for old in old_views)
     assert not any(new.distinct for new in new_views)
+    # The new views' tables cover the appended edges and their parallel run.
+    for view in old_views + new_views:
+        assert view.slots is not None
+        _assert_slots_point_at_runs(view, person.num_rows)
 
 
 def test_dangling_edge_rejected():

@@ -5,10 +5,16 @@ checked against references that share no code with it:
   several legs, self-loops, zero-degree and hub vertices), a star of 2–4
   legs with kept and trimmed edge variables mixed, dense and lazy edge
   masks and a root vertex mask, at batch sizes 1, 2 and 1024, with numpy on
-  and off and at parallelism 1 and 4, the operator returns the reference
+  and off, at parallelism 1 and 4 and with views on both sides of the
+  slot-table density rule, the operator returns the reference
   matcher's rows (:func:`repro.graph.matching.match_pattern`); with numpy
   on and off the kernel returns the same rows in the same order, in the
   same chunks, with the same ``rows_produced``;
+* **slot lookup** — on the same kind of graphs, padded with isolated
+  vertices past the density rule or not, a view's direct-address slot
+  table answers every probe of its key space exactly as the binary search
+  over its keys does, numpy on and off; padded graphs, whose views get no
+  table, go through the property check above too;
 * **work bound** — only the smallest leg of a slice is expanded, numpy on
   or off: a star whose other leaf is a 10 000-edge hub materializes one
   pair;
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from math import prod
+from math import isqrt, prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -38,8 +45,9 @@ from repro.exec import (
     open_plan,
     set_numpy_enabled,
 )
-from repro.exec.vector import as_values
-from repro.graph.index import build_graph_index
+from repro.exec.vector import as_values, key_runs
+from repro.graph import index as graph_index
+from repro.graph.index import MAX_SLOTS_PER_KEY, build_graph_index
 from repro.graph.matching import match_pattern, rowid_predicate
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import Expand, ExpandIntersect, ScanVertex, StarLeg
@@ -124,6 +132,12 @@ def _match_count(graph, star) -> int:
                     for c in range(n)
                 )
     return total
+
+
+def _sparse_size(n: int, links: list[tuple[int, int]]) -> int:
+    """The fewest persons, at least ``n``, that put a ``links`` key view
+    past the slot-table density rule (so it gets no table)."""
+    return max(n, isqrt(MAX_SLOTS_PER_KEY * len(links)) + 1)
 
 
 def _graph(n: int, links: list[tuple[int, int]], pairs: list[tuple[int, int]] = ()):
@@ -232,12 +246,13 @@ PARALLEL_RUNS = (
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(graph=graphs(), star=stars(), parallelism=st.sampled_from([1, 4]))
+@given(graph=graphs(), star=stars(), parallelism=st.sampled_from([1, 4]), sparse=st.booleans())
 # A dense mask on the larger leg, which is probed, not expanded.
 @example(
     graph=PARALLEL_RUNS,
     star=([("a", "out", False, None), ("b", "out", False, "dense")], False, None),
     parallelism=1,
+    sparse=False,
 )
 # A lazy mask on a probed leg with parallel edges, its edge variable kept:
 # each run is masked and re-counted, and the kept edges are the survivors.
@@ -245,16 +260,27 @@ PARALLEL_RUNS = (
     graph=PARALLEL_RUNS,
     star=([("a", "out", False, None), ("b", "out", True, "lazy")], False, None),
     parallelism=1,
+    sparse=False,
 )
 # The lazy mask rejects all four edges, so every hit of the probed leg goes.
 @example(
     graph=(3, [(0, 1), (0, 2), (1, 2), (2, 1)]),
     star=([("a", "out", True, None), ("b", "in", False, "lazy")], False, None),
     parallelism=1,
+    sparse=False,
 )
-def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism):
+# The same probed run, its view too sparse for a slot table.
+@example(
+    graph=PARALLEL_RUNS,
+    star=([("a", "out", False, None), ("b", "out", True, "lazy")], False, None),
+    parallelism=1,
+    sparse=True,
+)
+def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism, sparse):
     assume(_match_count(graph, star) <= MAX_MATCHES)
-    mapping, index = _graph(*graph)
+    n, links = graph
+    # Sparse: isolated persons widen the key space past the density rule.
+    mapping, index = _graph(_sparse_size(n, links) if sparse else n, links)
     op, pattern, variables = _star(mapping, index, *star)
     expected = sorted(
         tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)
@@ -266,6 +292,11 @@ def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism
                 set_numpy_enabled(numpy_on)
                 rows, produced, lengths = _serial(op, batch_size)
                 assert sorted(rows) == expected, (batch_size, numpy_on)
+                for direction in ("out", "in"):
+                    adjacency = index.adjacency("Person", "Link", direction)
+                    view = adjacency._vectors.get("key_view")
+                    if view is not None:
+                        assert (view.slots is None) == (sparse or not links)
                 assert produced >= len(rows)
                 outputs.append((rows, produced, lengths))
                 if parallelism > 1:
@@ -279,6 +310,55 @@ def test_intersect_kernel_matches_the_reference_matcher(graph, star, parallelism
             # row, root rowid) order with edge combinations in product
             # order, the same chunks and the same rows_produced.
             assert all(output == outputs[0] for output in outputs)
+    finally:
+        set_numpy_enabled(None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(), sparse=st.booleans())
+def test_slot_lookup_answers_like_binary_search(graph, sparse):
+    """On multigraphs with parallel edges and self-loops, with and without
+    isolated persons that put the views past the density rule, numpy on
+    and off: a sparse view has no slot table, and a view given one (the
+    rule lifted for the sparse ones) answers every key of its space,
+    probed out of order and repeated, with the binary search's exact
+    ``(hits, lo, counts)``."""
+    n, links = graph
+    assume(links)
+    n = _sparse_size(n, links) if sparse else n
+    space = n * n
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            _, index = _graph(n, links)
+            _, forced = _graph(n, links)
+            for direction in ("out", "in"):
+                far = index.edge_index("Link").endpoint_vector(direction)
+                view = index.adjacency("Person", "Link", direction).key_view(far, n)
+                with mock.patch.object(graph_index, "MAX_SLOTS_PER_KEY", space):
+                    table = forced.adjacency("Person", "Link", direction).key_view(far, n)
+                assert (view.slots is None) == sparse
+                if not sparse:
+                    assert as_values(view.slots) == as_values(table.slots)
+                assert (table.run_lengths is None) == table.distinct
+                # Every key of the space, scrambled and repeated; then only
+                # the present keys, backwards, so every probe hits.
+                for probes in (
+                    [(k * 7919) % space for k in range(space)] * 2,
+                    as_values(table.keys)[::-1],
+                ):
+                    if numpy_on:
+                        import numpy as np
+
+                        probes = np.asarray(probes, dtype=np.int64)
+                    slotted = key_runs(
+                        table.keys, probes, table.distinct, table.slots, table.run_lengths
+                    )
+                    searched = key_runs(table.keys, probes, table.distinct)
+                    assert [None if a is None else as_values(a) for a in slotted] == [
+                        None if a is None else as_values(a) for a in searched
+                    ], (numpy_on, direction)
+                    assert [type(a) for a in slotted] == [type(a) for a in searched]
     finally:
         set_numpy_enabled(None)
 

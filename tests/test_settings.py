@@ -407,8 +407,10 @@ def test_intersect_probes_sorted_views_without_sorting():
     """EXPAND_INTERSECT is one body in both modes — ``intersect_expand`` and
     every kernel- or vector-module function it reaches — and it never
     sorts: the driving leg's pairs come out of its key view in order, the
-    others are probed by binary search (``searchsorted`` with numpy,
-    ``bisect`` without)."""
+    others are probed through the view's slot table, one gather per probe
+    (``slots[probes]`` with numpy, ``slots[key]`` per probe without), or,
+    for a view too sparse for a table, by binary search (``searchsorted``
+    with numpy, ``bisect`` without)."""
     sources = _sources()
     functions = {}
     for module in ("repro/exec/vector.py", "repro/exec/kernels.py"):
@@ -431,6 +433,18 @@ def test_intersect_probes_sorted_views_without_sorting():
             todo.extend(c for c in called(functions[name]) if c in functions)
     assert {"intersect_expand", "_intersect_slice", "csr_expand_vectors", "key_runs"} <= body
     assert {"searchsorted", "bisect_left", "bisect_right"} <= set(called(functions["key_runs"]))
+    gathers = {
+        ast.unparse(node)
+        for node in ast.walk(functions["key_runs"])
+        if isinstance(node, ast.Subscript)
+    }
+    assert {"slots[probes]", "slots[key]"} <= gathers
+    (probe,) = (
+        call
+        for call in ast.walk(functions["_intersect_slice"])
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "key_runs"
+    )
+    assert {"view.slots", "view.run_lengths"} <= set(map(ast.unparse, probe.args))
     assert not {"_intersect_vectors", "_intersect_lists"} & functions.keys()
     for name in sorted(body):
         sorts = {c for c in called(functions[name])} & {"sort", "argsort", "lexsort", "sorted"}
