@@ -47,17 +47,19 @@ def run_grid(
 ) -> list[Measurement]:
     """Run every system on every query; returns one Measurement per cell.
 
-    ``warmup`` performs one unmeasured optimization per cell first, so lazy
-    one-time costs (GLogue sample counting, statistics collection) do not
-    pollute per-query optimization times — the paper's GLogue is likewise
-    built ahead of measurement.
+    ``warmup`` performs one unmeasured run per cell first, so lazy one-time
+    costs do not pollute the measured times: GLogue sample counting and
+    statistics collection in optimization (the paper's GLogue is likewise
+    built ahead of measurement), and the graph index's lazily built key
+    views in execution.  A cell that fails its warm-up (OOM is
+    deterministic) is run and reported all the same.
     """
     measurements: list[Measurement] = []
     for query_name, query in queries.items():
         for system_name, system in systems.items():
             if warmup:
                 try:
-                    system.optimize(query)
+                    system.run(query, query_name=query_name)
                 except Exception:
                     pass  # failures are re-observed and reported below
             results: list[SystemResult] = []

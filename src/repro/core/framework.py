@@ -264,12 +264,14 @@ class RelGoFramework:
         if self.config.enable_rules:
             query, push_report = apply_filter_into_match(query)
             query, trim_report = apply_trim_and_fuse(query)
+            live, reducible = apply_dead_branch(query, trim_report) or (None, {})
             rule_report = RuleReport(
                 pushed_constraints=push_report.pushed_constraints,
                 trimmed_columns=trim_report.trimmed_columns,
                 trimmed_edge_vars=trim_report.trimmed_edge_vars,
                 needed_edge_vars=trim_report.needed_edge_vars,
-                live_vertices=apply_dead_branch(query, trim_report),
+                live_vertices=live,
+                reducible=reducible,
             )
         clause = query.graph_table
         assert clause is not None
@@ -280,14 +282,17 @@ class RelGoFramework:
         )
         graph_plan = graph_optimizer.optimize(clause.pattern)
         index = self.ensure_index() if self.config.use_graph_index else None
-        exists = {}
+        stripped = {}
         if rule_report.live_vertices is not None and index is not None:
-            exists = dead_branches(graph_plan, rule_report.live_vertices, index)
-            rule_report.pruned_branches = [
-                ", ".join(b.describe(anchor))
-                for anchor, branches in exists.items()
-                for b in branches
-            ]
+            stripped = dead_branches(
+                graph_plan, rule_report.live_vertices, index, rule_report.reducible
+            )
+            for anchor, branches in stripped.items():
+                for b in branches:
+                    if b.reductions():
+                        rule_report.reduced_branches.append(b.summary(anchor))
+                    else:
+                        rule_report.pruned_branches.append(b.summary(anchor))
         lowering = LoweringConfig(
             use_graph_index=self.config.use_graph_index,
             enable_expand_intersect=self.config.enable_expand_intersect,
@@ -298,7 +303,7 @@ class RelGoFramework:
             ),
             fuse=self.config.enable_rules,
             semantics=clause.semantics,
-            exists=exists,
+            stripped=stripped,
         )
         sgt = LogicalScanGraphTable(clause, self.mapping, index, graph_plan, lowering)
         block = self._relational_block(query, extra_leaves=[sgt])

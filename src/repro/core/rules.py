@@ -15,11 +15,16 @@ EXPAND_EDGE + GET_VERTEX pair into a single EXPAND during lowering.
 **DeadBranchRule** — when the query above the GRAPH_TABLE ignores
 duplicates (only MIN / MAX aggregates, or a DISTINCT without aggregates or
 LIMIT), a pattern vertex nothing reads matters only through whether it
-matches, not how often.  The rule computes the *live* vertices (those the
-surviving COLUMNS read, plus both endpoints of every kept edge variable);
-lowering (:func:`repro.graph.optimizer.dead_branches`) then replaces each
-dead dangling branch that fans out by one EXISTS check on the vertex it
-hangs from — GOpt's field trimming taken from columns to multiplicity.
+matches, not how often, and a vertex read only inside MIN / MAX arguments
+only through the least or greatest value it offers.  The rule computes the
+*live* vertices (those the surviving COLUMNS read, plus both endpoints of
+every kept edge variable) and, among them, the *reducible* ones; lowering
+(:func:`repro.graph.optimizer.dead_branches`) then replaces each dangling
+branch of dead vertices that fans out by one EXISTS check on the vertex it
+hangs from, and dangling branches that end in reducible leaves, where two
+or more meet at one anchor, by one per-anchor MIN / MAX reduction — GOpt's
+field trimming taken from columns to multiplicity, and the (min, ×)
+instance of per-anchor aggregation (FAQ) beside the boolean one.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.relational.expr import (
+    ColumnRef,
     Expr,
     referenced_columns,
     rename_columns,
@@ -44,9 +50,13 @@ class RuleReport:
     trimmed_edge_vars: list[str] = field(default_factory=list)
     needed_edge_vars: frozenset[str] = frozenset()
     # DeadBranchRule: the live vertices when it applies (None: it does not),
-    # and the branches lowering turned into EXISTS checks.
+    # the live vertices read only inside MIN / MAX arguments with their
+    # (func, attr) reads, and the branches lowering turned into EXISTS
+    # checks and into MIN / MAX reductions.
     live_vertices: frozenset[str] | None = None
+    reducible: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     pruned_branches: list[str] = field(default_factory=list)
+    reduced_branches: list[str] = field(default_factory=list)
 
 
 def apply_filter_into_match(query: SPJMQuery) -> tuple[SPJMQuery, RuleReport]:
@@ -153,9 +163,12 @@ def apply_trim_and_fuse(query: SPJMQuery) -> tuple[SPJMQuery, RuleReport]:
     return query, report
 
 
-def apply_dead_branch(query: SPJMQuery, trimmed: RuleReport) -> frozenset[str] | None:
+def apply_dead_branch(
+    query: SPJMQuery, trimmed: RuleReport
+) -> tuple[frozenset[str], dict[str, tuple[tuple[str, str], ...]]] | None:
     """DeadBranchRule: the live pattern vertices of a trimmed query whose
-    consumer ignores duplicates; None when the rule does not apply.
+    consumer ignores duplicates, and the reducible ones among them; None
+    when the rule does not apply.
 
     The consumer ignores duplicates when the query has at least one
     aggregate and every aggregate is MIN or MAX (GROUP BY allowed), or when
@@ -163,6 +176,14 @@ def apply_dead_branch(query: SPJMQuery, trimmed: RuleReport) -> frozenset[str] |
     AVG, plain projections and a LIMIT without aggregates count every
     match, so the rule never fires for them; nor under isomorphism or
     edge-distinct semantics, whose all-distinct check reads every binding.
+
+    A live vertex is *reducible* when every read of it is an aggregate
+    whose argument is one bare column of its attributes, and every
+    aggregate over one attribute uses the same function; it maps to its
+    ``(func, attr)`` reads.  A vertex that a GROUP BY key, ORDER BY key or
+    outer predicate reads, whose id or label is read, that any other
+    aggregate argument mentions, or that a kept edge touches is not
+    reducible.
 
     Why the answer cannot change: project every match onto its live
     vertices.  Pruning a dead branch into an existence check on its anchor
@@ -172,7 +193,12 @@ def apply_dead_branch(query: SPJMQuery, trimmed: RuleReport) -> frozenset[str] |
     to at least one full match (the branch's match, which shares nothing
     with the rest of the pattern but the anchor).  So the *set* of distinct
     live tuples is unchanged, and with it every MIN / MAX, GROUP BY key and
-    DISTINCT row; only how often each tuple repeats changes.
+    DISTINCT row; only how often each tuple repeats changes.  A branch
+    holding reducible vertices keeps the same pruned rows, each carrying
+    its anchor's MIN (MAX) over the branch's matches of every attribute it
+    reduces: the MIN over the matches of one group is the MIN, over the
+    group's anchors, of each anchor's own MIN, because no GROUP BY key
+    reads the branch and each attribute is reduced on its own.
     """
     clause = query.graph_table
     if clause is None or clause.semantics != "homomorphism":
@@ -182,8 +208,37 @@ def apply_dead_branch(query: SPJMQuery, trimmed: RuleReport) -> frozenset[str] |
             return None
     elif not query.distinct or query.limit is not None:
         return None
-    live = {c.var for c in clause.columns if c.var in clause.pattern.vertices}
-    for name in trimmed.needed_edge_vars:
-        edge = clause.pattern.edges[name]
-        live.update((edge.src, edge.dst))
-    return frozenset(live)
+    read = {c.var for c in clause.columns if c.var in clause.pattern.vertices}
+    edges = clause.pattern.edges
+    ends = {v for name in trimmed.needed_edge_vars for v in (edges[name].src, edges[name].dst)}
+    return frozenset(read | ends), _reducible(query, read - ends)
+
+
+def _reducible(
+    query: SPJMQuery, candidates: set[str]
+) -> dict[str, tuple[tuple[str, str], ...]]:
+    """The ``candidates`` read only inside MIN / MAX arguments, each with
+    its ``(func, attr)`` reads (see :func:`apply_dead_branch`)."""
+    clause = query.graph_table
+    assert clause is not None
+    column_map = clause.column_map()
+    read: set[str] = set()  # qualified columns read outside reducible arguments
+    for e, _ in [*query.group_by, *(query.projections or []), *query.order_by]:
+        read |= referenced_columns(e)
+    for p in query.predicates:
+        read |= referenced_columns(p)
+    funcs: dict[tuple[str, str], set[str]] = {}
+    for spec in query.aggregates:
+        mc = column_map.get(spec.arg.name) if isinstance(spec.arg, ColumnRef) else None
+        if mc is not None and mc.attr is not None:
+            funcs.setdefault((mc.var, mc.attr), set()).add(spec.func)
+        elif spec.arg is not None:
+            read |= referenced_columns(spec.arg)
+    pinned = {column_map[name].var for name in read if name in column_map}
+    pinned |= {var for (var, _), used in funcs.items() if len(used) > 1}
+    reducible: dict[str, tuple[tuple[str, str], ...]] = {}
+    for (var, attr), used in funcs.items():
+        if var in candidates and var not in pinned:
+            (func,) = used
+            reducible[var] = reducible.get(var, ()) + ((func, attr),)
+    return reducible

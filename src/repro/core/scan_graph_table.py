@@ -22,7 +22,7 @@ from repro.graph.index import GraphIndex
 from repro.exec.kernels import emit_columnar
 from repro.exec.vector import ColumnarBatch, take
 from repro.graph.optimizer import GraphPlan, LoweringConfig, lower_plan
-from repro.graph.physical import GraphOperator
+from repro.graph.physical import GraphOperator, value_var
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
 from repro.exec.context import ExecutionContext
@@ -111,7 +111,7 @@ class _ColumnFetcher:
     """Compiled accessor for one projected output column."""
 
     var_position: int
-    kind: str  # "attr" | "id" | "label"
+    kind: str  # "attr" | "id" | "label" | "value" (a BranchReduce column)
     values: list | None = None  # attribute column or key column
     constant: str | None = None
 
@@ -143,7 +143,9 @@ class ScanGraphTableOp(PhysicalOperator):
         factorize / segment-reduction fast paths — still in the array
         domain.  Gathers are deduplicated per (variable, base column), so a
         projection naming the same attribute (or the same label constant)
-        twice gathers once and shares the result."""
+        twice gathers once and shares the result.  An attribute a
+        :class:`~repro.graph.physical.BranchReduce` reduced is read from
+        the value column it appended, not gathered."""
         fetchers = [self._fetcher(c) for c in self.clause.columns]
         for cb in self.graph_op.columnar_batches(ctx):
             n = len(cb)
@@ -158,6 +160,9 @@ class ScanGraphTableOp(PhysicalOperator):
                         column = [f.constant] * n
                         constants[f.constant] = column
                     columns.append(column)
+                    continue
+                if f.kind == "value":
+                    columns.append(cb.column_vector(f.var_position))
                     continue
                 assert f.values is not None
                 key = (f.var_position, id(f.values))
@@ -174,6 +179,9 @@ class ScanGraphTableOp(PhysicalOperator):
 
     def _fetcher(self, column: MatchColumn) -> _ColumnFetcher:
         var_names = [v.name for v in self.graph_op.output_vars]
+        reduced = value_var(column.var, column.attr or "")
+        if column.special is None and reduced in var_names:
+            return _ColumnFetcher(var_names.index(reduced), "value")
         if column.var not in var_names:
             raise BindError(
                 f"graph plan does not bind variable {column.var!r} "

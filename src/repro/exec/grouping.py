@@ -303,7 +303,7 @@ def _merge_fn(func: str, update) -> Callable[[Any, Any], Any]:
 
 #: ndarray dtype kinds the ufunc reductions handle.  MIN/MAX over strings
 #: ('<U' ndarrays, dictionary vectors) reduce by order
-#: (:func:`_segment_reduce_ordered`); everything else reduces through the
+#: (:func:`_ordered_winners`); everything else reduces through the
 #: skip-NULL loop.
 _REDUCIBLE_KINDS = "biuf"
 
@@ -340,16 +340,23 @@ def _segment_reduce_array(func: str, values, order, starts, counts_list):
     if func in ("SUM", "AVG"):
         totals = np.add.reduceat(sorted_values, starts).tolist()
         return list(zip(counts_list, totals))
+    return _extremes(func, sorted_values, starts).tolist()
+
+
+def _extremes(func: str, sorted_values, starts):
+    """MIN/MAX per segment of a number ndarray sorted by group, one
+    segment starting at each of ``starts``."""
+    np = vector._np
     if func == "MIN":
         # fmin skips NaN, so a group's MIN is NaN only when it is all-NaN.
-        return np.fmin.reduceat(sorted_values, starts).tolist()
+        return np.fmin.reduceat(sorted_values, starts)
     # MAX: maximum propagates NaN — any NaN in the group wins.
-    return np.maximum.reduceat(sorted_values, starts).tolist()
+    return np.maximum.reduceat(sorted_values, starts)
 
 
-def _segment_reduce_ordered(func: str, values, codes, counts):
-    """MIN/MAX cells for a string argument: rows compare by order and only
-    each group's winning row decodes.
+def _ordered_winners(func: str, values, codes, counts):
+    """The position of each group's MIN/MAX row of a string argument, so
+    only each group's winning row decodes.
 
     A '<U' ndarray is its own order (numpy compares it in Python's
     code-point order); a dictionary column orders by its dictionary's rank
@@ -361,13 +368,35 @@ def _segment_reduce_ordered(func: str, values, codes, counts):
     dv = vector.dict_vector(values)
     order = values if dv is None else ordering.dictionary_ranks(dv)[dv.codes]
     if len(counts) == 1:
-        winners = [order.argmin() if func == "MIN" else order.argmax()]
-    else:
-        ends = np.cumsum(counts)
-        winners = np.lexsort((order, codes))[
-            ends - counts if func == "MIN" else ends - 1
-        ]
-    return vector.as_values(vector.take(values, winners))
+        return [order.argmin() if func == "MIN" else order.argmax()]
+    ends = np.cumsum(counts)
+    return np.lexsort((order, codes))[ends - counts if func == "MIN" else ends - 1]
+
+
+def segment_extremes(func: str, values, codes, counts) -> Sequence:
+    """MIN or MAX of ``values`` per group, in the values' own domain.
+
+    Row ``t`` belongs to group ``codes[t]``; group ``g`` holds
+    ``counts[g]`` rows, at least one.  The rules are GROUP BY's: a number
+    ndarray reduces through the segment ufuncs (NaN above every number)
+    and stays an ndarray, strings (a dictionary vector or '<U' ndarray)
+    compare by order and stay the same kind of vector, and anything else
+    reduces through the skip-NULL loop into a list, None for a group
+    without a non-NULL value.
+    """
+    if is_ndarray(values) and values.dtype.kind in _REDUCIBLE_KINDS:
+        np = vector._np
+        order = np.argsort(codes, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        return _extremes(func, values[order], starts)
+    if vector.dict_vector(values) is not None or (
+        is_ndarray(values) and values.dtype.kind == "U"
+    ):
+        return vector.take(values, _ordered_winners(func, values, codes, counts))
+    cells = _segment_reduce_seq(
+        func, vector.as_values(values), vector.as_values(codes), len(counts)
+    )
+    return [None if cell is MISSING else cell for cell in cells]
 
 
 def _segment_reduce_seq(func: str, values, codes_list, num_groups: int):
@@ -900,7 +929,8 @@ class GroupedAggregation:
                 vector.dict_vector(values) is not None
                 or (is_ndarray(values) and values.dtype.kind == "U")
             ):
-                partial = _segment_reduce_ordered(func, values, codes, counts)
+                winners = _ordered_winners(func, values, codes, counts)
+                partial = vector.as_values(vector.take(values, winners))
             if partial is None:  # list column, or an overflow-prone int sum
                 if codes_list is None:
                     codes_list = vector.as_values(codes)

@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
+from repro.exec.grouping import segment_extremes
 from repro.exec.vector import (
     ColumnarBatch,
     LazyMask,
@@ -44,8 +45,10 @@ from repro.exec.vector import (
     passing,
     product_positions,
     run_positions,
+    scatter,
     sorted_runs,
     take,
+    value_store,
 )
 
 Batch = list
@@ -1060,16 +1063,18 @@ def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
         yield replicate_columnar(cb, take(parents, k), new_columns)
 
 
-class ExistsStep(NamedTuple):
-    """One edge of a dead pattern branch, resolved for execution.
+class BranchStep(NamedTuple):
+    """One edge of a stripped pattern branch, resolved for execution.
 
     From a bound vertex, follow the CSR adjacency ``offsets`` / ``edges`` to
     the far endpoints ``far`` (indexed by edge rowid) — vector views, so
     ndarrays exactly when numpy is on.  ``emask`` / ``vmask`` are the rowid
     masks of the edge's and the far vertex's predicates (None: no
     predicate); ``steps`` are the far vertex's own sub-branches, each of
-    which a reached vertex must satisfy too (each is decided once per far
-    vertex, through its own lazy mask; see :func:`exists_filter`).
+    which a reached vertex must satisfy too; ``reduce`` holds one
+    ``(func, values)`` pair per attribute of the far vertex the branch
+    reduces — MIN or MAX and the attribute column, indexed by rowid (see
+    :func:`branch_reduce`).
     """
 
     offsets: Sequence[int]
@@ -1078,43 +1083,77 @@ class ExistsStep(NamedTuple):
     emask: Any
     vmask: Any
     steps: tuple
+    reduce: tuple = ()
 
 
-def exists_filter(
+class _Memo(NamedTuple):
+    """A step's per-vertex memo: the lazy mask of the vertices it leaves
+    from that have a match, and one value store per reduced attribute of
+    the step's subtree (``funcs``, the step's own attributes first)."""
+
+    mask: LazyMask
+    funcs: list
+    stores: list
+
+
+def branch_reduce(
     source: Iterable[ColumnarBatch],
     column: int,
-    steps: Sequence[ExistsStep],
+    steps: Sequence[BranchStep],
 ) -> Iterator[ColumnarBatch]:
     """Keep the rows whose bound vertex in ``column`` (the *anchor*) has at
-    least one match of every branch in ``steps`` — a semi-join per branch.
+    least one match of every branch in ``steps``, and append one column per
+    reduced attribute: the least (MIN) or greatest (MAX) value of that
+    attribute over the anchor's matches of its branch.
 
-    Every branch is a :class:`~repro.exec.vector.LazyMask` over the rowids
-    it leaves from (:func:`_branch_mask`), so each batch decides only the
+    This is per-anchor aggregation in one semiring per attribute: (or,
+    and) decides whether a branch matches at all — the EXISTS check, the
+    instance with nothing to reduce, which appends nothing and passes the
+    input's rows on unchanged — and (min | max, ×) reduces a value.  Every
+    branch keeps its memo per distinct vertex (:func:`_memo`): a
+    :class:`~repro.exec.vector.LazyMask` of the vertices with a match plus
+    one value store per reduced attribute, so each batch decides only the
     distinct anchors no earlier batch asked about, and each branch sees
     only the anchors the earlier ones accepted.  A branch CSR-expands its
     undecided vertices, filters the expansion through the edge mask, then
-    through the far vertex's mask and its sub-branches' own lazy masks,
-    and keeps the vertices with a surviving edge: each far vertex is
-    decided once per query, whichever anchor reaches it.  The masks live in
-    this generator's own state, so concurrent morsel chains never share
-    them.  The same steps run over ndarrays with numpy on and over lists of
-    plain ints off (the :mod:`repro.exec.vector` primitives).
+    through the far vertex's mask and its sub-branches' own memos, keeps
+    the vertices with a surviving edge and reduces the far vertices' values
+    per vertex with the MIN / MAX rules of GROUP BY
+    (:func:`~repro.exec.grouping.segment_extremes`: NULLs skipped, strings
+    by value, NaN above every number), in the values' own domain.  Each far vertex is decided
+    once per query, whichever anchor reaches it.  The memos live in this
+    generator's own state, so concurrent morsel chains never share them.
+    The same steps run over ndarrays with numpy on and over lists of plain
+    ints off (the :mod:`repro.exec.vector` primitives).
     """
-    masks = list(map(_branch_mask, steps))
+    memos = list(map(_memo, steps))
+    masks = [memo.mask for memo in memos]
+    stores = [store for memo in memos for store in memo.stores]
     for cb in source:
         kept = _passing_all(masks, cb.column_vector(column))
-        if kept is None:
-            yield cb
-        elif len(kept):
-            yield cb.take(kept)
+        if kept is not None:
+            if not len(kept):
+                continue
+            cb = cb.take(kept)
+        if stores:
+            anchors = cb.column_vector(column)
+            values = [take(store, anchors) for store in stores]
+            cb = ColumnarBatch(cb.dense().columns + values, len(anchors), None)
+        yield cb
 
 
-def _branch_mask(step: ExistsStep) -> LazyMask:
-    """``step``'s branch as a lazy mask over the vertices it leaves from
-    (its CSR covers every rowid it can be asked about)."""
+def _memo(step: BranchStep) -> _Memo:
+    """``step``'s memo over the vertices it leaves from (its CSR covers
+    every rowid it can be asked about)."""
+    subs = list(map(_memo, step.steps))
+    funcs = [func for func, _ in step.reduce] + [f for sub in subs for f in sub.funcs]
+    likes = [values for _, values in step.reduce] + [s for sub in subs for s in sub.stores]
+    length = len(step.offsets) - 1
+    stores = [value_store(like, length) for like in likes]
     masks = [] if step.vmask is None else [step.vmask]
-    masks += map(_branch_mask, step.steps)
-    return LazyMask(partial(_reach, step, masks), len(step.offsets) - 1)
+    masks += [sub.mask for sub in subs]
+    reach = partial(_reach, step, masks, subs, funcs, stores)
+    return _Memo(LazyMask(reach, length), funcs, stores)
 
 
 def _passing_all(masks, rowids):
@@ -1130,11 +1169,12 @@ def _passing_all(masks, rowids):
     return kept
 
 
-def _reach(step: ExistsStep, masks, vertices):
+def _reach(step: BranchStep, masks, subs, funcs, stores, vertices):
     """Positions of ``vertices`` with at least one edge of ``step`` that
     passes its edge mask and reaches a far vertex every one of ``masks``
-    passes."""
-    if step.emask is None and not masks:
+    passes; each such vertex's MIN / MAX of every reduced attribute over
+    those far vertices goes into ``stores``."""
+    if step.emask is None and not masks and not funcs:
         return nonempty_slices(step.offsets, vertices)
     expanded = csr_expand_vectors(vertices, step.offsets, step.edges)
     if expanded is None:
@@ -1144,10 +1184,21 @@ def _reach(step: ExistsStep, masks, vertices):
         kept = passing(step.emask, edge_ids)
         if kept is not None:
             parents, edge_ids = take(parents, kept), take(edge_ids, kept)
-    kept = _passing_all(masks, take(step.far, edge_ids))
+    far = take(step.far, edge_ids)
+    kept = _passing_all(masks, far)
     if kept is not None:
-        parents = take(parents, kept)
-    return take(parents, sorted_runs(parents)[0])
+        parents, far = take(parents, kept), take(far, kept)
+    # ``parents`` ascend, so each vertex's surviving edges are one run.
+    starts, counts = sorted_runs(parents)
+    positions = take(parents, starts)
+    if funcs and len(positions):
+        values = [take(column, far) for _, column in step.reduce]
+        values += [take(store, far) for sub in subs for store in sub.stores]
+        codes = run_positions(starts, counts)[0]
+        rowids = take(vertices, positions)
+        for func, store, column in zip(funcs, stores, values):
+            scatter(store, rowids, segment_extremes(func, column, codes, counts))
+    return positions
 
 
 def chunk_columnar(cb: ColumnarBatch, size: int) -> Iterator[ColumnarBatch]:

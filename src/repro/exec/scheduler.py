@@ -446,7 +446,7 @@ def _chain_types() -> tuple:
         gph.GetVertex,
         gph.Expand,
         gph.ExpandIntersect,
-        gph.ExistsFilter,
+        gph.BranchReduce,
         gph.AllDistinct,
     )
 

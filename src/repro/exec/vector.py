@@ -232,12 +232,12 @@ class LazyMask:
 
     The shape of a pushed-down predicate that has no dense vectorized form
     (LIKE / IN over '<U' or NULL-bearing columns, OR, IS NULL, ... — and
-    every predicate when numpy is disabled), and of an EXISTS branch
-    (:func:`repro.exec.kernels.exists_filter`).  ``mask[rowids]`` answers
-    like a dense boolean ndarray would, but calls ``check`` once per lookup
-    with the *distinct* rowids not asked about before, so one mask shared
-    by all batches of a traversal decides each rowid it actually reaches
-    at most once.  ``check`` returns the positions of the rowids it was
+    every predicate when numpy is disabled), and of whether a stripped
+    pattern branch matches (:func:`repro.exec.kernels.branch_reduce`).
+    ``mask[rowids]`` answers like a dense boolean ndarray would, but calls
+    ``check`` once per lookup with the *distinct* rowids not asked about
+    before, so one mask shared by all batches of a traversal decides each
+    rowid it actually reaches at most once.  ``check`` returns the positions of the rowids it was
     given whose predicate holds (:meth:`per_rowid` wraps a per-rowid
     predicate).  ``length`` is the (pinned) extent of the table the rowids
     address.
@@ -298,6 +298,31 @@ def passing(mask, rowids) -> "Sequence[int] | None":
         return None if keep.all() else _np.flatnonzero(keep)
     keep = mask[rowids]
     return None if all(keep) else [j for j, k in enumerate(keep) if k]
+
+
+def value_store(like: Sequence, length: int) -> Sequence:
+    """``length`` per-rowid slots for values of ``like``'s domain, filled
+    by :func:`scatter` and read back with :func:`take`: an ndarray of its
+    dtype, a dictionary vector over its dictionary, or (any other column)
+    a list of NULLs.  Only slots written are meant to be read."""
+    if is_ndarray(like):
+        return _np.zeros(length, dtype=like.dtype)
+    if dict_vector(like) is not None:
+        codes = _np.zeros(length, dtype=like.codes.dtype)
+        return DictVector(codes, like.values, like.index, like.ranks)
+    return [None] * length
+
+
+def scatter(store: Sequence, rowids: Sequence[int], values: Sequence) -> None:
+    """``store[rowids[j]] = values[j]`` for every ``j``; ``values`` is in
+    ``store``'s domain (see :func:`value_store`)."""
+    if type(store) is DictVector:
+        store.codes[as_index_array(rowids)] = values.codes
+    elif is_ndarray(store):
+        store[as_index_array(rowids)] = values
+    else:
+        for rowid, value in zip(rowids, values):
+            store[rowid] = value
 
 
 def valid_rowids(rowids) -> "Sequence[int] | None":

@@ -31,9 +31,11 @@ operators.  Flags reproduce the paper's ablations:
   "traditional multiple joins" (the RelGoNoEI variant of Fig 9);
 * ``needed_edge_vars`` — the TrimAndFuseRule outcome: edge variables absent
   from the set are trimmed and EXPAND_EDGE + GET_VERTEX fuse into EXPAND;
-* ``exists`` — the DeadBranchRule outcome (:func:`dead_branches`): the star
-  steps of each dead dangling branch are dropped and one EXISTS check
-  follows the operator that binds the branch's anchor vertex.  The chosen
+* ``stripped`` — the DeadBranchRule outcome (:func:`dead_branches`): the
+  star steps of each stripped dangling branch are dropped, and the
+  operator that binds the branch's anchor vertex is followed by one EXISTS
+  check for the anchor's branches that reduce nothing and one REDUCE for
+  those read inside MIN / MAX (both :class:`BranchReduce`).  The chosen
   plan, its costs and ``GraphPlan.explain()`` are untouched.
 
 A self-loop is never a star leg.  Once a scan or star step binds its
@@ -44,6 +46,7 @@ every mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.errors import PlanError
 from repro.graph.cost import CardinalityEstimator, CostModel, MaskEstimates, StarStep
@@ -51,9 +54,9 @@ from repro.graph.index import GraphIndex
 from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex, VertexMasks
 from repro.graph.physical import (
     AllDistinct,
+    Branch,
+    BranchReduce,
     EdgeTripleScan,
-    ExistsBranch,
-    ExistsFilter,
     Expand,
     ExpandEdge,
     ExpandIntersect,
@@ -227,42 +230,84 @@ class LoweringConfig:
     fuse: bool = True
     semantics: str = "homomorphism"
     # DeadBranchRule's outcome (:func:`dead_branches`): per anchor vertex,
-    # the branches an EXISTS check replaces; their star steps are dropped.
-    exists: dict[str, tuple[ExistsBranch, ...]] = field(default_factory=dict)
+    # the branches a BranchReduce replaces; their star steps are dropped.
+    stripped: dict[str, tuple[Branch, ...]] = field(default_factory=dict)
 
     @property
     def pruned(self) -> frozenset[str]:
-        """The vertices the EXISTS checks stand for: never bound."""
+        """The vertices the stripped branches stand for: never bound."""
         return frozenset(
-            v for branches in self.exists.values() for b in branches for v in b.variables()
+            v for branches in self.stripped.values() for b in branches for v in b.variables()
         )
 
 
 def dead_branches(
-    plan: GraphPlan, live: frozenset[str], index: GraphIndex
-) -> dict[str, tuple[ExistsBranch, ...]]:
-    """DeadBranchRule's lowering half: the dead branches of ``plan``'s
-    pattern that fan out, grouped by the vertex they hang from.
+    plan: GraphPlan,
+    live: frozenset[str],
+    index: GraphIndex,
+    reducible: Mapping[str, tuple[tuple[str, str], ...]] | None = None,
+) -> dict[str, tuple[Branch, ...]]:
+    """DeadBranchRule's lowering half: the branches of ``plan``'s pattern
+    that fan out and can be stripped, grouped by the vertex they hang from.
 
     A vertex outside ``live`` with exactly one remaining incident edge is
     stripped, repeatedly, so chains and trees of dead vertices come off
     whole; a self-loop pins its vertex, and so does being the plan's root
     scan (every other vertex is bound from it).  A dead vertex between two
-    live ones is never a leaf, so it stays.  Each stripped tree hangs off
+    pinned ones is never a leaf, so it stays.  Each stripped tree hangs off
     one remaining vertex, its *anchor*, by one edge, and is bound only
-    after the anchor: its star steps can be dropped and one EXISTS check on
-    the anchor put in their place.  A branch whose first edge reaches at
-    most one vertex from any anchor (every degree of that adjacency is at
-    most 1) multiplies nothing, so it is left in the plan.  Plans with a
-    binary pattern join are left alone.
+    after the anchor: its star steps can be dropped and one per-anchor
+    check on the anchor put in their place.  A branch whose first edge
+    reaches at most one vertex from any anchor (every degree of that
+    adjacency is at most 1) multiplies nothing, so it is left in the plan.
+    Plans with a binary pattern join are left alone.
+
+    ``reducible`` maps the live vertices read only inside MIN / MAX
+    arguments to their ``(func, attr)`` reads.  Such a vertex is stripped
+    like a dead one, and its branch reduces those attributes per anchor
+    instead of binding it, where that removes a cross product: only
+    pattern leaves reduce, and only where two or more reducing branches
+    hang from one anchor.  A lone reducing branch is one chain, which the
+    aggregate above folds as cheaply as a per-anchor reduction would, so
+    its vertices stay bound.
     """
     if "join" in plan.operators():
         return {}
+    pattern = plan.pattern
+    reducible = {
+        v: reads
+        for v, reads in (reducible or {}).items()
+        if len(pattern.incident_edges(v)) == 1
+    }
+    while True:
+        stripped = _strip(plan, set(live) - set(reducible), index, reducible)
+        lone = [
+            b
+            for branches in stripped.values()
+            for b in branches
+            if b.reductions() and sum(bool(o.reductions()) for o in branches) == 1
+        ]
+        if not lone:
+            return stripped
+        for b in lone:
+            for reduced, _, _ in b.reductions():
+                reducible.pop(reduced.to_var)
+
+
+def _strip(
+    plan: GraphPlan,
+    pinned: set[str],
+    index: GraphIndex,
+    reducible: Mapping[str, tuple[tuple[str, str], ...]],
+) -> dict[str, tuple[Branch, ...]]:
+    """The fanning branches that come off ``plan``'s pattern when every
+    vertex but ``pinned``, the root scan's and the self-looped ones is
+    stripped (see :func:`dead_branches`)."""
     root = plan
     while root.child is not None:
         root = root.child
     pattern = plan.pattern
-    pinned = set(live) | set(root.pattern.vertices)
+    pinned = pinned | set(root.pattern.vertices)
     pinned |= {e.src for e in pattern.edges.values() if e.src == e.dst}
     remaining = set(pattern.vertices)
     hang: dict[str, PatternEdge] = {}  # stripped vertex -> its edge inward
@@ -278,10 +323,10 @@ def dead_branches(
         hang[v] = edges[0]
         leaves.append(edges[0].other(v))
 
-    def branch(parent: str, edge: PatternEdge) -> ExistsBranch:
+    def branch(parent: str, edge: PatternEdge) -> Branch:
         var = edge.other(parent)
         vertex = pattern.vertices[var]
-        return ExistsBranch(
+        return Branch(
             edge.label,
             edge.direction_from(parent),
             var,
@@ -293,9 +338,10 @@ def dead_branches(
                 for e in pattern.incident_edges(var)
                 if e is not edge and hang.get(e.other(var)) is e
             ),
+            reducible.get(var, ()),
         )
 
-    exists: dict[str, tuple[ExistsBranch, ...]] = {}
+    stripped: dict[str, tuple[Branch, ...]] = {}
     for anchor in pattern.vertices:
         if anchor not in remaining:
             continue
@@ -307,8 +353,8 @@ def dead_branches(
             and index.adjacency(label, e.label, e.direction_from(anchor)).max_degree() > 1
         )
         if fanning:
-            exists[anchor] = fanning
-    return exists
+            stripped[anchor] = fanning
+    return stripped
 
 
 def lower_plan(
@@ -322,6 +368,9 @@ def lower_plan(
         index = None  # every step is an EVJoin-based edge scan
     elif index is None:
         raise PlanError("lowering with use_graph_index=True requires an index")
+    if config.semantics == "edge_distinct":
+        # The all-distinct check compares every edge binding: none is fused.
+        config = replace(config, needed_edge_vars=frozenset(plan.pattern.edges))
     op = _lower(plan, mapping, index, config, frozenset())
     if config.semantics == "isomorphism":
         op = AllDistinct(op, kind="v")
@@ -348,7 +397,7 @@ def _lower(
     if plan.kind == "scan":
         vertex = next(iter(plan.pattern.vertices.values()))
         op = ScanVertex(mapping, vertex.name, vertex.label, vertex.predicate)
-        op = _check_exists(op, vertex.name, mapping, index, config)
+        op = _reduce_branches(op, vertex.name, mapping, index, config)
         return _close_loops(op, plan.pattern, vertex.name, closed, mapping, index, config)
     if plan.kind == "join":
         assert plan.left is not None and plan.right is not None
@@ -363,29 +412,34 @@ def _lower(
     assert plan.kind == "expand" and plan.child is not None and plan.step is not None
     child_op = _lower(plan.child, mapping, index, config, closed)
     if plan.step.center in config.pruned:
-        return child_op  # an EXISTS check below stands for this step
+        return child_op  # a BranchReduce below stands for this step
     center = plan.pattern.vertices[plan.step.center]
     # A self-loop is no leg: its far end is the still-unbound center.
     legs = [(leaf, edge) for leaf, edge in plan.step.legs if leaf != center.name]
     op = _lower_star(child_op, mapping, index, config, center, legs)
-    op = _check_exists(op, center.name, mapping, index, config)
+    op = _reduce_branches(op, center.name, mapping, index, config)
     return _close_loops(op, plan.pattern, center.name, closed, mapping, index, config)
 
 
-def _check_exists(
+def _reduce_branches(
     op: GraphOperator,
     var: str,
     mapping: RGMapping,
     index: GraphIndex | None,
     config: LoweringConfig,
 ) -> GraphOperator:
-    """``op``, which binds ``var``, filtered by the EXISTS check of the dead
-    branches anchored at ``var`` (if any)."""
-    branches = config.exists.get(var)
-    if not branches:
-        return op
-    assert index is not None
-    return ExistsFilter(op, index, mapping, var, branches)
+    """``op``, which binds ``var``, filtered by the EXISTS check of the
+    stripped branches anchored at ``var`` that reduce nothing, then by the
+    REDUCE of those that do (each when there are any)."""
+    branches = config.stripped.get(var, ())
+    for group in (
+        tuple(b for b in branches if not b.reductions()),
+        tuple(b for b in branches if b.reductions()),
+    ):
+        if group:
+            assert index is not None
+            op = BranchReduce(op, index, mapping, var, group)
+    return op
 
 
 def _close_loops(

@@ -34,9 +34,11 @@ Operators:
   adjacent *edge*).
 * :class:`ExpandIntersect` — Case III: close a complete star by intersecting
   the neighbor sets of all bound leaf vertices (wco-style).
-* :class:`ExistsFilter` — DeadBranchRule's semi-join: keep the rows whose
-  bound anchor vertex matches every dead branch hanging from it, without
-  binding the branches' vertices.
+* :class:`BranchReduce` — DeadBranchRule's per-anchor reduction: keep the
+  rows whose bound anchor vertex matches every stripped branch hanging
+  from it, and append the MIN / MAX of each attribute a branch is read
+  for, without binding the branches' vertices (with nothing to reduce,
+  the EXISTS semi-join).
 * :class:`PatternHashJoin` — Case I: natural join of two graph relations on
   their common variables.
 * :class:`EdgeTripleScan` — materializes ``(src, dst, edge)`` rowid triples
@@ -56,12 +58,12 @@ from typing import Iterator
 from repro.errors import PlanError
 from repro.exec.context import ExecutionContext, close_stream
 from repro.exec.kernels import (
-    ExistsStep,
+    BranchStep,
     IntersectLeg,
+    branch_reduce,
     build_hash_table_columnar,
     csr_expand_vectors,
     emit_columnar,
-    exists_filter,
     expand_columnar,
     grace_hash_join,
     intersect_expand,
@@ -90,7 +92,11 @@ from repro.relational.expr import Expr, rowid_mask
 
 @dataclass(frozen=True)
 class GraphVar:
-    """One graph-relation column: pattern variable name, kind ('v'/'e'), label."""
+    """One graph-relation column: pattern variable name, kind ('v'/'e'), label.
+
+    Kind 'value' is a column of reduced attribute values a
+    :class:`BranchReduce` appends (named by :func:`value_var`, labelled
+    with the vertex label it was read from), not rowids."""
 
     name: str
     kind: str
@@ -476,12 +482,19 @@ class ExpandIntersect(GraphOperator):
         return f"EXPAND_INTERSECT ({legs}) -> {self.to_var}:{self.to_label}"
 
 
+def value_var(var: str, attr: str) -> str:
+    """The output variable of :class:`BranchReduce` that holds the reduced
+    values of ``var.attr`` (pattern variables hold no dot)."""
+    return f"{var}.{attr}"
+
+
 @dataclass(frozen=True)
-class ExistsBranch:
-    """One dead pattern branch below a bound vertex: the edge leaving it
+class Branch:
+    """One pattern branch stripped below a bound vertex: the edge leaving it
     (``direction`` is the traversal direction from the bound side), the far
-    vertex the edge reaches, both predicates, and the far vertex's own
-    sub-branches."""
+    vertex the edge reaches, both predicates, the far vertex's own
+    sub-branches, and the far vertex's attributes the branch reduces —
+    ``(func, attr)`` pairs, func MIN or MAX."""
 
     edge_label: str
     direction: str
@@ -489,11 +502,19 @@ class ExistsBranch:
     to_label: str
     edge_predicate: Expr | None = None
     vertex_predicate: Expr | None = None
-    branches: tuple["ExistsBranch", ...] = ()
+    branches: tuple["Branch", ...] = ()
+    reduce: tuple[tuple[str, str], ...] = ()
 
     def variables(self) -> list[str]:
         """The branch's vertices, this one first."""
         return [self.to_var] + [v for b in self.branches for v in b.variables()]
+
+    def reductions(self) -> list[tuple["Branch", str, str]]:
+        """``(branch, func, attr)`` per attribute the branch reduces, this
+        vertex's first, then each sub-branch's in turn — the order of
+        :class:`BranchReduce`'s value columns."""
+        own = [(self, func, attr) for func, attr in self.reduce]
+        return own + [r for b in self.branches for r in b.reductions()]
 
     def describe(self, parent: str) -> list[str]:
         """One ``parent -[label dir]-> var:label (pred)`` entry per edge of
@@ -504,16 +525,28 @@ class ExistsBranch:
             text += " (" + " AND ".join(map(str, preds)) + ")"
         return [text] + [entry for b in self.branches for entry in b.describe(self.to_var)]
 
+    def summary(self, parent: str) -> str:
+        """The branch's entries on one line, after its reductions (``MIN
+        n.name: t -[...]-> ci:cast_info, ...``) when it has any."""
+        text = ", ".join(self.describe(parent))
+        reduced = ", ".join(f"{func} {b.to_var}.{attr}" for b, func, attr in self.reductions())
+        return f"{reduced}: {text}" if reduced else text
 
-class ExistsFilter(GraphOperator):
-    """EXISTS: keep the rows whose bound ``anchor`` has at least one match
-    of every dead branch hanging from it (DeadBranchRule's output).
+
+class BranchReduce(GraphOperator):
+    """Per-anchor reduction of the pattern branches DeadBranchRule strips:
+    keep the rows whose bound ``anchor`` has at least one match of every
+    branch hanging from it, and append one value column per reduced
+    attribute — its MIN or MAX over the anchor's matches of the branch.
 
     The branches' vertices are never bound: under a consumer that ignores
-    duplicates, only whether a branch matches matters, not how often.  The
-    body is one call to :func:`~repro.exec.kernels.exists_filter`, which
-    answers once per distinct anchor rowid; the output is the input's rows,
-    unchanged and in order.
+    duplicates, a branch matters only through whether it matches and
+    through the least or greatest value it offers each MIN / MAX, not
+    through how often it matches.  Without reductions this is the EXISTS
+    check (explained as ``EXISTS``), whose output is the input's rows,
+    unchanged and in order; with them it is explained as ``REDUCE``.  The
+    body is one call to :func:`~repro.exec.kernels.branch_reduce`, which
+    answers once per distinct anchor rowid.
     """
 
     def __init__(
@@ -522,14 +555,18 @@ class ExistsFilter(GraphOperator):
         index: GraphIndex,
         mapping: RGMapping,
         anchor: str,
-        branches: tuple[ExistsBranch, ...],
+        branches: tuple[Branch, ...],
     ):
         self.child = child
         self.index = index
         self.mapping = mapping
         self.anchor = anchor
         self.branches = branches
-        self.output_vars = list(child.output_vars)
+        self.output_vars = list(child.output_vars) + [
+            GraphVar(value_var(b.to_var, attr), "value", b.to_label)
+            for branch in branches
+            for b, _, attr in branch.reductions()
+        ]
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -540,30 +577,33 @@ class ExistsFilter(GraphOperator):
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         column = self.child.var_index(self.anchor)
         label = self.child.output_vars[column].label
-        yield from exists_filter(
+        yield from branch_reduce(
             self.child.columnar_batches(ctx), column, self._steps(ctx, label, self.branches)
         )
 
-    def _steps(self, ctx, label: str, branches) -> tuple[ExistsStep, ...]:
+    def _steps(self, ctx, label: str, branches) -> tuple[BranchStep, ...]:
         steps = []
         for branch in branches:
             adjacency = self.index.adjacency(label, branch.edge_label, branch.direction)
             offsets, edges = adjacency.vectors()
+            table = self.mapping.vertex_table(branch.to_label)
             steps.append(
-                ExistsStep(
+                BranchStep(
                     offsets,
                     edges,
                     self.index.edge_index(branch.edge_label).endpoint_vector(branch.direction),
                     _mask(ctx, self.mapping.edge_table(branch.edge_label), branch.edge_predicate),
-                    _mask(ctx, self.mapping.vertex_table(branch.to_label), branch.vertex_predicate),
+                    _mask(ctx, table, branch.vertex_predicate),
                     self._steps(ctx, branch.to_label, branch.branches),
+                    tuple((func, table.vector(attr)) for func, attr in branch.reduce),
                 )
             )
         return tuple(steps)
 
     def _label(self) -> str:
-        entries = [e for b in self.branches for e in b.describe(self.anchor)]
-        return f"EXISTS {self.anchor} ({', '.join(entries)})"
+        kind = "REDUCE" if any(b.reductions() for b in self.branches) else "EXISTS"
+        entries = ", ".join(b.summary(self.anchor) for b in self.branches)
+        return f"{kind} {self.anchor} ({entries})"
 
 
 class EdgeTripleScan(GraphOperator):
@@ -891,8 +931,8 @@ __all__ = [
     "Expand",
     "StarLeg",
     "ExpandIntersect",
-    "ExistsBranch",
-    "ExistsFilter",
+    "Branch",
+    "BranchReduce",
     "EdgeTripleScan",
     "PatternHashJoin",
     "AllDistinct",

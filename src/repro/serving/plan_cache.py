@@ -49,7 +49,7 @@ from typing import Any
 
 from repro.errors import ParameterError
 from repro.exec.operator import Operator
-from repro.graph.physical import ExistsBranch, StarLeg
+from repro.graph.physical import Branch, StarLeg
 from repro.relational.expr import Expr, param_slots, substitute_params
 from repro.relational.logical import AggregateSpec
 
@@ -231,7 +231,7 @@ def _rebind_item(item: Any, values) -> Any:
         return item if pred is item.edge_predicate else replace(
             item, edge_predicate=pred
         )
-    if isinstance(item, ExistsBranch):
+    if isinstance(item, Branch):
         changes = {}
         for attr in ("edge_predicate", "vertex_predicate", "branches"):
             part = getattr(item, attr)
@@ -255,7 +255,7 @@ def _collect_item_slots(item: Any, out: set[int]) -> None:
     elif isinstance(item, StarLeg):
         if item.edge_predicate is not None:
             out.update(param_slots(item.edge_predicate))
-    elif isinstance(item, ExistsBranch):
+    elif isinstance(item, Branch):
         for part in (item.edge_predicate, item.vertex_predicate, item.branches):
             if part is not None:
                 _collect_item_slots(part, out)

@@ -11,6 +11,7 @@ from repro.bench.reporting import (
 )
 from repro.bench.runner import Measurement, by_cell, run_grid
 from repro.systems import make_system
+from repro.systems.base import System
 from repro.workloads.ldbc import qc_queries
 
 
@@ -93,3 +94,45 @@ def test_run_grid_reports_oom(fig2):
     system = make_system("relgo", catalog, "G", memory_budget_rows=2)
     measurements = run_grid({"relgo": system}, {"Q": sql})
     assert measurements[0].status == "OOM"
+
+
+def test_run_grid_warms_up_execution(fig2, monkeypatch):
+    """The warm-up is one unmeasured run: the measured run of a cell whose
+    plan intersects builds no key view (the warm-up built them), and a cell
+    that runs out of memory in its warm-up still reports OOM."""
+    from repro.graph.index import Adjacency
+
+    catalog, _, _ = fig2
+    triangle = """
+    SELECT an FROM GRAPH_TABLE (G
+      MATCH (a:Person)-[:Knows]->(b:Person)-[:Knows]->(c:Person),
+            (a:Person)-[:Knows]->(c:Person)
+      COLUMNS (a.name AS an)) g
+    """
+    system = make_system("relgo", catalog, "G")
+    assert "EXPAND_INTERSECT" in system.optimize(triangle).explain()
+    key_view, run, events = Adjacency.key_view, System.run, []
+
+    def building(self, far, radix):
+        cached = self._vectors.get("key_view")
+        view = key_view(self, far, radix)
+        if view is not cached:
+            events.append("build")
+        return view
+
+    def running(self, *args, **kwargs):
+        events.append("run")
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Adjacency, "key_view", building)
+    monkeypatch.setattr(System, "run", running)
+    assert run_grid({"relgo": system}, {"Q": triangle})[0].status == "ok"
+    assert events[0] == "run" and "build" in events and events[-1] == "run"
+    assert events.count("run") == 2
+    chain = """
+    SELECT an FROM GRAPH_TABLE (G
+      MATCH (a:Person)-[:Knows]->(b:Person)-[:Knows]->(c:Person)
+      COLUMNS (a.name AS an)) g
+    """
+    oom = make_system("relgo", catalog, "G", memory_budget_rows=2)
+    assert run_grid({"relgo": oom}, {"Q": chain})[0].status == "OOM"

@@ -616,18 +616,16 @@ def test_graph_search_builds_one_subpattern_per_vertex_set(fig2, monkeypatch):
 
 #: JOB24 on the small IMDB: the dead ``mi``/``it`` branch, which multiplies
 #: every title by its info rows, is one EXISTS check right after the
-#: EXPAND that binds its anchor ``t``; the ``kw`` root and the connectors
-#: ``mc`` and ``ci`` stay bound.
+#: EXPAND that binds its anchor ``t``; the company and cast branches, read
+#: only inside MIN, are one REDUCE on ``t`` after it, so no title is
+#: multiplied by its companies times its cast.  The ``kw`` root stays bound.
 JOB24_EXPLAIN = """\
 AGGREGATE MIN(g.title) AS movie, MIN(g.company) AS company_name, MIN(g.actor) AS actor_name
   SCAN_GRAPH_TABLE imdb [title, company, actor]
-    EXPAND mc -[movie_companies_company out]-> cn
-      EXPAND t -[movie_companies_title in]-> mc
-        EXPAND ci -[cast_info_name out]-> n
-          EXPAND t -[cast_info_title in]-> ci
-            EXISTS t (t -[movie_info_title in]-> mi:movie_info, mi -[movie_info_type out]-> it:info_type ((info = 'genres')))
-              EXPAND k -[movie_keyword in]-> t
-                SCAN k:keyword ((keyword = 'revenge'))"""
+    REDUCE t (MIN cn.name: t -[movie_companies_title in]-> mc:movie_companies, mc -[movie_companies_company out]-> cn:company_name ((country_code = '[us]')), MIN n.name: t -[cast_info_title in]-> ci:cast_info, ci -[cast_info_name out]-> n:name ((name LIKE 'J%')))
+      EXISTS t (t -[movie_info_title in]-> mi:movie_info, mi -[movie_info_type out]-> it:info_type ((info = 'genres')))
+        EXPAND k -[movie_keyword in]-> t
+          SCAN k:keyword ((keyword = 'revenge'))"""
 
 
 def test_job24_dead_branch_is_one_exists_check():
@@ -645,7 +643,8 @@ def test_job24_dead_branch_is_one_exists_check():
         explain = optimized.explain()
         if name == "relgo":
             assert explain == JOB24_EXPLAIN
-        # Only the graph-index systems that run the rules prune.
-        assert explain.count("EXISTS") == (name in ("relgo", "relgo_noei", "relgo_loworder"))
+        # Only the graph-index systems that run the rules prune and reduce.
+        pruning = name in ("relgo", "relgo_noei", "relgo_loworder")
+        assert explain.count("EXISTS") == explain.count("REDUCE") == pruning
         answers.add(tuple(system.framework.execute(optimized).sorted_rows()))
     assert len(answers) == 1

@@ -265,10 +265,10 @@ def test_ldbc_workload_parallel_parity(ldbc, system_name):
 
 
 def test_job24_exists_check_parallel_parity(repro_env):
-    """JOB24's EXISTS check sits in the per-morsel chains: each clone keeps
-    its own per-anchor memo, and the answer and ``rows_produced`` are the
-    serial ones."""
-    from repro.graph.physical import ExistsFilter
+    """JOB24's EXISTS check and MIN reduction sit in the per-morsel chains:
+    each clone keeps its own per-anchor memos, and the answer and
+    ``rows_produced`` are the serial ones."""
+    from repro.graph.physical import BranchReduce
     from repro.workloads.job import JobParams, generate_imdb
     from repro.workloads.job.queries import job_queries
 
@@ -287,7 +287,7 @@ def test_job24_exists_check_parallel_parity(repro_env):
     (exchange,) = exchanges(parallelize_plan(plan, PARALLELISM, 8))
     assert len(exchange.plans) > 1
     chain = exchange.plans[0]
-    while not isinstance(chain, ExistsFilter):
+    while not isinstance(chain, BranchReduce):
         (chain,) = chain.children()
     parallel = execute_plan(plan, batch_size=8)
     assert parallel.sorted_rows() == serial.sorted_rows()

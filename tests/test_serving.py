@@ -269,6 +269,30 @@ class TestPlanCache:
                 assert db.plan_cache.stats.uncacheable == 0
         assert "EXISTS t" in make_system("relgo", catalog, "imdb").optimize(sql).explain()
 
+    def test_plans_with_reduced_branches_rebind(self):
+        # JOB16's company and cast branches become one REDUCE on t whose
+        # branch predicates (cn.country_code, n.name) hold parameter slots:
+        # a hit that redraws the root's keyword and the reduced company
+        # branch's country must answer like a cold compile.
+        from repro.workloads.job import JobParams, generate_imdb
+        from repro.workloads.job.queries import job_queries
+
+        catalog, mapping = generate_imdb(JobParams.scaled(0.3, seed=5))
+        db = _track(Database(catalog))
+        sql = job_queries(["JOB16"])["JOB16"]
+        redrawn = sql.replace("'character-name-in-title'", "'sequel'").replace("'[us]'", "'[de]'")
+        assert redrawn.count("'sequel'") == redrawn.count("'[de]'") == 1
+        relgo = make_system("relgo", catalog, "imdb")
+        assert "REDUCE t (" in relgo.optimize(sql).explain()
+        with db.connect() as ses:
+            for i, text in enumerate([sql, redrawn]):
+                result = ses.execute(text)
+                cold = relgo.framework.execute(relgo.optimize(text))
+                assert sorted(result.rows) == cold.sorted_rows(), text
+                assert db.plan_cache.stats.hits == i
+                assert db.plan_cache.stats.uncacheable == 0
+        assert cold.sorted_rows() != relgo.framework.execute(relgo.optimize(sql)).sorted_rows()
+
     def test_lru_eviction_is_bounded(self):
         db = _people_db()
         db.plan_cache.capacity = 4

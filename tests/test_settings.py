@@ -479,21 +479,28 @@ def test_predicates_have_one_vectorized_body():
     assert "Operator.columnar_batches(self" not in sources["repro/relational/physical.py"]
 
 
-def test_exists_checks_are_one_kernel_without_a_switch():
-    """DeadBranchRule's EXISTS check is one kernel call in the operator;
-    the kernel loops over batches, branches and masks only, never over rows,
-    and never branches on numpy; and nothing turns the rule on or off but
+def test_branch_checks_have_one_kernel():
+    """DeadBranchRule's per-anchor checks are one operator over one kernel:
+    the EXISTS-only filter and its kernel are gone, EXISTS is
+    ``branch_reduce``'s boolean instance (a ``BranchReduce`` with nothing
+    to reduce), the operator makes one kernel call and the kernel loops
+    over batches, branches and masks only, never over rows, and never
+    branches on numpy; and nothing turns the rule on or off but
     ``enable_rules``."""
     from dataclasses import fields
 
     from repro.graph.optimizer import LoweringConfig
+    from repro.graph.physical import Branch, BranchReduce, ScanVertex
 
     sources = _sources()
+    for module, text in sources.items():
+        for gone in ("exists_filter", "ExistsFilter", "ExistsStep", "ExistsBranch", "_branch_mask"):
+            assert gone not in text, (module, gone)
     physical = ast.parse(sources["repro/graph/physical.py"])
     (op,) = (
         node
         for node in ast.walk(physical)
-        if isinstance(node, ast.ClassDef) and node.name == "ExistsFilter"
+        if isinstance(node, ast.ClassDef) and node.name == "BranchReduce"
     )
     (body,) = (n for n in op.body if getattr(n, "name", None) == "_stream_columnar")
     assert not any(isinstance(n, (ast.For, ast.comprehension)) for n in ast.walk(body))
@@ -502,23 +509,35 @@ def test_exists_checks_are_one_kernel_without_a_switch():
         for node in ast.walk(physical)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
-    assert calls.count("exists_filter") == 1
+    assert calls.count("branch_reduce") == 1
+    # The boolean instance: a branch without reductions is an EXISTS check
+    # and appends no column; one with reductions appends one per attribute.
+    child = ScanVertex(None, "a", "P")
+    leaf = Branch("L", "out", "b", "P")
+    reducing = Branch("L", "out", "c", "P", reduce=(("MIN", "name"), ("MAX", "age")))
+    for branches, label, width in (((leaf,), "EXISTS", 0), ((leaf, reducing), "REDUCE", 2)):
+        check = BranchReduce(child, None, None, "a", branches)
+        assert check._label().startswith(f"{label} a (")
+        assert [v.name for v in check.output_vars] == ["a", "c.name", "c.age"][: 1 + width]
     kernels = ast.parse(sources["repro/exec/kernels.py"])
     functions = {n.name: n for n in kernels.body if isinstance(n, ast.FunctionDef)}
-    for name in ("exists_filter", "_branch_mask", "_passing_all", "_reach"):
+    per_branch = {
+        "source", "masks", "memos", "memo.stores", "stores", "likes", "steps", "step.steps", "step.reduce",
+        "subs", "sub.funcs", "sub.stores", "zip(funcs, stores, values)",
+    }
+    for name in ("branch_reduce", "_memo", "_passing_all", "_reach"):
         for node in ast.walk(functions[name]):
-            assert not isinstance(node, ast.comprehension), name
-            if isinstance(node, ast.For):
-                assert ast.unparse(node.iter) in ("source", "masks"), name
+            if isinstance(node, (ast.For, ast.comprehension)):
+                assert ast.unparse(node.iter) in per_branch, (name, ast.unparse(node.iter))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "tolist", name
             if isinstance(node, (ast.Name, ast.Attribute)):
                 assert getattr(node, "id", getattr(node, "attr", None)) not in (
-                    "is_ndarray", "_np", "np"
+                    "is_ndarray", "_np", "np", "numpy_enabled"
                 ), name
     switches = [f.name for f in fields(RelGoConfig)] + [f.name for f in fields(LoweringConfig)]
     switches += list(settings.EnvSettings._fields)
-    assert not [s for s in switches if re.search("dead|branch|semi|pruned", s)]
+    assert not [s for s in switches if re.search("dead|branch|semi|pruned|reduc", s)]
     assert len(settings.EnvSettings._fields) == len(VARIABLES)
 
 

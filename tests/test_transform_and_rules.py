@@ -5,7 +5,8 @@ graph-agnostic translation executed relationally produces exactly the
 reference matcher's results.  Likewise FilterIntoMatchRule must never change
 query results, only plans, and DeadBranchRule must return, for generated
 MIN / MAX / GROUP BY / DISTINCT queries, what the plan without rules and the
-reference matcher return — whichever branches it turns into EXISTS checks.
+reference matcher return — whichever branches it turns into EXISTS checks or
+per-anchor MIN / MAX reductions.
 """
 
 from __future__ import annotations
@@ -277,12 +278,16 @@ def branch_graphs(draw):
     return n, links
 
 
-def _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consumer) -> str:
+def _dead_branch_sql(
+    labels, edges, vertex_preds, edge_preds, live, kept, consumer, ints=()
+) -> str:
     """SQL/PGQ text over ``_branch_graph``: pattern vertex ``v{i}`` has
     ``labels[i]``, edge ``e{i}`` is ``edges[i] = (src, dst, label)``; the
-    COLUMNS read the ``live`` vertices (and edge ``kept``'s kind), and the
-    SELECT is ``consumer``: MIN / MAX of every column, MIN per group of the
-    first column (GROUP), or the DISTINCT columns, optionally with a LIMIT
+    COLUMNS read the ``live`` vertices — a person's INT id when ``i`` is in
+    ``ints``, else its NULL-bearing name or a tag's label — (and edge
+    ``kept``'s kind), and the SELECT is ``consumer``: MIN / MAX of every
+    column, MIN and MAX by turns (MIXED), MIN per group of the first column
+    (GROUP), or the DISTINCT columns, optionally with a LIMIT
     (DISTINCT_LIMIT) — or COUNT / SUM / AVG of ``v0``'s id."""
     paths = [
         f"(v{s}:{labels[s]})-[e{i}:{label}]->(v{d}:{labels[d]})"
@@ -296,16 +301,18 @@ def _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consum
     wheres += [
         LINK_PREDICATES[p].format(e=f"e{i}") for i, p in enumerate(edge_preds) if p is not None
     ]
-    columns = [
-        f"v{i}.{'name' if labels[i] == 'Person' else 'label'} AS c{i}" for i in live
-    ]
+    attrs = {"Person": "name", "Tag": "label"}
+    columns = [f"v{i}.{'id' if i in ints else attrs[labels[i]]} AS c{i}" for i in live]
     names = [f"c{i}" for i in live]
     if kept is not None:
         columns.append(f"e{kept}.kind AS k{kept}")
         names.append(f"k{kept}")
     tail = ""
-    if consumer in ("MIN", "MAX"):
-        select = ", ".join(f"{consumer}(g.{a}) AS m{i}" for i, a in enumerate(names))
+    if consumer in ("MIN", "MAX", "MIXED"):
+        funcs = ["MIN", "MAX"] if consumer == "MIXED" else [consumer]
+        select = ", ".join(
+            f"{funcs[i % len(funcs)]}(g.{a}) AS m{i}" for i, a in enumerate(names)
+        )
     elif consumer == "GROUP":
         rest = names[1:] or names[:1]
         select = f"g.{names[0]}, " + ", ".join(f"MIN(g.{a}) AS m{i}" for i, a in enumerate(rest))
@@ -327,8 +334,10 @@ def _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consum
 def dead_branch_queries(draw):
     """A tree pattern of 2–6 vertices over ``_branch_graph`` (sometimes
     closed by one more edge: a cycle, a parallel pattern edge or a
-    self-loop), predicates of every mask shape, 1–2 live vertices and a
-    duplicate-insensitive consumer."""
+    self-loop), predicates of every mask shape, 1–4 live vertices reading
+    INT or NULL-bearing STRING attributes, and a duplicate-insensitive
+    consumer: MIN / MAX over several leaves puts two or more reducing
+    branches, nested ones too, on one anchor."""
     labels, edges = ["Person"], []
     for i in range(1, draw(st.integers(2, 6))):
         j = draw(st.integers(0, i - 1))
@@ -354,16 +363,54 @@ def dead_branch_queries(draw):
         draw(st.sampled_from([None, None, *LINK_PREDICATES])) if label == "Link" else None
         for _, _, label in edges
     ]
-    live = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        live = draw(st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=4, unique=True))
+    else:
+        # The pattern's leaves (and maybe v0): the shape whose branches reduce.
+        degrees = [sum(i in e[:2] for e in edges) for i in range(len(labels))]
+        live = [i for i, d in enumerate(degrees) if d == 1 or (i == 0 and draw(st.booleans()))]
+        live = live or [0]
+    ints = draw(st.sets(st.sampled_from([i for i in live if labels[i] == "Person"] or [0])))
     kept = draw(st.sampled_from([None] + [i for i, e in enumerate(edges) if e[2] == "Link"]))
-    consumer = draw(st.sampled_from(["MIN", "MAX", "GROUP", "DISTINCT"]))
-    return _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consumer)
+    consumer = draw(st.sampled_from(["MIN", "MAX", "MIXED", "GROUP", "DISTINCT"]))
+    return _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, kept, consumer, ints)
+
+
+@st.composite
+def reducing_queries(draw):
+    """JOB16's shape over ``_branch_graph``: an anchor person (sometimes
+    below a root person with a dense predicate) under 2–3 branches, each a
+    chain of 1–2 persons whose last one a MIN / MAX reads (an INT id or the
+    NULL-bearing name); the anchor is sometimes read too, and then it may
+    be the GROUP BY key."""
+    labels, edges, vertex_preds = ["Person"], [], ["dense"]
+    anchor = 0
+    if draw(st.booleans()):
+        labels.append("Person")
+        edges.append((0, 1, "Link"))
+        vertex_preds.append(None)
+        anchor = 1
+    leaves = []
+    for _ in range(draw(st.integers(2, 3))):
+        parent = anchor
+        for _ in range(draw(st.integers(1, 2))):
+            i = len(labels)
+            labels.append("Person")
+            edges.append((parent, i, "Link") if draw(st.booleans()) else (i, parent, "Link"))
+            vertex_preds.append(draw(st.sampled_from([None, None, *PERSON_PREDICATES])))
+            parent = i
+        leaves.append(parent)
+    edge_preds = [draw(st.sampled_from([None, None, *LINK_PREDICATES])) for _ in edges]
+    live = ([anchor] if draw(st.booleans()) else []) + leaves
+    ints = draw(st.sets(st.sampled_from(leaves)))
+    consumer = draw(st.sampled_from(["MIN", "MAX", "MIXED", "GROUP"]))
+    return _dead_branch_sql(labels, edges, vertex_preds, edge_preds, live, None, consumer, ints)
 
 
 def _reference_answer(catalog, sql: str) -> list[tuple]:
     """The query's answer from the reference matcher's bindings: the
-    COLUMNS values per match, then MIN / MAX / GROUP BY / DISTINCT in
-    Python."""
+    COLUMNS values per match, then DISTINCT, or GROUP BY and each MIN /
+    MAX (NULLs skipped), in Python."""
     query = parse_and_bind(sql, catalog)
     clause = query.graph_table
     mapping = catalog.graph("G")
@@ -371,34 +418,33 @@ def _reference_answer(catalog, sql: str) -> list[tuple]:
     pattern = clause.pattern
     rows = []
     for binding in match_pattern(mapping, index, pattern):
-        row = []
+        row = {}
         for mc in clause.columns:
             if mc.var in pattern.vertices:
                 table = mapping.vertex_table(pattern.vertices[mc.var].label)
             else:
                 table = mapping.edge_table(pattern.edges[mc.var].label)
-            row.append(table.value(binding[mc.var], mc.attr))
-        rows.append(tuple(row))
+            row[f"{clause.alias}.{mc.alias}"] = table.value(binding[mc.var], mc.attr)
+        rows.append(row)
 
     def aggregate(func, values):
         values = [v for v in values if v is not None]
-        return func(values) if values else None
+        return (min if func == "MIN" else max)(values) if values else None
 
-    if query.distinct:
-        answer = set(rows)
-    elif query.group_by:
-        groups: dict = {}
+    if not query.aggregates:
+        answer = {tuple(row[e.name] for e, _ in query.projections) for row in rows}
+    else:
+        groups: dict = {} if query.group_by else {(): []}
         for row in rows:
-            groups.setdefault(row[0], []).append(row)
-        width = max(len(query.aggregates), 1)
-        offset = 0 if len(clause.columns) == 1 else 1
+            groups.setdefault(tuple(row[e.name] for e, _ in query.group_by), []).append(row)
         answer = {
-            (key,) + tuple(aggregate(min, [r[offset + i] for r in group]) for i in range(width))
+            key
+            + tuple(
+                aggregate(spec.func, [row[spec.arg.name] for row in group])
+                for spec in query.aggregates
+            )
             for key, group in groups.items()
         }
-    else:
-        func = min if query.aggregates[0].func == "MIN" else max
-        answer = {tuple(aggregate(func, [r[i] for r in rows]) for i in range(len(clause.columns)))}
     return sorted(answer, key=repr)
 
 
@@ -407,8 +453,34 @@ def _reference_answer(catalog, sql: str) -> list[tuple]:
 PINNED_GRAPH = (6, [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 5), (1, 2)])
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(graph=branch_graphs(), sql=dead_branch_queries(), batch_size=st.sampled_from([1, 3, 1024]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=branch_graphs(),
+    sql=st.one_of(dead_branch_queries(), reducing_queries()),
+    batch_size=st.sampled_from([1, 3, 1024]),
+)
+# JOB16's shape: two branches reduce on the anchor v1 (a NULL-bearing
+# STRING MIN and an INT MAX), below the root v0.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MIN(g.c1) AS m0, MIN(g.c3) AS m1, MAX(g.c5) AS m2 FROM GRAPH_TABLE (G MATCH "
+    "(v0:Person)-[e0:Link]->(v1:Person), (v2:Person)-[e1:Link]->(v1:Person), "
+    "(v2:Person)-[e2:Link]->(v3:Person), (v4:Person)-[e3:Link]->(v1:Person), "
+    "(v4:Person)-[e4:Link]->(v5:Person) WHERE v0.id = 0 AND v5.name <> 'C' "
+    "COLUMNS (v1.name AS c1, v3.name AS c3, v5.id AS c5)) g",
+    batch_size=1,
+)
+# The same with a self-loop on the anchor: the REDUCE's value columns pass
+# through the loop's pattern hash join; person 4 reaches the self-looped 5.
+@example(
+    graph=PINNED_GRAPH,
+    sql="SELECT MIN(g.c1) AS m0, MIN(g.c3) AS m1, MAX(g.c5) AS m2 FROM GRAPH_TABLE (G MATCH "
+    "(v0:Person)-[e0:Link]->(v1:Person), (v2:Person)-[e1:Link]->(v1:Person), "
+    "(v2:Person)-[e2:Link]->(v3:Person), (v4:Person)-[e3:Link]->(v1:Person), "
+    "(v4:Person)-[e4:Link]->(v5:Person), (v1:Person)-[e5:Link]->(v1:Person) "
+    "WHERE v0.id = 4 COLUMNS (v1.name AS c1, v3.name AS c3, v5.id AS c5)) g",
+    batch_size=3,
+)
 # A dead chain of depth 2 under a live root, parallel links on the way.
 @example(
     graph=PINNED_GRAPH,
@@ -513,7 +585,7 @@ def test_exists_checks_keep_the_live_tuples(graph, sql, batch_size):
         live |= {pattern.edges[name].src, pattern.edges[name].dst}
     plan = _linear_plan(pattern, _breadth_first(pattern, min(live)))
     exists = dead_branches(plan, live, index)
-    op = lower_plan(plan, mapping, index, LoweringConfig(needed_edge_vars=kept, exists=exists))
+    op = lower_plan(plan, mapping, index, LoweringConfig(needed_edge_vars=kept, stripped=exists))
     assert ("EXISTS" in op.explain()) == bool(exists)
     variables = sorted(live | kept)
     expected = {tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)}
@@ -551,7 +623,7 @@ def test_exists_decides_each_far_vertex_once(numpy_on, monkeypatch):
     pattern = query.graph_table.pattern
     plan = _linear_plan(pattern, ["v0", "v1", "v2"])
     exists = dead_branches(plan, frozenset({"v0"}), index)
-    op = lower_plan(plan, mapping, index, LoweringConfig(exists=exists))
+    op = lower_plan(plan, mapping, index, LoweringConfig(stripped=exists))
     assert op.explain().count("EXISTS") == 1
 
     checked, expanded = [], []
@@ -615,6 +687,65 @@ def test_dead_branch_rule_fires_under_duplicate_insensitive_consumers(consumer):
     assert result.sorted_rows() == reference.sorted_rows()
 
 
+#: JOB16's shape on ``PINNED_GRAPH``: root ``v0`` (``{where}``), anchor
+#: ``v1`` read by ``c1``, and two branches ``v1 <- v2 -> v3`` and
+#: ``v1 <- v4 -> v5`` whose leaves ``c3`` and ``c5`` read.
+REDUCING_SQL = (
+    "SELECT {select} FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+    "(v2:Person)-[e1:Link]->(v1:Person), (v2:Person)-[e2:Link]->(v3:Person), "
+    "(v4:Person)-[e3:Link]->(v1:Person), (v4:Person)-[e4:Link]->(v5:Person) "
+    "WHERE {where} COLUMNS (v1.name AS c1, v3.name AS c3, v5.id AS c5)) g{tail}"
+)
+
+
+def _reducing_query(consumer: str, semantics: str = "homomorphism"):
+    """``REDUCING_SQL`` read by ``consumer``: MIN / MAX of each leaf
+    (MIN), or a variant that must not reduce — see
+    :func:`test_dead_branch_rule_never_fires_where_multiplicity_counts`."""
+    catalog = _branch_graph(*PINNED_GRAPH)
+    select, where, tail = "MIN(g.c1) AS m0, MIN(g.c3) AS m1, MAX(g.c5) AS m2", "v0.id = 0", ""
+    if consumer in ("COUNT", "SUM", "AVG"):
+        select = f"{consumer}(g.c5) AS agg"
+    elif consumer == "DISTINCT_LIMIT":
+        select, tail = "DISTINCT g.c3, g.c5", " LIMIT 3"
+    elif consumer == "SPAN":
+        select = "MIN(g.c5 + g.c5b) AS m0, MIN(g.c3) AS m1"
+    elif consumer == "MIN_AND_MAX":
+        select = "MIN(g.c3) AS m0, MIN(g.c5) AS m1, MAX(g.c5) AS m2"
+    elif consumer == "GROUP_BRANCH":
+        select, tail = "g.c3, MAX(g.c5) AS m1", " GROUP BY g.c3"
+    elif consumer == "ROOT":
+        where = "v5.id = 4"
+    sql = REDUCING_SQL.format(select=select, where=where, tail=tail)
+    if consumer == "SPAN":
+        # One aggregate over the leaves of both branches.
+        sql = sql.replace("v5.id AS c5)", "v5.id AS c5, v3.id AS c5b)")
+    query = parse_and_bind(sql, catalog)
+    query.graph_table.semantics = semantics
+    return catalog, query
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+def test_dead_branch_rule_reduces_two_branches_per_anchor(numpy_on):
+    """JOB16's shape: both branches on the anchor ``v1`` are read only
+    inside MIN / MAX, so one REDUCE on ``v1`` replaces their star steps,
+    and the answer is the one without rules."""
+    catalog, query = _reducing_query("MIN")
+    set_numpy_enabled(numpy_on)
+    try:
+        result, optimized = RelGoFramework(catalog, "G").run(query)
+        reference, _ = RelGoFramework(catalog, "G", RelGoConfig(enable_rules=False)).run(query)
+    finally:
+        set_numpy_enabled(None)
+    reduced = [
+        "MIN v3.name: v1 -[Link in]-> v2:Person, v2 -[Link out]-> v3:Person",
+        "MAX v5.id: v1 -[Link in]-> v4:Person, v4 -[Link out]-> v5:Person",
+    ]
+    assert optimized.rule_report.reduced_branches == reduced
+    assert f"REDUCE v1 ({', '.join(reduced)})" in optimized.explain()
+    assert result.sorted_rows() == reference.sorted_rows() == [("B", "B", 2)]
+
+
 @pytest.mark.parametrize(
     "consumer,semantics",
     [
@@ -624,18 +755,33 @@ def test_dead_branch_rule_fires_under_duplicate_insensitive_consumers(consumer):
         ("DISTINCT_LIMIT", "homomorphism"),
         ("MIN", "isomorphism"),
         ("MIN", "edge_distinct"),
+        # The rule applies, but no branch reduces: one aggregate spans both
+        # branches, one column is read by MIN and MAX, a branch attribute
+        # is a GROUP BY key, or a branch vertex is the root scan.
+        ("SPAN", "homomorphism"),
+        ("MIN_AND_MAX", "homomorphism"),
+        ("GROUP_BRANCH", "homomorphism"),
+        ("ROOT", "homomorphism"),
     ],
 )
 def test_dead_branch_rule_never_fires_where_multiplicity_counts(consumer, semantics):
-    catalog, query = _pinned_query(consumer, semantics)
-    answers = []
-    for config in (RelGoConfig(), RelGoConfig(enable_rules=False)):
-        result, optimized = RelGoFramework(catalog, "G", config).run(query)
-        assert optimized.rule_report.live_vertices is None
-        assert optimized.rule_report.pruned_branches == []
-        assert "EXISTS" not in optimized.explain()
-        answers.append(result.sorted_rows())
-    assert answers[0] == answers[1]
+    counted = consumer in ("COUNT", "SUM", "AVG", "DISTINCT_LIMIT") or semantics != "homomorphism"
+    cases = [_reducing_query(consumer, semantics)]
+    if counted:
+        cases.append(_pinned_query(consumer, semantics))
+    for catalog, query in cases:
+        answers = []
+        for config in (RelGoConfig(), RelGoConfig(enable_rules=False)):
+            result, optimized = RelGoFramework(catalog, "G", config).run(query)
+            report = optimized.rule_report
+            assert report.reduced_branches == []
+            assert "REDUCE" not in optimized.explain()
+            if counted:
+                assert report.live_vertices is None
+                assert report.pruned_branches == []
+                assert "EXISTS" not in optimized.explain()
+            answers.append(result.sorted_rows())
+        assert answers[0] == answers[1]
 
 
 def _pattern(*edges: tuple[str, str, str]) -> PatternGraph:
