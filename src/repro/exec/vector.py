@@ -74,26 +74,40 @@ class DictVector:
     ``codes`` directly and stay in the dense integer domain through
     selections, gathers and replication.  ``ranks`` is the dictionary's
     one-slot sort-rank memo (``DictColumn.ranks``, shared by reference like
-    the dictionary itself; see :func:`repro.exec.ordering.ranks`).
+    the dictionary itself; see :func:`repro.exec.ordering.ranks`), and
+    ``strings`` its one-slot memo of the values as a '<U' array
+    (``DictColumn.strings``; see :func:`dictionary_strings`).
     """
 
-    __slots__ = ("codes", "values", "index", "ranks")
+    __slots__ = ("codes", "values", "index", "ranks", "strings")
 
     #: Duck-typed marker shared with ``DictColumn`` (no cross-layer import).
     is_dictionary = True
 
-    def __init__(self, codes, values: list, index: dict, ranks: list | None = None):
+    def __init__(
+        self,
+        codes,
+        values: list,
+        index: dict,
+        ranks: list | None = None,
+        strings: list | None = None,
+    ):
         self.codes = codes
         self.values = values
         self.index = index
         self.ranks = [None] if ranks is None else ranks
+        self.strings = [None] if strings is None else strings
+
+    def with_codes(self, codes) -> "DictVector":
+        """``codes`` over this vector's dictionary and memos."""
+        return DictVector(codes, self.values, self.index, self.ranks, self.strings)
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return DictVector(self.codes[i], self.values, self.index, self.ranks)
+            return self.with_codes(self.codes[i])
         return self.values[self.codes[i]]
 
     def __iter__(self):
@@ -159,12 +173,7 @@ def take(values: Sequence, indices: Sequence[int]) -> Sequence:
         if type(values) is DictVector:
             # Stay in the code domain: gather the codes, share the
             # dictionary — selections/joins never decode intermediate rows.
-            return DictVector(
-                values.codes[as_index_array(indices)],
-                values.values,
-                values.index,
-                values.ranks,
-            )
+            return values.with_codes(values.codes[as_index_array(indices)])
     return [values[i] for i in indices]
 
 
@@ -186,12 +195,7 @@ def concat(parts: Sequence[Sequence]) -> Sequence:
         elif type(first) is DictVector:
             values = first.values
             if all(type(p) is DictVector and p.values is values for p in parts):
-                return DictVector(
-                    _np.concatenate([p.codes for p in parts]),
-                    values,
-                    first.index,
-                    first.ranks,
-                )
+                return first.with_codes(_np.concatenate([p.codes for p in parts]))
     out: list = []
     for part in parts:
         out.extend(as_values(part))
@@ -214,7 +218,7 @@ def owned(values: Sequence) -> Sequence:
     if _np is not None and isinstance(values, _np.ndarray):
         return values.copy()
     if type(values) is DictVector:
-        return DictVector(owned(values.codes), values.values, values.index, values.ranks)
+        return values.with_codes(owned(values.codes))
     if isinstance(values, (tuple, range)):
         return values
     if isinstance(values, (list, _array)):
@@ -231,9 +235,10 @@ class LazyMask:
     """A rowid predicate as a boolean column filled on demand.
 
     The shape of a pushed-down predicate that has no dense vectorized form
-    (LIKE / IN over '<U' or NULL-bearing columns, OR, IS NULL, ... — and
-    every predicate when numpy is disabled), and of whether a stripped
-    pattern branch matches (:func:`repro.exec.kernels.branch_reduce`).
+    (OR, NOT, IS NULL, a LIKE with ``_`` or an inner ``%`` over a list
+    column, anything over a NULL-bearing column — and every predicate when
+    numpy is disabled), and of whether a stripped pattern branch matches
+    (:func:`repro.exec.kernels.branch_reduce`).
     ``mask[rowids]`` answers like a dense boolean ndarray would, but calls
     ``check`` once per lookup with the *distinct* rowids not asked about
     before, so one mask shared by all batches of a traversal decides each
@@ -308,8 +313,7 @@ def value_store(like: Sequence, length: int) -> Sequence:
     if is_ndarray(like):
         return _np.zeros(length, dtype=like.dtype)
     if dict_vector(like) is not None:
-        codes = _np.zeros(length, dtype=like.codes.dtype)
-        return DictVector(codes, like.values, like.index, like.ranks)
+        return like.with_codes(_np.zeros(length, dtype=like.codes.dtype))
     return [None] * length
 
 
@@ -680,6 +684,7 @@ def vector_view(values: Sequence) -> Sequence:
             values.values,
             values.index,
             values.ranks,
+            values.strings,
         )
     if isinstance(values, _array):
         # Snapshot through tobytes() rather than np.array(values): the
@@ -733,6 +738,63 @@ def vector_view(values: Sequence) -> Sequence:
             return source
         return view
     return values
+
+
+def dictionary_strings(dv: DictVector):
+    """``dv``'s dictionary values as one '<U' ndarray, indexed by code and
+    memoized per watermark; None when :func:`vector_view` declines them (a
+    NUL or an over-long value).
+
+    A predicate on a dictionary column tests this array in one numpy op
+    over the distinct values and broadcasts to rows through the codes.  As in :func:`repro.exec.ordering.dictionary_ranks`, the slice
+    pins the dictionary at its current length: every code of a published
+    snapshot resolves below it, and a concurrent append only makes the
+    next call rebuild.
+    """
+    values = dv.values
+    watermark = len(values)
+    memo = dv.strings[0]
+    if memo is None or memo[0] != watermark:
+        view = vector_view(values[:watermark])
+        if not (isinstance(view, _np.ndarray) and view.dtype.kind == "U"):
+            view = None
+        memo = dv.strings[0] = (watermark, view)
+    return memo[1]
+
+
+#: The array form of each string test :func:`string_test` builds.
+_STRING_TESTS = {
+    "prefix": lambda window, s: _np.char.startswith(window, s),
+    "suffix": lambda window, s: _np.char.endswith(window, s),
+    "infix": lambda window, s: _np.char.find(window, s) >= 0,
+    "exact": lambda window, s: window == s,
+    "in": lambda window, strings: _np.isin(window, strings),
+}
+
+
+def string_test(kind: str, operand):
+    """A string test as an array body: ``window -> bool ndarray``.
+
+    ``kind`` is a LIKE shape — ``"prefix"``, ``"suffix"``, ``"infix"`` or
+    ``"exact"`` against the string ``operand`` — or ``"in"`` against a
+    tuple of strings.  The body raises ``TypeError`` on a window whose dtype
+    is not '<U', so its caller runs its row body instead.  None without
+    numpy, or when an operand holds a NUL: '<U' arrays drop trailing NULs,
+    so no array test of such an operand is exact.
+    """
+    operands = operand if kind == "in" else (operand,)
+    if _np is None or any("\x00" in s for s in operands):
+        return None
+    if kind == "in":
+        operand = _np.array(operand, dtype=str)
+    test = _STRING_TESTS[kind]
+
+    def body(window):
+        if window.dtype.kind != "U":
+            raise TypeError(f"{kind} tests '<U' windows, not {window.dtype}")
+        return test(window, operand)
+
+    return body
 
 
 def index_vector(n: int) -> Sequence[int]:
@@ -923,6 +985,8 @@ __all__ = [
     "key_runs",
     "product_positions",
     "vector_view",
+    "dictionary_strings",
+    "string_test",
     "index_vector",
     "cached_vector",
     "numpy_available",

@@ -113,10 +113,13 @@ class DictColumn:
     across batches.  ``ranks`` is a one-slot memo the ordering kernel
     fills with the dictionary's sort ranks (``repro.exec.ordering``); it
     travels with every ``DictVector`` view, so the dictionary is sorted
-    once per watermark, not once per ``ORDER BY``.
+    once per watermark, not once per ``ORDER BY``.  ``strings`` is the
+    same kind of memo for the values as one '<U' array, which a predicate
+    on the column tests in one numpy op (``repro.exec.vector.
+    dictionary_strings``) instead of one Python call per value.
     """
 
-    __slots__ = ("codes", "values", "index", "ranks")
+    __slots__ = ("codes", "values", "index", "ranks", "strings")
 
     #: Duck-typed marker (also on ``repro.exec.vector.DictVector``) so the
     #: exec layer can detect dictionary data without importing this module.
@@ -127,6 +130,7 @@ class DictColumn:
         self.values: list[str] = []
         self.index: dict[str, int] = {}
         self.ranks: list = [None]
+        self.strings: list = [None]
 
     def append(self, value: Any) -> None:
         if type(value) is not str:

@@ -274,22 +274,37 @@ def starts_with(arg: Expr | str, prefix: str) -> Like:
 # ---------------------------------------------------------------------- #
 
 
+def _like_shape(pattern: str) -> "tuple[str, str] | None":
+    """``(kind, body)`` for a LIKE pattern with no ``_`` and no inner
+    ``%``: ``prefix`` (``'x%'``), ``suffix`` (``'%x'``), ``infix``
+    (``'%x%'``, also ``'%'``) or ``exact`` (``'x'``); None for every other
+    pattern."""
+    body = pattern.strip("%")
+    if "_" in pattern or "%" in body:
+        return None
+    leading, trailing = pattern.startswith("%"), pattern.endswith("%")
+    if leading and trailing:
+        return "infix", body
+    if leading:
+        return "suffix", body
+    return ("prefix" if trailing else "exact"), body
+
+
 def _like_matcher(pattern: str) -> Callable[[str], bool]:
     """Translate a LIKE pattern into a compiled-regex matcher.
 
-    Fast paths for the three overwhelmingly common shapes (prefix, suffix,
-    infix) avoid regex entirely.
+    The shapes of :func:`_like_shape` avoid regex entirely.
     """
-    if "_" not in pattern:
-        body = pattern.strip("%")
-        if "%" not in body:
-            if pattern.endswith("%") and not pattern.startswith("%"):
-                return lambda s: s.startswith(body)
-            if pattern.startswith("%") and not pattern.endswith("%"):
-                return lambda s: s.endswith(body)
-            if pattern.startswith("%") and pattern.endswith("%"):
-                return lambda s: body in s
-            return lambda s: s == body
+    shape = _like_shape(pattern)
+    if shape is not None:
+        kind, body = shape
+        if kind == "prefix":
+            return lambda s: s.startswith(body)
+        if kind == "suffix":
+            return lambda s: s.endswith(body)
+        if kind == "infix":
+            return lambda s: body in s
+        return lambda s: s == body
     regex = re.compile(
         "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$",
         re.DOTALL,
@@ -633,7 +648,8 @@ class CompiledPredicate:
     ``vector(columns, window)`` is the shape's one vectorized body: the
     predicate's truth over the rows ``window`` addresses (a slice or an
     index ndarray) as a boolean ndarray, or None when these columns have no
-    array form (lists, object arrays, incomparable dtypes).  Shapes that
+    array form (lists, object arrays, incomparable dtypes) or the shape has
+    none for them (a LIKE with ``_`` over a '<U' column).  Shapes that
     never vectorize — OR, NOT, IS NULL, literals, computed operands — have
     none.  ``rows(columns, selection, length)`` is the row-wise fallback:
     the surviving candidates.
@@ -732,14 +748,20 @@ def _compile_predicate_columnar(
                 fn,
             )
     if isinstance(expr, InList) and isinstance(expr.arg, ColumnRef):
+        # A '<U' window holds strings only, which equal no other literal.
+        strings = tuple(v for v in expr.values if type(v) is str)
         return _one_column(
             _resolve_layout(expr.arg.name, layout),
             frozenset(expr.values).__contains__,
+            array_op=_vector.string_test("in", strings),
             codes_of=expr.values,
         )
     if isinstance(expr, Like) and isinstance(expr.arg, ColumnRef):
+        shape = _like_shape(expr.pattern)
         return _one_column(
-            _resolve_layout(expr.arg.name, layout), _like_matcher(expr.pattern)
+            _resolve_layout(expr.arg.name, layout),
+            _like_matcher(expr.pattern),
+            array_op=None if shape is None else _vector.string_test(*shape),
         )
     if isinstance(expr, IsNull) and isinstance(expr.arg, ColumnRef):
         return _is_null(_resolve_layout(expr.arg.name, layout), expr.negated)
@@ -767,10 +789,12 @@ def _column_vs_literal(
     if k is None:
         # Comparison with NULL is NULL for every row -> nothing passes.
         return _constant(False)
+    # '<U' arrays drop trailing NULs: none compares such a literal exactly.
+    exact = not (type(k) is str and "\x00" in k)
     return _one_column(
         idx,
         lambda v: fn(v, k),
-        array_op=lambda values: fn(values, k),
+        array_op=(lambda values: fn(values, k)) if exact else None,
         codes_of=(k,) if op == "=" or op == "<>" else None,
         negate=op == "<>",
     )
@@ -790,17 +814,36 @@ def _one_column(
 ) -> CompiledPredicate:
     """A predicate on one column: ``test(v)`` for each non-NULL value.
 
-    ``array_op`` is ``test`` over an ndarray window (None: no array form).
-    Dictionary columns never touch their strings row-wise.  With
-    ``codes_of``, a row passes when its code is one of those values' codes
-    (``negate``: none of them) — ``=``/``<>`` compare codes against the one
-    looked-up literal code, and a literal missing from the dictionary is
-    constant-false (``<>``: constant-true; dictionary columns hold no
-    NULLs).  Without it, ``test`` runs once per dictionary value and
-    broadcasts to rows through the codes.
+    ``array_op`` is ``test`` over an ndarray window (None: no array form);
+    it raises ``TypeError`` or ``ValueError`` for windows it cannot test
+    exactly, and the row body runs instead.  Typed and '<U' columns run it
+    over the window.  Dictionary columns never touch their strings
+    row-wise.  With ``codes_of``, a row passes when its code is one of
+    those values' codes (``negate``: none of them) — ``=``/``<>`` compare
+    codes against the one looked-up literal code, and a literal missing
+    from the dictionary is constant-false (``<>``: constant-true;
+    dictionary columns hold no NULLs).  Without it, ``array_op`` runs once
+    over the dictionary's '<U' values (:func:`repro.exec.vector.
+    dictionary_strings`) and broadcasts to rows through the codes; only
+    where that declines (a NUL or over-long value, a LIKE with ``_``) does
+    ``test`` run once per dictionary value.
     """
     if codes_of is not None:
         codes_of = [v for v in codes_of if type(v) is str]
+
+    def per_value(dv):
+        if array_op is not None:
+            strings = _vector.dictionary_strings(dv)
+            if strings is not None:
+                try:
+                    return array_op(strings)
+                except (TypeError, ValueError):  # fall through to the values
+                    pass
+        values = dv.values
+        try:
+            return _vector._np.fromiter(map(test, values), dtype=bool, count=len(values))
+        except TypeError:  # incomparable literal: keep exact row-path errors
+            return None
 
     def vector(cols: Sequence, window):
         column = cols[idx]
@@ -808,14 +851,8 @@ def _one_column(
         if dv is not None:
             codes = dv.codes[window]
             if codes_of is None:
-                values = dv.values
-                try:
-                    per_value = _vector._np.fromiter(
-                        map(test, values), dtype=bool, count=len(values)
-                    )
-                except TypeError:  # incomparable literal: keep exact row-path errors
-                    return None
-                return per_value[codes]
+                passes = per_value(dv)
+                return None if passes is None else passes[codes]
             found = [c for c in map(dv.index.get, codes_of) if c is not None]
             if len(found) == 1:
                 return codes != found[0] if negate else codes == found[0]
@@ -950,8 +987,11 @@ def rowid_mask(table: "Table", predicate: Expr, num_rows: int | None = None):
     into this mask (:func:`repro.exec.vector.passing`) instead of a
     per-rowid Python call.  Predicates with a vectorized body
     (:func:`compile_predicate_mask` decides *structurally*) evaluate once
-    over the base table into a dense boolean ndarray.  Everything else —
-    LIKE/IN over '<U' or NULL-bearing columns, OR, IS NULL, or numpy
+    over the base table into a dense boolean ndarray: comparisons, IN,
+    STARTS WITH and LIKE without ``_`` or an inner ``%`` over typed, '<U'
+    and dictionary columns, and conjunctions of those.  Everything else —
+    a LIKE the array tests cannot express over a list column, any
+    predicate over a NULL-bearing column, OR, NOT, IS NULL, or numpy
     disabled — becomes a :class:`~repro.exec.vector.LazyMask` over
     :func:`rowid_predicate`, so a whole-table Python pass is never paid:
     only rowids a traversal reaches are checked, each once.  ``num_rows``

@@ -53,7 +53,7 @@ from repro.graph.pattern import PatternGraph
 from repro.graph.physical import Expand, ExpandIntersect, ScanVertex, StarLeg
 from repro.graph.rgmapping import RGMapping
 from repro.relational.catalog import Catalog
-from repro.relational.expr import Like, col, eq, lit, starts_with
+from repro.relational.expr import BoolOp, Like, col, eq, lit, starts_with
 from repro.relational.schema import Column, ForeignKey, TableSchema
 from repro.relational.types import DataType
 from repro.systems import make_system
@@ -63,10 +63,13 @@ from repro.workloads.ldbc.queries import ic_queries, qc_queries, qr_queries
 NUMPY_MODES = [False, True] if numpy_available() else [False]
 
 #: Under numpy a dictionary comparison is a dense boolean mask; LIKE over a
-#: NULL-bearing column and a prefix test over a list-backed DATE column are
-#: lazy masks (without numpy every mask is lazy).
+#: NULL-bearing column and an OR across two columns are lazy masks (without
+#: numpy every mask is lazy).
 EDGE_PREDICATES = {"dense": eq(col("kind"), lit("x")), "lazy": Like(col("note"), "n1%")}
-ROOT_PREDICATES = {"dense": eq(col("name"), lit("A")), "lazy": starts_with(col("since"), "2021")}
+ROOT_PREDICATES = {
+    "dense": eq(col("name"), lit("A")),
+    "lazy": BoolOp("OR", (starts_with(col("since"), "2021"), eq(col("id"), lit(0)))),
+}
 
 
 @st.composite

@@ -25,11 +25,15 @@ no shape changes an answer:
 
 from __future__ import annotations
 
+import operator
+import re
 import sys
 import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import ExecutionContext, numpy_available, open_plan, set_numpy_enabled
 from repro.exec.context import pin_plan
@@ -331,14 +335,19 @@ def test_expand_intersect_vertex_predicate(graph, numpy_mode, shape):
     _assert_matches_reference(graph, op, pattern, ["a", "b", "c"])
 
 
+#: A vertex predicate that stays a ``LazyMask`` with numpy on: an OR across
+#: two columns has no vectorized body.
+LAZY_VERTEX_PREDICATE = BoolOp(
+    "OR", (starts_with(col("since"), "2021"), eq(col("name"), lit("Dan")))
+)
+
 #: Root-vertex predicates of the two mask shapes: a dictionary comparison is
-#: a dense ndarray under numpy, a prefix test over the list-backed DATE
-#: column a ``LazyMask`` everywhere; the mask-kind test below pins that for
-#: these two forms.
+#: a dense ndarray under numpy, an OR across two columns a ``LazyMask``
+#: everywhere; the mask-kind test below pins that for these two forms.
 ROOT_PREDICATES = {
     "none": None,
     "dense": eq(col("name"), lit("Abe")),
-    "lazy": starts_with(col("since"), "2021"),
+    "lazy": LAZY_VERTEX_PREDICATE,
 }
 
 #: legs as (bound leaf, direction leaving it, kept edge variable or None,
@@ -550,17 +559,22 @@ def test_predicated_csr_join_runs_columnar(fig2, system_name):
 def test_mask_kind_follows_the_predicate_shape(graph, numpy_mode):
     mapping, _ = graph
     person = mapping.vertex_table("Person")
-    dense = rowid_mask(person, eq(col("name"), lit("Ann")))
-    lazy = rowid_mask(person, starts_with(col("since"), "2020"))
-    assert isinstance(lazy, LazyMask)
+    dense = {
+        "dictionary": eq(col("name"), lit("Ann")),
+        "prefix-list": starts_with(col("since"), "2020"),
+    }
+    masks = {kind: rowid_mask(person, pred) for kind, pred in dense.items()}
     # Without numpy every predicate is lazy; with it, a dictionary
-    # comparison evaluates once over the base table.
-    assert isinstance(dense, LazyMask) == (numpy_mode == "python")
+    # comparison and a prefix test over the '<U' view of the list-backed
+    # DATE column evaluate once over the base table.
+    for mask in masks.values():
+        assert isinstance(mask, LazyMask) == (numpy_mode == "python")
+    lazy = rowid_mask(person, LAZY_VERTEX_PREDICATE)
+    assert isinstance(lazy, LazyMask)
     rowids = list(range(person.num_rows))
-    for mask, pred in (
-        (dense, eq(col("name"), lit("Ann"))),
-        (lazy, starts_with(col("since"), "2020")),
-    ):
+    for mask, pred in [(masks[kind], dense[kind]) for kind in dense] + [
+        (lazy, LAZY_VERTEX_PREDICATE)
+    ]:
         check = rowid_predicate(person, pred)
         assert [bool(v) for v in mask[rowids]] == [check(r) for r in rowids]
         kept = passing(mask, rowids)
@@ -598,7 +612,7 @@ def test_lazy_mask_checks_each_distinct_rowid_once(graph, numpy_mode, monkeypatc
         ScanVertex(mapping, "a", "Person"), index, mapping,
         "a", "b", "Person", "Link", "out",
         edge_predicate=Like(col("note"), "n%"),
-        vertex_predicate=starts_with(col("since"), "2020"),
+        vertex_predicate=LAZY_VERTEX_PREDICATE,
     )  # fmt: skip
     ctx = ExecutionContext(batch_size=2)
     produced = sum(len(cb) for cb in op.columnar_batches(ctx))
@@ -609,6 +623,208 @@ def test_lazy_mask_checks_each_distinct_rowid_once(graph, numpy_mode, monkeypatc
     # The vertex predicate only sees targets of edges that passed.
     targets_checked = {r for (t, r) in calls if t == "Person"}
     assert 0 in targets_checked and len(targets_checked) <= len(PEOPLE)
+
+
+# --------------------------------------------------------------------- #
+# string predicates: one array op over '<U' views and dictionaries
+# --------------------------------------------------------------------- #
+
+#: Characters drawn values and literals are made of: letters on both sides
+#: of 'K' and 'm', a space (trailing spaces) and non-ASCII.  LIKE's own
+#: wildcards and NUL, which no '<U' array can hold, are mixed in on purpose
+#: (:func:`_sprinkled`), so that most draws still have an array form.
+STRINGS = st.text(st.sampled_from("aKmz é中"), max_size=4)
+
+#: The demotion floor while the property runs, so that small columns land
+#: on either side of ``DEMOTE_DISTINCT_RATIO``.
+DEMOTE_FLOOR = 8
+
+
+def _sprinkled(draw, s: str) -> str:
+    """``s``, one time in four with a ``%``, ``_`` or NUL appended."""
+    return s + draw(st.sampled_from(["", "", "", "%", "_", "\x00"])) if s else s
+
+
+@st.composite
+def string_columns(draw, flavour: str):
+    """The values of one column of ``flavour``: ``dict`` repeats a few
+    values (with the sprinkled one, a distinct ratio of at most 0.5, so it
+    stays a dictionary), ``view`` never repeats one (ratio 1, so it is
+    demoted to a list with a '<U' view), ``nulls`` holds NULLs (a plain
+    list)."""
+    n = draw(st.integers(DEMOTE_FLOOR, 2 * DEMOTE_FLOOR))
+    if flavour == "dict":
+        pool = draw(st.lists(STRINGS, min_size=1, max_size=DEMOTE_FLOOR // 2 - 1, unique=True))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif flavour == "view":
+        values = draw(st.lists(STRINGS, min_size=n, max_size=n, unique=True))
+    else:
+        values = draw(st.lists(st.one_of(st.none(), STRINGS), min_size=n, max_size=n))
+        values[draw(st.integers(0, n - 1))] = None
+    i = draw(st.integers(0, n - 1))
+    if values[i] is not None:
+        values[i] = _sprinkled(draw, values[i])
+    return values
+
+
+#: Predicate shapes :func:`string_predicates` draws.
+SHAPES = [
+    "prefix", "suffix", "infix", "exact", "%", "''", "_",
+    "starts", "in", "=", "<>", "<", ">", "between",
+]  # fmt: skip
+
+
+@st.composite
+def string_predicates(draw, values, shape: str):
+    """A predicate of ``shape`` on column ``s``; literals come from the
+    column's own values half the time, so predicates match."""
+    present = [v for v in values if v is not None]
+    text = st.one_of(STRINGS, st.sampled_from(present)) if present else STRINGS
+    s = _sprinkled(draw, draw(text))
+    c = col("s")
+    if shape == "_":
+        cut = draw(st.integers(0, len(s)))
+        return Like(c, s[:cut] + "_" + s[cut:] + draw(st.sampled_from(["", "%"])))
+    if shape == "in":
+        literal = st.one_of(text, st.integers(-1, 1), st.floats(-1, 1), st.booleans(), st.none())
+        literals = draw(st.lists(literal, max_size=4))
+        return InList(c, tuple(literals + literals[: draw(st.integers(0, len(literals)))]))
+    if shape == "between":
+        return expr.and_(expr.ge(c, s), expr.le(c, draw(text)))
+    if shape in ("=", "<>") and draw(st.booleans()):
+        return expr.Comparison(shape, c, lit(draw(st.integers(-1, 1))))
+    if shape in ("=", "<>", "<", ">"):
+        return expr.Comparison(shape, c, lit(s))
+    if shape == "starts":
+        return starts_with(c, s)
+    pattern = {"prefix": s + "%", "suffix": "%" + s, "infix": "%" + s + "%",
+               "exact": s, "%": "%", "''": ""}[shape]  # fmt: skip
+    return Like(c, pattern)
+
+
+SQL_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}  # fmt: skip
+
+
+def _reference_truth(pred, value) -> bool:
+    """The WHERE-truth of ``pred`` on one value, from SQL's rules alone
+    (nothing shared with :mod:`repro.relational.expr`): every drawn shape is
+    NULL, so filtered out, on a NULL value."""
+    if value is None:
+        return False
+    if isinstance(pred, Like):
+        regex = "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pred.pattern
+        )
+        return re.fullmatch(regex, value, re.DOTALL) is not None
+    if isinstance(pred, InList):
+        return any(type(v) is str and v == value for v in pred.values)
+    if isinstance(pred, BoolOp):  # BETWEEN
+        return all(_reference_truth(part, value) for part in pred.args)
+    return SQL_COMPARISONS[pred.op](value, pred.right.value)
+
+
+def _vectorizes(flavour: str, values: list, pred) -> bool:
+    """Whether ``rowid_mask`` must be dense under numpy: always on a
+    dictionary; on a '<U' view unless a NUL or a LIKE the array tests
+    cannot express (``_``, an inner ``%``) is involved."""
+    if flavour == "dict":
+        return True
+    if flavour == "nulls" or any("\x00" in v for v in values):
+        return False
+    for part in pred.args if isinstance(pred, BoolOp) else (pred,):
+        if isinstance(part, InList):
+            literals = part.values
+        elif isinstance(part, Like):
+            if "_" in part.pattern or "%" in part.pattern.strip("%"):
+                return False
+            literals = (part.pattern,)
+        else:
+            literals = (part.right.value,)
+        if any(type(v) is str and "\x00" in v for v in literals):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("flavour", ["dict", "view", "nulls"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), use_numpy=st.booleans())
+def test_string_predicates_agree_on_every_column_flavour(flavour, shape, data, use_numpy):
+    """``rowid_mask``, ``rowid_predicate``, the scan's selection refiner and
+    the reference agree on every string predicate shape over a dictionary,
+    a '<U' view and a NULL-bearing list, numpy on and off; under numpy the
+    mask is dense wherever the shape has an array form."""
+    from repro.graph.matching import rowid_selection
+    from repro.relational import column as column_mod
+    from repro.relational.column import set_storage_backend
+
+    values = data.draw(string_columns(flavour))
+    pred = data.draw(string_predicates(values, shape))
+    numpy_on = use_numpy and numpy_available()
+    rowids = list(range(len(values)))
+    expected = [_reference_truth(pred, v) for v in values]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(column_mod, "DEMOTE_MIN_ROWS", DEMOTE_FLOOR)
+        set_storage_backend("dict")
+        set_numpy_enabled(numpy_on)
+        try:
+            table = Table(
+                TableSchema("S", [Column("s", DataType.STRING)]), rows=[(v,) for v in values]
+            )
+            assert getattr(table.columns["s"], "is_dictionary", False) == (flavour == "dict")
+            mask = rowid_mask(table, pred)
+            masked = [bool(v) for v in mask[rowids]]
+            check = rowid_predicate(table, pred)
+            selected = rowid_selection(table, pred)(range(len(values)))
+        finally:
+            set_numpy_enabled(None)
+            set_storage_backend(None)
+    assert masked == expected
+    assert [check(r) for r in rowids] == expected
+    assert [int(r) for r in selected] == [r for r in rowids if expected[r]]
+    dense = numpy_on and _vectorizes(flavour, values, pred)
+    assert isinstance(mask, LazyMask) != dense
+
+
+def test_dictionary_masks_cover_values_appended_after_compiling(numpy_mode):
+    """A dictionary grows between two evaluations of one compiled predicate:
+    the second mask covers the new rows and the new values, and the
+    dictionary's '<U' memo is rebuilt for the longer dictionary."""
+    from repro.relational.column import set_storage_backend
+
+    set_storage_backend("dict")
+    try:
+        table = Table(
+            TableSchema("S", [Column("s", DataType.STRING)]),
+            rows=[("Kay",), ("mo",), ("Kay",), ("zed",)],
+        )
+        storage = table.columns["s"]
+        assert storage.is_dictionary
+        preds = [
+            Like(col("s"), "K%"),
+            expr.gt(col("s"), "m"),
+            Like(col("s"), "%e%"),
+            InList(col("s"), ("Kim", "mo")),
+        ]
+        before = [rowid_mask(table, pred) for pred in preds]
+        table.append(("Kim",))
+        table.append(("ned",))
+        table.append(("Kay",))
+        after = [rowid_mask(table, pred) for pred in preds]
+    finally:
+        set_storage_backend(None)
+    values = ["Kay", "mo", "Kay", "zed", "Kim", "ned", "Kay"]
+    for pred, first, second in zip(preds, before, after):
+        expected = [_reference_truth(pred, v) for v in values]
+        assert [bool(v) for v in first[list(range(4))]] == expected[:4], pred
+        assert [bool(v) for v in second[list(range(7))]] == expected, pred
+    if numpy_mode == "numpy":
+        watermark, strings = storage.strings[0]
+        assert watermark == len(storage.values) == 5
+        assert strings.tolist() == storage.values
 
 
 # --------------------------------------------------------------------- #

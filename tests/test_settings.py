@@ -22,7 +22,7 @@ import pytest
 
 from repro import settings
 from repro.core.framework import RelGoConfig
-from repro.exec import SpillConfig, open_plan
+from repro.exec import SpillConfig, numpy_available, open_plan
 from repro.relational.catalog import Catalog
 from repro.relational.column import set_storage_backend, storage_backend
 from repro.relational.physical import SeqScan
@@ -477,6 +477,58 @@ def test_predicates_have_one_vectorized_body():
         mask = compile_predicate_mask(pred, layout)
         assert mask.__self__ is compile_predicate_columnar(pred, layout)
     assert "Operator.columnar_batches(self" not in sources["repro/relational/physical.py"]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_string_predicates_are_dense(monkeypatch):
+    """With numpy on, a string predicate is one array op: LIKE and IN over
+    a demoted '<U' column test the column's view, every predicate over a
+    dictionary column tests the dictionary's '<U' values in one op, so
+    ``rowid_mask`` returns an ndarray and never calls the per-value Python
+    test."""
+    import numpy as np
+
+    from repro.exec import set_numpy_enabled
+    from repro.relational import expr
+    from repro.relational.expr import InList, Like, and_, col, eq, gt, rowid_mask
+
+    calls: list = []
+    one_column = expr._one_column
+
+    def counting(idx, test, *args, **kwargs):
+        def counted(value):
+            calls.append(value)
+            return test(value)
+
+        return one_column(idx, counted, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "_one_column", counting)
+    monkeypatch.setattr(expr, "_COMPILE_CACHE", {})
+    rows = [(f"{'BKa'[i % 3]}{i}", ["m", "f", "4.5", "7.1"][i % 4]) for i in range(1200)]
+    set_storage_backend("dict")
+    set_numpy_enabled(True)
+    try:
+        table = Catalog().create_table(
+            TableSchema("t", [Column("name", DataType.STRING), Column("kind", DataType.STRING)]),
+            rows=rows,
+        )
+        # ``name`` is unique-heavy, so DEMOTE_DISTINCT_RATIO demotes it to
+        # a list with a '<U' view; ``kind`` stays a dictionary.
+        assert table.vector("name").dtype.kind == "U"
+        assert getattr(table.columns["kind"], "is_dictionary", False)
+        for pred in (
+            Like(col("name"), "B%"),
+            InList(col("name"), ("a", "b")),
+            and_(Like(col("name"), "K%"), eq(col("kind"), "m")),
+            gt(col("kind"), "5.0"),
+        ):
+            mask = rowid_mask(table, pred)
+            assert isinstance(mask, np.ndarray), pred
+            assert mask.sum() == sum(expr.rowid_predicate(table, pred)(r) for r in range(len(rows)))
+    finally:
+        set_numpy_enabled(None)
+        set_storage_backend(None)
+    assert calls == [], "a per-value Python test ran"
 
 
 def test_branch_checks_have_one_kernel():
