@@ -511,25 +511,52 @@ def close_stream(stream: Any) -> None:
 def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
     """Pin the tables a physical plan names, before execution starts.
 
-    Walks the operator tree (duck-typed: relational operators carry a
-    ``table``; graph operators a ``mapping``, the vertex / edge labels
-    they scan or expand to, and possibly a graph ``index``) and registers
-    each named table's snapshot in ``ctx`` — not every table of the
-    mapping: a query pays for the snapshots it reads.  Tables a graph
-    index covers are bound to the extents the index build covered
+    Each named table's snapshot is registered in ``ctx`` — not every table
+    of the mapping: a query pays for the snapshots it reads.  Tables a
+    graph index covers are bound to the extents the index build covered
     (:meth:`ExecutionContext.clamp`), so adjacency walks can never step
     past a CSR built over fewer rows — graph plans read structure *and*
     attributes at the index's version, whichever operator pins them.
 
+    Which tables and which extents is a property of the plan, not of the
+    query: :func:`_pin_targets` walks the tree once and the result is
+    memoized on the plan root, so later executions of the plan — and the
+    plan cache's rebound clones, which copy the root's memo — go straight
+    to the per-query work, one :meth:`ExecutionContext.pin` per table at
+    the query's own epoch.  Rebinding changes literals only, never tables
+    or indexes; an index swap bumps the catalog version, which recompiles.
+
     Run on the driver thread so parallel morsel workers hit the memoized
     registry.
     """
-    seen: set[int] = set()
+    memo = getattr(plan, "_pin_memo", None)
+    if memo is None:
+        # Racing first executions compute equal memos; either one may stay.
+        memo = plan._pin_memo = _pin_targets(plan)
+    tables, extents = memo
+    for bounds in extents:
+        ctx.clamp(bounds)
     snapshots = ctx.snapshots
-
-    def pin(table) -> None:
+    for table in tables:
         if id(table) not in snapshots:
             ctx.pin(table)
+
+
+def _pin_targets(plan: "Operator") -> tuple[tuple, tuple]:
+    """``(tables, extents)`` for :func:`pin_plan`: every table ``plan``
+    names, each once, and the ``id(table) -> rows`` extents of each graph
+    index it walks.
+
+    Duck-typed: relational operators carry a ``table``; graph operators a
+    ``mapping``, the vertex / edge labels they scan or expand to, and
+    possibly a graph ``index``.
+    """
+    seen: set[int] = set()
+    tables: dict[int, Any] = {}
+    extents: list[dict] = []
+
+    def add(table) -> None:
+        tables.setdefault(id(table), table)
 
     def visit(op) -> None:
         if id(op) in seen:
@@ -537,27 +564,27 @@ def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
         seen.add(id(op))
         table = getattr(op, "table", None)
         if table is not None and hasattr(table, "snapshot_at"):
-            pin(table)
+            add(table)
         mapping = getattr(op, "mapping", None)
         if mapping is not None and hasattr(mapping, "vertices"):
             # Every graph operator of a plan carries the same index: its
-            # extents are registered once per plan — not per operator.
+            # extents are recorded once per plan — not per operator.
             index = getattr(op, "index", None)
             if index is not None and hasattr(index, "extents") and id(index) not in seen:
                 seen.add(id(index))
-                ctx.clamp(index.extents(mapping))
+                extents.append(index.extents(mapping))
             for attr in ("label", "to_label"):
                 label = getattr(op, attr, None)
                 if label is not None:
-                    pin(mapping.vertex_table(label))
+                    add(mapping.vertex_table(label))
             edge_label = getattr(op, "edge_label", None)
             if edge_label is not None:
-                pin(mapping.edge_table(edge_label))
+                add(mapping.edge_table(edge_label))
             for leg in getattr(op, "legs", ()):
-                pin(mapping.edge_table(leg.edge_label))
+                add(mapping.edge_table(leg.edge_label))
         # SCAN_GRAPH_TABLE bridges the layers without exposing its graph
         # plan through children(); descend explicitly so the graph
-        # operators underneath register their index and pin their tables.
+        # operators underneath record their index and tables.
         graph_op = getattr(op, "graph_op", None)
         if graph_op is not None:
             visit(graph_op)
@@ -565,6 +592,7 @@ def pin_plan(plan: "Operator", ctx: ExecutionContext) -> None:
             visit(child)
 
     visit(plan)
+    return tuple(tables.values()), tuple(extents)
 
 
 @contextmanager

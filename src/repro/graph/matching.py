@@ -22,7 +22,7 @@ from repro.graph.rgmapping import RGMapping
 from repro.relational.expr import (
     Expr,
     compile_predicate_columnar,
-    referenced_columns,
+    predicate_columns,
     rowid_predicate,
 )
 from repro.relational.table import Table
@@ -43,7 +43,7 @@ def rowid_selection(table: Table, predicate: Expr, num_rows: int | None = None):
     survives.  ``num_rows`` caps the evaluated extent (a snapshot-pinned
     caller passes its pinned count); the default is the live row count.
     """
-    names = sorted(referenced_columns(predicate))
+    names = predicate_columns(predicate)
     arrays = []
     layout: dict[str, int] = {}
     length = table.num_rows if num_rows is None else num_rows

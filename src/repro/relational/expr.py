@@ -970,7 +970,7 @@ def rowid_predicate(table: "Table", predicate: Expr) -> Callable[[int], bool]:
     The reference matcher, the lazy masks and the predefined joins' row
     bodies check rowids through it.
     """
-    names = sorted(referenced_columns(predicate))
+    names = predicate_columns(predicate)
     arrays = [table.column(name.rsplit(".", 1)[-1]) for name in names]
     pred = compile_predicate(predicate, {name: i for i, name in enumerate(names)})
     if len(arrays) == 1:
@@ -1000,7 +1000,7 @@ def rowid_mask(table: "Table", predicate: Expr, num_rows: int | None = None):
     """
     length = table.num_rows if num_rows is None else num_rows
     if _vector.numpy_enabled():
-        names = sorted(referenced_columns(predicate))
+        names = predicate_columns(predicate)
         mask_fn = compile_predicate_mask(
             predicate, {name: i for i, name in enumerate(names)}
         )
@@ -1046,6 +1046,22 @@ def referenced_columns(expr: Expr) -> set[str]:
     out: set[str] = set()
     _collect_columns(expr, out)
     return out
+
+
+def predicate_columns(expr: Expr) -> tuple[str, ...]:
+    """``sorted(referenced_columns(expr))`` — the column layout a rowid
+    predicate compiles against — memoized on ``expr``.
+
+    A plan's predicates are immutable, so the walk runs once per plan
+    rather than once per execution; :func:`substitute_params` hands the
+    memo to the rebound copy, because binding changes literal values,
+    never columns.
+    """
+    names = expr.__dict__.get("_columns")
+    if names is None:
+        names = tuple(sorted(referenced_columns(expr)))
+        object.__setattr__(expr, "_columns", names)
+    return names
 
 
 def _collect_columns(expr: Expr, out: set[str]) -> None:
@@ -1119,32 +1135,40 @@ def substitute_params(expr: Expr, values: Sequence[Any]) -> Expr:
     Every :class:`ParamLiteral` becomes a plain :class:`Literal` holding
     ``values[slot]``; subtrees without parameters are returned *as the
     same object*, so rebinding shares everything it can with the cached
-    template.
+    template.  The template's :func:`predicate_columns` memo carries over.
     """
+    bound = _substitute_params(expr, values)
+    names = expr.__dict__.get("_columns")
+    if names is not None and bound is not expr:
+        object.__setattr__(bound, "_columns", names)
+    return bound
+
+
+def _substitute_params(expr: Expr, values: Sequence[Any]) -> Expr:
     if isinstance(expr, ParamLiteral):
         return Literal(values[expr.slot])
     if isinstance(expr, (Comparison, Arith)):
-        left = substitute_params(expr.left, values)
-        right = substitute_params(expr.right, values)
+        left = _substitute_params(expr.left, values)
+        right = _substitute_params(expr.right, values)
         if left is expr.left and right is expr.right:
             return expr
         return type(expr)(expr.op, left, right)
     if isinstance(expr, BoolOp):
-        args = tuple(substitute_params(a, values) for a in expr.args)
+        args = tuple(_substitute_params(a, values) for a in expr.args)
         if all(a is b for a, b in zip(args, expr.args)):
             return expr
         return BoolOp(expr.op, args)
     if isinstance(expr, Not):
-        arg = substitute_params(expr.arg, values)
+        arg = _substitute_params(expr.arg, values)
         return expr if arg is expr.arg else Not(arg)
     if isinstance(expr, Like):
-        arg = substitute_params(expr.arg, values)
+        arg = _substitute_params(expr.arg, values)
         return expr if arg is expr.arg else Like(arg, expr.pattern)
     if isinstance(expr, InList):
-        arg = substitute_params(expr.arg, values)
+        arg = _substitute_params(expr.arg, values)
         return expr if arg is expr.arg else InList(arg, expr.values)
     if isinstance(expr, IsNull):
-        arg = substitute_params(expr.arg, values)
+        arg = _substitute_params(expr.arg, values)
         return expr if arg is expr.arg else IsNull(arg, expr.negated)
     return expr
 

@@ -49,7 +49,7 @@ from repro.serving.plan_cache import (
     bind_plan,
     cached_optimize,
     fingerprint,
-    plan_param_slots,
+    param_sites,
 )
 from repro.serving.pool import WorkerPool
 from repro.serving.prepared import PreparedStatement
@@ -83,5 +83,5 @@ __all__ = [
     "fingerprint",
     "bind_plan",
     "cached_optimize",
-    "plan_param_slots",
+    "param_sites",
 ]

@@ -32,11 +32,15 @@ lease, so a saturated pool degrades into queueing latency.
 
 Plan-cache flow per ``execute``::
 
-    fingerprint(sql, params)               (regex scan, no parsing)
-      ├─ hit  -> template.bind(values)     (rebind ParamLiterals; no
-      │                                     lexer/parser/binder/optimizer)
+    fingerprint(sql, params)               (regex scan over literals only,
+      │                                     no parsing)
+      ├─ hit  -> template.bind(values)     (rebuild the recorded sites only;
+      │          -> execute                 no lexer/parser/binder/optimizer,
+      │                                     no plan walk: the pins are the
+      │                                     template's, resolved once)
       └─ miss -> parse(parameterize=True) -> bind -> optimize
-                 -> safety valve -> cache.store -> execute
+                 -> safety valve + sites (one walk) -> cache.store
+                 -> execute (resolves and memoizes the plan's pins)
 
 ``params`` (DB-API ``?`` placeholders) merge into the same slot order the
 scan assigns inline literals, so ``age = ?`` with ``params=[28]`` and

@@ -6,10 +6,11 @@ execution.  The cache removes that cost for repeats:
 
 1. **Fingerprint** — a regex scan normalizes the query text: string and
    number literals become ``?``, comments drop, whitespace collapses.  The
-   literal values are collected *in text order*, which is exactly the slot
-   numbering the parameterizing parser assigns (each NUMBER / STRING token
-   in token order), so slot ``i`` of any query matching the fingerprint
-   rebinds to that query's i-th literal.
+   scan matches literals and comments only; keywords and identifiers are
+   copied as they are.  The literal values are collected *in text order*,
+   which is exactly the slot numbering the parameterizing parser assigns
+   (each NUMBER / STRING token in token order), so slot ``i`` of any query
+   matching the fingerprint rebinds to that query's i-th literal.
 2. **Template** — on a miss, the query is parsed with
    ``Parser(parameterize=True)``: expression-position literals become
    :class:`~repro.relational.expr.ParamLiteral` nodes carrying their slot,
@@ -17,13 +18,18 @@ execution.  The cache removes that cost for repeats:
    patterns, IN-list members, implicit-alias projections) are **baked** —
    their values are part of the plan shape, so the cache keys template
    *variants* by the baked values.  The optimized physical plan is stored
-   with the set of slots its ParamLiterals carry.
-3. **Rebind** — on a hit, the plan tree is re-walked: operators whose
-   expressions hold ParamLiterals are shallow-cloned with the literals
-   substituted (:func:`~repro.relational.expr.substitute_params`); subtrees
-   without parameters are *shared* with the template, which is safe because
-   plan nodes are execution-immutable (the PR 5 scheduler already executes
-   one tree concurrently).
+   with the result of one walk over it (:func:`param_sites`): the set of
+   slots its ParamLiterals carry and the *sites* — the paths from the root
+   to every attribute holding one.
+3. **Rebind** — on a hit, only the recorded sites are rebuilt
+   (:func:`bind_plan`): operators on a path are shallow-cloned, and only
+   the recorded attributes get their literals substituted
+   (:func:`~repro.relational.expr.substitute_params`).  Subtrees without
+   parameters are *shared* with the template, which is safe because plan
+   nodes are execution-immutable (the morsel scheduler already executes
+   one tree concurrently).  Clones keep the template root's per-plan memos,
+   such as the tables :func:`~repro.exec.context.pin_plan` pins, so a hit
+   walks no plan tree at all.
 
 **Safety valve** — ``and_()`` dedups conjuncts by string, constant folding
 may merge literals, and other transforms can drop a ParamLiteral from the
@@ -40,7 +46,6 @@ under the new catalog).  Capacity is LRU-bounded.
 
 from __future__ import annotations
 
-import copy
 import re
 import threading
 from collections import OrderedDict
@@ -57,17 +62,25 @@ from repro.relational.logical import AggregateSpec
 # fingerprinting
 # ---------------------------------------------------------------------- #
 
-#: One alternation pass over the query text.  Order matters: strings and
-#: comments must win over the identifier / number rules so quoted text is
-#: never tokenized.  Mirrors the lexer: ``''`` escapes inside strings,
-#: ``--`` comments to end of line, numbers are ``\d+(\.\d+)?`` (the lexer's
-#: trailing-dot rule: ``1.x`` lexes as NUMBER 1, ``.``, IDENT).
+#: One alternation pass over the query text that matches literals only:
+#: keywords and identifiers are left where they are, so the callback runs
+#: once per literal (plus once per comment) instead of once per word.
+#: Order matters: strings and comments must win over the number rule so
+#: quoted text is never tokenized.  Mirrors the lexer: ``''`` escapes inside
+#: strings, ``--`` comments to end of line, numbers are ``\d+(\.\d+)?``
+#: (the lexer's trailing-dot rule: ``1.x`` lexes as NUMBER 1, ``.``, IDENT).
+#: A number starts at a word boundary (``\b\d+``), so a digit inside a name
+#: (``p2``, ``_1``) is never a literal: a name never starts with a digit,
+#: so each of its digits follows a word character.  The boundary is spelled
+#: as a lookbehind after the first digit, ``\d(?<!\w\d)``: when every
+#: branch starts with a character, the regex engine skips ahead to the next
+#: character that can start one; a leading ``\b`` defeats that and made the
+#: scan of the LDBC interactive texts about twice as slow.
 _SCAN = re.compile(
     r"""
       '(?:[^']|'')*'            # string literal (with '' escapes)
     | --[^\n]*                  # line comment
-    | [^\W\d]\w*                # identifier / keyword
-    | \d+(?:\.\d+)?             # number literal
+    | \d(?<!\w\d)\d*(?:\.\d+)?   # number literal (never inside a name)
     | \?                        # DB-API parameter placeholder
     """,
     re.VERBOSE,
@@ -116,24 +129,24 @@ def scan_text(sql: str) -> tuple[str, tuple[Any, ...]]:
     :data:`PLACEHOLDER` sentinel (merged against params later).  Both
     normalize to ``?`` in the text, which is why a prepared statement and
     a literal-spliced query of the same shape share one normalized form.
+    The scan visits literals and comments only (:data:`_SCAN`); every
+    other character is copied, and whitespace collapses afterwards.
     """
     values: list[Any] = []
 
     def norm(match: re.Match) -> str:
-        text = match.group(0)
+        text = match.group()
         head = text[0]
         if head == "'":
             values.append(text[1:-1].replace("''", "'"))
-            return "?"
-        if text.startswith("--"):
+        elif head == "-":
             return " "
-        if head.isdigit():
-            values.append(float(text) if "." in text else int(text))
-            return "?"
-        if head == "?":
+        elif head == "?":
             values.append(PLACEHOLDER)
-            return "?"
-        return text
+        else:
+            values.append(float(text) if "." in text else int(text))
+        return "?"
+
     normalized = " ".join(_SCAN.sub(norm, sql).split())
     return normalized, tuple(values)
 
@@ -182,10 +195,11 @@ def fingerprint(sql: str, params=None) -> Fingerprint:
 # template rebinding
 # ---------------------------------------------------------------------- #
 
-#: Attribute names that can carry expressions with ParamLiterals.  The
-#: rebind walk only descends into these (plus operator children), so it
-#: never touches bulk data attributes (CSR arrays, pointer columns).
-_EXPR_ATTRS = (
+#: Operator attributes that can carry ParamLiterals: expressions (and the
+#: plan records holding them) first, then the children.  The store-time
+#: walk reads only these, so it never touches bulk data attributes (CSR
+#: arrays, pointer columns).
+_OPERATOR_ATTRS = (
     "predicate",
     "edge_predicate",
     "src_predicate",
@@ -199,134 +213,96 @@ _EXPR_ATTRS = (
     "aggregates",
     "legs",
     "branches",
+    "child",
+    "left",
+    "right",
+    "graph_op",
+    "plans",
 )
 
-_CHILD_ATTRS = ("child", "left", "right", "graph_op", "plans")
+#: The same for the plan records operators hold expressions in.
+_RECORD_ATTRS = {
+    AggregateSpec: ("arg",),
+    StarLeg: ("edge_predicate",),
+    Branch: ("edge_predicate", "vertex_predicate", "branches"),
+}
+
+#: The site of an expression holding a ParamLiteral: substitute it whole.
+_LEAF = True
 
 
-def _rebind_item(item: Any, values) -> Any:
-    """Rebind one element of an expression-bearing attribute; returns the
-    input object when nothing underneath holds a parameter."""
-    if isinstance(item, Expr):
-        return substitute_params(item, values)
-    if isinstance(item, tuple):
-        parts = tuple(_rebind_item(p, values) for p in item)
-        if all(a is b for a, b in zip(parts, item)):
-            return item
-        return parts
-    if isinstance(item, list):
-        parts = [_rebind_item(p, values) for p in item]
-        if all(a is b for a, b in zip(parts, item)):
-            return item
-        return parts
-    if isinstance(item, AggregateSpec):
-        if item.arg is None:
-            return item
-        arg = substitute_params(item.arg, values)
-        return item if arg is item.arg else AggregateSpec(item.func, arg, item.alias)
-    if isinstance(item, StarLeg):
-        if item.edge_predicate is None:
-            return item
-        pred = substitute_params(item.edge_predicate, values)
-        return item if pred is item.edge_predicate else replace(
-            item, edge_predicate=pred
-        )
-    if isinstance(item, Branch):
-        changes = {}
-        for attr in ("edge_predicate", "vertex_predicate", "branches"):
-            part = getattr(item, attr)
-            if part is not None:
-                bound = _rebind_item(part, values)
-                if bound is not part:
-                    changes[attr] = bound
-        return replace(item, **changes) if changes else item
-    return item
+def _sites(item: Any, slots: set[int]) -> Any:
+    """The rebind site of ``item``, or None when no ParamLiteral is under
+    it; adds every slot found to ``slots``.
 
-
-def _collect_item_slots(item: Any, out: set[int]) -> None:
-    if isinstance(item, Expr):
-        out.update(param_slots(item))
-    elif isinstance(item, (tuple, list)):
-        for part in item:
-            _collect_item_slots(part, out)
-    elif isinstance(item, AggregateSpec):
-        if item.arg is not None:
-            out.update(param_slots(item.arg))
-    elif isinstance(item, StarLeg):
-        if item.edge_predicate is not None:
-            out.update(param_slots(item.edge_predicate))
-    elif isinstance(item, Branch):
-        for part in (item.edge_predicate, item.vertex_predicate, item.branches):
-            if part is not None:
-                _collect_item_slots(part, out)
-
-
-def plan_param_slots(plan: Operator) -> set[int]:
-    """Every ParamLiteral slot reachable in ``plan`` (the safety valve's
-    "what survived optimization" side)."""
-    out: set[int] = set()
-    seen: set[int] = set()
-
-    def visit(op) -> None:
-        if id(op) in seen:
-            return
-        seen.add(id(op))
-        for attr in _EXPR_ATTRS:
-            item = getattr(op, attr, None)
-            if item is not None:
-                _collect_item_slots(item, out)
-        for attr in _CHILD_ATTRS:
-            node = getattr(op, attr, None)
-            if isinstance(node, Operator):
-                visit(node)
-            elif isinstance(node, list):
-                for sub in node:
-                    if isinstance(sub, Operator):
-                        visit(sub)
-
-    visit(plan)
-    return out
-
-
-def bind_plan(plan: Operator, values) -> Operator:
-    """The template plan with every ParamLiteral bound to ``values[slot]``.
-
-    Operators on a path to a substituted expression are shallow-cloned
-    (with their memoized ``_label_text`` dropped — labels print literal
-    values); untouched subtrees are shared with the template.  Sharing is
-    safe: execution never mutates plan nodes (per-query state lives in the
-    ExecutionContext and operator-local generator frames).
+    A site mirrors the path from ``item`` to its parameters: :data:`_LEAF`
+    for an expression holding one, else ``((key, site), ...)`` over the
+    attribute names (operators, plan records) or indexes (tuples, lists)
+    that lead to more.
     """
+    if isinstance(item, Expr):
+        found = param_slots(item)
+        slots.update(found)
+        return _LEAF if found else None
+    if isinstance(item, Operator):
+        state = vars(item)
+        keys = ((attr, state.get(attr)) for attr in _OPERATOR_ATTRS)
+    elif isinstance(item, (tuple, list)):
+        keys = enumerate(item)
+    else:
+        attrs = _RECORD_ATTRS.get(type(item))
+        if attrs is None:
+            return None
+        keys = ((attr, getattr(item, attr)) for attr in attrs)
+    site = tuple(
+        (key, sub) for key, part in keys if (sub := _sites(part, slots)) is not None
+    )
+    return site or None
 
-    def visit(op: Operator) -> Operator:
-        clone = None
 
-        def mutate(attr: str, value: Any) -> None:
-            nonlocal clone
-            if clone is None:
-                clone = copy.copy(op)
-                clone.__dict__.pop("_label_text", None)
-            setattr(clone, attr, value)
+def param_sites(plan: Operator) -> tuple[set[int], Any]:
+    """One walk over a template plan: the ParamLiteral slots it holds (the
+    safety valve's "what survived optimization" side) and its rebind sites
+    (:func:`bind_plan`'s map; None when the plan holds no parameter)."""
+    slots: set[int] = set()
+    sites = _sites(plan, slots)
+    return slots, sites
 
-        for attr in _EXPR_ATTRS:
-            item = getattr(op, attr, None)
-            if item is not None:
-                bound = _rebind_item(item, values)
-                if bound is not item:
-                    mutate(attr, bound)
-        for attr in _CHILD_ATTRS:
-            node = getattr(op, attr, None)
-            if isinstance(node, Operator):
-                rebound = visit(node)
-                if rebound is not node:
-                    mutate(attr, rebound)
-            elif isinstance(node, list) and node and isinstance(node[0], Operator):
-                rebound_list = [visit(sub) for sub in node]
-                if any(a is not b for a, b in zip(rebound_list, node)):
-                    mutate(attr, rebound_list)
-        return clone if clone is not None else op
 
-    return visit(plan)
+def bind_plan(plan: Any, sites: Any, values) -> Any:
+    """``plan`` with every ParamLiteral under ``sites`` bound to
+    ``values[slot]``.
+
+    Only the nodes on a recorded path are rebuilt: operators are
+    shallow-cloned (their memoized ``_label_text`` dropped — labels print
+    literal values — while every other per-plan memo, such as
+    :func:`~repro.exec.context.pin_plan`'s, carries over: rebinding never
+    changes tables, indexes or columns), plan records are ``replace``-d,
+    and only the recorded attributes are rebound.  Subtrees without
+    parameters are shared with the template.  Sharing is safe: execution
+    never mutates plan nodes (per-query state lives in the ExecutionContext
+    and operator-local generator frames).
+    """
+    if sites is _LEAF:
+        return substitute_params(plan, values)
+    if isinstance(plan, Operator):
+        # ``copy.copy`` without its reduce protocol: plan nodes are plain
+        # objects whose whole state is their ``__dict__``.
+        clone = object.__new__(type(plan))
+        state = clone.__dict__
+        state.update(plan.__dict__)
+        state.pop("_label_text", None)
+        for attr, sub in sites:
+            state[attr] = bind_plan(state[attr], sub, values)
+        return clone
+    if isinstance(plan, (tuple, list)):
+        parts = list(plan)
+        for i, sub in sites:
+            parts[i] = bind_plan(parts[i], sub, values)
+        return parts if isinstance(plan, list) else tuple(parts)
+    return replace(
+        plan, **{attr: bind_plan(getattr(plan, attr), sub, values) for attr, sub in sites}
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -339,14 +315,19 @@ class PlanTemplate:
     """One cached optimized plan, parameterized over its expr slots."""
 
     optimized: Any  # OptimizedQuery — the template's physical plan holds ParamLiterals
-    expr_slots: frozenset[int]
     baked_slots: frozenset[int]
     catalog_version: int
+    #: :func:`param_sites` of the physical plan (None: nothing to rebind).
+    sites: Any
 
     def bind(self, values) -> Operator:
-        if not self.expr_slots:
+        """The physical plan bound to ``values`` through the sites recorded
+        at store time (:func:`bind_plan`): no walk over the rest of the
+        tree, no attribute probing, no substitution into parameter-free
+        expressions."""
+        if self.sites is None:
             return self.optimized.physical
-        return bind_plan(self.optimized.physical, values)
+        return bind_plan(self.optimized.physical, self.sites, values)
 
 
 @dataclass
@@ -488,14 +469,15 @@ def compile_template(cache, fp, sql, catalog, optimize, params=None, on_ddl=None
     # rewrite can eliminate a parameter (e.g. ``x = 5 AND x = 5``
     # collapses to one conjunct) — such a plan is correct for THIS query
     # but not rebindable, so it executes uncached.
-    if plan_param_slots(optimized.physical) != parser.expr_slots:
+    slots, sites = param_sites(optimized.physical)
+    if slots != parser.expr_slots:
         cache.stats.uncacheable += 1
         return optimized, None
     template = PlanTemplate(
         optimized=optimized,
-        expr_slots=frozenset(parser.expr_slots),
         baked_slots=frozenset(parser.baked_slots),
         catalog_version=catalog.version,
+        sites=sites,
     )
     cache.store(fp, template)
     return optimized, template

@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec import ExecutionContext, numpy_available, open_plan, set_numpy_enabled
+from repro.exec import context as context_mod
 from repro.exec.context import pin_plan
 from repro.exec.vector import LazyMask, passing, vector_view
 from repro.graph.index import build_graph_index
@@ -69,6 +70,8 @@ from repro.relational.expr import (
 from repro.relational.schema import Column, ForeignKey, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import DataType
+from repro.serving import Database
+from repro.serving.plan_cache import bind_plan, cached_optimize, param_sites
 
 # --------------------------------------------------------------------- #
 # a small graph with every column flavour
@@ -880,6 +883,96 @@ def test_pin_plan_clamps_to_an_older_index(graph):
     pin_plan(plan, ctx)
     assert ctx.pin(catalog.table("Person")).num_rows == len(PEOPLE)
     assert ctx.pin(catalog.table("Link")).num_rows == len(LINKS)
+
+
+def _older_index_graph(graph):
+    """A copy of ``graph``'s tables as graph ``G2``, indexed, then grown by
+    one person and one link the index does not cover."""
+    mapping, _ = graph
+    catalog = Catalog()
+    for name in ("Person", "Link"):
+        source = mapping.catalog.table(name)
+        catalog.create_table(source.schema, rows=list(source.iter_rows()))
+    own = RGMapping("G2", catalog)
+    own.add_vertex("Person")
+    own.add_edge("Link", source=("Person", "src"), target=("Person", "dst"))
+    catalog.register_graph(own)
+    index = build_graph_index(own)
+    catalog.register_graph_index(index)
+    catalog.table("Person").append((9, "Eve", "2023-01-01", None))
+    catalog.table("Link").append((999, 1, 9, "work", "2023-01-02", None))
+    return catalog, own, index
+
+
+def test_pin_plan_walks_a_plan_once(graph, monkeypatch):
+    catalog, own, index = _older_index_graph(graph)
+    person, link = catalog.table("Person"), catalog.table("Link")
+    plan = Expand(
+        ScanVertex(own, "a", "Person"), index, own, "a", "b", "Person", "Link", "out",
+        vertex_predicate=expr.Comparison("=", col("name"), expr.ParamLiteral("Ann", slot=0)),
+    )  # fmt: skip
+    walks = []
+    walk = context_mod._pin_targets
+    monkeypatch.setattr(
+        context_mod, "_pin_targets", lambda p: walks.append(p) or walk(p)
+    )
+    pins: Counter = Counter()
+    original = ExecutionContext.pin
+
+    def counting(self, table):
+        pins[id(self), table.schema.name] += 1
+        return original(self, table)
+
+    monkeypatch.setattr(ExecutionContext, "pin", counting)
+    first, second = ExecutionContext(), ExecutionContext()
+    pin_plan(plan, first)
+    pin_plan(plan, first)
+    # The plan cache's rebound clone carries the template root's memo.
+    _, sites = param_sites(plan)
+    clone = bind_plan(plan, sites, ("Bob",))
+    assert clone is not plan and clone.vertex_predicate != plan.vertex_predicate
+    pin_plan(clone, second)
+    assert walks == [plan]
+    assert pins == {
+        (id(first), "Person"): 1, (id(first), "Link"): 1,
+        (id(second), "Person"): 1, (id(second), "Link"): 1,
+    }  # fmt: skip
+    for ctx in (first, second):
+        assert ctx.pin(person).num_rows == len(PEOPLE) < person.num_rows
+        assert ctx.pin(link).num_rows == len(LINKS) < link.num_rows
+
+
+def test_pin_plan_memo_follows_an_index_swap(graph):
+    catalog, own, _ = _older_index_graph(graph)
+    person, link = catalog.table("Person"), catalog.table("Link")
+    sql = (
+        "SELECT COUNT(*) AS n FROM GRAPH_TABLE (G2 MATCH (a:Person)-[l:Link]->(b:Person) "
+        "WHERE a.name = 'Ann' COLUMNS (b.id AS id)) g"
+    )
+    with Database(catalog) as db, db.connect() as session:
+        db.warmup()
+
+        def compiled():
+            optimized, _ = cached_optimize(
+                db.plan_cache, sql, catalog, lambda q: db.framework().optimize(q)
+            )
+            return optimized.physical
+
+        def extents(plan):
+            ctx = ExecutionContext()
+            pin_plan(plan, ctx)
+            return ctx.pin(person).num_rows, ctx.pin(link).num_rows
+
+        before = session.execute(sql).rows
+        old = compiled()
+        assert extents(old) == (len(PEOPLE), len(LINKS))
+        catalog.register_graph_index(build_graph_index(own))
+        new = compiled()
+        assert new is not old
+        assert extents(new) == (len(PEOPLE) + 1, len(LINKS) + 1)
+        # The old plan keeps the extents of the index it walks.
+        assert extents(old) == (len(PEOPLE), len(LINKS))
+        assert session.execute(sql).rows == [(before[0][0] + 1,)]
 
 
 def test_pin_plan_pins_only_named_tables_and_bounds_the_rest(fig2):

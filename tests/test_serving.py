@@ -2,7 +2,9 @@
 
 Three layers of guarantees are pinned here:
 
-1. **Plan cache correctness** — fingerprints, rebinding (including the
+1. **Plan cache correctness** — fingerprints (the literal-only scan
+   against a reference that matches every word), rebinding (through the
+   recorded sites, against the generic walk they replaced, and the
    ``x = 5 AND x = 5`` dedup trap), baked-slot variants (LIMIT / LIKE /
    IN / implicit aliases), catalog-version invalidation, LRU bounds.
 2. **Session lifecycle** — execute/submit/cancel/close; a closed session
@@ -15,9 +17,14 @@ Three layers of guarantees are pinned here:
 
 from __future__ import annotations
 
+import copy
+import re
 import threading
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_fig2_catalog
 from repro.errors import (
@@ -27,7 +34,18 @@ from repro.errors import (
     QueryCancelled,
     SessionClosed,
 )
+from repro.exec.context import open_plan
 from repro.exec.governor import MemoryGovernor
+from repro.exec.operator import Operator
+from repro.exec.scheduler import ExchangeOp
+from repro.graph.physical import (
+    Branch,
+    BranchReduce,
+    Expand,
+    ExpandIntersect,
+    ScanVertex,
+    StarLeg,
+)
 from repro.relational import column as column_mod
 from repro.relational.catalog import Catalog
 from repro.relational.column import (
@@ -36,10 +54,28 @@ from repro.relational.column import (
     is_dict,
     set_storage_backend,
 )
+from repro.relational.expr import (
+    Arith,
+    Comparison,
+    Expr,
+    ParamLiteral,
+    col,
+    param_slots,
+    substitute_params,
+)
+from repro.relational.logical import AggregateSpec
+from repro.relational.physical import AggregateOp, SeqScan
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import DataType
 from repro.serving import Database, fingerprint
-from repro.serving.plan_cache import PlanCache
+from repro.serving.plan_cache import (
+    PLACEHOLDER,
+    PlanCache,
+    bind_plan,
+    compile_template,
+    param_sites,
+    scan_text,
+)
 from repro.systems.base import make_system
 
 
@@ -96,6 +132,58 @@ def _fig2_db():
 # fingerprinting
 # ---------------------------------------------------------------------- #
 
+#: The reference scanner: one match per keyword, identifier and literal.
+#: ``scan_text`` matches literals only and must normalize every text to
+#: the same ``(normalized, values)``.
+_WORD_SCAN = re.compile(
+    r"""
+      '(?:[^']|'')*'            # string literal (with '' escapes)
+    | --[^\n]*                  # line comment
+    | [^\W\d]\w*                # identifier / keyword
+    | \d+(?:\.\d+)?             # number literal
+    | \?                        # DB-API parameter placeholder
+    """,
+    re.VERBOSE,
+)
+
+
+def _word_scan_text(sql: str):
+    values = []
+
+    def norm(match):
+        text = match.group(0)
+        head = text[0]
+        if head == "'":
+            values.append(text[1:-1].replace("''", "'"))
+            return "?"
+        if text.startswith("--"):
+            return " "
+        if head.isdigit():
+            values.append(float(text) if "." in text else int(text))
+            return "?"
+        if head == "?":
+            values.append(PLACEHOLDER)
+            return "?"
+        return text
+
+    return " ".join(_WORD_SCAN.sub(norm, sql).split()), tuple(values)
+
+
+#: Fragments whose concatenations put digits inside and right after names
+#: (``p2``, ``_1``, ``x1.5``, ``1e5``), after ``.``, ``(``, quotes and
+#: operators, and quotes, digits and ``?`` inside comments and strings.
+_SQL_PIECES = st.one_of(
+    st.sampled_from(
+        ["SELECT", "p2", "_1", "x1", "x1.5", "a_b", "é1", "Ω9", "ß", "中文", "naïve",
+         "1e5", ".5", "1.", "1.x", "''", "'", "?", "--", "\n", " ", ".", "(", ")",
+         ",", "=", "<", "-", "+", "*", "_"]
+    ),
+    st.integers(0, 10**6).map(str),
+    st.from_regex(r"\d{1,3}\.\d{1,3}", fullmatch=True),
+    st.text(alphabet="ab1 ?'-.", max_size=6).map(lambda s: "'" + s.replace("'", "''") + "'"),
+    st.text(alphabet="ab1 ?'-.", max_size=6).map(lambda s: "--" + s + "\n"),
+)
+
 
 class TestFingerprint:
     def test_literals_become_slots_in_text_order(self):
@@ -125,9 +213,303 @@ class TestFingerprint:
         assert fp.values == ("5 -- SELECT 9",)
         assert fp.normalized.count("?") == 1
 
+    def test_digits_inside_names_are_not_slots(self):
+        fp = fingerprint("SELECT p2.x1, _1 FROM t9 AS p2 WHERE p2.a_3 = 4 AND é1 = x1.5")
+        assert fp.values == (4, 5)
+        assert fp.normalized == "SELECT p2.x1, _1 FROM t9 AS p2 WHERE p2.a_3 = ? AND é1 = x1.?"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SQL_PIECES, max_size=24).map("".join))
+    def test_literal_only_scan_matches_the_word_scan(self, text):
+        assert scan_text(text) == _word_scan_text(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab_xé中19.5e'-?() =\n", max_size=40))
+    def test_literal_only_scan_matches_the_word_scan_on_character_soup(self, text):
+        assert scan_text(text) == _word_scan_text(text)
+
 
 # ---------------------------------------------------------------------- #
 # plan cache: hits, rebinding, variants, invalidation
+# ---------------------------------------------------------------------- #
+# plan cache: binding through recorded sites
+# ---------------------------------------------------------------------- #
+
+#: The generic rebind walk the recorded sites replaced: every operator's
+#: expression and child attributes probed, every expression substituted.
+#: ``PlanTemplate.bind`` must build the same plans, sharing the same
+#: parameter-free subtrees, and ``param_sites`` must find the same slots.
+_GENERIC_EXPR_ATTRS = (
+    "predicate", "edge_predicate", "src_predicate", "dst_predicate",
+    "vertex_predicate", "condition", "residual", "exprs", "keys", "group_by",
+    "aggregates", "legs", "branches",
+)  # fmt: skip
+_GENERIC_CHILD_ATTRS = ("child", "left", "right", "graph_op", "plans")
+
+
+def _generic_rebind_item(item, values):
+    if isinstance(item, Expr):
+        return substitute_params(item, values)
+    if isinstance(item, (tuple, list)):
+        parts = [_generic_rebind_item(p, values) for p in item]
+        if all(a is b for a, b in zip(parts, item)):
+            return item
+        return parts if isinstance(item, list) else tuple(parts)
+    if isinstance(item, AggregateSpec):
+        if item.arg is None:
+            return item
+        arg = substitute_params(item.arg, values)
+        return item if arg is item.arg else AggregateSpec(item.func, arg, item.alias)
+    if isinstance(item, StarLeg):
+        if item.edge_predicate is None:
+            return item
+        pred = substitute_params(item.edge_predicate, values)
+        return item if pred is item.edge_predicate else replace(item, edge_predicate=pred)
+    if isinstance(item, Branch):
+        changes = {}
+        for attr in ("edge_predicate", "vertex_predicate", "branches"):
+            part = getattr(item, attr)
+            if part is not None:
+                bound = _generic_rebind_item(part, values)
+                if bound is not part:
+                    changes[attr] = bound
+        return replace(item, **changes) if changes else item
+    return item
+
+
+def _generic_bind(op, values):
+    clone = None
+
+    def mutate(attr, value):
+        nonlocal clone
+        if clone is None:
+            clone = copy.copy(op)
+            clone.__dict__.pop("_label_text", None)
+        setattr(clone, attr, value)
+
+    for attr in _GENERIC_EXPR_ATTRS:
+        item = getattr(op, attr, None)
+        if item is not None:
+            bound = _generic_rebind_item(item, values)
+            if bound is not item:
+                mutate(attr, bound)
+    for attr in _GENERIC_CHILD_ATTRS:
+        node = getattr(op, attr, None)
+        if isinstance(node, Operator):
+            rebound = _generic_bind(node, values)
+            if rebound is not node:
+                mutate(attr, rebound)
+        elif isinstance(node, list) and node and isinstance(node[0], Operator):
+            rebound_list = [_generic_bind(sub, values) for sub in node]
+            if any(a is not b for a, b in zip(rebound_list, node)):
+                mutate(attr, rebound_list)
+    return clone if clone is not None else op
+
+
+def _generic_slots(op) -> set[int]:
+    out: set[int] = set()
+
+    def collect(item):
+        if isinstance(item, Expr):
+            out.update(param_slots(item))
+        elif isinstance(item, (tuple, list)):
+            for part in item:
+                collect(part)
+        elif isinstance(item, AggregateSpec):
+            if item.arg is not None:
+                out.update(param_slots(item.arg))
+        elif isinstance(item, StarLeg):
+            if item.edge_predicate is not None:
+                out.update(param_slots(item.edge_predicate))
+        elif isinstance(item, Branch):
+            for part in (item.edge_predicate, item.vertex_predicate, item.branches):
+                if part is not None:
+                    collect(part)
+
+    def visit(node):
+        for attr in _GENERIC_EXPR_ATTRS:
+            item = getattr(node, attr, None)
+            if item is not None:
+                collect(item)
+        for attr in _GENERIC_CHILD_ATTRS:
+            child = getattr(node, attr, None)
+            for sub in child if isinstance(child, list) else [child]:
+                if isinstance(sub, Operator):
+                    visit(sub)
+
+    visit(op)
+    return out
+
+
+def _operators(op) -> list:
+    """Every operator reachable through the child attributes."""
+    out = [op]
+    for attr in _GENERIC_CHILD_ATTRS:
+        child = getattr(op, attr, None)
+        for sub in child if isinstance(child, list) else [child]:
+            if isinstance(sub, Operator):
+                out.extend(_operators(sub))
+    return out
+
+
+def _shared(bound, template) -> set[int]:
+    """Ids of the template's operators a bound plan reuses."""
+    return {id(n) for n in _operators(bound)} & {id(n) for n in _operators(template)}
+
+
+def _same_plan(a, b) -> bool:
+    """Structural equality: same operator types, equal attributes (memos
+    aside), operators compared recursively."""
+    if a is b:
+        return True
+    if isinstance(a, Operator):
+        if type(a) is not type(b):
+            return False
+        memos = {"_label_text", "_pin_memo"}
+        left = {k: v for k, v in vars(a).items() if k not in memos}
+        right = {k: v for k, v in vars(b).items() if k not in memos}
+        return left.keys() == right.keys() and all(
+            _same_plan(v, right[k]) for k, v in left.items()
+        )
+    if isinstance(a, (tuple, list)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same_plan(x, y) for x, y in zip(a, b))
+        )
+    return a == b
+
+
+def _rows(plan) -> list[tuple]:
+    with open_plan(plan, columnar=False) as (_, stream):
+        return sorted(row for batch in stream for row in batch)
+
+
+def _redrawn(values, slots):
+    """``values`` with every expression slot moved to another value: ints
+    and floats shift, dates move a year back, first names rotate."""
+    from repro.workloads.ldbc.generator import FIRST_NAMES
+
+    out = list(values)
+    for slot in slots:
+        value = out[slot]
+        if isinstance(value, (int, float)):
+            out[slot] = value + 1
+        elif re.fullmatch(r"\d{4}-\d\d-\d\d", value):
+            out[slot] = f"{int(value[:4]) - 1}{value[4:]}"
+        elif value in FIRST_NAMES:
+            out[slot] = FIRST_NAMES[(FIRST_NAMES.index(value) + 1) % len(FIRST_NAMES)]
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def paper_statements():
+    """All 58 IC / QR / QC / JOB statements over small LDBC and IMDB."""
+    from repro.graph.index import build_graph_index
+    from repro.workloads.job import JobParams, generate_imdb, job_queries
+    from repro.workloads.ldbc import (
+        LdbcParams,
+        generate_ldbc,
+        ic_queries,
+        qc_queries,
+        qr_queries,
+    )
+
+    ldbc, ldbc_mapping = generate_ldbc(LdbcParams(persons=80, forums=10, seed=3))
+    ldbc.register_graph_index(build_graph_index(ldbc_mapping))
+    imdb, imdb_mapping = generate_imdb(JobParams.scaled(0.25))
+    imdb.register_graph_index(build_graph_index(imdb_mapping))
+    ldbc_suite = {**ic_queries(), **qr_queries(), **qc_queries()}
+    statements = [(n, sql, ldbc, "snb") for n, sql in ldbc_suite.items()]
+    statements += [(n, sql, imdb, "imdb") for n, sql in job_queries().items()]
+    assert len(statements) == 58
+    return statements
+
+
+class TestBindSites:
+    @pytest.mark.parametrize("system_name", ["relgo", "duckdb"])
+    def test_sites_bind_like_the_generic_walk(self, paper_statements, system_name):
+        for name, sql, catalog, graph in paper_statements:
+            system = make_system(system_name, catalog, graph)
+            fp = fingerprint(sql)
+            optimized, template = compile_template(
+                PlanCache(), fp, sql, catalog, system.framework.optimize
+            )
+            # The one store-time walk rejects no plan the generic slot
+            # walk accepted.
+            assert template is not None, name
+            plan = optimized.physical
+            slots = param_sites(plan)[0]
+            assert slots == _generic_slots(plan)
+            for values in (fp.values, _redrawn(fp.values, slots)):
+                by_sites, generic = template.bind(values), _generic_bind(plan, values)
+                assert _same_plan(by_sites, generic), name
+                assert by_sites.explain() == generic.explain(), name
+                assert _shared(by_sites, plan) == _shared(generic, plan), name
+                rows = [
+                    system.framework.execute(replace(optimized, physical=p)).sorted_rows()
+                    for p in (by_sites, generic)
+                ]
+                assert rows[0] == rows[1], name
+
+    def test_sites_reach_plan_records_and_list_children(self, fig2):
+        catalog, mapping, index = fig2
+        person = catalog.table("Person")
+
+        def param(value, slot):
+            return ParamLiteral(value, slot=slot)
+
+        # a -> b -> x, then c closes the star a -> c <- x.
+        path = Expand(
+            Expand(
+                ScanVertex(mapping, "a", "Person"), index, mapping,
+                "a", "b", "Person", "Knows", "out",
+            ),
+            index, mapping, "b", "x", "Person", "Knows", "out",
+        )  # fmt: skip
+        legs = [
+            StarLeg("a", "Knows", "out", edge_predicate=Comparison(">", col("date"), param("2023-01-01", 0))),
+            StarLeg("x", "Knows", "out"),
+        ]  # fmt: skip
+        star = ExpandIntersect(path, index, mapping, legs, "c", "Person")
+        nested = Branch(
+            "Likes", "in", "q", "Person",
+            vertex_predicate=Comparison("=", col("name"), param("Bob", 2)),
+        )  # fmt: skip
+        graph_plan = BranchReduce(
+            star, index, mapping, "c",
+            (Branch(
+                "Likes", "out", "m", "Message",
+                edge_predicate=Comparison("<", col("date"), param("2024-03-30", 1)),
+                branches=(nested,),
+            ),),
+        )  # fmt: skip
+        exchange = ExchangeOp([
+            SeqScan(person, "p", Comparison("<", col("p.person_id"), param(2, 3))),
+            SeqScan(person, "p", Comparison(">", col("p.person_id"), param(2, 4))),
+        ])  # fmt: skip
+        relational_plan = AggregateOp(
+            exchange,
+            [(col("p.name"), "name")],
+            [
+                AggregateSpec("SUM", Arith("+", col("p.place_id"), param(1, 5)), "s"),
+                AggregateSpec("COUNT", None, "n"),
+            ],
+        )
+        values = ("2023-02-01", "2024-03-29", "Tom", 3, 1, 10)
+        for plan, slots in ((graph_plan, {0, 1, 2}), (relational_plan, {3, 4, 5})):
+            found, sites = param_sites(plan)
+            assert found == _generic_slots(plan) == slots
+            by_sites, generic = bind_plan(plan, sites, values), _generic_bind(plan, values)
+            assert _same_plan(by_sites, generic)
+            assert by_sites.explain() == generic.explain()
+            assert _shared(by_sites, plan) == _shared(generic, plan)
+            assert _rows(by_sites) == _rows(generic)
+            assert param_sites(by_sites) == (set(), None)
+        bound = bind_plan(graph_plan, param_sites(graph_plan)[1], values)
+        assert _shared(bound, graph_plan) == {id(path), id(path.child), id(path.child.child)}
+
+
 # ---------------------------------------------------------------------- #
 
 

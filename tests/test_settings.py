@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_fig2_catalog
 from repro import settings
 from repro.core.framework import RelGoConfig
 from repro.exec import SpillConfig, numpy_available, open_plan
@@ -651,3 +652,52 @@ def test_hot_execute_reads_no_environment(monkeypatch):
             monkeypatch.undo()
     assert result.rows == [("Cid",)]
     assert db.plan_cache.stats.hits == hits + 1
+
+
+def test_cache_hit_walks_no_plan(monkeypatch):
+    """A plan-cache hit pays for its literals only: the rebind sites and the
+    tables to pin were recorded when the plan was first stored and run, so
+    a hot ``Session.execute`` or ``PreparedStatement.execute`` walks no
+    plan tree, and the fingerprint scan calls back once per literal."""
+    import repro.exec.context as context_mod
+    import repro.serving.plan_cache as cache_mod
+
+    catalog, _ = build_fig2_catalog()
+    sql = (
+        "SELECT g.n FROM GRAPH_TABLE (G MATCH (a:Person)-[k:Knows]->(b:Person) "
+        "WHERE b.name = {} AND k.date > {} COLUMNS (a.name AS n)) g"
+    )
+    with Database(catalog) as db, db._local_connect() as session:
+        db.warmup()
+        session.execute(sql.format("'Bob'", "'2023-01-01'"))
+        prepared = session.prepare(sql.format("?", "?"))
+        prepared.execute(["Bob", "2023-01-01"])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a plan walk on the cache-hit path")
+
+        class CountingScan:
+            """``_SCAN`` with its ``sub`` callback counted."""
+
+            def __init__(self, pattern):
+                self.pattern, self.calls = pattern, 0
+
+            def sub(self, repl, text):
+                def counted(match):
+                    self.calls += 1
+                    return repl(match)
+
+                return self.pattern.sub(counted, text)
+
+        scan = CountingScan(cache_mod._SCAN)
+        monkeypatch.setattr(cache_mod, "_sites", boom)
+        monkeypatch.setattr(context_mod, "_pin_targets", boom)
+        monkeypatch.setattr(cache_mod, "_SCAN", scan)
+        hits = db.plan_cache.stats.hits
+        first = session.execute(sql.format("'Tom'", "'2023-01-01'"))
+        assert scan.calls == 2
+        second = prepared.execute(["Tom", "2023-01-01"])
+        assert scan.calls == 2
+        monkeypatch.undo()
+        assert db.plan_cache.stats.hits == hits + 2
+    assert first.rows == second.rows == [("Bob",)]
