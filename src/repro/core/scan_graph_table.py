@@ -131,7 +131,7 @@ class ScanGraphTableOp(PhysicalOperator):
         self.output_columns = [f"{clause.alias}.{c.alias}" for c in clause.columns]
 
     def columnar_batches(self, ctx: ExecutionContext):
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext):
         """Columnar π̂ flattening: each projected attribute is one gather of

@@ -143,15 +143,31 @@ class Buffer:
     ``buffered_rows`` / ``peak_buffered_rows`` aggregates: each partial is
     a subset of the merged state, which the consumer charges in full, so
     tracking both would double-count one logical intermediate.
+
+    A buffer is named by its owner — an operator, or a fixed name such as
+    ``"RESULT"`` — plus a suffix; an operator's label is formatted only when
+    :attr:`label` is read (an armed fault, an OOM error), never per open.
     """
 
-    __slots__ = ("_ctx", "label", "rows", "tracked")
+    __slots__ = ("_ctx", "_owner", "_suffix", "rows", "tracked")
 
-    def __init__(self, ctx: "ExecutionContext", label: str, tracked: bool = True):
+    def __init__(
+        self,
+        ctx: "ExecutionContext",
+        owner: "Operator | str",
+        suffix: str = "",
+        tracked: bool = True,
+    ):
         self._ctx = ctx
-        self.label = label
+        self._owner = owner
+        self._suffix = suffix
         self.rows = 0
         self.tracked = tracked
+
+    @property
+    def label(self) -> str:
+        owner = self._owner
+        return (owner if isinstance(owner, str) else owner.cached_label()) + self._suffix
 
     def grow(self, rows: int) -> None:
         """Account for ``rows`` newly buffered rows; raise OOM over budget."""
@@ -231,7 +247,6 @@ class ExecutionContext:
             for work done, used by tests and the benchmark reports).  With
             streaming execution, early-exiting pipelines (LIMIT / TopK)
             emit — and therefore count — strictly fewer rows.
-        operator_rows: per-operator-label row counts for plan forensics.
         batch_size: target chunk size for operator output batches.
         adaptive_batch_sizing: when True (default), expansion-heavy
             operators shrink their flush threshold under observed fan-out
@@ -259,7 +274,6 @@ class ExecutionContext:
 
     memory_budget_rows: int | None = None
     rows_produced: int = 0
-    operator_rows: dict[str, int] = field(default_factory=dict)
     start_time: float = field(default_factory=time.perf_counter)
     batch_size: int = DEFAULT_BATCH_SIZE
     adaptive_batch_sizing: bool = True
@@ -283,27 +297,25 @@ class ExecutionContext:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def emit(self, rows: int, label: str = "") -> None:
-        """Count ``rows`` rows emitted downstream by operator ``label``."""
+    def emit(self, rows: int, op: "Operator") -> None:
+        """Count ``rows`` rows emitted downstream by ``op`` (whose label an
+        armed fault injector matches against)."""
         if self.handle is not None:
             self.handle.check()
         if self.faults is not None:
-            self.faults.on_emit(self, label, rows)
+            self.faults.on_emit(self, op.cached_label(), rows)
         if self.parallelism > 1:
             with self.lock:
                 self.rows_produced += rows
-                if label:
-                    self.operator_rows[label] = (
-                        self.operator_rows.get(label, 0) + rows
-                    )
             return
         self.rows_produced += rows
-        if label:
-            self.operator_rows[label] = self.operator_rows.get(label, 0) + rows
 
-    def buffer(self, label: str = "", tracked: bool = True) -> Buffer:
-        """Open a :class:`Buffer` accounting handle for buffered state."""
-        return Buffer(self, label, tracked)
+    def buffer(
+        self, owner: "Operator | str", suffix: str = "", tracked: bool = True
+    ) -> Buffer:
+        """Open a :class:`Buffer` accounting handle for buffered state,
+        named by ``owner`` and ``suffix`` (see :class:`Buffer`)."""
+        return Buffer(self, owner, suffix, tracked)
 
     def pin(self, table):
         """The query's immutable snapshot of ``table`` (memoized).

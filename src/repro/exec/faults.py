@@ -7,7 +7,8 @@ module injects errors, artificial OOMs, delays, and cancellations at the
 same named boundaries where the lifecycle layer checks for cancellation:
 
 * ``emit``  — ``ExecutionContext.emit`` (every operator's per-batch
-  accounting hook, labeled with the operator's ``cached_label()``);
+  accounting hook, labeled with the operator's ``cached_label()``, which
+  is formatted only while an injector is armed);
 * ``grow``  — ``Buffer.grow`` (every tracked intermediate, labeled with
   the buffer label, e.g. ``"HASH_JOIN (…) build"``);
 * ``exchange`` — the morsel scheduler's queue hand-offs (labels

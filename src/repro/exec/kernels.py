@@ -27,7 +27,7 @@ build shards).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exec import vector
 from repro.exec.context import Buffer, ExecutionContext, close_stream
@@ -51,13 +51,16 @@ from repro.exec.vector import (
     value_store,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.exec.operator import Operator
+
 Batch = list
 
 
 def emit_batches(
-    ctx: ExecutionContext, label: str, stream: Iterable[Batch]
+    ctx: ExecutionContext, op: "Operator", stream: Iterable[Batch]
 ) -> Iterator[Batch]:
-    """Count each non-empty batch of ``stream`` against ``label`` and pass it on.
+    """Count each non-empty batch of ``op``'s ``stream`` and pass it on.
 
     ``stream`` is closed on any exit — including an ``emit``-raised
     cancellation/fault — so the close cascades into suspended upstream
@@ -68,7 +71,7 @@ def emit_batches(
         for batch in stream:
             if not batch:
                 continue
-            ctx.emit(len(batch), label)
+            ctx.emit(len(batch), op)
             yield batch
     finally:
         close_stream(stream)
@@ -436,7 +439,7 @@ class ChunkSizer:
 
 
 def emit_columnar(
-    ctx: ExecutionContext, label: str, stream: Iterable[ColumnarBatch]
+    ctx: ExecutionContext, op: "Operator", stream: Iterable[ColumnarBatch]
 ) -> Iterator[ColumnarBatch]:
     """Columnar counterpart of :func:`emit_batches` (same close guarantee)."""
     try:
@@ -444,7 +447,7 @@ def emit_columnar(
             n = len(cb)
             if not n:
                 continue
-            ctx.emit(n, label)
+            ctx.emit(n, op)
             yield cb
     finally:
         close_stream(stream)

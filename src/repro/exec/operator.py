@@ -107,9 +107,9 @@ class Operator:
     def cached_label(self) -> str:
         """Memoized :meth:`_label`.
 
-        Labels can stringify whole predicate trees; the emit wrappers ask
-        for them on every execution, so the text is computed once per
-        operator instance (operators are immutable after construction).
+        Labels can stringify whole predicate trees; an armed fault
+        injector matches one on every emit, so the text is computed once
+        per operator instance (operators are immutable after construction).
         """
         cached = getattr(self, "_label_text", None)
         if cached is None:
@@ -159,11 +159,10 @@ class MaterializeOp(Operator):
         return {name: i for i, name in enumerate(self.output_columns)}
 
     def columnar_batches(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self._label(), self._replay(ctx))
+        return emit_columnar(ctx, self, self._replay(ctx))
 
     def _replay(self, ctx: "ExecutionContext") -> Iterator[ColumnarBatch]:
-        label = self._label()
-        buffer = ctx.buffer(label)
+        buffer = ctx.buffer(self)
         source = self.child.columnar_batches(ctx)
         try:
             limit = ctx.spill_limit()
@@ -178,7 +177,7 @@ class MaterializeOp(Operator):
                     # spools to disk (never reverting to memory, so arrival
                     # order is preserved: resident prefix, then the file).
                     if spilled is None:
-                        spilled = ctx.spill.create_file(label)
+                        spilled = ctx.spill.create_file(self._label())
                     spilled.append_batch(cb)
                     continue
                 held.append(cb.dense())

@@ -18,9 +18,9 @@ Design rules that keep parallel results identical to serial execution:
   *boundaries* move, and chunk boundaries carry no semantics anywhere in
   the engine (the parity suite pins this across batch sizes).
 * **The exchange does not emit.**  It is transport, not an operator doing
-  row work: ``rows_produced`` / ``operator_rows`` totals stay identical to
-  serial execution (worker-side operators count under their usual labels,
-  merely from worker threads — the context's counters are lock-protected).
+  row work: ``rows_produced`` totals stay identical to serial execution
+  (worker-side operators count as usual, merely from worker threads — the
+  context's counters are lock-protected).
 * **Breakers merge per-worker partial states.**  ``AggregateOp``,
   ``DistinctOp``, ``TopKOp`` and the ``HashJoin`` build consume an
   exchange child via per-worker partial states (a ``GroupedAggregation``,
@@ -222,11 +222,13 @@ class ExchangeOp(Operator):
     buffered state beyond the bounded per-morsel run-ahead queues.
     """
 
-    def __init__(self, plans: Sequence[Operator], source_label: str = ""):
+    def __init__(self, plans: Sequence[Operator], source: Operator | None = None):
         if not plans:
             raise ValueError("exchange needs at least one subplan")
         self.plans = list(plans)
-        self.source_label = source_label
+        #: The leaf the morsels split, named in the label (formatted only
+        #: when a label is read).
+        self.source = source
         first = self.plans[0]
         columns = getattr(first, "output_columns", None)
         if columns is not None:
@@ -267,9 +269,9 @@ class ExchangeOp(Operator):
                 finally:
                     close_stream(stream)
             return
-        label = self.cached_label()
         handle = getattr(ctx, "handle", None)
         faults = getattr(ctx, "faults", None)
+        label = self.cached_label() if faults is not None else ""
         queues = [queue.Queue(maxsize=EXCHANGE_QUEUE_DEPTH) for _ in plans]
 
         def put(q: "queue.Queue", item) -> bool:
@@ -363,8 +365,8 @@ class ExchangeOp(Operator):
         plans = self.plans
         states: list = [None] * len(plans)
         workers = min(getattr(ctx, "parallelism", 1), len(plans))
-        label = self.cached_label()
         faults = getattr(ctx, "faults", None)
+        label = self.cached_label() if faults is not None else ""
 
         def consume(i: int, plan: Operator):
             stream = getattr(plan, protocol)(ctx)
@@ -396,7 +398,7 @@ class ExchangeOp(Operator):
         return states
 
     def _label(self) -> str:
-        src = f" ({self.source_label})" if self.source_label else ""
+        src = f" ({self.source.cached_label()})" if self.source is not None else ""
         return f"EXCHANGE x{len(self.plans)}{src}"
 
 
@@ -536,7 +538,7 @@ def parallelize_plan(
                             clone.child = sub
                             sub = clone
                         subplans.append(sub)
-                    return ExchangeOp(subplans, source_label=cur.cached_label())
+                    return ExchangeOp(subplans, source=cur)
         clone = None
         drains = isinstance(op, full_drain)
         for attr in _CHILD_ATTRS:

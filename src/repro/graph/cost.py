@@ -52,6 +52,16 @@ class StarStep:
     legs: tuple[tuple[str, PatternEdge], ...]
 
 
+def leg_numbers(
+    glogue: GLogue, leaf_label: str, leaf: str, edge: PatternEdge
+) -> tuple[float, int]:
+    """A star leg's ``(average degree from the leaf, edge rows)``."""
+    return (
+        glogue.average_degree(leaf_label, edge.label, edge.direction_from(leaf)),
+        glogue.edge_count(edge.label),
+    )
+
+
 class CardinalityEstimator:
     """Estimates ``|M(P')|`` for arbitrary connected patterns."""
 
@@ -84,7 +94,8 @@ class MaskEstimates:
     structural estimate reads GLogue for masks within its window and
     otherwise peels the highest-degree removable vertex (ties: the first in
     sorted order) and multiplies the rest's estimate by the star's expansion
-    factor.  Each constraint's selectivity is computed once per pattern.
+    factor.  Each constraint's selectivity, and each star leg's average
+    degree and edge rows (:meth:`legs`), is computed once per pattern.
     """
 
     def __init__(self, estimator: CardinalityEstimator, masks: VertexMasks):
@@ -106,9 +117,24 @@ class MaskEstimates:
         self._edge_selectivity = [
             selectivity(e, mapping.edge(e.label).table_name) for e, _ in masks.edges
         ]
+        self._legs: list[list[tuple[int, float, int]]] = []
+        for incident in masks.incident:
+            legs = []
+            for edge, far in incident:
+                leaf = far.bit_length() - 1
+                legs.append(
+                    (far, *leg_numbers(self.glogue, masks.labels[leaf], masks.names[leaf], edge))
+                )
+            self._legs.append(legs)
         self._cardinality: dict[int, float] = {}
         self._structural: dict[int, float] = {}
         self._counts: dict[int, float] = {}
+
+    def legs(self, center: int, mask: int) -> list[tuple[float, int]]:
+        """``(average degree from the leaf, edge rows)`` per leg of vertex
+        ``center``'s star inside ``mask``, in :meth:`VertexMasks.legs`
+        order: what :meth:`CostModel.star_cost` prices."""
+        return [(degree, rows) for far, degree, rows in self._legs[center] if far & mask]
 
     def cardinality(self, mask: int) -> float:
         value = self._cardinality.get(mask)
@@ -184,16 +210,12 @@ class MaskEstimates:
         return self._independence_factor(center, mask)
 
     def _independence_factor(self, center: int, mask: int) -> float:
-        masks, glogue = self.masks, self.glogue
-        vertices = masks.pattern.vertices
         factor = 1.0
-        for i, (leaf, edge) in enumerate(masks.legs(center, mask)):
-            direction = edge.direction_from(leaf)
-            degree = glogue.average_degree(vertices[leaf].label, edge.label, direction)
+        for i, (degree, _) in enumerate(self.legs(center, mask)):
             if i == 0:
                 factor *= degree
             else:
-                nv = glogue.vertex_count(masks.labels[center])
+                nv = self.glogue.vertex_count(self.masks.labels[center])
                 factor *= degree / nv if nv else 0.0
         return factor
 
@@ -239,36 +261,35 @@ class CostModel:
         pattern: PatternGraph,
     ) -> float:
         """A star expansion of ``base_card`` input rows; ``pattern`` holds
-        the legs' vertices."""
-        legs = step.legs
+        the legs' vertices.  Priced by :meth:`star_cost`."""
+        legs = [
+            leg_numbers(self.glogue, pattern.vertices[leaf].label, leaf, edge)
+            for leaf, edge in step.legs
+        ]
+        return self.star_cost(base_card, card, legs)
+
+    def star_cost(
+        self, base_card: float, card: float, legs: list[tuple[float, int]]
+    ) -> float:
+        """A star expansion of ``base_card`` input rows whose legs are
+        ``(average degree from the leaf, edge rows)`` each."""
         if not self.use_graph_index:
             # Every leg is a hash join against the edge relation; the paper
             # costs a hash join as the product of the two input cardinalities.
             cost = 0.0
             current = base_card
-            for i, (_, edge) in enumerate(legs):
-                edge_rows = self.glogue.edge_count(edge.label)
+            for i, (degree, edge_rows) in enumerate(legs):
                 cost += current * edge_rows
                 if i == 0:
                     # After the first leg the intermediate grows by d̄.
-                    leaf, e0 = legs[0]
-                    d = self.glogue.average_degree(
-                        pattern.vertices[leaf].label, e0.label, e0.direction_from(leaf)
-                    )
-                    current = base_card * max(d, 0.1)
+                    current = base_card * max(degree, 0.1)
             return cost + OUTPUT_WEIGHT * card
-        degrees = []
-        for leaf, edge in legs:
-            label = pattern.vertices[leaf].label
-            degrees.append(
-                self.glogue.average_degree(label, edge.label, edge.direction_from(leaf))
-            )
         if len(legs) == 1:
-            cost = base_card * max(degrees[0], 0.1)
+            cost = base_card * max(legs[0][0], 0.1)
         else:
             # EXPAND_INTERSECT: intersection work per input tuple is bounded
             # by the smallest adjacency plus probe costs into the others.
-            cost = base_card * (min(degrees) + len(legs))
+            cost = base_card * (min(degree for degree, _ in legs) + len(legs))
         return cost + OUTPUT_WEIGHT * card
 
     def join_cost(self, left_card: float, right_card: float, card: float) -> float:

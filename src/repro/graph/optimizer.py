@@ -17,8 +17,10 @@ of a fixed ``P`` are uniquely determined by it), so the search is a shortest
 path through exactly the GLogue-shaped space the paper describes.  Vertex
 sets are bitmasks (:class:`~repro.graph.pattern.VertexMasks`): candidates
 are generated and checked for connectivity at the bit level, cardinalities
-come from one per-mask estimator, and a ``PatternGraph`` is built once per
-visited set, for its plan node.
+come from one per-mask estimator, and a candidate is priced from numbers
+alone (its children's memo entries and its legs' degrees).  A
+``PatternGraph``, ``StarStep`` and ``GraphPlan`` are built only for the
+chosen plan's nodes, once the search is done.
 
 Lowering (Sec 3.2.2)
 --------------------
@@ -129,6 +131,12 @@ class GraphOptimizerConfig:
     binary_join_limit: int = 8
 
 
+#: One searched mask: ``(cost, cardinality, decision)`` of its cheapest
+#: plan, the decision being ``("scan", 0, 0)`` or a :func:`decompositions`
+#: candidate.
+SearchEntry = tuple[float, float, tuple[str, int, int]]
+
+
 class GraphOptimizer:
     """Cost-based decomposition search over one pattern."""
 
@@ -149,8 +157,9 @@ class GraphOptimizer:
         if not pattern.is_connected():
             raise PlanError("can only optimize connected patterns")
         masks = VertexMasks(pattern)
-        memo: dict[int, GraphPlan] = {}
-        return self._best(masks, self.estimator.over(masks), masks.full, memo)
+        memo: dict[int, SearchEntry] = {}
+        self._best(masks, self.estimator.over(masks), masks.full, memo)
+        return _build(masks, memo, masks.full, {})
 
     # ------------------------------------------------------------------ #
     # search
@@ -161,40 +170,63 @@ class GraphOptimizer:
         masks: VertexMasks,
         cards: MaskEstimates,
         mask: int,
-        memo: dict[int, GraphPlan],
-    ) -> GraphPlan:
-        """The cheapest plan of ``mask``'s sub-pattern; the first of equally
-        cheap candidates wins."""
-        plan = memo.get(mask)
-        if plan is not None:
-            return plan
-        sub = masks.induced(mask)
+        memo: dict[int, SearchEntry],
+    ) -> SearchEntry:
+        """The :data:`SearchEntry` of ``mask``'s sub-pattern; the first of
+        equally cheap candidates wins."""
+        entry = memo.get(mask)
+        if entry is not None:
+            return entry
         card = cards.cardinality(mask)
         costs = self.cost_model
+        best = decision = None
         if mask & (mask - 1) == 0:
-            label = masks.labels[mask.bit_length() - 1]
-            plan = GraphPlan(sub, "scan", card, costs.scan_cost(label, card))
-        for kind, a, b in decompositions(masks, mask, self.config):
+            best = costs.scan_cost(masks.labels[mask.bit_length() - 1], card)
+            decision = ("scan", 0, 0)
+        for candidate in decompositions(masks, mask, self.config):
+            kind, a, b = candidate
             if kind == "expand":
-                child = self._best(masks, cards, b, memo)
-                step = StarStep(masks.names[a], masks.legs(a, mask))
-                cost = costs.expand_cost(child.cardinality, card, step, masks.pattern)
-                candidate = GraphPlan(
-                    sub, "expand", card, child.cost + cost, child=child, step=step
-                )
+                child_cost, child_card, _ = self._best(masks, cards, b, memo)
+                cost = child_cost + costs.star_cost(child_card, card, cards.legs(a, mask))
             else:
-                left = self._best(masks, cards, a, memo)
-                right = self._best(masks, cards, b, memo)
-                cost = costs.join_cost(left.cardinality, right.cardinality, card)
-                candidate = GraphPlan(
-                    sub, "join", card, left.cost + right.cost + cost, left=left, right=right
-                )
-            if plan is None or candidate.cost < plan.cost:
-                plan = candidate
-        if plan is None:  # pragma: no cover - connected patterns always split
-            raise PlanError(f"no decomposition found for {sub!r}")
-        memo[mask] = plan
-        return plan
+                left_cost, left_card, _ = self._best(masks, cards, a, memo)
+                right_cost, right_card, _ = self._best(masks, cards, b, memo)
+                cost = left_cost + right_cost + costs.join_cost(left_card, right_card, card)
+            if best is None or cost < best:
+                best, decision = cost, candidate
+        if decision is None:  # pragma: no cover - connected patterns always split
+            raise PlanError(f"no decomposition found for {masks.names_of(mask)!r}")
+        entry = memo[mask] = (best, card, decision)
+        return entry
+
+
+def _build(
+    masks: VertexMasks,
+    memo: dict[int, SearchEntry],
+    mask: int,
+    built: dict[int, GraphPlan],
+) -> GraphPlan:
+    """The plan node of ``mask`` the search decided on, with its sub-pattern,
+    star step and children (one node per mask, shared where sub-plans
+    overlap)."""
+    plan = built.get(mask)
+    if plan is None:
+        cost, card, (kind, a, b) = memo[mask]
+        sub = masks.induced(mask)
+        if kind == "scan":
+            plan = GraphPlan(sub, kind, card, cost)
+        elif kind == "expand":
+            step = StarStep(masks.names[a], masks.legs(a, mask))
+            plan = GraphPlan(
+                sub, kind, card, cost, child=_build(masks, memo, b, built), step=step
+            )
+        else:
+            left = _build(masks, memo, a, built)
+            plan = GraphPlan(
+                sub, kind, card, cost, left=left, right=_build(masks, memo, b, built)
+            )
+        built[mask] = plan
+    return plan
 
 
 def decompositions(masks: VertexMasks, mask: int, config: GraphOptimizerConfig):

@@ -306,7 +306,8 @@ class VertexMasks:
     lexicographically smallest name.  The decomposition search, the
     cardinality estimator and the Fig. 4a counter address induced
     sub-patterns by mask: connectivity is a bit-level BFS over one adjacency
-    mask per vertex, and a :class:`PatternGraph` is built only where a plan
+    mask per vertex, decided once per mask, as are a mask's star steps
+    (:meth:`peels`), and a :class:`PatternGraph` is built only where a plan
     node needs one (:meth:`induced`).
     """
 
@@ -333,6 +334,8 @@ class VertexMasks:
             if i != j:
                 self.incident[j].append((edge, src))
             self.edges.append((edge, src | dst))
+        self._connected: dict[int, bool] = {}
+        self._peels: dict[int, list[tuple[int, int]]] = {}
 
     def names_of(self, mask: int) -> list[str]:
         return [self.names[i] for i in bit_indices(mask)]
@@ -389,25 +392,33 @@ class VertexMasks:
 
     def connected(self, mask: int) -> bool:
         """Whether the induced sub-pattern on a non-empty ``mask`` is
-        connected: a search from the lowest bit, one vertex at a time."""
-        adjacency = self.adjacency
-        seen = todo = mask & -mask
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = adjacency[low.bit_length() - 1] & mask & ~seen
-            seen |= new
-            todo |= new
-        return seen == mask
+        connected: a search from the lowest bit, one vertex at a time
+        (memoized per mask)."""
+        value = self._connected.get(mask)
+        if value is None:
+            adjacency = self.adjacency
+            seen = todo = mask & -mask
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = adjacency[low.bit_length() - 1] & mask & ~seen
+                seen |= new
+                todo |= new
+            value = self._connected[mask] = seen == mask
+        return value
 
-    def peels(self, mask: int):
+    def peels(self, mask: int) -> list[tuple[int, int]]:
         """Star steps of ``mask``: ``(center bit index, rest)`` for every
         vertex whose removal leaves a non-empty connected rest, in sorted
-        name order."""
-        for i in bit_indices(mask):
-            rest = mask & ~(1 << i)
-            if rest and self.connected(rest):
-                yield i, rest
+        name order (memoized per mask)."""
+        value = self._peels.get(mask)
+        if value is None:
+            value = self._peels[mask] = [
+                (i, rest)
+                for i in bit_indices(mask)
+                if (rest := mask & ~(1 << i)) and self.connected(rest)
+            ]
+        return value
 
     def splits(self, mask: int):
         """Overlapping binary joins of a connected ``mask``: ``(left,

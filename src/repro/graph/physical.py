@@ -140,7 +140,7 @@ class ScanVertex(GraphOperator):
         self.output_vars = [GraphVar(var, "v", label)]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._scan_columnar(ctx))
+        return emit_columnar(ctx, self, self._scan_columnar(ctx))
 
     def _scan_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Zero-copy vertex scan: the single rowid column *is* ``range(n)``
@@ -210,7 +210,7 @@ class ExpandEdge(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         from_idx = self.child.var_index(self.from_var)
@@ -259,7 +259,7 @@ class GetVertex(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         edge_idx = self.child.var_index(self.edge_var)
@@ -331,7 +331,7 @@ class Expand(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         from_idx = self.child.var_index(self.from_var)
@@ -447,7 +447,7 @@ class ExpandIntersect(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Output columns: the child's, the kept legs' edge rowids, the root."""
@@ -572,7 +572,7 @@ class BranchReduce(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         column = self.child.var_index(self.anchor)
@@ -688,7 +688,7 @@ class EdgeTripleScan(GraphOperator):
         ]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Zero-copy triple scan: the EV columns (or the EVJoin-derived
@@ -773,7 +773,7 @@ class PatternHashJoin(GraphOperator):
         return [self.left, self.right]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         l_idx = [self.left.var_index(n) for n in self.join_vars]
@@ -781,8 +781,8 @@ class PatternHashJoin(GraphOperator):
         if ctx.spill_limit() is not None:
             yield from self._grace(ctx, l_idx, r_idx)
             return
-        right_buffer = ctx.buffer(f"{self._label()} build")
-        left_buffer = ctx.buffer(f"{self._label()} lookahead")
+        right_buffer = ctx.buffer(self, " build")
+        left_buffer = ctx.buffer(self, " lookahead")
         right_stream = None
         left_stream = None
         try:
@@ -845,7 +845,7 @@ class PatternHashJoin(GraphOperator):
         else:
             right_key, left_key = tuple_key(r_idx), tuple_key(l_idx)
         keep = self.right_keep
-        buffer = ctx.buffer(f"{self._label()} build")
+        buffer = ctx.buffer(self, " build")
         try:
             yield from rows_to_columnar(
                 grace_hash_join(
@@ -901,7 +901,7 @@ class AllDistinct(GraphOperator):
         return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         pairs = self._pairs

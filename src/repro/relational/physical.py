@@ -227,7 +227,7 @@ class SeqScan(PhysicalOperator):
         return out
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._scan_columnar(ctx))
+        return emit_columnar(ctx, self, self._scan_columnar(ctx))
 
     def _scan_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Zero-copy chunked scan: every batch shares the table's column
@@ -255,7 +255,7 @@ class SeqScan(PhysicalOperator):
                 yield ColumnarBatch(out_columns, n, chunk if sel is None else sel)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._scan(ctx))
+        return emit_batches(ctx, self, self._scan(ctx))
 
     def _scan(self, ctx: ExecutionContext) -> Iterator[Batch]:
         size = ctx.batch_size
@@ -308,17 +308,13 @@ class FilterOp(PhysicalOperator):
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         pred = compile_predicate(self.predicate, self.child.layout())
-        return emit_batches(
-            ctx, self._label(), filter_batches(self.child.batches(ctx), pred)
-        )
+        return emit_batches(ctx, self, filter_batches(self.child.batches(ctx), pred))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         # Selection-vector refinement: no rows move, no closures per row.
         selector = compile_predicate_columnar(self.predicate, self.child.layout())
         return emit_columnar(
-            ctx,
-            self._label(),
-            filter_columnar(self.child.columnar_batches(ctx), selector),
+            ctx, self, filter_columnar(self.child.columnar_batches(ctx), selector)
         )
 
     def _label(self) -> str:
@@ -350,12 +346,10 @@ class ProjectOp(PhysicalOperator):
             transform = lambda batch: [  # noqa: E731
                 tuple(ev(row) for ev in evaluators) for row in batch
             ]
-        return emit_batches(
-            ctx, self._label(), map_batches(self.child.batches(ctx), transform)
-        )
+        return emit_batches(ctx, self, map_batches(self.child.batches(ctx), transform))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._project_columnar(ctx))
+        return emit_columnar(ctx, self, self._project_columnar(ctx))
 
     def _project_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         layout = self.child.layout()
@@ -408,7 +402,7 @@ class HashJoin(PhysicalOperator):
         return [self.left, self.right]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def _key_indices(self) -> tuple[list[int], list[int]]:
         l_idx = [_resolve(self.left.output_columns, k) for k in self.left_keys]
@@ -424,7 +418,7 @@ class HashJoin(PhysicalOperator):
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
         build_key, probe_key = self._row_keys()
-        buffer = ctx.buffer(f"{self._label()} build")
+        buffer = ctx.buffer(self, " build")
         try:
             if ctx.spill_limit() is not None:
                 probe = grace_hash_join(
@@ -452,11 +446,11 @@ class HashJoin(PhysicalOperator):
             buffer.release()
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         l_idx, r_idx = self._key_indices()
-        buffer = ctx.buffer(f"{self._label()} build")
+        buffer = ctx.buffer(self, " build")
         try:
             if ctx.spill_limit() is not None:
                 # Out-of-core joins cross the rows boundary at the grace
@@ -553,10 +547,10 @@ class RowIdJoin(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar pointer-follow: the pointer column is extracted once per
@@ -717,10 +711,10 @@ class CsrJoin(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         """Columnar CSR expansion: the kernels' one expansion body
@@ -979,10 +973,10 @@ class AggregateOp(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _column_getters(self, exprs: list["Expr | None"]):
         """Per-expression batch-column extractors.
@@ -1028,10 +1022,9 @@ class AggregateOp(PhysicalOperator):
         key_getters = self._column_getters([e for e, _ in self.group_by])
         arg_getters = self._column_getters([a.arg for a in self.aggregates])
         funcs = [a.func for a in self.aggregates]
-        label = self._label()
         limit = ctx.spill_limit()
         spiller = (
-            _AggSpiller(ctx, label, len(key_getters), funcs)
+            _AggSpiller(ctx, self._label(), len(key_getters), funcs)
             if limit is not None
             else None
         )
@@ -1053,7 +1046,7 @@ class AggregateOp(PhysicalOperator):
                 engine.consume(key_cols, arg_cols, n)
                 partial.grow(engine.num_groups - before)
 
-        buffer = ctx.buffer(label)
+        buffer = ctx.buffer(self)
         source = None
         try:
             exchange = fold_source(self.child, ctx)
@@ -1064,7 +1057,7 @@ class AggregateOp(PhysicalOperator):
             else:
 
                 def run(i: int, stream) -> GroupedAggregation:
-                    partial = ctx.buffer(f"{label} partial", tracked=False)
+                    partial = ctx.buffer(self, " partial", tracked=False)
                     state = GroupedAggregation(len(key_getters), funcs)
                     try:
                         consume(state, stream, partial)
@@ -1121,7 +1114,7 @@ class AggregateOp(PhysicalOperator):
         initials = [init for init, _, _ in accumulators]
         updates = [update for _, update, _ in accumulators]
         finals = [final for _, _, final in accumulators]
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         source = self.child.batches(ctx)
         limit = ctx.spill_limit()
         spiller = (
@@ -1231,16 +1224,16 @@ class SortOp(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         # The buffered input stays columnar: batches are held dense, one
         # kernel argsort over their concatenated key columns orders them,
         # and the output chunks are selections into the concatenation.
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         source = self.child.columnar_batches(ctx)
         try:
             keys = _SortKeys(self.keys, self.child)
@@ -1277,7 +1270,7 @@ class SortOp(PhysicalOperator):
             buffer.release()
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         source = self.child.batches(ctx)
         try:
             layout = self.child.layout()
@@ -1470,7 +1463,7 @@ class TopKOp(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def _selection_setup(self, k: int):
         """(select, tiebreak, uniform) for the configured key directions."""
@@ -1495,7 +1488,7 @@ class TopKOp(PhysicalOperator):
         return threshold
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _best(self, parts: list[ColumnarBatch], keys: _SortKeys) -> ColumnarBatch:
         """The ``k`` best rows of keyed batches ``parts``, best first.
@@ -1545,8 +1538,7 @@ class TopKOp(PhysicalOperator):
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         if self.limit <= 0:
             return
-        label = self._label()
-        buffer = ctx.buffer(label)
+        buffer = ctx.buffer(self)
         source = None
         try:
             keys = _SortKeys(self.keys, self.child)
@@ -1562,7 +1554,7 @@ class TopKOp(PhysicalOperator):
                 # so the stable merge breaks ties exactly as the serial
                 # stream does.
                 def run(morsel: int, stream) -> "ColumnarBatch | None":
-                    partial = ctx.buffer(f"{label} partial", tracked=False)
+                    partial = ctx.buffer(self, " partial", tracked=False)
                     try:
                         return self._collect_columnar(ctx, stream, partial, keys)
                     finally:
@@ -1612,7 +1604,7 @@ class TopKOp(PhysicalOperator):
                 )
 
         threshold = self._prune_threshold(ctx, k)
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         source = self.child.batches(ctx)
         try:
             candidates: list[tuple] = []  # (key, ±arrival, row)
@@ -1656,17 +1648,16 @@ class LimitOp(PhysicalOperator):
         remaining = self.limit
         if remaining <= 0:
             return
-        label = self._label()
         source = self.child.batches(ctx)
         try:
             for batch in source:
                 if len(batch) >= remaining:
                     out = batch[:remaining]
-                    ctx.emit(len(out), label)
+                    ctx.emit(len(out), self)
                     yield out
                     return
                 remaining -= len(batch)
-                ctx.emit(len(batch), label)
+                ctx.emit(len(batch), self)
                 yield batch
         finally:
             # Covers the satisfied-early return too: upstream breakers see
@@ -1677,7 +1668,6 @@ class LimitOp(PhysicalOperator):
         remaining = self.limit
         if remaining <= 0:
             return
-        label = self._label()
         source = self.child.columnar_batches(ctx)
         try:
             for cb in source:
@@ -1686,11 +1676,11 @@ class LimitOp(PhysicalOperator):
                     continue
                 if n >= remaining:
                     out = cb.head(remaining)
-                    ctx.emit(len(out), label)
+                    ctx.emit(len(out), self)
                     yield out
                     return
                 remaining -= n
-                ctx.emit(n, label)
+                ctx.emit(n, self)
                 yield cb
         finally:
             close_stream(source)
@@ -1804,10 +1794,10 @@ class DistinctOp(PhysicalOperator):
         return [self.child]
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return emit_batches(ctx, self.cached_label(), self._stream(ctx))
+        return emit_batches(ctx, self, self._stream(ctx))
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        return emit_columnar(ctx, self.cached_label(), self._stream_columnar(ctx))
+        return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         exchange = fold_source(self.child, ctx)
@@ -1820,7 +1810,7 @@ class DistinctOp(PhysicalOperator):
         self, ctx: ExecutionContext, source: Iterator[ColumnarBatch]
     ) -> Iterator[ColumnarBatch]:
         state = StreamingDistinct()
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         limit = ctx.spill_limit()
         spiller: _DistinctSpiller | None = None
         try:
@@ -1866,12 +1856,12 @@ class DistinctOp(PhysicalOperator):
 
         pre = ExchangeOp(
             [_PartialDistinct(plan) for plan in exchange.plans],
-            source_label=exchange.source_label,
+            source=exchange.source,
         )
         yield from self._columnar_dedup(ctx, pre.columnar_batches(ctx))
 
     def _stream(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        buffer = ctx.buffer(self._label())
+        buffer = ctx.buffer(self)
         source = self.child.batches(ctx)
         limit = ctx.spill_limit()
         spiller: _DistinctSpiller | None = None

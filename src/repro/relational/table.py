@@ -46,7 +46,6 @@ from repro.relational.column import (
     append_value,
     column_nbytes,
     extend_values,
-    is_dict,
     make_storage,
 )
 from repro.relational.schema import TableSchema
@@ -91,23 +90,16 @@ class TableSnapshot:
     ``num_rows`` is the table's published row count as of the pinned epoch
     (possibly clamped further by the executor, e.g. to a graph index's
     build-time extent); every accessor bounds itself to that prefix.
-    ``dictionary_watermarks`` records each dictionary column's distinct
-    count at pin time — codes within the snapshot never reference values
-    interned later, so the watermark bounds the dictionary slice a reader
-    can observe.
+    Dictionary columns need no pin-time record: codes within the prefix
+    never reference values interned later.
     """
 
-    __slots__ = ("table", "num_rows", "epoch", "dictionary_watermarks")
+    __slots__ = ("table", "num_rows", "epoch")
 
     def __init__(self, table: "Table", num_rows: int, epoch: int):
         self.table = table
         self.num_rows = num_rows
         self.epoch = epoch
-        self.dictionary_watermarks: dict[str, int] = {
-            name: len(storage.values)
-            for name, storage in table.columns.items()
-            if is_dict(storage)
-        }
 
     def clamp(self, num_rows: int) -> None:
         """Shrink the snapshot to a smaller prefix (still consistent —

@@ -275,6 +275,47 @@ def test_armed_not_firing_is_identity(tables, parallelism, columnar):
     assert armed.peak_buffered_rows == baseline.peak_buffered_rows
 
 
+def _operator_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _operator_classes(sub)
+
+
+def test_disarmed_execution_formats_no_label(tables, ldbc, repro_env, monkeypatch):  # noqa: F811
+    """With no injector armed, an execution formats no operator label:
+    emits and buffers name their operator, whose label is formatted only
+    when an armed fault or an OOM error reads it.  Covers both protocols,
+    every breaker of the relational plans, a graph plan, and plan-cache
+    hits, whose rebound operators carry no memoized label."""
+    from repro.exec.operator import Operator
+    from repro.serving import Database
+    from repro.workloads.ldbc.queries import ic_queries
+
+    repro_env(faults=None)
+    db = Database(catalog=ldbc)
+    try:
+        session = db.connect()
+        statements = [qc_queries()["QC1"], ic_queries()["IC2"]]
+        for sql in statements:
+            session.execute(sql)  # compile outside the guard
+        formatted = []
+        for cls in set(_operator_classes(Operator)):
+            if "_label" in cls.__dict__:
+                def spy(self, original=cls.__dict__["_label"]):
+                    formatted.append(type(self).__name__)
+                    return original(self)
+
+                monkeypatch.setattr(cls, "_label", spy)
+        for builder in (_relational_plan, _aggregate_plan):
+            for columnar in (True, False):
+                execute_plan(builder(tables), columnar=columnar, spill=False)
+        for sql in statements:
+            session.execute(sql)  # plan-cache hits: rebound operators
+        assert formatted == []
+    finally:
+        db.close()
+
+
 # --------------------------------------------------------------------- #
 # firing schedule semantics
 # --------------------------------------------------------------------- #

@@ -589,18 +589,84 @@ def test_bitmask_search_matches_the_frozenset_search(snb_glogue, pattern, use_gl
     assert estimator.estimate(pattern) == reference.estimate(pattern)
 
 
-def test_graph_search_builds_one_subpattern_per_vertex_set(fig2, monkeypatch):
-    """A visited vertex set is one ``induced_subpattern`` call: candidates,
-    connectivity and estimates work on masks."""
+@pytest.fixture(scope="module")
+def statement_patterns():
+    """``{statement: (estimator, pattern)}`` for the 58 IC / QR / QC / JOB
+    statements on the small LDBC / IMDB datasets: each statement's pattern
+    after the rules, as ``relgo`` hands it to the graph optimizer."""
+    from repro.systems import make_system
+    from repro.workloads.job import JobParams, generate_imdb
+    from repro.workloads.job.queries import job_queries
+    from repro.workloads.ldbc import LdbcParams, generate_ldbc
+    from repro.workloads.ldbc.queries import ic_queries, qc_queries, qr_queries
+
+    calls, captured = [], {}
+    original = GraphOptimizer.optimize
+
+    def capture(self, pattern):
+        calls.append((self.estimator, pattern))
+        return original(self, pattern)
+
+    suites = [
+        (generate_ldbc(LdbcParams(persons=120, seed=5)), {**ic_queries(), **qr_queries(), **qc_queries()}),
+        (generate_imdb(JobParams.scaled(0.3, seed=5)), job_queries()),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GraphOptimizer, "optimize", capture)
+        for (catalog, mapping), statements in suites:
+            catalog.register_graph_index(build_graph_index(mapping))
+            system = make_system("relgo", catalog)
+            for name, sql in statements.items():
+                system.optimize(sql)
+                (captured[name],) = calls
+                calls.clear()
+    return captured
+
+
+@pytest.mark.parametrize("use_graph_index", [True, False])
+def test_search_matches_the_frozenset_search_on_every_statement(statement_patterns, use_graph_index):
+    """The 58 benchmark statements, JOB's 6-8-vertex trees among them,
+    plan exactly as the frozenset search plans them."""
+    assert len(statement_patterns) == 58
+    for name, (estimator, pattern) in sorted(statement_patterns.items()):
+        optimizer = GraphOptimizer(
+            estimator.glogue.mapping, estimator, GraphOptimizerConfig(use_graph_index=use_graph_index)
+        )
+        reference = ReferenceEstimator(estimator.glogue, estimator.catalog, estimator.use_glogue)
+        got = optimizer.optimize(pattern)
+        want = reference_optimize(optimizer, reference, pattern)
+        assert got.explain() == want.explain(), name
+        assert plan_signature(got) == plan_signature(want), name
+
+
+def plan_nodes(plan):
+    """The distinct vertex sets of ``plan``'s nodes."""
+    out = {frozenset(plan.pattern.vertices)}
+    for child in (plan.child, plan.left, plan.right):
+        if child is not None:
+            out |= plan_nodes(child)
+    return out
+
+
+def test_graph_search_builds_subpatterns_only_for_the_chosen_plan(fig2, monkeypatch):
+    """Candidates are priced from numbers: ``induced_subpattern`` is called,
+    and a ``GraphPlan`` built, once per node of the returned plan (the whole
+    pattern is its own sub-pattern) and for no other vertex set."""
     catalog, mapping, index = fig2
-    built = []
+    built, nodes = [], []
     original = PatternGraph.induced_subpattern
+    original_init = GraphPlan.__init__
 
     def counting(self, vertex_names):
         built.append(frozenset(vertex_names))
         return original(self, vertex_names)
 
+    def counting_init(self, pattern, *args, **kwargs):
+        nodes.append(frozenset(pattern.vertices))
+        original_init(self, pattern, *args, **kwargs)
+
     monkeypatch.setattr(PatternGraph, "induced_subpattern", counting)
+    monkeypatch.setattr(GraphPlan, "__init__", counting_init)
     pattern = (
         PatternGraph.builder()
         .vertex("a", "Person").vertex("b", "Person").vertex("c", "Person")
@@ -609,9 +675,14 @@ def test_graph_search_builds_one_subpattern_per_vertex_set(fig2, monkeypatch):
         .edge("d", "a", "Knows").edge("a", "m", "Likes").edge("c", "m", "Likes")
         .build()
     )  # fmt: skip
-    optimizer = build_optimizer(catalog, mapping, index)
-    optimizer.optimize(pattern)
-    assert built and len(built) == len(set(built))
+    for config in ({}, {"use_graph_index": False}, {"binary_join_limit": 3}):
+        built.clear()
+        nodes.clear()
+        plan = build_optimizer(catalog, mapping, index, **config).optimize(pattern)
+        chosen = plan_nodes(plan)
+        assert len(chosen) > 1
+        assert sorted(nodes, key=sorted) == sorted(chosen, key=sorted), config
+        assert sorted(built, key=sorted) == sorted(chosen - {frozenset(pattern.vertices)}, key=sorted), config
 
 
 #: JOB24 on the small IMDB: the dead ``mi``/``it`` branch, which multiplies

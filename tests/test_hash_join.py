@@ -165,7 +165,7 @@ class _Relation(GraphOperator):
         self.rows = rows
 
     def columnar_batches(self, ctx):
-        return emit_columnar(ctx, self.cached_label(), self._chunks(ctx))
+        return emit_columnar(ctx, self, self._chunks(ctx))
 
     def _chunks(self, ctx):
         junk = tuple(-1 for _ in self.output_vars)
