@@ -102,8 +102,21 @@ class LogicalScanGraphTable(LogicalNode):
             self.mapping,
             self.index,
             self.lowering,
+            live=columns_read(self.clause),
         )
         return ScanGraphTableOp(self.clause, self.mapping, graph_op)
+
+
+def columns_read(clause: GraphTableClause) -> frozenset[str]:
+    """The graph variables the ``COLUMNS`` of ``clause`` read: each
+    entry's variable, and for an attribute the value column a REDUCE
+    appends in its place (:class:`ScanGraphTableOp` reads whichever the
+    plan binds)."""
+    return frozenset(
+        name
+        for c in clause.columns
+        for name in (c.var, value_var(c.var, c.attr or ""))
+    )
 
 
 @dataclass

@@ -35,6 +35,7 @@ from repro.exec.grouping import segment_extremes
 from repro.exec.vector import (
     ColumnarBatch,
     LazyMask,
+    csr_positions,
     cut_points,
     degree_sums,
     equal_positions,
@@ -44,6 +45,7 @@ from repro.exec.vector import (
     pair_keys,
     passing,
     product_positions,
+    radix_keys,
     run_positions,
     scatter,
     sorted_runs,
@@ -714,20 +716,25 @@ def transpose_rows(rows: list[tuple]) -> list:
 
 
 def replicate_columnar(
-    cb: ColumnarBatch, parents: list[int], new_columns: list
+    cb: ColumnarBatch, parents: list[int], new_columns: list, carry=None
 ) -> ColumnarBatch:
     """Expansion assembly: replicate ``cb``'s rows through ``parents`` and
     append ``new_columns``.
 
     ``parents`` holds, per output row, the position of the visible input
     row it extends; ``new_columns`` are dense sequences aligned with
-    ``parents`` (the per-output-row new values).  The result is a compact
-    batch (no selection vector); ndarray inputs stay ndarrays, so chained
-    expansions gather natively.
+    ``parents`` (the per-output-row new values).  ``carry`` lists the
+    input columns the output keeps, in order (None: all of them): a graph
+    operator carries only the variables read above it (the liveness walk,
+    :func:`repro.graph.optimizer.carry_live`), so a column nothing reads
+    again is never gathered.  The result is a compact batch (no selection
+    vector); ndarray inputs stay ndarrays, so chained expansions gather
+    natively.
     """
     sel = cb.selection
     raw = parents if sel is None else take(sel, parents)
-    cols = [take(c, raw) for c in cb.columns]
+    columns = cb.columns if carry is None else [cb.columns[i] for i in carry]
+    cols = [take(c, raw) for c in columns]
     cols.extend(new_columns)
     return ColumnarBatch(cols, len(parents), None)
 
@@ -738,10 +745,10 @@ def csr_expand_vectors(vertices, offsets, edges):
     ``vertices`` are the bound rowids of one batch (any int sequence).
     Output row ``t`` extends input row ``parents[t]`` with adjacent edge
     ``edge_ids[t]``, in (input row, adjacency) order.  When ``offsets`` /
-    ``edges`` are ndarrays this is three gathers — degrees, replicated group
-    starts, and one fancy-index into the CSR edge array — and returns
-    ndarrays; otherwise a Python walk over the typed arrays returns lists
-    of plain ints.  Returns None when the batch expands to nothing.
+    ``edges`` are ndarrays this is :func:`~repro.exec.vector.csr_positions`
+    plus one fancy-index into the CSR edge array, and returns ndarrays;
+    otherwise a Python walk over the typed arrays returns lists of plain
+    ints.  Returns None when the batch expands to nothing.
     """
     if not (is_ndarray(offsets) and is_ndarray(edges)):
         parents: list[int] = []
@@ -752,14 +759,10 @@ def csr_expand_vectors(vertices, offsets, edges):
                 parents.extend([j] * (hi - lo))
                 edge_ids.extend(edges[lo:hi])
         return (parents, edge_ids) if parents else None
-    v = vector.as_index_array(vertices)
-    if not len(v):
+    expanded = csr_positions(vertices, offsets)
+    if expanded is None:
         return None
-    lo = offsets[v]
-    deg = offsets[v + 1] - lo
-    if not deg.any():
-        return None
-    parents, positions = run_positions(lo, deg)
+    parents, positions = expanded
     return parents, edges[positions]
 
 
@@ -772,6 +775,7 @@ def expand_columnar(
     gathers: Sequence,
     emask=None,
     vmask=None,
+    carry=None,
 ) -> Iterator[ColumnarBatch]:
     """The CSR expansion body of EXPAND_EDGE, the fused EXPAND and the
     predefined CSR_JOIN.
@@ -783,7 +787,8 @@ def expand_columnar(
     itself — and ``vmask`` filters on the first of them (a fused expand's
     far endpoint).  ``emask`` / ``vmask`` are rowid masks
     (:func:`~repro.relational.expr.rowid_mask`), so no predicate shape
-    changes how the adjacency is walked.
+    changes how the adjacency is walked.  ``carry`` names the input
+    columns each output row keeps (:func:`replicate_columnar`).
 
     One batch expands at once (:func:`csr_expand_vectors`) and leaves in
     ``ctx.batch_size`` slices whether numpy is on or off: the numpy /
@@ -811,7 +816,7 @@ def expand_columnar(
         for start in range(0, len(parents), size):
             stop = start + size
             yield replicate_columnar(
-                cb, parents[start:stop], [c[start:stop] for c in new_columns]
+                cb, parents[start:stop], [c[start:stop] for c in new_columns], carry
             )
 
 
@@ -906,17 +911,15 @@ class IntersectLeg(NamedTuple):
     """One leg of an EXPAND_INTERSECT star, resolved for execution.
 
     ``column`` is the bound leaf's position in the input batch; ``offsets``
-    is the leaf's CSR offsets and ``far`` the far endpoint of every edge
-    rowid — vector views, so ndarrays exactly when numpy is on; ``view`` is
-    the adjacency's neighbor-ordered :class:`~repro.graph.index.KeyView` in
-    the same domain; ``mask`` is the edge predicate's rowid mask (None: no
-    predicate) and ``kept`` whether the leg's edge rowid is an output
-    column.
+    is the leaf's CSR offsets — a vector view, so an ndarray exactly when
+    numpy is on; ``view`` is the adjacency's neighbor-ordered
+    :class:`~repro.graph.index.KeyView` in the same domain; ``mask`` is the
+    edge predicate's rowid mask (None: no predicate) and ``kept`` whether
+    the leg's edge rowid is an output column.
     """
 
     column: int
     offsets: Sequence[int]
-    far: Sequence[int]
     view: Any
     mask: Any
     kept: bool
@@ -928,6 +931,7 @@ def intersect_expand(
     legs: Sequence[IntersectLeg],
     radix: int,
     vmask,
+    carry=None,
 ) -> Iterator[ColumnarBatch]:
     """EXPAND_INTERSECT: close a star on every input row by intersecting
     its legs' neighbor sets, the smallest set driving and the others
@@ -938,13 +942,17 @@ def intersect_expand(
     far rowid.  Each leg's :class:`~repro.graph.index.KeyView` lists its
     adjacency in neighbor order with those keys sorted, so no key is ever
     sorted here.  Per row slice, the leg with the smallest summed degree
-    drives: only its bound vertices CSR-expand, through the view, into
-    pairs that come out in (row, root) order with parallel edges adjacent
-    — its runs.  Every other leg is probed in its view: the run ``[lo, lo
-    + count)`` of a pair's key holds that leg's parallel edges to the root.
-    A dense view answers each probe with one gather from its direct-address
-    slot table (plus one from its run lengths when it has parallel edges);
-    a sparse one, whose table would not be linear in its edge count, is
+    drives: only its bound vertices CSR-expand, into view positions whose
+    roots are one gather from the view's far-endpoint array; the pairs
+    come out in (row, root) order with parallel edges adjacent — its runs.
+    The driver gathers its edge rowids only when its edge mask or its kept
+    edge column reads them.  Every other leg is probed in its view: the
+    run ``[lo, lo + count)`` of a pair's key holds that leg's parallel
+    edges to the root.  A probe key is one gather of the slice's bound
+    vertices, scaled by the radix once per slice, plus the root.  A dense
+    view answers each probe with one gather from its direct-address slot
+    table (plus one from its run lengths when it has parallel edges); a
+    sparse one, whose table would not be linear in its edge count, is
     binary-searched (one ``searchsorted`` plus an equality test when it
     has no parallel edges).  Edge masks filter the driver's pairs and
     the probed runs; ``vmask`` (the root's vertex mask, None without a
@@ -954,7 +962,11 @@ def intersect_expand(
     row ``t`` of a pair's block takes, from leg ``i``'s run, the edge at
     ``(t // stride_i) % count_i`` with ``stride_i`` the product of the later
     legs' counts — ``itertools.product`` order over the runs, which hold
-    their edges in edge-rowid order.
+    their edges in edge-rowid order.  When every pair is one row (no leg
+    keeps a run longer than one edge), the output chunks are plain slices
+    of the candidates.  Each output row carries the input columns
+    ``carry`` lists (:func:`replicate_columnar`), then the kept legs' edge
+    rowids, then the root.
 
     Output rows follow (input row, root rowid) order, in chunks of
     ``ctx.batch_size`` rows.  An input batch is processed in row slices cut
@@ -962,9 +974,9 @@ def intersect_expand(
     so a batch of hub vertices never holds more than a fixed multiple of
     the batch size in pairs at once.  One body runs with numpy on or off:
     the numpy / pure-Python split lives in the :mod:`repro.exec.vector`
-    primitives it is built from (``degree_sums``, ``cut_points``,
-    ``key_runs``, ``product_positions``, ...), so both modes emit the same
-    chunks.
+    primitives it is built from (``csr_positions``, ``degree_sums``,
+    ``cut_points``, ``key_runs``, ``product_positions``, ...), so both
+    modes emit the same chunks.
     """
     size = ctx.batch_size
     limit = INTERSECT_PAIRS_PER_BATCH * size
@@ -979,36 +991,49 @@ def intersect_expand(
             driver = work.index(min(work))
             if work[driver]:
                 yield from _intersect_slice(
-                    cb, legs, [v[first:last] for v in bound], first, driver, radix, vmask, size
+                    cb,
+                    legs,
+                    [v[first:last] for v in bound],
+                    first,
+                    driver,
+                    radix,
+                    vmask,
+                    size,
+                    carry,
                 )
 
 
-def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
+def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size, carry):
     """Intersect the batch rows from ``first`` on whose bound vertices per
     leg are ``bound``, ``legs[driver]`` expanding and the others probed,
     and emit the rows (see :func:`intersect_expand`)."""
     leg = legs[driver]
-    expanded = csr_expand_vectors(bound[driver], leg.offsets, leg.view.edges)
+    view = leg.view
+    expanded = csr_positions(bound[driver], leg.offsets)
     if expanded is None:
         return
-    parents, edge_ids = expanded
+    parents, positions = expanded
+    edge_ids = None
+    if leg.mask is not None or leg.kept:
+        edge_ids = take(view.edges, positions)
     if leg.mask is not None:
         kept = passing(leg.mask, edge_ids)
         if kept is not None:
             if not len(kept):
                 return
-            parents, edge_ids = take(parents, kept), take(edge_ids, kept)
-    roots = take(leg.far, edge_ids)
+            parents, positions = take(parents, kept), take(positions, kept)
+            edge_ids = take(edge_ids, kept)
+    roots = take(view.far, positions)
     # The candidates: the driver's distinct (slice row, root) pairs, in
     # order.  Per leg, runs ``(starts, counts, edges)`` aligned with them:
     # a candidate's edges are ``edges[starts:starts + counts]``; counts
     # None means one edge each, and a trimmed leg keeps no starts.
     runs = [None] * len(legs)
-    if leg.view.distinct:
+    if view.distinct:
         starts = vector.index_vector(len(roots)) if leg.kept else None
         runs[driver] = (starts, None, edge_ids)
     else:
-        starts, counts = sorted_runs(pair_keys(parents, roots, radix))
+        starts, counts = sorted_runs(pair_keys(radix_keys(parents, radix), roots))
         runs[driver] = (starts, counts, edge_ids)
         parents, roots = take(parents, starts), take(roots, starts)
 
@@ -1033,7 +1058,7 @@ def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
         if i == driver:
             continue
         view = leg.view
-        probes = pair_keys(take(bound[i], parents), roots, radix)
+        probes = pair_keys(take(radix_keys(bound[i], radix), parents), roots)
         hits, lo, counts = key_runs(view.keys, probes, view.distinct, view.slots, view.run_lengths)
         if hits is not None and not narrow(hits):
             return
@@ -1058,12 +1083,20 @@ def _intersect_slice(cb, legs, bound, first, driver, radix, vmask, size):
     if first:
         # Slice rows -> batch rows.
         parents = take(vector.index_vector(first + len(bound[driver]))[first:], parents)
-    factors = [(starts if leg.kept else None, counts) for (starts, counts, _), leg in zip(runs, legs)]
     kept_runs = [run for run, leg in zip(runs, legs) if leg.kept]
+    if all(counts is None for _, counts, _ in runs):
+        # Every candidate is one row: each chunk is a slice of them.
+        for lo in range(0, len(roots), size):
+            hi = lo + size
+            new_columns = [take(edges, starts[lo:hi]) for starts, _, edges in kept_runs]
+            new_columns.append(roots[lo:hi])
+            yield replicate_columnar(cb, parents[lo:hi], new_columns, carry)
+        return
+    factors = [(starts if leg.kept else None, counts) for (starts, counts, _), leg in zip(runs, legs)]
     for k, positions in product_positions(factors, len(roots), size):
         new_columns = [take(edges, at) for (_, _, edges), at in zip(kept_runs, positions)]
         new_columns.append(take(roots, k))
-        yield replicate_columnar(cb, take(parents, k), new_columns)
+        yield replicate_columnar(cb, take(parents, k), new_columns, carry)
 
 
 class BranchStep(NamedTuple):

@@ -109,7 +109,8 @@ class Operator:
 
         Labels can stringify whole predicate trees; an armed fault
         injector matches one on every emit, so the text is computed once
-        per operator instance (operators are immutable after construction).
+        per operator instance (operators do not change once lowered; a
+        graph plan's liveness walk runs inside lowering).
         """
         cached = getattr(self, "_label_text", None)
         if cached is None:
@@ -145,9 +146,13 @@ class MaterializeOp(Operator):
         columns = getattr(child, "output_columns", None)
         if columns is not None:
             self.output_columns = list(columns)
-        output_vars = getattr(child, "output_vars", None)
-        if output_vars is not None:
-            self.output_vars = list(output_vars)
+
+    @property
+    def output_vars(self):
+        """A graph child's variables, as they stand (a liveness walk may
+        narrow them after this spool is built); AttributeError for a
+        relational child."""
+        return self.child.output_vars
 
     def children(self) -> list[Operator]:
         return [self.child]

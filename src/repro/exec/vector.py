@@ -419,6 +419,37 @@ def run_positions(starts, counts):
     return owners, positions
 
 
+def csr_positions(vertices, offsets):
+    """Whole-batch CSR walk: ``(parents, positions)``, or None when the
+    batch reaches no edge.
+
+    ``vertices`` are the bound rowids of one batch (any int sequence).
+    Output row ``t`` extends input row ``parents[t]`` with the CSR
+    position ``positions[t]`` (an index into the adjacency's edge array,
+    or into any array in its order, such as a key view's), in (input row,
+    adjacency) order.  With ndarray ``offsets`` this is two gathers and a
+    run expansion and returns ndarrays; otherwise a Python walk returns
+    lists of plain ints.
+    """
+    if not is_ndarray(offsets):
+        parents: list[int] = []
+        positions: list[int] = []
+        for j, vertex in enumerate(vertices):
+            lo, hi = offsets[vertex], offsets[vertex + 1]
+            if lo != hi:
+                parents.extend([j] * (hi - lo))
+                positions.extend(range(lo, hi))
+        return (parents, positions) if parents else None
+    v = as_index_array(vertices)
+    if not len(v):
+        return None
+    lo = offsets[v]
+    deg = offsets[v + 1] - lo
+    if not deg.any():
+        return None
+    return run_positions(lo, deg)
+
+
 def degree_sums(offsets, vertices) -> Sequence[int]:
     """Prefix sums of the CSR degrees of ``vertices`` in ``offsets``: entry
     ``j`` counts the edges of ``vertices[:j]``, so there are
@@ -449,12 +480,22 @@ def cut_points(sums: Sequence[Sequence[int]], limit: int) -> list[int]:
     return list(dict.fromkeys([0, *cuts, n]))
 
 
-def pair_keys(vertices, roots, radix: int) -> Sequence[int]:
-    """One int key ``vertices[j] * radix + roots[j]`` per row-aligned
-    (vertex, root) pair; ``radix`` must exceed every root."""
+def radix_keys(vertices, radix: int) -> Sequence[int]:
+    """``vertices[j] * radix`` per vertex: the vertex half of the pair keys
+    :func:`pair_keys` completes, computed once for every root they pair
+    with."""
+    if _numpy_enabled and _np is not None:
+        return as_index_array(vertices) * radix
+    return [v * radix for v in vertices]
+
+
+def pair_keys(heads, roots) -> Sequence[int]:
+    """One int key ``heads[j] + roots[j]`` per row-aligned (vertex, root)
+    pair, ``heads`` from :func:`radix_keys` with a radix above every
+    root."""
     if is_ndarray(roots):
-        return as_index_array(vertices) * radix + roots
-    return [v * radix + r for v, r in zip(vertices, roots)]
+        return heads + roots
+    return [h + r for h, r in zip(heads, roots)]
 
 
 def code_vector(codes: Sequence[int]) -> Sequence[int]:
@@ -975,8 +1016,10 @@ __all__ = [
     "sorted_runs",
     "run_slots",
     "run_positions",
+    "csr_positions",
     "degree_sums",
     "cut_points",
+    "radix_keys",
     "pair_keys",
     "code_vector",
     "zero_codes",

@@ -18,8 +18,8 @@ yields plain Python ints for the row-protocol walks, while the
 ``*_vector()`` accessors expose cached numpy views so the columnar
 expansion kernels gather adjacency natively, and
 :meth:`Adjacency.key_view` a cached neighbor-ordered copy of each CSR with
-its sorted pair keys and, when dense, their direct-address slot table,
-which EXPAND_INTERSECT probes.  The CSR build itself
+its neighbors, its sorted pair keys and, when dense, their direct-address
+slot table, which EXPAND_INTERSECT expands and probes.  The CSR build itself
 runs as a numpy stable argsort when numpy is enabled, falling back to the
 classic count-and-fill pass.
 
@@ -97,11 +97,14 @@ class KeyView(NamedTuple):
 
     ``edges`` holds the CSR edge rowids with each vertex's slice re-ordered
     by (far endpoint, edge rowid): the slice of vertex ``v`` is still
-    ``edges[offsets[v]:offsets[v + 1]]``.  ``keys[p]`` is ``v * radix +
-    far[edges[p]]`` for the vertex ``v`` owning position ``p``, so ``keys``
-    is sorted and the edges from ``v`` to neighbor ``u`` are the run of key
-    ``v * radix + u``, in edge-rowid order.  ``distinct`` is True when no
-    two keys are equal: the adjacency has no parallel edges.
+    ``edges[offsets[v]:offsets[v + 1]]``.  ``far[p]`` is the far endpoint of
+    ``edges[p]``, in the same order, so a walk over view positions reads
+    its neighbors with one gather and never touches an edge rowid.
+    ``keys[p]`` is ``v * radix + far[p]`` for the vertex ``v`` owning
+    position ``p``, so ``keys`` is sorted and the edges from ``v`` to
+    neighbor ``u`` are the run of key ``v * radix + u``, in edge-rowid
+    order.  ``distinct`` is True when no two keys are equal: the adjacency
+    has no parallel edges.
 
     ``slots`` is the direct-address table of a dense view (key space at
     most :data:`MAX_SLOTS_PER_KEY` times the key count), None otherwise:
@@ -115,6 +118,7 @@ class KeyView(NamedTuple):
 
     radix: int
     edges: Any
+    far: Any
     keys: Any
     distinct: bool
     slots: Any
@@ -188,25 +192,28 @@ class Adjacency:
             if vector.is_ndarray(edges):
                 np = vector._np
                 owners = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
-                keys = owners * radix + far[edges]
+                ends = far[edges]
+                keys = owners * radix + ends
                 # Stable: equal keys (parallel edges) keep the CSR's
                 # edge-rowid order.
                 order = np.argsort(keys, kind="stable")
-                edges, keys = edges[order], keys[order]
+                edges, ends, keys = edges[order], ends[order], keys[order]
                 distinct = not (keys[1:] == keys[:-1]).any()
             else:
-                ordered, keys = array("q"), array("q")
+                ordered, ends, keys = array("q"), array("q"), array("q")
                 for v in range(len(offsets) - 1):
                     run = sorted(edges[offsets[v] : offsets[v + 1]], key=far.__getitem__)
+                    neighbors = [far[e] for e in run]
                     ordered.extend(run)
-                    keys.extend([v * radix + far[e] for e in run])
+                    ends.extend(neighbors)
+                    keys.extend([v * radix + u for u in neighbors])
                 edges = ordered
                 distinct = all(a != b for a, b in zip(keys, keys[1:]))
             space = (len(offsets) - 1) * radix
             slots = run_lengths = None
             if space <= MAX_SLOTS_PER_KEY * len(keys):
                 slots, run_lengths = vector.run_slots(keys, space)
-            view = KeyView(radix, edges, keys, distinct, slots, run_lengths)
+            view = KeyView(radix, edges, ends, keys, distinct, slots, run_lengths)
             self._vectors["key_view"] = view
         return view
 

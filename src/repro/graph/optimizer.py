@@ -43,14 +43,19 @@ operators.  Flags reproduce the paper's ablations:
 A self-loop is never a star leg.  Once a scan or star step binds its
 vertex, the plan joins the loop's edges (an ``EDGE_SCAN v -[L]-> v``), in
 every mode.
+
+Lowering ends with one liveness walk (:func:`carry_live`): each operator
+that builds its batches anew carries only the variables read above it,
+and ``explain()`` names the ones it stops carrying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import PlanError
+from repro.exec.operator import Operator
 from repro.graph.cost import CardinalityEstimator, CostModel, MaskEstimates, StarStep
 from repro.graph.index import GraphIndex
 from repro.graph.pattern import PatternEdge, PatternGraph, PatternVertex, VertexMasks
@@ -394,8 +399,13 @@ def lower_plan(
     mapping: RGMapping,
     index: GraphIndex | None,
     config: LoweringConfig,
+    live: Iterable[str],
 ) -> GraphOperator:
-    """Lower a decomposition tree into executable graph operators."""
+    """Lower a decomposition tree into executable graph operators, each
+    carrying only the variables read above it (:func:`carry_live`).
+
+    ``live`` names the variables the consumer reads — a REDUCE value
+    column by its :func:`~repro.graph.physical.value_var` name."""
     if not config.use_graph_index:
         index = None  # every step is an EVJoin-based edge scan
     elif index is None:
@@ -408,7 +418,34 @@ def lower_plan(
         op = AllDistinct(op, kind="v")
     elif config.semantics == "edge_distinct":
         op = AllDistinct(op, kind="e")
+    carry_live(op, frozenset(live))
     return op
+
+
+def carry_live(op: Operator, live: frozenset[str]) -> None:
+    """The liveness walk: narrow the graph operators under ``op``, top-down,
+    to the variables still read above each one.
+
+    Above an operator, a variable is read when the consumer reads it
+    (``live``: the ``COLUMNS`` references, REDUCE value columns included)
+    or when an operator above reads it itself
+    (:meth:`~repro.graph.physical.GraphOperator.reads`): a later leg's
+    bound leaf, a closing edge's two endpoints, a join's keys, a REDUCE or
+    EXISTS anchor, ALL_DISTINCT's compared columns.  Each input is narrowed
+    first; then every operator that builds its batches anew (EXPAND and its
+    closing form, EXPAND_EDGE, GET_VERTEX, EXPAND_INTERSECT) carries only
+    its input's variables in ``live``, and the others re-derive their
+    output from their narrowed inputs.  A non-graph operator between graph
+    operators (the materializing spool of the Kùzu-like plans) passes its
+    input through and reads nothing.  Multiplicities, row order and chunks
+    do not change, only the columns.
+    """
+    graph = isinstance(op, GraphOperator)
+    below = live | op.reads() if graph else live
+    for child in op.children():
+        carry_live(child, below)
+    if graph:
+        op.carry(live)
 
 
 def _keep_edge(edge: PatternEdge, config: LoweringConfig) -> bool:

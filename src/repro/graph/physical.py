@@ -47,6 +47,11 @@ Operators:
   execution mode, e.g. RelGoHash).
 * :class:`AllDistinct` — the paper's all-distinct operator for isomorphism /
   edge-distinct semantics.
+
+``EXPAND`` (closing too), ``EXPAND_EDGE``, ``GET_VERTEX`` and
+``EXPAND_INTERSECT`` build every output batch anew (:class:`Extension`):
+they carry only the input variables the liveness walk
+(:func:`repro.graph.optimizer.carry_live`) found read above them.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from repro.exec.kernels import (
     grace_hash_join,
     intersect_expand,
     probe_hash_table_columnar,
+    replicate_columnar,
     rows_to_columnar,
     scalar_key,
     tuple_key,
@@ -104,7 +110,13 @@ class GraphVar:
 
 
 class GraphOperator(Operator):
-    """Base class; subclasses set ``output_vars`` in ``__init__``."""
+    """Base class; subclasses set ``output_vars`` in ``__init__``.
+
+    The liveness walk (:func:`repro.graph.optimizer.carry_live`) narrows a
+    lowered plan to the variables read above each operator: it asks each
+    operator what it :meth:`reads` of its inputs, narrows the inputs, then
+    lets the operator :meth:`carry` what is still live.
+    """
 
     output_vars: list[GraphVar]
 
@@ -113,6 +125,53 @@ class GraphOperator(Operator):
             if var.name == name:
                 return i
         raise PlanError(f"variable {name!r} not in {[v.name for v in self.output_vars]}")
+
+    def reads(self) -> frozenset[str]:
+        """The input variables the operator itself reads: keys, anchors,
+        compared columns."""
+        return frozenset()
+
+    def carry(self, live: frozenset[str]) -> None:
+        """Re-derive the output once the inputs are narrowed; an operator
+        that builds its batches anew (:class:`Extension`) also keeps only
+        the input variables in ``live``."""
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set ``output_vars``, and whatever else follows from the inputs'
+        variables, from the inputs; a leaf's never change."""
+
+
+class Extension(GraphOperator):
+    """A graph operator that builds every output batch anew from its
+    child's (EXPAND, its closing form, EXPAND_EDGE, GET_VERTEX,
+    EXPAND_INTERSECT): the output is the child variables it carries, then
+    the ones it appends.  It carries every child variable until
+    :meth:`carry` narrows it to those read above."""
+
+    child: GraphOperator
+
+    def _extend(self, appended: list[GraphVar]) -> None:
+        self.carried = list(self.child.output_vars)
+        self.appended = appended
+        self.output_vars = self.carried + appended
+
+    def children(self) -> list[Operator]:
+        return [self.child]
+
+    def carry(self, live: frozenset[str]) -> None:
+        self.carried = [v for v in self.child.output_vars if v.name in live]
+        self.output_vars = self.carried + self.appended
+
+    def carried_columns(self) -> list[int]:
+        """The carried variables' positions in the child's batches."""
+        return [self.child.var_index(v.name) for v in self.carried]
+
+    def _dropped(self) -> str:
+        """`` drop [x, y]`` naming the child variables this operator stops
+        carrying, for its label; empty when it carries them all."""
+        gone = [v.name for v in self.child.output_vars if v not in self.carried]
+        return f" drop [{', '.join(gone)}]" if gone else ""
 
 
 class ScanVertex(GraphOperator):
@@ -182,7 +241,7 @@ def _mask(ctx: ExecutionContext, table, predicate: Expr | None):
     return rowid_mask(table, predicate, ctx.pin(table).num_rows)
 
 
-class ExpandEdge(GraphOperator):
+class ExpandEdge(Extension):
     """EXPAND_EDGE: append the adjacent-edge column via the VE-index."""
 
     def __init__(
@@ -204,10 +263,10 @@ class ExpandEdge(GraphOperator):
         self.edge_label = edge_label
         self.direction = direction
         self.edge_predicate = edge_predicate
-        self.output_vars = list(child.output_vars) + [GraphVar(edge_var, "e", edge_label)]
+        self._extend([GraphVar(edge_var, "e", edge_label)])
 
-    def children(self) -> list[Operator]:
-        return [self.child]
+    def reads(self) -> frozenset[str]:
+        return frozenset([self.from_var])
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -225,13 +284,17 @@ class ExpandEdge(GraphOperator):
             emask=_mask(
                 ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
             ),
+            carry=self.carried_columns(),
         )
 
     def _label(self) -> str:
-        return f"EXPAND_EDGE {self.from_var} -[{self.edge_label} {self.direction}]-> {self.edge_var}"
+        return (
+            f"EXPAND_EDGE {self.from_var} -[{self.edge_label} {self.direction}]-> "
+            f"{self.edge_var}{self._dropped()}"
+        )
 
 
-class GetVertex(GraphOperator):
+class GetVertex(Extension):
     """GET_VERTEX: append the far endpoint of a bound edge via the EV-index."""
 
     def __init__(
@@ -253,15 +316,16 @@ class GetVertex(GraphOperator):
         self.to_label = to_label
         self.direction = direction
         self.vertex_predicate = vertex_predicate
-        self.output_vars = list(child.output_vars) + [GraphVar(to_var, "v", to_label)]
+        self._extend([GraphVar(to_var, "v", to_label)])
 
-    def children(self) -> list[Operator]:
-        return [self.child]
+    def reads(self) -> frozenset[str]:
+        return frozenset([self.edge_var])
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
+        carry = self.carried_columns()
         edge_idx = self.child.var_index(self.edge_var)
         edge_label = self.child.output_vars[edge_idx].label
         far = self.index.edge_index(edge_label).endpoint_vector(self.direction)
@@ -279,15 +343,15 @@ class GetVertex(GraphOperator):
                         continue
                     cb = cb.take(kept)
                     targets = take(targets, kept)
-            columns = [cb.column_vector(i) for i in range(cb.width)]
+            columns = [cb.column_vector(i) for i in carry]
             columns.append(targets)
             yield ColumnarBatch(columns, len(targets), None)
 
     def _label(self) -> str:
-        return f"GET_VERTEX {self.edge_var} -> {self.to_var}:{self.to_label}"
+        return f"GET_VERTEX {self.edge_var} -> {self.to_var}:{self.to_label}{self._dropped()}"
 
 
-class Expand(GraphOperator):
+class Expand(Extension):
     """EXPAND: the fused EXPAND_EDGE + GET_VERTEX (TrimAndFuseRule output).
 
     Emits one row per adjacent edge, but only the neighbor column — edge
@@ -322,13 +386,10 @@ class Expand(GraphOperator):
         # ``closing`` marks an expansion whose target is already bound: the
         # operator then checks equality instead of appending a column.
         self.closing = closing
-        if closing:
-            self.output_vars = list(child.output_vars)
-        else:
-            self.output_vars = list(child.output_vars) + [GraphVar(to_var, "v", to_label)]
+        self._extend([] if closing else [GraphVar(to_var, "v", to_label)])
 
-    def children(self) -> list[Operator]:
-        return [self.child]
+    def reads(self) -> frozenset[str]:
+        return frozenset([self.from_var, self.to_var] if self.closing else [self.from_var])
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -344,6 +405,7 @@ class Expand(GraphOperator):
         offsets, edges = adjacency.vectors()
         far = edge_index.endpoint_vector(self.direction)
         source = self.child.columnar_batches(ctx)
+        carry = self.carried_columns()
         if not self.closing:
             # Traversal hot path: one row per adjacent edge, neighbor
             # column only.
@@ -360,6 +422,7 @@ class Expand(GraphOperator):
                     self.mapping.vertex_table(self.to_label),
                     self.vertex_predicate,
                 ),
+                carry=carry,
             )
             return
         to_idx = self.child.var_index(self.to_var)
@@ -380,11 +443,14 @@ class Expand(GraphOperator):
                 if kept is not None:
                     keep = take(keep, kept)
             if len(keep):
-                yield cb.take(keep).compact()
+                yield replicate_columnar(cb, keep, [], carry)
 
     def _label(self) -> str:
         kind = "EXPAND(closing)" if self.closing else "EXPAND"
-        return f"{kind} {self.from_var} -[{self.edge_label} {self.direction}]-> {self.to_var}"
+        return (
+            f"{kind} {self.from_var} -[{self.edge_label} {self.direction}]-> "
+            f"{self.to_var}{self._dropped()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -402,7 +468,7 @@ class StarLeg:
     edge_predicate: Expr | None = None
 
 
-class ExpandIntersect(GraphOperator):
+class ExpandIntersect(Extension):
     """EXPAND_INTERSECT: close a complete star by neighbor intersection.
 
     For each input row, the root candidates are the intersection of the
@@ -437,20 +503,20 @@ class ExpandIntersect(GraphOperator):
         self.to_var = to_var
         self.to_label = to_label
         self.vertex_predicate = vertex_predicate
-        self.output_vars = list(child.output_vars)
-        for leg in legs:
-            if leg.edge_var is not None:
-                self.output_vars.append(GraphVar(leg.edge_var, "e", leg.edge_label))
-        self.output_vars.append(GraphVar(to_var, "v", to_label))
+        self._extend(
+            [GraphVar(leg.edge_var, "e", leg.edge_label) for leg in legs if leg.edge_var is not None]
+            + [GraphVar(to_var, "v", to_label)]
+        )
 
-    def children(self) -> list[Operator]:
-        return [self.child]
+    def reads(self) -> frozenset[str]:
+        return frozenset(leg.from_var for leg in self.legs)
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
 
     def _stream_columnar(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
-        """Output columns: the child's, the kept legs' edge rowids, the root."""
+        """Output columns: the carried child columns, the kept legs' edge
+        rowids, the root."""
         root = self.mapping.vertex_table(self.to_label)
         radix = ctx.pin(root).num_rows
         legs = []
@@ -463,7 +529,6 @@ class ExpandIntersect(GraphOperator):
                 IntersectLeg(
                     from_idx,
                     adjacency.vectors()[0],
-                    far,
                     adjacency.key_view(far, radix),
                     _mask(ctx, self.mapping.edge_table(leg.edge_label), leg.edge_predicate),
                     leg.edge_var is not None,
@@ -475,11 +540,12 @@ class ExpandIntersect(GraphOperator):
             legs,
             radix,
             _mask(ctx, root, self.vertex_predicate),
+            self.carried_columns(),
         )
 
     def _label(self) -> str:
         legs = ", ".join(f"{leg.from_var}-[{leg.edge_label}]" for leg in self.legs)
-        return f"EXPAND_INTERSECT ({legs}) -> {self.to_var}:{self.to_label}"
+        return f"EXPAND_INTERSECT ({legs}) -> {self.to_var}:{self.to_label}{self._dropped()}"
 
 
 def value_var(var: str, attr: str) -> str:
@@ -562,14 +628,22 @@ class BranchReduce(GraphOperator):
         self.mapping = mapping
         self.anchor = anchor
         self.branches = branches
-        self.output_vars = list(child.output_vars) + [
-            GraphVar(value_var(b.to_var, attr), "value", b.to_label)
-            for branch in branches
-            for b, _, attr in branch.reductions()
-        ]
+        self._derive()
 
     def children(self) -> list[Operator]:
         return [self.child]
+
+    def reads(self) -> frozenset[str]:
+        return frozenset([self.anchor])
+
+    def _derive(self) -> None:
+        """The input's rows pass through whole: the output is the child's
+        variables, then the value columns."""
+        self.output_vars = list(self.child.output_vars) + [
+            GraphVar(value_var(b.to_var, attr), "value", b.to_label)
+            for branch in self.branches
+            for b, _, attr in branch.reductions()
+        ]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -757,20 +831,28 @@ class PatternHashJoin(GraphOperator):
     def __init__(self, left: GraphOperator, right: GraphOperator):
         self.left = left
         self.right = right
-        left_names = [v.name for v in left.output_vars]
-        right_names = [v.name for v in right.output_vars]
-        self.join_vars = [n for n in left_names if n in right_names]
+        self._derive()
         if not self.join_vars:
             raise PlanError("pattern join requires common variables (Eq. 2)")
-        self.right_keep = [
-            i for i, v in enumerate(right.output_vars) if v.name not in left_names
-        ]
-        self.output_vars = list(left.output_vars) + [
-            right.output_vars[i] for i in self.right_keep
-        ]
 
     def children(self) -> list[Operator]:
         return [self.left, self.right]
+
+    def reads(self) -> frozenset[str]:
+        return frozenset(self.join_vars)
+
+    def _derive(self) -> None:
+        """Join on the inputs' common variables; the output is the left
+        input's variables, then the right's others."""
+        left_names = [v.name for v in self.left.output_vars]
+        right_names = [v.name for v in self.right.output_vars]
+        self.join_vars = [n for n in left_names if n in right_names]
+        self.right_keep = [
+            i for i, v in enumerate(self.right.output_vars) if v.name not in left_names
+        ]
+        self.output_vars = list(self.left.output_vars) + [
+            self.right.output_vars[i] for i in self.right_keep
+        ]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -881,24 +963,28 @@ class AllDistinct(GraphOperator):
     def __init__(self, child: GraphOperator, kind: str = "v"):
         self.child = child
         self.kind = kind
-        self.output_vars = list(child.output_vars)
-        self._indices = [
-            (i, var.label)
-            for i, var in enumerate(child.output_vars)
-            if var.kind == kind
-        ]
+        self._derive()
+
+    def children(self) -> list[Operator]:
+        return [self.child]
+
+    def reads(self) -> frozenset[str]:
+        return frozenset(v.name for v in self.child.output_vars if v.kind == self.kind)
+
+    def _derive(self) -> None:
+        """The input's rows pass through whole; the compared column pairs
+        follow from its variables."""
+        self.output_vars = list(self.child.output_vars)
         by_label: dict[str, list[int]] = {}
-        for i, label in self._indices:
-            by_label.setdefault(label, []).append(i)
+        for i, var in enumerate(self.child.output_vars):
+            if var.kind == self.kind:
+                by_label.setdefault(var.label, []).append(i)
         self._pairs = [
             (a, b)
             for columns in by_label.values()
             for pos, a in enumerate(columns)
             for b in columns[pos + 1 :]
         ]
-
-    def children(self) -> list[Operator]:
-        return [self.child]
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -925,6 +1011,7 @@ class AllDistinct(GraphOperator):
 __all__ = [
     "GraphVar",
     "GraphOperator",
+    "Extension",
     "ScanVertex",
     "ExpandEdge",
     "GetVertex",

@@ -20,11 +20,12 @@ memory budget on cyclic queries — the paper's Kùzu OOM entries.
 from __future__ import annotations
 
 from repro.core.framework import RelGoConfig
-from repro.core.scan_graph_table import LogicalScanGraphTable, ScanGraphTableOp
+from repro.core.scan_graph_table import LogicalScanGraphTable, ScanGraphTableOp, columns_read
 from repro.core.spjm import GraphTableClause
 from repro.errors import PlanError
 from repro.exec import MaterializeOp
 from repro.graph.index import GraphIndex
+from repro.graph.optimizer import carry_live
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import (
     EdgeTripleScan,
@@ -159,12 +160,15 @@ class _NaiveGraphTable(LogicalScanGraphTable):
 
     def to_physical(self, catalog: Catalog) -> ScanGraphTableOp:
         # A GDBMS without field trimming materializes every pattern element:
-        # all edge variables are carried (wide tuples, unfused EXPAND_EDGE +
-        # GET_VERTEX pipelines), which is part of why the baseline trails.
+        # every edge variable is bound (unfused EXPAND_EDGE + GET_VERTEX
+        # pipelines), which is part of why the baseline trails.  Like every
+        # graph plan, it carries a binding only while something above reads
+        # it.
         needed = frozenset(self.clause.pattern.edges)
         graph_op = naive_declaration_order_plan(
             self.clause.pattern, self.mapping, self.index, needed_edge_vars=needed
         )
+        carry_live(graph_op, columns_read(self.clause))
         return ScanGraphTableOp(self.clause, self.mapping, graph_op)
 
 

@@ -48,6 +48,12 @@ def triangle():
     )
 
 
+def every_variable(pattern) -> set[str]:
+    """Every vertex and edge variable of ``pattern``: what a consumer
+    reading whole bindings reads."""
+    return pattern.vertices.keys() | pattern.edges.keys()
+
+
 def rows_as_bindings(op, ctx=None):
     ctx = ctx or ExecutionContext()
     rows = op.execute(ctx)
@@ -81,7 +87,9 @@ def test_triangle_plan_matches_reference(fig2, mode):
         needed_edge_vars=frozenset({"k", "l1", "l2"}),
         fuse=(mode != "unfused"),
     )
-    op = lower_plan(plan, mapping, index if mode != "no_index" else None, lowering)
+    op = lower_plan(
+        plan, mapping, index if mode != "no_index" else None, lowering, every_variable(pattern)
+    )
     assert rows_as_bindings(op) == reference_bindings(mapping, index, pattern)
 
 
@@ -91,7 +99,7 @@ def test_triangle_trimmed_edges_keep_multiplicity(fig2):
     optimizer = build_optimizer(catalog, mapping, index)
     plan = optimizer.optimize(pattern)
     op = lower_plan(
-        plan, mapping, index, LoweringConfig(needed_edge_vars=frozenset())
+        plan, mapping, index, LoweringConfig(needed_edge_vars=frozenset()), every_variable(pattern)
     )
     got = rows_as_bindings(op)
     expected = reference_bindings(mapping, index, pattern, keep={"p1", "p2", "m"})
@@ -103,7 +111,7 @@ def test_predicate_pushed_into_scan(fig2):
     pattern = triangle().with_vertex_constraint("p1", eq(col("name"), lit("Tom")))
     optimizer = build_optimizer(catalog, mapping, index)
     plan = optimizer.optimize(pattern)
-    op = lower_plan(plan, mapping, index, LoweringConfig())
+    op = lower_plan(plan, mapping, index, LoweringConfig(), every_variable(pattern))
     got = rows_as_bindings(op)
     expected = reference_bindings(mapping, index, pattern, keep={"p1", "p2", "m"})
     assert got == expected
@@ -133,6 +141,7 @@ def test_path_pattern_all_modes_agree(fig2):
                 use_graph_index=use_index,
                 needed_edge_vars=frozenset({"k1", "k2"}),
             ),
+            every_variable(pattern),
         )
         assert rows_as_bindings(op) == expected
 
@@ -163,7 +172,7 @@ def test_binary_join_checks_a_shared_vertex_loop_once(mode):
         enable_expand_intersect=mode != "no_ei",
         fuse=mode != "unfused",
     )
-    op = lower_plan(plan, mapping, index, lowering)
+    op = lower_plan(plan, mapping, index, lowering, every_variable(pattern))
     keep = {v.name for v in op.output_vars}
     assert rows_as_bindings(op) == reference_bindings(mapping, index, pattern, keep=keep)
 
@@ -198,7 +207,7 @@ def test_binary_join_joins_a_shared_edge_on_its_rowid(mode):
         enable_expand_intersect=mode != "no_ei",
         fuse=mode != "unfused",
     )
-    op = lower_plan(plan, mapping, index, lowering)
+    op = lower_plan(plan, mapping, index, lowering, every_variable(pattern))
     keep = {v.name for v in op.output_vars}
     expected = reference_bindings(mapping, index, pattern, keep=keep)
     assert len(match_pattern(mapping, index, pattern)) == 15
@@ -219,7 +228,7 @@ def test_isomorphism_lowering(fig2):
     optimizer = build_optimizer(catalog, mapping, index)
     plan = optimizer.optimize(pattern)
     op = lower_plan(
-        plan, mapping, index, LoweringConfig(semantics="isomorphism")
+        plan, mapping, index, LoweringConfig(semantics="isomorphism"), every_variable(pattern)
     )
     rows = op.execute(ExecutionContext())
     names = [v.name for v in op.output_vars]
@@ -291,6 +300,7 @@ def test_no_ei_star_is_multiple_join(fig2):
         mapping,
         index,
         LoweringConfig(enable_expand_intersect=False),
+        every_variable(plan.pattern),
     )
     assert "PATTERN_HASH_JOIN" in op.explain()
 
@@ -617,7 +627,8 @@ def statement_patterns():
             catalog.register_graph_index(build_graph_index(mapping))
             system = make_system("relgo", catalog)
             for name, sql in statements.items():
-                system.optimize(sql)
+                # A bound query bypasses the plan cache REPRO_SERVING=1 arms.
+                system.optimize(system.bind(sql))
                 (captured[name],) = calls
                 calls.clear()
     return captured
@@ -695,7 +706,7 @@ AGGREGATE MIN(g.title) AS movie, MIN(g.company) AS company_name, MIN(g.actor) AS
   SCAN_GRAPH_TABLE imdb [title, company, actor]
     REDUCE t (MIN cn.name: t -[movie_companies_title in]-> mc:movie_companies, mc -[movie_companies_company out]-> cn:company_name ((country_code = '[us]')), MIN n.name: t -[cast_info_title in]-> ci:cast_info, ci -[cast_info_name out]-> n:name ((name LIKE 'J%')))
       EXISTS t (t -[movie_info_title in]-> mi:movie_info, mi -[movie_info_type out]-> it:info_type ((info = 'genres')))
-        EXPAND k -[movie_keyword in]-> t
+        EXPAND k -[movie_keyword in]-> t drop [k]
           SCAN k:keyword ((keyword = 'revenge'))"""
 
 

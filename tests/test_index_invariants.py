@@ -130,7 +130,8 @@ def _assert_slots_point_at_runs(view, vertices: int) -> None:
 @given(random_graphs())
 def test_key_view_orders_each_slice_by_neighbor(data):
     """The key view holds each vertex's CSR slice in (far endpoint, edge
-    rowid) order with its sorted pair keys, ``distinct`` says whether the
+    rowid) order with those far endpoints and its sorted pair keys,
+    ``distinct`` says whether the
     adjacency has parallel edges, and a dense view's slot table sends
     every present key to the first position of its run and every other
     key to -1 (a sparse view has none) — with numpy on and off, in the
@@ -157,6 +158,7 @@ def test_key_view_orders_each_slice_by_neighbor(data):
                     ordered = view.edges[lo:hi].tolist()
                     assert sorted(ordered) == sorted(csr)
                     assert ordered == sorted(csr, key=lambda e: (far[e], e))
+                    assert view.far[lo:hi].tolist() == [int(far[e]) for e in ordered]
                     assert view.keys[lo:hi].tolist() == [v * radix + int(far[e]) for e in ordered]
                 keys = view.keys.tolist()
                 assert all(a <= b for a, b in zip(keys, keys[1:]))
@@ -164,7 +166,7 @@ def test_key_view_orders_each_slice_by_neighbor(data):
                 assert adj.key_view(far, radix) is view
                 _assert_slots_point_at_runs(view, radix)
                 tables = [None if a is None else a.tolist() for a in (view.slots, view.run_lengths)]
-                forms.append((view.edges.tolist(), keys, view.distinct, tables))
+                forms.append((view.edges.tolist(), view.far.tolist(), keys, view.distinct, tables))
     finally:
         set_numpy_enabled(None)
     assert forms[:2] == forms[-2:]

@@ -10,6 +10,11 @@ checked against references that share no code with it:
   matcher's rows (:func:`repro.graph.matching.match_pattern`); with numpy
   on and off the kernel returns the same rows in the same order, in the
   same chunks, with the same ``rows_produced``;
+* **slice and product paths** — on the same kind of graphs and stars,
+  when every candidate is one row the kernel emits plain slices of its
+  candidates and builds no product positions; forced through the product
+  path (views claiming runs of one edge) it emits the same rows in the
+  same chunks, numpy on and off;
 * **slot lookup** — on the same kind of graphs, padded with isolated
   vertices past the density rule or not, a view's direct-address slot
   table answers every probe of its key space exactly as the binary search
@@ -26,6 +31,7 @@ checked against references that share no code with it:
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from itertools import product
 from math import isqrt, prod
@@ -366,6 +372,83 @@ def test_slot_lookup_answers_like_binary_search(graph, sparse):
         set_numpy_enabled(None)
 
 
+def _runs_of_one(key_view):
+    """``Adjacency.key_view`` whose views without parallel edges claim to
+    have some: every run is one edge long, so the kernel takes its product
+    path over candidates it would otherwise emit as plain slices."""
+
+    def view(self, far, radix):
+        built = key_view(self, far, radix)
+        if not built.distinct:
+            return built
+        keys = built.keys
+        ones = array("q", [1]) * len(keys) if isinstance(keys, array) else keys * 0 + 1
+        return built._replace(distinct=False, run_lengths=None if built.slots is None else ones)
+
+    return view
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=graphs(), star=stars(), sparse=st.booleans())
+# Without parallel edges: a kept, masked driver (a's one edge) and a kept
+# probed leg with a lazy mask, under a root mask — the slice path.
+@example(
+    graph=(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 1), (0, 3), (2, 0)]),
+    star=([("a", "out", True, "dense"), ("b", "out", True, "lazy")], False, "dense"),
+    sparse=False,
+)
+# Parallel edges on both legs, masked on each: the product path.
+@example(
+    graph=PARALLEL_RUNS,
+    star=([("a", "out", True, "dense"), ("b", "out", True, "lazy")], False, "lazy"),
+    sparse=False,
+)
+def test_slice_and_product_paths_emit_the_same_chunks(graph, star, sparse):
+    """When every candidate is one row (no parallel edges), the kernel
+    emits its chunks as slices of the candidates and never builds product
+    positions; forced through the product path instead (views that claim
+    runs of one edge), it emits the same rows in the same chunks with the
+    same ``rows_produced`` — at batch sizes 1, 2 and 1024, numpy on and
+    off, with kept legs, edge masks on the driver and the probed legs, a
+    root mask, and parallel edges, which always take the product path."""
+    assume(_match_count(graph, star) <= MAX_MATCHES)
+    n, links = graph
+    mapping, index = _graph(_sparse_size(n, links) if sparse else n, links)
+    op, pattern, variables = _star(mapping, index, *star)
+    expected = sorted(
+        tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)
+    )
+    distinct = len(set(links)) == len(links)
+    calls = []
+    product_positions = kernels.product_positions
+
+    def counting(*args):
+        calls.append(args)
+        return product_positions(*args)
+
+    outputs = []
+    try:
+        for numpy_on in NUMPY_MODES:
+            set_numpy_enabled(numpy_on)
+            for batch_size in (1, 2, 1024):
+                with mock.patch.object(kernels, "product_positions", counting):
+                    del calls[:]
+                    natural = _serial(op, batch_size)
+                    assert sorted(natural[0]) == expected
+                    assert bool(calls) == (bool(natural[0]) and not distinct)
+                    del calls[:]
+                    with mock.patch.object(
+                        graph_index.Adjacency, "key_view", _runs_of_one(graph_index.Adjacency.key_view)
+                    ):
+                        forced = _serial(op, batch_size)
+                    assert bool(calls) == bool(natural[0])
+                assert forced == natural, (numpy_on, batch_size)
+                outputs.append(natural)
+    finally:
+        set_numpy_enabled(None)
+    assert outputs[: len(outputs) // len(NUMPY_MODES)] * len(NUMPY_MODES) == outputs
+
+
 @pytest.mark.parametrize("hub_first", [True, False])
 def test_intersect_expands_only_the_smallest_leg(hub_first, monkeypatch):
     """Closing a star whose bound leaves are a 10 000-edge hub and a
@@ -389,21 +472,21 @@ def test_intersect_expands_only_the_smallest_leg(hub_first, monkeypatch):
     expected = [(b["a"], b["b"], b["c"]) for b in match_pattern(mapping, index, pattern)]
     assert expected == [(hub, leaf, 7)]
 
-    expand = kernels.csr_expand_vectors
+    walk = kernels.csr_positions
 
-    def recording(vertices, offsets, edges):
-        pairs = expand(vertices, offsets, edges)
-        # The child EXPAND runs the same kernel over the Pair adjacency.
-        if edges is not pair_edges:
+    def recording(vertices, offsets):
+        pairs = walk(vertices, offsets)
+        # The child EXPAND walks the Pair adjacency the same way.
+        if offsets is not pair_offsets:
             expanded.append(0 if pairs is None else len(pairs[0]))
         return pairs
 
-    monkeypatch.setattr(kernels, "csr_expand_vectors", recording)
+    monkeypatch.setattr(kernels, "csr_positions", recording)
     for numpy_on in NUMPY_MODES:
         expanded = []
         set_numpy_enabled(numpy_on)
         try:
-            _, pair_edges = index.adjacency("Person", "Pair", "out").vectors()
+            pair_offsets, _ = index.adjacency("Person", "Pair", "out").vectors()
             rows, _, _ = _serial(op, 1024)
         finally:
             set_numpy_enabled(None)
@@ -428,17 +511,17 @@ def test_intersect_ties_drive_from_the_first_leg(a_first, numpy_on, monkeypatch)
     op = ExpandIntersect(child, index, mapping, legs, "c", "Person")
 
     driven = []
-    expand = kernels.csr_expand_vectors
+    walk = kernels.csr_positions
 
-    def recording(vertices, offsets, edges):
-        if edges is not pair_edges:
+    def recording(vertices, offsets):
+        if offsets is not pair_offsets:
             driven.extend(as_values(vertices))
-        return expand(vertices, offsets, edges)
+        return walk(vertices, offsets)
 
-    monkeypatch.setattr(kernels, "csr_expand_vectors", recording)
+    monkeypatch.setattr(kernels, "csr_positions", recording)
     set_numpy_enabled(numpy_on)
     try:
-        _, pair_edges = index.adjacency("Person", "Pair", "out").vectors()
+        pair_offsets, _ = index.adjacency("Person", "Pair", "out").vectors()
         rows, _, _ = _serial(op, 1024)
     finally:
         set_numpy_enabled(None)
@@ -454,7 +537,9 @@ def test_intersect_ties_drive_from_the_first_leg(a_first, numpy_on, monkeypatch)
 def _neighbor_map_loop(self, ctx):
     """``ExpandIntersect``'s former body: per input row, a map ``neighbor ->
     [edge rowids]`` per leg, intersected key by key, edge combinations in
-    ``itertools.product`` order."""
+    ``itertools.product`` order; each row keeps the input columns the
+    operator carries."""
+    carry = self.carried_columns()
     legs = []
     for leg in self.legs:
         idx = self.child.var_index(leg.from_var)
@@ -483,7 +568,7 @@ def _neighbor_map_loop(self, ctx):
                     continue
                 for combo in product(*(m[nbr] for m in maps)):
                     kept = tuple(e for e, (*_, keep) in zip(combo, legs) if keep)
-                    out.append(row + kept + (nbr,))
+                    out.append(tuple(row[i] for i in carry) + kept + (nbr,))
         if out:
             yield ColumnarBatch.from_rows(out)
 

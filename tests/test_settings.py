@@ -432,7 +432,7 @@ def test_intersect_probes_sorted_views_without_sorting():
         if name not in body:
             body.add(name)
             todo.extend(c for c in called(functions[name]) if c in functions)
-    assert {"intersect_expand", "_intersect_slice", "csr_expand_vectors", "key_runs"} <= body
+    assert {"intersect_expand", "_intersect_slice", "csr_positions", "key_runs"} <= body
     assert {"searchsorted", "bisect_left", "bisect_right"} <= set(called(functions["key_runs"]))
     gathers = {
         ast.unparse(node)

@@ -585,7 +585,9 @@ def test_exists_checks_keep_the_live_tuples(graph, sql, batch_size):
         live |= {pattern.edges[name].src, pattern.edges[name].dst}
     plan = _linear_plan(pattern, _breadth_first(pattern, min(live)))
     exists = dead_branches(plan, live, index)
-    op = lower_plan(plan, mapping, index, LoweringConfig(needed_edge_vars=kept, stripped=exists))
+    op = lower_plan(
+        plan, mapping, index, LoweringConfig(needed_edge_vars=kept, stripped=exists), live | kept
+    )
     assert ("EXISTS" in op.explain()) == bool(exists)
     variables = sorted(live | kept)
     expected = {tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)}
@@ -623,7 +625,7 @@ def test_exists_decides_each_far_vertex_once(numpy_on, monkeypatch):
     pattern = query.graph_table.pattern
     plan = _linear_plan(pattern, ["v0", "v1", "v2"])
     exists = dead_branches(plan, frozenset({"v0"}), index)
-    op = lower_plan(plan, mapping, index, LoweringConfig(stripped=exists))
+    op = lower_plan(plan, mapping, index, LoweringConfig(stripped=exists), {"v0"})
     assert op.explain().count("EXISTS") == 1
 
     checked, expanded = [], []
