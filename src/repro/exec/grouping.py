@@ -22,8 +22,10 @@ This module is the grouping engine behind ``AggregateOp`` and ``DistinctOp``
 
 Batches then merge into the streaming state by *group*, not by row, so the
 Python-dict work scales with the number of distinct keys per batch.  One
-typed key column of high cardinality keeps its whole state in arrays
-instead (:class:`_SingleKeyArrayGroups`).  ``DISTINCT`` keeps one of two
+dictionary key column, or one ndarray key column of high cardinality,
+keeps its whole state in arrays instead (:class:`_SingleKeyArrayGroups`):
+a dictionary key groups by its code, through a direct-address map, and
+the grouped output stays typed.  ``DISTINCT`` keeps one of two
 states (:class:`StreamingDistinct`): a sorted typed array for one typed
 column, the canonical seen-set walked per row for everything else.
 
@@ -414,28 +416,49 @@ def _segment_reduce_seq(func: str, values, codes_list, num_groups: int):
 # --------------------------------------------------------------------- #
 
 
+def _reducible(arg_cols: list) -> bool:
+    """Every aggregate argument is an ndarray the ufunc reductions handle,
+    or the implicit COUNT(*) argument (None)."""
+    for values in arg_cols:
+        if values is not None and not (
+            is_ndarray(values) and values.dtype.kind in _REDUCIBLE_KINDS
+        ):
+            return False
+    return True
+
+
 class _SingleKeyArrayGroups:
-    """Fully-typed grouping state for one ndarray key column.
+    """Fully-typed grouping state for one key column.
 
-    For single-key grouping whose key and argument columns are all
-    ndarrays, the *global* state — not just the per-batch reduction — stays
-    in the array domain: known keys live in a sorted ndarray, batch keys
-    map to group ids via one ``np.searchsorted``, and per-group cells merge
-    by fancy-indexed arithmetic.  No Python-level work per distinct key,
-    which is what makes high-cardinality grouping (cardinality ~ rows)
-    faster than the per-group dict merge rather than merely equal to it.
+    For single-key grouping whose argument columns are all ndarrays, the
+    *global* state — not just the per-batch reduction — stays in the array
+    domain: every batch row maps to a group id (gid, creation order) and
+    per-group cells merge by fancy-indexed arithmetic, with no Python-level
+    work per distinct key.  How a key finds its gid depends on the key:
 
-    NaN keys cannot live in the sorted search array (``NaN != NaN`` breaks
-    the membership test), so the single NaN group — np.unique sorts NaNs
-    last, and :func:`factorize`'s collapse rule applies here too — is
-    tracked as a sidecar gid.  ``keys`` holds one canonical Python key per
-    gid, in creation order.
+    * a **dictionary** key (:class:`~repro.exec.vector.DictVector`) is
+      grouped by address: its code already is a dense group id over the
+      column's dictionary, stable across batches because the dictionary
+      only appends and every batch view shares it.  ``_slot[code]`` is the
+      code's gid (-1 while unseen), grown when a batch carries a code past
+      its end (an append since the last batch); COUNT is one bincount over
+      the gids.  A batch opens its new groups in ascending code order.
+      Keys stay codes (``_codes``, gid -> code) and leave as a dictionary
+      vector over the same dictionary;
+    * an **ndarray** key keeps its known keys in a sorted ndarray and maps
+      batch keys to gids via one ``np.searchsorted``.  NaN keys cannot live
+      in the sorted search array (``NaN != NaN`` breaks the membership
+      test), so the single NaN group — np.unique sorts NaNs last, and
+      :func:`factorize`'s collapse rule applies here too — is tracked as a
+      sidecar gid.  ``keys`` holds one canonical Python key per gid.
     """
 
     __slots__ = (
         "funcs",
         "keys",
-        "decode",
+        "_dict",
+        "_slot",
+        "_codes",
         "_count_only",
         "_sorted",
         "_sgids",
@@ -444,16 +467,19 @@ class _SingleKeyArrayGroups:
         "_sum_bounds",
     )
 
-    def __init__(self, funcs: Sequence[str]):
+    def __init__(self, funcs: Sequence[str], key_col):
+        np = vector._np
         self.funcs = list(funcs)
         self._count_only = all(f == "COUNT" for f in funcs)
         self.keys: list = []
-        #: Dictionary of a dict-encoded key column (code -> value).  The
-        #: sorted state then holds raw codes — already dense group ids over
-        #: the column's dictionary, stable across batches because the
-        #: dictionary is append-only and shared by every batch view — and
-        #: only newly-seen distinct keys ever decode (into ``keys``).
-        self.decode: list | None = None
+        dv = vector.dict_vector(key_col)
+        #: The key column's dictionary (an empty view of it) when the key is
+        #: dictionary-encoded, else None (the sorted-key state).
+        self._dict = None
+        if dv is not None:
+            self._dict = dv.with_codes(np.empty(0, dtype=np.int64))
+        self._slot = np.empty(0, dtype=np.intp)
+        self._codes = np.empty(0, dtype=np.int64)
         self._sorted = None
         self._sgids = None
         self._nan_gid = -1
@@ -464,47 +490,42 @@ class _SingleKeyArrayGroups:
         #: the dict engine's Python-int cells instead of wrapping.
         self._sum_bounds: dict[int, int] = {}
 
+    @property
+    def num_groups(self) -> int:
+        return len(self._codes) if self._dict is not None else len(self.keys)
+
+    def key_values(self) -> list:
+        """The group keys as plain Python values, in gid order."""
+        if self._dict is None:
+            return list(self.keys)
+        decode = self._dict.values
+        return [decode[c] for c in self._codes.tolist()]
+
     @staticmethod
     def eligible(key_col, arg_cols: list) -> bool:
-        """Whether a batch's columns fit the typed state: ndarray key of a
-        sortable kind (or a dictionary vector, whose codes are), and every
-        argument ndarray-reducible (or COUNT(*))."""
+        """Whether a batch's columns fit the typed state: a dictionary key
+        or an ndarray key of a sortable kind, and every argument
+        ndarray-reducible (or COUNT(*))."""
         if vector.dict_vector(key_col) is None and not (
             is_ndarray(key_col) and key_col.dtype.kind in "biufU"
         ):
             return False
-        return all(
-            values is None
-            or (is_ndarray(values) and values.dtype.kind in _REDUCIBLE_KINDS)
-            for values in arg_cols
-        )
-
-    def _key_codes(self, key_col):
-        """The batch key as the ndarray the sorted state orders on:
-        dictionary codes for a dict-encoded key (its dictionary pinned on
-        first sight), the ndarray itself otherwise; None when ineligible."""
-        dv = vector.dict_vector(key_col)
-        if dv is not None:
-            if self.decode is None:
-                self.decode = dv.values
-            elif self.decode is not dv.values:
-                return None
-            return dv.codes
-        if self.decode is not None or not (
-            is_ndarray(key_col) and key_col.dtype.kind in "biufU"
-        ):
-            return None
-        return key_col
+        return _reducible(arg_cols)
 
     def consume(self, key_col, arg_cols: list, n: int) -> bool:
-        """Fold one batch in; False when the batch's shapes are ineligible
-        (the caller then demotes this state to the dict engine)."""
-        key_col = self._key_codes(key_col)
-        if key_col is None or not all(
-            values is None
-            or (is_ndarray(values) and values.dtype.kind in _REDUCIBLE_KINDS)
-            for values in arg_cols
-        ):
+        """Fold one batch in; False when the batch does not fit — another
+        key kind or dictionary, an argument that is not ndarray-reducible,
+        an int sum that could overflow — and the caller then demotes this
+        state to the dict engine."""
+        dv = vector.dict_vector(key_col)
+        if self._dict is None:
+            if dv is not None or not (
+                is_ndarray(key_col) and key_col.dtype.kind in "biufU"
+            ):
+                return False
+        elif dv is None or dv.values is not self._dict.values:
+            return False
+        if not _reducible(arg_cols):
             return False
         new_bounds: dict[int, int] = {}
         for i, (func, values) in enumerate(zip(self.funcs, arg_cols)):
@@ -518,15 +539,74 @@ class _SingleKeyArrayGroups:
                     return False
                 new_bounds[i] = ceiling
         self._sum_bounds.update(new_bounds)
+        if dv is not None:
+            self._consume_codes(dv.codes, arg_cols)
+        else:
+            self._consume_sorted(key_col, arg_cols)
+        return True
+
+    # -- dictionary keys: the direct-address map ------------------------ #
+
+    def _address(self, codes, in_order: bool = False):
+        """The gid of every code, opening a group for each unseen one: in
+        ascending code order, or — ``in_order``, for distinct codes — in
+        the order given."""
+        np = vector._np
+        slot = self._slot
+        try:
+            gids = slot[codes]
+        except IndexError:  # a code past the map's end: grow it
+            top = int(codes.max()) + 1
+            slot = np.full(max(top, 2 * len(slot)), -1, dtype=np.intp)
+            slot[: len(self._slot)] = self._slot
+            self._slot = slot
+            gids = slot[codes]
+        if gids.min() < 0:
+            new_codes = codes[gids < 0]
+            if not in_order:
+                seen = np.zeros(len(slot), dtype=bool)
+                seen[new_codes] = True
+                new_codes = np.flatnonzero(seen)
+            previous = len(self._codes)
+            slot[new_codes] = np.arange(previous, previous + len(new_codes))
+            self._codes = np.concatenate((self._codes, new_codes))
+            gids = slot[codes]
+        return gids
+
+    def _consume_codes(self, codes, arg_cols: list) -> None:
+        np = vector._np
+        previous = len(self._codes)
+        gids = self._address(codes)
+        total = len(self._codes)
+        tallies = np.bincount(gids, minlength=total)
+        if self._count_only:
+            # Every COUNT is the group size (ndarray arguments are
+            # NULL-free): add the tallies, widened by the new groups.
+            cells = self._cells or [("count", tallies[:0]) for _ in self.funcs]
+            for i, (_, counts) in enumerate(cells):
+                if len(counts) < total:
+                    counts = np.concatenate(
+                        (counts, np.zeros(total - len(counts), dtype=counts.dtype))
+                    )
+                counts += tallies
+                cells[i] = ("count", counts)
+            self._cells = cells
+            return
+        present = np.flatnonzero(tallies)
+        self._fold(present, previous, self._partials(arg_cols, gids, tallies[present]))
+
+    # -- ndarray keys: the sorted-key state ----------------------------- #
+
+    def _consume_sorted(self, key_col, arg_cols: list) -> None:
         np = vector._np
         count_only = self._count_only
         if count_only and self._sorted is not None and self._merge_known(key_col):
-            return True
+            return
+        codes = None
         if count_only:
             # COUNT-style aggregates need no row->group codes at all (an
             # ndarray argument is NULL-free, so COUNT(x) is the group
-            # size): one sort-and-count per batch, as the retired COUNT(*)
-            # special case did — now for any number of COUNTs.
+            # size): one sort-and-count per batch.
             uniq, counts = np.unique(key_col, return_counts=True)
             uniq, counts, nan_local = _collapse_nan_counts(uniq, counts)
         else:
@@ -539,26 +619,8 @@ class _SingleKeyArrayGroups:
         num_local = len(uniq) + (1 if nan_local >= 0 else 0)
         if not count_only:
             counts = np.bincount(codes, minlength=num_local)
-        order = starts = None
-        partials: list = []
-        for func, values in zip(self.funcs, arg_cols):
-            if values is None or func == "COUNT":
-                partials.append(("count", counts))
-                continue
-            if order is None:
-                order = np.argsort(codes, kind="stable")
-                starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-            sorted_values = values[order]
-            if func in ("SUM", "AVG"):
-                partials.append(
-                    ("sum", counts, np.add.reduceat(sorted_values, starts))
-                )
-            elif func == "MIN":
-                partials.append(("min", np.fmin.reduceat(sorted_values, starts)))
-            else:
-                partials.append(("max", np.maximum.reduceat(sorted_values, starts)))
+        partials = self._partials(arg_cols, codes, counts)
         self._merge(uniq, nan_local, num_local, partials)
-        return True
 
     def _merge_known(self, key_col) -> bool:
         """COUNT-only steady-state merge: probe every row against the known
@@ -583,6 +645,9 @@ class _SingleKeyArrayGroups:
         return True
 
     def _merge(self, uniq, nan_local: int, num_local: int, partials: list) -> None:
+        """Resolve a batch's sorted distinct keys (plus a trailing NaN group
+        at ``nan_local``) to gids, opening new groups, and fold the
+        partials in."""
         np = vector._np
         previous = len(self.keys)
         gids = np.empty(num_local, dtype=np.intp)
@@ -606,11 +671,7 @@ class _SingleKeyArrayGroups:
                     previous, previous + len(new_keys), dtype=np.intp
                 )
                 gids[: len(uniq)][fresh] = new_gids
-                if self.decode is None:
-                    self.keys.extend(new_keys.tolist())
-                else:
-                    decode = self.decode
-                    self.keys.extend(decode[c] for c in new_keys.tolist())
+                self.keys.extend(new_keys.tolist())
                 if self._sorted is None:
                     self._sorted = new_keys.copy()
                     self._sgids = new_gids
@@ -618,13 +679,47 @@ class _SingleKeyArrayGroups:
                     at = np.searchsorted(self._sorted, new_keys)
                     self._sorted = np.insert(self._sorted, at, new_keys)
                     self._sgids = np.insert(self._sgids, at, new_gids)
-        new_locals = np.flatnonzero(gids[: len(uniq)] >= previous)
         if nan_local >= 0:
             if self._nan_gid < 0:
                 self._nan_gid = len(self.keys)
                 self.keys.append(NAN)
-                new_locals = np.concatenate((new_locals, [num_local - 1]))
             gids[num_local - 1] = self._nan_gid
+        self._fold(gids, previous, partials)
+
+    # -- shared: per-batch partials and their fold ---------------------- #
+
+    def _partials(self, arg_cols: list, codes, counts) -> list:
+        """One partial per aggregate for a batch whose rows carry group
+        codes ``codes``: partial ``g`` belongs to the ``g``-th smallest code
+        present, which ``counts[g]`` rows carry (``codes`` may be None when
+        every aggregate is a COUNT)."""
+        np = vector._np
+        order = starts = None
+        partials: list = []
+        for func, values in zip(self.funcs, arg_cols):
+            if values is None or func == "COUNT":
+                partials.append(("count", counts))
+                continue
+            if order is None:
+                order = np.argsort(codes, kind="stable")
+                starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+            sorted_values = values[order]
+            if func in ("SUM", "AVG"):
+                partials.append(
+                    ("sum", counts, np.add.reduceat(sorted_values, starts))
+                )
+            elif func == "MIN":
+                partials.append(("min", np.fmin.reduceat(sorted_values, starts)))
+            else:
+                partials.append(("max", np.maximum.reduceat(sorted_values, starts)))
+        return partials
+
+    def _fold(self, gids, previous: int, partials: list) -> None:
+        """Fold partials whose ``i``-th entry belongs to group ``gids[i]``
+        into the cells; groups from ``previous`` on are new, and their gids
+        ascend with ``i``."""
+        np = vector._np
+        new_locals = np.flatnonzero(gids >= previous)
         exist_locals = np.flatnonzero(gids < previous)
         exist_gids = gids[exist_locals]
         if self._cells is None:
@@ -693,23 +788,21 @@ class _SingleKeyArrayGroups:
     def merge_state(self, other: "_SingleKeyArrayGroups") -> bool:
         """Merge another typed state in (the parallel partial-state merge).
 
-        The other state's cells realign from creation order to sorted-key
-        order through its ``_sgids`` permutation and then fold in through
-        the same searchsorted/scatter machinery per-batch partials use.
-        Returns False — nothing merged — when exact int sums could overflow
-        the typed int64 totals; the caller then merges via Python cells.
+        Dictionary states address the other state's codes directly, opening
+        its new groups in its creation order.  Sorted-key states realign
+        the other state's cells from creation order to sorted-key order
+        through its ``_sgids`` permutation and fold them in through the
+        searchsorted/scatter machinery per-batch partials use.  Returns
+        False — nothing merged — when the states differ in key kind or
+        dictionary, or exact int sums could overflow the typed int64
+        totals; the caller then merges via Python cells.
         """
         if other._cells is None:
             return True
-        if self.decode is not other.decode:
-            # Sorted codes from different dictionaries do not compare;
-            # parallel partials over one table share the dictionary object,
-            # so a mismatch only happens on an empty self (adopt) or across
-            # unrelated streams (demote and merge decoded).
-            if self._cells is None and self.decode is None:
-                self.decode = other.decode
-            else:
-                return False
+        if (self._dict is None) != (other._dict is None) or (
+            self._dict is not None and self._dict.values is not other._dict.values
+        ):
+            return False
         np = vector._np
         merged_bounds: dict[int, int] = dict(self._sum_bounds)
         for i, ceiling in other._sum_bounds.items():
@@ -717,6 +810,12 @@ class _SingleKeyArrayGroups:
             if total >= _INT_SUM_BOUND:
                 return False
             merged_bounds[i] = total
+        self._sum_bounds = merged_bounds
+        if self._dict is not None:
+            previous = len(self._codes)
+            gids = self._address(other._codes, in_order=True)
+            self._fold(gids, previous, other._cells)
+            return True
         if other._sorted is not None:
             order = other._sgids
             uniq = other._sorted
@@ -738,7 +837,6 @@ class _SingleKeyArrayGroups:
                 partials.append(("sum", counts[order], totals[order]))
             else:
                 partials.append((kind, arrays[0][order]))
-        self._sum_bounds = merged_bounds
         self._merge(uniq, nan_local, num_local, partials)
         return True
 
@@ -750,30 +848,28 @@ class _SingleKeyArrayGroups:
             return [[] for _ in self.funcs]
         out: list[list] = []
         for kind, *arrays in self._cells:
-            if kind == "count":
-                out.append(arrays[0].tolist())
-            elif kind == "sum":
+            if kind == "sum":
                 out.append(list(zip(arrays[0].tolist(), arrays[1].tolist())))
             else:
                 out.append(arrays[0].tolist())
         return out
 
-    def result_columns(self) -> list[list]:
-        columns: list[list] = [list(self.keys)]
+    def result_columns(self) -> list:
+        """Key column then one column per aggregate, typed: a dictionary
+        key leaves as a dictionary vector, the cells as ndarrays."""
+        if self._dict is not None:
+            columns: list = [self._dict.with_codes(self._codes)]
+        else:
+            columns = [list(self.keys)]
         if self._cells is None:
             return columns + [[] for _ in self.funcs]
         for (kind, *arrays), func in zip(self._cells, self.funcs):
-            if kind == "count":
-                columns.append(arrays[0].tolist())
-            elif kind == "sum":
-                if func == "AVG":
-                    columns.append((arrays[1] / arrays[0]).tolist())
-                else:
-                    # Groups only exist for rows seen, and ndarray argument
-                    # columns carry no NULLs — counts are always positive.
-                    columns.append(arrays[1].tolist())
+            if kind == "sum" and func == "AVG":
+                # Groups only exist for rows seen, and ndarray argument
+                # columns carry no NULLs — counts are always positive.
+                columns.append(arrays[1] / arrays[0])
             else:
-                columns.append(arrays[0].tolist())
+                columns.append(arrays[-1])
         return columns
 
 
@@ -797,9 +893,10 @@ class GroupedAggregation:
     """
 
     #: First-batch distinct count from which the typed array state takes
-    #: over: below it, per-batch merges touch so few groups that the dict
-    #: engine's Python work is cheaper than the array state's fixed-cost
-    #: vectorized bookkeeping.
+    #: over an ndarray key: below it, per-batch merges touch so few groups
+    #: that the dict engine's Python work is cheaper than the sorted-key
+    #: state's fixed-cost vectorized bookkeeping.  A dictionary key takes
+    #: the typed state at any group count: its code is its address.
     _ARRAY_MODE_MIN_GROUPS = 128
 
     def __init__(self, num_keys: int, funcs: Sequence[str]):
@@ -821,7 +918,7 @@ class GroupedAggregation:
     @property
     def num_groups(self) -> int:
         if self._array is not None:
-            return len(self._array.keys)
+            return self._array.num_groups
         return len(self._gid_of)
 
     def consume(self, key_cols: list, arg_cols: list, n: int) -> None:
@@ -842,18 +939,22 @@ class GroupedAggregation:
         self._consume_batch(key_cols, arg_cols, n)
 
     def _maybe_promote(
-        self, key_col, arg_cols: list, observed_groups: int, n: int
+        self, key_col, arg_cols: list, n: int, observed_groups: int = 0
     ) -> bool:
         """Switch an empty state to the typed array engine when the first
-        batch reveals high cardinality; consumes the batch on success."""
+        batch has a dictionary key, or reveals high cardinality; consumes
+        the batch on success."""
         if (
             self._array_refused
             or self._gid_of
-            or observed_groups < self._ARRAY_MODE_MIN_GROUPS
+            or (
+                observed_groups < self._ARRAY_MODE_MIN_GROUPS
+                and vector.dict_vector(key_col) is None
+            )
             or not _SingleKeyArrayGroups.eligible(key_col, arg_cols)
         ):
             return False
-        self._array = _SingleKeyArrayGroups(self.funcs)
+        self._array = _SingleKeyArrayGroups(self.funcs, key_col)
         return self._array.consume(key_col, arg_cols, n)
 
     def _demote_array(self) -> None:
@@ -861,14 +962,21 @@ class GroupedAggregation:
         assert array is not None
         self._array = None
         self._array_refused = True
-        self._gid_of = {key: gid for gid, key in enumerate(array.keys)}
-        self._key_columns = [list(array.keys)]
+        keys = array.key_values()
+        self._gid_of = {key: gid for gid, key in enumerate(keys)}
+        self._key_columns = [keys]
         self._cells = array.cell_lists()
 
     # -- the batch pipeline -------------------------------------------- #
 
     def _consume_batch(self, key_cols: list, arg_cols: list, n: int) -> None:
         np = vector._np
+        if (
+            self.num_keys == 1
+            and vector.dict_vector(key_cols[0]) is not None
+            and self._maybe_promote(key_cols[0], arg_cols, n)
+        ):
+            return
         if (
             self._count_only
             and self.num_keys == 1
@@ -880,30 +988,20 @@ class GroupedAggregation:
                 for v in arg_cols
             )
         ):
-            # COUNT-style aggregates over one typed key need no row->group
+            # COUNT-style aggregates over one ndarray key need no row->group
             # codes: one sort-and-count per batch, then a merge over the
-            # batch's (few) distinct keys — the general form of the retired
-            # COUNT(*) special case.  Dictionary keys count over their int
-            # codes and decode only the batch-distinct survivors.
+            # batch's (few) distinct keys.
             key0 = key_cols[0]
-            dv = vector.dict_vector(key0)
-            if dv is not None:
-                uniq, counts = np.unique(dv.codes, return_counts=True)
-                decode = dv.values
-                keys = [decode[c] for c in uniq.tolist()]
-            elif is_ndarray(key0) and key0.dtype.kind in "biufU":
+            if is_ndarray(key0) and key0.dtype.kind in "biufU":
                 keys, counts = _unique_counts_canonical(key0)
-            else:
-                keys = counts = None
-            if keys is not None:
-                if self._maybe_promote(key0, arg_cols, len(keys), n):
+                if self._maybe_promote(key0, arg_cols, n, len(keys)):
                     return
                 counts_list = counts.tolist()
                 self._merge(keys, [counts_list] * len(self.funcs))
                 return
         factorized = [factorize(c, n) for c in key_cols]
         if self.num_keys == 1 and self._maybe_promote(
-            key_cols[0], arg_cols, len(factorized[0][1]), n
+            key_cols[0], arg_cols, n, len(factorized[0][1])
         ):
             return
         codes, keys = combine_codes(factorized, n)

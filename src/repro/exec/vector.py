@@ -163,8 +163,9 @@ def take(values: Sequence, indices: Sequence[int]) -> Sequence:
 
     When ``values`` is an ndarray (and numpy is enabled) the result is an
     ndarray, so chained gathers — CSR expansion, pointer follows,
-    replication — never round-trip through Python lists.  Non-array inputs
-    behave exactly like :func:`gather`.  Use :func:`gather` instead at row
+    replication — never round-trip through Python lists.  A ``range`` (an
+    unfiltered chunk's selection) gathers into an ndarray too.  Other
+    inputs behave exactly like :func:`gather`.  Use :func:`gather` instead at row
     boundaries, where plain Python values are required.
     """
     if _numpy_enabled and _np is not None:
@@ -174,6 +175,9 @@ def take(values: Sequence, indices: Sequence[int]) -> Sequence:
             # Stay in the code domain: gather the codes, share the
             # dictionary — selections/joins never decode intermediate rows.
             return values.with_codes(values.codes[as_index_array(indices)])
+        if type(values) is range:
+            # A selection over a contiguous chunk composes in numpy too.
+            return as_index_array(values)[as_index_array(indices)]
     return [values[i] for i in indices]
 
 

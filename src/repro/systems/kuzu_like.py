@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.framework import RelGoConfig
 from repro.core.scan_graph_table import LogicalScanGraphTable, ScanGraphTableOp, columns_read
 from repro.core.spjm import GraphTableClause
-from repro.errors import PlanError
+from repro.errors import PlanError, UnsupportedFeatureError
 from repro.exec import MaterializeOp
 from repro.graph.index import GraphIndex
 from repro.graph.optimizer import carry_live
@@ -146,6 +146,13 @@ class _NaiveGraphTable(LogicalScanGraphTable):
     """A SCAN_GRAPH_TABLE whose inner plan is the declaration-order chain."""
 
     def __init__(self, clause: GraphTableClause, mapping: RGMapping, index: GraphIndex):
+        if clause.semantics != "homomorphism":
+            # The declaration-order chain binds every pattern edge with no
+            # all-distinct post filter, so it only matches homomorphically.
+            raise UnsupportedFeatureError(
+                "the Kùzu-like planner implements homomorphism semantics; "
+                "all-distinct post filters are not planned"
+            )
         # A placeholder GraphPlan is not needed: estimated rows are a crude
         # volume guess (no statistics — that's the point of this baseline).
         self.clause = clause

@@ -12,12 +12,16 @@ Four layers of coverage:
   every storage x numpy cell (the shared ``storage_mode`` fixture),
   including batch-boundary group merges (tiny batch sizes force groups to
   span many batches).
-* **Property test** — randomized key/value columns (NULLs, NaNs, mixed
-  cardinality) against an order-independent reference aggregation.
+* **Property tests** — randomized key/value columns (NULLs, NaNs, mixed
+  cardinality) against an order-independent reference aggregation, and
+  dictionary keys over a growing dictionary against a plain-Python
+  reference, group order included (serial, merged partials, spill round
+  trip).
 * **Kernel units** — factorize / combine_codes (mixed radix and its
   exact tuple-dict form) / canonicalization helpers, typed-state
   promotion and demotion, StreamingDistinct's two states (typed, NaN
-  flag included, and the seen-set).
+  flag included, and the seen-set), and the guard that dictionary keys
+  group by address.
 """
 
 from __future__ import annotations
@@ -892,3 +896,187 @@ def test_string_min_max_matches_the_row_accumulators(
     assert all(
         type(v) is str for column in columns[num_keys:] for v in column if v is not None
     )
+
+
+# --------------------------------------------------------------------- #
+# dictionary keys: grouping by address
+# --------------------------------------------------------------------- #
+
+#: Aggregates over NULL-free ndarray arguments: ``(func, argument)``, the
+#: argument one of the batch's int / float columns or None for COUNT(*).
+_DICT_KEY_AGGREGATES = [
+    ("COUNT", None),
+    ("COUNT", "i"),
+    ("SUM", "i"),
+    ("AVG", "i"),
+    ("MIN", "f"),
+    ("MAX", "f"),
+    ("MIN", "i"),
+    ("MAX", "i"),
+]
+
+
+@st.composite
+def _dict_key_batches(draw):
+    """Batches of ``(width, keys, ints, floats)``: the dictionary holds
+    ``width`` values when the batch arrives, and may have grown since the
+    batch before, so later batches carry codes earlier ones never saw."""
+    batches = []
+    width = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 6))):
+        width += draw(st.sampled_from([0, 0, 1, 5]))
+        n = draw(st.integers(1, 12))
+        keys = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+        ints = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        floats = draw(
+            st.lists(st.sampled_from([nan, -1.5, 0.0, 2.25, 7.0]), min_size=n, max_size=n)
+        )
+        batches.append((width, keys, ints, floats))
+    return batches
+
+
+def _dict_key_reference(batches: list) -> tuple[list, dict]:
+    """Group order and finalized cells, consumed batch by batch in plain
+    Python: a batch opens its new groups in ascending code order."""
+    order: list = []
+    rows: dict = {}
+    for _, keys, ints, floats in batches:
+        order += sorted(set(keys) - set(order))
+        for key, i, f in zip(keys, ints, floats):
+            rows.setdefault(key, []).append({"i": i, "f": f, None: 1})
+    cells = {}
+    for key, group in rows.items():
+        out = []
+        for func, arg in _DICT_KEY_AGGREGATES:
+            initial, update, final = make_accumulator(func)
+            cell = initial
+            for row in group:
+                cell = update(cell, row[arg])
+            out.append(final(cell))
+        cells[key] = out
+    return order, cells
+
+
+def _dict_key_args(batch, dictionary: list, index: dict) -> tuple:
+    """One batch's ``consume`` arguments, the shared dictionary first
+    grown to the batch's width as a column append would."""
+    import numpy as np
+
+    from repro.exec.vector import DictVector
+
+    width, keys, ints, floats = batch
+    while len(dictionary) < width:
+        index[f"v{len(dictionary)}"] = len(dictionary)
+        dictionary.append(f"v{len(dictionary)}")
+    columns = {"i": np.asarray(ints, dtype=np.int64), "f": np.asarray(floats)}
+    return (
+        [DictVector(np.asarray(keys, dtype=np.int64), dictionary, index)],
+        [None if arg is None else columns[arg] for _, arg in _DICT_KEY_AGGREGATES],
+        len(keys),
+    )
+
+
+def _dict_key_state(batches: list, dictionary: list, index: dict) -> GroupedAggregation:
+    state = GroupedAggregation(1, [func for func, _ in _DICT_KEY_AGGREGATES])
+    for batch in batches:
+        state.consume(*_dict_key_args(batch, dictionary, index))
+    return state
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@settings(max_examples=80, deadline=None)
+@given(
+    batches=_dict_key_batches(),
+    split=st.integers(0, 6),
+    how=st.sampled_from(["serial", "merge", "spill"]),
+)
+def test_dictionary_keyed_grouping_matches_the_reference(batches, split, how):
+    """GROUP BY over one dictionary key whose dictionary grows between
+    batches equals a plain-Python aggregation, groups in order: consumed
+    serially, merged from two partials split at ``split`` (in order), or
+    exported at ``split`` and at the end and re-absorbed (the spill round
+    trip)."""
+    split = min(split, len(batches))
+    dictionary: list = []
+    index: dict = {}
+    set_numpy_enabled(True)
+    try:
+        state = _dict_key_state(batches[:split], dictionary, index)
+        if how == "serial":
+            for batch in batches[split:]:
+                state.consume(*_dict_key_args(batch, dictionary, index))
+            columns = state.result_columns()
+            # The output stays typed: codes over the key's dictionary.
+            assert vector.dict_vector(columns[0]) is not None
+            assert all(vector.is_ndarray(c) for c in columns[1:])
+            order, _ = _dict_key_reference(batches)
+        else:
+            later = _dict_key_state(batches[split:], dictionary, index)
+            if how == "merge":
+                state.merge_from(later)
+            else:
+                frames = [state.export_and_reset(), later.export_and_reset()]
+                state = GroupedAggregation(1, [func for func, _ in _DICT_KEY_AGGREGATES])
+                for keys, cells in frames:
+                    state.absorb(keys, cells)
+            columns = state.result_columns()
+            first, _ = _dict_key_reference(batches[:split])
+            rest, _ = _dict_key_reference(batches[split:])
+            order = first + [key for key in rest if key not in first]
+    finally:
+        set_numpy_enabled(None)
+    _, expected = _dict_key_reference(batches)
+    keys = vector.as_values(columns[0])
+    assert keys == [f"v{code}" for code in order]
+    assert state.num_groups == len(order)
+    cells = [vector.as_values(column) for column in columns[1:]]
+    for g, code in enumerate(order):
+        got = [column[g] for column in cells]
+        assert norm_rows([got]) == norm_rows([expected[code]]), (code, got)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_dictionary_keys_group_by_address(monkeypatch):
+    """A dictionary-keyed COUNT(*) GROUP BY finds each row's group through
+    the code-indexed map: no batch sorts (``np.unique``) or binary-searches
+    (``searchsorted``) its keys, and no Python dict merge runs per key."""
+    import numpy as np
+
+    from repro.exec import grouping
+    from repro.relational.column import set_storage_backend
+
+    calls: list[str] = []
+
+    class Recording:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("unique", "searchsorted"):
+                return attr
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+
+            return recorded
+
+    def merge(self, keys, partials):
+        calls.append("_merge")
+
+    names = ["ana", "bo", "cy", "di", "ed"]
+    set_numpy_enabled(True)
+    set_storage_backend("dict")
+    try:
+        table = _table({"k": (DataType.STRING, [names[(i * 7) % 5] for i in range(200)])})
+        plan = AggregateOp(
+            SeqScan(table, "t"), [(col("t.k"), "k")], [AggregateSpec("COUNT", None, "n")]
+        )
+        monkeypatch.setattr(vector, "_np", Recording())
+        monkeypatch.setattr(grouping.GroupedAggregation, "_merge", merge)
+        result = execute_plan(plan, columnar=True, batch_size=16)
+    finally:
+        monkeypatch.undo()
+        set_numpy_enabled(None)
+        set_storage_backend(None)
+    assert calls == []
+    # Groups open in ascending code order: the dictionary's first-seen order.
+    assert result.rows == [(name, 40) for name in ["ana", "cy", "ed", "bo", "di"]]

@@ -19,7 +19,8 @@ reads.  Checked here:
   consumers that reduce branches: every system returns the reference
   matcher's answer (:func:`repro.graph.matching.match_pattern`) under
   homomorphism, and every system that lowers through the graph optimizer
-  under isomorphism and edge-distinct semantics too, numpy on and off.
+  under isomorphism and edge-distinct semantics too, numpy on and off;
+  ``kuzu`` refuses those two semantics.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.scan_graph_table import ScanGraphTableOp
 from repro.core.sqlpgq import parse_and_bind
+from repro.errors import UnsupportedFeatureError
 from repro.exec import open_plan, set_numpy_enabled
 from repro.graph.index import build_graph_index
 from repro.graph.matching import match_pattern
@@ -307,6 +309,15 @@ PINNED_GRAPH = (6, [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (3, 4), (4, 0), (4, 
         "edge_distinct",
     ),
 )
+# A two-hop path under isomorphism: homomorphic matching finds more rows.
+@example(
+    graph=PINNED_GRAPH,
+    query=(
+        "SELECT g.c0, g.c2 FROM GRAPH_TABLE (G MATCH (v0:Person)-[e0:Link]->(v1:Person), "
+        "(v1:Person)-[e1:Link]->(v2:Person) COLUMNS (v0.id AS c0, v2.id AS c2)) g",
+        "isomorphism",
+    ),
+)
 def test_every_system_agrees_with_the_matcher(graph, query):
     sql, semantics = query
     catalog = _branch_graph(*graph)
@@ -314,6 +325,11 @@ def test_every_system_agrees_with_the_matcher(graph, query):
     bound.graph_table.semantics = semantics
     expected = _expected(catalog, bound)
     names = SYSTEMS if semantics == "homomorphism" else CONVERGED
+    if semantics != "homomorphism":
+        # The declaration-order baseline has no all-distinct filter: it
+        # refuses the pattern instead of returning homomorphic matches.
+        with pytest.raises(UnsupportedFeatureError):
+            make_system("kuzu", catalog, "G").optimize(bound)
     try:
         for numpy_on in NUMPY_MODES:
             set_numpy_enabled(numpy_on)
