@@ -84,8 +84,6 @@ class RelGoConfig:
     histograms: bool = False
     join_enumeration: str = "dp"
     optimizer_timeout: float | None = None
-    glogue_max_k: int = 3
-    glogue_sample_ratio: float = 0.1
     memory_budget_rows: int | None = None
     # Target chunk size of the streaming executor; None keeps the engine
     # default (repro.exec.DEFAULT_BATCH_SIZE).
@@ -178,12 +176,7 @@ class RelGoFramework:
     @property
     def glogue(self) -> GLogue:
         if self._glogue is None:
-            self._glogue = GLogue(
-                self.mapping,
-                self.ensure_index(),
-                max_k=self.config.glogue_max_k,
-                sample_ratio=self.config.glogue_sample_ratio,
-            )
+            self._glogue = GLogue(self.mapping, self.ensure_index(), sample_ratio=0.1)
         return self._glogue
 
     @property

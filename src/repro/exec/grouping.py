@@ -416,13 +416,23 @@ def _segment_reduce_seq(func: str, values, codes_list, num_groups: int):
 # --------------------------------------------------------------------- #
 
 
-def _reducible(arg_cols: list) -> bool:
+def _null_free(values) -> bool:
+    """Whether ``values`` cannot hold a NULL, so COUNT over it is the group
+    size: a non-object ndarray or a dictionary vector."""
+    return (
+        is_ndarray(values) and values.dtype.kind != "O"
+    ) or vector.dict_vector(values) is not None
+
+
+def _reducible(funcs: Sequence[str], arg_cols: list) -> bool:
     """Every aggregate argument is an ndarray the ufunc reductions handle,
-    or the implicit COUNT(*) argument (None)."""
-    for values in arg_cols:
-        if values is not None and not (
+    the implicit COUNT(*) argument (None), or a NULL-free COUNT argument."""
+    for func, values in zip(funcs, arg_cols):
+        if values is None or (
             is_ndarray(values) and values.dtype.kind in _REDUCIBLE_KINDS
         ):
+            continue
+        if func != "COUNT" or not _null_free(values):
             return False
     return True
 
@@ -502,15 +512,15 @@ class _SingleKeyArrayGroups:
         return [decode[c] for c in self._codes.tolist()]
 
     @staticmethod
-    def eligible(key_col, arg_cols: list) -> bool:
+    def eligible(funcs: Sequence[str], key_col, arg_cols: list) -> bool:
         """Whether a batch's columns fit the typed state: a dictionary key
         or an ndarray key of a sortable kind, and every argument
-        ndarray-reducible (or COUNT(*))."""
+        reducible (:func:`_reducible`)."""
         if vector.dict_vector(key_col) is None and not (
             is_ndarray(key_col) and key_col.dtype.kind in "biufU"
         ):
             return False
-        return _reducible(arg_cols)
+        return _reducible(funcs, arg_cols)
 
     def consume(self, key_col, arg_cols: list, n: int) -> bool:
         """Fold one batch in; False when the batch does not fit — another
@@ -525,7 +535,7 @@ class _SingleKeyArrayGroups:
                 return False
         elif dv is None or dv.values is not self._dict.values:
             return False
-        if not _reducible(arg_cols):
+        if not _reducible(self.funcs, arg_cols):
             return False
         new_bounds: dict[int, int] = {}
         for i, (func, values) in enumerate(zip(self.funcs, arg_cols)):
@@ -580,8 +590,8 @@ class _SingleKeyArrayGroups:
         total = len(self._codes)
         tallies = np.bincount(gids, minlength=total)
         if self._count_only:
-            # Every COUNT is the group size (ndarray arguments are
-            # NULL-free): add the tallies, widened by the new groups.
+            # Every COUNT is the group size (its arguments are NULL-free):
+            # add the tallies, widened by the new groups.
             cells = self._cells or [("count", tallies[:0]) for _ in self.funcs]
             for i, (_, counts) in enumerate(cells):
                 if len(counts) < total:
@@ -604,9 +614,9 @@ class _SingleKeyArrayGroups:
             return
         codes = None
         if count_only:
-            # COUNT-style aggregates need no row->group codes at all (an
-            # ndarray argument is NULL-free, so COUNT(x) is the group
-            # size): one sort-and-count per batch.
+            # COUNT-style aggregates need no row->group codes at all (a
+            # COUNT argument is NULL-free, so COUNT(x) is the group size):
+            # one sort-and-count per batch.
             uniq, counts = np.unique(key_col, return_counts=True)
             uniq, counts, nan_local = _collapse_nan_counts(uniq, counts)
         else:
@@ -951,7 +961,7 @@ class GroupedAggregation:
                 observed_groups < self._ARRAY_MODE_MIN_GROUPS
                 and vector.dict_vector(key_col) is None
             )
-            or not _SingleKeyArrayGroups.eligible(key_col, arg_cols)
+            or not _SingleKeyArrayGroups.eligible(self.funcs, key_col, arg_cols)
         ):
             return False
         self._array = _SingleKeyArrayGroups(self.funcs, key_col)
@@ -981,12 +991,9 @@ class GroupedAggregation:
             self._count_only
             and self.num_keys == 1
             # COUNT(x) equals the group size only when x cannot hold NULLs
-            # — i.e. it is an ndarray (or the implicit COUNT(*) argument).
-            # A list argument may carry Nones and must count per row.
-            and all(
-                v is None or (is_ndarray(v) and v.dtype.kind != "O")
-                for v in arg_cols
-            )
+            # (or is the implicit COUNT(*) argument).  A list argument may
+            # carry Nones and must count per row.
+            and all(v is None or _null_free(v) for v in arg_cols)
         ):
             # COUNT-style aggregates over one ndarray key need no row->group
             # codes: one sort-and-count per batch, then a merge over the

@@ -199,18 +199,3 @@ class GLogue:
                 columns[to_var] = len(columns)
             steps.append(WalkStep(columns[from_var], offsets, edges, far, target))
         return steps
-
-    # ------------------------------------------------------------------ #
-    # derived statistics
-    # ------------------------------------------------------------------ #
-
-    def closing_probability(
-        self, src_label: str, edge_label: str, dst_label: str
-    ) -> float:
-        """Probability that a random (src, dst) vertex pair is connected by an
-        ``edge_label`` edge — the selectivity of closing an extra star leg."""
-        nv_src = self.vertex_count(src_label)
-        nv_dst = self.vertex_count(dst_label)
-        if nv_src == 0 or nv_dst == 0:
-            return 0.0
-        return min(1.0, self.edge_count(edge_label) / (nv_src * nv_dst))

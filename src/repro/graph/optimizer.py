@@ -129,8 +129,6 @@ class GraphOptimizerConfig:
     """Knobs reproducing the paper's system variants."""
 
     use_graph_index: bool = True
-    enable_expand_intersect: bool = True
-    enable_binary_joins: bool = True
     # Patterns with at most this many vertices search binary joins; larger
     # ones rely on star steps only (keeps the search polynomial in practice).
     binary_join_limit: int = 8
@@ -238,12 +236,12 @@ def decompositions(masks: VertexMasks, mask: int, config: GraphOptimizerConfig):
     """The candidates the search costs for a connected ``mask``, in its
     order: every star step ``("expand", center bit index, rest)`` (remove a
     vertex keeping the rest connected; the right child is the complete star
-    around it), then — when ``config`` enables them for the mask's size —
-    every overlapping binary join ``("join", left, right)`` (Case I).  A
-    single vertex has none."""
+    around it), then — when the mask has 4 to ``config.binary_join_limit``
+    vertices — every overlapping binary join ``("join", left, right)``
+    (Case I).  A single vertex has none."""
     for center, rest in masks.peels(mask):
         yield "expand", center, rest
-    if config.enable_binary_joins and 4 <= mask.bit_count() <= config.binary_join_limit:
+    if 4 <= mask.bit_count() <= config.binary_join_limit:
         for left, right in masks.splits(mask):
             yield "join", left, right
 
@@ -430,15 +428,14 @@ def carry_live(op: Operator, live: frozenset[str]) -> None:
     (``live``: the ``COLUMNS`` references, REDUCE value columns included)
     or when an operator above reads it itself
     (:meth:`~repro.graph.physical.GraphOperator.reads`): a later leg's
-    bound leaf, a closing edge's two endpoints, a join's keys, a REDUCE or
-    EXISTS anchor, ALL_DISTINCT's compared columns.  Each input is narrowed
-    first; then every operator that builds its batches anew (EXPAND and its
-    closing form, EXPAND_EDGE, GET_VERTEX, EXPAND_INTERSECT) carries only
-    its input's variables in ``live``, and the others re-derive their
-    output from their narrowed inputs.  A non-graph operator between graph
-    operators (the materializing spool of the Kùzu-like plans) passes its
-    input through and reads nothing.  Multiplicities, row order and chunks
-    do not change, only the columns.
+    bound leaf, a join's keys, a REDUCE or EXISTS anchor, ALL_DISTINCT's
+    compared columns.  Each input is narrowed first; then every operator
+    that builds its batches anew (EXPAND, EXPAND_EDGE, GET_VERTEX,
+    EXPAND_INTERSECT) carries only its input's variables in ``live``, and
+    the others re-derive their output from their narrowed inputs.  A
+    non-graph operator between graph operators (the materializing spool of
+    the Kùzu-like plans) passes its input through and reads nothing.
+    Multiplicities, row order and chunks do not change, only the columns.
     """
     graph = isinstance(op, GraphOperator)
     below = live | op.reads() if graph else live

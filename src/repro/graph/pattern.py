@@ -149,24 +149,6 @@ class PatternGraph:
         ]
         return PatternGraph(vertices, edges)
 
-    def star_of(self, center: str, leaves: set[str] | None = None) -> "PatternGraph":
-        """The complete star ``P(center; leaves)`` inside this pattern.
-
-        Leaves default to all neighbors of ``center``.  The star contains the
-        center, the leaves, and every edge between the center and a leaf
-        (NOT edges among leaves — a star has none by construction).
-        """
-        if leaves is None:
-            leaves = self.neighbors(center)
-        names = {center} | leaves
-        vertices = [self.vertices[n] for n in sorted(names)]
-        edges = [
-            e
-            for e in self._incident[center]
-            if e.other(center) in leaves
-        ]
-        return PatternGraph(vertices, edges)
-
     def with_vertex_constraint(self, vertex: str, predicate: Expr) -> "PatternGraph":
         """A copy with ``predicate`` AND-ed onto the vertex's constraint."""
         old = self.vertices[vertex]

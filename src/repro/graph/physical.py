@@ -48,10 +48,10 @@ Operators:
 * :class:`AllDistinct` — the paper's all-distinct operator for isomorphism /
   edge-distinct semantics.
 
-``EXPAND`` (closing too), ``EXPAND_EDGE``, ``GET_VERTEX`` and
-``EXPAND_INTERSECT`` build every output batch anew (:class:`Extension`):
-they carry only the input variables the liveness walk
-(:func:`repro.graph.optimizer.carry_live`) found read above them.
+``EXPAND``, ``EXPAND_EDGE``, ``GET_VERTEX`` and ``EXPAND_INTERSECT``
+build every output batch anew (:class:`Extension`): they carry only the
+input variables the liveness walk (:func:`repro.graph.optimizer.carry_live`)
+found read above them.
 """
 
 from __future__ import annotations
@@ -67,13 +67,11 @@ from repro.exec.kernels import (
     IntersectLeg,
     branch_reduce,
     build_hash_table_columnar,
-    csr_expand_vectors,
     emit_columnar,
     expand_columnar,
     grace_hash_join,
     intersect_expand,
     probe_hash_table_columnar,
-    replicate_columnar,
     rows_to_columnar,
     scalar_key,
     tuple_key,
@@ -84,7 +82,6 @@ from repro.exec.vector import (
     ColumnarBatch,
     LazyMask,
     distinct_positions,
-    equal_positions,
     index_vector,
     passing,
     take,
@@ -144,10 +141,10 @@ class GraphOperator(Operator):
 
 class Extension(GraphOperator):
     """A graph operator that builds every output batch anew from its
-    child's (EXPAND, its closing form, EXPAND_EDGE, GET_VERTEX,
-    EXPAND_INTERSECT): the output is the child variables it carries, then
-    the ones it appends.  It carries every child variable until
-    :meth:`carry` narrows it to those read above."""
+    child's (EXPAND, EXPAND_EDGE, GET_VERTEX, EXPAND_INTERSECT): the output
+    is the child variables it carries, then the ones it appends.  It carries
+    every child variable until :meth:`carry` narrows it to those read
+    above."""
 
     child: GraphOperator
 
@@ -371,7 +368,6 @@ class Expand(Extension):
         direction: str,
         edge_predicate: Expr | None = None,
         vertex_predicate: Expr | None = None,
-        closing: bool = False,
     ):
         self.child = child
         self.index = index
@@ -383,13 +379,10 @@ class Expand(Extension):
         self.direction = direction
         self.edge_predicate = edge_predicate
         self.vertex_predicate = vertex_predicate
-        # ``closing`` marks an expansion whose target is already bound: the
-        # operator then checks equality instead of appending a column.
-        self.closing = closing
-        self._extend([] if closing else [GraphVar(to_var, "v", to_label)])
+        self._extend([GraphVar(to_var, "v", to_label)])
 
     def reads(self) -> frozenset[str]:
-        return frozenset([self.from_var, self.to_var] if self.closing else [self.from_var])
+        return frozenset([self.from_var])
 
     def columnar_batches(self, ctx: ExecutionContext) -> Iterator[ColumnarBatch]:
         return emit_columnar(ctx, self, self._stream_columnar(ctx))
@@ -398,57 +391,25 @@ class Expand(Extension):
         from_idx = self.child.var_index(self.from_var)
         from_label = self.child.output_vars[from_idx].label
         adjacency = self.index.adjacency(from_label, self.edge_label, self.direction)
-        edge_index = self.index.edge_index(self.edge_label)
-        emask = _mask(
-            ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
+        # One row per adjacent edge, neighbor column only.
+        yield from expand_columnar(
+            self.child.columnar_batches(ctx),
+            ctx,
+            from_idx,
+            *adjacency.vectors(),
+            [self.index.edge_index(self.edge_label).endpoint_vector(self.direction)],
+            emask=_mask(
+                ctx, self.mapping.edge_table(self.edge_label), self.edge_predicate
+            ),
+            vmask=_mask(
+                ctx, self.mapping.vertex_table(self.to_label), self.vertex_predicate
+            ),
+            carry=self.carried_columns(),
         )
-        offsets, edges = adjacency.vectors()
-        far = edge_index.endpoint_vector(self.direction)
-        source = self.child.columnar_batches(ctx)
-        carry = self.carried_columns()
-        if not self.closing:
-            # Traversal hot path: one row per adjacent edge, neighbor
-            # column only.
-            yield from expand_columnar(
-                source,
-                ctx,
-                from_idx,
-                offsets,
-                edges,
-                [far],
-                emask=emask,
-                vmask=_mask(
-                    ctx,
-                    self.mapping.vertex_table(self.to_label),
-                    self.vertex_predicate,
-                ),
-                carry=carry,
-            )
-            return
-        to_idx = self.child.var_index(self.to_var)
-        for cb in source:
-            expanded = csr_expand_vectors(cb.column_vector(from_idx), offsets, edges)
-            if expanded is None:
-                continue
-            # One kept position per adjacent edge whose far endpoint is the
-            # already-bound target (parallel edges multiply the row); the
-            # edge mask sees only those edges.
-            parents, edge_ids = expanded
-            hits = equal_positions(
-                take(far, edge_ids), take(cb.column_vector(to_idx), parents)
-            )
-            keep = take(parents, hits)
-            if emask is not None:
-                kept = passing(emask, take(edge_ids, hits))
-                if kept is not None:
-                    keep = take(keep, kept)
-            if len(keep):
-                yield replicate_columnar(cb, keep, [], carry)
 
     def _label(self) -> str:
-        kind = "EXPAND(closing)" if self.closing else "EXPAND"
         return (
-            f"{kind} {self.from_var} -[{self.edge_label} {self.direction}]-> "
+            f"EXPAND {self.from_var} -[{self.edge_label} {self.direction}]-> "
             f"{self.to_var}{self._dropped()}"
         )
 

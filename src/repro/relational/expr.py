@@ -483,70 +483,14 @@ def _candidates(sel: "Sequence[int] | None", n: int) -> Sequence:
     return range(n) if sel is None else sel
 
 
-#: Memo for compiled columnar evaluators/selectors.  Compiled closures are
-#: pure functions of ``(columns, selection, length)`` — they close over
-#: layout *indices* only and re-check numpy enablement per call — so one
-#: compilation serves every execution of the same (expr, layout) shape.
-#: Exprs are frozen dataclasses (hashable); unhashable literals skip the
-#: cache.  Bounded by wholesale clear: plan shapes per process are few.
-_COMPILE_CACHE: dict = {}
-_COMPILE_CACHE_LIMIT = 1024
-
-
-def _literal_types(expr: Expr, out: list) -> None:
-    """Collect the concrete types of every literal value in tree order.
-
-    Python equality conflates ``True == 1 == 1.0``, so two exprs can be
-    ``==`` (and hash-equal) while compiling to closures that emit
-    *differently-typed* values; the cache key must tell them apart.
-    """
-    if isinstance(expr, Literal):
-        out.append(type(expr.value))
-    elif isinstance(expr, (Comparison, Arith)):
-        _literal_types(expr.left, out)
-        _literal_types(expr.right, out)
-    elif isinstance(expr, BoolOp):
-        for arg in expr.args:
-            _literal_types(arg, out)
-    elif isinstance(expr, Not):
-        _literal_types(expr.arg, out)
-    elif isinstance(expr, (Like, IsNull)):
-        _literal_types(expr.arg, out)
-    elif isinstance(expr, InList):
-        _literal_types(expr.arg, out)
-        out.extend(type(v) for v in expr.values)
-
-
-def _compile_cached(kind: str, expr: Expr, layout: Mapping[str, int], build):
-    try:
-        literal_types: list = []
-        _literal_types(expr, literal_types)
-        key = (kind, expr, tuple(literal_types), tuple(sorted(layout.items())))
-        cached = _COMPILE_CACHE.get(key)
-    except TypeError:  # unhashable literal somewhere in the expression
-        return build(expr, layout)
-    if cached is None:
-        cached = build(expr, layout)
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_LIMIT:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[key] = cached
-    return cached
-
-
 def compile_expr_columnar(
     expr: Expr, layout: Mapping[str, int]
 ) -> ColumnarEvaluator:
-    """Compile ``expr`` into a column-at-a-time evaluator (memoized).
+    """Compile ``expr`` into a column-at-a-time evaluator.
 
     The returned callable maps ``(columns, selection, length)`` to a dense
     list holding the expression's value per visible row.
     """
-    return _compile_cached("expr", expr, layout, _compile_expr_columnar)
-
-
-def _compile_expr_columnar(
-    expr: Expr, layout: Mapping[str, int]
-) -> ColumnarEvaluator:
     from repro.exec.vector import as_values, gather
 
     if isinstance(expr, Literal):
@@ -694,21 +638,6 @@ class CompiledPredicate:
         return self.vector(cols, slice(0, n))
 
 
-def compile_predicate_columnar(
-    expr: Expr, layout: Mapping[str, int]
-) -> CompiledPredicate:
-    """Compile ``expr`` into a selection-vector refiner (WHERE semantics).
-
-    The returned :class:`CompiledPredicate` (memoized per (expr, layout)
-    shape) maps ``(columns, selection, length)`` to the refined selection:
-    the subset of visible row indices where the predicate evaluates to TRUE
-    (NULL and FALSE filter out).  When every visible row passes, the input
-    ``selection`` object itself is returned so callers can detect the
-    all-selected fast path with an identity check.
-    """
-    return _compile_cached("pred", expr, layout, _compile_predicate_columnar)
-
-
 def compile_predicate_mask(expr: Expr, layout: Mapping[str, int]):
     """``expr`` as a dense boolean-mask evaluator, or None.
 
@@ -725,9 +654,18 @@ def compile_predicate_mask(expr: Expr, layout: Mapping[str, int]):
     return pred.mask if pred.vector is not None else None
 
 
-def _compile_predicate_columnar(
+def compile_predicate_columnar(
     expr: Expr, layout: Mapping[str, int]
 ) -> CompiledPredicate:
+    """Compile ``expr`` into a selection-vector refiner (WHERE semantics).
+
+    The returned :class:`CompiledPredicate` maps ``(columns, selection,
+    length)`` to the refined selection: the subset of visible row indices
+    where the predicate evaluates to TRUE (NULL and FALSE filter out).
+    When every visible row passes, the input ``selection`` object itself is
+    returned so callers can detect the all-selected fast path with an
+    identity check.
+    """
     if isinstance(expr, BoolOp) and expr.op == "AND":
         return _conjunction([compile_predicate_columnar(a, layout) for a in expr.args])
     if isinstance(expr, Comparison):

@@ -7,8 +7,8 @@ Leaves that are not base scans (notably SCAN_GRAPH_TABLE) expose their own
 graph cardinalities flow into the relational optimizer.
 
 Joins use the classic distinct-value formula
-``|L ⋈ R| = |L|·|R| / Π max(ndv(l_k), ndv(r_k))`` with primary-key-aware
-ndv lookups.
+``|L ⋈ R| = |L|·|R| / Π max(ndv(l_k), ndv(r_k))`` over these leaf numbers,
+per leaf set (:meth:`repro.relational.optimizer.dp.JoinProblem.mask_rows`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.relational.statistics import predicate_selectivity
 
 
 class CardinalityModel:
-    """Estimates leaf and join cardinalities against a catalog."""
+    """Estimates leaf cardinalities and distinct counts against a catalog."""
 
     def __init__(self, catalog: Catalog, histograms: bool = False):
         self.catalog = catalog
@@ -53,19 +53,3 @@ class CardinalityModel:
             if value is not None:
                 return max(min(float(value), rows), 1.0)
         return max(rows, 1.0)
-
-    # ------------------------------------------------------------------ #
-    # joins
-    # ------------------------------------------------------------------ #
-
-    def join_rows(
-        self,
-        left_rows: float,
-        right_rows: float,
-        key_ndvs: list[tuple[float, float]],
-    ) -> float:
-        """Distinct-value join estimate over one or more equi-key pairs."""
-        rows = left_rows * right_rows
-        for left_ndv, right_ndv in key_ndvs:
-            rows /= max(left_ndv, right_ndv, 1.0)
-        return max(rows, 1e-6)

@@ -75,13 +75,6 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    def column_index(self, name: str) -> int:
-        """Position of ``name`` in the tuple layout; raises if absent."""
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
-
     def __str__(self) -> str:
         cols = ", ".join(str(c) for c in self.columns)
         return f"{self.name}({cols})"

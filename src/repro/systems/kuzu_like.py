@@ -7,9 +7,10 @@ RelGo does".  This stand-in captures that role:
 * native adjacency storage — it reads the same CSR structures the graph
   index provides (fair: Kùzu materializes adjacency natively);
 * **no cost-based pattern planning** — edges are traversed in declaration
-  order, expanding from the first vertex of the first path, with
-  already-bound edges executed as *closing* expansions (scan-and-check, no
-  EXPAND_INTERSECT and no GLogue statistics);
+  order, expanding from the first vertex of the first path, and an edge
+  between two bound vertices closes its cycle by a scan of the edge
+  relation joined on both endpoints (no EXPAND_INTERSECT and no GLogue
+  statistics);
 * the relational remainder is planned greedily without graph knowledge.
 
 Because declaration order is frequently terrible (e.g. IC patterns anchored
@@ -29,7 +30,6 @@ from repro.graph.optimizer import carry_live
 from repro.graph.pattern import PatternGraph
 from repro.graph.physical import (
     EdgeTripleScan,
-    Expand,
     ExpandEdge,
     GetVertex,
     GraphOperator,
@@ -42,12 +42,9 @@ from repro.systems.base import System
 
 
 def naive_declaration_order_plan(
-    pattern: PatternGraph,
-    mapping: RGMapping,
-    index: GraphIndex,
-    needed_edge_vars: frozenset[str] = frozenset(),
+    pattern: PatternGraph, mapping: RGMapping, index: GraphIndex
 ) -> GraphOperator:
-    """Expand edges in declaration order, closing cycles by scan-and-check."""
+    """Bind every edge in declaration order, closing cycles by edge scans."""
     edges = list(pattern.edges.values())  # dict preserves declaration order
     if not edges:
         vertex = next(iter(pattern.vertices.values()))
@@ -66,11 +63,7 @@ def naive_declaration_order_plan(
                 continue
             from_var = edge.src if edge.src in bound else edge.dst
             to_var = edge.other(from_var)
-            closing = to_var in bound
-            target = pattern.vertices[to_var]
-            direction = edge.direction_from(from_var)
-            keep_edge = edge.name in needed_edge_vars
-            if closing and keep_edge:
+            if to_var in bound:
                 # Scan the edge relation and join on both endpoints so the
                 # edge variable survives (a tuple-at-a-time engine would do
                 # an index-nested-loop; the topology is the same).
@@ -84,20 +77,9 @@ def naive_declaration_order_plan(
                     edge_predicate=edge.predicate,
                 )
                 op = PatternHashJoin(op, triples)
-            elif closing:
-                op = Expand(
-                    op,
-                    index,
-                    mapping,
-                    from_var=from_var,
-                    to_var=to_var,
-                    to_label=target.label,
-                    edge_label=edge.label,
-                    direction=direction,
-                    edge_predicate=edge.predicate,
-                    closing=True,
-                )
-            elif keep_edge:
+            else:
+                direction = edge.direction_from(from_var)
+                target = pattern.vertices[to_var]
                 expanded = ExpandEdge(
                     op, index, mapping,
                     from_var=from_var,
@@ -112,19 +94,6 @@ def naive_declaration_order_plan(
                     to_var=to_var,
                     to_label=target.label,
                     direction=direction,
-                    vertex_predicate=target.predicate,
-                )
-            else:
-                op = Expand(
-                    op,
-                    index,
-                    mapping,
-                    from_var=from_var,
-                    to_var=to_var,
-                    to_label=target.label,
-                    edge_label=edge.label,
-                    direction=direction,
-                    edge_predicate=edge.predicate,
                     vertex_predicate=target.predicate,
                 )
             # A naive tuple-at-a-time engine materializes every traversal
@@ -167,13 +136,11 @@ class _NaiveGraphTable(LogicalScanGraphTable):
 
     def to_physical(self, catalog: Catalog) -> ScanGraphTableOp:
         # A GDBMS without field trimming materializes every pattern element:
-        # every edge variable is bound (unfused EXPAND_EDGE + GET_VERTEX
-        # pipelines), which is part of why the baseline trails.  Like every
-        # graph plan, it carries a binding only while something above reads
-        # it.
-        needed = frozenset(self.clause.pattern.edges)
+        # every edge variable is bound, which is part of why the baseline
+        # trails.  Like every graph plan, it carries a binding only while
+        # something above reads it.
         graph_op = naive_declaration_order_plan(
-            self.clause.pattern, self.mapping, self.index, needed_edge_vars=needed
+            self.clause.pattern, self.mapping, self.index
         )
         carry_live(graph_op, columns_read(self.clause))
         return ScanGraphTableOp(self.clause, self.mapping, graph_op)

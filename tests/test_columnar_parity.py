@@ -149,7 +149,7 @@ def _assert_parity(system, catalog, queries: dict[str, str], reference: dict) ->
 # ExpandIntersect / TopK), relgo_norule (unfused EXPAND_EDGE + GET_VERTEX,
 # ExpandIntersect with kept edge variables, standalone filters), relgo_noei
 # (PatternHashJoin star plans), relgo_hash (EdgeTripleScan's runtime
-# EVJoin), kuzu (closing expansions + materialization barriers) — the
+# EVJoin), kuzu (edge scans closing cycles + materialization barriers) — the
 # converged five — and duckdb (SeqScan / FilterOp / HashJoin / Aggregate
 # pipelines), graindb (RowIdJoin / CsrJoin predefined joins).
 LDBC_SYSTEMS = [
@@ -334,65 +334,6 @@ def test_numpy_selection_matches_pure_python():
         assert list(accelerated) == list(expected)
         partial = pred([np.asarray(data)], [1, 2, 4], len(data))
         assert list(partial) == [2, 4]
-    finally:
-        set_numpy_enabled(None)
-
-
-@needs_numpy
-def test_scalar_expand_fallback_feeds_vectorized_closing_expand(fig2):
-    # A LIKE-shaped edge predicate has no numpy mask, so the first Expand
-    # takes the scalar walk; its output column must hold plain Python ints
-    # (never numpy scalars) and must compose with the vectorized closing
-    # Expand downstream (regression: TypeError at bounds[parents], and
-    # np.int64 leaking into row tuples).
-    from repro.graph.matching import match_pattern
-    from repro.graph.pattern import PatternGraph
-    from repro.graph.physical import Expand, ScanVertex
-    from repro.relational.expr import starts_with
-
-    catalog, mapping, index = fig2
-    try:
-        set_numpy_enabled(True)
-        open_hop = Expand(
-            ScanVertex(mapping, "a", "Person"),
-            index,
-            mapping,
-            "a",
-            "b",
-            "Person",
-            "Knows",
-            "out",
-            edge_predicate=starts_with(col("date"), "2023-01"),
-        )
-        closing = Expand(
-            open_hop,
-            index,
-            mapping,
-            "b",
-            "a",
-            "Person",
-            "Knows",
-            "out",
-            closing=True,
-        )
-        columnar = [
-            row
-            for cb in closing.columnar_batches(ExecutionContext())
-            for row in cb.to_rows()
-        ]
-        pattern = (
-            PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
-            .edge("a", "b", "Knows", name="e1", predicate=open_hop.edge_predicate)
-            .edge("b", "a", "Knows", name="e2").build()
-        )  # fmt: skip
-        reference = [(m["a"], m["b"]) for m in match_pattern(mapping, index, pattern)]
-        assert sorted(columnar) == sorted(reference)
-        assert columnar, "the pattern must match something"
-        assert all(type(v) is int for row in columnar for v in row)
-        # ... and the rows boundary hands the same plain ints to a row parent.
-        rows = closing.execute(ExecutionContext())
-        assert sorted(rows) == sorted(reference)
-        assert all(type(v) is int for row in rows for v in row)
     finally:
         set_numpy_enabled(None)
 

@@ -4,10 +4,10 @@ checked differentially:
 * **graph operators** — on generated multigraphs (parallel edges,
   self-loops, vertices no edge touches), with dense and lazy edge and
   vertex masks, at batch sizes 1, 3 and 1024: ``EXPAND``, ``EXPAND_EDGE`` +
-  ``GET_VERTEX``, closing ``EXPAND`` and ``ALL_DISTINCT`` return the
-  reference matcher's rows (:func:`repro.graph.matching.match_pattern`),
-  and numpy on and off return the same rows in the same order, in the same
-  sequence of batch lengths, with the same ``rows_produced``;
+  ``GET_VERTEX`` and ``ALL_DISTINCT`` return the reference matcher's rows
+  (:func:`repro.graph.matching.match_pattern`), and numpy on and off
+  return the same rows in the same order, in the same sequence of batch
+  lengths, with the same ``rows_produced``;
 * **predefined joins** — the columnar bodies of ``CSR_JOIN`` and
   ``ROWID_JOIN`` return their row bodies' rows, in order, and their
   ``rows_produced``, with NULL vertices and NULL or negative pointers, with
@@ -78,26 +78,6 @@ def _expand_edge(mapping, index, direction, eshape, vshape):
     return op, pattern, ["a", "e", "b"], HOMOMORPHISM
 
 
-def _closing(mapping, index, direction, eshape, vshape):
-    """a -> b, then an edge from b back to the bound a; the vertex shape
-    filters b on the open hop."""
-    epred, vpred = EDGE_PREDICATES.get(eshape), ROOT_PREDICATES.get(vshape)
-    hop = Expand(
-        ScanVertex(mapping, "a", "Person"), index, mapping, "a", "b", "Person",
-        "Link", "out", vertex_predicate=vpred,
-    )  # fmt: skip
-    op = Expand(
-        hop, index, mapping, "b", "a", "Person", "Link", direction,
-        edge_predicate=epred, closing=True,
-    )  # fmt: skip
-    pattern = (
-        PatternGraph.builder().vertex("a", "Person")
-        .vertex("b", "Person", predicate=vpred).edge("a", "b", "Link", name="e1")
-        .edge(*_ends(direction, "b", "a"), "Link", name="e2", predicate=epred).build()
-    )  # fmt: skip
-    return op, pattern, ["a", "b"], HOMOMORPHISM
-
-
 def _distinct_vertices(mapping, index, direction, eshape, vshape):
     """a -> b -> c under ALL_DISTINCT (v): isomorphism."""
     epred, vpred = EDGE_PREDICATES.get(eshape), ROOT_PREDICATES.get(vshape)
@@ -140,7 +120,6 @@ def _distinct_edges(mapping, index, direction, eshape, vshape):
 PLANS = {
     "expand": _expand,
     "expand_edge": _expand_edge,
-    "closing": _closing,
     "distinct_vertices": _distinct_vertices,
     "distinct_edges": _distinct_edges,
 }
@@ -184,10 +163,8 @@ def test_expansions_agree_across_modes_and_with_the_matcher(graph, plan, directi
             rows, lengths, produced = runs[0]
             assert sorted(rows) == expected, (batch_size, runs)
             assert all(run == runs[0] for run in runs[1:]), batch_size
-            if plan != "closing":
-                # Expansions leave in batch_size slices (a closing EXPAND
-                # keeps one batch per input batch, parallel edges included).
-                assert max(lengths, default=0) <= batch_size
+            # Expansions leave in batch_size slices.
+            assert max(lengths, default=0) <= batch_size
             assert produced >= len(rows)
     finally:
         set_numpy_enabled(None)

@@ -141,9 +141,9 @@ def test_null_semantics():
 
 
 def test_columnar_compile_cache_distinguishes_equal_hashing_literals():
-    # Literal(True) == Literal(1) == Literal(1.0) under Python equality, so
-    # the compile memo must key on literal types too: each evaluator has
-    # to emit its own literal's exact value and type (regression test).
+    # Literal(True) == Literal(1) == Literal(1.0) under Python equality, yet
+    # each evaluator has to emit its own literal's exact value and type
+    # (regression test).
     from repro.relational.expr import compile_expr_columnar
 
     for value in (True, 1, 1.0):

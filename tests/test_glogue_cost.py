@@ -147,13 +147,6 @@ def test_memoization_by_structure(snb):
     assert len(glogue._cache) == cached
 
 
-def test_closing_probability_bounds(snb):
-    catalog, mapping, index = snb
-    glogue = GLogue(mapping, index)
-    p = glogue.closing_probability("person", "knows", "person")
-    assert 0.0 < p < 1.0
-
-
 # --------------------------------------------------------------------- #
 # GLogue counts by CSR walks, checked against the reference matcher
 # --------------------------------------------------------------------- #

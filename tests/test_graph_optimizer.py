@@ -458,7 +458,7 @@ def reference_optimize(optimizer, estimator, pattern):
             step = StarStep(name, legs)
             cost = costs.expand_cost(child.cardinality, card, step, sub)
             yield GraphPlan(sub, "expand", card, child.cost + cost, child=child, step=step)
-        if not (config.enable_binary_joins and 4 <= len(vertex_set) <= config.binary_join_limit):
+        if not 4 <= len(vertex_set) <= config.binary_join_limit:
             return
         for left_set, right_set in reference_splits(pattern, vertex_set, sub):
             left = best(left_set, pattern.induced_subpattern(left_set))
@@ -549,8 +549,7 @@ def snb_glogue():
 
 
 SEARCH_CONFIGS = [
-    GraphOptimizerConfig(index, ei, joins, limit)
-    for index, ei, joins, limit in product([True, False], [True, False], [True, False], [3, 4, 8, 9])
+    GraphOptimizerConfig(index, limit) for index, limit in product([True, False], [3, 4, 8, 9])
 ]
 
 

@@ -1080,3 +1080,39 @@ def test_dictionary_keys_group_by_address(monkeypatch):
     assert calls == []
     # Groups open in ascending code order: the dictionary's first-seen order.
     assert result.rows == [(name, 40) for name in ["ana", "cy", "ed", "bo", "di"]]
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_dictionary_count_argument_counts_group_sizes(monkeypatch):
+    """A dictionary vector holds no NULLs, so COUNT(x) over one is the group
+    size: a dictionary-keyed batch counted over a dictionary vector never
+    decodes its strings through the per-value loop and enters the typed
+    state, with an ndarray key too."""
+    from collections import Counter
+
+    import numpy as np
+
+    from repro.exec import grouping
+    from repro.exec.vector import DictVector
+
+    calls: list = []
+    original = grouping._segment_reduce_seq
+
+    def recording(func, *args):
+        calls.append(func)
+        return original(func, *args)
+
+    monkeypatch.setattr(grouping, "_segment_reduce_seq", recording)
+    names = ["ana", "bo", "cy", "di", "ed"]
+    codes = np.asarray([(i * 7) % 5 for i in range(1024)], dtype=np.int64)
+    words = DictVector(codes, names, {name: i for i, name in enumerate(names)})
+    sizes = Counter(codes.tolist())
+    for key, typed, name_of in ((words, True, names.__getitem__), (codes, False, int)):
+        state = GroupedAggregation(1, ["COUNT", "COUNT"])
+        state.consume([key], [words, None], len(codes))
+        assert calls == []
+        assert (state._array is not None) == typed
+        rows = zip(*(vector.as_values(column) for column in state.result_columns()))
+        assert {k: (n, m) for k, n, m in rows} == {
+            name_of(code): (size, size) for code, size in sizes.items()
+        }

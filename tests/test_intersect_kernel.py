@@ -602,7 +602,7 @@ def test_plans_count_what_the_neighbor_map_loop_counted(
         assert got.sorted_rows() == want.sorted_rows(), name
         assert got.rows_produced == want.rows_produced, name
         assert got.peak_buffered_rows == want.peak_buffered_rows, name
-    # The other three close cycles with joins, closing expansions or
-    # runtime EVJoins: the kernel must leave their counts alone too.
+    # The other three close cycles with joins or runtime EVJoins: the
+    # kernel must leave their counts alone too.
     uses_kernel = any("EXPAND_INTERSECT" in plan.explain() for plan in plans.values())
     assert uses_kernel == (system_name in ("relgo", "relgo_norule"))

@@ -2,9 +2,8 @@
 
 Lowering ends with one top-down walk
 (:func:`repro.graph.optimizer.carry_live`) that narrows each operator
-building its batches anew — EXPAND (closing too), EXPAND_EDGE,
-GET_VERTEX, EXPAND_INTERSECT — to the input variables something above it
-reads.  Checked here:
+building its batches anew — EXPAND, EXPAND_EDGE, GET_VERTEX,
+EXPAND_INTERSECT — to the input variables something above it reads.  Checked here:
 
 * **guard** — on the 58 IC / QR / QC / JOB statements under every system,
   no such operator carries a variable that nothing above it reads (the
@@ -74,9 +73,7 @@ CONVERGED = ["relgo", "relgo_norule", "relgo_noei", "relgo_hash", "relgo_loworde
 
 def _reads(op: GraphOperator) -> set[str]:
     """The input variables ``op`` reads itself, from what it computes."""
-    if isinstance(op, Expand):
-        return {op.from_var, op.to_var} if op.closing else {op.from_var}
-    if isinstance(op, ExpandEdge):
+    if isinstance(op, (Expand, ExpandEdge)):
         return {op.from_var}
     if isinstance(op, GetVertex):
         return {op.edge_var}

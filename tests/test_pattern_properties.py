@@ -107,16 +107,6 @@ def test_without_predicates_is_structural_identity(pattern):
     assert pattern.without_predicates().canonical_code() == pattern.canonical_code()
 
 
-def test_star_of():
-    p = path_pattern(2)  # v0 - v1 - v2
-    star = p.star_of("v1")
-    assert star.num_vertices == 3
-    assert star.num_edges == 2
-    leaf_star = p.star_of("v0")
-    assert leaf_star.num_vertices == 2
-    assert leaf_star.num_edges == 1
-
-
 def test_constraint_changes_code():
     from repro.relational.expr import col, eq, lit
 

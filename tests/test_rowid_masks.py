@@ -8,11 +8,11 @@ no shape changes an answer:
 
 * **parity** — LIKE / NOT LIKE / IN / STARTS WITH / OR / IS NULL over a
   list-backed ('<U' view), a NULL-bearing (plain list) and a dictionary
-  column, as edge and as vertex predicates, through EXPAND, closing EXPAND,
-  EXPAND_EDGE + GET_VERTEX, EXPAND_INTERSECT (edge variables trimmed and
-  kept), EDGE_SCAN and bound columns filtered on their own: the operator's
-  one columnar body == the reference matcher, which shares no code with
-  it, with numpy on and off;
+  column, as edge and as vertex predicates, through EXPAND, EXPAND_EDGE +
+  GET_VERTEX, EXPAND_INTERSECT (edge variables trimmed and kept), EDGE_SCAN
+  (alone and closing a cycle) and bound columns filtered on their own: the
+  operator's one columnar body == the reference matcher, which shares no
+  code with it, with numpy on and off;
 * **predefined joins** — predicated ROWID_JOIN and CSR_JOIN filter through
   the same masks: their columnar bodies return the row bodies' rows and
   ``rows_produced``;
@@ -48,6 +48,7 @@ from repro.graph.physical import (
     ExpandEdge,
     ExpandIntersect,
     GetVertex,
+    PatternHashJoin,
     ScanVertex,
     StarLeg,
 )
@@ -276,22 +277,24 @@ def test_expand_vertex_predicate(graph, numpy_mode, shape, direction):
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
 def test_closing_expand_edge_predicate(graph, numpy_mode, shape):
+    """A predicate on the edge that closes a cycle after an expansion: the
+    edge scan joined on both bound endpoints (the declaration-order
+    planner's closing step)."""
     mapping, index = graph
     pred = EDGE_PREDICATES[shape]
     hop = Expand(
         ScanVertex(mapping, "a", "Person"), index, mapping,
         "a", "b", "Person", "Link", "out",
     )  # fmt: skip
-    op = Expand(
-        hop, index, mapping, "b", "a", "Person", "Link", "out",
-        edge_predicate=pred, closing=True,
-    )  # fmt: skip
+    op = PatternHashJoin(
+        hop, EdgeTripleScan(mapping, "Link", "b", "a", "e2", index=index, edge_predicate=pred)
+    )
     pattern = (
         PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
         .edge("a", "b", "Link", name="e1")
         .edge("b", "a", "Link", name="e2", predicate=pred).build()
     )  # fmt: skip
-    _assert_matches_reference(graph, op, pattern, ["a", "b"])
+    _assert_matches_reference(graph, op, pattern, [v.name for v in op.output_vars])
 
 
 @pytest.mark.parametrize("shape", sorted(EDGE_PREDICATES))
@@ -842,7 +845,7 @@ def test_pin_plan_pins_each_table_once(graph, monkeypatch):
         "a", "b", "Person", "Link", "out",
     )  # fmt: skip
     plan = ExpandIntersect(
-        Expand(hop, index, mapping, "b", "a", "Person", "Link", "out", closing=True),
+        Expand(hop, index, mapping, "b", "d", "Person", "Link", "out"),
         index, mapping,
         [StarLeg("a", "Link", "out"), StarLeg("b", "Link", "in")],
         "c", "Person",

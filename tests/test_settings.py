@@ -453,12 +453,12 @@ def test_intersect_probes_sorted_views_without_sorting():
 
 
 def test_predicates_have_one_vectorized_body():
-    """A predicate compiles once per (expr, layout): the dense rowid mask is
-    the selection refiner's own body, and the predefined joins filter
-    through it instead of falling back to their row bodies."""
+    """The dense rowid mask is the selection refiner's own body, and the
+    predefined joins filter through it instead of falling back to their
+    row bodies."""
     from repro.relational.expr import (
+        CompiledPredicate,
         and_,
-        compile_predicate_columnar,
         compile_predicate_mask,
         eq,
         ge,
@@ -476,7 +476,8 @@ def test_predicates_have_one_vectorized_body():
         and_(ge("t.a", 3), starts_with("t.s", "x")),
     ):
         mask = compile_predicate_mask(pred, layout)
-        assert mask.__self__ is compile_predicate_columnar(pred, layout)
+        assert isinstance(mask.__self__, CompiledPredicate)
+        assert mask.__func__ is CompiledPredicate.mask
     assert "Operator.columnar_batches(self" not in sources["repro/relational/physical.py"]
 
 
@@ -504,7 +505,6 @@ def test_string_predicates_are_dense(monkeypatch):
         return one_column(idx, counted, *args, **kwargs)
 
     monkeypatch.setattr(expr, "_one_column", counting)
-    monkeypatch.setattr(expr, "_COMPILE_CACHE", {})
     rows = [(f"{'BKa'[i % 3]}{i}", ["m", "f", "4.5", "7.1"][i % 4]) for i in range(1200)]
     set_storage_backend("dict")
     set_numpy_enabled(True)
