@@ -176,7 +176,7 @@ class RelGoFramework:
     @property
     def glogue(self) -> GLogue:
         if self._glogue is None:
-            self._glogue = GLogue(self.mapping, self.ensure_index(), sample_ratio=0.1)
+            self._glogue = GLogue(self.mapping, self.ensure_index())
         return self._glogue
 
     @property

@@ -898,12 +898,14 @@ def _walk(columns: list, steps: Sequence[WalkStep], limit: int) -> int:
     return _walk(columns, steps[1:], limit)
 
 
-#: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT reads at
-#: once, as a multiple of ``ctx.batch_size``: an input batch is cut into row
-#: slices whose summed leg degrees stay within about this many batches (a
-#: single row above it is a slice of its own).  Only the slice's smallest
-#: leg materializes its pairs; the cut counts every leg so that slices, and
-#: with them output chunks, do not depend on which leg drives.
+#: Bound on the (bound row, adjacent edge) pairs EXPAND_INTERSECT
+#: materializes at once, as a multiple of ``ctx.batch_size``: an input batch
+#: is cut into row slices, each the longest run of rows on which some leg's
+#: summed degree stays within this many batches (a single row above it is
+#: a slice of its own).  Only the slice's smallest leg materializes its
+#: pairs, so no slice expands more.  The cut reads every leg's degrees and
+#: not the driver's, so slices, and with them output chunks, are the same
+#: in both numpy modes.
 INTERSECT_PAIRS_PER_BATCH = 16
 
 
@@ -969,10 +971,13 @@ def intersect_expand(
     rowids, then the root.
 
     Output rows follow (input row, root rowid) order, in chunks of
-    ``ctx.batch_size`` rows.  An input batch is processed in row slices cut
-    on the cumulative degrees of all legs (:data:`INTERSECT_PAIRS_PER_BATCH`),
-    so a batch of hub vertices never holds more than a fixed multiple of
-    the batch size in pairs at once.  One body runs with numpy on or off:
+    ``ctx.batch_size`` rows.  An input batch is processed in row slices,
+    each the longest run of rows on which some leg's summed degree stays
+    within :data:`INTERSECT_PAIRS_PER_BATCH` batches; that leg, or one with
+    less work, drives, so a batch of hub vertices never expands more than a
+    fixed multiple of the batch size in pairs at once (unless one row
+    alone does), and a hub leg beside a small one does not cut the batch
+    short.  One body runs with numpy on or off:
     the numpy / pure-Python split lives in the :mod:`repro.exec.vector`
     primitives it is built from (``csr_positions``, ``degree_sums``,
     ``cut_points``, ``key_runs``, ``product_positions``, ...), so both

@@ -31,6 +31,7 @@ from __future__ import annotations
 from array import array as _array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from itertools import accumulate, compress, count, product
 from math import prod
 from typing import Sequence
@@ -467,21 +468,23 @@ def degree_sums(offsets, vertices) -> Sequence[int]:
 
 
 def cut_points(sums: Sequence[Sequence[int]], limit: int) -> list[int]:
-    """Slice bounds ``[0, ..., n]`` over ``n`` rows whose work is the sum
-    of the prefix-sum columns ``sums`` (each ``n + 1`` long, ``n > 0``):
-    slice ``i`` ends before the first row whose cumulative work passes
-    ``(i + 1) * limit``."""
+    """Slice bounds ``[0, ..., n]`` over ``n`` rows with one prefix-sum
+    column of work per alternative in ``sums`` (each ``n + 1`` long,
+    ``n > 0``): each slice is the longest run of rows, at least one, on
+    which some column's work stays within ``limit`` — the furthest of the
+    columns' cuts, one binary search each."""
     n = len(sums[0]) - 1
-    if sum(column[-1] for column in sums) <= limit:
+    if min(column[-1] for column in sums) <= limit:
         return [0, n]
-    if is_ndarray(sums[0]):
-        total = sum(sums)[1:]
-        cuts = _np.searchsorted(total, _np.arange(limit, int(total[-1]), limit), "right")
-        return _np.unique(_np.concatenate(([0], cuts, [n]))).tolist()
-    total = [sum(column) for column in zip(*sums)][1:]
-    # The cuts do not decrease, so dropping repeats keeps them in order.
-    cuts = [bisect_right(total, mark) for mark in range(limit, total[-1], limit)]
-    return list(dict.fromkeys([0, *cuts, n]))
+    search = partial(_np.searchsorted, side="right") if is_ndarray(sums[0]) else bisect_right
+    bounds = [0]
+    while bounds[-1] < n:
+        first = bounds[-1]
+        # ``search`` finds the first row end past the budget, so the cut
+        # sits one before it: at most n, at least ``first`` itself.
+        last = max(search(column, column[first] + limit) for column in sums) - 1
+        bounds.append(max(first + 1, int(last)))
+    return bounds
 
 
 def radix_keys(vertices, radix: int) -> Sequence[int]:

@@ -44,7 +44,7 @@ class GLogue:
         mapping: RGMapping,
         index: GraphIndex,
         max_k: int = 3,
-        sample_ratio: float = 0.05,
+        sample_ratio: float = 0.1,
         min_sample: int = 64,
         seed: int = 42,
     ):

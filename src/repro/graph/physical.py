@@ -433,8 +433,11 @@ class ExpandIntersect(Extension):
     """EXPAND_INTERSECT: close a complete star by neighbor intersection.
 
     For each input row, the root candidates are the intersection of the
-    bound leaves' neighbor sets: per slice of rows the leg with the smallest
-    summed degree expands, and every other leg is probed in its
+    bound leaves' neighbor sets.  Each input batch is cut into row slices,
+    each the longest run of rows on which some leg's summed degree fits
+    :data:`~repro.exec.kernels.INTERSECT_PAIRS_PER_BATCH` batches; per
+    slice the leg with the smallest summed degree expands, and every
+    other leg is probed in its
     adjacency's neighbor-ordered key view
     (:meth:`~repro.graph.index.Adjacency.key_view`): one gather from its
     slot table when the view is dense, a binary search when it is not.  Homomorphism

@@ -86,9 +86,11 @@ _QC3_PHJ = "PATTERN_HASH_JOIN on (d, c, b) build"
 #: count of a query that fits.  The budget charges rows per buffered batch,
 #: and kuzu's MATERIALIZE buffers its child's batches, whose sizes follow
 #: the one CSR expansion body's ``batch_size`` slices; relgo's RESULT
-#: buffers EXPAND_INTERSECT's chunks, which follow the intersect kernel's
-#: slices and ``batch_size`` chunks.  Both are the same with numpy on and
-#: off, so no entry depends on the mode.
+#: buffers EXPAND_INTERSECT's chunks: ``batch_size`` chunks within each of
+#: the intersect kernel's row slices, a slice being the longest run of
+#: input rows on which some leg's summed degree fits the kernel's pair
+#: bound.  Both are the same with numpy on and off, so no entry depends on
+#: the mode.
 TRIP_POINTS = {
     ("relgo_noei", "QC3", 2_000): (_QC3_PHJ, 2_053),
     ("relgo_noei", "QC3", 20_000): (_QC3_PHJ, 20_715),
@@ -96,10 +98,10 @@ TRIP_POINTS = {
     ("kuzu", "QC3", 20_000): ("MATERIALIZE", 20_480),
     ("relgo_hash", "QC3", 2_000): ("RESULT", 2_010),
     ("relgo_hash", "QC3", 20_000): 5_352,
-    ("relgo", "QC1", 2_000): ("RESULT", 2_256),
+    ("relgo", "QC1", 2_000): ("RESULT", 2_048),
     ("relgo", "QC2", 2_000): ("RESULT", 2_048),
     ("relgo", "QC2", 20_000): ("RESULT", 20_570),
-    ("relgo", "QC3", 2_000): ("RESULT", 2_726),
+    ("relgo", "QC3", 2_000): ("RESULT", 2_048),
     ("relgo", "QC3", 20_000): 5_352,
     **{
         (name, "IC3-1", budget): 3

@@ -22,7 +22,11 @@ checked against references that share no code with it:
   table, go through the property check above too;
 * **work bound** — only the smallest leg of a slice is expanded, numpy on
   or off: a star whose other leaf is a 10 000-edge hub materializes one
-  pair;
+  pair, and a 1 024-row batch beside such a hub is one slice of 1 024
+  pairs; on the property graphs and stars, at the engine's pair bound and
+  at one batch, each slice is the longest run of rows on which some leg
+  fits the bound, its driver expands no more than the bound unless the
+  slice is one row, and numpy on and off cut the same slices;
 * **plan level** — on all 25 LDBC statements under the five converged
   systems, answers, ``rows_produced`` and ``peak_buffered_rows`` equal those
   of the per-row neighbor-map loop the kernel replaced, kept here as the
@@ -493,6 +497,127 @@ def test_intersect_expands_only_the_smallest_leg(hub_first, monkeypatch):
         assert rows == expected, numpy_on
         # One input row, one slice: the smaller leg's degree sum is 1.
         assert expanded == [1], numpy_on
+
+
+@pytest.mark.parametrize("numpy_on", NUMPY_MODES)
+def test_a_hub_leg_does_not_fragment_slices(numpy_on, monkeypatch):
+    """A 1 024-row batch whose every row binds one leg to a 10 000-edge hub
+    and the other to a degree-1 vertex is one slice: the small leg's 1 024
+    pairs fit the bound, so the hub's degrees, which it only probes, do
+    not cut the batch into a slice per row."""
+    hub, rows, fan = 0, 1024, 10_000
+    leaves = range(1, rows + 1)
+    far = range(rows + 1, rows + 1 + fan)
+    links = [(hub, c) for c in far] + [(leaf, far[leaf - 1]) for leaf in leaves]
+    mapping, index = _graph(rows + 1 + fan, links, [(hub, leaf) for leaf in leaves])
+    child = Expand(
+        ScanVertex(mapping, "a", "Person"), index, mapping,
+        "a", "b", "Person", "Pair", "out",
+    )  # fmt: skip
+    legs = [StarLeg("a", "Link", "out", None, None), StarLeg("b", "Link", "out", None, None)]
+    op = ExpandIntersect(child, index, mapping, legs, "c", "Person")
+    # The reference matcher walks edges in the order written: the small
+    # leaf's edge first, or it lists the hub's 10^7 partial matches.
+    pattern = (
+        PatternGraph.builder().vertex("a", "Person").vertex("b", "Person")
+        .vertex("c", "Person").edge("a", "b", "Pair").edge("b", "c", "Link")
+        .edge("a", "c", "Link").build()
+    )  # fmt: skip
+    expected = sorted((b["a"], b["b"], b["c"]) for b in match_pattern(mapping, index, pattern))
+    assert len(expected) == rows
+
+    walk = kernels.csr_positions
+    expanded = []
+
+    def recording(vertices, offsets):
+        pairs = walk(vertices, offsets)
+        if offsets is not pair_offsets:
+            expanded.append(0 if pairs is None else len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(kernels, "csr_positions", recording)
+    set_numpy_enabled(numpy_on)
+    try:
+        pair_offsets, _ = index.adjacency("Person", "Pair", "out").vectors()
+        result, _, lengths = _serial(op, 1024)
+    finally:
+        set_numpy_enabled(None)
+    assert sorted(result) == expected
+    assert lengths == [rows]
+    assert expanded == [rows]
+
+
+def _degree_sum(offsets, vertices) -> int:
+    return sum(offsets[v + 1] - offsets[v] for v in as_values(vertices))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=graphs(), star=stars(), pairs_per_batch=st.sampled_from([1, kernels.INTERSECT_PAIRS_PER_BATCH]))
+# A hub on the second leg beside a degree-1 first leg: the hub's
+# degrees alone would cut every row into a slice of its own.
+@example(
+    graph=(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 1), (1, 0), (1, 3), (1, 3), (1, 1)]),
+    star=([("a", "out", False, None), ("b", "out", True, None)], False, None),
+    pairs_per_batch=1,
+)
+def test_slices_fit_the_bound_on_the_leg_they_expand(graph, star, pairs_per_batch):
+    """At batch sizes 1, 2 and 1024, under the engine's pair bound and
+    under a bound of one batch (which cuts the small graphs' batches too):
+    every slice's driver expands at most ``pairs_per_batch x batch_size``
+    pairs unless the slice is one row, every slice but a batch's last
+    would put every leg past the bound one row further, the rows are the
+    reference matcher's, and numpy on and off cut the same slices and
+    expand the same drivers."""
+    assume(_match_count(graph, star) <= MAX_MATCHES)
+    n, links = graph
+    mapping, index = _graph(n, links)
+    op, pattern, variables = _star(mapping, index, *star)
+    expected = sorted(
+        tuple(b[v] for v in variables) for b in match_pattern(mapping, index, pattern)
+    )
+    cut, slice_ = kernels.cut_points, kernels._intersect_slice
+    cuts, slices = [], []
+
+    def cutting(sums, limit):
+        bounds = cut(sums, limit)
+        cuts.append(([as_values(column) for column in sums], limit, bounds))
+        return bounds
+
+    def expanding(cb, legs, bound, first, driver, *rest):
+        pairs = _degree_sum(legs[driver].offsets, bound[driver])
+        slices.append((first, len(bound[driver]), driver, pairs))
+        return slice_(cb, legs, bound, first, driver, *rest)
+
+    outputs = []
+    try:
+        with mock.patch.object(kernels, "INTERSECT_PAIRS_PER_BATCH", pairs_per_batch), \
+                mock.patch.object(kernels, "cut_points", cutting), \
+                mock.patch.object(kernels, "_intersect_slice", expanding):  # fmt: skip
+            for numpy_on in NUMPY_MODES:
+                set_numpy_enabled(numpy_on)
+                for batch_size in (1, 2, 1024):
+                    del cuts[:], slices[:]
+                    rows, produced, lengths = _serial(op, batch_size)
+                    assert sorted(rows) == expected, (numpy_on, batch_size)
+                    limit = pairs_per_batch * batch_size
+                    for sums, limit_seen, bounds in cuts:
+                        assert limit_seen == limit
+                        n_rows = len(sums[0]) - 1
+                        assert bounds[0] == 0 and bounds[-1] == n_rows
+                        for first, last in zip(bounds, bounds[1:]):
+                            assert last > first
+                            work = [column[last] - column[first] for column in sums]
+                            assert last - first == 1 or min(work) <= limit
+                            if last < n_rows:
+                                assert all(
+                                    column[last + 1] - column[first] > limit for column in sums
+                                ), (bounds, sums)
+                    for _, length, _, pairs in slices:
+                        assert pairs <= limit or length == 1, (pairs, limit, length)
+                    outputs.append((rows, produced, lengths, [c[2] for c in cuts], list(slices)))
+    finally:
+        set_numpy_enabled(None)
+    assert outputs[: len(outputs) // len(NUMPY_MODES)] * len(NUMPY_MODES) == outputs
 
 
 @pytest.mark.parametrize("numpy_on", NUMPY_MODES)

@@ -9,9 +9,11 @@ EXPAND_INTERSECT — to the input variables something above it reads.  Checked h
   no such operator carries a variable that nothing above it reads (the
   reads restated from each operator's semantics, not taken from the
   walk), each dropped variable is printed once, on the operator that
-  drops it, and ``relgo``'s QC1–QC3 emit the chunks they emitted before
-  the walk existed, numpy on and off: the RESULT trip points of
-  ``tests/test_hash_join.py`` are cut from these chunks;
+  drops it, and ``relgo``'s QC1–QC3 emit pinned chunks, numpy on and
+  off: the walk moves no chunk boundary, and the chunks follow
+  EXPAND_INTERSECT's row slices (the longest run of input rows on which
+  some leg's degrees fit the kernel's pair bound).  The RESULT trip
+  points of ``tests/test_hash_join.py`` are cut from these chunks;
 * **property** — on generated multigraphs with self-loops and parallel
   edges, patterns with closing edges, intersect stars, self-loops and
   parallel pattern edges, edge variables in ``COLUMNS`` and MIN / MAX
@@ -142,21 +144,18 @@ def test_graph_operators_carry_only_live_variables(catalogs, system_name):
 
 
 #: ``relgo``'s QC1–QC3 output chunks on the small LDBC catalog, as
-#: ``(length, repeat)`` runs, recorded before the liveness walk: the same
-#: in both numpy modes.
+#: ``(length, repeat)`` runs: the same in both numpy modes.  They follow
+#: EXPAND_INTERSECT's row slices, each the longest run of input rows on
+#: which some leg's degrees fit the kernel's pair bound; carrying fewer
+#: columns moves none of them.
 QC_CHUNKS = {
-    "QC1": [(1024, 1), (976, 1), (256, 1)],
+    "QC1": [(1024, 2), (208, 1)],
     "QC2": [
-        (1024, 2), (696, 1), (1024, 3), (636, 1), (1024, 3), (422, 1), (1024, 1), (174, 1),
-        (1024, 3), (169, 1), (1024, 3), (308, 1), (1024, 1), (757, 1), (1024, 2), (915, 1),
-        (1024, 2), (768, 1), (1024, 2), (746, 1), (1024, 1), (635, 1), (1024, 2), (539, 1),
-        (902, 1), (1024, 2), (298, 1), (687, 1), (1024, 2), (281, 1), (330, 1), (1024, 2),
-        (219, 1), (195, 1), (1024, 1), (1001, 1), (57, 1), (1024, 1), (849, 1),
+        (1024, 10), (904, 1), (1024, 8), (210, 1), (1024, 5), (659, 1), (1024, 4), (357, 1),
+        (1024, 3), (417, 1), (1024, 2), (985, 1), (1024, 2), (611, 1), (1024, 2), (414, 1),
+        (1024, 2), (34, 1), (1024, 1), (849, 1),
     ],
-    "QC3": [
-        (528, 1), (610, 1), (725, 1), (863, 1), (328, 1), (608, 1), (633, 1), (501, 1),
-        (310, 1), (246, 1),
-    ],
+    "QC3": [(1024, 2), (694, 1), (312, 1), (1024, 2), (70, 1), (180, 1)],
 }  # fmt: skip
 
 
